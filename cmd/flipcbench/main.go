@@ -20,157 +20,18 @@ import (
 	"flipc/internal/experiments"
 )
 
-type entry struct {
-	id, what string
-	run      func(seed int64) (experiments.Table, error)
-}
-
-var entries = []entry{
-	{"E1", "Figure 4: latency vs message size", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E1Figure4(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E2", "120-byte latency across Paragon messaging systems", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E2Comparison(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E3", "validity-check overhead", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E3ValidityChecks(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E4", "cache-tuning ablation (locks + false sharing)", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E4CacheAblation(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E5", "cold-start anomaly", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E5ColdStart(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E6", "bandwidth implied by the slope", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E6BandwidthSlope(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E7", "small-message crossover vs PAM", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E7SmallMessageCrossover(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E8", "large-message throughput positioning", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E8LargeMessageThroughput(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E9", "drop semantics and layered flow control", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E9DropsAndFlowControl(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"E10", "KKT development binding vs native engine", func(s int64) (experiments.Table, error) {
-		r, err := experiments.E10KKTVsNative(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A1", "ablation: engine poll cadence", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A1PollInterval(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A2", "ablation: prioritized transport extension", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A2PriorityTransport(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-	{"A3", "ablation: receive window vs burst loss", func(s int64) (experiments.Table, error) {
-		r, err := experiments.A3ReceiveWindow(s)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table, nil
-	}},
-}
-
 func main() {
 	var (
-		exp       = flag.String("experiment", "all", "experiment ID (E1..E10, A1..A3) or 'all'")
-		seed      = flag.Int64("seed", 1996, "jitter seed (results are deterministic per seed)")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		csv       = flag.Bool("csv", false, "emit CSV instead of the aligned table (single experiment only)")
-		pubsub    = flag.Bool("pubsub", false, "run the wall-clock pub/sub fanout benchmark instead of the experiments")
-		agg       = flag.Bool("agg", false, "run the adaptive-aggregation ablation (batch size x flush deadline over TCP) instead of the experiments")
-		jsonPath  = flag.String("json", "", "with -pubsub/-agg/-gateway: also write the JSON report to this file")
-		publishes = flag.Int("publishes", 1000, "with -pubsub: publishes per fanout width; with -agg: bulk publishes per cell")
-		gatew     = flag.Bool("gateway", false, "run the gateway edge plane benchmark (loopback TCP clients) instead of the experiments")
-		gwSizes   = flag.String("gateway-clients", "1000,10000", "with -gateway: comma-separated client population sizes")
-		gwRounds  = flag.Int("gateway-rounds", 150, "with -gateway: steady-state publish rounds per class")
-		gwDrive   = flag.String("gwdrive", "", "internal: run as the gateway bench client driver against this address")
-		gwDriveN  = flag.Int("gwdrive-n", 0, "internal: client driver population size")
+		exp  = flag.String("experiment", "all", "experiment ID (E1..E10, A1..A3) or 'all'")
+		seed = flag.Int64("seed", 1996, "jitter seed (results are deterministic per seed)")
+		list = flag.Bool("list", false, "list experiments and exit")
+		csv  = flag.Bool("csv", false, "emit CSV instead of the aligned table (single experiment only)")
 	)
 	flag.Parse()
 
-	if *gwDrive != "" {
-		if err := runGatewayDriver(*gwDrive, *gwDriveN); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: gwdrive: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *gatew {
-		if err := runGatewayBench(*jsonPath, *gwSizes, *gwRounds); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: gateway: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *agg {
-		if err := runAgg(*jsonPath, *publishes); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: agg: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *pubsub {
-		if err := runPubsub(*jsonPath, *publishes); err != nil {
-			fmt.Fprintf(os.Stderr, "flipcbench: pubsub: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
-		for _, e := range entries {
-			fmt.Printf("%-4s %s\n", e.id, e.what)
+		for _, e := range experiments.Catalog {
+			fmt.Printf("%-4s %s\n", e.ID, e.What)
 		}
 		return
 	}
@@ -182,11 +43,11 @@ func main() {
 		}
 		return
 	}
-	for _, e := range entries {
-		if e.id == want {
-			t, err := e.run(*seed)
+	for _, e := range experiments.Catalog {
+		if e.ID == want {
+			t, err := e.Run(*seed)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "flipcbench: %s: %v\n", e.id, err)
+				fmt.Fprintf(os.Stderr, "flipcbench: %s: %v\n", e.ID, err)
 				os.Exit(1)
 			}
 			var perr error

@@ -2,37 +2,20 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"time"
 
-	"flipc/internal/duralog"
-	"flipc/internal/nameservice"
-	"flipc/internal/registrystore"
-	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
 
-// failoverOpts parameterizes the -failover scenario.
-type failoverOpts struct {
-	nodes   int
-	msgSize int
-	msgs    int           // control publishes per phase
-	gap     time.Duration // publish period (virtual)
-	poll    time.Duration
-	window  int
-}
-
-// runFailover kills the registry mid-traffic and measures the takeover.
+// runFailover kills the registry mid-traffic and measures the takeover:
+// the one-domain case of the registry plane runShards runs three of.
 //
 // Node 0 hosts the primary registry (durable store + replication feed),
 // node 1 the standby (store + stream apply), node 2 a control-class
 // publisher, and every remaining node one subscriber — all resolving
-// through a FailoverDirectory pointed at the primary. Phase one runs
-// traffic against the primary while the standby follows the mutation
-// stream. Then the primary is killed cold (observer detached, feed
-// stopped, never notified), the standby promotes, and the workload is
+// through the plane's directory. Phase one runs traffic against the
+// primary while the standby follows the mutation stream. Then the
+// primary is killed cold, the standby promotes, and the workload is
 // retargeted. The scenario enforces the failover contract:
 //
 //   - the standby's generation is strictly above anything the primary
@@ -44,429 +27,127 @@ type failoverOpts struct {
 //     accounted (delivered or counted drop) by the conservation law;
 //   - post-failover control p99 stays within 2x the pre-failover
 //     baseline.
-func runFailover(o failoverOpts) error {
-	if o.nodes < 4 {
-		return fmt.Errorf("-failover needs at least 4 nodes (2 registries, 1 publisher, 1+ subscribers)")
+func runFailover(o opts) error {
+	if o.nodes < 6 {
+		o.nodes = 6 // 2 registries + publisher + 3 subscribers
 	}
-	scfg := simcluster.Config{
-		Nodes:        o.nodes,
-		MessageSize:  o.msgSize,
-		NumBuffers:   4 * o.window,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+	sc, err := newScenario(o, simcluster.Config{NumBuffers: 4 * o.window})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer sc.close()
+	p, err := sc.newPlane(1)
+	if err != nil {
+		return err
+	}
+	r := p.reps[0]
 
-	walA, err := os.MkdirTemp("", "flipcsim-rega-")
+	// Workload: subscribers on nodes 3..n-1 and a publisher on node 2.
+	// Subscriptions land after the standby attached, so they flow down
+	// the stream.
+	const pubNode = 2
+	ctl, err := sc.topicStream(p.dir, "ctl", topic.Control, pubNode)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(walA)
-	walB, err := os.MkdirTemp("", "flipcsim-regb-")
+	// Durable data topic: the payload-loss ledger. Its single subscriber
+	// (stable cursor name) dies with the primary registry, traffic
+	// continues into the log during the blackout, and a replacement
+	// resuming under the same name must recover every payload by replay
+	// — zero loss, exactly once, with the cursor plane itself surviving
+	// the failover.
+	dur, err := sc.newDurable(p.dir, "data", "sim/ledger", pubNode, pubNode+1)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(walB)
-
-	// Primary registry on node 0: durable store, replication feed on the
-	// reserved control-priority topic, fenced at promotion.
-	regA := nameservice.NewTopicRegistry()
-	stA, err := registrystore.Open(walA, regA, registrystore.Options{NoSync: true})
-	if err != nil {
+	if err := p.resync(); err != nil {
 		return err
 	}
-	mgrA := registrystore.NewManager(regA, stA)
-	dirA := topic.LocalDirectory{R: regA}
-	repPub, err := topic.NewPublisher(c.Domains[0], dirA, topic.PublisherConfig{
-		Topic: registrystore.ReplicationTopic, Class: registrystore.ReplicationClass,
-		Window: o.window, RefreshEvery: 1,
-	})
-	if err != nil {
-		return err
-	}
-	feed := registrystore.NewFeed(repPub, c.Domains[0].MaxPayload())
-	mgrA.AttachFeed(feed)
-	genA := mgrA.Promote()
-
-	// Standby on node 1: subscribes to the replication stream through
-	// the primary, applies records into its own registry and store.
-	regB := nameservice.NewTopicRegistry()
-	stB, err := registrystore.Open(walB, regB, registrystore.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	mgrB := registrystore.NewManager(regB, stB)
-	repSub, err := topic.NewSubscriber(c.Domains[1], dirA,
-		registrystore.ReplicationTopic, registrystore.ReplicationClass, o.window, o.window)
-	if err != nil {
-		return err
-	}
-	apply := registrystore.NewApply(repSub, regB, stB)
-
-	// Workload: subscribers on nodes 3..n-1 and a publisher on node 2,
-	// all resolving through a failover directory so a takeover is one
-	// retarget away. Subscriptions land after the standby attached, so
-	// they flow down the stream.
-	fdir := topic.NewFailoverDirectory(dirA)
-	nsubs := o.nodes - 3
-	var subs []*topicSub
-	for n := 3; n < o.nodes; n++ {
-		s, err := topic.NewSubscriber(c.Domains[n], fdir, "ctl", topic.Control, o.window, o.window)
-		if err != nil {
-			return err
-		}
-		subs = append(subs, &topicSub{sub: s})
-	}
-	pub, err := topic.NewPublisher(c.Domains[2], fdir, topic.PublisherConfig{
-		Topic: "ctl", Class: topic.Control, Window: o.window, RefreshEvery: 8,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Durable data topic: the payload-loss ledger. A durable publisher
-	// journals every publish; its single subscriber (stable cursor name)
-	// dies with the primary registry, traffic continues into the log
-	// during the blackout, and a replacement resuming under the same
-	// name must recover every payload by replay — zero loss, exactly
-	// once, with the cursor plane itself surviving the failover.
-	durDir, err := os.MkdirTemp("", "flipcsim-duralog-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(durDir)
-	dlog, err := duralog.Open(durDir, duralog.Options{NoSync: true})
-	if err != nil {
-		return err
-	}
-	defer dlog.Close()
-	const durName = "sim/ledger"
-	dsub, err := topic.NewSubscriberDurable(c.Domains[3], fdir, "data", topic.Normal, o.window, o.window, durName)
-	if err != nil {
-		return err
-	}
-	dpub, err := topic.NewPublisher(c.Domains[2], fdir, topic.PublisherConfig{
-		Topic: "data", Class: topic.Normal, Window: o.window, RefreshEvery: 8,
-		Log: dlog, CreditBuffers: 8,
-	})
-	if err != nil {
-		return err
-	}
-
-	// Bootstrap the standby with a full-state resync (the takeover
-	// records enqueued before it subscribed never reached it): sequence
-	// captured before export, so the stream overlap double-applies
-	// idempotently instead of gapping.
-	seqBefore := stA.Seq()
-	if err := apply.Resync(regA.ExportState(), seqBefore); err != nil {
-		return err
-	}
-
-	// Replication pump: the primary's feed and the standby's drain run
-	// on the virtual clock until the kill. Subscribers renew leases on
-	// the same cadence; the active registry sweeps epochs slowly enough
-	// that a renewing subscriber can never expire.
-	poll := sim.Time(o.poll.Nanoseconds())
-	primaryAlive := true
-	durAlive := true
-	durCur := dsub // current durable subscriber incarnation
-	c.Clock.NewTicker(50*poll, func() {
-		dpub.PumpReplay(0)
-		if !primaryAlive {
-			return
-		}
-		mgrA.Heartbeat()
-		if _, err := feed.Pump(); err != nil {
-			fatal(err)
-		}
-		apply.Drain()
-		if apply.NeedResync() {
-			fatal(fmt.Errorf("standby gapped during steady state"))
-		}
-	})
-	c.Clock.NewTicker(200*poll, func() {
-		for _, s := range subs {
-			if err := s.sub.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-		if durAlive {
-			if err := durCur.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-		if primaryAlive {
-			if err := apply.Renew(); err != nil {
-				fatal(err)
-			}
-		}
-	})
-	c.Clock.NewTicker(1000*poll, func() {
-		if primaryAlive {
-			regA.Advance()
-		} else {
-			regB.Advance()
-		}
-	})
-
-	// Latency bookkeeping as in -topics: tags resolve drain times back
-	// to the virtual publish instant.
-	sent := map[int]sim.Time{}
-	nextTag := 0
-	publish := func() {
-		tag := nextTag
-		nextTag++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		sent[tag] = c.Clock.Now()
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	drain := func(s *topicSub) {
-		for {
-			payload, _, ok := s.sub.Receive()
-			if !ok {
-				return
-			}
-			if len(payload) < 2 {
-				continue
-			}
-			tag := int(payload[0])<<8 | int(payload[1])
-			if t0, ok := sent[tag]; ok {
-				s.lat = append(s.lat, c.Clock.Now()-t0)
-			}
-		}
-	}
-	for _, s := range subs {
-		s := s
-		c.Clock.NewTicker(poll, func() { drain(s) })
-	}
-
-	// Durable data stream: tagged payloads, delivery counted per tag
-	// across both subscriber incarnations (the loss ledger).
-	durSeen := map[int]int{}
-	durPublished := 0
-	publishData := func() {
-		tag := durPublished
-		durPublished++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		if _, err := dpub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	c.Clock.NewTicker(poll, func() {
-		if !durAlive {
-			return
-		}
-		for {
-			payload, _, ok := durCur.Receive()
-			if !ok {
-				return
-			}
-			if len(payload) >= 2 {
-				durSeen[int(payload[0])<<8|int(payload[1])]++
-			}
-		}
-	})
-
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	balanced := func() bool {
-		var got uint64
-		for _, s := range subs {
-			got += s.sub.Received() + s.sub.Drops()
-		}
-		return got+pub.Dropped() == pub.Published()*uint64(nsubs)
-	}
-	settleUntil := func(deadline sim.Time) {
-		c.Clock.RunUntil(deadline)
-		for i := 0; i < 500 && !balanced(); i++ {
-			deadline += settle
-			c.Clock.RunUntil(deadline)
-		}
-	}
+	p.start(dur, ctl)
 
 	// Phase one: traffic against the primary, ctl and durable data on
 	// the same cadence.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(); publishData() })
+	both := func() { ctl.publish(); dur.publish() }
+	sc.settleUntil(sc.phase(both), balanced(ctl))
+	before, err := summarize(ctl.lat...)
+	if err != nil {
+		return fmt.Errorf("pre-failover phase: %w", err)
 	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	before := collectLatencies(subs)
 
 	// The durable stream must be fully delivered and fully acked —
 	// cursor at head in the log and registered with the primary — before
 	// the kill, so the replacement's resume point is exact and the
 	// cursor record is in the replication stream the standby applies.
-	durSettled := func() bool {
-		if len(durSeen) != durPublished {
-			return false
-		}
-		cur, ok := dlog.Cursor(durName)
-		if !ok || cur != dlog.Head() {
-			return false
-		}
-		rc, rok := regA.CursorOf("data", durName)
-		return rok && rc == cur
+	if !sc.await(func() bool { return dur.atHead(r.regP) }) {
+		return fmt.Errorf("durable stream never settled before the kill: %d/%d delivered", len(dur.seen), dur.published)
 	}
-	for i := 0; i < 500 && !durSettled(); i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
-	if !durSettled() {
-		return fmt.Errorf("durable stream never settled before the kill: %d/%d delivered", len(durSeen), durPublished)
+	// Let the stream fully catch up. The target is captured once —
+	// renewals keep appending to the log while the clock runs, and
+	// chasing a moving head would never terminate.
+	target := r.stP.Seq()
+	if !sc.await(func() bool { return r.apply.LastSeq() >= target }) {
+		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", r.apply.LastSeq(), target)
 	}
 
-	// Let the stream fully catch up, then kill the primary cold: the
-	// observer detaches, the feed stops pumping, nobody says goodbye.
-	// The catch-up target is captured once — renewals keep appending to
-	// the log while the clock runs, and chasing a moving head would
-	// never terminate.
-	target := stA.Seq()
-	for i := 0; i < 500 && apply.LastSeq() < target; i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
+	// The kill. The durable subscriber dies with the primary — a
+	// compound failure: no unsubscribe, no farewell ack, the cursor's
+	// last registered position is all that survives.
+	p.takeover(0)
+	dur.alive = false
+	deadAddr := dur.current().Addr()
+	if err := p.checkTakeover(0); err != nil {
+		return err
 	}
-	if apply.LastSeq() < target {
-		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", apply.LastSeq(), target)
+	if err := ctl.revalidate(); err != nil {
+		return err
 	}
-	served := regA.ExportState()
-	regA.Observe(nil)
-	primaryAlive = false
-	// The durable subscriber dies with the primary — a compound failure:
-	// no unsubscribe, no farewell ack, the cursor's last registered
-	// position is all that survives.
-	durAlive = false
-	deadDurAddr := durCur.Addr()
-
-	// Takeover: fence strictly above the dead primary, then retarget the
-	// workload at the new registry.
-	mgrB.ObservePeer(apply.PrimaryGen())
-	genB := mgrB.Promote()
-	if genB <= genA {
-		return fmt.Errorf("standby generation %d not above dead primary's %d", genB, genA)
-	}
-	fdir.Retarget(topic.LocalDirectory{R: regB})
-
-	// Subscription conservation: everything the primary last served must
-	// exist on the new primary, under a strictly larger topic generation.
-	for _, ts := range served.Topics {
-		snap, ok := regB.Snapshot(ts.Name)
-		if !ok {
-			return fmt.Errorf("topic %q lost in failover", ts.Name)
-		}
-		if snap.Gen <= ts.Gen {
-			return fmt.Errorf("topic %q generation %d not above served %d — stale plans would survive",
-				ts.Name, snap.Gen, ts.Gen)
-		}
-		have := map[uint32]bool{}
-		for _, sub := range snap.Subs {
-			have[uint32(sub.Addr)] = true
-		}
-		for _, sub := range ts.Subs {
-			if !have[uint32(sub.Addr)] {
-				return fmt.Errorf("topic %q lost subscriber %v in failover", ts.Name, sub.Addr)
-			}
-		}
-	}
-	// Lease re-validation: every subscriber renews against the new
-	// registry through the retargeted directory.
-	for _, s := range subs {
-		if err := s.sub.Renew(); err != nil {
-			return fmt.Errorf("post-failover renew: %w", err)
-		}
-	}
-	pub.Refresh()
 
 	// Blackout tranche: data keeps publishing with its only subscriber
-	// dead — kill-mid-traffic. Every payload lands in the journal alone;
-	// the replacement owes all of them to the replay. The dead lease is
-	// reaped the way the sweep would, so plans stop carrying it.
-	if err := fdir.Unsubscribe("data", deadDurAddr); err != nil {
+	// dead. Every payload lands in the journal alone; the replacement
+	// owes all of them to the replay. The dead lease is reaped the way
+	// the sweep would, so plans stop carrying it.
+	if err := p.dir.Unsubscribe(dur.topic, deadAddr); err != nil {
 		return fmt.Errorf("reap dead durable lease: %w", err)
 	}
-	dpub.Evict(deadDurAddr)
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publishData() })
-	}
-	c.Clock.RunUntil(start + sim.Time(o.msgs)*gap + settle)
+	dur.pub.Evict(deadAddr)
+	sc.c.Clock.RunUntil(sc.phase(dur.publish))
 
 	// The replacement resumes under the same cursor name at a fresh
 	// address, from the stored cursor.
-	dsub2, err := topic.NewSubscriberDurable(c.Domains[3], fdir, "data", topic.Normal, o.window, o.window, durName)
-	if err != nil {
+	if err := dur.resume(sc, p.dir, pubNode+1); err != nil {
 		return fmt.Errorf("durable replacement: %w", err)
 	}
-	durCur = dsub2
-	durAlive = true
-	if err := dpub.Refresh(); err != nil {
+	if err := dur.pub.Refresh(); err != nil {
 		return err
 	}
 	// Drain the blackout catch-up before the phase-two latency window:
 	// the replay burst is deliberate Bulk-priority backlog, and letting
 	// it overlap the measurement would charge the durable tranche to the
 	// control-plane p99 bound.
-	for i := 0; i < 500 && len(durSeen) != durPublished; i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
-	if len(durSeen) != durPublished {
-		return fmt.Errorf("blackout catch-up stalled: %d/%d delivered", len(durSeen), durPublished)
+	if !sc.await(dur.delivered) {
+		return fmt.Errorf("blackout catch-up stalled: %d/%d delivered", len(dur.seen), dur.published)
 	}
 
 	// Phase two: same traffic against the new primary, with the durable
-	// stream back live.
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(); publishData() })
+	// stream back live; then quiesce the cursor onto the new primary.
+	sc.settleUntil(sc.phase(both), balanced(ctl))
+	after, err := summarize(ctl.lat...)
+	if err != nil {
+		return fmt.Errorf("post-failover phase: %w", err)
 	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	after := collectLatencies(subs)
-
-	// Durable quiesce: everything delivered across incarnations, cursor
-	// back at head on the log and on the new primary.
-	durDone := func() bool {
-		if len(durSeen) != durPublished {
-			return false
-		}
-		cur, ok := dlog.Cursor(durName)
-		if !ok || cur != dlog.Head() {
-			return false
-		}
-		rc, rok := regB.CursorOf("data", durName)
-		return rok && rc == cur
-	}
-	for i := 0; i < 500 && !durDone(); i++ {
-		c.Clock.RunUntil(c.Clock.Now() + settle)
-	}
+	sc.await(func() bool { return dur.atHead(r.regS) })
 
 	// Conservation across both phases: every publish completed without
 	// blocking and is accounted for at one end or the other.
-	var delivered, recvDrops uint64
-	for _, s := range subs {
-		delivered += s.sub.Received()
-		recvDrops += s.sub.Drops()
-	}
-	expect := pub.Published() * uint64(nsubs)
-	got := delivered + recvDrops + pub.Dropped()
+	l := ctl.law()
 	fmt.Printf("flipcsim -failover: %d nodes, %d subscribers, poll %v, gap %v\n",
-		o.nodes, nsubs, o.poll, o.gap)
+		o.nodes, len(ctl.subs), o.poll, o.gap)
 	fmt.Printf("registry: primary gen %d killed after %d records; standby promoted at gen %d (epoch %d)\n",
-		genA, stA.Seq(), genB, fdir.Epoch())
+		r.genP, r.stP.Seq(), r.genS, p.dir.Shard(0).Epoch())
 	fmt.Printf("ctl: published %d x %d subs = %d; delivered %d, recv-dropped %d, pub-dropped %d\n",
-		pub.Published(), nsubs, expect, delivered, recvDrops, pub.Dropped())
-	if pub.Published() != uint64(2*o.msgs) {
-		return fmt.Errorf("publisher blocked: %d of %d publishes completed", pub.Published(), 2*o.msgs)
-	}
-	if got != expect {
-		return fmt.Errorf("conservation violated across failover: %d of %d accounted", got, expect)
+		l.Published, len(ctl.subs), l.Owed, l.Delivered, l.RecvDropped, l.PubDropped)
+	if err := checkFanout(l, 2*o.msgs); err != nil {
+		return err
 	}
 	fmt.Println("conservation: ok (zero subscriptions lost, no publisher blocked)")
 
@@ -474,40 +155,19 @@ func runFailover(o failoverOpts) error {
 	// kill — including the blackout tranche nobody was alive to hear —
 	// was delivered exactly once, and the only admissible loss class
 	// (retention stranding) is empty.
-	if durPublished != 3*o.msgs || dlog.Head() != uint64(durPublished) {
-		return fmt.Errorf("durable journal short: %d published, head %d", durPublished, dlog.Head())
+	dl, err := dur.check(3*o.msgs, r.regS)
+	if err != nil {
+		return err
 	}
-	for tag := 0; tag < durPublished; tag++ {
-		if n := durSeen[tag]; n != 1 {
-			return fmt.Errorf("durable payload %d delivered %d times (zero-loss ledger violated)", tag, n)
-		}
+	// The blackout tranche is the replacement's to recover: its own
+	// replay count, not the name's total across incarnations.
+	recovered := dur.current().Replayed()
+	if dur.pub.Replayed() == 0 || recovered == 0 {
+		return fmt.Errorf("durable blackout never exercised replay (pub %d, sub %d)", dur.pub.Replayed(), recovered)
 	}
-	if dpub.ReplayStranded() != 0 {
-		return fmt.Errorf("durable stranded %d frames on an unbreached log", dpub.ReplayStranded())
-	}
-	if dpub.Replayed() == 0 || dsub2.Replayed() == 0 {
-		return fmt.Errorf("durable blackout never exercised replay (pub %d, sub %d)",
-			dpub.Replayed(), dsub2.Replayed())
-	}
-	rc, _ := regB.CursorOf("data", durName)
-	fmt.Printf("data (durable): published %d (1/3 with its subscriber dead); delivered %d distinct, %d by replay; deferred %d, stranded 0\n",
-		durPublished, len(durSeen), dsub2.Replayed(), dpub.Deferred())
-	fmt.Printf("durable ledger: ok (zero payload loss across the kill; cursor %d at head on the new primary)\n", rc)
+	fmt.Printf("data (durable): published %d (1/3 with its subscriber dead); delivered %d distinct, %d by replay; deferred %d, stranded %d\n",
+		dl.Published, dl.Live+dl.Replayed, recovered, dur.pub.Deferred(), dl.Stranded)
+	fmt.Printf("durable ledger: ok (zero payload loss across the kill; cursor %d at head on the new primary)\n", dur.log.Head())
 
-	beforeSum, err := stats.Summarize(before)
-	if err != nil {
-		return fmt.Errorf("pre-failover phase: %w", err)
-	}
-	afterSum, err := stats.Summarize(after)
-	if err != nil {
-		return fmt.Errorf("post-failover phase: %w", err)
-	}
-	fmt.Printf("ctl one-way latency µs, pre-failover:  %v\n", beforeSum)
-	fmt.Printf("ctl one-way latency µs, post-failover: %v\n", afterSum)
-	ratio := afterSum.P99 / beforeSum.P99
-	fmt.Printf("ctl p99 after failover: %.2fx pre-failover baseline\n", ratio)
-	if ratio > 2 {
-		return fmt.Errorf("control p99 degraded %.2fx across failover (bound: 2x)", ratio)
-	}
-	return nil
+	return reportDegradation("pre-failover", "post-failover", before, after, "after failover", 2)
 }

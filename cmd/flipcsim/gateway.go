@@ -3,26 +3,13 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"flipc/internal/gateway"
 	"flipc/internal/nameservice"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// gatewayOpts parameterizes the -gateway scenario.
-type gatewayOpts struct {
-	nodes   int
-	msgSize int
-	msgs    int           // control publishes per phase
-	gap     time.Duration // publish period (virtual)
-	poll    time.Duration
-	window  int
-	clients int // clients per gateway
-}
 
 // nGateways is the scenario's gateway count: three independent edge
 // multiplexers, one of which is killed mid-traffic.
@@ -37,8 +24,22 @@ type simClient struct {
 	c       *gateway.Client
 	decoded uint64 // OpDeliver frames decoded back out of the framing
 	other   uint64 // anything else that arrived (must stay zero here)
-	lat     []sim.Time
+	lat     samples
 	measure bool // laggard clients skew queue-wait, not fabric latency
+}
+
+// edge is the scenario's edge plane: one shared registry, gateways on
+// nodes 0..2 each multiplexing its clients, and a fabric-side publisher
+// on node 3 whose whole fanout plan comes from the wildcard plane.
+type edge struct {
+	reg     *nameservice.TopicRegistry
+	muxes   [nGateways]*gateway.Mux
+	alive   [nGateways]bool
+	names   []string
+	clients [nGateways][]*simClient
+	windows [nGateways][]*samples
+	laggard *simClient
+	ctl     *stream // the fabric-side publisher; one tag ledger across all gateways
 }
 
 // runGateway is the client edge plane failure scenario: three gateways
@@ -55,377 +56,308 @@ type simClient struct {
 //   - failure isolation: the surviving gateways' ctl p99 stays within
 //     1.2x their own pre-kill baseline;
 //   - exact conservation across the client framing boundary, per
-//     gateway: matched == decoded-by-clients + dropped + throttled,
-//     with decoded equal to the mux's own delivered ledger — the
-//     framing neither invents nor loses frames;
+//     gateway (the framing law), with clients' decoded count equal to
+//     the mux's own delivered ledger — the framing neither invents nor
+//     loses frames;
 //   - the backpressure discipline is exercised for real: a laggard
 //     client on a surviving gateway must take counted drops and
 //     throttles without disturbing its neighbors' ledgers.
-func runGateway(o gatewayOpts) error {
+func runGateway(o opts) error {
 	if o.nodes < nGateways+1 {
-		return fmt.Errorf("-gateway needs at least %d nodes (%d gateways + publisher)", nGateways+1, nGateways)
+		o.nodes = nGateways + 1 // 3 gateways + publisher
 	}
 	if o.clients < 2 {
 		return fmt.Errorf("-gateway needs at least 2 clients per gateway")
 	}
-	scfg := simcluster.Config{
-		Nodes:        o.nodes,
-		MessageSize:  o.msgSize,
-		NumBuffers:   16 * o.window,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+	sc, err := newScenario(o, simcluster.Config{NumBuffers: 16 * o.window})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
-
-	// One shared registry (the edge plane's directory), gateways on
-	// nodes 0..2, the publisher on node 3.
-	reg := nameservice.NewTopicRegistry()
-	dir := topic.LocalDirectory{R: reg}
-
-	var (
-		muxes [nGateways]*gateway.Mux
-		alive [nGateways]bool
-		names [nGateways]string
-	)
-	for g := 0; g < nGateways; g++ {
-		names[g] = fmt.Sprintf("gw-%d", g)
-		muxes[g], err = gateway.NewMux(c.Domains[g], gateway.Config{
-			Name:         names[g],
-			Dir:          dir,
-			InboxBuffers: o.window,
-			ClientQueue:  8,
-			ThrottleAt:   8,
-		})
-		if err != nil {
-			return err
-		}
-		alive[g] = true
-	}
-
-	// sendFrame pushes one request across the framing boundary: encode,
-	// re-scan (exactly what the TCP reader does), dispatch.
-	sendFrame := func(g int, cl *gateway.Client, fr gateway.Frame) error {
-		enc, err := gateway.AppendFrame(nil, fr)
-		if err != nil {
-			return err
-		}
-		body, err := gateway.NewScanner(bytes.NewReader(enc)).Next()
-		if err != nil {
-			return err
-		}
-		muxes[g].HandleFrame(cl, body)
-		return nil
-	}
-
-	// Clients: o.clients per gateway, all subscribed to "ctl.*" on the
-	// control class. Client 0 of gateway 0 is the laggard: it drains
-	// two hundred times slower than its queue fills, so the bounded
-	// queue must shed with counted drops and throttles.
-	const pattern = "ctl.*"
-	clientsOf := [nGateways][]*simClient{}
-	for g := 0; g < nGateways; g++ {
-		for i := 0; i < o.clients; i++ {
-			cl := &simClient{c: muxes[g].Attach(), measure: true}
-			if err := sendFrame(g, cl.c, gateway.Frame{
-				Op: gateway.OpHello, Ver: 1, Name: fmt.Sprintf("c%d-%d", g, i),
-			}); err != nil {
-				return err
-			}
-			if err := sendFrame(g, cl.c, gateway.Frame{
-				Op: gateway.OpSub, Class: uint8(topic.Control), Name: pattern,
-			}); err != nil {
-				return err
-			}
-			if b, ok := cl.c.PopOut(); ok {
-				return fmt.Errorf("client %d/%d refused at setup: % x", g, i, b)
-			}
-			clientsOf[g] = append(clientsOf[g], cl)
-		}
-	}
-	laggard := clientsOf[0][0]
-	laggard.measure = false
-
-	if reg.PresenceCount() != nGateways*o.clients {
-		return fmt.Errorf("presence after setup: %d, want %d", reg.PresenceCount(), nGateways*o.clients)
-	}
-	if reg.PatternCount() != nGateways {
-		return fmt.Errorf("pattern pairs after setup: %d, want %d", reg.PatternCount(), nGateways)
-	}
-
-	// Fabric-side publisher on a pattern-only control topic: nobody
-	// subscribes to "ctl.rate" exactly, the whole fanout plan comes
-	// from the wildcard plane.
-	const ctlTopic = "ctl.rate"
-	pub, err := topic.NewPublisher(c.Domains[nGateways], dir, topic.PublisherConfig{
-		Topic: ctlTopic, Class: topic.Control, Window: o.window, RefreshEvery: 8,
-	})
+	defer sc.close()
+	e, err := newEdge(sc)
 	if err != nil {
 		return err
-	}
-	if pub.PatternSubscribers() != nGateways {
-		return fmt.Errorf("pattern plan: %d gateways, want %d", pub.PatternSubscribers(), nGateways)
-	}
-
-	// Tickers on the virtual clock: gateway pumps every poll,
-	// housekeeping (lease renewal, saturation probe) every 200 polls,
-	// registry sweep epochs every 1000 polls — a dead gateway's leases
-	// expire after DefaultTopicTTL missed sweeps with no other party
-	// lifting a finger.
-	poll := sim.Time(o.poll.Nanoseconds())
-	for g := 0; g < nGateways; g++ {
-		g := g
-		c.Clock.NewTicker(poll, func() {
-			if alive[g] {
-				muxes[g].Pump()
-			}
-		})
-		c.Clock.NewTicker(200*poll, func() {
-			if alive[g] {
-				muxes[g].Housekeeping()
-			}
-		})
-	}
-	epochEvery := 1000 * poll
-	c.Clock.NewTicker(epochEvery, func() { reg.Advance() })
-
-	// Client drain loops: decode every popped frame back through the
-	// scanner — the receive half of the framing boundary.
-	sent := map[int]sim.Time{}
-	drain := func(cl *simClient) {
-		for {
-			b, ok := cl.c.PopOut()
-			if !ok {
-				return
-			}
-			body, err := gateway.NewScanner(bytes.NewReader(b)).Next()
-			if err != nil {
-				fatal(fmt.Errorf("unscannable frame from gateway: %v", err))
-			}
-			fr, err := gateway.DecodeBody(body)
-			if err != nil {
-				fatal(fmt.Errorf("undecodable frame from gateway: %v", err))
-			}
-			if fr.Op != gateway.OpDeliver {
-				cl.other++
-				continue
-			}
-			cl.decoded++
-			if len(fr.Payload) >= 2 && cl.measure {
-				tag := int(fr.Payload[0])<<8 | int(fr.Payload[1])
-				if t0, ok := sent[tag]; ok {
-					cl.lat = append(cl.lat, c.Clock.Now()-t0)
-				}
-			}
-		}
-	}
-	for g := 0; g < nGateways; g++ {
-		for _, cl := range clientsOf[g] {
-			cl := cl
-			period := poll
-			if cl == laggard {
-				period = 200 * poll
-			}
-			c.Clock.NewTicker(period, func() { drain(cl) })
-		}
-	}
-
-	// Tagged traffic, one global ledger: tags resolve decode times back
-	// to the virtual publish instant.
-	nextTag := 0
-	publish := func() {
-		var buf [2]byte
-		buf[0], buf[1] = byte(nextTag>>8), byte(nextTag)
-		sent[nextTag] = c.Clock.Now()
-		nextTag++
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-
-	// Quiesce: run until the edge ledgers stop moving and every live
-	// queue has drained (the laggard needs whole drain periods).
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	quiesce := func(deadline sim.Time) {
-		c.Clock.RunUntil(deadline)
-		last := ^uint64(0)
-		for i := 0; i < 500; i++ {
-			var cur uint64
-			var queued int
-			for g := 0; g < nGateways; g++ {
-				st := muxes[g].Stats()
-				cur += st.Received + st.Matched
-				for _, cl := range clientsOf[g] {
-					cur += cl.decoded
-					queued += cl.c.Queued()
-				}
-			}
-			if queued == 0 && cur == last {
-				return
-			}
-			last = cur
-			deadline += settle
-			c.Clock.RunUntil(deadline)
-		}
 	}
 
 	// Phase one: traffic through all three gateways, establishing each
 	// gateway's own latency baseline.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		c.Clock.At(start+sim.Time(i)*gap, publish)
-	}
-	quiesce(start + sim.Time(o.msgs)*gap + settle)
-	before := [nGateways]stats.Summary{}
-	for g := 0; g < nGateways; g++ {
-		sum, err := stats.Summarize(collectClientLatencies(clientsOf[g]))
-		if err != nil {
-			return fmt.Errorf("gateway %d baseline: %w", g, err)
-		}
-		before[g] = sum
+	sc.settleUntil(sc.phase(e.ctl.publish), e.quiet())
+	before, err := summarizeEach(e.names, "baseline", e.windows[:])
+	if err != nil {
+		return err
 	}
 
 	// Phase two: same traffic, with gateway 1 killed cold mid-phase —
 	// no detach, no unsubscribe, no presence drop. Everything it held
 	// must die by lease expiry alone.
 	const victim = 1
-	start = c.Clock.Now() + gap
-	killAt := start + sim.Time(o.msgs/2)*gap + gap/2
-	c.Clock.At(killAt, func() { alive[victim] = false })
-	for i := 0; i < o.msgs; i++ {
-		c.Clock.At(start+sim.Time(i)*gap, publish)
-	}
-	quiesce(start + sim.Time(o.msgs)*gap + settle)
-	after := [nGateways]stats.Summary{}
-	for g := 0; g < nGateways; g++ {
-		sum, err := stats.Summarize(collectClientLatencies(clientsOf[g]))
-		if err != nil {
-			return fmt.Errorf("gateway %d phase two: %w", g, err)
-		}
-		after[g] = sum
+	sc.c.Clock.At(sc.midPhase(), func() { e.alive[victim] = false })
+	sc.settleUntil(sc.phase(e.ctl.publish), e.quiet())
+	after, err := summarizeEach(e.names, "phase two", e.windows[:])
+	if err != nil {
+		return err
 	}
 
 	// Let the lease sweeps run: DefaultTopicTTL epochs plus slack. The
 	// survivors keep renewing underneath; the victim cannot.
-	c.Clock.RunUntil(c.Clock.Now() + sim.Time(nameservice.DefaultTopicTTL+3)*epochEvery)
+	sc.c.Clock.RunFor(sim.Time(nameservice.DefaultTopicTTL+3) * 1000 * sc.poll)
 
 	fmt.Printf("flipcsim -gateway: %d nodes, %d gateways, %d clients each, poll %v, gap %v\n",
 		o.nodes, nGateways, o.clients, o.poll, o.gap)
-
-	// Zero stranded presence: the victim's clients are gone from the
-	// registry, the survivors' full populations remain.
-	byGW := reg.PresenceByGateway()
-	if n := byGW[names[victim]]; n != 0 {
-		return fmt.Errorf("%d presence entries stranded for dead %s after lease sweep", n, names[victim])
+	if err := e.checkSweep(victim, o.clients); err != nil {
+		return err
 	}
-	for g := 0; g < nGateways; g++ {
-		if g == victim {
-			continue
-		}
-		if byGW[names[g]] != o.clients {
-			return fmt.Errorf("surviving %s lost presence across the sweep: %d of %d", names[g], byGW[names[g]], o.clients)
-		}
+	if err := e.checkFraming(o.clients); err != nil {
+		return err
 	}
-	if reg.PresenceCount() != (nGateways-1)*o.clients {
-		return fmt.Errorf("registry presence %d, want %d", reg.PresenceCount(), (nGateways-1)*o.clients)
-	}
-	if reg.PatternCount() != nGateways-1 {
-		return fmt.Errorf("registry pattern pairs %d after sweep, want %d", reg.PatternCount(), nGateways-1)
-	}
-	fmt.Printf("lease sweep: %s fully expired (presence %d, patterns %d; survivors intact)\n",
-		names[victim], byGW[names[victim]], reg.PatternCount())
-
-	// Conservation across the client framing boundary, per gateway:
-	// every matched frame is decoded by a client or counted against
-	// one, and the framing layer's view agrees exactly with the mux
-	// ledger. Holds for the victim too — its counters just froze.
-	for g := 0; g < nGateways; g++ {
-		st := muxes[g].Stats()
-		var decoded, other, delivered, dropped, throttled uint64
-		var queued int
-		for _, cl := range clientsOf[g] {
-			d, dr, th := cl.c.Ledgers()
-			delivered += d
-			dropped += dr
-			throttled += th
-			decoded += cl.decoded
-			other += cl.other
-			queued += cl.c.Queued()
-		}
-		fmt.Printf("%s: received %d matched %d -> decoded %d dropped %d throttled %d (inbox drops %d)\n",
-			names[g], st.Received, st.Matched, decoded, dropped, throttled,
-			muxes[g].InboxDrops(int(topic.Control)))
-		if other != 0 {
-			return fmt.Errorf("%s clients decoded %d non-deliver frames", names[g], other)
-		}
-		if queued != 0 {
-			return fmt.Errorf("%s still holds %d queued frames after quiesce", names[g], queued)
-		}
-		if decoded != delivered {
-			return fmt.Errorf("%s framing boundary drifted: clients decoded %d, mux delivered %d", names[g], decoded, delivered)
-		}
-		if st.Matched != decoded+dropped+throttled {
-			return fmt.Errorf("%s conservation violated: matched %d != decoded %d + dropped %d + throttled %d",
-				names[g], st.Matched, decoded, dropped, throttled)
-		}
-		if st.Matched != st.Received*uint64(o.clients) {
-			return fmt.Errorf("%s wildcard fanout short: matched %d of received %d x %d clients",
-				names[g], st.Matched, st.Received, o.clients)
-		}
-		if st.Unmatched != 0 || st.BadFrames != 0 {
-			return fmt.Errorf("%s saw %d unmatched and %d bad frames", names[g], st.Unmatched, st.BadFrames)
-		}
-	}
-	fmt.Println("conservation: ok across the framing boundary on every gateway")
-
-	// The backpressure discipline fired on the laggard — counted, not
-	// silent — and only on the laggard.
 	if o.msgs >= 32 {
-		_, lagDrop, lagThr := laggard.c.Ledgers()
-		if lagDrop == 0 || lagThr == 0 {
-			return fmt.Errorf("laggard escaped the queue bound: dropped %d throttled %d", lagDrop, lagThr)
+		if err := e.checkBackpressure(); err != nil {
+			return err
 		}
-		for g := 0; g < nGateways; g++ {
-			for i, cl := range clientsOf[g] {
-				if cl == laggard {
-					continue
-				}
-				if _, dr, th := cl.c.Ledgers(); dr != 0 || th != 0 {
-					return fmt.Errorf("client %d/%d took collateral loss from the laggard: dropped %d throttled %d", g, i, dr, th)
-				}
-			}
-		}
-		fmt.Printf("backpressure: laggard shed %d drops + %d throttles; zero collateral on its neighbors\n", lagDrop, lagThr)
 	}
-
-	// The independence bound: surviving gateways' ctl p99 within 1.2x
-	// their own baseline. The victim is reported but unbounded.
-	for g := 0; g < nGateways; g++ {
-		ratio := after[g].P99 / before[g].P99
-		verdict := ""
-		if g == victim {
-			verdict = " (killed mid-phase; unbounded)"
-		}
-		fmt.Printf("%s ctl p99: %.2fµs -> %.2fµs (%.2fx)%s\n",
-			names[g], before[g].P99, after[g].P99, ratio, verdict)
-		if g != victim && ratio > 1.2 {
-			return fmt.Errorf("surviving %s p99 degraded %.2fx across a foreign gateway kill (bound: 1.2x)", names[g], ratio)
-		}
+	if err := reportIsolation(e.names, before, after, victim); err != nil {
+		return err
 	}
 	fmt.Println("isolation: ok (surviving gateways unperturbed by the kill)")
 	return nil
 }
 
-func collectClientLatencies(clients []*simClient) []float64 {
-	var out []float64
-	for _, cl := range clients {
-		for _, l := range cl.lat {
-			out = append(out, l.Micros())
+func newEdge(sc *scenario) (*edge, error) {
+	e := &edge{reg: nameservice.NewTopicRegistry(), names: make([]string, nGateways)}
+	dir := topic.LocalDirectory{R: e.reg}
+	var err error
+	for g := range e.muxes {
+		e.names[g] = fmt.Sprintf("gw-%d", g)
+		e.muxes[g], err = gateway.NewMux(sc.c.Domains[g], gateway.Config{
+			Name:         e.names[g],
+			Dir:          dir,
+			InboxBuffers: sc.o.window,
+			ClientQueue:  8,
+			ThrottleAt:   8,
+		})
+		if err != nil {
+			return nil, err
 		}
-		cl.lat = nil
+		e.alive[g] = true
 	}
-	return out
+
+	// Clients: o.clients per gateway, all subscribed to "ctl.*" on the
+	// control class. Client 0 of gateway 0 is the laggard: it drains
+	// two hundred times slower than its queue fills, so the bounded
+	// queue must shed with counted drops and throttles.
+	for g := range e.muxes {
+		for i := 0; i < sc.o.clients; i++ {
+			cl := &simClient{c: e.muxes[g].Attach(), measure: true}
+			for _, fr := range []gateway.Frame{
+				{Op: gateway.OpHello, Ver: 1, Name: fmt.Sprintf("c%d-%d", g, i)},
+				{Op: gateway.OpSub, Class: uint8(topic.Control), Name: "ctl.*"},
+			} {
+				if err := e.sendFrame(g, cl.c, fr); err != nil {
+					return nil, err
+				}
+			}
+			if b, ok := cl.c.PopOut(); ok {
+				return nil, fmt.Errorf("client %d/%d refused at setup: % x", g, i, b)
+			}
+			e.clients[g] = append(e.clients[g], cl)
+			e.windows[g] = append(e.windows[g], &cl.lat)
+		}
+	}
+	e.laggard = e.clients[0][0]
+	e.laggard.measure = false
+	if n, want := e.reg.PresenceCount(), nGateways*sc.o.clients; n != want {
+		return nil, fmt.Errorf("presence after setup: %d, want %d", n, want)
+	}
+	if n := e.reg.PatternCount(); n != nGateways {
+		return nil, fmt.Errorf("pattern pairs after setup: %d, want %d", n, nGateways)
+	}
+
+	// Nobody subscribes to "ctl.rate" exactly: a pattern-only topic.
+	pub, err := topic.NewPublisher(sc.c.Domains[nGateways], dir, topic.PublisherConfig{
+		Topic: "ctl.rate", Class: topic.Control, Window: sc.o.window, RefreshEvery: 8,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if n := pub.PatternSubscribers(); n != nGateways {
+		return nil, fmt.Errorf("pattern plan: %d gateways, want %d", n, nGateways)
+	}
+	e.ctl = sc.newStream(pub)
+
+	// Tickers on the virtual clock: gateway pumps every poll,
+	// housekeeping (lease renewal, saturation probe) every 200 polls,
+	// registry sweep epochs every 1000 polls — a dead gateway's leases
+	// expire after DefaultTopicTTL missed sweeps with no other party
+	// lifting a finger. Then the client drain loops.
+	for g := range e.muxes {
+		g := g
+		sc.c.Clock.NewTicker(sc.poll, func() {
+			if e.alive[g] {
+				e.muxes[g].Pump()
+			}
+		})
+		sc.c.Clock.NewTicker(200*sc.poll, func() {
+			if e.alive[g] {
+				e.muxes[g].Housekeeping()
+			}
+		})
+	}
+	sc.c.Clock.NewTicker(1000*sc.poll, func() { e.reg.Advance() })
+	for g := range e.clients {
+		for _, cl := range e.clients[g] {
+			cl := cl
+			period := sc.poll
+			if cl == e.laggard {
+				period = 200 * sc.poll
+			}
+			sc.c.Clock.NewTicker(period, func() { e.drain(cl) })
+		}
+	}
+	return e, nil
+}
+
+// sendFrame pushes one request across the framing boundary: encode,
+// re-scan (exactly what the TCP reader does), dispatch.
+func (e *edge) sendFrame(g int, cl *gateway.Client, fr gateway.Frame) error {
+	enc, err := gateway.AppendFrame(nil, fr)
+	if err != nil {
+		return err
+	}
+	body, err := gateway.NewScanner(bytes.NewReader(enc)).Next()
+	if err != nil {
+		return err
+	}
+	e.muxes[g].HandleFrame(cl, body)
+	return nil
+}
+
+// drain decodes every popped frame back through the scanner — the
+// receive half of the framing boundary.
+func (e *edge) drain(cl *simClient) {
+	for {
+		b, ok := cl.c.PopOut()
+		if !ok {
+			return
+		}
+		body, err := gateway.NewScanner(bytes.NewReader(b)).Next()
+		if err != nil {
+			fatal(fmt.Errorf("unscannable frame from gateway: %v", err))
+		}
+		fr, err := gateway.DecodeBody(body)
+		if err != nil {
+			fatal(fmt.Errorf("undecodable frame from gateway: %v", err))
+		}
+		if fr.Op != gateway.OpDeliver {
+			cl.other++
+			continue
+		}
+		cl.decoded++
+		if l, ok := e.ctl.latency(fr.Payload); ok && cl.measure {
+			cl.lat = append(cl.lat, l)
+		}
+	}
+}
+
+// quiet returns a settle condition: the edge ledgers have stopped
+// moving between two looks and every queue has drained (the laggard
+// needs whole drain periods).
+func (e *edge) quiet() func() bool {
+	last := ^uint64(0)
+	return func() bool {
+		var cur uint64
+		var queued int
+		for g, m := range e.muxes {
+			st := m.Stats()
+			cur += st.Received + st.Matched
+			for _, cl := range e.clients[g] {
+				cur += cl.decoded
+				queued += cl.c.Queued()
+			}
+		}
+		still := queued == 0 && cur == last
+		last = cur
+		return still
+	}
+}
+
+// checkSweep is zero stranded presence: the victim's clients are gone
+// from the registry, the survivors' full populations remain.
+func (e *edge) checkSweep(victim, perGateway int) error {
+	byGW := e.reg.PresenceByGateway()
+	for g, name := range e.names {
+		switch n := byGW[name]; {
+		case g == victim && n != 0:
+			return fmt.Errorf("%d presence entries stranded for dead %s after lease sweep", n, name)
+		case g != victim && n != perGateway:
+			return fmt.Errorf("surviving %s lost presence across the sweep: %d of %d", name, n, perGateway)
+		}
+	}
+	if n, want := e.reg.PresenceCount(), (nGateways-1)*perGateway; n != want {
+		return fmt.Errorf("registry presence %d, want %d", n, want)
+	}
+	if n := e.reg.PatternCount(); n != nGateways-1 {
+		return fmt.Errorf("registry pattern pairs %d after sweep, want %d", n, nGateways-1)
+	}
+	fmt.Printf("lease sweep: %s fully expired (presence %d, patterns %d; survivors intact)\n",
+		e.names[victim], byGW[e.names[victim]], e.reg.PatternCount())
+	return nil
+}
+
+// checkFraming is conservation across the client framing boundary, per
+// gateway: the framing law balances with nothing left queued, and the
+// clients' own decode count agrees exactly with the mux's delivered
+// ledger. Holds for the victim too — its counters just froze.
+func (e *edge) checkFraming(perGateway int) error {
+	for g, m := range e.muxes {
+		name, st := e.names[g], m.Stats()
+		var decoded, other uint64
+		var clients []*gateway.Client
+		for _, cl := range e.clients[g] {
+			decoded += cl.decoded
+			other += cl.other
+			clients = append(clients, cl.c)
+		}
+		l := gateway.FramingLaw(m, clients...)
+		fmt.Printf("%s: received %d matched %d -> decoded %d dropped %d throttled %d (inbox drops %d)\n",
+			name, st.Received, l.Matched, decoded, l.Dropped, l.Throttled, m.InboxDrops(int(topic.Control)))
+		if other != 0 {
+			return fmt.Errorf("%s clients decoded %d non-deliver frames", name, other)
+		}
+		if l.Queued != 0 {
+			return fmt.Errorf("%s still holds %d queued frames after quiesce", name, l.Queued)
+		}
+		if decoded != l.Delivered {
+			return fmt.Errorf("%s framing boundary drifted: clients decoded %d, mux delivered %d", name, decoded, l.Delivered)
+		}
+		if err := l.Err(); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		if st.Matched != st.Received*uint64(perGateway) {
+			return fmt.Errorf("%s wildcard fanout short: matched %d of received %d x %d clients",
+				name, st.Matched, st.Received, perGateway)
+		}
+		if st.Unmatched != 0 || st.BadFrames != 0 {
+			return fmt.Errorf("%s saw %d unmatched and %d bad frames", name, st.Unmatched, st.BadFrames)
+		}
+	}
+	fmt.Println("conservation: ok across the framing boundary on every gateway")
+	return nil
+}
+
+// checkBackpressure: the discipline fired on the laggard — counted,
+// not silent — and only on the laggard.
+func (e *edge) checkBackpressure() error {
+	_, lagDrop, lagThr := e.laggard.c.Ledgers()
+	if lagDrop == 0 || lagThr == 0 {
+		return fmt.Errorf("laggard escaped the queue bound: dropped %d throttled %d", lagDrop, lagThr)
+	}
+	for g := range e.clients {
+		for i, cl := range e.clients[g] {
+			if _, dr, th := cl.c.Ledgers(); cl != e.laggard && (dr != 0 || th != 0) {
+				return fmt.Errorf("client %d/%d took collateral loss from the laggard: dropped %d throttled %d", g, i, dr, th)
+			}
+		}
+	}
+	fmt.Printf("backpressure: laggard shed %d drops + %d throttles; zero collateral on its neighbors\n", lagDrop, lagThr)
+	return nil
 }

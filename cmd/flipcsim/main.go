@@ -24,7 +24,6 @@ import (
 	"flipc/internal/faultinject"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/wire"
 )
 
@@ -65,90 +64,23 @@ func main() {
 	)
 	flag.Parse()
 
-	if *shards {
-		n := *nodes
-		if n < 10 {
-			n = 10 // 3 primaries + 3 standbys + publisher + 3 subscribers
-		}
-		if err := runShards(shardsOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-		}); err != nil {
-			fatal(err)
-		}
-		return
+	o := opts{
+		nodes: *nodes, msgSize: *msgSize, msgs: *msgs, gap: *gap, poll: *poll, window: *window * 4,
+		bulkGap: *bulkGap, batch: *batch, flushDl: *flushDl, clients: *gwcli, slowFactor: *slowBy,
 	}
-	if *gwsim {
-		n := *nodes
-		if n < nGateways+1 {
-			n = nGateways + 1 // 3 gateways + publisher
+	for _, s := range []struct {
+		on  bool
+		run func(opts) error
+	}{
+		{*shards, runShards}, {*gwsim, runGateway}, {*failover, runFailover},
+		{*slowsub, runSlowsub}, {*topics, runTopics},
+	} {
+		if s.on {
+			if err := s.run(o); err != nil {
+				fatal(err)
+			}
+			return
 		}
-		if err := runGateway(gatewayOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-			clients: *gwcli,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *failover {
-		n := *nodes
-		if n < 6 {
-			n = 6 // 2 registries + publisher + 3 subscribers
-		}
-		if err := runFailover(failoverOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			poll:    *poll,
-			window:  *window * 4,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *slowsub {
-		if err := runSlowsub(slowsubOpts{
-			msgSize:    *msgSize,
-			msgs:       *msgs,
-			gap:        *gap,
-			poll:       *poll,
-			window:     *window * 4,
-			slowFactor: *slowBy,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *topics {
-		n := *nodes
-		if n == 2 {
-			n = 3 // default ping pair is too small for a fanout demo
-		}
-		if err := runTopics(topicsOpts{
-			nodes:   n,
-			msgSize: *msgSize,
-			msgs:    *msgs,
-			gap:     *gap,
-			bulkGap: *bulkGap,
-			poll:    *poll,
-			window:  *window * 4,
-			batch:   *batch,
-			flushDl: *flushDl,
-		}); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	pick := func(override float64) float64 {
@@ -202,8 +134,9 @@ func main() {
 	deadline := sim.Time(*msgs+10) * sim.Time(gap.Nanoseconds()) * 4
 	p.Run(deadline)
 
+	from, to := wire.NodeID(*src), wire.NodeID(*dst)
 	fmt.Printf("flipcsim: %d nodes, %d->%d (%d mesh hops), message size %d, poll %v\n",
-		*nodes, *src, *dst, c.Mesh.Hops(uint16ToNode(*src), uint16ToNode(*dst)), *msgSize, *poll)
+		*nodes, *src, *dst, c.Mesh.Hops(from, to), *msgSize, *poll)
 	fmt.Printf("sent %d, delivered %d, dropped %d, pending %d\n",
 		*msgs, len(p.Latencies), p.Endpoint().Drops(), p.Pending())
 	if chaosOn {
@@ -237,21 +170,14 @@ func main() {
 	if len(p.Latencies) == 0 {
 		fatal(fmt.Errorf("nothing delivered"))
 	}
-	micros := make([]float64, len(p.Latencies))
-	for i, l := range p.Latencies {
-		micros[i] = l.Micros()
-	}
-	sum, err := stats.Summarize(micros)
+	sum, err := summarize((*samples)(&p.Latencies))
 	if err != nil {
 		fatal(err)
 	}
+	wireTime := c.Mesh.WireTime(from, to, *msgSize)
 	fmt.Printf("one-way latency µs: %v\n", sum)
-	fmt.Printf("wire share: %.0f%% (wire %v of mean %.3fµs)\n",
-		100*float64(c.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize))/(sum.Mean*1000),
-		c.Mesh.WireTime(uint16ToNode(*src), uint16ToNode(*dst), *msgSize), sum.Mean)
+	fmt.Printf("wire share: %.0f%% (wire %v of mean %.3fµs)\n", 100*float64(wireTime)/(sum.Mean*1000), wireTime, sum.Mean)
 }
-
-func uint16ToNode(n int) wire.NodeID { return wire.NodeID(n) }
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "flipcsim: %v\n", err)

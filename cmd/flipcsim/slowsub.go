@@ -2,24 +2,12 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"flipc/internal/nameservice"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// slowsubOpts parameterizes the -slowsub scenario.
-type slowsubOpts struct {
-	msgSize    int
-	msgs       int           // publishes per phase
-	gap        time.Duration // publish period (virtual)
-	poll       time.Duration
-	window     int // subscriber inbox buffers / advertised credit cap
-	slowFactor int // slow subscriber drains one message per slowFactor*gap
-}
 
 // slowsubLeg is one full cluster run: a baseline phase with only the
 // fast subscriber, then a contended phase where a slow subscriber
@@ -37,7 +25,7 @@ type slowsubLeg struct {
 // fall to ~zero (the overrun converts into publisher-side throttles,
 // deferral instead of loss) while the fast subscriber's tail latency
 // stays within 1.2x of its no-slow-peer baseline.
-func runSlowsub(o slowsubOpts) error {
+func runSlowsub(o opts) error {
 	if o.slowFactor < 2 {
 		return fmt.Errorf("-slowsub needs a slow factor >= 2")
 	}
@@ -83,77 +71,36 @@ func runSlowsub(o slowsubOpts) error {
 	return nil
 }
 
-func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
+func slowsubOnce(o opts, credit bool) (slowsubLeg, error) {
 	var leg slowsubLeg
-	scfg := simcluster.Config{
-		Nodes:        3, // 0 publisher, 1 fast subscriber, 2 slow subscriber
-		MessageSize:  o.msgSize,
-		NumBuffers:   4*o.window + 32,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
-	}
-	c, err := simcluster.New(scfg)
+	o.nodes = 3 // 0 publisher, 1 fast subscriber, 2 slow subscriber
+	sc, err := newScenario(o, simcluster.Config{NumBuffers: 4*o.window + 32})
 	if err != nil {
 		return leg, err
 	}
-	defer c.Close()
+	defer sc.close()
 
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
 	newSub := func(node int) (*topic.Subscriber, error) {
 		if credit {
-			return topic.NewSubscriberCredit(c.Domains[node], dir, "feed", topic.Normal,
+			return topic.NewSubscriberCredit(sc.c.Domains[node], dir, "feed", topic.Normal,
 				o.window, o.window, topic.CreditConfig{})
 		}
-		return topic.NewSubscriber(c.Domains[node], dir, "feed", topic.Normal, o.window, o.window)
+		return topic.NewSubscriber(sc.c.Domains[node], dir, "feed", topic.Normal, o.window, o.window)
 	}
 	fast, err := newSub(1)
 	if err != nil {
 		return leg, err
 	}
-	pub, err := topic.NewPublisher(c.Domains[0], dir, topic.PublisherConfig{
+	pub, err := topic.NewPublisher(sc.c.Domains[0], dir, topic.PublisherConfig{
 		Topic: "feed", Class: topic.Normal, Window: o.window,
 		RefreshEvery: 16, Credit: credit, CreditBuffers: o.window,
 	})
 	if err != nil {
 		return leg, err
 	}
-
-	// Positional latency, as in -topics: publishes stamp a tag, drain
-	// tickers resolve it to one sample per delivery.
-	sent := map[int]sim.Time{}
-	nextTag := 0
-	publish := func() {
-		tag := nextTag
-		nextTag++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		sent[tag] = c.Clock.Now()
-		if _, err := pub.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	fastLedger := &topicSub{sub: fast}
-	drainOne := func(s *topicSub) bool {
-		payload, _, ok := s.sub.Receive()
-		if !ok {
-			return false
-		}
-		if len(payload) >= 2 {
-			tag := int(payload[0])<<8 | int(payload[1])
-			if t0, ok := sent[tag]; ok {
-				s.lat = append(s.lat, c.Clock.Now()-t0)
-			}
-		}
-		return true
-	}
-	poll := sim.Time(o.poll.Nanoseconds())
-	c.Clock.NewTicker(poll, func() {
-		for drainOne(fastLedger) {
-		}
-	})
-
-	gap := sim.Time(o.gap.Nanoseconds())
-	settle := 1000 * poll
-	var phaseAPub uint64
+	feed := sc.newStream(pub, fast)
+	sc.pump(feed)
 
 	// Handshake before traffic: the hello must be consumed and answered
 	// so the baseline phase runs fully credited.
@@ -161,12 +108,12 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 		if !credit {
 			return nil
 		}
-		deadline := c.Clock.Now() + 10000*poll
+		deadline := sc.c.Clock.Now() + 10000*sc.poll
 		for pub.CreditAdverts() < n {
-			if c.Clock.Now() > deadline {
+			if sc.c.Clock.Now() > deadline {
 				return fmt.Errorf("credit handshake incomplete (%d/%d adverts)", pub.CreditAdverts(), n)
 			}
-			c.Clock.RunUntil(c.Clock.Now() + 100*poll)
+			sc.c.Clock.RunFor(100 * sc.poll)
 		}
 		return nil
 	}
@@ -175,19 +122,9 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 	}
 
 	// Phase A: the fast subscriber alone — the no-slow-peer baseline.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish() })
-	}
-	deadline := start + sim.Time(o.msgs)*gap + settle
-	c.Clock.RunUntil(deadline)
-	for i := 0; i < 500 && fast.Received()+fast.Drops() < pub.Sent(); i++ {
-		deadline += settle
-		c.Clock.RunUntil(deadline)
-	}
-	phaseAPub = pub.Published()
-	base, err := stats.Summarize(collectLatencies([]*topicSub{fastLedger}))
+	sc.settleUntil(sc.phase(feed.publish), func() bool { return fast.Received()+fast.Drops() >= pub.Sent() })
+	phaseAPub := pub.Published()
+	base, err := summarize(feed.lat...)
 	if err != nil {
 		return leg, fmt.Errorf("baseline phase: %w", err)
 	}
@@ -200,15 +137,12 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 	if err != nil {
 		return leg, err
 	}
-	slowLedger := &topicSub{sub: slow}
-	c.Clock.NewTicker(sim.Time(o.slowFactor)*gap, func() { drainOne(slowLedger) })
+	slowIdx := feed.join(slow)
+	sc.c.Clock.NewTicker(sim.Time(o.slowFactor)*sc.gap, func() { feed.receive(slowIdx) })
 	// Renewals on a coarse cadence drive the AIMD interval (and keep
 	// the lease alive, as a deployment's housekeeping loop would).
-	c.Clock.NewTicker(100*gap, func() {
-		if err := fast.Renew(); err != nil {
-			fatal(err)
-		}
-		if err := slow.Renew(); err != nil {
+	sc.c.Clock.NewTicker(100*sc.gap, func() {
+		if err := feed.renew(); err != nil {
 			fatal(err)
 		}
 	})
@@ -219,44 +153,32 @@ func slowsubOnce(o slowsubOpts, credit bool) (slowsubLeg, error) {
 		return leg, err
 	}
 
-	// Phase B: same publish cadence beside the slow peer.
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish() })
+	// Phase B: same publish cadence beside the slow peer. The slow
+	// subscriber empties its inbox one drain period per frame, so the
+	// settle gets four times the usual budget.
+	sc.c.Clock.RunUntil(sc.phase(feed.publish))
+	disposed := func() bool {
+		return fast.Received()+fast.AppDrops()+slow.Received()+slow.AppDrops() >= pub.Sent()
 	}
-	deadline = start + sim.Time(o.msgs)*gap + settle
-	c.Clock.RunUntil(deadline)
-	balanced := func() bool {
-		disposed := fast.Received() + fast.AppDrops() + slow.Received() + slow.AppDrops()
-		return disposed >= pub.Sent()
-	}
-	for i := 0; i < 2000 && !balanced(); i++ {
-		deadline += settle
-		c.Clock.RunUntil(deadline)
+	for n := 0; n < 4 && !sc.await(disposed); n++ {
 	}
 
-	// Conservation, with the new term: every fanout slot is delivered,
-	// counted at a drop ledger, or deliberately throttled.
-	slots := phaseAPub + 2*(pub.Published()-phaseAPub)
-	// AppDrops: endpoint discards of control frames (hellos, credit)
-	// are outside the publisher's ledgers and must not enter the law.
-	got := fast.Received() + fast.AppDrops() + slow.Received() + slow.AppDrops() +
-		pub.Dropped() + pub.Throttled()
-	if got != slots {
-		return leg, fmt.Errorf("conservation violated: %d accounted of %d fanout slots "+
-			"(delivered f=%d s=%d, recv-dropped f=%d s=%d, pub-dropped %d, throttled %d)",
-			got, slots, fast.Received(), slow.Received(), fast.AppDrops(), slow.AppDrops(),
-			pub.Dropped(), pub.Throttled())
+	// Conservation, with the throttle term: every fanout slot is
+	// delivered, counted at a drop ledger, or deliberately throttled. The
+	// slow subscriber was never owed the phase-A publishes.
+	law := feed.law()
+	law.Owed -= phaseAPub
+	if err := law.Err(); err != nil {
+		return leg, err
 	}
 
-	cont, err := stats.Summarize(collectLatencies([]*topicSub{fastLedger}))
+	cont, err := summarize(feed.lat[0]) // the fast subscriber's window only
 	if err != nil {
 		return leg, fmt.Errorf("contended phase: %w", err)
 	}
 	leg.contendP99 = cont.P99
 	leg.slowDrops = slow.Drops()
 	leg.slowRecv = slow.Received()
-	leg.throttled = pub.Throttled()
+	leg.throttled = law.Throttled
 	return leg, nil
 }

@@ -2,35 +2,14 @@ package main
 
 import (
 	"fmt"
-	"time"
 
 	"flipc/internal/engine"
 	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
 	"flipc/internal/sim"
 	"flipc/internal/simcluster"
-	"flipc/internal/stats"
 	"flipc/internal/topic"
 )
-
-// topicsOpts parameterizes the -topics scenario.
-type topicsOpts struct {
-	nodes   int
-	msgSize int
-	msgs    int           // control-topic publishes per phase
-	gap     time.Duration // control publish period (virtual)
-	bulkGap time.Duration // bulk publish period during the contended phase
-	poll    time.Duration
-	window  int
-	batch   int           // mesh pending-buffer batch (0 = frame-at-a-time)
-	flushDl time.Duration // mesh flush deadline for corked runs (virtual)
-}
-
-// topicSub is one subscriber plus its positional latency ledger.
-type topicSub struct {
-	sub *topic.Subscriber
-	lat []sim.Time
-}
 
 // runTopics runs the prioritized pub/sub scenario on the virtual-time
 // cluster: subscribers on every node but 0 join a control topic and a
@@ -39,7 +18,10 @@ type topicSub struct {
 // control topic again. The engine's priority policy plus a quantum
 // reservation must keep the contended control p99 near the solo
 // baseline, and the fanout ledgers must conserve every message.
-func runTopics(o topicsOpts) error {
+func runTopics(o opts) error {
+	if o.nodes == 2 {
+		o.nodes = 3 // the default ping pair is too small for a fanout demo
+	}
 	if o.nodes < 2 {
 		return fmt.Errorf("-topics needs at least 2 nodes")
 	}
@@ -52,12 +34,9 @@ func runTopics(o topicsOpts) error {
 		mesh.BatchFrames = o.batch
 		mesh.FlushDeadline = sim.Time(o.flushDl.Nanoseconds())
 	}
-	scfg := simcluster.Config{
-		Nodes:        o.nodes,
-		Mesh:         mesh,
-		MessageSize:  o.msgSize,
-		NumBuffers:   4 * o.window,
-		PollInterval: sim.Time(o.poll.Nanoseconds()),
+	sc, err := newScenario(o, simcluster.Config{
+		Mesh:       mesh,
+		NumBuffers: 4 * o.window,
 		// A tight send quantum with a control-class reservation makes the
 		// engine — not the wire — the choke point when bulk overloads:
 		// bulk is capped below its offered rate, its backlog hits the
@@ -69,177 +48,59 @@ func runTopics(o topicsOpts) error {
 			ReservedQuantum: 2,
 			ReservePriority: 1,
 		},
-	}
-	c, err := simcluster.New(scfg)
+	})
 	if err != nil {
 		return err
 	}
-	defer c.Close()
+	defer sc.close()
 
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
-	nsubs := o.nodes - 1
-	var ctlSubs, bulkSubs []*topicSub
-	for n := 1; n < o.nodes; n++ {
-		cs, err := topic.NewSubscriber(c.Domains[n], dir, "ctl", topic.Control, o.window, o.window)
-		if err != nil {
-			return err
-		}
-		bs, err := topic.NewSubscriber(c.Domains[n], dir, "bulk", topic.Bulk, o.window, o.window)
-		if err != nil {
-			return err
-		}
-		ctlSubs = append(ctlSubs, &topicSub{sub: cs})
-		bulkSubs = append(bulkSubs, &topicSub{sub: bs})
-	}
-	ctlPub, err := topic.NewPublisher(c.Domains[0], dir, topic.PublisherConfig{
-		Topic: "ctl", Class: topic.Control, Window: o.window})
+	ctl, err := sc.topicStream(dir, "ctl", topic.Control, 0)
 	if err != nil {
 		return err
 	}
-	bulkPub, err := topic.NewPublisher(c.Domains[0], dir, topic.PublisherConfig{
-		Topic: "bulk", Class: topic.Bulk, Window: o.window})
+	bulk, err := sc.topicStream(dir, "bulk", topic.Bulk, 0)
 	if err != nil {
 		return err
 	}
-
-	// Positional latency: the publish event stamps a tag into the
-	// payload and records its virtual send time; subscriber drain
-	// tickers resolve tags back to one latency sample per delivery.
-	sent := map[int]sim.Time{}
-	nextTag := 0
-	publish := func(p *topic.Publisher, track bool) {
-		tag := nextTag
-		nextTag++
-		var buf [2]byte
-		buf[0], buf[1] = byte(tag>>8), byte(tag)
-		if track {
-			sent[tag] = c.Clock.Now()
-		}
-		if _, err := p.Publish(buf[:]); err != nil {
-			fatal(err)
-		}
-	}
-	drain := func(s *topicSub, track bool) {
-		for {
-			payload, _, ok := s.sub.Receive()
-			if !ok {
-				return
-			}
-			if !track || len(payload) < 2 {
-				continue
-			}
-			tag := int(payload[0])<<8 | int(payload[1])
-			if t0, ok := sent[tag]; ok {
-				s.lat = append(s.lat, c.Clock.Now()-t0)
-			}
-		}
-	}
-	poll := sim.Time(o.poll.Nanoseconds())
-	for _, s := range ctlSubs {
-		s := s
-		c.Clock.NewTicker(poll, func() { drain(s, true) })
-	}
-	for _, s := range bulkSubs {
-		s := s
-		c.Clock.NewTicker(poll, func() { drain(s, false) })
-	}
-
-	gap := sim.Time(o.gap.Nanoseconds())
-	bulkGap := sim.Time(o.bulkGap.Nanoseconds())
-	settle := 1000 * poll
-
-	// balanced reports whether every published message has reached a
-	// ledger (delivered, or counted as a drop at one end).
-	balanced := func(pub *topic.Publisher, subs []*topicSub) bool {
-		var got uint64
-		for _, s := range subs {
-			got += s.sub.Received() + s.sub.AppDrops()
-		}
-		return got+pub.Dropped() == pub.Published()*uint64(nsubs)
-	}
-	// settleUntil keeps the clock running past deadline until both
-	// topics' ledgers balance (in-flight backlogs drain at engine pace).
-	settleUntil := func(deadline sim.Time) {
-		c.Clock.RunUntil(deadline)
-		for i := 0; i < 500 && !(balanced(ctlPub, ctlSubs) && balanced(bulkPub, bulkSubs)); i++ {
-			deadline += settle
-			c.Clock.RunUntil(deadline)
-		}
-	}
+	nsubs := len(ctl.subs)
+	sc.pump(ctl)
+	sc.pump(bulk)
+	settled := balanced(ctl, bulk)
 
 	// Phase one: control topic alone.
-	start := c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(ctlPub, true) })
-	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	solo := collectLatencies(ctlSubs)
-
-	// Phase two: bulk saturation alongside the same control cadence.
-	start = c.Clock.Now() + gap
-	for i := 0; i < o.msgs; i++ {
-		t := start + sim.Time(i)*gap
-		c.Clock.At(t, func() { publish(ctlPub, true) })
-	}
-	bulkMsgs := int(sim.Time(o.msgs) * gap / bulkGap)
-	for i := 0; i < bulkMsgs; i++ {
-		t := start + sim.Time(i)*bulkGap
-		c.Clock.At(t, func() { publish(bulkPub, false) })
-	}
-	settleUntil(start + sim.Time(o.msgs)*gap + settle)
-	contended := collectLatencies(ctlSubs)
-
-	// Conservation: each topic's ledgers must account for exactly
-	// published × subscribers messages, with no silent loss.
-	report := func(name string, pub *topic.Publisher, subs []*topicSub) (uint64, uint64, uint64, uint64) {
-		var delivered, recvDrops uint64
-		for _, s := range subs {
-			delivered += s.sub.Received()
-			recvDrops += s.sub.AppDrops()
-		}
-		expect := pub.Published() * uint64(nsubs)
-		got := delivered + recvDrops + pub.Dropped()
-		fmt.Printf("topic %-4s: published %d x %d subs = %d; delivered %d, recv-dropped %d, pub-dropped %d\n",
-			name, pub.Published(), nsubs, expect, delivered, recvDrops, pub.Dropped())
-		return expect, got, delivered, recvDrops
-	}
-	fmt.Printf("flipcsim -topics: %d nodes, %d subscribers/topic, poll %v, ctl gap %v, bulk gap %v\n",
-		o.nodes, nsubs, o.poll, o.gap, o.bulkGap)
-	ce, cg, _, _ := report("ctl", ctlPub, ctlSubs)
-	be, bg, _, _ := report("bulk", bulkPub, bulkSubs)
-	if ce != cg || be != bg {
-		return fmt.Errorf("conservation violated: ctl %d/%d, bulk %d/%d accounted", cg, ce, bg, be)
-	}
-	fmt.Println("conservation: ok (delivered + counted drops == published x subscribers)")
-
-	soloSum, err := stats.Summarize(solo)
+	sc.settleUntil(sc.phase(ctl.publish), settled)
+	solo, err := summarize(ctl.lat...)
 	if err != nil {
 		return fmt.Errorf("solo phase: %w", err)
 	}
-	contSum, err := stats.Summarize(contended)
+
+	// Phase two: bulk saturation alongside the same control cadence.
+	deadline := sc.phase(ctl.publish)
+	bulkGap := sim.Time(o.bulkGap.Nanoseconds())
+	sc.schedule(int(sim.Time(o.msgs)*sc.gap/bulkGap), bulkGap, bulk.publish)
+	sc.settleUntil(deadline, settled)
+	contended, err := summarize(ctl.lat...)
 	if err != nil {
 		return fmt.Errorf("contended phase: %w", err)
 	}
-	fmt.Printf("ctl one-way latency µs, solo:      %v\n", soloSum)
-	fmt.Printf("ctl one-way latency µs, contended: %v\n", contSum)
-	ratio := contSum.P99 / soloSum.P99
-	fmt.Printf("ctl p99 under bulk saturation: %.2fx solo baseline\n", ratio)
-	if ratio > 2 {
-		return fmt.Errorf("control p99 degraded %.2fx under bulk load (bound: 2x)", ratio)
-	}
-	return nil
-}
 
-// collectLatencies gathers and resets the subscribers' latency ledgers,
-// in microseconds.
-func collectLatencies(subs []*topicSub) []float64 {
-	var out []float64
-	for _, s := range subs {
-		for _, l := range s.lat {
-			out = append(out, l.Micros())
+	// Conservation: each topic's ledgers must account for exactly
+	// published × subscribers messages, with no silent loss.
+	fmt.Printf("flipcsim -topics: %d nodes, %d subscribers/topic, poll %v, ctl gap %v, bulk gap %v\n",
+		o.nodes, nsubs, o.poll, o.gap, o.bulkGap)
+	for _, t := range []struct {
+		name string
+		st   *stream
+	}{{"ctl", ctl}, {"bulk", bulk}} {
+		l := t.st.law()
+		fmt.Printf("topic %-4s: published %d x %d subs = %d; delivered %d, recv-dropped %d, pub-dropped %d\n",
+			t.name, l.Published, nsubs, l.Owed, l.Delivered, l.RecvDropped, l.PubDropped)
+		if err := l.Err(); err != nil {
+			return fmt.Errorf("topic %s: %w", t.name, err)
 		}
-		s.lat = nil
 	}
-	return out
+	fmt.Println("conservation: ok (delivered + counted drops == published x subscribers)")
+
+	return reportDegradation("solo", "contended", solo, contended, "under bulk saturation", 2)
 }

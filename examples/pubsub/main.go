@@ -112,28 +112,26 @@ func main() {
 	// Drain the telemetry subscribers and show the conservation law:
 	// every fanned-out message is delivered or counted at one ledger.
 	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		var accounted uint64
+	var law topic.FanoutLedger
+	for {
 		for _, s := range telemetrySubs {
 			for {
 				if _, _, ok := s.Receive(); !ok {
 					break
 				}
 			}
-			accounted += s.Received() + s.Drops()
 		}
-		if accounted+telemetryPub.Dropped() == telemetryPub.Published()*uint64(len(telemetrySubs)) {
+		law = topic.FanoutLaw(telemetryPub, telemetrySubs...)
+		if law.Err() == nil || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var delivered, recvDrops uint64
-	for _, s := range telemetrySubs {
-		delivered += s.Received()
-		recvDrops += s.Drops()
+	if err := law.Err(); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("telemetry: published %d x %d subscribers = %d fanned out\n",
-		telemetryPub.Published(), len(telemetrySubs), telemetryPub.Published()*uint64(len(telemetrySubs)))
+		law.Published, len(telemetrySubs), law.Owed)
 	fmt.Printf("delivered %d, receiver-dropped %d, publisher-dropped %d — all accounted\n",
-		delivered, recvDrops, telemetryPub.Dropped())
+		law.Delivered, law.RecvDropped, law.PubDropped)
 }

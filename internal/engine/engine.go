@@ -63,10 +63,6 @@ type Config struct {
 	RecvQuantum int
 	// Policy selects the send-endpoint scan order.
 	Policy SendPolicy
-	// RateLimit, when positive, caps messages sent per Poll pass for
-	// endpoints at priority 0 while higher priorities are unlimited —
-	// a minimal form of the future-work capacity control extension.
-	RateLimit int
 	// ReservedQuantum, when positive, reserves that much of SendQuantum
 	// for endpoints at priority >= ReservePriority: endpoints below the
 	// threshold may together consume at most SendQuantum-ReservedQuantum
@@ -728,11 +724,7 @@ func (e *Engine) pollSend() bool {
 				e.m.sendQDepth.Observe(uint64(depth))
 			}
 		}
-		sent := 0
 		for budget > 0 {
-			if e.cfg.RateLimit > 0 && info.Priority == 0 && sent >= e.cfg.RateLimit {
-				break // capacity control extension: low-priority cap
-			}
 			if low && lowSpent >= lowLimit {
 				break
 			}
@@ -767,7 +759,6 @@ func (e *Engine) pollSend() bool {
 				break
 			}
 			budget--
-			sent++
 			if low {
 				lowSpent++
 			}

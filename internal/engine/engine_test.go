@@ -465,30 +465,6 @@ func TestPrioritySendPolicy(t *testing.T) {
 	}
 }
 
-func TestRateLimitCapsLowPriority(t *testing.T) {
-	fabric := interconnect.NewFabric(64)
-	buf, _ := commbuf.New(commbuf.Config{Node: 0, MessageSize: 64, NumBuffers: 16})
-	tr, _ := fabric.Attach(0)
-	fabric.Attach(1)
-	eng, _ := New(buf, tr, Config{Policy: PolicyPriority, SendQuantum: 8, RateLimit: 1})
-	app := buf.View(mem.ActorApp)
-	low, _ := buf.AllocEndpointPrio(commbuf.EndpointSend, 8, 0)
-	dst, _ := wire.MakeAddr(1, 0, 1)
-	for i := 0; i < 4; i++ {
-		m, _ := buf.AllocMsg()
-		m.StageSend(app, dst, 1, 0)
-		low.Queue().Release(app, uint64(m.ID()))
-	}
-	eng.Poll()
-	if st := eng.Stats(); st.Sent != 1 {
-		t.Fatalf("rate limit not applied: sent %d in one pass", st.Sent)
-	}
-	eng.Poll()
-	if st := eng.Stats(); st.Sent != 2 {
-		t.Fatalf("rate limit pass 2: sent %d", st.Sent)
-	}
-}
-
 func TestReservedQuantumCapsLowPriority(t *testing.T) {
 	// SendQuantum 4 with 2 reserved for priority >= 1: a saturated
 	// priority-0 endpoint may use at most 2 slots per pass; the

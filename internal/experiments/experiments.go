@@ -437,31 +437,37 @@ func humanBytes(n int) string {
 	}
 }
 
+// Experiment is one catalogued experiment: its ID, a one-line
+// description, and a runner producing its table.
+type Experiment struct {
+	ID, What string
+	Run      func(seed int64) (Table, error)
+}
+
+// Catalog lists every experiment in presentation order — the one
+// table flipcbench's -list, -experiment and run-everything paths read.
+var Catalog = []Experiment{
+	{"E1", "Figure 4: latency vs message size", func(s int64) (Table, error) { return tableOf(E1Figure4(s)) }},
+	{"E2", "120-byte latency across Paragon messaging systems", func(s int64) (Table, error) { return tableOf(E2Comparison(s)) }},
+	{"E3", "validity-check overhead", func(s int64) (Table, error) { return tableOf(E3ValidityChecks(s)) }},
+	{"E4", "cache-tuning ablation (locks + false sharing)", func(s int64) (Table, error) { return tableOf(E4CacheAblation(s)) }},
+	{"E5", "cold-start anomaly", func(s int64) (Table, error) { return tableOf(E5ColdStart(s)) }},
+	{"E6", "bandwidth implied by the slope", func(s int64) (Table, error) { return tableOf(E6BandwidthSlope(s)) }},
+	{"E7", "small-message crossover vs PAM", func(s int64) (Table, error) { return tableOf(E7SmallMessageCrossover(s)) }},
+	{"E8", "large-message throughput positioning", func(s int64) (Table, error) { return tableOf(E8LargeMessageThroughput(s)) }},
+	{"E9", "drop semantics and layered flow control", func(s int64) (Table, error) { return tableOf(E9DropsAndFlowControl(s)) }},
+	{"E10", "KKT development binding vs native engine", func(s int64) (Table, error) { return tableOf(E10KKTVsNative(s)) }},
+	{"A1", "ablation: engine poll cadence", func(s int64) (Table, error) { return tableOf(A1PollInterval(s)) }},
+	{"A2", "ablation: prioritized transport extension", func(s int64) (Table, error) { return tableOf(A2PriorityTransport(s)) }},
+	{"A3", "ablation: receive window vs burst loss", func(s int64) (Table, error) { return tableOf(A3ReceiveWindow(s)) }},
+}
+
 // RunAll executes every experiment and prints its table.
 func RunAll(w io.Writer, seed int64) error {
-	type runner struct {
-		name string
-		fn   func() (Table, error)
-	}
-	runners := []runner{
-		{"E1", func() (Table, error) { r, err := E1Figure4(seed); return tableOf(r, err) }},
-		{"E2", func() (Table, error) { r, err := E2Comparison(seed); return tableOf(r, err) }},
-		{"E3", func() (Table, error) { r, err := E3ValidityChecks(seed); return tableOf(r, err) }},
-		{"E4", func() (Table, error) { r, err := E4CacheAblation(seed); return tableOf(r, err) }},
-		{"E5", func() (Table, error) { r, err := E5ColdStart(seed); return tableOf(r, err) }},
-		{"E6", func() (Table, error) { r, err := E6BandwidthSlope(seed); return tableOf(r, err) }},
-		{"E7", func() (Table, error) { r, err := E7SmallMessageCrossover(seed); return tableOf(r, err) }},
-		{"E8", func() (Table, error) { r, err := E8LargeMessageThroughput(seed); return tableOf(r, err) }},
-		{"E9", func() (Table, error) { r, err := E9DropsAndFlowControl(seed); return tableOf(r, err) }},
-		{"E10", func() (Table, error) { r, err := E10KKTVsNative(seed); return tableOf(r, err) }},
-		{"A1", func() (Table, error) { r, err := A1PollInterval(seed); return tableOf(r, err) }},
-		{"A2", func() (Table, error) { r, err := A2PriorityTransport(seed); return tableOf(r, err) }},
-		{"A3", func() (Table, error) { r, err := A3ReceiveWindow(seed); return tableOf(r, err) }},
-	}
-	for _, r := range runners {
-		t, err := r.fn()
+	for _, e := range Catalog {
+		t, err := e.Run(seed)
 		if err != nil {
-			return fmt.Errorf("%s: %w", r.name, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if err := t.Fprint(w); err != nil {
 			return err

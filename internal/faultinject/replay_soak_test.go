@@ -105,7 +105,7 @@ func TestDurableReplaySoak(t *testing.T) {
 	// seen is the global truth the conservation law is checked against:
 	// seq → delivery count, across every subscriber incarnation.
 	seen := make(map[uint64]int)
-	var delivered, subReplayed uint64
+	incarnations := []*topic.Subscriber{sub}
 	drain := func(s *topic.Subscriber) {
 		for {
 			payload, _, ok := s.Receive()
@@ -116,7 +116,6 @@ func TestDurableReplaySoak(t *testing.T) {
 				t.Fatalf("payload length %d", len(payload))
 			}
 			seen[binary.BigEndian.Uint64(payload)]++
-			delivered++
 		}
 	}
 	var published uint64
@@ -171,7 +170,6 @@ func TestDurableReplaySoak(t *testing.T) {
 	// Phase 2: the subscriber crashes — no unsubscribe, the publisher
 	// evicts the dead address — and the topic keeps publishing into the
 	// log with nobody listening.
-	subReplayed += sub.Replayed()
 	deadAddr := sub.Addr()
 	if !pub.Evict(deadAddr) {
 		t.Fatal("evict missed the planned subscriber")
@@ -193,6 +191,7 @@ func TestDurableReplaySoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	incarnations = append(incarnations, sub)
 	if err := pub.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -266,29 +265,34 @@ func TestDurableReplaySoak(t *testing.T) {
 		}
 	}
 	quiesce(sub, "post-failover quiesce")
-	subReplayed += sub.Replayed()
 
-	// The conservation law, exactly: every sequence delivered exactly
+	// The conservation law, exactly: published == live + replayed +
+	// stranded over the name's incarnations, and — the stronger claim
+	// the sums alone cannot make — every sequence delivered exactly
 	// once across three incarnations of the endpoint and two of the
 	// registry.
-	if uint64(len(seen)) != published || delivered != published {
-		t.Fatalf("delivered %d distinct / %d total, want %d", len(seen), delivered, published)
+	law := topic.DurableLaw(pub, incarnations...)
+	if err := law.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if law.Published != published || log.Head() != published {
+		t.Fatalf("publisher ledger %d / log head %d, want %d", law.Published, log.Head(), published)
+	}
+	if uint64(len(seen)) != published {
+		t.Fatalf("delivered %d distinct, want %d", len(seen), published)
 	}
 	for seq := uint64(1); seq <= published; seq++ {
 		if c := seen[seq]; c != 1 {
 			t.Fatalf("seq %d delivered %d times", seq, c)
 		}
 	}
-	if pub.Published() != published || log.Head() != published {
-		t.Fatalf("publisher ledger %d / log head %d, want %d", pub.Published(), log.Head(), published)
-	}
-	if pub.ReplayStranded() != 0 {
-		t.Fatalf("stranded = %d on an unbreached log", pub.ReplayStranded())
+	if law.Stranded != 0 {
+		t.Fatalf("stranded = %d on an unbreached log", law.Stranded)
 	}
 	// The loss the chaos inflicted must show up in the replay column,
 	// and live fanout during catch-up must have deferred, not doubled.
-	if pub.Replayed() == 0 || subReplayed == 0 {
-		t.Fatalf("replay path unexercised: pub %d, sub %d", pub.Replayed(), subReplayed)
+	if pub.Replayed() == 0 || law.Replayed == 0 {
+		t.Fatalf("replay path unexercised: pub %d, sub %d", pub.Replayed(), law.Replayed)
 	}
 	if pub.Deferred() == 0 {
 		t.Fatal("catch-up live fanout was never deferred")

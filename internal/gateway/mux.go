@@ -871,11 +871,52 @@ func (m *Mux) Stats() Stats {
 	}
 }
 
+// FramingLedger is the conservation law across the client framing
+// boundary for one gateway, with every term named:
+//
+//	Matched == Delivered + Dropped + Throttled + Queued
+//
+// Every (frame, client) pair the pattern index matched is handed to
+// the client's writer, lost to its bounded queue's overflow, lost
+// while it was marked throttled, or still sitting in its queue.
+type FramingLedger struct {
+	Matched   uint64 // Stats.Matched
+	Delivered uint64 // Σ deliver frames popped to a writer
+	Dropped   uint64 // Σ overflow drops
+	Throttled uint64 // Σ drops while throttled
+	Queued    uint64 // Σ frames still queued
+}
+
+// FramingLaw reads the law's terms off m and clients — every client m
+// ever matched a frame to (a detached client's ledgers stay readable;
+// m.Clients() only lists the attached ones).
+func FramingLaw(m *Mux, clients ...*Client) FramingLedger {
+	l := FramingLedger{Matched: m.Stats().Matched}
+	for _, c := range clients {
+		d, dr, th := c.Ledgers()
+		l.Delivered += d
+		l.Dropped += dr
+		l.Throttled += th
+		l.Queued += uint64(c.Queued())
+	}
+	return l
+}
+
+// Err is nil when the law balances, and otherwise names every term.
+func (l FramingLedger) Err() error {
+	got := l.Delivered + l.Dropped + l.Throttled + l.Queued
+	if l.Matched == got {
+		return nil
+	}
+	return fmt.Errorf("framing conservation violated: matched %d != delivered %d + dropped %d + throttled %d + queued %d (= %d)",
+		l.Matched, l.Delivered, l.Dropped, l.Throttled, l.Queued, got)
+}
+
 // InboxDrops returns one lane's shared-inbox drop count.
 func (m *Mux) InboxDrops(lane int) uint64 { return m.in[lane].Drops() }
 
-// Clients returns the attached clients (diagnostics and the sim's
-// per-client conservation sweep).
+// Clients returns the attached clients (diagnostics, and FramingLaw's
+// argument when nobody detached).
 func (m *Mux) Clients() []*Client {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -224,28 +225,20 @@ func TestFanoutAndConservation(t *testing.T) {
 	})
 
 	st := h.mux.Stats()
-	var delivered, dropped, throttled, queued uint64
-	for _, c := range h.mux.Clients() {
-		d, dr, th := c.Ledgers()
-		delivered += d
-		dropped += dr
-		throttled += th
-		queued += uint64(c.Queued())
+	law := FramingLaw(h.mux, h.mux.Clients()...)
+	if law.Delivered != 0 {
+		t.Fatalf("nothing was popped, delivered = %d", law.Delivered)
 	}
-	if delivered != 0 {
-		t.Fatalf("nothing was popped, delivered = %d", delivered)
-	}
-	if st.Matched != dropped+throttled+queued {
-		t.Fatalf("conservation: matched %d != dropped %d + throttled %d + queued %d",
-			st.Matched, dropped, throttled, queued)
+	if err := law.Err(); err != nil {
+		t.Fatal(err)
 	}
 	// Every received frame matched both clients.
 	if st.Matched != 2*st.Received {
 		t.Fatalf("matched %d, want 2x received %d", st.Matched, st.Received)
 	}
 	if !c1.Throttled() || !c2.Throttled() {
-		t.Fatalf("queues overflowed far past ThrottleAt but clients not throttled: published %d stats %+v ledgers %d/%d/%d q %d",
-			published, st, delivered, dropped, throttled, queued)
+		t.Fatalf("queues overflowed far past ThrottleAt but clients not throttled: published %d stats %+v ledger %+v",
+			published, st, law)
 	}
 	// Popping the queue clears the throttle on the next enqueue.
 	if _, ok := c1.PopOut(); !ok {
@@ -489,5 +482,34 @@ func TestGatewayMetrics(t *testing.T) {
 	}
 	if got := snap.Gauges[metrics.Name("flipc_gw_patterns", "gw", "gw-m")]; got != 1 {
 		t.Fatalf("patterns gauge = %v", got)
+	}
+}
+
+// Each term of the framing law, broken in turn, must fail the check
+// with an error that names the term and its value.
+func TestFramingLedgerErrNamesTerms(t *testing.T) {
+	ok := FramingLedger{Matched: 100, Delivered: 60, Dropped: 25, Throttled: 10, Queued: 5}
+	if err := ok.Err(); err != nil {
+		t.Fatalf("balanced ledger: %v", err)
+	}
+	for _, tc := range []struct {
+		term  string
+		bump  func(*FramingLedger)
+		names string
+	}{
+		{"matched", func(l *FramingLedger) { l.Matched++ }, "matched 101"},
+		{"delivered", func(l *FramingLedger) { l.Delivered++ }, "delivered 61"},
+		{"dropped", func(l *FramingLedger) { l.Dropped++ }, "dropped 26"},
+		{"throttled", func(l *FramingLedger) { l.Throttled++ }, "throttled 11"},
+		{"queued", func(l *FramingLedger) { l.Queued++ }, "queued 6"},
+	} {
+		l := ok
+		tc.bump(&l)
+		err := l.Err()
+		if err == nil {
+			t.Errorf("%s off by one: law still balanced", tc.term)
+		} else if !strings.Contains(err.Error(), tc.names) {
+			t.Errorf("%s off by one: error %q does not name %q", tc.term, err, tc.names)
+		}
 	}
 }

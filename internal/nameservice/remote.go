@@ -1,6 +1,7 @@
 package nameservice
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -739,9 +740,13 @@ func (c *Client) buildReq(op byte, name string, field uint32, tail []byte) ([]by
 	return req, nil
 }
 
-// roundtrip sends req and waits for a response accepted by match
-// (match skips stale responses from earlier timed-out calls).
-func (c *Client) roundtrip(req []byte, timeout time.Duration, match func([]byte) bool) ([]byte, error) {
+// roundtrip sends req and waits for its response. The server echoes
+// req[5:9] (the tag, or the address a register-shaped op names) into
+// resp[5:9] on every path, so a reply carrying anything else is the
+// late answer to an earlier timed-out call and is skipped — taking it
+// as this call's answer would, e.g., follow a stale statusNotOwner to
+// the wrong shard.
+func (c *Client) roundtrip(req []byte, timeout time.Duration) ([]byte, error) {
 	deadline := time.Now().Add(timeout)
 	for {
 		if err := c.out.Send(c.server, req); err == nil {
@@ -761,7 +766,7 @@ func (c *Client) roundtrip(req []byte, timeout time.Duration, match func([]byte)
 		if len(resp) < 9 {
 			return nil, ErrBadReply
 		}
-		if match != nil && !match(resp) {
+		if !bytes.Equal(resp[5:9], req[5:9]) {
 			continue
 		}
 		return resp, nil
@@ -773,17 +778,14 @@ func (c *Client) roundtrip(req []byte, timeout time.Duration, match func([]byte)
 func (c *Client) call(op byte, name string, payload wire.Addr, timeout time.Duration) (status byte, addr wire.Addr, err error) {
 	c.tag++
 	field := uint32(payload)
-	var match func([]byte) bool
 	if op == opLookup {
 		field = c.tag
-		want := c.tag
-		match = func(resp []byte) bool { return binary.BigEndian.Uint32(resp[5:9]) == want }
 	}
 	req, err := c.buildReq(op, name, field, nil)
 	if err != nil {
 		return 0, wire.NilAddr, err
 	}
-	resp, err := c.roundtrip(req, timeout, match)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return 0, wire.NilAddr, err
 	}
@@ -835,7 +837,7 @@ func (c *Client) Subscribe(topic string, addr wire.Addr, class uint8, timeout ti
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, nil)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -855,7 +857,7 @@ func (c *Client) Unsubscribe(topic string, addr wire.Addr, timeout time.Duration
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, nil)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -874,18 +876,15 @@ func (c *Client) AckCursor(topic, sub string, seq uint64, timeout time.Duration)
 		return fmt.Errorf("nameservice: bad cursor subscriber name length %d", len(sub))
 	}
 	c.tag++
-	want := c.tag
 	tail := make([]byte, 9+len(sub))
 	binary.BigEndian.PutUint64(tail[0:8], seq)
 	tail[8] = byte(len(sub))
 	copy(tail[9:], sub)
-	req, err := c.buildReq(opCursorAck, topic, want, tail)
+	req, err := c.buildReq(opCursorAck, topic, c.tag, tail)
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -920,10 +919,9 @@ func (c *Client) TopicSnapshot(topic string, timeout time.Duration) (TopicSnapsh
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
 		c.tag++
-		want := c.tag
 		var tail [4]byte
 		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicSnap, topic, want, tail[:])
+		req, err := c.buildReq(opTopicSnap, topic, c.tag, tail[:])
 		if err != nil {
 			return snap, err
 		}
@@ -931,9 +929,7 @@ func (c *Client) TopicSnapshot(topic string, timeout time.Duration) (TopicSnapsh
 		if remain <= 0 {
 			return snap, ErrRemoteTimeout
 		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.roundtrip(req, remain)
 		if err != nil {
 			return snap, err
 		}
@@ -1004,7 +1000,7 @@ func (c *Client) SubscribePattern(pat string, addr wire.Addr, timeout time.Durat
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, nil)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -1017,7 +1013,7 @@ func (c *Client) UnsubscribePattern(pat string, addr wire.Addr, timeout time.Dur
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, nil)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -1039,7 +1035,7 @@ func (c *Client) UpsertPresence(key, gw string, addr wire.Addr, timeout time.Dur
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, nil)
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -1050,14 +1046,11 @@ func (c *Client) UpsertPresence(key, gw string, addr wire.Addr, timeout time.Dur
 // shard-routed like UpsertPresence.
 func (c *Client) DropPresence(key string, timeout time.Duration) error {
 	c.tag++
-	want := c.tag
-	req, err := c.buildReq(opPresenceDrop, key, want, nil)
+	req, err := c.buildReq(opPresenceDrop, key, c.tag, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return err
 	}
@@ -1070,14 +1063,11 @@ func (c *Client) DropPresence(key string, timeout time.Duration) error {
 // pick the primary among candidate registry endpoints.
 func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
 	c.tag++
-	want := c.tag
-	req, err := c.buildReq(opRegistryInfo, "", want, nil)
+	req, err := c.buildReq(opRegistryInfo, "", c.tag, nil)
 	if err != nil {
 		return RegistryInfo{}, err
 	}
-	resp, err := c.roundtrip(req, timeout, func(resp []byte) bool {
-		return binary.BigEndian.Uint32(resp[5:9]) == want
-	})
+	resp, err := c.roundtrip(req, timeout)
 	if err != nil {
 		return RegistryInfo{}, err
 	}
@@ -1100,10 +1090,9 @@ func (c *Client) TopicList(timeout time.Duration) ([]string, error) {
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
 		c.tag++
-		want := c.tag
 		var tail [4]byte
 		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicList, "", want, tail[:])
+		req, err := c.buildReq(opTopicList, "", c.tag, tail[:])
 		if err != nil {
 			return names, err
 		}
@@ -1111,9 +1100,7 @@ func (c *Client) TopicList(timeout time.Duration) ([]string, error) {
 		if remain <= 0 {
 			return names, ErrRemoteTimeout
 		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.roundtrip(req, remain)
 		if err != nil {
 			return names, err
 		}
@@ -1159,10 +1146,9 @@ func (c *Client) ShardMap(timeout time.Duration) (*shardmap.Map, uint32, error) 
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
 		c.tag++
-		want := c.tag
 		var tail [4]byte
 		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opShardMap, "", want, tail[:])
+		req, err := c.buildReq(opShardMap, "", c.tag, tail[:])
 		if err != nil {
 			return nil, 0, err
 		}
@@ -1170,9 +1156,7 @@ func (c *Client) ShardMap(timeout time.Duration) (*shardmap.Map, uint32, error) 
 		if remain <= 0 {
 			return nil, 0, ErrRemoteTimeout
 		}
-		resp, err := c.roundtrip(req, remain, func(resp []byte) bool {
-			return binary.BigEndian.Uint32(resp[5:9]) == want
-		})
+		resp, err := c.roundtrip(req, remain)
 		if err != nil {
 			return nil, 0, err
 		}

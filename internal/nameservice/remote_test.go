@@ -1,6 +1,7 @@
 package nameservice
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"flipc/internal/core"
 	"flipc/internal/interconnect"
+	"flipc/internal/msglib"
 	"flipc/internal/wire"
 )
 
@@ -366,5 +368,57 @@ func TestTopicListStalledPageErrors(t *testing.T) {
 	}
 	if _, err := cli.TopicList(callTimeout); !errors.Is(err, ErrBadReply) {
 		t.Fatalf("stalled topic list: err = %v, want ErrBadReply", err)
+	}
+}
+
+// TestStaleReplySkipped parks the late answer to an earlier timed-out
+// call in the client's inbox — a not-owner redirect echoing a different
+// address — and checks every register-shaped topic op skips it for its
+// own reply instead of following the redirect to the wrong shard.
+func TestStaleReplySkipped(t *testing.T) {
+	_, cli, sd, cd := newRemoteRig(t)
+	earlier, err := cd.NewRecvEndpoint(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := cd.NewRecvEndpoint(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := msglib.NewOutbox(sd, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := make([]byte, 9)
+	stale[0] = statusNotOwner
+	binary.BigEndian.PutUint32(stale[1:5], 7)
+	binary.BigEndian.PutUint32(stale[5:9], uint32(earlier.Addr()))
+
+	for _, op := range []struct {
+		name string
+		call func() error
+	}{
+		{"Subscribe", func() error { return cli.Subscribe("radar.tracks", ep.Addr(), 2, callTimeout) }},
+		{"Unsubscribe", func() error { return cli.Unsubscribe("radar.tracks", ep.Addr(), callTimeout) }},
+		{"SubscribePattern", func() error { return cli.SubscribePattern("radar.*", ep.Addr(), callTimeout) }},
+		{"UnsubscribePattern", func() error { return cli.UnsubscribePattern("radar.*", ep.Addr(), callTimeout) }},
+		{"UpsertPresence", func() error { return cli.UpsertPresence("gw-0/c1", "gw-0", ep.Addr(), callTimeout) }},
+	} {
+		if err := out.Send(cli.in.Addr(), stale); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(callTimeout)
+		for {
+			if _, parked := cli.in.Endpoint().Pending(); parked > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("stale reply never reached the client inbox")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		if err := op.call(); err != nil {
+			t.Errorf("%s took the stale reply as its answer: %v", op.name, err)
+		}
 	}
 }

@@ -335,13 +335,10 @@ func (s *Store) Compact(reg *nameservice.TopicRegistry) error {
 		}
 		off += n
 	}
-	tmp := filepath.Join(s.dir, walName+".tmp")
-	if err := os.WriteFile(tmp, keep, 0o644); err != nil {
-		s.err = fmt.Errorf("registrystore: %w", err)
-		return s.err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, walName)); err != nil {
-		s.err = fmt.Errorf("registrystore: %w", err)
+	// The kept records were acknowledged as synced when journaled; the
+	// rewrite must be on disk before it replaces the log that holds them.
+	if err := replaceFile(filepath.Join(s.dir, walName), keep, s.nosync); err != nil {
+		s.err = err
 		return s.err
 	}
 	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_RDWR|os.O_APPEND, 0o644)
@@ -356,7 +353,7 @@ func (s *Store) Compact(reg *nameservice.TopicRegistry) error {
 	return nil
 }
 
-// writeSnapshot writes state atomically (tmp file + rename), CRC-framed
+// writeSnapshot writes state atomically (replaceFile), CRC-framed
 // with the same checksum machinery as records and wire frames.
 func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nosync bool) error {
 	var b []byte
@@ -403,6 +400,14 @@ func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nos
 	binary.BigEndian.PutUint32(u32[:], wire.Checksum(b))
 	b = append(b, u32[:]...)
 
+	return replaceFile(path, b, nosync)
+}
+
+// replaceFile replaces path with b atomically: write a temp file, sync
+// it (unless nosync), then rename over path — so a crash leaves either
+// the old contents or the complete new ones, never a rename pointing
+// at data still in the page cache.
+func replaceFile(path string, b []byte, nosync bool) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {

@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// FLIPC experiment harness: summary statistics, percentiles, least
+// FLIPC experiment harness: summary statistics, percentiles, and least
 // squares line fitting (used to recover the paper's
-// "15.45 µs + 6.25 ns/byte" latency fit from measured sweeps), and
-// fixed-width histograms.
+// "15.45 µs + 6.25 ns/byte" latency fit from measured sweeps).
 //
 // All functions are pure and operate on float64 slices; they never
 // mutate their arguments.
@@ -225,125 +224,4 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 // String renders the fit as "y = a + b*x (r2=...)".
 func (f Fit) String() string {
 	return fmt.Sprintf("y = %.4f + %.6f*x (r2=%.4f)", f.Intercept, f.Slope, f.R2)
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-// Samples outside the range are counted in Under/Over.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	Under  int
-	Over   int
-	width  float64
-}
-
-// NewHistogram creates a histogram with n equal-width bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bin, got %d", n)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: histogram range [%v,%v) is empty", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n), width: (hi - lo) / float64(n)}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.width)
-		if i >= len(h.Bins) { // guard against floating point edge at Hi
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i] = h.Bins[i] + 1
-	}
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}
-
-// BinRange returns the [lo, hi) range covered by bin i.
-func (h *Histogram) BinRange(i int) (lo, hi float64) {
-	lo = h.Lo + float64(i)*h.width
-	return lo, lo + h.width
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) of the recorded
-// samples with linear interpolation inside the landing bin.
-//
-// Out-of-range samples participate in the ranking: a rank that lands
-// among the Under samples returns -Inf and one that lands among the
-// Over samples returns +Inf, because the histogram only knows those
-// samples lie outside [Lo, Hi), not where. Quantile returns NaN on an
-// empty histogram or an out-of-range q.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Total()
-	if total == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
-	rank := q * float64(total-1)
-	if rank < float64(h.Under) && h.Under > 0 {
-		return math.Inf(-1)
-	}
-	cum := float64(h.Under)
-	for i, n := range h.Bins {
-		if n == 0 {
-			continue
-		}
-		if rank < cum+float64(n) {
-			lo, _ := h.BinRange(i)
-			frac := (rank - cum + 0.5) / float64(n)
-			return lo + frac*h.width
-		}
-		cum += float64(n)
-	}
-	return math.Inf(1) // rank landed among the Over samples
-}
-
-// Mean returns the bin-midpoint approximation of the in-range sample
-// mean. Under/Over samples are excluded — their values are unknown —
-// so a histogram whose samples all missed the range returns NaN, as
-// does an empty one.
-func (h *Histogram) Mean() float64 {
-	var n int
-	var sum float64
-	for i, b := range h.Bins {
-		if b == 0 {
-			continue
-		}
-		lo, hi := h.BinRange(i)
-		sum += float64(b) * (lo + hi) / 2
-		n += b
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
-
-// Merge folds o's counts into h. The histograms must have identical
-// geometry (Lo, Hi, bin count); merging mismatched layouts would
-// silently misbucket, so it is an error instead.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.Lo != o.Lo || h.Hi != o.Hi || len(h.Bins) != len(o.Bins) {
-		return fmt.Errorf("stats: merge geometry mismatch: [%v,%v)x%d vs [%v,%v)x%d",
-			h.Lo, h.Hi, len(h.Bins), o.Lo, o.Hi, len(o.Bins))
-	}
-	for i, b := range o.Bins {
-		h.Bins[i] += b
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	return nil
 }

@@ -166,44 +166,6 @@ func TestLinearFitNoisy(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 100} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under=%d over=%d", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Fatalf("bin1 = %d", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d", h.Bins[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	lo, hi := h.BinRange(2)
-	if lo != 4 || hi != 6 {
-		t.Fatalf("BinRange(2) = [%v,%v)", lo, hi)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
 // Property: mean is translation equivariant and bounded by min/max.
 func TestQuickMeanProperties(t *testing.T) {
 	prop := func(raw []int16, shiftRaw int8) bool {
@@ -301,100 +263,5 @@ func TestEwma(t *testing.T) {
 	sharp.Observe(50)
 	if sharp.Value() != 50 {
 		t.Fatalf("alpha=1 should track the last sample, got %v", sharp.Value())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h, err := NewHistogram(0, 100, 100) // unit bins
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Empty histogram: NaN, as documented.
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty quantile not NaN")
-	}
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	if !math.IsNaN(h.Quantile(-0.1)) || !math.IsNaN(h.Quantile(1.1)) {
-		t.Fatal("out-of-range q not NaN")
-	}
-	// Uniform over [0,100): quantiles track q*100 to within a bin.
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
-		got := h.Quantile(q)
-		if math.Abs(got-q*100) > 1.5 {
-			t.Errorf("Quantile(%v) = %v, want ~%v", q, got, q*100)
-		}
-	}
-}
-
-func TestHistogramQuantileUnderOver(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5 under, 10 in range, 5 over.
-	for i := 0; i < 5; i++ {
-		h.Add(-1)
-		h.Add(100)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(5)
-	}
-	if !math.IsInf(h.Quantile(0), -1) {
-		t.Fatalf("q=0 should land in Under: %v", h.Quantile(0))
-	}
-	if !math.IsInf(h.Quantile(1), 1) {
-		t.Fatalf("q=1 should land in Over: %v", h.Quantile(1))
-	}
-	mid := h.Quantile(0.5)
-	if mid < 5 || mid >= 6 {
-		t.Fatalf("median = %v, want in bin [5,6)", mid)
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h, err := NewHistogram(0, 10, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(h.Mean()) {
-		t.Fatal("empty mean not NaN")
-	}
-	h.Add(-5) // excluded: value unknown beyond "below Lo"
-	if !math.IsNaN(h.Mean()) {
-		t.Fatal("under-only mean not NaN")
-	}
-	h.Add(2) // midpoint 2.5
-	h.Add(7) // midpoint 7.5
-	if got := h.Mean(); got != 5 {
-		t.Fatalf("mean = %v, want 5 (midpoints 2.5, 7.5)", got)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, _ := NewHistogram(0, 10, 10)
-	b, _ := NewHistogram(0, 10, 10)
-	a.Add(1)
-	a.Add(-1)
-	b.Add(8)
-	b.Add(11)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != 4 || a.Under != 1 || a.Over != 1 {
-		t.Fatalf("merged: total=%d under=%d over=%d", a.Total(), a.Under, a.Over)
-	}
-	if a.Bins[1] != 1 || a.Bins[8] != 1 {
-		t.Fatalf("merged bins: %v", a.Bins)
-	}
-	// Geometry mismatches are refused, not misbucketed.
-	c, _ := NewHistogram(0, 20, 10)
-	if err := a.Merge(c); err == nil {
-		t.Fatal("range mismatch accepted")
-	}
-	d, _ := NewHistogram(0, 10, 5)
-	if err := a.Merge(d); err == nil {
-		t.Fatal("bin-count mismatch accepted")
 	}
 }

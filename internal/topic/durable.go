@@ -512,6 +512,45 @@ func (p *Publisher) ReplayStranded() uint64 {
 	return p.replayStranded
 }
 
+// DurableLedger is the durable-stream conservation law for one cursor
+// name, with every term named:
+//
+//	Published == Live + Replayed + Stranded
+//
+// Every journaled publish reaches the name exactly once — as live
+// fanout or as replay, across however many subscriber incarnations
+// held the name — unless forced retention passed the cursor first.
+// The law holds at quiesce with the cursor at head, for a name whose
+// seam locked before the first publish (earlier history is by design
+// not owed).
+type DurableLedger struct {
+	Published uint64 // journaled publishes (Publisher.Published)
+	Live      uint64 // Σ Received − Replayed over the name's incarnations
+	Replayed  uint64 // Σ Subscriber.Replayed
+	Stranded  uint64 // Publisher.ReplayStranded
+}
+
+// DurableLaw reads the law's terms off p and every incarnation of one
+// durable subscriber name (crashed predecessors included: their
+// counters stay readable).
+func DurableLaw(p *Publisher, incarnations ...*Subscriber) DurableLedger {
+	l := DurableLedger{Published: p.Published(), Stranded: p.ReplayStranded()}
+	for _, s := range incarnations {
+		l.Replayed += s.Replayed()
+		l.Live += s.Received() - s.Replayed()
+	}
+	return l
+}
+
+// Err is nil when the law balances, and otherwise names every term.
+func (l DurableLedger) Err() error {
+	if l.Published == l.Live+l.Replayed+l.Stranded {
+		return nil
+	}
+	return fmt.Errorf("durable conservation violated: published %d != live %d + replayed %d + stranded %d (= %d)",
+		l.Published, l.Live, l.Replayed, l.Stranded, l.Live+l.Replayed+l.Stranded)
+}
+
 // CatchingUp returns how many subscribers are mid-replay (resumed,
 // not yet handed off to the live stream).
 func (p *Publisher) CatchingUp() int {
@@ -539,10 +578,10 @@ type subDurState struct {
 	out  *msglib.Outbox
 	pubs map[core.Addr]struct{}
 
-	locked     atomic.Bool   // seam established; next is meaningful
-	next       atomic.Uint64 // next sequence the application gets
-	gapPending bool          // a resume for a detected gap is in flight
-	needResume bool          // a resume must be (re)sent (start, rebind)
+	locked     atomic.Bool             // seam established; next is meaningful
+	next       atomic.Uint64           // next sequence the application gets
+	gapPending bool                    // a resume for a detected gap is in flight
+	needResume bool                    // a resume must be (re)sent (start, rebind)
 	stash      map[uint64]stashedFrame // ahead-of-seam frames held for the hole
 
 	acked     atomic.Uint64 // last sequence acknowledged in-band

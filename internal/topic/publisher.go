@@ -113,14 +113,14 @@ type Publisher struct {
 
 	// Durable plane (cfg.Log set; see durable.go).
 	log            *duralog.Log
-	replayOut      *msglib.Outbox          // Bulk-priority replay channel
-	replay         map[string]*subReplay   // replay state by subscriber name
+	replayOut      *msglib.Outbox           // Bulk-priority replay channel
+	replay         map[string]*subReplay    // replay state by subscriber name
 	catchup        map[core.Addr]*subReplay // live-fanout suppression index
-	durHello       map[core.Addr]bool      // hello handshake tracking (durable without credit)
-	deferred       uint64                  // live sends suppressed during catch-up
-	replayed       uint64                  // replay frames sent
-	replayStranded uint64                  // frames lost to the retention horizon
-	seqScratch     []byte                  // seq-prefix staging buffer
+	durHello       map[core.Addr]bool       // hello handshake tracking (durable without credit)
+	deferred       uint64                   // live sends suppressed during catch-up
+	replayed       uint64                   // replay frames sent
+	replayStranded uint64                   // frames lost to the retention horizon
+	seqScratch     []byte                   // seq-prefix staging buffer
 
 	// nowNanos is the fanout-latency clock (replaceable in tests).
 	nowNanos func() int64
@@ -673,6 +673,54 @@ func (p *Publisher) Throttles() map[core.Addr]uint64 {
 		out[a] = n
 	}
 	return out
+}
+
+// FanoutLedger is the fanout conservation law for one publisher and
+// the subscribers its plan served, with every term named:
+//
+//	Owed == Delivered + RecvDropped + PubDropped + Throttled
+//
+// Each publish owes every subscriber one frame, and each owed frame
+// ends in exactly one ledger: consumed by the subscriber, discarded at
+// its endpoint for lack of a posted buffer, refused by the publisher's
+// outbox window, or deliberately skipped on exhausted receive credit.
+// The law holds at quiesce (nothing in flight); a caller waiting for
+// quiesce polls Err until it clears.
+type FanoutLedger struct {
+	Published   uint64 // fanouts performed (Publisher.Published)
+	Owed        uint64 // Published × subscribers
+	Delivered   uint64 // Σ Subscriber.Received
+	RecvDropped uint64 // Σ Subscriber.AppDrops
+	PubDropped  uint64 // Publisher.Dropped
+	Throttled   uint64 // Publisher.Throttled
+}
+
+// FanoutLaw reads the law's terms off p and the subscribers it fanned out
+// to. Owed assumes every subscriber was planned for every publish; a
+// caller whose subscriber joined late subtracts the publishes it was
+// never owed before checking.
+func FanoutLaw(p *Publisher, subs ...*Subscriber) FanoutLedger {
+	l := FanoutLedger{Published: p.Published(), PubDropped: p.Dropped(), Throttled: p.Throttled()}
+	l.Owed = l.Published * uint64(len(subs))
+	for _, s := range subs {
+		l.Delivered += s.Received()
+		l.RecvDropped += s.AppDrops()
+	}
+	return l
+}
+
+// Accounted is the right-hand side of the law.
+func (l FanoutLedger) Accounted() uint64 {
+	return l.Delivered + l.RecvDropped + l.PubDropped + l.Throttled
+}
+
+// Err is nil when the law balances, and otherwise names every term.
+func (l FanoutLedger) Err() error {
+	if l.Accounted() == l.Owed {
+		return nil
+	}
+	return fmt.Errorf("fanout conservation violated: owed %d (published %d) != delivered %d + recv-dropped %d + pub-dropped %d + throttled %d (= %d)",
+		l.Owed, l.Published, l.Delivered, l.RecvDropped, l.PubDropped, l.Throttled, l.Accounted())
 }
 
 // Outbox exposes the wrapped outbox (flush, backpressure counters).

@@ -90,23 +90,22 @@ func TestPublishFanoutAndAccounting(t *testing.T) {
 	// as a drop at exactly one ledger.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var delivered, recvDrops uint64
 		for _, s := range subs {
 			for {
 				if _, _, ok := s.Receive(); !ok {
 					break
 				}
 			}
-			delivered += s.Received()
-			recvDrops += s.Drops()
 		}
-		total := delivered + recvDrops + pub.Dropped()
-		if total == rounds*3 {
+		law := FanoutLaw(pub, subs...)
+		if law.Err() == nil {
+			if law.Owed != rounds*3 {
+				t.Fatalf("owed %d frames, want %d", law.Owed, rounds*3)
+			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("conservation: delivered %d + recvDrops %d + pubDrops %d != %d",
-				delivered, recvDrops, pub.Dropped(), rounds*3)
+			t.Fatal(law.Err())
 		}
 		time.Sleep(time.Millisecond)
 	}
