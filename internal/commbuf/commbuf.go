@@ -164,6 +164,7 @@ type Buffer struct {
 	bufMetaBase   int // per-buffer meta words
 	bufMetaStride int
 	payloadBase   []int // per-buffer payload byte offsets
+	msgs          []Msg // the canonical handle for each buffer id
 	epCfgBase     int   // endpoint descriptor config area
 	epCfgStride   int
 
@@ -261,12 +262,14 @@ func New(cfg Config) (*Buffer, error) {
 	// Payload area: one aligned region per buffer. FLIPC internalizes
 	// all message buffers so it can guarantee DMA alignment (§Architecture).
 	b.payloadBase = make([]int, cfg.NumBuffers)
+	b.msgs = make([]Msg, cfg.NumBuffers)
 	for i := 0; i < cfg.NumBuffers; i++ {
 		off, err := arena.AllocPayload(cfg.MaxPayload(), 32)
 		if err != nil {
 			return nil, err
 		}
 		b.payloadBase[i] = off
+		b.msgs[i] = Msg{buf: b, id: i}
 	}
 
 	// Endpoint descriptor config area.
@@ -369,7 +372,7 @@ func (b *Buffer) AllocMsg() (*Msg, error) {
 	}
 	id := b.freeBufs[len(b.freeBufs)-1]
 	b.freeBufs = b.freeBufs[:len(b.freeBufs)-1]
-	m := &Msg{buf: b, id: id}
+	m := &b.msgs[id]
 	m.setMeta(b.View(mem.ActorApp), metaWord{state: StateOwned})
 	return m, nil
 }
@@ -454,13 +457,15 @@ func (b *Buffer) NodeAllowed(v mem.View, n wire.NodeID) bool {
 	return v.Load(w)&(1<<(uint(n)%64)) != 0
 }
 
-// MsgByID reconstructs a Msg handle for a buffer ID (engine-validated).
-// It does not change ownership; callers must respect the state machine.
+// MsgByID returns the handle for a buffer ID (engine-validated): always
+// the same table entry AllocMsg hands out for that id. A handle holds no
+// mutable state, so the application and the engine may share it. It does
+// not change ownership; callers must respect the state machine.
 func (b *Buffer) MsgByID(id uint64) (*Msg, error) {
 	if !b.ValidBufID(id) {
 		return nil, fmt.Errorf("commbuf: buffer id %d out of range [0,%d)", id, b.cfg.NumBuffers)
 	}
-	return &Msg{buf: b, id: int(id)}, nil
+	return &b.msgs[id], nil
 }
 
 const (

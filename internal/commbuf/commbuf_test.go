@@ -3,6 +3,7 @@ package commbuf
 import (
 	"testing"
 
+	"flipc/internal/israce"
 	"flipc/internal/mem"
 	"flipc/internal/wire"
 )
@@ -254,6 +255,61 @@ func TestMsgByID(t *testing.T) {
 	}
 	if !b.ValidBufID(7) || b.ValidBufID(8) {
 		t.Fatal("ValidBufID wrong")
+	}
+	// One handle per buffer: the pool hands out the entry MsgByID indexes.
+	owned, err := b.AllocMsg()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := b.MsgByID(uint64(owned.ID())); again != owned {
+		t.Fatalf("MsgByID(%d) = %p, AllocMsg returned %p", owned.ID(), again, owned)
+	}
+	if israce.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := b.MsgByID(3); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("MsgByID allocates %v objects per call, want 0", n)
+	}
+}
+
+// A staged buffer the queue then refuses goes back to its owner, who
+// can stage it again; nothing else may be unstaged.
+func TestUnstage(t *testing.T) {
+	b := newBuffer(t, defaultConfig())
+	app := b.View(mem.ActorApp)
+	eng := b.View(mem.ActorEngine)
+	dst, _ := wire.MakeAddr(2, 3, 1)
+	m, _ := b.AllocMsg()
+	if err := m.Unstage(app); err == nil {
+		t.Fatal("Unstage of an owned buffer accepted")
+	}
+	for _, stage := range []func() error{
+		func() error { return m.StageSend(app, dst, 10, 0x03) },
+		func() error { return m.StageRecv(app) },
+	} {
+		if err := stage(); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Reclaim(app); err == nil {
+			t.Fatal("Reclaim of a queued buffer accepted")
+		}
+		if err := m.Unstage(app); err != nil {
+			t.Fatal(err)
+		}
+		if m.State(app) != StateOwned {
+			t.Fatalf("after Unstage: %v", m.State(app))
+		}
+	}
+	if err := m.StageSend(app, dst, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.EngineCompleteSend(eng)
+	if err := m.Unstage(app); err == nil {
+		t.Fatal("Unstage of a completed buffer accepted")
 	}
 }
 

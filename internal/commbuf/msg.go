@@ -78,9 +78,10 @@ func unpackMeta(v uint64) metaWord {
 	}
 }
 
-// Msg is an application-side handle on one fixed-size message buffer
-// inside the communication buffer. The handle caches only the buffer
-// ID; all mutable state is in the arena.
+// Msg is the handle on one fixed-size message buffer inside the
+// communication buffer: one immutable entry per buffer ID, built by New.
+// The handle caches only the buffer ID; all mutable state is in the
+// arena.
 type Msg struct {
 	buf *Buffer
 	id  int
@@ -162,6 +163,17 @@ func (m *Msg) Reclaim(v mem.View) error {
 	mw := m.meta(v)
 	mw.state = StateOwned
 	m.setMeta(v, mw)
+	return nil
+}
+
+// Unstage undoes StageSend/StageRecv on a buffer the queue then refused
+// (a racing thread took the last slot): Queued back to Owned, so its
+// owner can stage it again. The engine never saw the buffer.
+func (m *Msg) Unstage(v mem.View) error {
+	if st := m.State(v); st != StateQueued {
+		return fmt.Errorf("commbuf: Unstage of buffer %d in state %v", m.id, st)
+	}
+	m.setMeta(v, metaWord{state: StateOwned})
 	return nil
 }
 

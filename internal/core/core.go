@@ -97,6 +97,7 @@ type Domain struct {
 	eng    *engine.Engine
 	kernel *rtsched.Kernel
 	app    mem.View
+	msgs   []Message // the canonical handle for each buffer id
 
 	mu      sync.Mutex
 	started bool
@@ -125,14 +126,20 @@ func NewDomain(cfg Config, tr interconnect.Transport) (*Domain, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Domain{
+	d := &Domain{
 		buf:    buf,
 		eng:    eng,
 		kernel: rtsched.NewKernel(buf.Doorbell(), buf.View(mem.ActorKernel)),
 		app:    buf.View(mem.ActorApp),
+		msgs:   make([]Message, buf.NumBuffers()),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}, nil
+	}
+	for i := range d.msgs {
+		m, _ := buf.MsgByID(uint64(i)) // i < NumBuffers: cannot fail
+		d.msgs[i] = Message{d: d, m: m}
+	}
+	return d, nil
 }
 
 // Buffer exposes the communication buffer (experiments, tracing).
@@ -206,7 +213,9 @@ func (d *Domain) isClosed() bool {
 	return d.closed
 }
 
-// Message is an application handle on one fixed-size message buffer.
+// Message is an application handle on one fixed-size message buffer:
+// one immutable entry per buffer ID, built by NewDomain, so AllocBuffer
+// and Acquire return the same pointer for the same buffer.
 type Message struct {
 	d *Domain
 	m *commbuf.Msg
@@ -223,7 +232,7 @@ func (d *Domain) AllocBuffer() (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Message{d: d, m: m}, nil
+	return &d.msgs[m.ID()], nil
 }
 
 // FreeBuffer returns a buffer to the pool.

@@ -235,16 +235,20 @@ func TestPerBufferCompletion(t *testing.T) {
 }
 
 func TestLockedVariants(t *testing.T) {
-	doms := newCluster(t, 2, Config{NumBuffers: 64})
+	doms := newCluster(t, 2, Config{NumBuffers: 128})
 	a, b := doms[0], doms[1]
 	a.Start()
 	b.Start()
+	const senders, per = 4, 10
 	sep, _ := a.NewSendEndpoint(16)
-	rep, _ := b.NewRecvEndpoint(16)
+	rep, _ := b.NewRecvEndpoint(64)
 
-	// Fill the receive window before any sender starts, or the first
-	// burst races the receiver goroutine's startup and is discarded by
-	// the optimistic protocol.
+	// Post a window that holds every message before any sender starts:
+	// the senders are not throttled, and the optimistic protocol discards
+	// whatever outruns the receiver's reposting.
+	if rep.QueueDepth() < senders*per {
+		t.Fatalf("receive window %d cannot hold %d sends", rep.QueueDepth(), senders*per)
+	}
 	for {
 		m, err := b.AllocBuffer()
 		if err != nil {
@@ -257,7 +261,6 @@ func TestLockedVariants(t *testing.T) {
 	}
 
 	// Several threads share one endpoint through the locked interface.
-	const senders, per = 4, 10
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)

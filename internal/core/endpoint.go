@@ -106,8 +106,8 @@ func (e *Endpoint) send(msg *Message, dst Addr, n int, flags uint8) error {
 		// Racing thread filled the queue between the check and the
 		// release; undo the staging. (Single-threaded callers never
 		// reach this; *Locked callers hold the lock.)
-		if err := msg.m.Reclaim(e.d.app); err == nil {
-			return ErrQueueFull
+		if err := msg.m.Unstage(e.d.app); err != nil {
+			return err
 		}
 		return ErrQueueFull
 	}
@@ -131,8 +131,8 @@ func (e *Endpoint) Post(msg *Message) error {
 		return err
 	}
 	if !e.ep.Queue().Release(e.d.app, uint64(msg.m.ID())) {
-		if err := msg.m.Reclaim(e.d.app); err == nil {
-			return ErrQueueFull
+		if err := msg.m.Unstage(e.d.app); err != nil {
+			return err
 		}
 		return ErrQueueFull
 	}
@@ -148,17 +148,15 @@ func (e *Endpoint) Acquire() (*Message, bool) {
 	if !ok {
 		return nil, false
 	}
-	m, err := e.d.buf.MsgByID(id)
-	if err != nil {
+	if !e.d.buf.ValidBufID(id) {
 		// Only possible if the application corrupted its own queue.
 		return nil, false
 	}
-	msg := &Message{d: e.d, m: m}
-	if err := m.Reclaim(e.d.app); err != nil {
-		// The engine marked it neither Done nor Dropped — application
-		// misuse; surface the buffer anyway so it is not leaked.
-		return msg, true
-	}
+	msg := &e.d.msgs[id]
+	// A Reclaim error means the engine marked it neither Done nor
+	// Dropped — application misuse; surface the buffer anyway so it is
+	// not leaked.
+	_ = msg.m.Reclaim(e.d.app)
 	return msg, true
 }
 

@@ -488,8 +488,8 @@ func (e *Engine) pollReceive() bool {
 // discards it with accounting. This is the receiving half of the
 // optimistic protocol: there is never feedback to the sender.
 func (e *Engine) deliver(frame []byte) {
-	pkt, err := wire.Decode(frame)
-	if err != nil {
+	var pkt wire.Packet
+	if err := wire.DecodeInto(frame, &pkt); err != nil {
 		if errors.Is(err, wire.ErrChecksum) {
 			// The frame carried a CRC32C trailer and failed it: a
 			// distinct loss category, because nothing in the header can

@@ -172,6 +172,7 @@ type Mux struct {
 	refs    [NumClasses]map[string]*patRef
 	pubs    map[string]*pubEntry
 	tick    uint64
+	targets []*Client // deliver's match scratch; Pump's one caller owns it
 
 	// Gateway-level ledgers (guarded by mu).
 	received  uint64 // enveloped frames drained off the class inboxes
@@ -451,7 +452,7 @@ func (m *Mux) deliver(lane int, payload []byte, flags uint8) {
 		}
 		return
 	}
-	var targets []*Client
+	targets := m.targets[:0]
 	m.subs[lane].Match(name, func(key uint64) {
 		if c := m.clients[key]; c != nil {
 			for _, t := range targets {
@@ -462,6 +463,7 @@ func (m *Mux) deliver(lane int, payload []byte, flags uint8) {
 			targets = append(targets, c)
 		}
 	})
+	m.targets = targets
 	if len(targets) == 0 {
 		m.unmatched++
 		m.mu.Unlock()
@@ -495,6 +497,7 @@ func (m *Mux) deliver(lane int, payload []byte, flags uint8) {
 			delivered++
 		}
 	}
+	clear(targets) // the scratch must not pin clients that later depart
 	if m.mDelivered != nil {
 		m.mDelivered.Add(uint64(delivered))
 	}

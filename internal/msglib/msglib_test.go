@@ -2,12 +2,14 @@ package msglib
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/interconnect"
+	"flipc/internal/israce"
 	"flipc/internal/wire"
 )
 
@@ -68,6 +70,50 @@ func TestOutboxInboxRoundTrip(t *testing.T) {
 	}
 	if in.Drops() != 0 {
 		t.Fatal("drops nonzero")
+	}
+}
+
+// The convenience layer adds nothing to the handle path: a send reclaims
+// and reuses pooled handles, and a receive allocates only the payload
+// copy it returns. The engine passes in between are not counted.
+func TestSendReceiveAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const rounds = 64
+	a, b := newPair(t)
+	out, err := NewOutbox(a, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := NewInbox(b, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("sixteen byte msg")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	var m0, m1, m2, m3 runtime.MemStats
+	var send, recv uint64
+	for i := 0; i < rounds; i++ {
+		runtime.ReadMemStats(&m0)
+		err := out.Send(in.Addr(), payload)
+		runtime.ReadMemStats(&m1)
+		a.Poll()
+		b.Poll()
+		runtime.ReadMemStats(&m2)
+		_, _, ok := in.Receive()
+		runtime.ReadMemStats(&m3)
+		if err != nil || !ok {
+			t.Fatalf("round %d: Send = %v, Receive ok = %v", i, err, ok)
+		}
+		send += m1.Mallocs - m0.Mallocs
+		recv += m3.Mallocs - m2.Mallocs
+	}
+	// Whole objects per round, as AllocsPerRun reports them: a stray
+	// runtime allocation during the run is not the layer's.
+	if send/rounds != 0 || recv/rounds != 1 {
+		t.Fatalf("%d rounds: Send allocated %d objects (want 0 a round), Receive %d (want 1 a round, the payload copy)",
+			rounds, send, recv)
 	}
 }
 

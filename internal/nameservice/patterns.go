@@ -235,25 +235,28 @@ func (x *PatternIndex) Match(topic string, visit func(key uint64)) {
 	if topic == "" {
 		return
 	}
-	matchNode(&x.root, strings.Split(topic, "."), visit)
+	matchNode(&x.root, topic, visit)
 }
 
-func matchNode(n *patNode, segs []string, visit func(uint64)) {
-	if len(segs) == 0 {
-		for k := range n.keys {
-			visit(k)
-		}
-		return
-	}
+// matchNode matches rest — one or more "."-separated segments, cut as
+// the walk descends so a match allocates nothing — below n.
+func matchNode(n *patNode, rest string, visit func(uint64)) {
 	// "**" at this level swallows the whole remaining suffix (≥1 segs).
 	for k := range n.dstar {
 		visit(k)
 	}
-	if c := n.children[segs[0]]; c != nil {
-		matchNode(c, segs[1:], visit)
-	}
-	if n.star != nil {
-		matchNode(n.star, segs[1:], visit)
+	seg, tail, more := strings.Cut(rest, ".")
+	for _, c := range [2]*patNode{n.children[seg], n.star} {
+		if c == nil {
+			continue
+		}
+		if more {
+			matchNode(c, tail, visit)
+			continue
+		}
+		for k := range c.keys {
+			visit(k)
+		}
 	}
 }
 

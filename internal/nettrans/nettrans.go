@@ -41,6 +41,7 @@
 package nettrans
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -721,8 +722,10 @@ func parsePreamble(pre []byte, messageSize int) error {
 // readLoop pumps frames from one of p's connections into the inbox.
 func (t *Transport) readLoop(p *peer, conn net.Conn) {
 	buf := make([]byte, preambleBytes+t.cfg.MessageSize)
+	// One read(2) per burst of corked frames, not one per frame.
+	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if _, err := io.ReadFull(r, buf); err != nil {
 			p.mu.Lock()
 			t.connFailedLocked(p, conn, err)
 			p.mu.Unlock()

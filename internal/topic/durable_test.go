@@ -227,6 +227,11 @@ func TestDurableResumeFromStoredCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hello Refresh sends is not retried before the next refresh, 64
+	// publishes away, so it must not meet an outbox still backlogged from
+	// phase 2 (straggling phase-1 acks re-open a replay to the dead
+	// address there) — the liveness gap CHANGES.md records under PR 21.
+	settle(t, "phase 2 outbox drain", pub.Outbox().Flush)
 	if err := pub.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +243,9 @@ func TestDurableResumeFromStoredCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 		pub.PumpReplay(0)
-		if published < phase1+phase2+phase3 {
+		// Live traffic continues until it has met the catch-up: a slow
+		// handshake must not let every live publish slip in ahead of it.
+		if published < phase1+phase2+phase3 || pub.Deferred() == 0 {
 			published++
 			if _, err := pub.Publish([]byte(fmt.Sprintf("m-%d", published))); err != nil {
 				t.Fatal(err)

@@ -100,6 +100,13 @@ func TestSubscriberCtlDropSplit(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	// Quiesce before sampling: every frame sent so far has left the
+	// outbox and either sits in a posted buffer (the test never receives)
+	// or is on the drop counter. out is the endpoint's only sender.
+	settle(t, "app frames in flight", func() bool {
+		_, held := sub.Inbox().Endpoint().Pending()
+		return out.Flush() && sub.Drops()+uint64(held) == out.Sent()
+	})
 	if got := sub.CtlDrops(); got != 0 {
 		t.Fatalf("CtlDrops = %d before any control traffic", got)
 	}
@@ -121,17 +128,17 @@ func TestSubscriberCtlDropSplit(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	for sub.Drops() < appDrops+ctlSends {
+	for sub.CtlDrops() != ctlSends {
 		if time.Now().After(deadline) {
-			t.Fatalf("drops = %d, want >= %d", sub.Drops(), appDrops+ctlSends)
+			t.Fatalf("CtlDrops = %d, want %d", sub.CtlDrops(), ctlSends)
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// More app frames may have been in flight when we sampled, but the
-	// split must account every control discard and the sum must hold.
-	if got := sub.CtlDrops(); got != ctlSends {
-		t.Fatalf("CtlDrops = %d, want %d", got, ctlSends)
+	// The split accounts every control discard, no application discard
+	// moved meanwhile, and the sum holds.
+	if got := sub.AppDrops(); got != appDrops {
+		t.Fatalf("AppDrops = %d after control traffic, want %d", got, appDrops)
 	}
 	if sub.AppDrops()+sub.CtlDrops() != sub.Drops() {
 		t.Fatalf("split violates Drops: %d app + %d ctl != %d total",

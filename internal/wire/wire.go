@@ -263,8 +263,18 @@ func Encode(p *Packet, frame []byte) error {
 // Decode parses a frame produced by Encode. The returned packet's
 // Payload aliases frame; callers that retain it must copy.
 func Decode(frame []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := DecodeInto(frame, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// DecodeInto is Decode into a packet the caller owns, overwriting every
+// field; on error p is left untouched.
+func DecodeInto(frame []byte, p *Packet) error {
 	if err := CheckMessageSize(len(frame)); err != nil {
-		return nil, fmt.Errorf("wire: bad frame: %w", err)
+		return fmt.Errorf("wire: bad frame: %w", err)
 	}
 	// Verify the checksum before trusting any header field: a corrupted
 	// frame may present an arbitrary destination or size, and the caller
@@ -278,17 +288,17 @@ func Decode(frame []byte) (*Packet, error) {
 		crc = crc32.Update(crc, castagnoli, zeroChecksum[:])
 		crc = crc32.Update(crc, castagnoli, frame[slot+ChecksumBytes:])
 		if crc != want {
-			return nil, fmt.Errorf("%w (stored %08x, computed %08x)", ErrChecksum, want, crc)
+			return fmt.Errorf("%w (stored %08x, computed %08x)", ErrChecksum, want, crc)
 		}
 		flags &^= FlagChecksummed // internal bit: never delivered to applications
 	}
 	dst := Addr(binary.BigEndian.Uint32(frame[0:4]))
 	size := binary.BigEndian.Uint16(frame[4:6])
 	if !dst.Valid() {
-		return nil, fmt.Errorf("wire: frame has invalid destination %v", dst)
+		return fmt.Errorf("wire: frame has invalid destination %v", dst)
 	}
 	if int(size) > MaxPayload(len(frame)) {
-		return nil, fmt.Errorf("wire: frame size field %d exceeds max payload %d", size, MaxPayload(len(frame)))
+		return fmt.Errorf("wire: frame size field %d exceeds max payload %d", size, MaxPayload(len(frame)))
 	}
 	var stamp int64
 	if flags&FlagStamped != 0 {
@@ -297,7 +307,7 @@ func Decode(frame []byte) (*Packet, error) {
 		}
 		flags &^= FlagStamped // internal bit: never delivered to applications
 	}
-	return &Packet{
+	*p = Packet{
 		Dst:      dst,
 		Size:     size,
 		Flags:    flags,
@@ -305,7 +315,8 @@ func Decode(frame []byte) (*Packet, error) {
 		Payload:  frame[HeaderBytes : HeaderBytes+int(size) : HeaderBytes+int(size)],
 		Stamp:    stamp,
 		Checksum: checksummed,
-	}, nil
+	}
+	return nil
 }
 
 // Priority extracts the priority level from flags (extension).

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"flipc/internal/israce"
 )
 
 func mustAddr(t *testing.T, node NodeID, idx, gen uint16) Addr {
@@ -112,6 +114,50 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got.Payload, payload) {
 		t.Fatalf("payload = %q", got.Payload)
+	}
+}
+
+// DecodeInto reuses the caller's packet: every field is overwritten (a
+// stamped, checksummed frame leaves nothing behind for a plain one), a
+// refused frame leaves it untouched, and no call allocates.
+func TestDecodeIntoReusesPacket(t *testing.T) {
+	dst := mustAddr(t, 5, 42, 2)
+	rich, plain := make([]byte, 96), make([]byte, 96)
+	if err := Encode(&Packet{Dst: dst, Size: 3, Flags: 3, Seq: 7, Payload: []byte("abc"), Stamp: 12345, Checksum: true}, rich); err != nil {
+		t.Fatal(err)
+	}
+	if err := Encode(&Packet{Dst: dst, Size: 2, Seq: 8, Payload: []byte("de")}, plain); err != nil {
+		t.Fatal(err)
+	}
+	var p Packet
+	if err := DecodeInto(rich, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stamp != 12345 || !p.Checksum || string(p.Payload) != "abc" {
+		t.Fatalf("rich frame decoded as %+v", p)
+	}
+	if err := DecodeInto(plain, &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.Stamp != 0 || p.Checksum || p.Seq != 8 || p.Flags != 0 || string(p.Payload) != "de" {
+		t.Fatalf("plain frame decoded as %+v", p)
+	}
+	rich[20] ^= 1
+	if err := DecodeInto(rich, &p); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt frame: %v", err)
+	}
+	if p.Seq != 8 || string(p.Payload) != "de" {
+		t.Fatalf("refused frame overwrote the packet: %+v", p)
+	}
+	if israce.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := DecodeInto(plain, &p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("DecodeInto allocates %v objects per call, want 0", n)
 	}
 }
 
