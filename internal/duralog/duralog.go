@@ -6,17 +6,16 @@
 // stalled past its credit window replays the range it lost from its
 // acknowledged cursor instead of keeping only the count.
 //
-// The storage discipline is internal/registrystore's, applied to
-// payload frames through the shared internal/recio codec:
+// Segments are recio.Files and the cursor checkpoint a
+// recio.ReplaceFile, so the file discipline is internal/recio's; this
+// package adds the policy over it:
 //
-//   - CRC-framed records with torn-tail truncation: a payload cut
-//     short by a crash mid-write was never acknowledged durable, so
-//     recovery drops it exactly;
-//   - fsync by record class: payload appends group-commit every
-//     SyncEvery records (a crash loses at most the unsynced window —
-//     bounded, counted, and no worse than the optimistic baseline),
-//     while cursor acks are never synced: a lost ack re-merges from
-//     the next in-band acknowledgement, and cursors only move forward;
+//   - durability by record class: payload appends are group-committed
+//     (Buffered, every syncEvery-th one Synced — a crash loses at most
+//     the unsynced window: bounded, counted, and no worse than the
+//     optimistic baseline), while cursor acks are never synced: a lost
+//     ack re-merges from the next in-band acknowledgement, and cursors
+//     only move forward;
 //   - segmented retention: the log rotates fixed-size segments named
 //     by their first payload sequence, and Retain deletes whole
 //     segments once every registered cursor has passed them (with a
@@ -31,10 +30,10 @@
 package duralog
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -92,9 +91,6 @@ var ErrTooLarge = errors.New("duralog: payload too large")
 type Options struct {
 	// SegmentBytes is the rotation threshold (default 1 MiB).
 	SegmentBytes int
-	// SyncEvery is the payload group-commit interval: every Nth payload
-	// append flushes and fsyncs (default 256; 1 syncs every append).
-	SyncEvery int
 	// NoSync disables fsync entirely (tests and benchmarks).
 	NoSync bool
 	// MaxSegments caps retained segments; 0 means unbounded. When the
@@ -103,21 +99,15 @@ type Options struct {
 	MaxSegments int
 }
 
-func (o *Options) applyDefaults() {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 256
-	}
-}
+// syncEvery is the payload group-commit interval: the append of every
+// sequence divisible by it is written Synced.
+const syncEvery = 256
 
-// idxEvery is the sparse-index stride: one (sequence, offset) entry per
-// this many payload records. Replay seeks to the nearest indexed record
-// at or below its resume point instead of scanning the segment from the
-// start — without it a catch-up pump behind a live publisher re-reads
-// and re-checksums the whole segment on every call, O(head) work per
-// publish.
+// idxEvery is the sparse-index stride: one (sequence, offset) entry for
+// every sequence divisible by it. A Reader seeks to the nearest indexed
+// record at or below its resume point instead of scanning the segment
+// from the start — without it every heal round a few records behind the
+// head would re-read and re-checksum the whole segment.
 const idxEvery = 64
 
 // idxEntry is one sparse-index point: the byte offset of a payload
@@ -131,11 +121,10 @@ type idxEntry struct {
 type segment struct {
 	first uint64 // first payload sequence stored (names the file)
 	path  string
-	size  int64
 	index []idxEntry // sparse payload index, ascending by seq
 }
 
-// startOff returns the byte offset Replay should start reading this
+// startOff returns the byte offset a Reader should start reading this
 // segment from to see every payload record with sequence >= from: the
 // nearest indexed record at or below from (0 when from predates the
 // segment or no index entry qualifies).
@@ -157,22 +146,16 @@ type Log struct {
 	dir string
 	opt Options
 
-	segs     []segment // sorted by first; the last is the active segment
-	active   *os.File  // nil until the first append after open/rotation
-	w        *bufio.Writer
-	wbuf     int // bytes buffered in w (pending flush), mirrored for size math
-	segCount int // payload records in the active segment (index stride)
+	segs   []segment   // sorted by first; the last is the active segment
+	active *recio.File // nil until the first append after open/rotation
 
 	head    uint64 // last appended payload sequence (0 = none ever)
-	first   uint64 // first retained payload sequence (head+1 when empty)
 	cursors map[string]uint64
 
-	unsynced int    // payload appends since the last fsync
 	breaches uint64 // forced retention deletions that stranded a cursor
-	appended uint64 // payloads appended this incarnation
-	acked    uint64 // cursor advances this incarnation
 	err      error  // sticky I/O error; surfaced in Health
-	enc      []byte
+	body     []byte // record-body staging (flags | payload, or a name)
+	enc      []byte // frame staging
 }
 
 // Health is a log's operator-facing state.
@@ -210,61 +193,50 @@ func TopicDir(root, topic string) string {
 }
 
 // Open opens (creating if necessary) the log in dir, recovering head,
-// retained segments, and cursors. Torn segment tails are truncated —
-// a record cut short by a crash mid-write was never acknowledged
-// durable — and any segments after a torn or corrupt one are dropped,
-// since their contents were written after the failure point.
+// retained segments, and cursors (recoverLog, repairing).
 func Open(dir string, opt Options) (*Log, error) {
-	opt.applyDefaults()
+	if opt.SegmentBytes <= 0 {
+		opt.SegmentBytes = 1 << 20
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("duralog: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt, cursors: make(map[string]uint64)}
+	return recoverLog(dir, opt, true)
+}
 
-	head, err := readCursors(filepath.Join(dir, cursorsName), l.cursors)
-	if err != nil {
+// recoverLog rebuilds a log's state from dir: the cursor checkpoint,
+// then every segment's intact records max-merged on top. The first torn,
+// corrupt or empty segment ends the incarnation. With repair (Open) its
+// tail is truncated and every later segment deleted; without (ScanDir)
+// nothing on disk is touched and the result is what Open would recover.
+func recoverLog(dir string, opt Options, repair bool) (*Log, error) {
+	l := &Log{dir: dir, opt: opt, cursors: make(map[string]uint64)}
+	var err error
+	if l.head, err = readCursors(filepath.Join(dir, cursorsName), l.cursors); err != nil {
 		return nil, err
 	}
-	l.head = head
-
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
 	}
 	for i := range segs {
-		buf, err := os.ReadFile(segs[i].path)
+		intact, torn, err := recio.ScanFile(segs[i].path, repair, l.recoverSegment(&segs[i]))
 		if err != nil {
 			return nil, fmt.Errorf("duralog: %w", err)
 		}
-		consumed, err := l.replaySegment(buf, &segs[i])
-		if err != nil {
-			return nil, err
+		if intact > 0 {
+			l.segs = append(l.segs, segs[i])
 		}
-		if consumed < len(buf) || consumed == 0 {
-			// Torn or corrupt: this incarnation ends here. Truncate the
-			// durable prefix and drop every later segment (written after
-			// the failure point, so nothing in them was acknowledged in
-			// order).
-			if consumed == 0 && i > 0 {
-				os.Remove(segs[i].path)
-			} else {
-				if err := os.Truncate(segs[i].path, int64(consumed)); err != nil {
-					return nil, fmt.Errorf("duralog: truncate torn segment: %w", err)
+		if torn > 0 || intact == 0 {
+			// Everything not kept was written after the failure point
+			// (or is empty, and holds nothing to keep).
+			for _, s := range segs[len(l.segs):] {
+				if repair {
+					os.Remove(s.path)
 				}
-				segs[i].size = int64(consumed)
-				l.segs = append(l.segs, segs[i])
-			}
-			for _, s := range segs[i+1:] {
-				os.Remove(s.path)
 			}
 			break
 		}
-		l.segs = append(l.segs, segs[i])
-	}
-	if len(l.segs) > 0 {
-		l.first = l.segs[0].first
-	} else {
-		l.first = l.head + 1
 	}
 	// Cursors never exceed head (acks are clamped on the way in; a
 	// stale checkpoint cannot resurrect one above the recovered head).
@@ -276,15 +248,11 @@ func Open(dir string, opt Options) (*Log, error) {
 	return l, nil
 }
 
-// replaySegment scans one segment's bytes into the log's recovered
-// state — rebuilding its sparse payload index and leaving l.segCount
-// at the segment's payload count, so appends to a reopened active
-// segment continue the index stride — and returns the durable prefix
-// length.
-func (l *Log) replaySegment(buf []byte, s *segment) (int, error) {
-	l.segCount = 0
+// recoverSegment is the scan that folds segment s's records into the
+// recovered state and rebuilds its sparse payload index.
+func (l *Log) recoverSegment(s *segment) func([]byte) (int, error) {
 	var off int64
-	consumed, err := recio.Scan(buf, func(f recio.Frame, size int) error {
+	perFrame := func(f recio.Frame, size int) error {
 		rec := off
 		off += int64(size)
 		switch f.Type {
@@ -295,10 +263,9 @@ func (l *Log) replaySegment(buf []byte, s *segment) (int, error) {
 			if f.Seq > l.head {
 				l.head = f.Seq
 			}
-			if l.segCount%idxEvery == 0 {
+			if f.Seq%idxEvery == 0 {
 				s.index = append(s.index, idxEntry{seq: f.Seq, off: rec})
 			}
-			l.segCount++
 		case recCursor:
 			sub := string(f.Payload)
 			if sub == "" {
@@ -311,11 +278,8 @@ func (l *Log) replaySegment(buf []byte, s *segment) (int, error) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return consumed, fmt.Errorf("duralog: %w", err)
 	}
-	return consumed, nil
+	return func(b []byte) (int, error) { return recio.Scan(b, perFrame) }
 }
 
 // listSegments returns dir's segments sorted by first sequence.
@@ -334,11 +298,7 @@ func listSegments(dir string) ([]segment, error) {
 		if err != nil {
 			continue
 		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, fmt.Errorf("duralog: %w", err)
-		}
-		segs = append(segs, segment{first: first, path: filepath.Join(dir, name), size: info.Size()})
+		segs = append(segs, segment{first: first, path: filepath.Join(dir, name)})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	return segs, nil
@@ -349,8 +309,7 @@ func segName(first uint64) string {
 }
 
 // Append journals one payload with its publish-time wire flags,
-// returning the assigned sequence. The write lands in the group-commit
-// buffer; every SyncEvery-th append flushes and fsyncs.
+// returning the assigned sequence.
 func (l *Log) Append(flags uint8, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -361,25 +320,26 @@ func (l *Log) Append(flags uint8, payload []byte) (uint64, error) {
 		return 0, l.err
 	}
 	seq := l.head + 1
-	l.enc = l.enc[:0]
-	l.enc = append(l.enc, flags)
-	l.enc = append(l.enc, payload...)
-	body := l.enc
-	framed, err := recio.Append(nil, &recio.Frame{Type: recPayload, Ver: recio.V1, Seq: seq, Payload: body})
-	if err != nil {
-		return 0, err
-	}
-	if err := l.writeLocked(framed, seq); err != nil {
-		return 0, err
-	}
-	l.head = seq
-	l.appended++
-	l.unsynced++
-	if l.unsynced >= l.opt.SyncEvery {
-		if err := l.syncLocked(); err != nil {
+	l.body = append(append(l.body[:0], flags), payload...)
+	// Rotate first if the active segment is full (or absent): every
+	// segment starts with the payload record it is named after.
+	if l.active == nil || l.active.Size() >= int64(l.opt.SegmentBytes) {
+		if err := l.rotateLocked(seq); err != nil {
 			return 0, err
 		}
 	}
+	if seq%idxEvery == 0 {
+		s := &l.segs[len(l.segs)-1]
+		s.index = append(s.index, idxEntry{seq: seq, off: l.active.Size()})
+	}
+	class := recio.Buffered
+	if seq%syncEvery == 0 {
+		class = recio.Synced
+	}
+	if err := l.writeLocked(recPayload, seq, class); err != nil {
+		return 0, err
+	}
+	l.head = seq
 	return seq, nil
 }
 
@@ -402,122 +362,72 @@ func (l *Log) Ack(sub string, seq uint64) error {
 		return nil
 	}
 	l.cursors[sub] = seq
-	l.acked++
-	framed, err := recio.Append(nil, &recio.Frame{Type: recCursor, Ver: recio.V1, Seq: seq, Payload: []byte(sub)})
-	if err != nil {
-		return err
-	}
 	// Cursor records ride the current segment only when one is open:
 	// an ack on an empty log has nothing to recover from anyway, and
 	// the checkpoint file carries it across Close.
-	if l.active != nil {
-		return l.writeRawLocked(framed)
-	}
-	return nil
-}
-
-// writeLocked writes one framed payload record, rotating first if the
-// active segment is full (or absent). seq names a new segment — the
-// invariant is that every segment starts with the payload record it is
-// named after. Caller holds l.mu.
-func (l *Log) writeLocked(framed []byte, seq uint64) error {
-	if l.active == nil || int(l.segs[len(l.segs)-1].size)+l.wbuf >= l.opt.SegmentBytes {
-		if err := l.rotateLocked(seq); err != nil {
-			return err
-		}
-	}
-	if l.segCount%idxEvery == 0 {
-		s := &l.segs[len(l.segs)-1]
-		s.index = append(s.index, idxEntry{seq: seq, off: s.size + int64(l.wbuf)})
-	}
-	l.segCount++
-	return l.writeRawLocked(framed)
-}
-
-// writeRawLocked appends bytes to the active segment's buffer. Caller
-// holds l.mu and has ensured a segment is open.
-func (l *Log) writeRawLocked(b []byte) error {
-	if _, err := l.w.Write(b); err != nil {
-		l.err = fmt.Errorf("duralog: segment write: %w", err)
-		return l.err
-	}
-	l.wbuf += len(b)
-	return nil
-}
-
-// rotateLocked seals the active segment (flush + sync: rotation is a
-// durability boundary) and opens a new one named first. Caller holds
-// l.mu.
-func (l *Log) rotateLocked(first uint64) error {
-	if l.active != nil {
-		if err := l.syncLocked(); err != nil {
-			return err
-		}
-		if err := l.active.Close(); err != nil {
-			l.err = fmt.Errorf("duralog: segment close: %w", err)
-			return l.err
-		}
-		l.active, l.w = nil, nil
-	}
-	path := filepath.Join(l.dir, segName(first))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		l.err = fmt.Errorf("duralog: %w", err)
-		return l.err
-	}
-	l.active = f
-	l.w = bufio.NewWriter(f)
-	l.wbuf = 0
-	l.segCount = 0
-	l.segs = append(l.segs, segment{first: first, path: path})
-	if len(l.segs) == 1 {
-		l.first = first
-	}
-	return nil
-}
-
-// syncLocked flushes the group-commit buffer and fsyncs the active
-// segment. Caller holds l.mu.
-func (l *Log) syncLocked() error {
 	if l.active == nil {
 		return nil
 	}
-	if err := l.flushLocked(); err != nil {
+	l.body = append(l.body[:0], sub...)
+	return l.writeLocked(recCursor, seq, recio.Buffered)
+}
+
+// check makes a non-nil err the log's sticky error.
+func (l *Log) check(err error) error {
+	if err != nil {
+		l.err = fmt.Errorf("duralog: %w", err)
+	}
+	return l.err
+}
+
+// writeLocked frames l.body as one record into the reusable frame
+// buffer and appends it to the active segment. Caller holds l.mu and
+// has ensured a segment is open.
+func (l *Log) writeLocked(typ uint8, seq uint64, class recio.Durability) error {
+	var err error
+	l.enc, err = recio.Append(l.enc[:0], &recio.Frame{Type: typ, Ver: recio.V1, Seq: seq, Payload: l.body})
+	if err != nil {
 		return err
 	}
-	if !l.opt.NoSync {
-		if err := l.active.Sync(); err != nil {
-			l.err = fmt.Errorf("duralog: segment sync: %w", err)
-			return l.err
-		}
+	return l.check(l.active.Append(l.enc, class))
+}
+
+// rotateLocked seals the active segment (Close syncs: rotation is a
+// durability boundary) and opens a new one named first. Caller holds
+// l.mu.
+func (l *Log) rotateLocked(first uint64) error {
+	if err := l.sealLocked(); err != nil {
+		return err
 	}
-	l.unsynced = 0
+	path := filepath.Join(l.dir, segName(first))
+	f, err := recio.OpenFile(path, l.opt.NoSync, nil)
+	if err != nil {
+		return l.check(err)
+	}
+	l.active = f
+	l.segs = append(l.segs, segment{first: first, path: path})
 	return nil
 }
 
-// flushLocked moves buffered bytes to the OS, updating the active
-// segment's size. Caller holds l.mu.
-func (l *Log) flushLocked() error {
-	if l.w == nil || l.wbuf == 0 {
+// sealLocked syncs and closes the active segment, if any. Caller holds
+// l.mu.
+func (l *Log) sealLocked() error {
+	if l.active == nil {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		l.err = fmt.Errorf("duralog: segment flush: %w", err)
-		return l.err
-	}
-	l.segs[len(l.segs)-1].size += int64(l.wbuf)
-	l.wbuf = 0
-	return nil
+	err := l.active.Close()
+	l.active = nil
+	return l.check(err)
 }
 
 // Sync forces a group commit (flush + fsync) immediately.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
+	if l.err != nil || l.active == nil {
 		return l.err
 	}
-	return l.syncLocked()
+	return l.check(l.active.Sync())
 }
 
 // Cursor returns sub's acknowledged sequence; ok reports whether sub
@@ -540,74 +450,37 @@ func (l *Log) Head() uint64 {
 func (l *Log) First() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.first
+	return l.firstLocked()
+}
+
+// firstLocked is First with l.mu held: the oldest segment's first
+// sequence, or head+1 when nothing is retained.
+func (l *Log) firstLocked() uint64 {
+	if len(l.segs) > 0 {
+		return l.segs[0].first
+	}
+	return l.head + 1
 }
 
 // Replay streams retained payloads with sequence >= from, in order,
 // to fn. Returning ErrStop from fn ends the replay without error; any
-// other error aborts and is returned. Replay flushes the group-commit
-// buffer first so the caller always sees every append that returned.
+// other error aborts and is returned. The caller sees every append that
+// returned before the replay reached the head.
 func (l *Log) Replay(from uint64, fn func(seq uint64, flags uint8, payload []byte) error) error {
-	l.mu.Lock()
-	if l.err != nil {
-		l.mu.Unlock()
-		return l.err
-	}
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	segs := append([]segment(nil), l.segs...)
-	l.mu.Unlock()
-
-	// Segments are immutable once rotated and append-only while
-	// active, so reading outside the lock races only with appends
-	// beyond the flushed size captured above — which this replay does
-	// not promise to include.
-	for _, s := range segs {
-		if next := segAfter(segs, s.first); next != 0 && next <= from {
-			continue // wholly below the resume point
+	r := l.NewReader(from)
+	defer r.Close()
+	for {
+		seq, flags, payload, err := r.Next()
+		if err == nil {
+			err = fn(seq, flags, payload)
 		}
-		// Seek via the sparse index: start at the nearest indexed record
-		// at or below the resume point instead of re-scanning (and
-		// re-checksumming) the whole segment — records start at clean
-		// frame boundaries, so a suffix scans like a full segment.
-		off := s.startOff(from)
-		buf := make([]byte, s.size-off)
-		f, err := os.Open(s.path)
-		if err != nil {
-			return fmt.Errorf("duralog: %w", err)
-		}
-		_, err = f.ReadAt(buf, off)
-		f.Close()
-		if err != nil && len(buf) > 0 {
-			return fmt.Errorf("duralog: read segment: %w", err)
-		}
-		_, err = recio.Scan(buf, func(fr recio.Frame, _ int) error {
-			if fr.Type != recPayload || fr.Seq < from || len(fr.Payload) < 1 {
-				return nil
-			}
-			return fn(fr.Seq, fr.Payload[0], fr.Payload[1:])
-		})
-		if errors.Is(err, ErrStop) {
+		if err == io.EOF || errors.Is(err, ErrStop) {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// segAfter returns the first sequence of the segment following the one
-// starting at first, or 0 if it is the last.
-func segAfter(segs []segment, first uint64) uint64 {
-	for i, s := range segs {
-		if s.first == first && i+1 < len(segs) {
-			return segs[i+1].first
-		}
-	}
-	return 0
 }
 
 // Retain applies the retention policy: whole segments every registered
@@ -646,25 +519,13 @@ func (l *Log) Retain() (int, error) {
 		if err := l.writeCursorsLocked(); err != nil {
 			return removed, err
 		}
-		if err := os.Remove(l.segs[0].path); err != nil {
-			l.err = fmt.Errorf("duralog: retention remove: %w", err)
-			return removed, l.err
+		if err := l.check(os.Remove(l.segs[0].path)); err != nil {
+			return removed, err
 		}
 		l.segs = l.segs[1:]
-		l.first = l.segs[0].first
 		removed++
 	}
 	return removed, nil
-}
-
-// Depth returns the number of retained payloads.
-func (l *Log) Depth() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.head+1 < l.first {
-		return 0
-	}
-	return l.head + 1 - l.first
 }
 
 // Health returns the log's operator-facing state.
@@ -673,14 +534,14 @@ func (l *Log) Health() Health {
 	defer l.mu.Unlock()
 	h := Health{
 		Head:              l.head,
-		First:             l.first,
+		First:             l.firstLocked(),
 		Segments:          len(l.segs),
 		Cursors:           make(map[string]uint64, len(l.cursors)),
 		RetentionBreaches: l.breaches,
 		Err:               l.err,
 	}
-	if l.head+1 > l.first {
-		h.Depth = l.head + 1 - l.first
+	if l.head+1 > h.First {
+		h.Depth = l.head + 1 - h.First
 	}
 	for s, c := range l.cursors {
 		h.Cursors[s] = c
@@ -688,36 +549,29 @@ func (l *Log) Health() Health {
 			h.MaxLag = lag
 			h.LaggingSub = s
 		}
-		if c+1 < l.first {
+		if c+1 < h.First {
 			h.Breached = true
 		}
 	}
 	return h
 }
 
-// Close checkpoints the cursors, seals the active segment, and closes
+// Close seals the active segment, checkpoints the cursors, and closes
 // the log.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var firstErr error
-	if l.active != nil {
-		if err := l.syncLocked(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if err := l.active.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-		l.active, l.w = nil, nil
+	err := l.sealLocked()
+	if cerr := l.writeCursorsLocked(); err == nil {
+		err = cerr
 	}
-	if err := l.writeCursorsLocked(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return err
 }
 
-// writeCursorsLocked checkpoints head and the cursor map (atomic tmp +
-// rename). Caller holds l.mu.
+// writeCursorsLocked checkpoints head and the cursor map. Retain calls
+// it immediately before deleting a segment, when the checkpoint may be
+// the only record of a seq-0 cursor — which is why it goes through
+// recio.ReplaceFile and is synced before the rename. Caller holds l.mu.
 func (l *Log) writeCursorsLocked() error {
 	var b []byte
 	var hdr [17]byte
@@ -742,17 +596,7 @@ func (l *Log) writeCursorsLocked() error {
 	binary.BigEndian.PutUint32(crc[:], wire.Checksum(b))
 	b = append(b, crc[:]...)
 
-	path := filepath.Join(l.dir, cursorsName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		l.err = fmt.Errorf("duralog: %w", err)
-		return l.err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		l.err = fmt.Errorf("duralog: %w", err)
-		return l.err
-	}
-	return nil
+	return l.check(recio.ReplaceFile(filepath.Join(l.dir, cursorsName), b, l.opt.NoSync))
 }
 
 // readCursors loads a cursor checkpoint into cursors, returning the
@@ -827,40 +671,9 @@ func ScanDir(root string) ([]TopicHealth, error) {
 		if err != nil {
 			topic = e.Name()
 		}
-		dir := filepath.Join(root, e.Name())
-		scan := &Log{dir: dir, cursors: make(map[string]uint64)}
-		head, err := readCursors(filepath.Join(dir, cursorsName), scan.cursors)
+		scan, err := recoverLog(filepath.Join(root, e.Name()), Options{}, false)
 		if err != nil {
 			return nil, err
-		}
-		scan.head = head
-		segs, err := listSegments(dir)
-		if err != nil {
-			return nil, err
-		}
-		for i := range segs {
-			buf, err := os.ReadFile(segs[i].path)
-			if err != nil {
-				return nil, fmt.Errorf("duralog: %w", err)
-			}
-			consumed, err := scan.replaySegment(buf, &segs[i])
-			if err != nil {
-				return nil, err
-			}
-			scan.segs = append(scan.segs, segs[i])
-			if consumed < len(buf) {
-				break
-			}
-		}
-		if len(scan.segs) > 0 {
-			scan.first = scan.segs[0].first
-		} else {
-			scan.first = scan.head + 1
-		}
-		for s, c := range scan.cursors {
-			if c > scan.head {
-				scan.cursors[s] = scan.head
-			}
 		}
 		out = append(out, TopicHealth{Topic: topic, Health: scan.Health()})
 	}

@@ -114,7 +114,11 @@ func TestTornSegmentRecovery(t *testing.T) {
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("segments: %v %v", segs, err)
 	}
-	if err := os.Truncate(segs[0].path, segs[0].size-5); err != nil {
+	fi, err := os.Stat(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0].path, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,9 +1,31 @@
-// Package recio is the CRC-framed durable record codec shared by
-// internal/registrystore (the registry WAL and replication stream) and
-// internal/duralog (per-topic durable payload logs). It owns the frame
-// layout, the torn-tail discipline, and the mixed-version upgrade
+// Package recio is the CRC-framed durable record codec and the
+// record-file discipline shared by internal/registrystore (the registry
+// WAL and replication stream), internal/shardmap (the shard-map
+// journal) and internal/duralog (per-topic payload segments). It owns
+// the frame layout, the file discipline, and the mixed-version upgrade
 // story; record *semantics* (what a type byte means, how a body is
 // parsed) stay with the owning package.
+//
+// The file discipline, stated once (File, ScanFile, ReplaceFile):
+//
+//   - Torn tail. A record file is its intact prefix: opening one hands
+//     the bytes to the owner's scan (Scan, or its own loop over Decode),
+//     which stops at the first record that is short, fails its checksum
+//     or does not parse, and the file is truncated there. A record cut
+//     short by a crash was never acknowledged, so dropping it — and
+//     everything written behind it — is exact.
+//   - Durability class. Every append says how far it must have got when
+//     it returns: Buffered (group commit), Written (to the OS) or Synced
+//     (fsync, unless the file is NoSync). Which record gets which class
+//     is the owner's policy.
+//   - Sticky error. After one failed write, sync or replace every later
+//     operation returns that error and writes nothing: a record
+//     acknowledged behind a torn one would vanish with it at the next
+//     open.
+//   - Atomic replace. A file is superseded (compaction, checkpoint) by
+//     writing a sibling, syncing it unless NoSync, and renaming it over
+//     the original: a crash leaves the old bytes or the new, never a
+//     name pointing at data still in the page cache.
 //
 // Frame layout:
 //
@@ -47,6 +69,9 @@ import (
 const (
 	// HeaderBytes is the fixed frame header size.
 	HeaderBytes = 16
+	// MaxFrameBytes is the largest encoded frame (the body length is 16
+	// bits): a buffer this size always holds one whole frame.
+	MaxFrameBytes = HeaderBytes + 0xFFFF
 	// V0 is the original format: body carries the payload alone.
 	V0 = 0
 	// V1 adds the length-prefixed extension area ahead of the payload.

@@ -31,19 +31,20 @@ const (
 	snapVersionV1 = 1
 )
 
-// Store persists one registry's state: a write-ahead record log plus a
-// periodically compacted snapshot. Journal writes are ordered ahead of
-// mutation acknowledgement (the registry's observer runs under its
-// lock, before the mutating call returns), and every record that can
-// move a membership generation is synced to stable storage before the
-// journal call returns — so a recovered registry's generations exactly
+// Store persists one registry's state: a write-ahead record log (a
+// recio.File, whose file discipline this is) plus a periodically
+// compacted snapshot. Journal writes are ordered ahead of mutation
+// acknowledgement (the registry's observer runs under its lock, before
+// the mutating call returns), and every record that can move a
+// membership generation is synced to stable storage before the journal
+// call returns — so a recovered registry's generations exactly
 // reconstruct what was served. Lease renewals are written unsynced
 // (they never move generations, and recovery restamps leases anyway),
 // keeping the steady-state renewal path cheap.
 type Store struct {
 	mu         sync.Mutex
 	dir        string
-	wal        *os.File
+	wal        *recio.File
 	seq        uint64 // last sequence number assigned or applied
 	snapSeq    uint64 // sequence covered by the snapshot file
 	walRecords int    // records in the log since the last compaction
@@ -60,9 +61,9 @@ type Options struct {
 }
 
 // Open opens (creating if necessary) the store in dir and replays its
-// snapshot and record log into reg, wholesale-replacing reg's state.
-// The log's torn tail, if any, is truncated: a record cut short by a
-// crash mid-write was never acknowledged, so dropping it is exact.
+// snapshot and the log's intact records into reg, wholesale-replacing
+// reg's state. Records at or below the snapshot's sequence are skipped:
+// they are already reflected in the restored state.
 //
 // Open recovers state only; it does not fence a new incarnation or
 // attach the journal — that is role policy, owned by Manager (a
@@ -81,43 +82,29 @@ func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, erro
 	reg.RestoreState(state)
 	s.snapSeq, s.seq = snapSeq, snapSeq
 
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
+	s.wal, err = recio.OpenFile(filepath.Join(dir, walName), opt.NoSync, func(b []byte) (int, error) {
+		return s.replay(reg, b)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("registrystore: %w", err)
-	}
-	s.wal = wal
-	if err := s.replayWAL(reg); err != nil {
-		wal.Close()
-		return nil, err
 	}
 	return s, nil
 }
 
-// replayWAL replays every intact record onto reg and truncates the log
-// after the last one (dropping a torn or corrupt tail). Records at or
-// below the snapshot's sequence are skipped: they are already reflected
-// in the restored state.
-func (s *Store) replayWAL(reg *nameservice.TopicRegistry) error {
-	fi, err := s.wal.Stat()
-	if err != nil {
-		return fmt.Errorf("registrystore: %w", err)
-	}
-	buf := make([]byte, fi.Size())
-	if _, err := s.wal.ReadAt(buf, 0); err != nil && fi.Size() > 0 {
-		return fmt.Errorf("registrystore: read log: %w", err)
-	}
+// replay applies every intact record of the log's bytes beyond the
+// snapshot to reg and returns where they end: a torn tail (short) or
+// corruption ends the incarnation — nothing beyond it was acknowledged
+// as durable in order.
+func (s *Store) replay(reg *nameservice.TopicRegistry, b []byte) (int, error) {
 	off := 0
-	for off < len(buf) {
-		rec, n, err := DecodeRecord(buf[off:])
+	for off < len(b) {
+		rec, n, err := DecodeRecord(b[off:])
 		if err != nil {
-			// Torn tail (short) or corruption: everything beyond this
-			// point was never acknowledged as durable in order, so the
-			// incarnation ends here.
 			break
 		}
 		if rec.Seq > s.snapSeq {
 			if err := applyRecord(reg, &rec); err != nil {
-				return fmt.Errorf("registrystore: replay %v: %w", rec.Type, err)
+				return off, fmt.Errorf("replay %v: %w", rec.Type, err)
 			}
 			if rec.Seq > s.seq {
 				s.seq = rec.Seq
@@ -126,28 +113,32 @@ func (s *Store) replayWAL(reg *nameservice.TopicRegistry) error {
 		}
 		off += n
 	}
-	if int64(off) != fi.Size() {
-		if err := s.wal.Truncate(int64(off)); err != nil {
-			return fmt.Errorf("registrystore: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := s.wal.Seek(0, 2); err != nil {
-		return fmt.Errorf("registrystore: %w", err)
-	}
-	return nil
+	return off, nil
 }
 
-// needsSync reports whether t can move a membership generation and must
-// therefore reach stable storage before the mutation is acknowledged.
-// Cursor acks are unsynced like renewals: one lost to a crash is
-// re-merged from the next in-band acknowledgement, and a stale cursor
-// only means extra (idempotent) replay, never data loss.
-func needsSync(t RecType) bool {
-	return t != RecRenew && t != RecHeartbeat && t != RecCursorAck
+// class maps a record type to its durability class: a record that can
+// move a membership generation must reach stable storage before the
+// mutation is acknowledged. Cursor acks are unsynced like renewals: one
+// lost to a crash is re-merged from the next in-band acknowledgement,
+// and a stale cursor only means extra (idempotent) replay, never data
+// loss.
+func class(t RecType) recio.Durability {
+	if t == RecRenew || t == RecHeartbeat || t == RecCursorAck {
+		return recio.Written
+	}
+	return recio.Synced
+}
+
+// check makes a non-nil err the store's sticky error.
+func (s *Store) check(err error) error {
+	if err != nil {
+		s.err = fmt.Errorf("registrystore: %w", err)
+	}
+	return s.err
 }
 
 // Journal assigns the next sequence number to rec, appends it to the
-// log (synced per needsSync), and returns the framed bytes — the exact
+// log (synced per class), and returns the framed bytes — the exact
 // encoding the replication stream forwards, so log and stream can never
 // disagree. Returns nil after a sticky I/O error (surfaced in Health).
 func (s *Store) Journal(rec *Record) []byte {
@@ -161,19 +152,16 @@ func (s *Store) Journal(rec *Record) []byte {
 	// Newly journaled records carry the current frame version; replayed
 	// and replicated bytes keep whatever version they were written with.
 	rec.Ver = recio.V1
-	s.enc = s.enc[:0]
-	framed, err := AppendRecord(s.enc, rec)
+	framed, err := AppendRecord(s.enc[:0], rec)
 	if err != nil {
 		s.err = err
 		return nil
 	}
 	s.enc = framed
-	if err := s.writeLocked(framed, needsSync(rec.Type)); err != nil {
+	if s.appendLocked(rec.Type, framed) != nil {
 		return nil
 	}
-	out := make([]byte, len(framed))
-	copy(out, framed)
-	return out
+	return append([]byte(nil), framed...)
 }
 
 // AppendRaw appends an already-framed record received from the
@@ -185,7 +173,7 @@ func (s *Store) AppendRaw(rec *Record, framed []byte) error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.writeLocked(framed, needsSync(rec.Type)); err != nil {
+	if err := s.appendLocked(rec.Type, framed); err != nil {
 		return err
 	}
 	if rec.Seq > s.seq {
@@ -194,17 +182,10 @@ func (s *Store) AppendRaw(rec *Record, framed []byte) error {
 	return nil
 }
 
-// writeLocked appends bytes to the log. Caller holds s.mu.
-func (s *Store) writeLocked(b []byte, sync bool) error {
-	if _, err := s.wal.Write(b); err != nil {
-		s.err = fmt.Errorf("registrystore: log write: %w", err)
-		return s.err
-	}
-	if sync && !s.nosync {
-		if err := s.wal.Sync(); err != nil {
-			s.err = fmt.Errorf("registrystore: log sync: %w", err)
-			return s.err
-		}
+// appendLocked appends one framed record to the log. Caller holds s.mu.
+func (s *Store) appendLocked(t RecType, framed []byte) error {
+	if err := s.check(s.wal.Append(framed, class(t))); err != nil {
+		return err
 	}
 	s.walRecords++
 	return nil
@@ -219,6 +200,18 @@ func (s *Store) writeLocked(b []byte, sync bool) error {
 func (s *Store) ResetTo(state nameservice.RegistryState, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.installLocked(state, seq, ^uint64(0)); err != nil {
+		return err
+	}
+	s.seq = seq
+	return nil
+}
+
+// installLocked writes a snapshot of state at seq, then rewrites the log
+// keeping only the records above keepAbove. Those were acknowledged as
+// synced when journaled, which is why Replace syncs the rewrite before
+// it supersedes the log that holds them. Caller holds s.mu.
+func (s *Store) installLocked(state nameservice.RegistryState, seq, keepAbove uint64) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -226,17 +219,25 @@ func (s *Store) ResetTo(state nameservice.RegistryState, seq uint64) error {
 		s.err = err
 		return err
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		s.err = fmt.Errorf("registrystore: truncate log: %w", err)
-		return s.err
+	buf := make([]byte, s.wal.Size())
+	if _, err := s.wal.ReadAt(buf, 0); err != nil && len(buf) > 0 {
+		return s.check(err)
 	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
-		s.err = fmt.Errorf("registrystore: %w", err)
-		return s.err
+	var keep []byte
+	kept, off := 0, 0
+	recio.Scan(buf, func(f recio.Frame, size int) error {
+		if f.Seq > keepAbove {
+			keep = append(keep, buf[off:off+size]...)
+			kept++
+		}
+		off += size
+		return nil
+	})
+	if err := s.check(s.wal.Replace(keep)); err != nil {
+		return err
 	}
-	s.seq = seq
 	s.snapSeq = seq
-	s.walRecords = 0
+	s.walRecords = kept
 	return nil
 }
 
@@ -273,15 +274,7 @@ func (s *Store) Err() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		return nil
-	}
-	if !s.nosync {
-		s.wal.Sync()
-	}
-	err := s.wal.Close()
-	s.wal = nil
-	return err
+	return s.wal.Close()
 }
 
 // Compact snapshots reg's current state and drops the log records the
@@ -304,56 +297,10 @@ func (s *Store) Compact(reg *nameservice.TopicRegistry) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	if err := writeSnapshot(filepath.Join(s.dir, snapName), state, seqBefore, s.nosync); err != nil {
-		s.err = err
-		return err
-	}
-	// Rewrite the log keeping only records beyond the snapshot.
-	fi, err := s.wal.Stat()
-	if err != nil {
-		s.err = fmt.Errorf("registrystore: %w", err)
-		return s.err
-	}
-	buf := make([]byte, fi.Size())
-	if _, err := s.wal.ReadAt(buf, 0); err != nil && fi.Size() > 0 {
-		s.err = fmt.Errorf("registrystore: %w", err)
-		return s.err
-	}
-	var keep []byte
-	kept := 0
-	for off := 0; off < len(buf); {
-		rec, n, err := DecodeRecord(buf[off:])
-		if err != nil {
-			break
-		}
-		if rec.Seq > seqBefore {
-			keep = append(keep, buf[off:off+n]...)
-			kept++
-		}
-		off += n
-	}
-	// The kept records were acknowledged as synced when journaled; the
-	// rewrite must be on disk before it replaces the log that holds them.
-	if err := replaceFile(filepath.Join(s.dir, walName), keep, s.nosync); err != nil {
-		s.err = err
-		return s.err
-	}
-	wal, err := os.OpenFile(filepath.Join(s.dir, walName), os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		s.err = fmt.Errorf("registrystore: %w", err)
-		return s.err
-	}
-	s.wal.Close()
-	s.wal = wal
-	s.snapSeq = seqBefore
-	s.walRecords = kept
-	return nil
+	return s.installLocked(state, seqBefore, seqBefore)
 }
 
-// writeSnapshot writes state atomically (replaceFile), CRC-framed
+// writeSnapshot writes state atomically (recio.ReplaceFile), CRC-framed
 // with the same checksum machinery as records and wire frames.
 func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nosync bool) error {
 	var b []byte
@@ -400,33 +347,7 @@ func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nos
 	binary.BigEndian.PutUint32(u32[:], wire.Checksum(b))
 	b = append(b, u32[:]...)
 
-	return replaceFile(path, b, nosync)
-}
-
-// replaceFile replaces path with b atomically: write a temp file, sync
-// it (unless nosync), then rename over path — so a crash leaves either
-// the old contents or the complete new ones, never a rename pointing
-// at data still in the page cache.
-func replaceFile(path string, b []byte, nosync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("registrystore: %w", err)
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return fmt.Errorf("registrystore: %w", err)
-	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("registrystore: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("registrystore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := recio.ReplaceFile(path, b, nosync); err != nil {
 		return fmt.Errorf("registrystore: %w", err)
 	}
 	return nil

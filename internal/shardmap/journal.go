@@ -3,7 +3,6 @@ package shardmap
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sync"
 
 	"flipc/internal/recio"
@@ -144,18 +143,18 @@ func apply(m *Map, r *Record) error {
 	return nil
 }
 
-// Journal is the durable form of the map: an append-only record file
-// replayed at open (torn tail truncated, exactly the WAL discipline),
-// with every mutation journaled before it is visible. It is the
-// authoritative copy a registry deployment shares — flipcd loads it at
-// boot and the shard-map remote op distributes it to clients.
+// Journal is the durable form of the map: a recio.File replayed at
+// open (torn tail truncated: an unacknowledged mutation never
+// happened), with every mutation journaled Synced before it is visible.
+// It is the authoritative copy a registry deployment shares — flipcd
+// loads it at boot and the shard-map remote op distributes it to
+// clients.
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	m      *Map
-	seq    uint64
-	nosync bool
-	enc    []byte
+	mu  sync.Mutex
+	f   *recio.File
+	m   *Map
+	seq uint64
+	enc []byte
 }
 
 // JournalOptions tunes a journal.
@@ -165,31 +164,18 @@ type JournalOptions struct {
 }
 
 // OpenJournal opens (creating if necessary) the journal at path and
-// replays it. A torn or corrupt tail is truncated: an unacknowledged
-// mutation never happened.
+// replays it.
 func OpenJournal(path string, opt JournalOptions) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
+	j := &Journal{}
+	var err error
+	j.f, err = recio.OpenFile(path, opt.NoSync, func(b []byte) (n int, _ error) {
+		j.m, j.seq, n = Replay(b)
+		return n, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("shardmap: %w", err)
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("shardmap: %w", err)
-	}
-	buf := make([]byte, fi.Size())
-	if _, err := f.ReadAt(buf, 0); err != nil && fi.Size() > 0 {
-		f.Close()
-		return nil, fmt.Errorf("shardmap: read journal: %w", err)
-	}
-	m, seq, consumed := Replay(buf)
-	if int64(consumed) != fi.Size() {
-		if err := f.Truncate(int64(consumed)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("shardmap: truncate torn tail: %w", err)
-		}
-	}
-	return &Journal{f: f, m: m, seq: seq, nosync: opt.NoSync}, nil
+	return j, nil
 }
 
 // Map returns a copy of the current map.
@@ -204,6 +190,14 @@ func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seq
+}
+
+// Err returns the journal's sticky I/O error, if any: after one failed
+// write or sync every mutation is refused with it.
+func (j *Journal) Err() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.f.Err()
 }
 
 // Add journals and applies a shard addition.
@@ -239,13 +233,8 @@ func (j *Journal) mutate(typ uint8, e Entry) error {
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(j.enc); err != nil {
-		return fmt.Errorf("shardmap: journal write: %w", err)
-	}
-	if !j.nosync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("shardmap: journal sync: %w", err)
-		}
+	if err := j.f.Append(j.enc, recio.Synced); err != nil {
+		return fmt.Errorf("shardmap: journal: %w", err)
 	}
 	j.seq++
 	j.m = next

@@ -232,3 +232,67 @@ func TestRecordCodecCanonical(t *testing.T) {
 		t.Fatal("unknown record type encoded")
 	}
 }
+
+// TestJournalRefusesMutationsBehindATornRecord: once a write has failed
+// (leaving, at worst, part of a record on disk) the journal acknowledges
+// nothing more — a mutation journaled behind the torn record would be
+// truncated away with it at the next open, after its caller was told it
+// was durable.
+func TestJournalRefusesMutationsBehindATornRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shardmap.log")
+	j, err := OpenJournal(path, JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Add(Entry{ID: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Add(Entry{ID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	acked := j.Map()
+
+	// The write fails part-way: the descriptor goes bad, and half a
+	// record is what reached the disk.
+	j.f.Close()
+	half, err := AppendRecord(nil, &Record{Type: RecAdd, Seq: 3, Epoch: 3, Entry: Entry{ID: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, _ := os.ReadFile(path)
+	disk = append(disk, half[:len(half)/2]...)
+	if err := os.WriteFile(path, disk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	first := j.Add(Entry{ID: 2})
+	if first == nil || j.Err() == nil {
+		t.Fatalf("mutation after the failure: err %v, Err() %v", first, j.Err())
+	}
+	for name, err := range map[string]error{
+		"Add":     j.Add(Entry{ID: 3}),
+		"Remove":  j.Remove(0),
+		"SetAddr": j.SetAddr(1, 0xBEEF),
+	} {
+		if err == nil || err.Error() != first.Error() {
+			t.Fatalf("%s behind the torn record: %v, want the first failure %v", name, err, first)
+		}
+	}
+	if j.Seq() != 2 || j.Map().Epoch() != acked.Epoch() || j.Map().Len() != 2 {
+		t.Fatalf("refused mutations moved the map: seq %d epoch %d len %d", j.Seq(), j.Map().Epoch(), j.Map().Len())
+	}
+	if now, _ := os.ReadFile(path); !bytes.Equal(now, disk) {
+		t.Fatal("a refused mutation wrote to the journal")
+	}
+
+	// Recovery drops the torn record and finds exactly what was
+	// acknowledged.
+	j2, err := OpenJournal(path, JournalOptions{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if m := j2.Map(); j2.Seq() != 2 || m.Epoch() != acked.Epoch() || m.Len() != 2 {
+		t.Fatalf("recovered seq %d epoch %d len %d, want the two acknowledged adds", j2.Seq(), m.Epoch(), m.Len())
+	}
+}

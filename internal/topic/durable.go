@@ -59,6 +59,7 @@ package topic
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sync/atomic"
 
 	"flipc/internal/core"
@@ -235,6 +236,17 @@ type subReplay struct {
 	lastAck uint64 // previous in-band ack (tail-loss detection)
 	granted uint64 // cursor granted for the round in flight (dedup key)
 	ackSeen bool   // addr has acked in-band: its seam is locked
+	// rd is the log cursor the rounds read through. It keeps its place
+	// (descriptor, offset, buffered records) from pump to pump and is
+	// closed whenever nothing is owed: done, evicted, re-addressed.
+	rd *duralog.Reader
+}
+
+// release closes sr's log cursor (a later round reopens it at sr.next).
+func (sr *subReplay) release() {
+	if sr.rd != nil {
+		sr.rd.Close()
+	}
 }
 
 // handleDurCtlLocked dispatches one durable control frame from the
@@ -290,6 +302,7 @@ func (p *Publisher) handleResumeLocked(from core.Addr, cursor uint64, name strin
 		if sr.addr.Valid() {
 			delete(p.catchup, sr.addr)
 		}
+		sr.release()
 		sr.addr = from
 		sr.ackSeen = false
 	}
@@ -368,6 +381,10 @@ func (p *Publisher) handleAckLocked(from core.Addr, name string, seq uint64) {
 			sr.next = seq + 1
 			sr.done = false
 			sr.hot = p.log.Head()-seq <= hotReplayMax
+			// An evict may have dropped the address from the catch-up
+			// index; a round in flight is always indexed, or a later
+			// evict could not find it to stop it.
+			p.catchup[sr.addr] = sr
 			p.pumpReplayLocked(replayBurst)
 		}
 		sr.lastAck = seq
@@ -390,6 +407,9 @@ func (p *Publisher) PumpReplay(max int) int {
 		max = replayBurst
 	}
 	p.harvestLocked()
+	if p.helloOwed {
+		p.helloLocked()
+	}
 	return p.pumpReplayLocked(max)
 }
 
@@ -432,9 +452,18 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 	start := sr.next
 	sent := 0
 	out := p.replayOutFor(sr)
-	err := p.log.Replay(sr.next, func(seq uint64, flags uint8, payload []byte) error {
-		if sent >= max {
-			return duralog.ErrStop
+	if sr.rd == nil {
+		sr.rd = p.log.NewReader(sr.next)
+	}
+	sr.rd.Seek(sr.next) // a no-op unless a resume, a heal or a deferral moved the round
+	for sent < max {
+		seq, flags, payload, err := sr.rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			// Sticky log error; surfaced through the log's Health.
+			return sent
 		}
 		frame := p.stageSeq(seq, payload)
 		// A bulk round drains at the replay outbox's Bulk priority
@@ -443,16 +472,12 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 		rflags := (flags &^ (wire.PriorityMask | ctlFlag)) | replayFlag
 		if out.SendFlags(sr.addr, frame, rflags) != nil {
 			// Backpressure (or a dying endpoint): pause, retry on the
-			// next pump. Nothing is lost — the log still holds it.
-			return duralog.ErrStop
+			// next pump. Nothing is lost — the cursor stays on it.
+			sr.rd.Unread()
+			break
 		}
 		sr.next = seq + 1
 		sent++
-		return nil
-	})
-	if err != nil {
-		// Sticky log error; surfaced through the log's Health.
-		return sent
 	}
 	if head := p.log.Head(); sr.next > head {
 		var buf [doneFrameBytes]byte
@@ -462,6 +487,7 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 			// the publish path uses to turn a live-send backpressure
 			// drop into a catch-up re-entry.
 			sr.done = true
+			sr.release()
 		}
 	}
 	return sent
@@ -479,6 +505,17 @@ func (p *Publisher) stageSeq(seq uint64, payload []byte) []byte {
 	binary.BigEndian.PutUint64(b[:8], seq)
 	copy(b[8:], payload)
 	return b
+}
+
+// Close releases the log cursors of every unfinished replay. The
+// publisher owns nothing else that outlives it (the log is the
+// caller's), and stays usable: a later pump reopens what it needs.
+func (p *Publisher) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, sr := range p.replay {
+		sr.release()
+	}
 }
 
 // DurableLog exposes the publisher's duralog (nil when not durable) —

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/duralog"
@@ -227,11 +231,6 @@ func TestDurableResumeFromStoredCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hello Refresh sends is not retried before the next refresh, 64
-	// publishes away, so it must not meet an outbox still backlogged from
-	// phase 2 (straggling phase-1 acks re-open a replay to the dead
-	// address there) — the liveness gap CHANGES.md records under PR 21.
-	settle(t, "phase 2 outbox drain", pub.Outbox().Flush)
 	if err := pub.Refresh(); err != nil {
 		t.Fatal(err)
 	}
@@ -446,4 +445,161 @@ func FuzzDurableCtlCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// openFDs counts this process's open descriptors on files under dir
+// (so that descriptors other tests abandoned to the finalizer, closing
+// whenever the collector runs, do not count).
+func openFDs(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd here: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink("/proc/self/fd/" + fd.Name()); err == nil && strings.HasPrefix(target, dir) {
+			n++
+		}
+	}
+	return n
+}
+
+// A catching-up subscriber holds one log cursor — one descriptor — from
+// pump to pump, and gives it back however the catch-up ends: drained to
+// the head, evicted mid-flight, re-addressed, or at Publisher.Close.
+func TestReplayCursorDescriptorLifetime(t *testing.T) {
+	fabric := interconnect.NewFabric(1024)
+	pubD := newDomain(t, fabric, 0)
+	subD := newDomain(t, fabric, 1)
+	dir := LocalDirectory{R: nameservice.NewTopicRegistry()}
+	logDir := t.TempDir()
+	log, err := duralog.Open(logDir, duralog.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+
+	sub, err := NewSubscriberDurable(subD, dir, "fds", Normal, 64, 32, "node1/fds")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(pubD, dir, PublisherConfig{Topic: "fds", Class: Normal, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockSeam(t, pub, sub)
+
+	var got []uint64
+	recv := func() {
+		for {
+			payload, _, ok := sub.Receive()
+			if !ok {
+				return
+			}
+			got = append(got, binary.BigEndian.Uint64(payload))
+		}
+	}
+	published := 0
+	publish := func(n int) {
+		for ; n > 0; n-- {
+			published++
+			var b [8]byte
+			binary.BigEndian.PutUint64(b[:], uint64(published))
+			if _, err := pub.Publish(b[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Like settle, yielding instead of sleeping: 200 catch-ups a
+	// millisecond at a time would be most of the package's test time.
+	settle := func(t *testing.T, what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timeout waiting for %s", what)
+			}
+		}
+	}
+	catchUp := func(what string) {
+		settle(t, what, func() bool {
+			recv()
+			if err := sub.Renew(); err != nil {
+				t.Fatal(err)
+			}
+			pub.PumpReplay(8 * replayBurst)
+			return len(got) == published && pub.CatchingUp() == 0
+		})
+	}
+	// lose makes the subscriber miss many bursts of publishes — more than
+	// the control frames of one harvest can have replayed — then pumps
+	// until the publisher is part-way through replaying them to it, its
+	// cursor open between pumps.
+	base := 0
+	lose := func() {
+		pub.Evict(sub.Addr())
+		publish(8 * replayBurst) // journaled, fanned out to nobody
+		// Re-admit the address (the membership generation must move for
+		// Refresh to re-plan it); one live frame ahead of the seam shows
+		// the subscriber its gap, and its next Renew resumes from the seam.
+		if err := sub.Leave(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Renew(); err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		publish(1)
+		settle(t, "catch-up under way", func() bool {
+			recv()
+			if err := sub.Renew(); err != nil {
+				t.Fatal(err)
+			}
+			pub.PumpReplay(1)
+			n := openFDs(t, logDir)
+			if n > base+1 {
+				t.Fatalf("%d descriptors on the log, want at most the baseline %d plus one cursor", n, base)
+			}
+			return pub.CatchingUp() > 0 && n == base+1
+		})
+	}
+
+	publish(1) // opens the log's segment: part of the baseline
+	catchUp("first delivery")
+	base = openFDs(t, logDir)
+	for round := 0; round < 100; round++ {
+		lose()
+		switch {
+		case round < 5: // re-addressed mid-flight, then drained (each Rebind costs arena, so only a few)
+			old := sub.Addr()
+			if err := sub.Rebind(); err != nil {
+				t.Fatal(err)
+			}
+			pub.Evict(old)
+			catchUp("drain after re-address")
+		case round%2 == 0: // evicted mid-flight; the next round re-admits it
+			if !pub.Evict(sub.Addr()) {
+				t.Fatalf("round %d: the catching-up address was not planned", round)
+			}
+		default:
+			catchUp("drain to the head")
+		}
+		if n := openFDs(t, logDir); n != base {
+			t.Fatalf("round %d: %d descriptors after the catch-up ended, want the baseline %d", round, n, base)
+		}
+	}
+
+	lose()
+	pub.Close()
+	if n := openFDs(t, logDir); n != base {
+		t.Fatalf("%d descriptors after Publisher.Close, want the baseline %d", n, base)
+	}
+	catchUp("drain after Close") // the publisher stays usable
+	for i, seq := range got {
+		if seq != uint64(i+1) {
+			t.Fatalf("delivery %d = seq %d, want %d: the moves lost or repeated a record", i, seq, i+1)
+		}
+	}
 }

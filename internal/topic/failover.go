@@ -165,6 +165,7 @@ func (p *Publisher) Evict(addr core.Addr) bool {
 				// name; its rebind re-resumes from there at the new
 				// address.
 				sr.done = true
+				sr.release()
 				delete(p.catchup, addr)
 			}
 			return true

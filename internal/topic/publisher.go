@@ -117,6 +117,7 @@ type Publisher struct {
 	replay         map[string]*subReplay    // replay state by subscriber name
 	catchup        map[core.Addr]*subReplay // live-fanout suppression index
 	durHello       map[core.Addr]bool       // hello handshake tracking (durable without credit)
+	helloOwed      bool                     // a hello was refused (backpressure); retried on every pump and publish
 	deferred       uint64                   // live sends suppressed during catch-up
 	replayed       uint64                   // replay frames sent
 	replayStranded uint64                   // frames lost to the retention horizon
@@ -290,10 +291,17 @@ func (p *Publisher) refreshLocked() error {
 // advertisement (credit mode) or the first resume/ack (durable-only
 // mode), after which a subscriber gets no further hellos. Caller
 // holds p.mu.
+//
+// A hello the outbox refuses is remembered in p.helloOwed, and
+// PumpReplay and the publish path call back here while any is owed: a
+// subscriber admitted behind a backlogged outbox would otherwise wait
+// RefreshEvery publishes — forever, on an idle topic — to learn the
+// control-return address its resume goes to.
 func (p *Publisher) helloLocked() {
 	if p.creditIn == nil {
 		return
 	}
+	p.helloOwed = false
 	var buf [flowctl.HelloFrameBytes]byte
 	n := flowctl.EncodeHello(buf[:], p.creditIn.Addr())
 	flags := ctlFlag | p.cfg.Class.Flags()
@@ -311,12 +319,14 @@ func (p *Publisher) helloLocked() {
 		} else if p.durHello[dst] {
 			continue
 		}
-		if err := p.out.SendFlags(dst, buf[:n], flags); err == nil {
+		err := p.out.SendFlags(dst, buf[:n], flags)
+		if err == nil && cs != nil {
 			// The hello is disposed of by the subscriber's inbox like
 			// any frame; charge it so the ledger stays aligned.
-			if cs != nil {
-				cs.acct.Spend()
-			}
+			cs.acct.Spend()
+		}
+		if errors.Is(err, msglib.ErrBackpressure) {
+			p.helloOwed = true
 		}
 	}
 }
@@ -410,6 +420,9 @@ func (p *Publisher) PublishFlags(payload []byte, flags uint8) (PublishResult, er
 		return PublishResult{}, err
 	}
 	p.harvestLocked()
+	if p.helloOwed {
+		p.helloLocked()
+	}
 	var res PublishResult
 	if len(p.plan) == 0 && len(p.patPlan) == 0 && p.log == nil {
 		return res, nil
