@@ -161,12 +161,10 @@ type Buffer struct {
 	arena *mem.Arena
 
 	// Layout (word offsets), fixed at New time.
-	bufMetaBase   int // per-buffer meta words
-	bufMetaStride int
-	payloadBase   []int // per-buffer payload byte offsets
-	msgs          []Msg // the canonical handle for each buffer id
-	epCfgBase     int   // endpoint descriptor config area
-	epCfgStride   int
+	payloadBase []int // per-buffer payload byte offsets
+	msgs        []Msg // the canonical handle for each buffer id
+	epCfgBase   int   // endpoint descriptor config area
+	epCfgStride int
 
 	doorbell *waitfree.Ring
 
@@ -242,21 +240,18 @@ func New(cfg Config) (*Buffer, error) {
 	}
 	lw := cfg.LineWords
 
-	// Buffer metadata table.
+	// Buffer metadata table: one meta word per buffer, a line apart in
+	// the padded layout.
+	var metaBase int
+	metaStride := bufMetaWordsUnpadded
 	if cfg.Padded {
-		b.bufMetaStride = lw
-		base, err := arena.AllocLines(cfg.NumBuffers)
-		if err != nil {
-			return nil, err
-		}
-		b.bufMetaBase = base
+		metaStride = lw
+		metaBase, err = arena.AllocLines(cfg.NumBuffers)
 	} else {
-		b.bufMetaStride = bufMetaWordsUnpadded
-		base, err := arena.AllocWords(cfg.NumBuffers * bufMetaWordsUnpadded)
-		if err != nil {
-			return nil, err
-		}
-		b.bufMetaBase = base
+		metaBase, err = arena.AllocWords(cfg.NumBuffers * bufMetaWordsUnpadded)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Payload area: one aligned region per buffer. FLIPC internalizes
@@ -269,7 +264,7 @@ func New(cfg Config) (*Buffer, error) {
 			return nil, err
 		}
 		b.payloadBase[i] = off
-		b.msgs[i] = Msg{buf: b, id: i}
+		b.msgs[i] = Msg{buf: b, id: i, metaOff: metaBase + i*metaStride}
 	}
 
 	// Endpoint descriptor config area.
@@ -407,9 +402,6 @@ func (b *Buffer) NumBuffers() int { return b.cfg.NumBuffers }
 // uses this as part of its validity checks on untrusted queue slots.
 func (b *Buffer) ValidBufID(id uint64) bool { return id < uint64(b.cfg.NumBuffers) }
 
-// metaWordOffset returns the word offset of buffer id's meta word.
-func (b *Buffer) metaWordOffset(id int) int { return b.bufMetaBase + id*b.bufMetaStride }
-
 // MetaWordOffset returns the word offset of buffer id's meta word, for
 // fault-injection tooling that models a hostile application scribbling
 // on its own control words. Reports false for out-of-range ids.
@@ -418,7 +410,7 @@ func (b *Buffer) MetaWordOffset(id int) (int, bool) {
 	if id < 0 || id >= b.cfg.NumBuffers {
 		return 0, false
 	}
-	return b.metaWordOffset(id), true
+	return b.msgs[id].metaOff, true
 }
 
 // payloadOffset returns the byte offset of buffer id's payload.

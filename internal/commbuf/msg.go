@@ -80,11 +80,12 @@ func unpackMeta(v uint64) metaWord {
 
 // Msg is the handle on one fixed-size message buffer inside the
 // communication buffer: one immutable entry per buffer ID, built by New.
-// The handle caches only the buffer ID; all mutable state is in the
-// arena.
+// The handle caches only the buffer ID and where its meta word lives; all
+// mutable state is in the arena.
 type Msg struct {
-	buf *Buffer
-	id  int
+	buf     *Buffer
+	id      int
+	metaOff int // word offset of the meta word
 }
 
 // ID returns the buffer-table index.
@@ -97,11 +98,9 @@ func (m *Msg) Payload() []byte {
 	return m.buf.arena.Payload(m.buf.payloadOffset(m.id), m.buf.cfg.MaxPayload())
 }
 
-func (m *Msg) metaOffset() int { return m.buf.metaWordOffset(m.id) }
+func (m *Msg) meta(v mem.View) metaWord { return unpackMeta(v.Load(m.metaOff)) }
 
-func (m *Msg) meta(v mem.View) metaWord { return unpackMeta(v.Load(m.metaOffset())) }
-
-func (m *Msg) setMeta(v mem.View, w metaWord) { v.Store(m.metaOffset(), packMeta(w)) }
+func (m *Msg) setMeta(v mem.View, w metaWord) { v.Store(m.metaOff, packMeta(w)) }
 
 // State returns the buffer's current state as seen through v.
 func (m *Msg) State(v mem.View) State { return m.meta(v).state }

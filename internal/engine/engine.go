@@ -163,10 +163,11 @@ type Engine struct {
 	cfg     Config
 
 	eps        []epCache
-	scan       int   // round-robin cursor
-	order      []int // round-robin scan-order scratch
-	prioOrder  []int // priority scan order, rebuilt on orderStale
+	cfgOffs    []int        // config-word offset of every descriptor slot
+	active     []activeSend // healthy send endpoints in scan order, rebuilt on orderStale
 	orderStale bool
+	scan       int // round-robin cursor, a slot index
+	scanPos    int // first position in active at or after slot scan, as far as already searched
 	frame      []byte
 	sendSeqs   []uint8
 	stats      Stats
@@ -241,6 +242,7 @@ type engMetrics struct {
 	util                            *metrics.Gauge       // moved/(send+recv quantum), last working pass
 	latency                         *metrics.Histogram   // one-way delivery ns, all endpoints
 	epLatency                       []*metrics.Histogram // per endpoint slot, lazy
+	mirrored                        Stats                // what the counters last received
 }
 
 func newEngMetrics(reg *metrics.Registry, maxEndpoints int) *engMetrics {
@@ -289,8 +291,15 @@ func (m *engMetrics) epLatencyHist(slot int) *metrics.Histogram {
 
 // mirror copies the loop-local Stats into the registry counters so
 // scrapers on other goroutines read consistent values. Called once per
-// Poll pass — a fixed handful of plain stores.
+// Poll pass: the pass count is stored every time, the other counters
+// (nineteen atomic stores) only when one of them moved.
 func (m *engMetrics) mirror(s *Stats) {
+	m.polls.Set(s.Polls)
+	m.mirrored.Polls = s.Polls
+	if *s == m.mirrored {
+		return
+	}
+	m.mirrored = *s
 	m.sent.Set(s.Sent)
 	m.received.Set(s.Received)
 	m.delivered.Set(s.Delivered)
@@ -305,18 +314,26 @@ func (m *engMetrics) mirror(s *Stats) {
 	m.quarantines.Set(s.Quarantines)
 	m.quarRecoveries.Set(s.QuarantineRecoveries)
 	m.doorbells.Set(s.Doorbells)
-	m.polls.Set(s.Polls)
 	for k := 1; k < NumFaultKinds; k++ {
 		m.epFaults[k].Set(s.EndpointFaults[k])
 	}
 }
 
+// epCache is what the engine knows about one descriptor slot. The zero
+// value is the cache of a never-allocated slot (config word 0).
 type epCache struct {
 	cfgWord   uint64 // config word the cache was built from
-	seen      bool   // cfgWord/info are populated
 	info      *commbuf.EndpointInfo
 	fault     FaultKind // != FaultNone while the slot is quarantined
 	faultPass uint64    // Polls value when the fault was detected
+}
+
+// activeSend is one entry of the send scan: a healthy send endpoint and
+// the two queue words whose equality means it has nothing queued.
+type activeSend struct {
+	info             *commbuf.EndpointInfo
+	process, release int  // word offsets
+	low              bool // subject to the unreserved share of the quantum
 }
 
 // New creates an engine for a communication buffer bound to a transport.
@@ -334,10 +351,14 @@ func New(buf *commbuf.Buffer, tr interconnect.Transport, cfg Config) (*Engine, e
 		view:       buf.View(mem.ActorEngine),
 		cfg:        cfg,
 		eps:        make([]epCache, buf.Config().MaxEndpoints),
+		cfgOffs:    make([]int, buf.Config().MaxEndpoints),
 		orderStale: true,
 		frame:      make([]byte, buf.Config().MessageSize),
 		sendSeqs:   make([]uint8, buf.Config().MaxEndpoints),
 		ctlDrops:   make([]atomic.Uint64, buf.Config().MaxEndpoints),
+	}
+	for i := range e.cfgOffs {
+		e.cfgOffs[i], _ = buf.EndpointCfgOffset(i)
 	}
 	if h, ok := tr.(interconnect.PeerStatusReporter); ok {
 		e.health = h
@@ -399,24 +420,27 @@ func (e *Engine) EndpointCtlDrops(addrIndex int, gen uint16) uint64 {
 
 // endpoint returns the engine's cached handle for slot i, rebuilding it
 // when the shared descriptor changed (allocation, free, generation
-// bump). Change detection is one config-word load; only a changed word
-// pays for OpenEndpoint's validation, and any change also invalidates
-// the priority scan order.
+// bump). Change detection is one config-word load and a compare; only a
+// changed word pays for refresh.
+func (e *Engine) endpoint(i int) *commbuf.EndpointInfo {
+	if w := e.view.Load(e.cfgOffs[i]); w != e.eps[i].cfgWord {
+		e.refresh(i, w)
+	}
+	return e.eps[i].info
+}
+
+// refresh rebuilds slot i's cache after its config word changed to w,
+// and invalidates the send scan order.
 //
 // A config-word change is also the quarantine exit: the fault that
 // froze the slot described the old descriptor, so a re-allocation
 // (generation bump) or free lifts the quarantine and the slot is
 // serviced fresh. While the word is unchanged a quarantined slot stays
-// frozen — the cached fault short-circuits every pass.
-func (e *Engine) endpoint(i int) *commbuf.EndpointInfo {
-	w := e.buf.EndpointCfgWord(e.view, i)
-	c := &e.eps[i]
-	if c.seen && c.cfgWord == w {
-		return c.info
-	}
-	recovered := c.seen && c.fault != FaultNone
+// frozen.
+func (e *Engine) refresh(i int, w uint64) {
+	recovered := e.eps[i].fault != FaultNone
 	info, err := e.buf.OpenEndpointChecked(e.view, i)
-	*c = epCache{cfgWord: w, seen: true, info: info}
+	e.eps[i] = epCache{cfgWord: w, info: info}
 	e.orderStale = true
 	if recovered {
 		e.stats.QuarantineRecoveries++
@@ -431,12 +455,7 @@ func (e *Engine) endpoint(i int) *commbuf.EndpointInfo {
 		// trusted.
 		e.quarantine(i, FaultBadDescriptor)
 	}
-	return c.info
 }
-
-// faulted reports whether slot i is quarantined, without touching the
-// shared descriptor (callers go through endpoint(i) first).
-func (e *Engine) faulted(i int) bool { return e.eps[i].fault != FaultNone }
 
 // Poll runs one pass of the engine's event loop: first drain incoming
 // frames (bounded by RecvQuantum), then service send endpoints (bounded
@@ -444,7 +463,8 @@ func (e *Engine) faulted(i int) bool { return e.eps[i].fault != FaultNone }
 //
 // With Metrics configured the pass is measured: working passes record
 // their duration and quantum utilization; every pass mirrors the
-// loop-local counters into the registry so scrapers see live values.
+// loop-local counters that moved into the registry so scrapers see live
+// values.
 func (e *Engine) Poll() bool {
 	e.stats.Polls++
 	if e.m == nil {
@@ -466,7 +486,6 @@ func (e *Engine) Poll() bool {
 		e.m.util.Set(float64(moved) / float64(e.cfg.RecvQuantum+e.cfg.SendQuantum))
 	}
 	e.m.mirror(&e.stats)
-	e.m.quarantined.Set(float64(len(e.Quarantined())))
 	return work
 }
 
@@ -527,7 +546,7 @@ func (e *Engine) deliver(frame []byte) {
 		return
 	}
 	info := e.endpoint(slot)
-	if e.faulted(slot) {
+	if e.eps[slot].fault != FaultNone {
 		// Quarantined destination (possibly quarantined just now by the
 		// descriptor check in endpoint). The fault episode was counted
 		// when detected; each arriving frame is its own loss category.
@@ -545,7 +564,15 @@ func (e *Engine) deliver(frame []byte) {
 		}
 		return
 	}
-	id, ok, err := e.peek(info)
+	// The queue-invariant check is fused into the peek, so its price is
+	// paid per message and an empty queue costs the same either way.
+	var id uint64
+	var err error
+	if e.cfg.ValidityChecks {
+		id, ok, err = info.Queue.ProcessPeekChecked(e.view)
+	} else {
+		id, ok = info.Queue.ProcessPeek(e.view)
+	}
 	if err != nil {
 		// Wild queue pointers: nothing read from this queue can be
 		// trusted. Freeze the endpoint.
@@ -629,25 +656,10 @@ func (e *Engine) deliver(frame []byte) {
 	}
 }
 
-// peek reads the next processable buffer id from an endpoint queue,
-// with the invariant check fused in when ValidityChecks is configured
-// (an idle queue then costs no more than the unchecked peek — the
-// checks' price is paid per message, not per poll).
-func (e *Engine) peek(info *commbuf.EndpointInfo) (uint64, bool, error) {
-	if e.cfg.ValidityChecks {
-		return info.Queue.ProcessPeekChecked(e.view)
-	}
-	id, ok := info.Queue.ProcessPeek(e.view)
-	return id, ok, nil
-}
-
 // checkRecvBuffer validates a posted receive buffer id read from an
 // application-writable queue slot, returning the fault category when
 // the slot cannot be trusted.
 func (e *Engine) checkRecvBuffer(id uint64) FaultKind {
-	if !e.buf.ValidBufID(id) {
-		return FaultBadBufID
-	}
 	msg, err := e.buf.MsgByID(id)
 	if err != nil {
 		return FaultBadBufID
@@ -658,46 +670,68 @@ func (e *Engine) checkRecvBuffer(id uint64) FaultKind {
 	return FaultNone
 }
 
-// sendOrder returns the endpoint scan order for this pass. Both
-// policies fill reusable scratch slices; the priority order is only
-// re-sorted when some endpoint's config word changed since it was
-// built (allocation, free, generation or priority change).
-func (e *Engine) sendOrder() []int {
-	n := len(e.eps)
-	switch e.cfg.Policy {
-	case PolicyPriority:
-		// Refresh the caches so config-word changes mark the order stale.
-		for i := 0; i < n; i++ {
-			e.endpoint(i)
+// rebuildActive lists the healthy send endpoints in scan order: by slot
+// for round-robin (which rotates its start through the list), by
+// descending priority, slot order within a class, for PolicyPriority.
+func (e *Engine) rebuildActive() {
+	e.active = e.active[:0]
+	for i := range e.eps {
+		c := &e.eps[i]
+		if c.info == nil || c.info.Type != commbuf.EndpointSend || c.fault != FaultNone {
+			continue
 		}
-		if e.orderStale {
-			e.prioOrder = e.prioOrder[:0]
-			for i := 0; i < n; i++ {
-				if info := e.eps[i].info; info != nil && info.Type == commbuf.EndpointSend &&
-					e.eps[i].fault == FaultNone {
-					e.prioOrder = append(e.prioOrder, i)
-				}
-			}
-			sort.SliceStable(e.prioOrder, func(a, b int) bool {
-				return e.eps[e.prioOrder[a]].info.Priority > e.eps[e.prioOrder[b]].info.Priority
-			})
-			e.orderStale = false
-		}
-		return e.prioOrder
-	default:
-		if cap(e.order) < n {
-			e.order = make([]int, n)
-		}
-		e.order = e.order[:n]
-		for k := 0; k < n; k++ {
-			e.order[k] = (e.scan + k) % n
-		}
-		e.scan = (e.scan + 1) % n
-		return e.order
+		process, release := c.info.Queue.ProcessWords()
+		e.active = append(e.active, activeSend{
+			info: c.info, process: process, release: release,
+			low: e.cfg.ReservedQuantum > 0 && c.info.Priority < e.cfg.ReservePriority,
+		})
 	}
+	if e.cfg.Policy == PolicyPriority {
+		sort.SliceStable(e.active, func(a, b int) bool {
+			return e.active[a].info.Priority > e.active[b].info.Priority
+		})
+	}
+	e.scanPos = 0
+	e.orderStale = false
 }
 
+// rotation returns where in active this round-robin pass starts — the
+// first send endpoint at or after the slot cursor, wrapping — and moves
+// the cursor on one slot (slots, not list positions: the same turns as a
+// walk over every slot).
+func (e *Engine) rotation() int {
+	for e.scanPos < len(e.active) && e.active[e.scanPos].info.Index < e.scan {
+		e.scanPos++
+	}
+	first := e.scanPos
+	if first == len(e.active) {
+		first = 0
+	}
+	if e.scan++; e.scan == len(e.eps) {
+		e.scan, e.scanPos = 0, 0
+	}
+	return first
+}
+
+// pollSend is the sending half of a pass. Its fixed cost is one load
+// per descriptor slot plus two per active send endpoint, and no store
+// (DESIGN.md §3b).
 func (e *Engine) pollSend() bool {
+	// Change detection over every slot: an allocation, free, generation
+	// bump or forged config word takes effect in the pass that reads it.
+	for i, off := range e.cfgOffs {
+		if w := e.view.Load(off); w != e.eps[i].cfgWord {
+			e.refresh(i, w)
+		}
+	}
+	if e.orderStale {
+		e.rebuildActive()
+	}
+	first := 0
+	if e.cfg.Policy == PolicyRoundRobin {
+		first = e.rotation()
+	}
+
 	work := false
 	budget := e.cfg.SendQuantum
 	// Class reservation: endpoints below ReservePriority may together
@@ -705,18 +739,20 @@ func (e *Engine) pollSend() bool {
 	// fanout cannot starve control-class sends of engine bandwidth.
 	lowLimit := e.cfg.SendQuantum - e.cfg.ReservedQuantum
 	lowSpent := 0
-	for _, i := range e.sendOrder() {
-		if budget <= 0 {
-			break
+	n := len(e.active)
+	for k := 0; k < n && budget > 0; k++ {
+		pos := first + k
+		if pos >= n {
+			pos -= n
 		}
-		info := e.endpoint(i)
-		if info == nil || info.Type != commbuf.EndpointSend || e.faulted(i) {
-			continue
+		a := &e.active[pos]
+		if e.view.Load(a.process) == e.view.Load(a.release) {
+			continue // nothing queued
 		}
-		low := e.cfg.ReservedQuantum > 0 && info.Priority < e.cfg.ReservePriority
-		if low && lowSpent >= lowLimit {
+		if a.low && lowSpent >= lowLimit {
 			continue // unreserved share exhausted this pass
 		}
+		info := a.info
 		if e.m != nil {
 			// Backlog sample: how deep the send queue stood when the
 			// engine reached this endpoint.
@@ -725,15 +761,22 @@ func (e *Engine) pollSend() bool {
 			}
 		}
 		for budget > 0 {
-			if low && lowSpent >= lowLimit {
+			if a.low && lowSpent >= lowLimit {
 				break
 			}
-			id, ok, err := e.peek(info)
+			var id uint64
+			var ok bool
+			var err error
+			if e.cfg.ValidityChecks {
+				id, ok, err = info.Queue.ProcessPeekChecked(e.view)
+			} else {
+				id, ok = info.Queue.ProcessPeek(e.view)
+			}
 			if err != nil {
 				// Wild queue pointers: freeze the endpoint before reading
 				// a slot through them. No quantum is consumed — a faulty
 				// endpoint cannot starve its neighbors in this pass.
-				e.quarantine(i, FaultQueueInvariant)
+				e.quarantine(info.Index, FaultQueueInvariant)
 				work = true
 				break
 			}
@@ -745,7 +788,7 @@ func (e *Engine) pollSend() bool {
 				// Corrupt buffer id or state: the queue cannot be advanced
 				// past it safely (the slot is untrusted), so freeze the
 				// endpoint. No quantum consumed.
-				e.quarantine(i, kind)
+				e.quarantine(info.Index, kind)
 				work = true
 				break
 			}
@@ -755,11 +798,11 @@ func (e *Engine) pollSend() bool {
 			work = true
 			if err := info.Queue.AdvanceProcessChecked(e.view); err != nil {
 				// Release pointer scribbled between peek and advance.
-				e.quarantine(i, FaultQueueInvariant)
+				e.quarantine(info.Index, FaultQueueInvariant)
 				break
 			}
 			budget--
-			if low {
+			if a.low {
 				lowSpent++
 			}
 		}
@@ -803,9 +846,6 @@ const (
 // no-wild-memory guarantee, and they cost two loads. ValidityChecks
 // gates only the policy checks the paper prices at +2 µs.
 func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, FaultKind) {
-	if !e.buf.ValidBufID(id) {
-		return txFault, FaultBadBufID
-	}
 	msg, err := e.buf.MsgByID(id)
 	if err != nil {
 		return txFault, FaultBadBufID

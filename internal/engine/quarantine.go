@@ -97,6 +97,9 @@ func (e *Engine) publishQuarantined() {
 		}
 	}
 	e.qsnap.Store(&qs)
+	if e.m != nil {
+		e.m.quarantined.Set(float64(len(qs)))
+	}
 }
 
 // Quarantined returns the currently quarantined endpoints, oldest slot

@@ -331,8 +331,10 @@ func (p *meshPort) Stats() Stats { return p.stats }
 type Fabric struct {
 	depth int
 	batch int
-	mu    sync.Mutex
-	ports map[wire.NodeID]*fabricPort
+	mu    sync.Mutex // serializes Attach
+	// ports is indexed by node. Ports are attach-only: Attach publishes
+	// a grown copy, senders look up with one atomic load.
+	ports atomic.Pointer[[]*fabricPort]
 }
 
 // NewFabric creates a fabric whose ports queue up to depth frames
@@ -341,7 +343,17 @@ func NewFabric(depth int) *Fabric {
 	if depth <= 0 {
 		depth = 256
 	}
-	return &Fabric{depth: depth, ports: make(map[wire.NodeID]*fabricPort)}
+	f := &Fabric{depth: depth}
+	f.ports.Store(new([]*fabricPort))
+	return f
+}
+
+// port returns node's port, or nil when no such node is attached.
+func (f *Fabric) port(node wire.NodeID) *fabricPort {
+	if t := *f.ports.Load(); int(node) < len(t) {
+		return t[node]
+	}
+	return nil
 }
 
 // NewFabricBatch is NewFabric with the pending-buffer contract
@@ -365,11 +377,15 @@ func NewFabricBatch(depth, batchFrames int) *Fabric {
 func (f *Fabric) Attach(node wire.NodeID) (Transport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, dup := f.ports[node]; dup {
+	if f.port(node) != nil {
 		return nil, fmt.Errorf("interconnect: node %d already attached", node)
 	}
 	p := &fabricPort{fabric: f, node: node, ch: make(chan []byte, f.depth)}
-	f.ports[node] = p
+	old := *f.ports.Load()
+	table := make([]*fabricPort, max(len(old), int(node)+1))
+	copy(table, old)
+	table[node] = p
+	f.ports.Store(&table)
 	return p, nil
 }
 
@@ -388,9 +404,7 @@ type fabricPort struct {
 }
 
 func (p *fabricPort) TrySend(dst wire.NodeID, frame []byte) bool {
-	p.fabric.mu.Lock()
-	dp := p.fabric.ports[dst]
-	p.fabric.mu.Unlock()
+	dp := p.fabric.port(dst)
 	if dp == nil {
 		return false
 	}
@@ -482,9 +496,7 @@ func (p *fabricPort) FlushSends() {
 		if len(run) == 0 {
 			continue
 		}
-		p.fabric.mu.Lock()
-		dp := p.fabric.ports[dst]
-		p.fabric.mu.Unlock()
+		dp := p.fabric.port(dst)
 		if dp == nil {
 			// Destination detached: nothing to deliver to. Keep the
 			// fabric's invariants simple — this cannot happen in the

@@ -252,6 +252,54 @@ func TestFabricBackpressure(t *testing.T) {
 	}
 }
 
+// TestFabricAttachWhileSending attaches nodes while another node's engine
+// is sending: the sender reads the port table without a lock, so (under
+// -race) Attach's copy-on-write publication must be what orders the two.
+// A send to a node not yet attached is refused; once Attach returns, the
+// next send to it lands.
+func TestFabricAttachWhileSending(t *testing.T) {
+	const nodes = 32
+	f := NewFabricBatch(64, 4) // batch mode: FlushSends reads the table too
+	a, _ := f.Attach(0)
+	attached := make(chan wire.NodeID)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		frame := make([]byte, 64)
+		for dst := range attached {
+			if !a.TrySend(dst, frame) {
+				t.Errorf("send to node %d refused after Attach returned", dst)
+			}
+			a.TrySend(dst+1, frame) // may race the next Attach: either answer is legal
+			a.(BatchFlusher).FlushSends()
+		}
+	}()
+	ports := make([]Transport, 0, nodes)
+	for n := wire.NodeID(1); n <= nodes; n++ {
+		p, err := f.Attach(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports = append(ports, p)
+		attached <- n
+	}
+	close(attached)
+	<-done
+	a.(BatchFlusher).FlushSends()
+	for i, p := range ports {
+		got := 0
+		for _, ok := p.Poll(); ok; _, ok = p.Poll() {
+			got++
+		}
+		if got < 1 || got > 2 {
+			t.Errorf("node %d received %d frames, want 1 or 2", i+1, got)
+		}
+	}
+	if _, err := f.Attach(3); err == nil {
+		t.Error("duplicate Attach accepted")
+	}
+}
+
 func TestFabricConcurrentOrderPerPair(t *testing.T) {
 	f := NewFabric(1024)
 	a, _ := f.Attach(0)

@@ -146,21 +146,39 @@ func (a *Arena) ValidPayload(off, n int) bool {
 	return off >= 0 && n >= 0 && off+n <= len(a.payload) && off+n >= off
 }
 
-// Load atomically reads control word w on behalf of actor.
+// Load atomically reads control word w on behalf of actor. Untraced it
+// is a bounds check and one atomic load and inlines at every call site.
 func (a *Arena) Load(actor Actor, w int) uint64 {
-	v := atomic.LoadUint64(&a.words[w])
 	if a.tracer != nil {
-		a.tracer.OnLoad(actor, w)
+		return a.tracedLoad(actor, w)
 	}
-	return v
+	return atomic.LoadUint64(&a.words[w])
 }
 
 // Store atomically writes control word w on behalf of actor.
 func (a *Arena) Store(actor Actor, w int, v uint64) {
-	atomic.StoreUint64(&a.words[w], v)
 	if a.tracer != nil {
-		a.tracer.OnStore(actor, w)
+		a.tracedStore(actor, w, v)
+		return
 	}
+	atomic.StoreUint64(&a.words[w], v)
+}
+
+// tracedLoad and tracedStore must stay out of line: folded back in they
+// put Load and Store over the inliner's budget, and every word access on
+// the message path is a call again (CI's inlining gate watches this).
+//
+//go:noinline
+func (a *Arena) tracedLoad(actor Actor, w int) uint64 {
+	v := atomic.LoadUint64(&a.words[w])
+	a.tracer.OnLoad(actor, w)
+	return v
+}
+
+//go:noinline
+func (a *Arena) tracedStore(actor Actor, w int, v uint64) {
+	atomic.StoreUint64(&a.words[w], v)
+	a.tracer.OnStore(actor, w)
 }
 
 // TestAndSet attempts to set word w from 0 to 1, returning true on
@@ -271,11 +289,23 @@ func (v View) Arena() *Arena { return v.arena }
 // Actor returns the view's actor.
 func (v View) Actor() Actor { return v.actor }
 
-// Load atomically reads control word w.
-func (v View) Load(w int) uint64 { return v.arena.Load(v.actor, w) }
+// Load atomically reads control word w. Not forwarded to Arena.Load:
+// the forwarding layer alone puts it over the inlining budget.
+func (v View) Load(w int) uint64 {
+	if v.arena.tracer != nil {
+		return v.arena.tracedLoad(v.actor, w)
+	}
+	return atomic.LoadUint64(&v.arena.words[w])
+}
 
 // Store atomically writes control word w.
-func (v View) Store(w int, val uint64) { v.arena.Store(v.actor, w, val) }
+func (v View) Store(w int, val uint64) {
+	if v.arena.tracer != nil {
+		v.arena.tracedStore(v.actor, w, val)
+		return
+	}
+	atomic.StoreUint64(&v.arena.words[w], val)
+}
 
 // TestAndSet attempts the application lock primitive on word w.
 func (v View) TestAndSet(w int) bool { return v.arena.TestAndSet(v.actor, w) }

@@ -201,6 +201,45 @@ func TestKernelWakeupPath(t *testing.T) {
 	}
 }
 
+// TestKernelIdlePumpTakesNoLock holds the kernel's mutex and pumps: with
+// an empty doorbell and nothing presented — what every idle engine pass
+// finds — Pump must return without waiting for it. A presented wakeup
+// then still goes through the lock: partial dispatch keeps the rest
+// queued and visible to the next Pump.
+func TestKernelIdlePumpTakesNoLock(t *testing.T) {
+	k, ring, eng, _ := newKernel(t)
+	k.mu.Lock()
+	done := make(chan int, 1)
+	go func() { done <- k.Pump() }()
+	select {
+	case n := <-done:
+		if n != 0 {
+			t.Fatalf("idle Pump dispatched %d", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("idle Pump waited for the kernel lock")
+	}
+	k.mu.Unlock()
+
+	sem := NewSemaphore(0)
+	if err := k.Register(1, Registration{Sem: sem}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		ring.Push(eng, 1)
+	}
+	k.Drain()
+	if got := k.Dispatch(2); got != 2 {
+		t.Fatalf("Dispatch(2) = %d", got)
+	}
+	if got := k.Pump(); got != 1 || k.QueuedWakeups() != 0 {
+		t.Fatalf("Pump after a partial dispatch = %d, %d still queued", got, k.QueuedWakeups())
+	}
+	if got := k.Pump(); got != 0 {
+		t.Fatalf("Pump with nothing left = %d", got)
+	}
+}
+
 func TestKernelDispatchPriorityOrder(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
 	low := NewSemaphore(0)

@@ -427,7 +427,10 @@ func (p *Publisher) PublishFlags(payload []byte, flags uint8) (PublishResult, er
 	if len(p.plan) == 0 && len(p.patPlan) == 0 && p.log == nil {
 		return res, nil
 	}
-	start := p.nowNanos()
+	var start int64
+	if p.mFanoutNs != nil { // the fanout clock is read only for the histogram
+		start = p.nowNanos()
+	}
 	orig := payload // pre-staging bytes: what pattern subscribers get
 	// Reserved bits really are masked: the topic-control bit, the
 	// replay marker, the priority field (the class owns it — caller

@@ -242,6 +242,11 @@ func (q *Queue) Empty(v mem.View) bool {
 	return rel == v.Load(q.process) && rel == v.Load(q.acquire)
 }
 
+// ProcessWords returns the offsets of the process and release pointers,
+// for the engine's idle test: equal values mean nothing to process, and
+// the scan loads the two itself so the test inlines into its loop.
+func (q *Queue) ProcessWords() (process, release int) { return q.process, q.release }
+
 // DebugOffsets returns the queue's control-word offsets — release,
 // process, acquire, and the first slot — for fault-injection tooling
 // and tests that model wild application writes. Production code never
