@@ -62,7 +62,6 @@ func main() {
 		maxPubs  = flag.Int("max-publishers", 64, "cached per-topic publisher bound")
 		lease    = flag.Duration("lease-interval", 2*time.Second, "housekeeping cadence (presence renewal, pattern renewal, saturation probe)")
 		rpcTime  = flag.Duration("rpc-timeout", 2*time.Second, "registry round-trip timeout")
-		maxRedir = flag.Int("max-redirects", 0, "NotOwner redirect bound per registry op (0 = default)")
 		httpAddr = flag.String("http", "", "observability HTTP listen address (/metrics, /healthz); empty disables")
 		traceBuf = flag.Int("tracebuf", 4096, "trace ring capacity when -http is set")
 	)
@@ -127,7 +126,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dir, err := buildDirectory(d, server, *rpcTime, *maxRedir)
+	dir, err := buildDirectory(d, server, *rpcTime)
 	if err != nil {
 		fatal(err)
 	}
@@ -195,13 +194,13 @@ func main() {
 		h.Conns, st.Received, st.Matched, st.Unmatched, st.PubOK, st.PubErrs, h.RenewErrs)
 }
 
-// buildDirectory bootstraps the gateway's EdgeDirectory from one
+// buildDirectory bootstraps the gateway's Directory from one
 // registry server: fetch the shard map in-band; when the registry is
 // sharded, open one client per shard (at each shard's address hint)
 // behind a ShardedDirectory so topic routing, pattern broadcast, and
 // presence spreading work shard-aware; otherwise a single
 // RemoteDirectory against the bootstrap server.
-func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration, maxRedirects int) (topic.EdgeDirectory, error) {
+func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration) (topic.Directory, error) {
 	boot, err := nameservice.NewClient(d, server)
 	if err != nil {
 		return nil, fmt.Errorf("registry client: %w", err)
@@ -213,7 +212,6 @@ func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration, max
 		return topic.RemoteDirectory{C: boot, Timeout: timeout}, nil
 	}
 	sdir := topic.NewShardedDirectory(m)
-	sdir.MaxRedirects = maxRedirects
 	installed := 0
 	for _, e := range m.Entries() {
 		var dir topic.Directory

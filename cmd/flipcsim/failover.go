@@ -106,7 +106,7 @@ func runFailover(o opts) error {
 	// dead. Every payload lands in the journal alone; the replacement
 	// owes all of them to the replay. The dead lease is reaped the way
 	// the sweep would, so plans stop carrying it.
-	if err := p.dir.Unsubscribe(dur.topic, deadAddr); err != nil {
+	if err := topic.Unsubscribe(p.dir, dur.topic, deadAddr); err != nil {
 		return fmt.Errorf("reap dead durable lease: %w", err)
 	}
 	dur.pub.Evict(deadAddr)

@@ -177,7 +177,7 @@ func TestDurableReplaySoak(t *testing.T) {
 	// The registry half of the eviction (normally the sweep's or the
 	// quarantine housekeeper's job): without it the next Refresh would
 	// re-plan the dead address from the stale lease.
-	if err := dir.Unsubscribe("soak", deadAddr); err != nil {
+	if err := topic.Unsubscribe(dir, "soak", deadAddr); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 150; i++ {

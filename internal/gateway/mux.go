@@ -18,7 +18,7 @@ type Config struct {
 	Name string
 	// Dir is the membership plane: patterns, presence, and the topics
 	// clients publish to (required).
-	Dir topic.EdgeDirectory
+	Dir topic.Directory
 	// InboxBuffers sizes each class inbox's posted-buffer pool and
 	// queue depth (default 128). These three pools are the gateway's
 	// entire
@@ -162,7 +162,7 @@ type pubEntry struct {
 type Mux struct {
 	cfg Config
 	d   *core.Domain
-	dir topic.EdgeDirectory
+	dir topic.Directory
 	in  [NumClasses]*msglib.Inbox
 
 	mu      sync.Mutex
@@ -276,7 +276,7 @@ func (m *Mux) Detach(c *Client) {
 
 	if key != "" {
 		// Best effort: lease expiry covers a failed drop.
-		_ = m.dir.DropPresence(key)
+		_ = topic.DropPresence(m.dir, key)
 	}
 	if m.mConns != nil {
 		m.mConns.Set(float64(n))
@@ -298,9 +298,9 @@ func (m *Mux) unrefLocked(c *Client, sk subKey) {
 	}
 	delete(m.refs[sk.lane], sk.pat)
 	// Registry call outside the hot path would be nicer, but unref is
-	// rare (client churn) and the EdgeDirectory is required to be safe
+	// rare (client churn) and the Directory is required to be safe
 	// under the Mux lock (Local and Remote both are).
-	_ = m.dir.UnsubscribePattern(sk.pat, m.in[sk.lane].Addr())
+	_ = topic.UnsubscribePattern(m.dir, sk.pat, m.in[sk.lane].Addr())
 }
 
 // signal kicks the client's writer (non-blocking).
@@ -550,7 +550,7 @@ func (m *Mux) handleHello(c *Client, f Frame) {
 	c.name = f.Name
 	c.key = key
 	c.mu.Unlock()
-	if err := m.dir.UpsertPresence(key, m.cfg.Name, m.in[int(topic.Control)].Addr()); err != nil {
+	if err := topic.UpsertPresence(m.dir, key, m.cfg.Name, m.in[int(topic.Control)].Addr()); err != nil {
 		m.sendErr(c, ErrCodeBadName, "presence refused")
 	}
 }
@@ -593,7 +593,7 @@ func (m *Mux) handleSub(c *Client, f Frame) {
 	ref.count++
 	m.mu.Unlock()
 	if first {
-		if err := m.dir.SubscribePattern(f.Name, m.in[lane].Addr()); err != nil {
+		if err := topic.SubscribePattern(m.dir, f.Name, m.in[lane].Addr()); err != nil {
 			// Roll back: the client must not believe it is subscribed.
 			m.mu.Lock()
 			delete(c.subs, sk)
@@ -740,12 +740,12 @@ func (m *Mux) Housekeeping() int {
 
 	errs := 0
 	for _, r := range pats {
-		if err := m.dir.SubscribePattern(r.pat, m.in[r.lane].Addr()); err != nil {
+		if err := topic.SubscribePattern(m.dir, r.pat, m.in[r.lane].Addr()); err != nil {
 			errs++
 		}
 	}
 	for _, k := range keys {
-		if err := m.dir.UpsertPresence(k, m.cfg.Name, ctlAddr); err != nil {
+		if err := topic.UpsertPresence(m.dir, k, m.cfg.Name, ctlAddr); err != nil {
 			errs++
 		}
 	}

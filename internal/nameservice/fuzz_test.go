@@ -2,6 +2,7 @@ package nameservice
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"flipc/internal/shardmap"
@@ -10,15 +11,103 @@ import (
 
 // mkReq assembles a protocol request for the fuzz corpus, mirroring the
 // client's buildReq layout.
-func mkReq(op byte, replyTo, field uint32, name string, tail []byte) []byte {
+func mkReq(op OpKind, replyTo, field uint32, name string, tail []byte) []byte {
 	req := make([]byte, 10+len(name)+len(tail))
-	req[0] = op
+	req[0] = byte(op)
 	binary.BigEndian.PutUint32(req[1:5], replyTo)
 	binary.BigEndian.PutUint32(req[5:9], field)
 	req[9] = byte(len(name))
 	copy(req[10:], name)
 	copy(req[10+len(name):], tail)
 	return req
+}
+
+// serverProcessSeeds is FuzzServerProcess's corpus; the table-completeness
+// test checks it reaches every row of opTable.
+func serverProcessSeeds() [][]byte {
+	replyAddr := func() uint32 {
+		a, err := wire.MakeAddr(1, 3, 1)
+		if err != nil {
+			panic(err)
+		}
+		return uint32(a)
+	}()
+	subAddr, err := wire.MakeAddr(2, 5, 1)
+	if err != nil {
+		panic(err)
+	}
+	var seeds [][]byte
+	add := func(req []byte) { seeds = append(seeds, req) }
+
+	// One seed per op, plus malformed shapes.
+	add(mkReq(opRegister, replyAddr, uint32(subAddr), "svc", nil))
+	add(mkReq(opLookup, replyAddr, 7, "svc", nil))
+	add(mkReq(opUnregister, replyAddr, 0, "svc", nil))
+	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "topic", []byte{2}))
+	add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "topic", nil))
+	add(mkReq(OpSnapshot, replyAddr, 9, "topic", []byte{0, 0}))
+	add(mkReq(OpSnapshot, replyAddr, 9, "topic", []byte{0, 200}))     // legacy 2-byte offset past end
+	add(mkReq(OpSnapshot, replyAddr, 9, "topic", []byte{0, 0, 0, 4})) // 4-byte offset
+	add(mkReq(OpSnapshot, replyAddr, 9, "topic", []byte{1, 0, 0, 0})) // 4-byte offset past end
+	add(mkReq(opRegistryInfo, replyAddr, 11, "", nil))
+	add(mkReq(opTopicList, replyAddr, 13, "", []byte{0, 0}))
+	add(mkReq(opTopicList, replyAddr, 13, "", []byte{0, 0, 0, 1}))       // 4-byte offset
+	add(mkReq(opTopicList, replyAddr, 13, "", []byte{0xFF, 0, 0, 0xFF})) // offset far past end
+	add(mkReq(99, replyAddr, 0, "x", nil))                               // unknown op
+	add(mkReq(opLookup, 0, 0, "x", nil))                                 // invalid reply address
+	add([]byte{byte(opLookup), 0, 0})                                    // truncated header
+	add(mkReq(OpSubscribe, replyAddr, 0, "t", []byte{1}))                // invalid subscriber addr
+	// Sharded-registry extension: shard-map pages (in-range, past-end),
+	// reserved-topic mutations with and without the privilege marker,
+	// and a cursor ack on a reserved stream (always refused).
+	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 0}))
+	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 2}))
+	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0xFF, 0, 0, 0}))
+	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "!registry/1", []byte{0, reservedMagic}))
+	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "!registry", []byte{0}))
+	add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "!registry/1", []byte{reservedMagic}))
+	add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "!registry", nil))
+	add(mkReq(OpAckCursor, replyAddr, 23, "!registry", append(
+		[]byte{0, 0, 0, 0, 0, 0, 0, 9, 3}, "sub"...)))
+	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "seeded-topic", []byte{2}))
+	// Edge plane: pattern subscriptions (accepted at every shard) and
+	// shard-routed presence leases with the [gwlen][gw] tail.
+	add(mkReq(OpSubscribePattern, replyAddr, uint32(subAddr), "metrics.*", nil))
+	add(mkReq(OpSubscribePattern, replyAddr, uint32(subAddr), "metrics.**", nil))
+	add(mkReq(OpSubscribePattern, replyAddr, uint32(subAddr), "bad..pattern", nil))
+	add(mkReq(OpUnsubscribePattern, replyAddr, uint32(subAddr), "metrics.*", nil))
+	add(mkReq(OpUpsertPresence, replyAddr, uint32(subAddr), "gw-a/c1", append([]byte{4}, "gw-a"...)))
+	add(mkReq(OpUpsertPresence, replyAddr, uint32(subAddr), "gw-a/c1", []byte{9})) // gw name overruns tail
+	add(mkReq(OpUpsertPresence, replyAddr, uint32(subAddr), "!registry", append([]byte{2}, "gw"...)))
+	add(mkReq(OpDropPresence, replyAddr, 31, "gw-a/c1", nil))
+	add(func() []byte { // name length runs past the request
+		r := mkReq(opLookup, replyAddr, 0, "abc", nil)
+		r[9] = 200
+		return r
+	}())
+
+	// The trailing request id of the register-shaped ops: one seed per
+	// tail length around the lengths that carry one (subscribe's class
+	// and marker make it 4..6, unsubscribe's marker 4..5, presence-up's
+	// gateway name 1+n+4, exactly 4 where the row declares no tail), so
+	// class and marker are never read out of an id or an id out of them.
+	id := []byte{0x52, 0x52, 0x52, 0x52} // an id made of marker bytes
+	for n := 0; n <= 8; n++ {
+		tail := append([]byte{2, reservedMagic, 0xEE, 0xEE}[:min(n, 4)], id[:max(0, min(n-4, 4))]...)
+		for _, op := range []OpKind{opRegister, opUnregister, OpSubscribe, OpUnsubscribe, OpSubscribePattern, OpUnsubscribePattern} {
+			add(mkReq(op, replyAddr, uint32(subAddr), "!registry", tail))
+		}
+	}
+	for _, tail := range [][]byte{id, append([]byte{2}, id...), append([]byte{2, reservedMagic}, id...), append([]byte{2, 0}, id...)} {
+		add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "topic", tail))
+		add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "topic", tail))
+	}
+	for _, gw := range []string{"gw-a", "g", ""} {
+		tail := append(append([]byte{byte(len(gw))}, gw...), id...)
+		add(mkReq(OpUpsertPresence, replyAddr, uint32(subAddr), "gw-a/c1", tail))
+		add(mkReq(OpUpsertPresence, replyAddr, uint32(subAddr), "gw-a/c1", tail[:len(tail)-1]))
+	}
+	return seeds
 }
 
 // FuzzServerProcess drives the remote-protocol request parser with
@@ -33,67 +122,16 @@ func mkReq(op byte, replyTo, field uint32, name string, tail []byte) []byte {
 //     payload capacity it was built for — a page that overflows the
 //     domain's message size would be unsendable;
 //   - the 4-byte tag/payload field echoes through all tagged ops, so
-//     pipelined clients can never mis-match a response.
+//     pipelined clients can never mis-match a response;
+//   - a register-shaped op answers in 9 bytes, or in 13 with the last
+//     four bytes of the request echoed behind the header (the trailing
+//     request id), and in 13 whenever the tail is a declared tail plus
+//     four bytes.
 func FuzzServerProcess(f *testing.F) {
 	const maxPayload = 120
-	replyAddr := func() uint32 {
-		a, err := wire.MakeAddr(1, 3, 1)
-		if err != nil {
-			panic(err)
-		}
-		return uint32(a)
-	}()
-	subAddr, err := wire.MakeAddr(2, 5, 1)
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range serverProcessSeeds() {
+		f.Add(seed)
 	}
-
-	// One seed per op, plus malformed shapes.
-	f.Add(mkReq(opRegister, replyAddr, uint32(subAddr), "svc", nil))
-	f.Add(mkReq(opLookup, replyAddr, 7, "svc", nil))
-	f.Add(mkReq(opUnregister, replyAddr, 0, "svc", nil))
-	f.Add(mkReq(opSubscribe, replyAddr, uint32(subAddr), "topic", []byte{2}))
-	f.Add(mkReq(opUnsubscribe, replyAddr, uint32(subAddr), "topic", nil))
-	f.Add(mkReq(opTopicSnap, replyAddr, 9, "topic", []byte{0, 0}))
-	f.Add(mkReq(opTopicSnap, replyAddr, 9, "topic", []byte{0, 200}))     // legacy 2-byte offset past end
-	f.Add(mkReq(opTopicSnap, replyAddr, 9, "topic", []byte{0, 0, 0, 4})) // 4-byte offset
-	f.Add(mkReq(opTopicSnap, replyAddr, 9, "topic", []byte{1, 0, 0, 0})) // 4-byte offset past end
-	f.Add(mkReq(opRegistryInfo, replyAddr, 11, "", nil))
-	f.Add(mkReq(opTopicList, replyAddr, 13, "", []byte{0, 0}))
-	f.Add(mkReq(opTopicList, replyAddr, 13, "", []byte{0, 0, 0, 1}))       // 4-byte offset
-	f.Add(mkReq(opTopicList, replyAddr, 13, "", []byte{0xFF, 0, 0, 0xFF})) // offset far past end
-	f.Add(mkReq(99, replyAddr, 0, "x", nil))                               // unknown op
-	f.Add(mkReq(opLookup, 0, 0, "x", nil))                                 // invalid reply address
-	f.Add([]byte{opLookup, 0, 0})                                          // truncated header
-	f.Add(mkReq(opSubscribe, replyAddr, 0, "t", []byte{1}))                // invalid subscriber addr
-	// Sharded-registry extension: shard-map pages (in-range, past-end),
-	// reserved-topic mutations with and without the privilege marker,
-	// and a cursor ack on a reserved stream (always refused).
-	f.Add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 0}))
-	f.Add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 2}))
-	f.Add(mkReq(opShardMap, replyAddr, 17, "", []byte{0xFF, 0, 0, 0}))
-	f.Add(mkReq(opSubscribe, replyAddr, uint32(subAddr), "!registry/1", []byte{0, reservedMagic}))
-	f.Add(mkReq(opSubscribe, replyAddr, uint32(subAddr), "!registry", []byte{0}))
-	f.Add(mkReq(opUnsubscribe, replyAddr, uint32(subAddr), "!registry/1", []byte{reservedMagic}))
-	f.Add(mkReq(opUnsubscribe, replyAddr, uint32(subAddr), "!registry", nil))
-	f.Add(mkReq(opCursorAck, replyAddr, 23, "!registry", append(
-		[]byte{0, 0, 0, 0, 0, 0, 0, 9, 3}, "sub"...)))
-	f.Add(mkReq(opSubscribe, replyAddr, uint32(subAddr), "seeded-topic", []byte{2}))
-	// Edge plane: pattern subscriptions (accepted at every shard) and
-	// shard-routed presence leases with the [gwlen][gw] tail.
-	f.Add(mkReq(opPatternSub, replyAddr, uint32(subAddr), "metrics.*", nil))
-	f.Add(mkReq(opPatternSub, replyAddr, uint32(subAddr), "metrics.**", nil))
-	f.Add(mkReq(opPatternSub, replyAddr, uint32(subAddr), "bad..pattern", nil))
-	f.Add(mkReq(opPatternUnsub, replyAddr, uint32(subAddr), "metrics.*", nil))
-	f.Add(mkReq(opPresenceUp, replyAddr, uint32(subAddr), "gw-a/c1", append([]byte{4}, "gw-a"...)))
-	f.Add(mkReq(opPresenceUp, replyAddr, uint32(subAddr), "gw-a/c1", []byte{9})) // gw name overruns tail
-	f.Add(mkReq(opPresenceUp, replyAddr, uint32(subAddr), "!registry", append([]byte{2}, "gw"...)))
-	f.Add(mkReq(opPresenceDrop, replyAddr, 31, "gw-a/c1", nil))
-	f.Add(func() []byte { // name length runs past the request
-		r := mkReq(opLookup, replyAddr, 0, "abc", nil)
-		r[9] = 200
-		return r
-	}())
 
 	shardMap := shardmap.Restore(3, []shardmap.Entry{{ID: 0}, {ID: 1}, {ID: 2}})
 
@@ -146,8 +184,20 @@ func FuzzServerProcess(f *testing.F) {
 			}
 			if len(req) >= 10 && int(req[9])+10 <= len(req) {
 				// Parsed far enough to dispatch: the tag field must echo.
-				if got, want := resp[5:9], req[5:9]; req[0] != opLookup && string(got) != string(want) {
+				if got, want := resp[5:9], req[5:9]; OpKind(req[0]) != opLookup && string(got) != string(want) {
 					t.Fatalf("op %d dropped the tag echo: got %x want %x", req[0], got, want)
+				}
+				if row := rowOf(OpKind(req[0])); row != nil && !row.tagged {
+					tail := req[10+int(req[9]):]
+					_, id := row.splitID(tail)
+					if len(resp) != 9+len(id) || string(resp[9:]) != string(id) {
+						t.Fatalf("op %d, tail %x: response %x, want 9 bytes and the id %x", req[0], tail, resp, id)
+					}
+					if lens := map[OpKind][]int{OpSubscribe: {4, 5, 6}, OpUnsubscribe: {4, 5}}[OpKind(req[0])]; lens != nil {
+						if want := slices.Contains(lens, len(tail)); want != (id != nil) {
+							t.Fatalf("op %d, tail %x: id read = %v, want %v", req[0], tail, id != nil, want)
+						}
+					}
 				}
 			}
 		}

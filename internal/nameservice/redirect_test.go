@@ -12,7 +12,7 @@ func TestFollowOwnerChase(t *testing.T) {
 	var stats RedirectStats
 	owners := map[uint32]uint32{0: 2, 2: 1} // 0 -> 2 -> 1 (owner)
 	var visited []uint32
-	err := FollowOwner(0, 3, &stats, func(shard uint32) error {
+	err := FollowOwner(0, &stats, func(shard uint32) error {
 		visited = append(visited, shard)
 		if next, stale := owners[shard]; stale {
 			return &NotOwnerError{Topic: "metrics.gps", Shard: next}
@@ -35,7 +35,7 @@ func TestFollowOwnerChase(t *testing.T) {
 func TestFollowOwnerPassthrough(t *testing.T) {
 	boom := errors.New("wire fell over")
 	calls := 0
-	err := FollowOwner(5, 3, nil, func(shard uint32) error {
+	err := FollowOwner(5, nil, func(shard uint32) error {
 		calls++
 		if shard != 5 {
 			t.Fatalf("op ran on shard %d, want 5", shard)
@@ -47,13 +47,13 @@ func TestFollowOwnerPassthrough(t *testing.T) {
 	}
 }
 
-// TestFollowOwnerStorm: a chain still being redirected after maxHops
-// attempts counts a storm, reports ErrRedirectStorm, and keeps the
+// TestFollowOwnerStorm: a chain still being redirected after
+// DefaultMaxRedirects attempts counts a storm, reports ErrRedirectStorm, and keeps the
 // final NotOwnerError recoverable so the caller can refetch the map.
 func TestFollowOwnerStorm(t *testing.T) {
 	var stats RedirectStats
 	calls := uint32(0)
-	err := FollowOwner(0, 3, &stats, func(shard uint32) error {
+	err := FollowOwner(0, &stats, func(shard uint32) error {
 		calls++
 		return &NotOwnerError{Topic: "t", Shard: shard + 1} // never an owner
 	})
@@ -65,7 +65,7 @@ func TestFollowOwnerStorm(t *testing.T) {
 		t.Fatalf("final redirect not recoverable from %v (noe=%+v)", err, noe)
 	}
 	if calls != 3 {
-		t.Fatalf("op ran %d times, want exactly maxHops=3", calls)
+		t.Fatalf("op ran %d times, want exactly DefaultMaxRedirects=3", calls)
 	}
 	// The two followed hops count as redirects; the bound breach as one storm.
 	if stats.Redirects() != 2 || stats.Storms() != 1 {
@@ -73,10 +73,10 @@ func TestFollowOwnerStorm(t *testing.T) {
 	}
 }
 
-// TestFollowOwnerDefaultBound: maxHops <= 0 applies DefaultMaxRedirects.
+// TestFollowOwnerDefaultBound: the attempt bound is DefaultMaxRedirects.
 func TestFollowOwnerDefaultBound(t *testing.T) {
 	calls := 0
-	err := FollowOwner(0, 0, nil, func(uint32) error {
+	err := FollowOwner(0, nil, func(uint32) error {
 		calls++
 		return &NotOwnerError{Topic: "t", Shard: 9}
 	})

@@ -20,137 +20,72 @@ import (
 // "This requires receivers to obtain endpoint addresses of endpoints
 // they have allocated from FLIPC and pass those addresses to senders."
 //
-// Protocol (request, client→server):
+// The protocol is 14 ops over one request and one response layout. What
+// an op is — its code, what follows the name, how it is gated, where a
+// sharded caller sends it, what the registry does for it — is its row of
+// opTable and nothing else: Server.process, Client.do, TopicRegistry.Apply
+// and topic.ShardedDirectory all read the row. A 15th op is a row there,
+// a TopicRegistry method and a typed helper in internal/topic.
 //
-//	[0]   op (1=register, 2=lookup, 3=unregister)
-//	[1:5] reply address (the client's inbox)
-//	[5:9] payload address (register: the address being published)
-//	[9]   name length n
-//	[10:10+n] name
+// Request (client→server):
+//
+//	[0]       op code
+//	[1:5]     reply address (the client's inbox)
+//	[5:9]     lookup-shaped ops: the request id. Register-shaped ops:
+//	          the address the op is about (Op.Addr)
+//	[9]       name length n
+//	[10:10+n] name (endpoint name, topic, pattern or presence key)
+//	then      the row's tail fields in order (see tailField), and on a
+//	          register-shaped op 4 bytes of request id after them
 //
 // Response (server→client):
 //
-//	[0]   status (0=ok, 1=not found, 2=duplicate, 3=bad request)
-//	[1:5] resolved address (lookup ok)
-//	[5:9] request tag echo
+//	[0]    status
+//	[1:5]  result word: lookup's address, statusNotOwner's owning shard,
+//	       and what each paged op's builder says
+//	[5:9]  request [5:9] echoed
+//	then   on a register-shaped op the request id echoed at [9:13], if
+//	       the request carried one (an id-less request from a client
+//	       that predates it gets the 9 bytes it always got); on a
+//	       reading op the body its builder documents
 //
-// Requests carry a client-chosen tag (bytes [5:9] reused on lookup
-// responses) so one inbox can serve pipelined calls.
+// The client takes a reply as its answer only when every id it sent
+// comes back: a late reply to an earlier, timed-out call — which on a
+// register-shaped op echoes the same address whenever one subscriber
+// or gateway lane works on several topics — is skipped, never read as,
+// say, a statusNotOwner redirect for the wrong topic.
+//
+// A request passes, in order: the reserved gate ("!"-prefixed names are
+// replication streams; application traffic must not mix into one), the
+// shard route (statusNotOwner carries the owner, so a caller with a
+// stale map re-routes without a discovery round trip), the primary
+// check (a standby, or a primary that demoted itself after a store
+// failure, acknowledging a mutation would serve non-durable,
+// non-replicated state), the tail decode, and then its handler.
 
-// Ops and statuses. Ops 4–6 are the topic records (pub-sub membership,
-// see topics.go):
-//
-//	subscribe (4):   register-shaped; [5:9] is the subscriber's data
-//	                 address and one trailing byte after the name
-//	                 carries the topic's priority class
-//	unsubscribe (5): register-shaped; [5:9] is the subscriber's address
-//	snapshot (6):    lookup-shaped plus trailing offset bytes after the
-//	                 name (4-byte big-endian; a 2-byte offset from an
-//	                 older client is still accepted); the response is
-//	                 the paged layout
-//	                 [0] status | [1:5] membership generation |
-//	                 [5:9] tag echo | [9] class | [10] count |
-//	                 [11:11+4·count] subscriber addresses
-//
-// Snapshot responses page: the client re-requests with a growing
-// offset until a page comes back short.
-// Ops 7–8 are the failover-awareness extensions:
-//
-//	registry info (7): name-less; [5:9] is the request tag. Response:
-//	                   [0] status | [1:5] unused | [5:9] tag echo |
-//	                   [9] role (1=primary) | [10:18] registry gen |
-//	                   [18:26] mutation seq | [26:34] sweep epoch.
-//	                   Clients probe it to detect a failed-over registry
-//	                   (gen moved) and a standby uses gen+seq to bound
-//	                   its replication lag before taking over.
-//	topic list (8):    lookup-shaped plus trailing offset bytes (4-byte
-//	                   big-endian, 2-byte accepted); response
-//	                   [0] status | [1:5] total topic count |
-//	                   [5:9] tag echo | [9] page count | then count ×
-//	                   (len byte + name). Pages until offset reaches
-//	                   total — with topic snapshots, enough for a
-//	                   replica to bootstrap a full state resync.
-//	cursor ack (9):    lookup-shaped; [5:9] is the request tag and the
-//	                   trailing bytes after the topic name carry
-//	                   acked seq(8) | subscriber name len(1) | name.
-//	                   Registers a durable-stream replay cursor
-//	                   (max-merged, so retries and reordering are
-//	                   harmless). Mutation-gated like subscribe.
-//
-// Topic mutations (subscribe/unsubscribe) are refused with
-// statusNotPrimary at a node whose info source reports it is not the
-// primary registry: a standby (or a primary that self-demoted after a
-// store failure) acknowledging them would serve non-durable,
-// non-replicated state.
-//
-// Op 10 is the sharded-registry extension:
-//
-//	shard map (10):    lookup-shaped, name empty, trailing offset bytes
-//	                   (4-byte big-endian entry index). Response:
-//	                   [0] status | [1:5] this server's shard id |
-//	                   [5:9] tag echo | [9:17] map epoch |
-//	                   [17:19] total entries | [19] page count | then
-//	                   count x 10-byte entries (shardmap encoding).
-//	                   statusNotFound when the node carries no map
-//	                   (unsharded deployment).
-//
-// At a sharded node (SetShards installed), topic ops on a name owned
-// by another shard answer statusNotOwner with the owning shard id in
-// [1:5]: the client's map is stale (split, merge, or it never fetched
-// one), and the redirect carries enough to re-route without a second
-// round trip. Reserved "!"-prefixed names are exempt — each shard's
-// replication stream is node-local infrastructure.
-//
-// Reserved "!"-prefixed topics refuse client mutations with
-// statusReserved: application traffic must not mix into a replication
-// stream. A replica authorizes itself by appending the privilege
-// marker byte to subscribe/unsubscribe tails (Client.Privileged);
-// cursor acks on reserved topics are refused unconditionally (streams
-// are not durable topics).
-//
-// Ops 11–14 are the edge-plane extension (see patterns.go):
-//
-//	pattern sub (11):   register-shaped; name is a wildcard pattern
-//	                    ("metrics.*", grammar in ValidPattern), [5:9]
-//	                    the subscriber's data address. Accepted at
-//	                    EVERY shard — a pattern can match topics on any
-//	                    shard, so the gateway broadcasts it to all of
-//	                    them and each shard merges its own matches into
-//	                    the snapshots it serves. Lease-renewed like
-//	                    subscribe; soft state (never journaled).
-//	pattern unsub (12): register-shaped, mirror of 11.
-//	presence up (13):   register-shaped; name is the client presence
-//	                    key, [5:9] the terminating gateway's control
-//	                    address, tail gateway-name len(1) | name.
-//	                    Shard-routed by the KEY's hash (statusNotOwner
-//	                    redirects apply) so the edge plane's lease load
-//	                    spreads across the registry tier. Lease-renewed
-//	                    soft state: a dead gateway's clients age out.
-//	presence drop (14): lookup-shaped; [5:9] the request tag. Shard-
-//	                    routed like 13.
-//
-// Snapshot responses additionally carry a pattern block on their final
-// page (after the exact-subscriber block, when space allows):
-// [patcount byte][patcount × 4-byte addresses] — the pattern-plane
-// subscribers matching the topic, already deduplicated against the
-// exact set. Old clients never read past the exact block; old servers
-// never append one, which new clients read as zero patterns.
+// OpKind is an op's wire code. The directory ops — the requests
+// internal/topic builds as Op values — are exported; the rest are
+// reached through their Client methods only.
+type OpKind uint8
+
 const (
-	opRegister     = 1
-	opLookup       = 2
-	opUnregister   = 3
-	opSubscribe    = 4
-	opUnsubscribe  = 5
-	opTopicSnap    = 6
-	opRegistryInfo = 7
-	opTopicList    = 8
-	opCursorAck    = 9
-	opShardMap     = 10
-	opPatternSub   = 11
-	opPatternUnsub = 12
-	opPresenceUp   = 13
-	opPresenceDrop = 14
+	opRegister           OpKind = 1
+	opLookup             OpKind = 2
+	opUnregister         OpKind = 3
+	OpSubscribe          OpKind = 4
+	OpUnsubscribe        OpKind = 5
+	OpSnapshot           OpKind = 6
+	opRegistryInfo       OpKind = 7
+	opTopicList          OpKind = 8
+	OpAckCursor          OpKind = 9
+	opShardMap           OpKind = 10
+	OpSubscribePattern   OpKind = 11
+	OpUnsubscribePattern OpKind = 12
+	OpUpsertPresence     OpKind = 13
+	OpDropPresence       OpKind = 14
+)
 
+const (
 	statusOK         = 0
 	statusNotFound   = 1
 	statusDuplicate  = 2
@@ -160,25 +95,314 @@ const (
 	statusReserved   = 6
 )
 
-// reservedMagic is the trailing privilege marker a replica appends to
-// subscribe/unsubscribe requests for reserved "!"-prefixed topics.
+// Op is one directory request as a value: TopicRegistry.Apply executes
+// it in process, Client.Do at a remote registry, and every
+// topic.Directory forwards it unopened.
+type Op struct {
+	Kind  OpKind
+	Name  string    // topic, pattern or presence key
+	Addr  wire.Addr // the subscriber's data address; presence: the gateway's control address
+	Class uint8     // OpSubscribe: the topic's class byte
+	Seq   uint64    // OpAckCursor: the acknowledged sequence
+	Sub   string    // OpAckCursor: the subscriber's stable name; OpUpsertPresence: the gateway's
+}
+
+// tailField is one op-specific field after the name.
+type tailField uint8
+
+const (
+	tClass  tailField = iota // 1 byte, Op.Class; a request ending before it declares class 0
+	tMarker                  // 1 byte, reservedMagic; only a privileged client sends it
+	tSeq                     // 8 bytes, Op.Seq
+	tSub                     // length byte (1..255) then Op.Sub
+	tOffset                  // page offset, 4 bytes (the 2 bytes pre-failover clients send are still read; none is 0)
+)
+
+// reservedMagic is the privilege marker a replica puts in the tMarker
+// field of requests on reserved "!"-prefixed topics (Client.Privileged).
 // This is an anti-foot-gun, not a security boundary: anything on the
 // fabric can forge frames anyway (the paper's trust model); the marker
 // exists so no stock client wanders into a replication stream by name
 // collision or typo.
 const reservedMagic = 0x52
 
-// shardMapHeaderBytes is the fixed prefix of a shard-map response.
-const shardMapHeaderBytes = 19
+// opRow is everything the protocol knows about one op.
+type opRow struct {
+	name string // as client errors spell it; "" marks an unassigned code
+	// tagged: lookup-shaped, [5:9] is the request id. Otherwise the op
+	// is register-shaped: [5:9] is Op.Addr and the id trails the tail.
+	tagged bool
+	tail   []tailField // in wire order
+	// guarded: a "!"-prefixed name is refused with statusReserved —
+	// unless the row has a tMarker field and the request fills it.
+	guarded bool
+	// routed: the name belongs to one shard. Anywhere else the server
+	// answers statusNotOwner and a sharded caller follows the owner.
+	routed bool
+	// mutation: refused with statusNotPrimary where the info source
+	// says this node is not the primary.
+	mutation bool
+	// everyShard: a sharded caller sends it to every shard (a pattern
+	// can match topics on any of them).
+	everyShard bool
+	// apply is the registry call of a directory op (OpSnapshot, the one
+	// with a result, is TopicRegistry.Snapshot), and all the server does
+	// for it.
+	apply func(r *TopicRegistry, op Op) error
+	// serve builds the response of an op that is not a registry call,
+	// or whose response has a body.
+	serve func(s *Server, q *request) []byte
+}
 
-// snapHeaderBytes is the fixed prefix of a topic-snapshot response.
-const snapHeaderBytes = 11
+// request is a parsed, admitted request on its way to a serve function.
+type request struct {
+	op     Op
+	offset int    // tOffset
+	resp   []byte // status ok and the echoes in place; cap(resp) is the payload a response may fill
+}
 
-// infoRespBytes is the size of a registry-info response.
-const infoRespBytes = 34
+// opTable is the protocol, one row an op.
+var opTable = [...]opRow{
+	// register: bind name to Op.Addr in the endpoint directory.
+	opRegister: {name: "register", serve: func(s *Server, q *request) []byte {
+		if err := s.dir.Register(q.op.Name, q.op.Addr); errors.Is(err, ErrDuplicate) {
+			q.resp[0] = statusDuplicate
+		} else if err != nil {
+			q.resp[0] = statusBad
+		}
+		return q.resp
+	}},
+	// lookup: resolve name; the address comes back in [1:5].
+	opLookup: {name: "lookup", tagged: true, serve: func(s *Server, q *request) []byte {
+		if addr, err := s.dir.Lookup(q.op.Name); err != nil {
+			q.resp[0] = statusNotFound
+		} else {
+			binary.BigEndian.PutUint32(q.resp[1:5], uint32(addr))
+		}
+		return q.resp
+	}},
+	// unregister: drop name's binding (idempotent; Op.Addr is 0).
+	opUnregister: {name: "unregister", serve: func(s *Server, q *request) []byte {
+		s.dir.Unregister(q.op.Name)
+		return q.resp
+	}},
+	// subscribe: add or renew Op.Addr's subscription to topic name,
+	// declaring the topic's class. Renewing is the subscriber's job:
+	// the registry ages out what is not renewed within its TTL.
+	OpSubscribe: {name: "subscribe", tail: []tailField{tClass, tMarker}, guarded: true, routed: true, mutation: true,
+		apply: func(r *TopicRegistry, op Op) error {
+			if err := r.Declare(op.Name, op.Class); err != nil {
+				return err
+			}
+			return r.Subscribe(op.Name, op.Addr)
+		}},
+	// unsubscribe: remove Op.Addr from topic name (idempotent).
+	OpUnsubscribe: {name: "unsubscribe", tail: []tailField{tMarker}, guarded: true, routed: true, mutation: true,
+		apply: func(r *TopicRegistry, op Op) error {
+			r.Unsubscribe(op.Name, op.Addr)
+			return nil
+		}},
+	// snapshot: topic name's membership, paged (snapResponse). A reserved
+	// stream reads like any topic, and is always local (routeFor).
+	OpSnapshot: {name: "topic snapshot", tagged: true, tail: []tailField{tOffset}, routed: true, serve: (*Server).snapResponse},
+	// registry info: the node's failover status (infoResponse).
+	opRegistryInfo: {name: "registry info", tagged: true, serve: (*Server).infoResponse},
+	// topic list: every topic name, paged (listResponse); with a snapshot
+	// per name, enough for a replica to bootstrap a full resync.
+	opTopicList: {name: "topic list", tagged: true, tail: []tailField{tOffset}, serve: (*Server).listResponse},
+	// cursor ack: record subscriber Op.Sub's durable-stream cursor on
+	// topic name. Max-merged, so a retry or a reordered ack is harmless.
+	// Never on a reserved topic: replication streams are not durable
+	// topics, privileged caller or not.
+	OpAckCursor: {name: "cursor ack", tagged: true, tail: []tailField{tSeq, tSub}, guarded: true, routed: true, mutation: true,
+		apply: func(r *TopicRegistry, op Op) error { return r.AckCursor(op.Name, op.Sub, op.Seq) }},
+	// shard map: the consistent-hash map and this node's shard id, paged
+	// (shardMapResponse); statusNotFound from an unsharded node.
+	opShardMap: {name: "shard map", tagged: true, tail: []tailField{tOffset}, serve: (*Server).shardMapResponse},
+	// pattern sub: add or renew Op.Addr's subscription to every topic
+	// matching wildcard name (grammar: ValidPattern). Each shard merges
+	// its own matches into the snapshots it serves. Lease-renewed soft
+	// state, never journaled.
+	OpSubscribePattern: {name: "pattern subscribe", mutation: true, everyShard: true,
+		apply: func(r *TopicRegistry, op Op) error { return r.SubscribePattern(op.Name, op.Addr) }},
+	// pattern unsub: the mirror of pattern sub.
+	OpUnsubscribePattern: {name: "pattern unsubscribe", mutation: true, everyShard: true,
+		apply: func(r *TopicRegistry, op Op) error {
+			if err := ValidPattern(op.Name); err != nil {
+				return err
+			}
+			r.UnsubscribePattern(op.Name, op.Addr)
+			return nil
+		}},
+	// presence up: record or renew client key name's presence lease at
+	// gateway Op.Sub, reachable through control address Op.Addr. Routed
+	// by the KEY's hash, so the edge plane's lease load spreads over the
+	// registry tier; a dead gateway's clients age out.
+	OpUpsertPresence: {name: "presence upsert", tail: []tailField{tSub}, guarded: true, routed: true, mutation: true,
+		apply: func(r *TopicRegistry, op Op) error { return r.UpsertPresence(op.Name, op.Sub, op.Addr) }},
+	// presence drop: remove key name's lease (idempotent); routed like 13.
+	OpDropPresence: {name: "presence drop", tagged: true, guarded: true, routed: true, mutation: true,
+		apply: func(r *TopicRegistry, op Op) error {
+			r.DropPresence(op.Name)
+			return nil
+		}},
+}
+
+// rowOf returns kind's row, nil for a code the protocol does not assign.
+func rowOf(kind OpKind) *opRow {
+	if int(kind) >= len(opTable) || opTable[kind].name == "" {
+		return nil
+	}
+	return &opTable[kind]
+}
+
+// EveryShard reports whether a sharded caller sends the op to every
+// shard rather than to the one owning Op.Name.
+func (k OpKind) EveryShard() bool {
+	row := rowOf(k)
+	return row != nil && row.everyShard
+}
+
+// Apply executes one directory op against the registry: what the server
+// does with an admitted request and topic.LocalDirectory does in process.
+// A snapshot of a topic nobody declared is empty, not an error.
+func (r *TopicRegistry) Apply(op Op) (TopicSnapshot, error) {
+	if op.Kind == OpSnapshot {
+		snap, _ := r.Snapshot(op.Name)
+		return snap, nil
+	}
+	row := rowOf(op.Kind)
+	if row == nil || row.apply == nil {
+		return TopicSnapshot{}, fmt.Errorf("nameservice: op %d is not a directory op", op.Kind)
+	}
+	return TopicSnapshot{}, row.apply(r, op)
+}
+
+// marked reports whether tail fills the row's tMarker field. Only
+// single-byte fields precede a marker, so its index in the row is its
+// offset in the tail.
+func (r *opRow) marked(tail []byte) bool {
+	for i, f := range r.tail {
+		if f == tMarker {
+			return i < len(tail) && tail[i] == reservedMagic
+		}
+	}
+	return false
+}
+
+// splitID cuts a register-shaped request's tail into the declared
+// fields and the 4-byte request id behind them. The id is there exactly
+// when the tail is 4 bytes longer than one the row's fields can spell:
+// tClass and tMarker are each there or not (0..2 bytes on subscribe, so
+// an id makes the tail 4..6; 0..1 and 4..5 on unsubscribe; exactly 4
+// where the row has no fields), a tSub is as long as its first byte
+// says. Any other length is an id-less request whose tail reads as it
+// always did — which is what keeps tail[0] the class and tail[1] the
+// marker, never a byte of somebody's id.
+func (r *opRow) splitID(tail []byte) (declared, id []byte) {
+	lo, hi := 0, 0
+	for _, f := range r.tail {
+		switch f {
+		case tClass, tMarker:
+			hi++
+		case tSub:
+			if len(tail) > 0 {
+				lo, hi = lo+1+int(tail[0]), hi+1+int(tail[0])
+			}
+		}
+	}
+	if n := len(tail) - 4; n >= lo && n <= hi {
+		return tail[:n], tail[n:]
+	}
+	return tail, nil
+}
+
+// decodeTail reads the row's fields from tail into op, reporting the
+// page offset and whether every required field was whole.
+func (r *opRow) decodeTail(op *Op, tail []byte) (offset int, ok bool) {
+	for _, f := range r.tail {
+		switch f {
+		case tClass:
+			if len(tail) > 0 {
+				op.Class, tail = tail[0], tail[1:]
+			}
+		case tMarker: // read by the reserved gate
+			if len(tail) > 0 {
+				tail = tail[1:]
+			}
+		case tSeq:
+			if len(tail) < 8 {
+				return 0, false
+			}
+			op.Seq, tail = binary.BigEndian.Uint64(tail), tail[8:]
+		case tSub:
+			if len(tail) < 1 || tail[0] == 0 || 1+int(tail[0]) > len(tail) {
+				return 0, false
+			}
+			op.Sub, tail = string(tail[1:1+int(tail[0])]), tail[1+int(tail[0]):]
+		case tOffset:
+			if len(tail) >= 4 {
+				offset = int(binary.BigEndian.Uint32(tail))
+			} else if len(tail) >= 2 {
+				offset = int(binary.BigEndian.Uint16(tail))
+			}
+		}
+	}
+	return offset, true
+}
+
+// appendTail is decodeTail's inverse, on the client.
+func (r *opRow) appendTail(req []byte, op Op, privileged bool, offset int) ([]byte, error) {
+	for _, f := range r.tail {
+		switch f {
+		case tClass:
+			req = append(req, op.Class)
+		case tMarker:
+			if privileged {
+				req = append(req, reservedMagic)
+			}
+		case tSeq:
+			req = binary.BigEndian.AppendUint64(req, op.Seq)
+		case tSub:
+			if len(op.Sub) == 0 || len(op.Sub) > 255 {
+				return nil, fmt.Errorf("nameservice: %s %q: bad name length %d", r.name, op.Name, len(op.Sub))
+			}
+			req = append(append(req, byte(len(op.Sub))), op.Sub...)
+		case tOffset:
+			req = binary.BigEndian.AppendUint32(req, uint32(offset))
+		}
+	}
+	return req, nil
+}
+
+// statusSentinel is the error a caller can test for, per refusal status.
+var statusSentinel = map[byte]error{statusNotFound: ErrNotFound, statusDuplicate: ErrDuplicate,
+	statusNotPrimary: ErrNotPrimary, statusReserved: ErrReserved}
+
+// statusErr maps a response's status to the client's error.
+func (r *opRow) statusErr(name string, resp []byte) error {
+	switch sentinel := statusSentinel[resp[0]]; {
+	case resp[0] == statusOK:
+		return nil
+	case resp[0] == statusNotOwner:
+		return &NotOwnerError{Topic: name, Shard: binary.BigEndian.Uint32(resp[1:5])}
+	case sentinel != nil:
+		return fmt.Errorf("%w: %s %q", sentinel, r.name, name)
+	}
+	return fmt.Errorf("nameservice: %s %q failed (status %d)", r.name, name, resp[0])
+}
+
+// Fixed prefixes of the reading ops' responses, and the shardmap entry
+// encoding (id 4, weight 2, addr 4) of shard-map pages.
+const (
+	snapHeaderBytes     = 11
+	infoRespBytes       = 34
+	shardMapHeaderBytes = 19
+	shardEntryBytes     = 10
+)
 
 // RegistryInfo is a registry node's failover-relevant status, served by
-// op 7.
+// the registry-info op.
 type RegistryInfo struct {
 	// Primary reports whether this node currently serves mutations.
 	Primary bool
@@ -280,22 +504,26 @@ func (s *Server) SetShards(self uint32, fn func() *shardmap.Map) {
 	s.shards = fn
 }
 
+// shardMap returns the current shard map, nil at an unsharded server.
+func (s *Server) shardMap() *shardmap.Map {
+	if s.shards == nil {
+		return nil
+	}
+	return s.shards()
+}
+
 // routeFor resolves a topic's owning shard, reporting whether this
 // node owns it. Unsharded servers, unroutable names, and reserved
 // "!"-prefixed infrastructure topics are always owned locally.
 func (s *Server) routeFor(name string) (uint32, bool) {
-	if s.shards == nil || name == "" || name[0] == '!' {
+	m := s.shardMap()
+	if m == nil || name == "" || name[0] == '!' {
 		return s.shardSelf, true
 	}
-	m := s.shards()
-	if m == nil {
-		return s.shardSelf, true
+	if owner, ok := m.ShardOf(name); ok {
+		return owner, owner == s.shardSelf
 	}
-	owner, ok := m.ShardOf(name)
-	if !ok {
-		return s.shardSelf, true
-	}
-	return owner, owner == s.shardSelf
+	return s.shardSelf, true
 }
 
 // Addr is the server's well-known endpoint address.
@@ -339,7 +567,8 @@ func (s *Server) handle(req []byte) {
 // and response bytes (nil response: the request carried no valid reply
 // address, so there is nobody to refuse to). Factored from the receive
 // loop so the protocol parser can be driven directly — the fuzz harness
-// feeds it arbitrary requests without a live domain.
+// feeds it arbitrary requests without a live domain. This is the one
+// place a request is gated; the order is the one the file header gives.
 func (s *Server) process(req []byte, maxPayload int) (wire.Addr, []byte) {
 	if len(req) < 10 {
 		return wire.NilAddr, nil
@@ -348,172 +577,45 @@ func (s *Server) process(req []byte, maxPayload int) (wire.Addr, []byte) {
 	if !replyTo.Valid() {
 		return wire.NilAddr, nil
 	}
-	resp := make([]byte, 9)
-	copy(resp[5:9], req[5:9]) // default tag echo (lookup overwrites below)
-
-	op := req[0]
-	n := int(req[9])
-	if 10+n > len(req) {
-		resp[0] = statusBad
+	resp := make([]byte, 9, maxPayload)
+	copy(resp[5:9], req[5:9])
+	refuse := func(status byte, word uint32) (wire.Addr, []byte) {
+		resp[0] = status
+		binary.BigEndian.PutUint32(resp[1:5], word)
 		return replyTo, resp
 	}
-	name := string(req[10 : 10+n])
-	tail := req[10+n:] // op-specific trailing bytes
-	switch op {
-	case opRegister:
-		addr := wire.Addr(binary.BigEndian.Uint32(req[5:9]))
-		if err := s.dir.Register(name, addr); err != nil {
-			if errors.Is(err, ErrDuplicate) {
-				resp[0] = statusDuplicate
-			} else {
-				resp[0] = statusBad
-			}
+	n := int(req[9])
+	row := rowOf(OpKind(req[0]))
+	if row == nil || 10+n > len(req) {
+		return refuse(statusBad, 0)
+	}
+	op := Op{Kind: OpKind(req[0]), Name: string(req[10 : 10+n]), Addr: wire.Addr(binary.BigEndian.Uint32(req[5:9]))}
+	tail := req[10+n:]
+	if !row.tagged {
+		var id []byte
+		tail, id = row.splitID(tail)
+		resp = append(resp, id...)
+	}
+	if row.guarded && reserved(op.Name) && !row.marked(tail) {
+		return refuse(statusReserved, 0)
+	}
+	if row.routed {
+		if owner, owned := s.routeFor(op.Name); !owned {
+			return refuse(statusNotOwner, owner)
 		}
-	case opLookup:
-		addr, err := s.dir.Lookup(name)
-		if err != nil {
-			resp[0] = statusNotFound
-		} else {
-			binary.BigEndian.PutUint32(resp[1:5], uint32(addr))
-		}
-	case opUnregister:
-		s.dir.Unregister(name)
-	case opSubscribe:
-		if reserved(name) && !(len(tail) >= 2 && tail[1] == reservedMagic) {
-			resp[0] = statusReserved
-			break
-		}
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		addr := wire.Addr(binary.BigEndian.Uint32(req[5:9]))
-		var class uint8
-		if len(tail) >= 1 {
-			class = tail[0]
-		}
-		if err := s.topics.Declare(name, class); err != nil {
-			resp[0] = statusBad
-		} else if err := s.topics.Subscribe(name, addr); err != nil {
-			resp[0] = statusBad
-		}
-	case opUnsubscribe:
-		if reserved(name) && !(len(tail) >= 1 && tail[0] == reservedMagic) {
-			resp[0] = statusReserved
-			break
-		}
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		s.topics.Unsubscribe(name, wire.Addr(binary.BigEndian.Uint32(req[5:9])))
-	case opCursorAck:
-		if reserved(name) {
-			// Replication streams are not durable topics: no cursor may
-			// ever land on one, privileged or not.
-			resp[0] = statusReserved
-			break
-		}
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		if len(tail) < 10 || 9+int(tail[8]) > len(tail) || tail[8] == 0 {
-			resp[0] = statusBad
-			break
-		}
-		seq := binary.BigEndian.Uint64(tail[0:8])
-		sub := string(tail[9 : 9+int(tail[8])])
-		if err := s.topics.AckCursor(name, sub, seq); err != nil {
-			resp[0] = statusBad
-		}
-	case opPatternSub:
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		addr := wire.Addr(binary.BigEndian.Uint32(req[5:9]))
-		if err := s.topics.SubscribePattern(name, addr); err != nil {
-			resp[0] = statusBad
-		}
-	case opPatternUnsub:
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		if err := ValidPattern(name); err != nil {
-			resp[0] = statusBad
-			break
-		}
-		s.topics.UnsubscribePattern(name, wire.Addr(binary.BigEndian.Uint32(req[5:9])))
-	case opPresenceUp:
-		if reserved(name) {
-			resp[0] = statusReserved
-			break
-		}
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		if len(tail) < 1 || 1+int(tail[0]) > len(tail) || tail[0] == 0 {
-			resp[0] = statusBad
-			break
-		}
-		gw := string(tail[1 : 1+int(tail[0])])
-		addr := wire.Addr(binary.BigEndian.Uint32(req[5:9]))
-		if err := s.topics.UpsertPresence(name, gw, addr); err != nil {
-			resp[0] = statusBad
-		}
-	case opPresenceDrop:
-		if reserved(name) {
-			resp[0] = statusReserved
-			break
-		}
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		if !s.mutable() {
-			resp[0] = statusNotPrimary
-			break
-		}
-		s.topics.DropPresence(name)
-	case opTopicSnap:
-		if owner, owned := s.routeFor(name); !owned {
-			resp[0] = statusNotOwner
-			binary.BigEndian.PutUint32(resp[1:5], owner)
-			break
-		}
-		return replyTo, s.snapResponse(name, pageOffset(tail), req[5:9], maxPayload)
-	case opRegistryInfo:
-		return replyTo, s.infoResponse(req[5:9])
-	case opTopicList:
-		return replyTo, s.listResponse(pageOffset(tail), req[5:9], maxPayload)
-	case opShardMap:
-		return replyTo, s.shardMapResponse(pageOffset(tail), req[5:9], maxPayload)
-	default:
-		resp[0] = statusBad
+	}
+	if row.mutation && !s.mutable() {
+		return refuse(statusNotPrimary, 0)
+	}
+	offset, ok := row.decodeTail(&op, tail)
+	if !ok {
+		return refuse(statusBad, 0)
+	}
+	if row.serve != nil {
+		return replyTo, row.serve(s, &request{op: op, offset: offset, resp: resp})
+	}
+	if err := row.apply(s.topics, op); err != nil {
+		return refuse(statusBad, 0)
 	}
 	return replyTo, resp
 }
@@ -529,66 +631,46 @@ func (s *Server) mutable() bool {
 	return s.info == nil || s.info().Primary
 }
 
-// pageOffset decodes the trailing page-offset bytes of a snapshot or
-// topic-list request: 4-byte big-endian, with the pre-failover 2-byte
-// encoding still accepted (it caps paging at 65535 entries, which is
-// why current clients send 4 bytes).
-func pageOffset(tail []byte) int {
-	if len(tail) >= 4 {
-		return int(binary.BigEndian.Uint32(tail[0:4]))
-	}
-	if len(tail) >= 2 {
-		return int(binary.BigEndian.Uint16(tail[0:2]))
-	}
-	return 0
-}
-
-// infoResponse builds a registry-info response.
-func (s *Server) infoResponse(tag []byte) []byte {
+// infoResponse answers registry info: [9] role (1 = primary) | [10:18]
+// registry generation | [18:26] mutation seq | [26:34] sweep epoch.
+// Clients probe it to detect a failed-over registry (the generation
+// moved); a standby bounds its replication lag with gen+seq before it
+// takes over.
+func (s *Server) infoResponse(q *request) []byte {
 	info := RegistryInfo{Primary: true, Gen: s.topics.RegistryGen(), Epoch: s.topics.Epoch()}
 	if s.info != nil {
 		info = s.info()
 	}
-	resp := make([]byte, infoRespBytes)
-	copy(resp[5:9], tag)
+	resp := append(q.resp, 0)
 	if info.Primary {
 		resp[9] = 1
 	}
-	binary.BigEndian.PutUint64(resp[10:18], info.Gen)
-	binary.BigEndian.PutUint64(resp[18:26], info.Seq)
-	binary.BigEndian.PutUint64(resp[26:34], info.Epoch)
-	return resp
+	resp = binary.BigEndian.AppendUint64(resp, info.Gen)
+	resp = binary.BigEndian.AppendUint64(resp, info.Seq)
+	return binary.BigEndian.AppendUint64(resp, info.Epoch)
 }
 
-// listResponse builds one page of a topic-list response.
-func (s *Server) listResponse(offset int, tag []byte, maxPayload int) []byte {
-	resp := make([]byte, 10, maxPayload)
-	copy(resp[5:9], tag)
+// listResponse answers one topic-list page: [1:5] total topic count |
+// [9] entries in this page | then per entry a length byte and the name.
+// The client pages until its offset reaches the total.
+func (s *Server) listResponse(q *request) []byte {
+	resp := append(q.resp, 0)
 	names := s.topics.Topics()
 	binary.BigEndian.PutUint32(resp[1:5], uint32(len(names)))
-	count := 0
-	for i := offset; i < len(names) && count < 255; i++ {
-		entry := 1 + len(names[i])
-		if len(resp)+entry > maxPayload {
-			break
-		}
-		resp = append(resp, byte(len(names[i])))
-		resp = append(resp, names[i]...)
-		count++
+	for i := q.offset; i < len(names) && resp[9] < 255 && len(resp)+1+len(names[i]) <= cap(q.resp); i++ {
+		resp = append(append(resp, byte(len(names[i]))), names[i]...)
+		resp[9]++
 	}
-	resp[9] = byte(count)
 	return resp
 }
 
-// shardMapResponse builds one page of a shard-map response (op 10).
-func (s *Server) shardMapResponse(offset int, tag []byte, maxPayload int) []byte {
-	resp := make([]byte, shardMapHeaderBytes+1, maxPayload)
-	copy(resp[5:9], tag)
-	if s.shards == nil {
-		resp[0] = statusNotFound
-		return resp
-	}
-	m := s.shards()
+// shardMapResponse answers one shard-map page: [1:5] this server's shard
+// id | [9:17] map epoch | [17:19] total entries | [19] entries in this
+// page | then the entries. statusNotFound when the node carries no map
+// (unsharded deployment).
+func (s *Server) shardMapResponse(q *request) []byte {
+	resp := append(q.resp, make([]byte, shardMapHeaderBytes+1-len(q.resp))...)
+	m := s.shardMap()
 	if m == nil {
 		resp[0] = statusNotFound
 		return resp
@@ -597,83 +679,44 @@ func (s *Server) shardMapResponse(offset int, tag []byte, maxPayload int) []byte
 	binary.BigEndian.PutUint64(resp[9:17], m.Epoch())
 	entries := m.Entries()
 	binary.BigEndian.PutUint16(resp[17:19], uint16(len(entries)))
-	perPage := (maxPayload - shardMapHeaderBytes - 1) / shardEntryBytes
-	if perPage > 255 {
-		perPage = 255
+	for i := q.offset; i < len(entries) && resp[19] < 255 && len(resp)+shardEntryBytes <= cap(q.resp); i++ {
+		resp = binary.BigEndian.AppendUint32(resp, entries[i].ID)
+		resp = binary.BigEndian.AppendUint16(resp, entries[i].Weight)
+		resp = binary.BigEndian.AppendUint32(resp, entries[i].Addr)
+		resp[19]++
 	}
-	count := 0
-	for i := offset; i < len(entries) && count < perPage; i++ {
-		resp = appendShardEntry(resp, entries[i])
-		count++
-	}
-	resp[shardMapHeaderBytes] = byte(count)
 	return resp
 }
 
-// shardEntryBytes mirrors the shardmap entry encoding (id 4, weight 2,
-// addr 4) used in op-10 pages.
-const shardEntryBytes = 10
-
-func appendShardEntry(dst []byte, e shardmap.Entry) []byte {
-	var buf [shardEntryBytes]byte
-	binary.BigEndian.PutUint32(buf[0:4], e.ID)
-	binary.BigEndian.PutUint16(buf[4:6], e.Weight)
-	binary.BigEndian.PutUint32(buf[6:10], e.Addr)
-	return append(dst, buf[:]...)
-}
-
-func decodeShardEntry(b []byte) shardmap.Entry {
-	return shardmap.Entry{
-		ID:     binary.BigEndian.Uint32(b[0:4]),
-		Weight: binary.BigEndian.Uint16(b[4:6]),
-		Addr:   binary.BigEndian.Uint32(b[6:10]),
-	}
-}
-
-// snapResponse builds one page of a topic-snapshot response.
-func (s *Server) snapResponse(name string, offset int, tag []byte, maxPayload int) []byte {
-	resp := make([]byte, snapHeaderBytes, maxPayload)
-	copy(resp[5:9], tag)
-	snap, ok := s.topics.Snapshot(name)
+// snapResponse answers one topic-snapshot page: [1:5] membership
+// generation | [9] class | [10] addresses in this page | then 4 bytes an
+// address. A page holding fewer than fit is the last, and carries the
+// pattern block after it when space allows: a count byte and the
+// pattern-plane subscribers matching the topic, already deduplicated
+// against the exact set. Old clients never read past the exact block;
+// old servers never append one, which new clients read as no patterns.
+func (s *Server) snapResponse(q *request) []byte {
+	resp := append(q.resp, 0, 0)
+	snap, ok := s.topics.Snapshot(q.op.Name)
 	if !ok {
 		resp[0] = statusNotFound
 		return resp
 	}
 	binary.BigEndian.PutUint32(resp[1:5], snap.Gen)
 	resp[9] = snap.Class
-	perPage := (maxPayload - snapHeaderBytes) / 4
-	if perPage > 255 {
-		perPage = 255
+	perPage := min((cap(q.resp)-snapHeaderBytes)/4, 255)
+	for i := q.offset; i < len(snap.Subs) && int(resp[10]) < perPage; i++ {
+		resp = binary.BigEndian.AppendUint32(resp, uint32(snap.Subs[i].Addr))
+		resp[10]++
 	}
-	count := 0
-	var addrs [4]byte
-	for i := offset; i < len(snap.Subs) && count < perPage; i++ {
-		binary.BigEndian.PutUint32(addrs[:], uint32(snap.Subs[i].Addr))
-		resp = append(resp, addrs[:]...)
-		count++
-	}
-	resp[10] = byte(count)
-	if offset+count >= len(snap.Subs) && count < perPage && len(snap.Pats) > 0 {
-		// Final page (the client stops paging at a short exact block):
-		// append the pattern block, capped to the space left. Pattern
-		// subscribers per topic are a handful of gateway endpoints, so
-		// a single page holds them at any realistic payload size; a
-		// truncated block self-heals on the next plan refresh once the
-		// exact set shrinks or the payload grows.
-		patFit := (maxPayload - len(resp) - 1) / 4
-		if patFit > 255 {
-			patFit = 255
-		}
-		patCount := len(snap.Pats)
-		if patCount > patFit {
-			patCount = patFit
-		}
-		if patCount > 0 {
-			resp = append(resp, byte(patCount))
-			for i := 0; i < patCount; i++ {
-				binary.BigEndian.PutUint32(addrs[:], uint32(snap.Pats[i].Addr))
-				resp = append(resp, addrs[:]...)
-			}
+	// Pattern subscribers per topic are a handful of gateway endpoints,
+	// so the last page holds them at any realistic payload size; a
+	// block cut to the space left self-heals on the next plan refresh
+	// once the exact set shrinks or the payload grows.
+	if pats := min(len(snap.Pats), (cap(q.resp)-len(resp)-1)/4, 255); int(resp[10]) < perPage && pats > 0 {
+		resp = append(resp, byte(pats))
+		for _, p := range snap.Pats[:pats] {
+			resp = binary.BigEndian.AppendUint32(resp, uint32(p.Addr))
 		}
 	}
 	return resp
@@ -724,34 +767,36 @@ func NewClient(d *core.Domain, server wire.Addr) (*Client, error) {
 	return &Client{d: d, server: server, in: in, out: out}, nil
 }
 
-// buildReq assembles the common request layout: op, reply address, a
-// 4-byte payload/tag field, the name, and op-specific trailing bytes.
-func (c *Client) buildReq(op byte, name string, field uint32, tail []byte) ([]byte, error) {
-	if len(name) > 200 || 10+len(name)+len(tail) > c.d.MaxPayload() {
-		return nil, fmt.Errorf("nameservice: name %q too long for message size", name)
+// do performs one request/response exchange, for every op: lay the
+// request out from the op's row, send it, wait for the reply that echoes
+// what this request sent, and map its status.
+func (c *Client) do(op Op, offset int, timeout time.Duration) ([]byte, error) {
+	row := rowOf(op.Kind)
+	if row == nil {
+		return nil, fmt.Errorf("nameservice: unknown op %d", op.Kind)
 	}
-	req := make([]byte, 10+len(name)+len(tail))
-	req[0] = op
+	c.tag++
+	field := c.tag
+	if !row.tagged {
+		field = uint32(op.Addr)
+	}
+	req := make([]byte, 10, c.d.MaxPayload())
+	req[0] = byte(op.Kind)
 	binary.BigEndian.PutUint32(req[1:5], uint32(c.in.Addr()))
 	binary.BigEndian.PutUint32(req[5:9], field)
-	req[9] = byte(len(name))
-	copy(req[10:], name)
-	copy(req[10+len(name):], tail)
-	return req, nil
-}
-
-// roundtrip sends req and waits for its response. The server echoes
-// req[5:9] (the tag, or the address a register-shaped op names) into
-// resp[5:9] on every path, so a reply carrying anything else is the
-// late answer to an earlier timed-out call and is skipped — taking it
-// as this call's answer would, e.g., follow a stale statusNotOwner to
-// the wrong shard.
-func (c *Client) roundtrip(req []byte, timeout time.Duration) ([]byte, error) {
+	req[9] = byte(len(op.Name))
+	req, err := row.appendTail(append(req, op.Name...), op, c.Privileged, offset)
+	if err != nil {
+		return nil, err
+	}
+	if !row.tagged {
+		req = binary.BigEndian.AppendUint32(req, c.tag)
+	}
+	if len(op.Name) > 200 || len(req) > c.d.MaxPayload() {
+		return nil, fmt.Errorf("nameservice: name %q too long for message size", op.Name)
+	}
 	deadline := time.Now().Add(timeout)
-	for {
-		if err := c.out.Send(c.server, req); err == nil {
-			break
-		}
+	for c.out.Send(c.server, req) != nil {
 		if time.Now().After(deadline) {
 			return nil, ErrRemoteTimeout
 		}
@@ -766,295 +811,52 @@ func (c *Client) roundtrip(req []byte, timeout time.Duration) ([]byte, error) {
 		if len(resp) < 9 {
 			return nil, ErrBadReply
 		}
-		if !bytes.Equal(resp[5:9], req[5:9]) {
-			continue
+		if !bytes.Equal(resp[5:9], req[5:9]) ||
+			!row.tagged && (len(resp) < 13 || !bytes.Equal(resp[9:13], req[len(req)-4:])) {
+			continue // the late answer to an earlier call that timed out
 		}
-		return resp, nil
+		return resp, row.statusErr(op.Name, resp)
 	}
 	return nil, ErrRemoteTimeout
 }
 
-// call performs one request/response with a deadline.
-func (c *Client) call(op byte, name string, payload wire.Addr, timeout time.Duration) (status byte, addr wire.Addr, err error) {
-	c.tag++
-	field := uint32(payload)
-	if op == opLookup {
-		field = c.tag
+// Do executes one directory op at the server, with the meaning
+// TopicRegistry.Apply gives it in process. A sharded registry can answer
+// a *NotOwnerError redirect: follow it with FollowOwner.
+func (c *Client) Do(op Op, timeout time.Duration) (TopicSnapshot, error) {
+	if op.Kind == OpSnapshot {
+		snap, err := c.TopicSnapshot(op.Name, timeout)
+		if errors.Is(err, ErrNotFound) {
+			return TopicSnapshot{Name: op.Name}, nil
+		}
+		return snap, err
 	}
-	req, err := c.buildReq(op, name, field, nil)
-	if err != nil {
-		return 0, wire.NilAddr, err
+	if row := rowOf(op.Kind); row == nil || row.apply == nil {
+		return TopicSnapshot{}, fmt.Errorf("nameservice: op %d is not a directory op", op.Kind)
 	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return 0, wire.NilAddr, err
-	}
-	return resp[0], wire.Addr(binary.BigEndian.Uint32(resp[1:5])), nil
+	_, err := c.do(op, 0, timeout)
+	return TopicSnapshot{}, err
 }
 
 // Register publishes name → addr at the server.
 func (c *Client) Register(name string, addr wire.Addr, timeout time.Duration) error {
-	st, _, err := c.call(opRegister, name, addr, timeout)
-	if err != nil {
-		return err
-	}
-	switch st {
-	case statusOK:
-		return nil
-	case statusDuplicate:
-		return fmt.Errorf("%w: %q", ErrDuplicate, name)
-	default:
-		return fmt.Errorf("nameservice: register %q failed (status %d)", name, st)
-	}
+	_, err := c.do(Op{Kind: opRegister, Name: name, Addr: addr}, 0, timeout)
+	return err
 }
 
 // Lookup resolves name at the server.
 func (c *Client) Lookup(name string, timeout time.Duration) (wire.Addr, error) {
-	st, addr, err := c.call(opLookup, name, wire.NilAddr, timeout)
+	resp, err := c.do(Op{Kind: opLookup, Name: name}, 0, timeout)
 	if err != nil {
 		return wire.NilAddr, err
 	}
-	switch st {
-	case statusOK:
-		return addr, nil
-	case statusNotFound:
-		return wire.NilAddr, fmt.Errorf("%w: %q", ErrNotFound, name)
-	default:
-		return wire.NilAddr, fmt.Errorf("nameservice: lookup %q failed (status %d)", name, st)
-	}
+	return wire.Addr(binary.BigEndian.Uint32(resp[1:5])), nil
 }
 
-// Subscribe adds (or renews) addr's subscription to topic at the
-// server, declaring the topic's priority class. Renewals are the
-// client's responsibility: re-call on the lease cadence (the server
-// ages out subscriptions not renewed within the registry TTL).
-func (c *Client) Subscribe(topic string, addr wire.Addr, class uint8, timeout time.Duration) error {
-	tail := []byte{class}
-	if c.Privileged {
-		tail = append(tail, reservedMagic)
-	}
-	req, err := c.buildReq(opSubscribe, topic, uint32(addr), tail)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	if err := topicStatusErr(resp, "subscribe", topic); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Unsubscribe removes addr's subscription to topic at the server.
-func (c *Client) Unsubscribe(topic string, addr wire.Addr, timeout time.Duration) error {
-	var tail []byte
-	if c.Privileged {
-		tail = []byte{reservedMagic}
-	}
-	req, err := c.buildReq(opUnsubscribe, topic, uint32(addr), tail)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	if err := topicStatusErr(resp, "unsubscribe", topic); err != nil {
-		return err
-	}
-	return nil
-}
-
-// AckCursor registers subscriber sub's acknowledged durable-stream
-// cursor on topic at the server (op 9). Acks are max-merged server-
-// side, so retrying after a timeout is safe even if the original
-// request landed.
-func (c *Client) AckCursor(topic, sub string, seq uint64, timeout time.Duration) error {
-	if len(sub) == 0 || len(sub) > 255 {
-		return fmt.Errorf("nameservice: bad cursor subscriber name length %d", len(sub))
-	}
-	c.tag++
-	tail := make([]byte, 9+len(sub))
-	binary.BigEndian.PutUint64(tail[0:8], seq)
-	tail[8] = byte(len(sub))
-	copy(tail[9:], sub)
-	req, err := c.buildReq(opCursorAck, topic, c.tag, tail)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	if err := topicStatusErr(resp, "cursor ack", topic); err != nil {
-		return err
-	}
-	return nil
-}
-
-// topicStatusErr maps a topic-op response status to its client error:
-// nil on OK, the sentinel-wrapped errors on the retryable refusals
-// (not-primary, not-owner, reserved), and a generic error otherwise.
-func topicStatusErr(resp []byte, op, topic string) error {
-	switch resp[0] {
-	case statusOK:
-		return nil
-	case statusNotPrimary:
-		return fmt.Errorf("%w: %s %q", ErrNotPrimary, op, topic)
-	case statusNotOwner:
-		return &NotOwnerError{Topic: topic, Shard: binary.BigEndian.Uint32(resp[1:5])}
-	case statusReserved:
-		return fmt.Errorf("%w: %s %q", ErrReserved, op, topic)
-	default:
-		return fmt.Errorf("nameservice: %s %q failed (status %d)", op, topic, resp[0])
-	}
-}
-
-// TopicSnapshot fetches topic's full membership from the server,
-// paging through snapshot responses until a page comes back short.
-func (c *Client) TopicSnapshot(topic string, timeout time.Duration) (TopicSnapshot, error) {
-	snap := TopicSnapshot{Name: topic}
-	deadline := time.Now().Add(timeout)
-	for offset := 0; ; {
-		c.tag++
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicSnap, topic, c.tag, tail[:])
-		if err != nil {
-			return snap, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return snap, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain)
-		if err != nil {
-			return snap, err
-		}
-		if resp[0] == statusNotFound {
-			return snap, fmt.Errorf("%w: topic %q", ErrNotFound, topic)
-		}
-		if resp[0] == statusNotOwner {
-			return snap, &NotOwnerError{Topic: topic, Shard: binary.BigEndian.Uint32(resp[1:5])}
-		}
-		if resp[0] != statusOK || len(resp) < snapHeaderBytes {
-			return snap, fmt.Errorf("%w: topic snapshot status %d", ErrBadReply, resp[0])
-		}
-		gen := binary.BigEndian.Uint32(resp[1:5])
-		if offset > 0 && gen != snap.Gen {
-			// Membership moved between pages: restart for a consistent view.
-			snap.Subs = snap.Subs[:0]
-			snap.Pats = snap.Pats[:0]
-			offset = 0
-			snap.Gen = gen
-			snap.Class = resp[9]
-			continue
-		}
-		snap.Gen = gen
-		snap.Class = resp[9]
-		count := int(resp[10])
-		if len(resp) < snapHeaderBytes+4*count {
-			return snap, fmt.Errorf("%w: truncated snapshot page", ErrBadReply)
-		}
-		for i := 0; i < count; i++ {
-			a := wire.Addr(binary.BigEndian.Uint32(resp[snapHeaderBytes+4*i:]))
-			snap.Subs = append(snap.Subs, Subscription{Addr: a})
-		}
-		perPage := (c.d.MaxPayload() - snapHeaderBytes) / 4
-		if perPage > 255 {
-			perPage = 255
-		}
-		if count < perPage {
-			// Final page: it may carry the pattern block (servers without
-			// the edge plane simply end the payload here).
-			off := snapHeaderBytes + 4*count
-			if len(resp) > off {
-				patCount := int(resp[off])
-				if len(resp) < off+1+4*patCount {
-					return snap, fmt.Errorf("%w: truncated snapshot pattern block", ErrBadReply)
-				}
-				snap.Pats = snap.Pats[:0]
-				for i := 0; i < patCount; i++ {
-					a := wire.Addr(binary.BigEndian.Uint32(resp[off+1+4*i:]))
-					snap.Pats = append(snap.Pats, Subscription{Addr: a})
-				}
-			}
-			return snap, nil
-		}
-		offset += count
-	}
-}
-
-// SubscribePattern adds (or renews) addr's subscription to pattern pat
-// at the server (op 11). Patterns are accepted at every shard — a
-// sharded caller broadcasts the subscription to all of them (see
-// topic.ShardedDirectory) — and lease-renewed on the same cadence as
-// exact subscriptions.
-func (c *Client) SubscribePattern(pat string, addr wire.Addr, timeout time.Duration) error {
-	if err := ValidPattern(pat); err != nil {
-		return err
-	}
-	req, err := c.buildReq(opPatternSub, pat, uint32(addr), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	return topicStatusErr(resp, "pattern subscribe", pat)
-}
-
-// UnsubscribePattern removes addr's subscription to pat (op 12).
-func (c *Client) UnsubscribePattern(pat string, addr wire.Addr, timeout time.Duration) error {
-	req, err := c.buildReq(opPatternUnsub, pat, uint32(addr), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	return topicStatusErr(resp, "pattern unsubscribe", pat)
-}
-
-// UpsertPresence records (or renews) client key's presence lease at
-// gateway gw, reachable through addr (op 13). Presence is routed by
-// the key's hash at a sharded registry, so the call can answer a
-// *NotOwnerError redirect — follow it with FollowOwner.
-func (c *Client) UpsertPresence(key, gw string, addr wire.Addr, timeout time.Duration) error {
-	if len(gw) == 0 || len(gw) > MaxPresenceName {
-		return fmt.Errorf("nameservice: bad gateway name length %d", len(gw))
-	}
-	tail := make([]byte, 1+len(gw))
-	tail[0] = byte(len(gw))
-	copy(tail[1:], gw)
-	req, err := c.buildReq(opPresenceUp, key, uint32(addr), tail)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	return topicStatusErr(resp, "presence upsert", key)
-}
-
-// DropPresence removes client key's presence lease (op 14). Idempotent;
-// shard-routed like UpsertPresence.
-func (c *Client) DropPresence(key string, timeout time.Duration) error {
-	c.tag++
-	req, err := c.buildReq(opPresenceDrop, key, c.tag, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return err
-	}
-	return topicStatusErr(resp, "presence drop", key)
+// Unregister removes name at the server.
+func (c *Client) Unregister(name string, timeout time.Duration) error {
+	_, err := c.do(Op{Kind: opUnregister, Name: name}, 0, timeout)
+	return err
 }
 
 // RegistryInfo fetches the registry node's failover status: role,
@@ -1062,17 +864,12 @@ func (c *Client) DropPresence(key string, timeout time.Duration) error {
 // it to detect a failed-over registry (the generation moved) and to
 // pick the primary among candidate registry endpoints.
 func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
-	c.tag++
-	req, err := c.buildReq(opRegistryInfo, "", c.tag, nil)
+	resp, err := c.do(Op{Kind: opRegistryInfo}, 0, timeout)
+	if err == nil && len(resp) < infoRespBytes {
+		err = fmt.Errorf("%w: registry info of %d bytes", ErrBadReply, len(resp))
+	}
 	if err != nil {
 		return RegistryInfo{}, err
-	}
-	resp, err := c.roundtrip(req, timeout)
-	if err != nil {
-		return RegistryInfo{}, err
-	}
-	if resp[0] != statusOK || len(resp) < infoRespBytes {
-		return RegistryInfo{}, fmt.Errorf("%w: registry info status %d", ErrBadReply, resp[0])
 	}
 	return RegistryInfo{
 		Primary: resp[9] == 1,
@@ -1082,127 +879,142 @@ func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
 	}, nil
 }
 
-// TopicList fetches every topic name known to the registry, paging
-// until the server-reported total is reached. With TopicSnapshot per
-// name, it is enough for a replica to bootstrap a full state resync.
+// pages fetches a paged op: it requests offset 0 and hands every
+// response to add, which takes the page in and says where the next one
+// starts — 0 when the view moved under the fetch and it starts over —
+// or that this page was the last. A page that neither ends the fetch
+// nor advances it is an error, not completion: one topic name the
+// server cannot fit into a page (or any other stall) must not let a
+// replica bootstrap silently install incomplete state.
+func (c *Client) pages(kind OpKind, name string, timeout time.Duration, add func(resp []byte, offset int) (next int, done bool, err error)) error {
+	deadline := time.Now().Add(timeout)
+	for offset := 0; ; {
+		remain := time.Until(deadline)
+		if remain <= 0 {
+			return ErrRemoteTimeout
+		}
+		resp, err := c.do(Op{Kind: kind, Name: name}, offset, remain)
+		if err != nil {
+			return err
+		}
+		next, done, err := add(resp, offset)
+		if err != nil || done {
+			return err
+		}
+		if next == offset {
+			return fmt.Errorf("%w: page at offset %d carried no entries", ErrBadReply, offset)
+		}
+		offset = next
+	}
+}
+
+// TopicSnapshot fetches topic's full membership from the server.
+// ErrNotFound when nobody declared the topic and no pattern matches it.
+func (c *Client) TopicSnapshot(topic string, timeout time.Duration) (TopicSnapshot, error) {
+	snap := TopicSnapshot{Name: topic}
+	perPage := min((c.d.MaxPayload()-snapHeaderBytes)/4, 255)
+	err := c.pages(OpSnapshot, topic, timeout, func(resp []byte, offset int) (int, bool, error) {
+		return snapPage(&snap, perPage, resp, offset)
+	})
+	return snap, err
+}
+
+// snapPage takes one snapshot page (layout at snapResponse) into snap.
+func snapPage(snap *TopicSnapshot, perPage int, resp []byte, offset int) (next int, done bool, err error) {
+	if len(resp) < snapHeaderBytes || len(resp) < snapHeaderBytes+4*int(resp[10]) {
+		return 0, false, fmt.Errorf("%w: truncated snapshot page", ErrBadReply)
+	}
+	gen, count, body := binary.BigEndian.Uint32(resp[1:5]), int(resp[10]), resp[snapHeaderBytes:]
+	if offset > 0 && gen != snap.Gen {
+		// Membership moved between pages: restart for a consistent view.
+		snap.Subs = snap.Subs[:0]
+		return 0, false, nil
+	}
+	snap.Gen, snap.Class = gen, resp[9]
+	for i := 0; i < count; i++ {
+		snap.Subs = append(snap.Subs, Subscription{Addr: wire.Addr(binary.BigEndian.Uint32(body[4*i:]))})
+	}
+	if count >= perPage {
+		return offset + count, false, nil
+	}
+	if body = body[4*count:]; len(body) > 0 {
+		if len(body) < 1+4*int(body[0]) {
+			return 0, false, fmt.Errorf("%w: truncated snapshot pattern block", ErrBadReply)
+		}
+		for i := 0; i < int(body[0]); i++ {
+			snap.Pats = append(snap.Pats, Subscription{Addr: wire.Addr(binary.BigEndian.Uint32(body[1+4*i:]))})
+		}
+	}
+	return offset + count, true, nil
+}
+
+// TopicList fetches every topic name known to the registry. With
+// TopicSnapshot per name, it is enough for a replica to bootstrap a
+// full state resync.
 func (c *Client) TopicList(timeout time.Duration) ([]string, error) {
 	var names []string
-	deadline := time.Now().Add(timeout)
-	for offset := 0; ; {
-		c.tag++
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opTopicList, "", c.tag, tail[:])
-		if err != nil {
-			return names, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return names, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain)
-		if err != nil {
-			return names, err
-		}
-		if resp[0] != statusOK || len(resp) < 10 {
-			return names, fmt.Errorf("%w: topic list status %d", ErrBadReply, resp[0])
-		}
-		total := int(binary.BigEndian.Uint32(resp[1:5]))
-		count := int(resp[9])
-		off := 10
-		for i := 0; i < count; i++ {
-			if off >= len(resp) || off+1+int(resp[off]) > len(resp) {
-				return names, fmt.Errorf("%w: truncated topic list page", ErrBadReply)
-			}
-			n := int(resp[off])
-			names = append(names, string(resp[off+1:off+1+n]))
-			off += 1 + n
-		}
-		offset += count
-		if offset >= total {
-			return names, nil
-		}
-		if count == 0 {
-			// A non-final page that made no progress is an error, not
-			// completion: one topic name the server cannot fit into a
-			// page (or any other stall) must not let a replica
-			// bootstrap silently install incomplete state.
-			return names, fmt.Errorf("%w: topic list page at offset %d carried no entries (total %d)",
-				ErrBadReply, offset, total)
-		}
-	}
+	err := c.pages(opTopicList, "", timeout, func(resp []byte, offset int) (int, bool, error) {
+		return listPage(&names, resp, offset)
+	})
+	return names, err
 }
 
-// ShardMap fetches the registry shard map from the server (op 10),
-// paging until the server-reported total is reached. It returns the
-// reconstructed map and the answering node's own shard id. A node
+// listPage takes one topic-list page (layout at listResponse) into names.
+func listPage(names *[]string, resp []byte, offset int) (next int, done bool, err error) {
+	if len(resp) < 10 {
+		return 0, false, fmt.Errorf("%w: truncated topic list page", ErrBadReply)
+	}
+	body := resp[10:]
+	for i := 0; i < int(resp[9]); i++ {
+		if len(body) < 1 || len(body) < 1+int(body[0]) {
+			return 0, false, fmt.Errorf("%w: truncated topic list page", ErrBadReply)
+		}
+		*names = append(*names, string(body[1:1+int(body[0])]))
+		body = body[1+int(body[0]):]
+	}
+	next = offset + int(resp[9])
+	return next, next >= int(binary.BigEndian.Uint32(resp[1:5])), nil
+}
+
+// ShardMap fetches the registry shard map from the server, returning
+// the reconstructed map and the answering node's own shard id. A node
 // without a map (unsharded deployment) returns ErrNotFound.
 func (c *Client) ShardMap(timeout time.Duration) (*shardmap.Map, uint32, error) {
-	var (
-		epoch   uint64
-		self    uint32
-		entries []shardmap.Entry
-	)
-	deadline := time.Now().Add(timeout)
-	for offset := 0; ; {
-		c.tag++
-		var tail [4]byte
-		binary.BigEndian.PutUint32(tail[:], uint32(offset))
-		req, err := c.buildReq(opShardMap, "", c.tag, tail[:])
-		if err != nil {
-			return nil, 0, err
-		}
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, 0, ErrRemoteTimeout
-		}
-		resp, err := c.roundtrip(req, remain)
-		if err != nil {
-			return nil, 0, err
-		}
-		if resp[0] == statusNotFound {
-			return nil, 0, fmt.Errorf("%w: server carries no shard map", ErrNotFound)
-		}
-		if resp[0] != statusOK || len(resp) < shardMapHeaderBytes+1 {
-			return nil, 0, fmt.Errorf("%w: shard map status %d", ErrBadReply, resp[0])
-		}
-		pageEpoch := binary.BigEndian.Uint64(resp[9:17])
-		if offset > 0 && pageEpoch != epoch {
-			// The map moved between pages: restart for a consistent view.
-			entries = entries[:0]
-			offset = 0
-			epoch = pageEpoch
-			continue
-		}
-		epoch = pageEpoch
-		self = binary.BigEndian.Uint32(resp[1:5])
-		total := int(binary.BigEndian.Uint16(resp[17:19]))
-		count := int(resp[shardMapHeaderBytes])
-		if len(resp) < shardMapHeaderBytes+1+count*shardEntryBytes {
-			return nil, 0, fmt.Errorf("%w: truncated shard map page", ErrBadReply)
-		}
-		for i := 0; i < count; i++ {
-			entries = append(entries, decodeShardEntry(resp[shardMapHeaderBytes+1+i*shardEntryBytes:]))
-		}
-		offset += count
-		if offset >= total {
-			return shardmap.Restore(epoch, entries), self, nil
-		}
-		if count == 0 {
-			return nil, 0, fmt.Errorf("%w: shard map page at offset %d carried no entries (total %d)",
-				ErrBadReply, offset, total)
-		}
+	var f shardMapFetch
+	if err := c.pages(opShardMap, "", timeout, f.page); err != nil {
+		return nil, 0, err
 	}
+	return shardmap.Restore(f.epoch, f.entries), f.self, nil
 }
 
-// Unregister removes name at the server.
-func (c *Client) Unregister(name string, timeout time.Duration) error {
-	st, _, err := c.call(opUnregister, name, wire.NilAddr, timeout)
-	if err != nil {
-		return err
+// shardMapFetch accumulates the pages of one ShardMap call.
+type shardMapFetch struct {
+	epoch   uint64
+	self    uint32
+	entries []shardmap.Entry
+}
+
+// page takes one shard-map page (layout at shardMapResponse) into f.
+func (f *shardMapFetch) page(resp []byte, offset int) (next int, done bool, err error) {
+	const header = shardMapHeaderBytes + 1
+	if len(resp) < header || len(resp) < header+shardEntryBytes*int(resp[header-1]) {
+		return 0, false, fmt.Errorf("%w: truncated shard map page", ErrBadReply)
 	}
-	if st != statusOK {
-		return fmt.Errorf("nameservice: unregister %q failed (status %d)", name, st)
+	epoch := binary.BigEndian.Uint64(resp[9:17])
+	if offset > 0 && epoch != f.epoch {
+		// The map moved between pages: restart for a consistent view.
+		f.entries = f.entries[:0]
+		return 0, false, nil
 	}
-	return nil
+	f.epoch, f.self = epoch, binary.BigEndian.Uint32(resp[1:5])
+	for i := 0; i < int(resp[header-1]); i++ {
+		b := resp[header+i*shardEntryBytes:]
+		f.entries = append(f.entries, shardmap.Entry{
+			ID:     binary.BigEndian.Uint32(b[0:4]),
+			Weight: binary.BigEndian.Uint16(b[4:6]),
+			Addr:   binary.BigEndian.Uint32(b[6:10]),
+		})
+	}
+	next = offset + int(resp[header-1])
+	return next, next >= int(binary.BigEndian.Uint16(resp[17:19])), nil
 }

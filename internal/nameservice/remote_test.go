@@ -94,10 +94,10 @@ func TestRemoteTopicOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Subscribe("radar.tracks", ep1.Addr(), 2, callTimeout); err != nil {
+	if err := subscribe(cli, "radar.tracks", ep1.Addr(), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Subscribe("radar.tracks", ep2.Addr(), 2, callTimeout); err != nil {
+	if err := subscribe(cli, "radar.tracks", ep2.Addr(), 2); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := cli.TopicSnapshot("radar.tracks", callTimeout)
@@ -115,7 +115,7 @@ func TestRemoteTopicOps(t *testing.T) {
 	}
 
 	// Leave bumps the generation and shrinks the set.
-	if err := cli.Unsubscribe("radar.tracks", ep2.Addr(), callTimeout); err != nil {
+	if err := unsubscribe(cli, "radar.tracks", ep2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	snap2, err := cli.TopicSnapshot("radar.tracks", callTimeout)
@@ -149,7 +149,7 @@ func TestRemoteTopicSnapshotPaging(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cli.Subscribe("big", a, 0, callTimeout); err != nil {
+		if err := subscribe(cli, "big", a, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,15 +329,15 @@ func TestStandbyRefusesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cli.Subscribe("ctl", ep.Addr(), 2, callTimeout); err != nil {
+	if err := subscribe(cli, "ctl", ep.Addr(), 2); err != nil {
 		t.Fatalf("subscribe at primary: %v", err)
 	}
 
 	primary.Store(false)
-	if err := cli.Subscribe("ctl", ep.Addr(), 2, callTimeout); !errors.Is(err, ErrNotPrimary) {
+	if err := subscribe(cli, "ctl", ep.Addr(), 2); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("subscribe at standby: err = %v, want ErrNotPrimary", err)
 	}
-	if err := cli.Unsubscribe("ctl", ep.Addr(), callTimeout); !errors.Is(err, ErrNotPrimary) {
+	if err := unsubscribe(cli, "ctl", ep.Addr()); !errors.Is(err, ErrNotPrimary) {
 		t.Fatalf("unsubscribe at standby: err = %v, want ErrNotPrimary", err)
 	}
 	// Reads still serve, and the refused unsubscribe changed nothing.
@@ -350,7 +350,7 @@ func TestStandbyRefusesMutations(t *testing.T) {
 	}
 
 	primary.Store(true)
-	if err := cli.Unsubscribe("ctl", ep.Addr(), callTimeout); err != nil {
+	if err := unsubscribe(cli, "ctl", ep.Addr()); err != nil {
 		t.Fatalf("unsubscribe after return to primary: %v", err)
 	}
 }
@@ -372,9 +372,14 @@ func TestTopicListStalledPageErrors(t *testing.T) {
 }
 
 // TestStaleReplySkipped parks the late answer to an earlier timed-out
-// call in the client's inbox — a not-owner redirect echoing a different
-// address — and checks every register-shaped topic op skips it for its
-// own reply instead of following the redirect to the wrong shard.
+// call in the client's inbox and checks every register-shaped op skips
+// it for its own reply instead of, say, following a stale redirect to
+// the wrong shard. Bytes 5-9 of these ops carry an address, not a
+// request id, and the same subscriber or gateway-lane address across
+// topics is the normal case — so besides a reply echoing a different
+// address, the stale replies here echo the very address the next call
+// uses (0 for Unregister, which sends none): the 9-byte reply an id-less
+// request gets, and the 13-byte one carrying an earlier call's id.
 func TestStaleReplySkipped(t *testing.T) {
 	_, cli, sd, cd := newRemoteRig(t)
 	earlier, err := cd.NewRecvEndpoint(4)
@@ -389,36 +394,49 @@ func TestStaleReplySkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := make([]byte, 9)
-	stale[0] = statusNotOwner
-	binary.BigEndian.PutUint32(stale[1:5], 7)
-	binary.BigEndian.PutUint32(stale[5:9], uint32(earlier.Addr()))
+	stale := func(status byte, echo wire.Addr, id ...byte) []byte {
+		b := make([]byte, 9, 13)
+		b[0] = status
+		binary.BigEndian.PutUint32(b[1:5], 7)
+		binary.BigEndian.PutUint32(b[5:9], uint32(echo))
+		return append(b, id...)
+	}
 
 	for _, op := range []struct {
 		name string
+		echo wire.Addr
 		call func() error
 	}{
-		{"Subscribe", func() error { return cli.Subscribe("radar.tracks", ep.Addr(), 2, callTimeout) }},
-		{"Unsubscribe", func() error { return cli.Unsubscribe("radar.tracks", ep.Addr(), callTimeout) }},
-		{"SubscribePattern", func() error { return cli.SubscribePattern("radar.*", ep.Addr(), callTimeout) }},
-		{"UnsubscribePattern", func() error { return cli.UnsubscribePattern("radar.*", ep.Addr(), callTimeout) }},
-		{"UpsertPresence", func() error { return cli.UpsertPresence("gw-0/c1", "gw-0", ep.Addr(), callTimeout) }},
+		{"Register", ep.Addr(), func() error { return cli.Register("svc.a", ep.Addr(), callTimeout) }},
+		{"Unregister", 0, func() error { return cli.Unregister("svc.a", callTimeout) }},
+		{"Subscribe", ep.Addr(), func() error { return subscribe(cli, "radar.tracks", ep.Addr(), 2) }},
+		{"Unsubscribe", ep.Addr(), func() error { return unsubscribe(cli, "radar.tracks", ep.Addr()) }},
+		{"SubscribePattern", ep.Addr(), func() error { return subscribePattern(cli, "radar.*", ep.Addr()) }},
+		{"UnsubscribePattern", ep.Addr(), func() error { return unsubscribePattern(cli, "radar.*", ep.Addr()) }},
+		{"UpsertPresence", ep.Addr(), func() error { return upsertPresence(cli, "gw-0/c1", "gw-0", ep.Addr()) }},
 	} {
-		if err := out.Send(cli.in.Addr(), stale); err != nil {
-			t.Fatal(err)
-		}
-		deadline := time.Now().Add(callTimeout)
-		for {
-			if _, parked := cli.in.Endpoint().Pending(); parked > 0 {
-				break
+		for _, parked := range [][]byte{
+			stale(statusNotOwner, earlier.Addr()),
+			stale(statusNotOwner, op.echo),
+			stale(statusNotPrimary, op.echo),
+			stale(statusNotOwner, op.echo, 0xFF, 0xFF, 0xFF, 0xFE),
+		} {
+			if err := out.Send(cli.in.Addr(), parked); err != nil {
+				t.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				t.Fatal("stale reply never reached the client inbox")
+			deadline := time.Now().Add(callTimeout)
+			for {
+				if _, n := cli.in.Endpoint().Pending(); n > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("stale reply never reached the client inbox")
+				}
+				time.Sleep(50 * time.Microsecond)
 			}
-			time.Sleep(50 * time.Microsecond)
-		}
-		if err := op.call(); err != nil {
-			t.Errorf("%s took the stale reply as its answer: %v", op.name, err)
+			if err := op.call(); err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Errorf("%s took the stale reply %x as its answer: %v", op.name, parked, err)
+			}
 		}
 	}
 }

@@ -81,13 +81,13 @@ func TestReservedTopicRefusedForClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := cli.Subscribe("!registry", ep.Addr(), 0, callTimeout); !errors.Is(err, ErrReserved) {
+	if err := subscribe(cli, "!registry", ep.Addr(), 0); !errors.Is(err, ErrReserved) {
 		t.Fatalf("client subscribe on reserved topic: %v, want ErrReserved", err)
 	}
-	if err := cli.Unsubscribe("!registry", ep.Addr(), callTimeout); !errors.Is(err, ErrReserved) {
+	if err := unsubscribe(cli, "!registry", ep.Addr()); !errors.Is(err, ErrReserved) {
 		t.Fatalf("client unsubscribe on reserved topic: %v, want ErrReserved", err)
 	}
-	if err := cli.AckCursor("!registry", "sub", 7, callTimeout); !errors.Is(err, ErrReserved) {
+	if err := ackCursor(cli, "!registry", "sub", 7); !errors.Is(err, ErrReserved) {
 		t.Fatalf("client cursor ack on reserved topic: %v, want ErrReserved", err)
 	}
 	if n := len(srv.Topics().Topics()); n != 0 {
@@ -96,22 +96,22 @@ func TestReservedTopicRefusedForClients(t *testing.T) {
 
 	// The replica's client authorizes itself with the privilege marker.
 	cli.Privileged = true
-	if err := cli.Subscribe("!registry", ep.Addr(), 0, callTimeout); err != nil {
+	if err := subscribe(cli, "!registry", ep.Addr(), 0); err != nil {
 		t.Fatalf("privileged subscribe on reserved topic: %v", err)
 	}
 	snap, err := cli.TopicSnapshot("!registry", callTimeout)
 	if err != nil || len(snap.Subs) != 1 {
 		t.Fatalf("reserved topic snapshot %+v, %v", snap, err)
 	}
-	if err := cli.Unsubscribe("!registry", ep.Addr(), callTimeout); err != nil {
+	if err := unsubscribe(cli, "!registry", ep.Addr()); err != nil {
 		t.Fatalf("privileged unsubscribe on reserved topic: %v", err)
 	}
 	// Streams are not durable topics: privilege does not admit cursors.
-	if err := cli.AckCursor("!registry", "sub", 7, callTimeout); !errors.Is(err, ErrReserved) {
+	if err := ackCursor(cli, "!registry", "sub", 7); !errors.Is(err, ErrReserved) {
 		t.Fatalf("privileged cursor ack on reserved topic: %v, want ErrReserved", err)
 	}
 	// Ordinary topics are untouched by the reserved gate.
-	if err := cli.Subscribe("app-topic", ep.Addr(), 0, callTimeout); err != nil {
+	if err := subscribe(cli, "app-topic", ep.Addr(), 0); err != nil {
 		t.Fatalf("ordinary subscribe: %v", err)
 	}
 }
@@ -130,13 +130,13 @@ func TestShardRoutingNotOwner(t *testing.T) {
 	}
 
 	// A topic this shard owns: served.
-	if err := cli.Subscribe(owned[0], ep.Addr(), 0, callTimeout); err != nil {
+	if err := subscribe(cli, owned[0], ep.Addr(), 0); err != nil {
 		t.Fatalf("subscribe on owned topic: %v", err)
 	}
 
 	// Topics owned elsewhere: redirected with the owner's id.
 	for _, foreign := range []uint32{1, 2} {
-		err := cli.Subscribe(owned[foreign], ep.Addr(), 0, callTimeout)
+		err := subscribe(cli, owned[foreign], ep.Addr(), 0)
 		if !errors.Is(err, ErrNotOwner) {
 			t.Fatalf("subscribe on shard-%d topic: %v, want ErrNotOwner", foreign, err)
 		}
@@ -144,10 +144,10 @@ func TestShardRoutingNotOwner(t *testing.T) {
 		if !errors.As(err, &noe) || noe.Shard != foreign {
 			t.Fatalf("redirect for shard-%d topic carried %+v", foreign, noe)
 		}
-		if err := cli.Unsubscribe(owned[foreign], ep.Addr(), callTimeout); !errors.Is(err, ErrNotOwner) {
+		if err := unsubscribe(cli, owned[foreign], ep.Addr()); !errors.Is(err, ErrNotOwner) {
 			t.Fatalf("unsubscribe on shard-%d topic: %v, want ErrNotOwner", foreign, err)
 		}
-		if err := cli.AckCursor(owned[foreign], "sub", 1, callTimeout); !errors.Is(err, ErrNotOwner) {
+		if err := ackCursor(cli, owned[foreign], "sub", 1); !errors.Is(err, ErrNotOwner) {
 			t.Fatalf("cursor ack on shard-%d topic: %v, want ErrNotOwner", foreign, err)
 		}
 		if _, err := cli.TopicSnapshot(owned[foreign], callTimeout); !errors.Is(err, ErrNotOwner) {
@@ -159,7 +159,7 @@ func TestShardRoutingNotOwner(t *testing.T) {
 	// standby of shard 1 colocated here may subscribe to shard 1's
 	// stream if it is fed here.
 	cli.Privileged = true
-	if err := cli.Subscribe("!registry/1", ep.Addr(), 0, callTimeout); err != nil {
+	if err := subscribe(cli, "!registry/1", ep.Addr(), 0); err != nil {
 		t.Fatalf("privileged subscribe on reserved stream: %v", err)
 	}
 }

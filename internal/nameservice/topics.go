@@ -128,8 +128,9 @@ type Mutation struct {
 type MutationObserver func(Mutation)
 
 // TopicRegistry is an in-process topic → subscriber-set registry, safe
-// for concurrent use. It is served remotely by Server (ops 4–6 of the
-// remote protocol) so one cluster needs a single registry node.
+// for concurrent use. Apply executes a directory op on it, and Server
+// serves the same ops remotely (the directory rows of opTable), so one
+// cluster needs a single registry node.
 //
 // The registry carries a registry generation — a fencing epoch that a
 // durable registry bumps on every restart or failover, strictly above

@@ -40,7 +40,7 @@ package topic
 //     and live fanout resumes.
 //  5. Cursors are acknowledged in-band on the Renew cadence (tiny
 //     control frames to every known publisher, max-merged into the
-//     log) and registered with the directory (Directory.AckCursor),
+//     log) and registered with the directory (AckCursor),
 //     so a registry failover carries them to the new primary.
 //
 // Loss accounting stays conservative and never silent: frames the
@@ -858,7 +858,7 @@ func (s *Subscriber) renewDurable() {
 	if d.locked.Load() {
 		s.sendAck()
 		if cur := d.acked.Load(); cur > d.dirAcked {
-			if s.dir.AckCursor(s.topic, d.name, cur) == nil {
+			if AckCursor(s.dir, s.topic, d.name, cur) == nil {
 				d.dirAcked = cur
 			}
 		}

@@ -1,7 +1,6 @@
 package topic
 
 import (
-	"fmt"
 	"sync"
 
 	"flipc/internal/core"
@@ -46,84 +45,12 @@ func (f *FailoverDirectory) Epoch() uint64 {
 	return f.epoch
 }
 
-// Subscribe implements Directory.
-func (f *FailoverDirectory) Subscribe(topic string, addr core.Addr, class Class) error {
+// Do implements Directory: the op goes to whatever the target is now.
+func (f *FailoverDirectory) Do(op nameservice.Op) (nameservice.TopicSnapshot, error) {
 	f.mu.RLock()
 	dir := f.dir
 	f.mu.RUnlock()
-	return dir.Subscribe(topic, addr, class)
-}
-
-// Unsubscribe implements Directory.
-func (f *FailoverDirectory) Unsubscribe(topic string, addr core.Addr) error {
-	f.mu.RLock()
-	dir := f.dir
-	f.mu.RUnlock()
-	return dir.Unsubscribe(topic, addr)
-}
-
-// Snapshot implements Directory.
-func (f *FailoverDirectory) Snapshot(topic string) (nameservice.TopicSnapshot, error) {
-	f.mu.RLock()
-	dir := f.dir
-	f.mu.RUnlock()
-	return dir.Snapshot(topic)
-}
-
-// AckCursor implements Directory.
-func (f *FailoverDirectory) AckCursor(topic, sub string, seq uint64) error {
-	f.mu.RLock()
-	dir := f.dir
-	f.mu.RUnlock()
-	return dir.AckCursor(topic, sub, seq)
-}
-
-// edge resolves the current target as an EdgeDirectory.
-func (f *FailoverDirectory) edge() (EdgeDirectory, error) {
-	f.mu.RLock()
-	dir := f.dir
-	f.mu.RUnlock()
-	ed, ok := dir.(EdgeDirectory)
-	if !ok {
-		return nil, fmt.Errorf("topic: directory %T has no edge plane", dir)
-	}
-	return ed, nil
-}
-
-// SubscribePattern implements EdgeDirectory.
-func (f *FailoverDirectory) SubscribePattern(pat string, addr core.Addr) error {
-	ed, err := f.edge()
-	if err != nil {
-		return err
-	}
-	return ed.SubscribePattern(pat, addr)
-}
-
-// UnsubscribePattern implements EdgeDirectory.
-func (f *FailoverDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
-	ed, err := f.edge()
-	if err != nil {
-		return err
-	}
-	return ed.UnsubscribePattern(pat, addr)
-}
-
-// UpsertPresence implements EdgeDirectory.
-func (f *FailoverDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
-	ed, err := f.edge()
-	if err != nil {
-		return err
-	}
-	return ed.UpsertPresence(key, gw, addr)
-}
-
-// DropPresence implements EdgeDirectory.
-func (f *FailoverDirectory) DropPresence(key string) error {
-	ed, err := f.edge()
-	if err != nil {
-		return err
-	}
-	return ed.DropPresence(key)
+	return dir.Do(op)
 }
 
 // Evict removes addr from the cached fanout plan immediately, without

@@ -228,7 +228,7 @@ func (p *Publisher) Refresh() error {
 }
 
 func (p *Publisher) refreshLocked() error {
-	snap, err := p.dir.Snapshot(p.cfg.Topic)
+	snap, err := Snapshot(p.dir, p.cfg.Topic)
 	if err != nil {
 		return err
 	}

@@ -3,9 +3,9 @@ package topic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
-	"flipc/internal/core"
 	"flipc/internal/nameservice"
 	"flipc/internal/shardmap"
 )
@@ -23,14 +23,12 @@ var ErrNoShard = errors.New("topic: no directory for owning shard")
 // per-shard indirection is the whole point: the failure domain of a
 // registry shard is the topics it owns, nothing more.
 type ShardedDirectory struct {
+	m *shardmap.Map // fixed at construction: a new map is a new directory
+
 	mu     sync.RWMutex
-	m      *shardmap.Map
 	shards map[uint32]*FailoverDirectory
 
-	// MaxRedirects bounds each op's NotOwner redirect chain (0 applies
-	// nameservice.DefaultMaxRedirects). Wiring-time configuration.
-	MaxRedirects int
-	redirects    nameservice.RedirectStats
+	redirects nameservice.RedirectStats
 }
 
 // NewShardedDirectory builds a sharded directory over an initial map.
@@ -68,148 +66,56 @@ func (s *ShardedDirectory) Shard(id uint32) *FailoverDirectory {
 	return s.shards[id]
 }
 
-// UpdateMap swaps in a newer shard map (a split or merge rolled out;
-// the caller fetched it via the shard-map remote op). Directories of
-// shards no longer mapped are kept — in-flight ops may still resolve
-// through them until the caller tears them down.
-func (s *ShardedDirectory) UpdateMap(m *shardmap.Map) {
-	s.mu.Lock()
-	s.m = m
-	s.mu.Unlock()
-}
-
-// Map returns the current shard map.
-func (s *ShardedDirectory) Map() *shardmap.Map {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m
-}
-
 // ShardFor resolves the shard owning topic under the current map.
 func (s *ShardedDirectory) ShardFor(topic string) (uint32, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if s.m == nil {
 		return 0, false
 	}
 	return s.m.ShardOf(topic)
 }
 
-// startShard resolves the shard a name hashes to under the current map.
-func (s *ShardedDirectory) startShard(name string) (uint32, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.m == nil {
-		return 0, fmt.Errorf("%w: no shard map for %q", ErrNoShard, name)
+// Do implements Directory, sending the op where its row of the op table
+// says. An op for every shard (a pattern can match topics on any of
+// them) goes to each installed shard in shard-id order; the first
+// failure is returned after all were attempted — the others hold the
+// lease, and the next renewal retries the failed one. Any other op goes
+// to the shard owning op.Name (a topic, or a presence key: presence is
+// spread by the client KEY's hash), following NotOwner redirects — a
+// stale local map during a split or merge — through the shared bounded
+// helper. A redirect that names a shard this directory never installed
+// surfaces as ErrNoShard: the caller must refetch the map and install
+// the target, not loop.
+func (s *ShardedDirectory) Do(op nameservice.Op) (snap nameservice.TopicSnapshot, err error) {
+	if op.Kind.EveryShard() {
+		s.mu.RLock()
+		ids := make([]uint32, 0, len(s.shards))
+		for id := range s.shards {
+			ids = append(ids, id)
+		}
+		s.mu.RUnlock()
+		if len(ids) == 0 {
+			return snap, fmt.Errorf("%w: no shards installed for %q", ErrNoShard, op.Name)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
+			if _, e := s.Shard(id).Do(op); e != nil && err == nil {
+				err = e
+			}
+		}
+		return snap, err
 	}
-	id, ok := s.m.ShardOf(name)
+	start, ok := s.ShardFor(op.Name)
 	if !ok {
-		return 0, fmt.Errorf("%w: empty shard map for %q", ErrNoShard, name)
+		return snap, fmt.Errorf("%w: no shard map routes %q", ErrNoShard, op.Name)
 	}
-	return id, nil
-}
-
-// follow runs op against the shard owning name, following NotOwner
-// redirects (a stale local map during a split or merge) through the
-// shared bounded helper. A redirect that names a shard this directory
-// never installed surfaces as ErrNoShard — the caller must refetch the
-// map and install the target, not loop.
-func (s *ShardedDirectory) follow(name string, op func(f *FailoverDirectory) error) error {
-	start, err := s.startShard(name)
-	if err != nil {
-		return err
-	}
-	return nameservice.FollowOwner(start, s.MaxRedirects, &s.redirects, func(shard uint32) error {
+	err = nameservice.FollowOwner(start, &s.redirects, func(shard uint32) error {
 		f := s.Shard(shard)
 		if f == nil {
-			return fmt.Errorf("%w: shard %d for %q", ErrNoShard, shard, name)
+			return fmt.Errorf("%w: shard %d for %q", ErrNoShard, shard, op.Name)
 		}
-		return op(f)
-	})
-}
-
-// Subscribe implements Directory.
-func (s *ShardedDirectory) Subscribe(topic string, addr core.Addr, class Class) error {
-	return s.follow(topic, func(f *FailoverDirectory) error {
-		return f.Subscribe(topic, addr, class)
-	})
-}
-
-// Unsubscribe implements Directory.
-func (s *ShardedDirectory) Unsubscribe(topic string, addr core.Addr) error {
-	return s.follow(topic, func(f *FailoverDirectory) error {
-		return f.Unsubscribe(topic, addr)
-	})
-}
-
-// Snapshot implements Directory.
-func (s *ShardedDirectory) Snapshot(topic string) (nameservice.TopicSnapshot, error) {
-	var snap nameservice.TopicSnapshot
-	err := s.follow(topic, func(f *FailoverDirectory) error {
-		var ferr error
-		snap, ferr = f.Snapshot(topic)
-		return ferr
+		var e error
+		snap, e = f.Do(op)
+		return e
 	})
 	return snap, err
-}
-
-// AckCursor implements Directory.
-func (s *ShardedDirectory) AckCursor(topic, sub string, seq uint64) error {
-	return s.follow(topic, func(f *FailoverDirectory) error {
-		return f.AckCursor(topic, sub, seq)
-	})
-}
-
-// SubscribePattern implements EdgeDirectory. A pattern can match
-// topics on any shard, so it is broadcast to every installed shard;
-// the first failure is returned after all shards were attempted (the
-// others hold the lease, and the next renewal retries the failed one).
-func (s *ShardedDirectory) SubscribePattern(pat string, addr core.Addr) error {
-	return s.broadcast(pat, func(f *FailoverDirectory) error {
-		return f.SubscribePattern(pat, addr)
-	})
-}
-
-// UnsubscribePattern implements EdgeDirectory (broadcast, like
-// SubscribePattern).
-func (s *ShardedDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
-	return s.broadcast(pat, func(f *FailoverDirectory) error {
-		return f.UnsubscribePattern(pat, addr)
-	})
-}
-
-func (s *ShardedDirectory) broadcast(pat string, op func(f *FailoverDirectory) error) error {
-	s.mu.RLock()
-	targets := make([]*FailoverDirectory, 0, len(s.shards))
-	for _, f := range s.shards {
-		targets = append(targets, f)
-	}
-	s.mu.RUnlock()
-	if len(targets) == 0 {
-		return fmt.Errorf("%w: no shards installed for pattern %q", ErrNoShard, pat)
-	}
-	var firstErr error
-	for _, f := range targets {
-		if err := op(f); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// UpsertPresence implements EdgeDirectory. Presence is routed by the
-// client KEY's hash — not a topic name — so the edge plane's lease
-// load spreads across the registry shards; NotOwner redirects cover a
-// map the gateway has not refreshed yet.
-func (s *ShardedDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
-	return s.follow(key, func(f *FailoverDirectory) error {
-		return f.UpsertPresence(key, gw, addr)
-	})
-}
-
-// DropPresence implements EdgeDirectory (routed like UpsertPresence).
-func (s *ShardedDirectory) DropPresence(key string) error {
-	return s.follow(key, func(f *FailoverDirectory) error {
-		return f.DropPresence(key)
-	})
 }

@@ -51,10 +51,10 @@ func TestShardedDirectoryPartitions(t *testing.T) {
 	sd, regs, owned := shardedFixture(t)
 	addr := mustAddr(t, 2, 3)
 	for id, name := range owned {
-		if err := sd.Subscribe(name, addr, Control); err != nil {
+		if err := Subscribe(sd, name, addr, Control); err != nil {
 			t.Fatalf("subscribe %q: %v", name, err)
 		}
-		snap, err := sd.Snapshot(name)
+		snap, err := Snapshot(sd, name)
 		if err != nil || len(snap.Subs) != 1 {
 			t.Fatalf("snapshot %q: %+v, %v", name, snap, err)
 		}
@@ -93,7 +93,7 @@ func TestShardedDirectoryRetargetIsolation(t *testing.T) {
 			t.Fatalf("shard %d epoch %d after shard-1 retarget, want %d", id, got, want)
 		}
 	}
-	if err := sd.Subscribe(owned[1], addr, Normal); err != nil {
+	if err := Subscribe(sd, owned[1], addr, Normal); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := promoted.Snapshot(owned[1]); !ok {
@@ -103,7 +103,7 @@ func TestShardedDirectoryRetargetIsolation(t *testing.T) {
 		t.Fatal("post-retarget subscribe leaked to the demoted registry")
 	}
 	// Other shards still reach their original registries.
-	if err := sd.Subscribe(owned[2], addr, Normal); err != nil {
+	if err := Subscribe(sd, owned[2], addr, Normal); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := regs[2].Snapshot(owned[2]); !ok {
@@ -130,20 +130,74 @@ func TestShardedDirectoryNoShard(t *testing.T) {
 	if name == "" {
 		t.Fatal("no topic routed to shard 7")
 	}
-	if err := sd.Subscribe(name, addr, Normal); !errors.Is(err, ErrNoShard) {
+	if err := Subscribe(sd, name, addr, Normal); !errors.Is(err, ErrNoShard) {
 		t.Fatalf("subscribe via uninstalled shard: %v, want ErrNoShard", err)
 	}
-	if _, err := sd.Snapshot(name); !errors.Is(err, ErrNoShard) {
+	if _, err := Snapshot(sd, name); !errors.Is(err, ErrNoShard) {
 		t.Fatalf("snapshot via uninstalled shard: %v, want ErrNoShard", err)
 	}
 
 	empty := NewShardedDirectory(nil)
-	if err := empty.AckCursor("x", "s", 1); !errors.Is(err, ErrNoShard) {
+	if err := AckCursor(empty, "x", "s", 1); !errors.Is(err, ErrNoShard) {
 		t.Fatalf("op with no map: %v, want ErrNoShard", err)
 	}
 
 	// The reserved stream of a mapped shard routes to it.
 	if id, ok := sd.ShardFor("!registry/7"); !ok || id != 7 {
 		t.Fatalf("reserved stream routed to %d/%v, want shard 7", id, ok)
+	}
+}
+
+// scriptedDir is a shard target that records the visit and answers as
+// told.
+type scriptedDir struct {
+	id     uint32
+	visits *[]uint32
+	err    error
+}
+
+func (d scriptedDir) Do(nameservice.Op) (nameservice.TopicSnapshot, error) {
+	*d.visits = append(*d.visits, d.id)
+	return nameservice.TopicSnapshot{Gen: d.id}, d.err
+}
+
+// TestShardedDirectoryRoutesByTable: where an op goes is its row of the
+// op table. A pattern op visits every installed shard in shard-id order
+// and returns the first failure only after all were tried; any other op
+// starts at the shard its name hashes to, follows that shard's NotOwner
+// redirect to the owner (counted), and gives up as a storm after
+// nameservice.DefaultMaxRedirects attempts.
+func TestShardedDirectoryRoutesByTable(t *testing.T) {
+	var visits []uint32
+	boom := errors.New("shard 1 is down")
+	sd := NewShardedDirectory(shardmap.Restore(3, []shardmap.Entry{{ID: 0}, {ID: 1}, {ID: 2}}))
+	for _, id := range []uint32{2, 0, 1} {
+		sd.SetShard(id, scriptedDir{id: id, visits: &visits})
+	}
+	sd.SetShard(1, scriptedDir{id: 1, visits: &visits, err: boom})
+	if err := SubscribePattern(sd, "metrics.*", mustAddr(t, 2, 6)); !errors.Is(err, boom) {
+		t.Fatalf("pattern broadcast: %v, want shard 1's failure", err)
+	}
+	if len(visits) != 3 || visits[0] != 0 || visits[1] != 1 || visits[2] != 2 {
+		t.Fatalf("pattern broadcast visited %v, want every shard in id order", visits)
+	}
+
+	start, _ := sd.ShardFor("metrics.cpu")
+	owner := (start + 1) % 3
+	sd.SetShard(start, scriptedDir{id: start, visits: &visits, err: &nameservice.NotOwnerError{Topic: "metrics.cpu", Shard: owner}})
+	sd.SetShard(owner, scriptedDir{id: owner, visits: &visits})
+	visits = nil
+	snap, err := Snapshot(sd, "metrics.cpu")
+	if err != nil || snap.Gen != owner || len(visits) != 2 || visits[0] != start || visits[1] != owner {
+		t.Fatalf("redirected snapshot: answer from shard %d, visits %v, err %v; want the owner %d after %d", snap.Gen, visits, err, owner, start)
+	}
+	if got := sd.RedirectStats().Redirects(); got != 1 {
+		t.Fatalf("redirects counted = %d, want 1", got)
+	}
+
+	sd.SetShard(owner, scriptedDir{id: owner, visits: &visits, err: &nameservice.NotOwnerError{Topic: "metrics.cpu", Shard: start}})
+	visits = nil
+	if err := AckCursor(sd, "metrics.cpu", "s", 1); !errors.Is(err, nameservice.ErrRedirectStorm) || len(visits) != nameservice.DefaultMaxRedirects {
+		t.Fatalf("redirect loop: err %v after %d attempts, want a storm after %d", err, len(visits), nameservice.DefaultMaxRedirects)
 	}
 }

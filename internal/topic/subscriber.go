@@ -107,7 +107,7 @@ func newSubscriber(d *core.Domain, dir Directory, topic string, class Class, dep
 		depth: depth, bufs: bufs,
 		in: in, subAddr: in.Addr(), credit: cr, dur: ds,
 	}
-	if err := dir.Subscribe(topic, in.Addr(), class); err != nil {
+	if err := Subscribe(dir, topic, in.Addr(), class); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -138,10 +138,10 @@ func (s *Subscriber) Renew() error {
 	cur := s.in.Addr()
 	if cur != s.subAddr {
 		// Best effort: the sweep ages the stale lease out anyway.
-		_ = s.dir.Unsubscribe(s.topic, s.subAddr)
+		_ = Unsubscribe(s.dir, s.topic, s.subAddr)
 		s.subAddr = cur
 	}
-	if err := s.dir.Subscribe(s.topic, cur, s.class); err != nil {
+	if err := Subscribe(s.dir, s.topic, cur, s.class); err != nil {
 		return err
 	}
 	s.renewCredit()
@@ -178,7 +178,7 @@ func (s *Subscriber) Rebind() error {
 // Leave removes the subscription; in-flight fanout to this endpoint is
 // discarded and counted there, like any send to an unposted receiver.
 func (s *Subscriber) Leave() error {
-	return s.dir.Unsubscribe(s.topic, s.subAddr)
+	return Unsubscribe(s.dir, s.topic, s.subAddr)
 }
 
 // Receive returns the next application message (copied payload) if one

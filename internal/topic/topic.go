@@ -34,7 +34,6 @@
 package topic
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -145,42 +144,70 @@ func ClassFromFlags(flags uint8) Class {
 	return Bulk
 }
 
-// Directory is the membership view publishers read and subscribers
-// register through. Implementations: LocalDirectory over an in-process
-// nameservice.TopicRegistry, RemoteDirectory over the in-band
-// nameservice client. Snapshot of a topic nobody has declared returns
-// an empty membership, not an error — publishing into the void is a
-// cheap no-op, matching the optimistic protocol.
+// Directory is the membership plane publishers read and subscribers
+// register through: it executes one nameservice.Op — the eight directory
+// ops and what each means are rows of nameservice's op table — and the
+// typed helpers below are how this package and the gateway spell them.
+// Implementations: LocalDirectory over an in-process registry,
+// RemoteDirectory over the in-band nameservice client, FailoverDirectory
+// and ShardedDirectory over other directories — one forwarding method
+// each.
 type Directory interface {
-	Subscribe(topic string, addr core.Addr, class Class) error
-	Unsubscribe(topic string, addr core.Addr) error
-	Snapshot(topic string) (nameservice.TopicSnapshot, error)
-	// AckCursor registers a durable subscriber's replay cursor (by its
-	// stable name, not its address) with the registry, so the cursor
-	// survives registry failover alongside the membership. Max-merged:
-	// a stale acknowledgment never regresses the stored cursor.
-	AckCursor(topic, sub string, seq uint64) error
+	Do(op nameservice.Op) (nameservice.TopicSnapshot, error)
 }
 
-// EdgeDirectory extends Directory with the edge plane's membership
-// ops: wildcard pattern subscriptions and client presence leases (see
-// internal/nameservice's pattern grammar and lease discipline). Every
-// Directory implementation in this package also implements
-// EdgeDirectory; the split interface exists so code that only fans out
-// keeps the narrower dependency.
-type EdgeDirectory interface {
-	Directory
-	// SubscribePattern adds (or renews) addr's subscription to every
-	// topic matching pat. Pattern subscribers receive enveloped frames
-	// (see envelope.go) and must not also subscribe exactly.
-	SubscribePattern(pat string, addr core.Addr) error
-	// UnsubscribePattern removes addr's subscription to pat.
-	UnsubscribePattern(pat string, addr core.Addr) error
-	// UpsertPresence records (or renews) client key's presence lease at
-	// gateway gw, reachable through addr.
-	UpsertPresence(key, gw string, addr core.Addr) error
-	// DropPresence removes client key's presence lease.
-	DropPresence(key string) error
+func do(dir Directory, op nameservice.Op) error {
+	_, err := dir.Do(op)
+	return err
+}
+
+// Subscribe adds (or renews) addr's subscription to topic, declaring
+// the topic's class.
+func Subscribe(dir Directory, topic string, addr core.Addr, class Class) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpSubscribe, Name: topic, Addr: addr, Class: uint8(class)})
+}
+
+// Unsubscribe removes addr's subscription to topic.
+func Unsubscribe(dir Directory, topic string, addr core.Addr) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpUnsubscribe, Name: topic, Addr: addr})
+}
+
+// Snapshot reads topic's membership. A topic nobody has declared reads
+// as empty, not as an error — publishing into the void is a cheap
+// no-op, matching the optimistic protocol.
+func Snapshot(dir Directory, topic string) (nameservice.TopicSnapshot, error) {
+	return dir.Do(nameservice.Op{Kind: nameservice.OpSnapshot, Name: topic})
+}
+
+// AckCursor registers a durable subscriber's replay cursor (by its
+// stable name, not its address) with the registry, so the cursor
+// survives registry failover alongside the membership. Max-merged: a
+// stale acknowledgment never regresses the stored cursor.
+func AckCursor(dir Directory, topic, sub string, seq uint64) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpAckCursor, Name: topic, Sub: sub, Seq: seq})
+}
+
+// SubscribePattern adds (or renews) addr's subscription to every topic
+// matching pat. Pattern subscribers receive enveloped frames (see
+// envelope.go) and must not also subscribe exactly.
+func SubscribePattern(dir Directory, pat string, addr core.Addr) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpSubscribePattern, Name: pat, Addr: addr})
+}
+
+// UnsubscribePattern removes addr's subscription to pat.
+func UnsubscribePattern(dir Directory, pat string, addr core.Addr) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpUnsubscribePattern, Name: pat, Addr: addr})
+}
+
+// UpsertPresence records (or renews) client key's presence lease at
+// gateway gw, reachable through addr.
+func UpsertPresence(dir Directory, key, gw string, addr core.Addr) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpUpsertPresence, Name: key, Sub: gw, Addr: addr})
+}
+
+// DropPresence removes client key's presence lease.
+func DropPresence(dir Directory, key string) error {
+	return do(dir, nameservice.Op{Kind: nameservice.OpDropPresence, Name: key})
 }
 
 // LocalDirectory adapts an in-process TopicRegistry (single-node
@@ -189,51 +216,9 @@ type LocalDirectory struct {
 	R *nameservice.TopicRegistry
 }
 
-// Subscribe implements Directory.
-func (l LocalDirectory) Subscribe(topic string, addr core.Addr, class Class) error {
-	if err := l.R.Declare(topic, uint8(class)); err != nil {
-		return err
-	}
-	return l.R.Subscribe(topic, addr)
-}
-
-// Unsubscribe implements Directory.
-func (l LocalDirectory) Unsubscribe(topic string, addr core.Addr) error {
-	l.R.Unsubscribe(topic, addr)
-	return nil
-}
-
-// Snapshot implements Directory.
-func (l LocalDirectory) Snapshot(topic string) (nameservice.TopicSnapshot, error) {
-	snap, _ := l.R.Snapshot(topic)
-	return snap, nil
-}
-
-// AckCursor implements Directory.
-func (l LocalDirectory) AckCursor(topic, sub string, seq uint64) error {
-	return l.R.AckCursor(topic, sub, seq)
-}
-
-// SubscribePattern implements EdgeDirectory.
-func (l LocalDirectory) SubscribePattern(pat string, addr core.Addr) error {
-	return l.R.SubscribePattern(pat, addr)
-}
-
-// UnsubscribePattern implements EdgeDirectory.
-func (l LocalDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
-	l.R.UnsubscribePattern(pat, addr)
-	return nil
-}
-
-// UpsertPresence implements EdgeDirectory.
-func (l LocalDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
-	return l.R.UpsertPresence(key, gw, addr)
-}
-
-// DropPresence implements EdgeDirectory.
-func (l LocalDirectory) DropPresence(key string) error {
-	l.R.DropPresence(key)
-	return nil
+// Do implements Directory.
+func (l LocalDirectory) Do(op nameservice.Op) (nameservice.TopicSnapshot, error) {
+	return l.R.Apply(op)
 }
 
 // RemoteDirectory adapts the nameservice client: membership ops travel
@@ -244,55 +229,12 @@ type RemoteDirectory struct {
 	Timeout time.Duration
 }
 
-func (r RemoteDirectory) timeout() time.Duration {
+// Do implements Directory.
+func (r RemoteDirectory) Do(op nameservice.Op) (nameservice.TopicSnapshot, error) {
 	if r.Timeout > 0 {
-		return r.Timeout
+		return r.C.Do(op, r.Timeout)
 	}
-	return 2 * time.Second
-}
-
-// Subscribe implements Directory.
-func (r RemoteDirectory) Subscribe(topic string, addr core.Addr, class Class) error {
-	return r.C.Subscribe(topic, addr, uint8(class), r.timeout())
-}
-
-// Unsubscribe implements Directory.
-func (r RemoteDirectory) Unsubscribe(topic string, addr core.Addr) error {
-	return r.C.Unsubscribe(topic, addr, r.timeout())
-}
-
-// Snapshot implements Directory. An undeclared topic reads as empty.
-func (r RemoteDirectory) Snapshot(topic string) (nameservice.TopicSnapshot, error) {
-	snap, err := r.C.TopicSnapshot(topic, r.timeout())
-	if errors.Is(err, nameservice.ErrNotFound) {
-		return nameservice.TopicSnapshot{Name: topic}, nil
-	}
-	return snap, err
-}
-
-// AckCursor implements Directory.
-func (r RemoteDirectory) AckCursor(topic, sub string, seq uint64) error {
-	return r.C.AckCursor(topic, sub, seq, r.timeout())
-}
-
-// SubscribePattern implements EdgeDirectory.
-func (r RemoteDirectory) SubscribePattern(pat string, addr core.Addr) error {
-	return r.C.SubscribePattern(pat, addr, r.timeout())
-}
-
-// UnsubscribePattern implements EdgeDirectory.
-func (r RemoteDirectory) UnsubscribePattern(pat string, addr core.Addr) error {
-	return r.C.UnsubscribePattern(pat, addr, r.timeout())
-}
-
-// UpsertPresence implements EdgeDirectory.
-func (r RemoteDirectory) UpsertPresence(key, gw string, addr core.Addr) error {
-	return r.C.UpsertPresence(key, gw, addr, r.timeout())
-}
-
-// DropPresence implements EdgeDirectory.
-func (r RemoteDirectory) DropPresence(key string) error {
-	return r.C.DropPresence(key, r.timeout())
+	return r.C.Do(op, 2*time.Second)
 }
 
 // SubscriberBuffers sizes a subscriber's posted-buffer pool for a
