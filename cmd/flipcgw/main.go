@@ -146,7 +146,7 @@ func main() {
 
 	if *httpAddr != "" {
 		srv := &obs.Server{Registry: mreg, Health: tr.Health, Trace: ring,
-			Quarantined: d.Engine().Quarantined, GatewayHealth: gatewayJSON(mux)}
+			Quarantined: d.Engine().Quarantined, GatewayHealth: func() *gateway.Health { h := mux.Health(); return &h }}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(fmt.Errorf("http listen %s: %w", *httpAddr, err))
@@ -237,30 +237,6 @@ func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration) (to
 	fmt.Printf("flipcgw: sharded registry: %d/%d shards installed (map epoch %d)\n",
 		installed, m.Len(), m.Epoch())
 	return sdir, nil
-}
-
-// gatewayJSON adapts Mux.Health to the obs exposition.
-func gatewayJSON(m *gateway.Mux) func() *obs.GatewayJSON {
-	return func() *obs.GatewayJSON {
-		h := m.Health()
-		j := &obs.GatewayJSON{
-			Name:      h.Name,
-			Conns:     h.Conns,
-			Presence:  h.Presence,
-			Patterns:  h.Patterns,
-			Throttled: h.Throttled,
-			RenewErrs: h.RenewErrs,
-		}
-		for _, ch := range h.PerClass {
-			j.PerClass = append(j.PerClass, obs.GatewayClassJSON{
-				Class:      ch.Class,
-				QueueDepth: ch.QueueDepth,
-				InboxDrops: ch.InboxDrops,
-				Saturated:  ch.Saturated,
-			})
-		}
-		return j
-	}
 }
 
 // parseEndpointAddr parses a hex endpoint address as flipcd prints

@@ -78,8 +78,7 @@ func (g *Conn) Recv() (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	f.Name = string(append([]byte(nil), f.Name...))
-	f.Payload = append([]byte(nil), f.Payload...)
+	f.Payload = append([]byte(nil), f.Payload...) // DecodeBody copied Name already
 	return f, nil
 }
 

@@ -104,64 +104,57 @@ var (
 )
 
 // AppendFrame appends the wire encoding of f (length prefix included)
-// to dst. It is the single encoder for both directions.
+// to dst. It is the single encoder for both directions. On error dst
+// comes back with its length unchanged.
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	if len(f.Name) > MaxClientName {
 		return dst, fmt.Errorf("%w: name %d bytes", ErrBadFrame, len(f.Name))
 	}
-	body := 1 // op
+	start := len(dst)
+	dst = append(dst, 0, 0, f.Op) // the length prefix is patched in below
 	switch f.Op {
 	case OpHello:
-		body += 2 + len(f.Name)
+		dst = append(append(dst, f.Ver, byte(len(f.Name))), f.Name...)
 	case OpSub:
-		body += 2 + len(f.Name)
+		dst = append(append(dst, f.Class, byte(len(f.Name))), f.Name...)
 	case OpUnsub:
-		body += 1 + len(f.Name)
+		dst = append(append(dst, byte(len(f.Name))), f.Name...)
 	case OpPub, OpDeliver:
-		body += 2 + len(f.Name) + len(f.Payload)
+		dst = append(append(append(dst, f.Class, byte(len(f.Name))), f.Name...), f.Payload...)
 	case OpErr:
 		if len(f.Payload) > 255 {
-			return dst, fmt.Errorf("%w: err message %d bytes", ErrBadFrame, len(f.Payload))
+			return dst[:start], fmt.Errorf("%w: err message %d bytes", ErrBadFrame, len(f.Payload))
 		}
-		body += 2 + len(f.Payload)
+		dst = append(append(dst, f.Code, byte(len(f.Payload))), f.Payload...)
 	case OpPing, OpPong:
-		body += len(f.Payload)
+		dst = append(dst, f.Payload...)
 	default:
-		return dst, fmt.Errorf("%w: op %d", ErrBadFrame, f.Op)
+		return dst[:start], fmt.Errorf("%w: op %d", ErrBadFrame, f.Op)
 	}
+	body := len(dst) - start - frameHeaderBytes
 	if body > MaxFrameBody {
-		return dst, ErrFrameTooBig
+		return dst[:start], ErrFrameTooBig
 	}
-	var hdr [frameHeaderBytes]byte
-	binary.BigEndian.PutUint16(hdr[:], uint16(body))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Op)
-	switch f.Op {
-	case OpHello:
-		dst = append(dst, f.Ver, byte(len(f.Name)))
-		dst = append(dst, f.Name...)
-	case OpSub:
-		dst = append(dst, f.Class, byte(len(f.Name)))
-		dst = append(dst, f.Name...)
-	case OpUnsub:
-		dst = append(dst, byte(len(f.Name)))
-		dst = append(dst, f.Name...)
-	case OpPub, OpDeliver:
-		dst = append(dst, f.Class, byte(len(f.Name)))
-		dst = append(dst, f.Name...)
-		dst = append(dst, f.Payload...)
-	case OpErr:
-		dst = append(dst, f.Code, byte(len(f.Payload)))
-		dst = append(dst, f.Payload...)
-	case OpPing, OpPong:
-		dst = append(dst, f.Payload...)
-	}
+	binary.BigEndian.PutUint16(dst[start:], uint16(body))
 	return dst, nil
 }
 
+// splitName parses lead(1) | nlen(1) | name | rest — what follows the
+// op byte of a hello, sub, pub or deliver body — in place.
+func splitName(body []byte) (lead byte, name, rest []byte, ok bool) {
+	if len(body) < 2 {
+		return 0, nil, nil, false
+	}
+	n := int(body[1])
+	if n == 0 || n > MaxClientName || 2+n > len(body) {
+		return 0, nil, nil, false
+	}
+	return body[0], body[2 : 2+n], body[2+n:], true
+}
+
 // DecodeBody parses one frame body (the bytes after the length
-// prefix). The returned Frame's Name and Payload alias body — copy
-// before retaining.
+// prefix). The returned Frame's Name is a copy; its Payload aliases
+// body — copy it before retaining.
 func DecodeBody(body []byte) (Frame, error) {
 	var f Frame
 	if len(body) < 1 || len(body) > MaxFrameBody {
@@ -170,26 +163,21 @@ func DecodeBody(body []byte) (Frame, error) {
 	f.Op = body[0]
 	rest := body[1:]
 	switch f.Op {
-	case OpHello:
-		if len(rest) < 2 {
+	case OpHello, OpSub, OpPub, OpDeliver:
+		lead, name, payload, ok := splitName(rest)
+		short := f.Op == OpHello || f.Op == OpSub // nothing may follow the name
+		if !ok || short && len(payload) > 0 {
 			return f, ErrBadFrame
 		}
-		n := int(rest[1])
-		if n == 0 || n > MaxClientName || 2+n != len(rest) {
-			return f, ErrBadFrame
+		f.Name = string(name)
+		switch {
+		case f.Op == OpHello:
+			f.Ver = lead
+		case short:
+			f.Class = lead
+		default:
+			f.Class, f.Payload = lead, payload
 		}
-		f.Ver = rest[0]
-		f.Name = string(rest[2 : 2+n])
-	case OpSub:
-		if len(rest) < 2 {
-			return f, ErrBadFrame
-		}
-		n := int(rest[1])
-		if n == 0 || n > MaxClientName || 2+n != len(rest) {
-			return f, ErrBadFrame
-		}
-		f.Class = rest[0]
-		f.Name = string(rest[2 : 2+n])
 	case OpUnsub:
 		if len(rest) < 1 {
 			return f, ErrBadFrame
@@ -199,17 +187,6 @@ func DecodeBody(body []byte) (Frame, error) {
 			return f, ErrBadFrame
 		}
 		f.Name = string(rest[1 : 1+n])
-	case OpPub, OpDeliver:
-		if len(rest) < 2 {
-			return f, ErrBadFrame
-		}
-		n := int(rest[1])
-		if n == 0 || n > MaxClientName || 2+n > len(rest) {
-			return f, ErrBadFrame
-		}
-		f.Class = rest[0]
-		f.Name = string(rest[2 : 2+n])
-		f.Payload = rest[2+n:]
 	case OpErr:
 		if len(rest) < 2 {
 			return f, ErrBadFrame

@@ -1,8 +1,10 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"flipc/internal/core"
 	"flipc/internal/metrics"
@@ -21,9 +23,8 @@ type Config struct {
 	Dir topic.Directory
 	// InboxBuffers sizes each class inbox's posted-buffer pool and
 	// queue depth (default 128). These three pools are the gateway's
-	// entire
-	// receive-side footprint on the fabric, independent of how many
-	// clients connect.
+	// entire receive-side footprint on the fabric, independent of how
+	// many clients connect.
 	InboxBuffers int
 	// ClientQueue bounds each client's per-class outbound frame queue
 	// (default 64). Overflow drops frames, counted per client — one
@@ -59,80 +60,15 @@ func (c *Config) fill() error {
 	if c.Dir == nil {
 		return fmt.Errorf("gateway: config needs a Dir")
 	}
-	if c.InboxBuffers <= 0 {
-		c.InboxBuffers = 128
-	}
-	if c.ClientQueue <= 0 {
-		c.ClientQueue = 64
-	}
-	if c.ThrottleAt <= 0 {
-		c.ThrottleAt = 16
-	}
-	if c.PubWindow <= 0 {
-		c.PubWindow = 64
-	}
-	if c.MaxPublishers <= 0 {
-		c.MaxPublishers = 64
+	for _, d := range []struct {
+		knob *int
+		def  int
+	}{{&c.InboxBuffers, 128}, {&c.ClientQueue, 64}, {&c.ThrottleAt, 16}, {&c.PubWindow, 64}, {&c.MaxPublishers, 64}} {
+		if *d.knob <= 0 {
+			*d.knob = d.def
+		}
 	}
 	return nil
-}
-
-// Client is one attached client session. The TCP front owns the
-// socket; the Mux owns everything else. All methods are driven through
-// the Mux.
-type Client struct {
-	id   uint64
-	name string // hello identity ("" until hello)
-	key  string // presence key (gateway-scoped)
-
-	mu     sync.Mutex
-	q      [NumClasses]frameQueue
-	closed bool
-	kick   chan struct{}
-
-	// Ledgers (guarded by mu): the client's side of the conservation
-	// law matched == delivered + dropped + throttled (+ still queued).
-	delivered uint64 // frames handed to the writer (PopOut)
-	dropped   uint64 // frames lost to queue overflow
-	throttled uint64 // overflow drops while marked throttled
-	overflow  [NumClasses]int
-	isThrott  bool
-
-	subs map[subKey]struct{} // this client's live subscriptions
-}
-
-// frameQueue is a bounded FIFO of encoded frames.
-type frameQueue struct {
-	buf  [][]byte
-	head int
-}
-
-func (q *frameQueue) len() int { return len(q.buf) - q.head }
-
-func (q *frameQueue) push(b []byte, max int) bool {
-	if q.len() >= max {
-		return false
-	}
-	if q.head > 0 && q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	q.buf = append(q.buf, b)
-	return true
-}
-
-func (q *frameQueue) pop() ([]byte, bool) {
-	if q.len() == 0 {
-		return nil, false
-	}
-	b := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return b, true
 }
 
 // subKey is one (lane, pattern) subscription of one client.
@@ -141,16 +77,9 @@ type subKey struct {
 	pat  string
 }
 
-// patRef refcounts one (lane, pattern) across clients; the registry
-// subscription exists while the count is positive.
-type patRef struct {
-	count int
-}
-
 // pubEntry is one cached per-topic publisher.
 type pubEntry struct {
 	p       *topic.Publisher
-	class   topic.Class
 	lastUse uint64 // housekeeping tick of last publish
 }
 
@@ -165,22 +94,21 @@ type Mux struct {
 	dir topic.Directory
 	in  [NumClasses]*msglib.Inbox
 
-	mu      sync.Mutex
-	clients map[uint64]*Client
-	nextID  uint64
-	subs    [NumClasses]*nameservice.PatternIndex // pattern -> client ids, per lane
-	refs    [NumClasses]map[string]*patRef
-	pubs    map[string]*pubEntry
-	tick    uint64
-	targets []*Client // deliver's match scratch; Pump's one caller owns it
+	mu       sync.Mutex
+	clients  map[uint64]*Client
+	nextID   uint64
+	subs     [NumClasses]*nameservice.PatternIndex // pattern -> client ids, per lane
+	refs     [NumClasses]map[string]int            // clients per (lane, pattern); the registry subscription lives while > 0
+	pubs     map[string]*pubEntry
+	tick     uint64
+	departed []*Client    // detached, awaiting their writers' last PopOut; see reap
+	leaving  atomic.Int32 // len(departed), for Pump to read without the lock
 
-	// Gateway-level ledgers (guarded by mu).
-	received  uint64 // enveloped frames drained off the class inboxes
-	matched   uint64 // (frame, client) pairs matched by the index
-	unmatched uint64 // frames matching no client (pattern lease outliving clients)
-	badFrames uint64 // non-enveloped or unparseable inbox frames
-	pubOK     uint64 // client publishes accepted upstream
-	pubErrs   uint64 // client publishes refused
+	// Pump-only: the frame slab and deliver's match scratch.
+	slab    slab
+	targets []*Client
+
+	st        Stats // gateway-level ledgers (guarded by mu)
 	lastDrops [NumClasses]uint64
 	saturated [NumClasses]bool
 	renewErrs uint64
@@ -199,6 +127,10 @@ func NewMux(d *core.Domain, cfg Config) (*Mux, error) {
 		return nil, err
 	}
 	m := &Mux{cfg: cfg, d: d, dir: cfg.Dir, clients: make(map[uint64]*Client), pubs: make(map[string]*pubEntry)}
+	// A slot holds the largest deliver frame the fabric can carry: the
+	// inbox envelope behind a length prefix, an op and a class byte.
+	m.slab.size = d.MaxPayload() + frameHeaderBytes + 2
+	m.slab.slots.Store(new([][]byte))
 	for lane := 0; lane < NumClasses; lane++ {
 		in, err := msglib.NewInbox(d, cfg.InboxBuffers, cfg.InboxBuffers)
 		if err != nil {
@@ -206,28 +138,24 @@ func NewMux(d *core.Domain, cfg Config) (*Mux, error) {
 		}
 		m.in[lane] = in
 		m.subs[lane] = nameservice.NewPatternIndex()
-		m.refs[lane] = make(map[string]*patRef)
+		m.refs[lane] = make(map[string]int)
 	}
-	if cfg.Registry != nil {
-		m.instrument(cfg.Registry)
+	reg := cfg.Registry
+	if reg == nil {
+		reg = metrics.NewRegistry() // unscraped: the instruments stay non-nil
 	}
+	m.instrument(reg)
 	return m, nil
 }
 
 func (m *Mux) instrument(reg *metrics.Registry) {
 	gw := m.cfg.Name
-	m.mConns = reg.Gauge(metrics.Name("flipc_gw_conns", "gw", gw))
-	m.mThrottled = reg.Gauge(metrics.Name("flipc_gw_throttled_clients", "gw", gw))
-	m.mPresence = reg.Gauge(metrics.Name("flipc_gw_presence_leases", "gw", gw))
-	m.mPatterns = reg.Gauge(metrics.Name("flipc_gw_patterns", "gw", gw))
-	m.mDelivered = reg.Counter(metrics.Name("flipc_gw_delivered_total", "gw", gw))
-	m.mDropped = reg.Counter(metrics.Name("flipc_gw_dropped_total", "gw", gw))
-	m.mThrottledDrops = reg.Counter(metrics.Name("flipc_gw_throttled_total", "gw", gw))
-	m.mMatched = reg.Counter(metrics.Name("flipc_gw_matched_total", "gw", gw))
-	m.mUnmatched = reg.Counter(metrics.Name("flipc_gw_unmatched_total", "gw", gw))
-	m.mBad = reg.Counter(metrics.Name("flipc_gw_bad_frames_total", "gw", gw))
-	m.mPubOK = reg.Counter(metrics.Name("flipc_gw_publish_total", "gw", gw))
-	m.mPubErrs = reg.Counter(metrics.Name("flipc_gw_publish_errors_total", "gw", gw))
+	g := func(n string) *metrics.Gauge { return reg.Gauge(metrics.Name("flipc_gw_"+n, "gw", gw)) }
+	c := func(n string) *metrics.Counter { return reg.Counter(metrics.Name("flipc_gw_"+n, "gw", gw)) }
+	m.mConns, m.mThrottled, m.mPresence, m.mPatterns = g("conns"), g("throttled_clients"), g("presence_leases"), g("patterns")
+	m.mDelivered, m.mDropped, m.mThrottledDrops = c("delivered_total"), c("dropped_total"), c("throttled_total")
+	m.mMatched, m.mUnmatched, m.mBad = c("matched_total"), c("unmatched_total"), c("bad_frames_total")
+	m.mPubOK, m.mPubErrs = c("publish_total"), c("publish_errors_total")
 	for lane := 0; lane < NumClasses; lane++ {
 		in := m.in[lane]
 		reg.Func(metrics.Name("flipc_gw_inbox_drops", "gw", gw, "class", topic.Class(lane).String()),
@@ -235,51 +163,46 @@ func (m *Mux) instrument(reg *metrics.Registry) {
 	}
 }
 
-// LaneAddr returns the fabric address of one class lane's inbox.
-func (m *Mux) LaneAddr(lane int) core.Addr { return m.in[lane].Addr() }
-
 // Attach admits a new client session (pre-hello). The TCP front calls
 // it once per accepted connection.
 func (m *Mux) Attach() *Client {
-	c := &Client{kick: make(chan struct{}, 1), subs: make(map[subKey]struct{})}
+	c := newClient(m.cfg.ClientQueue, &m.slab)
 	m.mu.Lock()
 	m.nextID++
 	c.id = m.nextID
 	m.clients[c.id] = c
-	n := len(m.clients)
+	m.mConns.Set(float64(len(m.clients)))
 	m.mu.Unlock()
-	if m.mConns != nil {
-		m.mConns.Set(float64(n))
-	}
 	return c
 }
 
 // Detach removes a client: subscriptions unreferenced (registry
 // unsubscribe when a pattern's last client leaves), presence lease
-// dropped, queue abandoned. Clean shutdown only — a cold-dead gateway
-// never calls it, which is exactly the case the presence lease sweep
-// covers.
+// dropped, queue abandoned — its frames stay counted as queued, and the
+// pump takes their slots back after the writer's last PopOut. Clean
+// shutdown only — a cold-dead gateway never calls it, which is exactly
+// the case the presence lease sweep covers.
 func (m *Mux) Detach(c *Client) {
 	m.mu.Lock()
+	if c.closed.Load() { // already detached: its slots must not be handed back twice
+		m.mu.Unlock()
+		return
+	}
 	delete(m.clients, c.id)
 	for sk := range c.subs {
 		m.unrefLocked(c, sk)
 	}
+	c.closed.Store(true)
+	m.departed = append(m.departed, c)
+	m.leaving.Store(int32(len(m.departed)))
 	key := c.key
-	n := len(m.clients)
+	m.mConns.Set(float64(len(m.clients)))
 	m.mu.Unlock()
-
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
 	c.signal()
 
 	if key != "" {
 		// Best effort: lease expiry covers a failed drop.
 		_ = topic.DropPresence(m.dir, key)
-	}
-	if m.mConns != nil {
-		m.mConns.Set(float64(n))
 	}
 }
 
@@ -288,12 +211,8 @@ func (m *Mux) Detach(c *Client) {
 // m.mu.
 func (m *Mux) unrefLocked(c *Client, sk subKey) {
 	m.subs[sk.lane].Remove(sk.pat, c.id)
-	ref := m.refs[sk.lane][sk.pat]
-	if ref == nil {
-		return
-	}
-	ref.count--
-	if ref.count > 0 {
+	if m.refs[sk.lane][sk.pat] > 1 {
+		m.refs[sk.lane][sk.pat]--
 		return
 	}
 	delete(m.refs[sk.lane], sk.pat)
@@ -303,119 +222,31 @@ func (m *Mux) unrefLocked(c *Client, sk subKey) {
 	_ = topic.UnsubscribePattern(m.dir, sk.pat, m.in[sk.lane].Addr())
 }
 
-// signal kicks the client's writer (non-blocking).
-func (c *Client) signal() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// Kick returns the channel the writer waits on: a token arrives when
-// the client has frames to pop (or was closed).
-func (c *Client) Kick() <-chan struct{} { return c.kick }
-
-// Closed reports whether the client was detached.
-func (c *Client) Closed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
-
-// ID returns the session id (diagnostics).
-func (c *Client) ID() uint64 { return c.id }
-
-// Name returns the hello identity ("" before hello).
-func (c *Client) Name() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.name
-}
-
-// Ledgers returns the client's delivery accounting: frames popped to
-// the writer, dropped on overflow, and dropped while throttled.
-func (c *Client) Ledgers() (delivered, dropped, throttled uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.delivered, c.dropped, c.throttled
-}
-
-// Queued returns the client's total queued frames.
-func (c *Client) Queued() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for lane := range c.q {
-		n += c.q[lane].len()
-	}
-	return n
-}
-
-// Throttled reports whether the client is currently marked throttled.
-func (c *Client) Throttled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.isThrott
-}
-
-// PopOut pops the next encoded frame for the client's writer, control
-// lane first. The returned slice is owned by the caller. Only deliver
-// frames feed the delivered ledger — protocol responses (err, pong)
-// are outside the conservation law.
-func (c *Client) PopOut() ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for lane := NumClasses - 1; lane >= 0; lane-- {
-		if b, ok := c.q[lane].pop(); ok {
-			if len(b) > frameHeaderBytes && b[frameHeaderBytes] == OpDeliver {
-				c.delivered++
-			}
-			return b, true
-		}
-	}
-	return nil, false
-}
-
-// enqueue queues an encoded frame on one lane, applying the overflow /
-// throttle discipline. Returns whether the frame entered the queue.
-// The drop/throttle ledgers track deliver frames only (protocol
-// responses are outside the conservation law), recognized by the op
-// byte just past the length prefix.
-func (m *Mux) enqueue(c *Client, lane int, frame []byte) bool {
-	isDeliver := len(frame) > frameHeaderBytes && frame[frameHeaderBytes] == OpDeliver
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	if c.q[lane].push(frame, m.cfg.ClientQueue) {
+// enqueue hands slab slot i to one of c's class lanes, applying the
+// overflow / throttle discipline; the slot gains a ref if it entered
+// the queue. Pump-only. The ledgers count deliver frames, the only
+// frames the class lanes carry.
+func (m *Mux) enqueue(c *Client, lane int, i uint32) bool {
+	if c.reclaim(lane) < m.cfg.ClientQueue && c.q[lane].Release(c.app, uint64(i)) {
+		m.slab.refs[i]++
 		c.overflow[lane] = 0
-		c.isThrott = false
-		c.mu.Unlock()
-		c.signal()
+		if c.throttling {
+			c.throttling = false
+			c.app.Store(c.w+wThrottling, 0)
+		}
+		c.wake()
 		return true
 	}
 	c.overflow[lane]++
-	if c.overflow[lane] >= m.cfg.ThrottleAt {
-		c.isThrott = true
+	if c.overflow[lane] >= m.cfg.ThrottleAt && !c.throttling {
+		c.throttling = true
+		c.app.Store(c.w+wThrottling, 1)
 	}
-	throttledNow := c.isThrott
-	if isDeliver {
-		if throttledNow {
-			c.throttled++
-		} else {
-			c.dropped++
-		}
-	}
-	c.mu.Unlock()
-	if !isDeliver {
-		return false
-	}
-	if throttledNow {
-		if m.mThrottledDrops != nil {
-			m.mThrottledDrops.Inc()
-		}
-	} else if m.mDropped != nil {
+	if c.throttling {
+		bump(c.app, c.w+wThrottled)
+		m.mThrottledDrops.Inc()
+	} else {
+		bump(c.app, c.w+wDropped)
 		m.mDropped.Inc()
 	}
 	return false
@@ -424,36 +255,62 @@ func (m *Mux) enqueue(c *Client, lane int, frame []byte) bool {
 // Pump drains every class inbox, matching each enveloped frame against
 // the lane's pattern index and fanning it into the matching clients'
 // queues. Returns the number of inbox frames processed. Drive it from
-// a dedicated goroutine (TCP front) or a virtual-time ticker (sim).
+// one goroutine (TCP front) or a virtual-time ticker (sim): it is the
+// single writer of every pump-side word.
 func (m *Mux) Pump() int {
+	if m.leaving.Load() != 0 {
+		m.reap()
+	}
 	done := 0
 	for lane := NumClasses - 1; lane >= 0; lane-- {
+		in := m.in[lane]
 		for {
-			payload, flags, ok := m.in[lane].Receive()
+			msg, ok := in.ReceiveZeroCopy()
 			if !ok {
 				break
 			}
 			done++
-			m.deliver(lane, payload, flags)
+			m.deliver(lane, msg.Payload()[:msg.Len()], msg.Flags())
+			in.Done(msg)
 		}
 	}
 	return done
 }
 
-func (m *Mux) deliver(lane int, payload []byte, flags uint8) {
+// reap takes back the slots of every departed client whose writer has
+// made its last PopOut; the others wait for a later Pump.
+func (m *Mux) reap() {
 	m.mu.Lock()
-	m.received++
-	name, body, ok := topic.OpenEnvelope(payload)
-	if !ok {
-		m.badFrames++
-		m.mu.Unlock()
-		if m.mBad != nil {
-			m.mBad.Inc()
+	defer m.mu.Unlock()
+	kept := m.departed[:0]
+	for _, c := range m.departed {
+		if c.app.Load(c.w+wQuit) == 0 {
+			kept = append(kept, c)
+			continue
 		}
+		for lane := 0; lane < NumClasses; lane++ {
+			c.q[lane].Unacquired(c.app, func(v uint64) { m.slab.unref(uint32(v)) })
+		}
+	}
+	clear(m.departed[len(kept):])
+	m.departed = kept
+	m.leaving.Store(int32(len(kept)))
+}
+
+// deliver fans one inbox frame out. m.mu is held from match through
+// enqueue, so a Detach lands wholly before or after the frame.
+func (m *Mux) deliver(lane int, env []byte, flags uint8) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st.Received++
+	name, _, ok := topic.OpenEnvelope(env)
+	if !ok || len(name) > MaxClientName || 2+len(env) > MaxFrameBody {
+		m.st.BadFrames++
+		m.mBad.Inc()
 		return
 	}
 	targets := m.targets[:0]
-	m.subs[lane].Match(name, func(key uint64) {
+	m.subs[lane].MatchBytes(name, func(key uint64) {
 		if c := m.clients[key]; c != nil {
 			for _, t := range targets {
 				if t == c {
@@ -465,48 +322,34 @@ func (m *Mux) deliver(lane int, payload []byte, flags uint8) {
 	})
 	m.targets = targets
 	if len(targets) == 0 {
-		m.unmatched++
-		m.mu.Unlock()
-		if m.mUnmatched != nil {
-			m.mUnmatched.Inc()
-		}
+		m.st.Unmatched++
+		m.mUnmatched.Inc()
 		return
 	}
-	m.matched += uint64(len(targets))
-	m.mu.Unlock()
-	if m.mMatched != nil {
-		m.mMatched.Add(uint64(len(targets)))
-	}
-	frame, err := AppendFrame(nil, Frame{
-		Op:      OpDeliver,
-		Class:   uint8(topic.ClassFromFlags(flags)),
-		Name:    name,
-		Payload: body,
-	})
-	if err != nil {
-		m.mu.Lock()
-		m.badFrames++
-		m.matched -= uint64(len(targets))
-		m.mu.Unlock()
-		return
-	}
+	m.st.Matched += uint64(len(targets))
+	m.mMatched.Add(uint64(len(targets)))
+	i := m.slab.fill(env, uint8(topic.ClassFromFlags(flags))) // encoded once, straight from the commbuf
 	delivered := 0
 	for _, c := range targets {
-		// The encoded frame is shared read-only across the queues.
-		if m.enqueue(c, lane, frame) {
+		if m.enqueue(c, lane, i) {
 			delivered++
 		}
 	}
-	clear(targets) // the scratch must not pin clients that later depart
-	if m.mDelivered != nil {
-		m.mDelivered.Add(uint64(delivered))
+	if delivered == 0 {
+		m.slab.free = append(m.slab.free, i)
 	}
+	clear(targets) // the scratch must not pin clients that later depart
+	m.mDelivered.Add(uint64(delivered))
 }
 
 // HandleFrame processes one client-protocol frame body from c,
-// enqueueing any responses on c's queues. Safe for concurrent calls on
+// queueing any reply on c's reply lane. Safe for concurrent calls on
 // distinct clients (the TCP front runs one reader per connection).
 func (m *Mux) HandleFrame(c *Client, body []byte) {
+	if len(body) > 1 && len(body) <= MaxFrameBody && body[0] == OpPub {
+		m.handlePub(c, body[1:])
+		return
+	}
 	f, err := DecodeBody(body)
 	if err != nil {
 		m.sendErr(c, ErrCodeBadFrame, "unparseable frame")
@@ -516,54 +359,53 @@ func (m *Mux) HandleFrame(c *Client, body []byte) {
 	case OpHello:
 		m.handleHello(c, f)
 	case OpPing:
-		echo := append([]byte(nil), f.Payload...)
-		if frame, err := AppendFrame(nil, Frame{Op: OpPong, Payload: echo}); err == nil {
-			m.enqueue(c, int(topic.Control), frame)
-		}
+		c.sendReply(Frame{Op: OpPong, Payload: f.Payload}, m.cfg.ClientQueue)
 	case OpSub:
 		m.handleSub(c, f)
 	case OpUnsub:
 		m.handleUnsub(c, f)
-	case OpPub:
-		m.handlePub(c, f)
 	default:
 		m.sendErr(c, ErrCodeBadFrame, "unexpected op")
 	}
 }
 
 func (m *Mux) sendErr(c *Client, code byte, msg string) {
-	frame, err := AppendFrame(nil, Frame{Op: OpErr, Code: code, Payload: []byte(msg)})
-	if err != nil {
-		return
-	}
-	m.enqueue(c, int(topic.Control), frame)
+	c.sendReply(Frame{Op: OpErr, Code: code, Payload: []byte(msg)}, m.cfg.ClientQueue)
 }
 
-// hello names the client and takes out its presence lease.
+// hello names the client and takes out its presence lease. A repeated
+// hello under the same name renews it; one under another name is
+// refused, so the client holds one lease and Detach drops that one.
 func (m *Mux) handleHello(c *Client, f Frame) {
 	key := m.cfg.Name + "/" + f.Name
 	if len(key) > nameservice.MaxPresenceName {
 		m.sendErr(c, ErrCodeBadName, "client id too long")
 		return
 	}
-	c.mu.Lock()
-	c.name = f.Name
-	c.key = key
-	c.mu.Unlock()
+	m.mu.Lock()
+	renamed := c.name != "" && c.name != f.Name
+	if !renamed {
+		c.name, c.key = f.Name, key
+	}
+	m.mu.Unlock()
+	if renamed {
+		m.sendErr(c, ErrCodeBadFrame, "hello may not rename a client")
+		return
+	}
 	if err := topic.UpsertPresence(m.dir, key, m.cfg.Name, m.in[int(topic.Control)].Addr()); err != nil {
 		m.sendErr(c, ErrCodeBadName, "presence refused")
 	}
 }
 
 // helloed reports whether the client has identified itself.
-func (c *Client) helloed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (m *Mux) helloed(c *Client) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return c.name != ""
 }
 
 func (m *Mux) handleSub(c *Client, f Frame) {
-	if !c.helloed() {
+	if !m.helloed(c) {
 		m.sendErr(c, ErrCodeNoHello, "hello first")
 		return
 	}
@@ -584,23 +426,15 @@ func (m *Mux) handleSub(c *Client, f Frame) {
 	}
 	c.subs[sk] = struct{}{}
 	m.subs[lane].Add(f.Name, c.id)
-	ref := m.refs[lane][f.Name]
-	first := ref == nil
-	if first {
-		ref = &patRef{}
-		m.refs[lane][f.Name] = ref
-	}
-	ref.count++
+	m.refs[lane][f.Name]++
+	first := m.refs[lane][f.Name] == 1
 	m.mu.Unlock()
 	if first {
 		if err := topic.SubscribePattern(m.dir, f.Name, m.in[lane].Addr()); err != nil {
 			// Roll back: the client must not believe it is subscribed.
 			m.mu.Lock()
 			delete(c.subs, sk)
-			m.subs[lane].Remove(f.Name, c.id)
-			if ref.count--; ref.count <= 0 {
-				delete(m.refs[lane], f.Name)
-			}
+			m.unrefLocked(c, sk)
 			m.mu.Unlock()
 			m.sendErr(c, ErrCodeBadName, "registry refused pattern")
 		}
@@ -608,7 +442,7 @@ func (m *Mux) handleSub(c *Client, f Frame) {
 }
 
 func (m *Mux) handleUnsub(c *Client, f Frame) {
-	if !c.helloed() {
+	if !m.helloed(c) {
 		m.sendErr(c, ErrCodeNoHello, "hello first")
 		return
 	}
@@ -623,55 +457,57 @@ func (m *Mux) handleUnsub(c *Client, f Frame) {
 	m.mu.Unlock()
 }
 
-func (m *Mux) handlePub(c *Client, f Frame) {
-	if !c.helloed() {
-		m.sendErr(c, ErrCodeNoHello, "hello first")
-		return
-	}
-	class := topic.Class(f.Class)
-	if !class.Valid() || class.IsDurable() {
-		m.sendErr(c, ErrCodeBadName, "bad publish class")
-		return
-	}
-	if err := nameservice.ValidTopicName(f.Name); err != nil || f.Name == "" || f.Name[0] == '!' {
-		m.sendErr(c, ErrCodeBadName, "invalid topic")
+// handlePub publishes one pub body (op byte stripped) in place: the
+// topic name is looked up as bytes, and becomes a string only when a
+// publisher is created for it.
+func (m *Mux) handlePub(c *Client, rest []byte) {
+	class, name, payload, ok := splitName(rest)
+	if !ok {
+		m.sendErr(c, ErrCodeBadFrame, "unparseable frame")
 		return
 	}
 	m.mu.Lock()
-	p, err := m.publisherLocked(f.Name, class)
-	if err != nil {
-		m.pubErrs++
-		m.mu.Unlock()
-		if m.mPubErrs != nil {
-			m.mPubErrs.Inc()
-		}
-		m.sendErr(c, ErrCodePublish, "publisher unavailable")
-		return
-	}
-	_, err = p.Publish(f.Payload)
-	if err != nil {
-		m.pubErrs++
-	} else {
-		m.pubOK++
-	}
+	code, msg := m.publishLocked(c, topic.Class(class), name, payload)
 	m.mu.Unlock()
-	if err != nil {
-		if m.mPubErrs != nil {
-			m.mPubErrs.Inc()
-		}
-		m.sendErr(c, ErrCodePublish, "publish failed")
-		return
-	}
-	if m.mPubOK != nil {
-		m.mPubOK.Inc()
+	if code != 0 {
+		m.sendErr(c, code, msg)
 	}
 }
 
-// publisherLocked returns the cached publisher for topicName, creating
-// (and, at the cache bound, evicting the least-recently-used entry and
-// freeing its endpoint) as needed. Caller holds m.mu.
-func (m *Mux) publisherLocked(topicName string, class topic.Class) (*topic.Publisher, error) {
-	if e := m.pubs[topicName]; e != nil {
+// publishLocked returns the err code and message to answer with, or 0.
+// Caller holds m.mu.
+func (m *Mux) publishLocked(c *Client, class topic.Class, name, payload []byte) (byte, string) {
+	switch {
+	case c.name == "":
+		return ErrCodeNoHello, "hello first"
+	case !class.Valid() || class.IsDurable():
+		return ErrCodeBadName, "bad publish class"
+	case name[0] == '!' || bytes.IndexByte(name, '*') >= 0: // reserved, or a pattern (nameservice.ValidTopicName)
+		return ErrCodeBadName, "invalid topic"
+	}
+	p, err := m.publisherLocked(name, class)
+	if err == nil {
+		_, err = p.Publish(payload)
+	}
+	if err != nil {
+		m.st.PubErrs++
+		m.mPubErrs.Inc()
+		if p == nil {
+			return ErrCodePublish, "publisher unavailable"
+		}
+		return ErrCodePublish, "publish failed"
+	}
+	m.st.PubOK++
+	m.mPubOK.Inc()
+	return 0, ""
+}
+
+// publisherLocked returns the cached publisher for the topic named by
+// name, creating (and, at the cache bound, evicting the
+// least-recently-used entry and freeing its endpoint) as needed.
+// Caller holds m.mu.
+func (m *Mux) publisherLocked(name []byte, class topic.Class) (*topic.Publisher, error) {
+	if e := m.pubs[string(name)]; e != nil {
 		e.lastUse = m.tick
 		return e.p, nil
 	}
@@ -688,6 +524,7 @@ func (m *Mux) publisherLocked(topicName string, class topic.Class) (*topic.Publi
 			delete(m.pubs, lruName)
 		}
 	}
+	topicName := string(name)
 	p, err := topic.NewPublisher(m.d, m.dir, topic.PublisherConfig{
 		Topic:  topicName,
 		Class:  class,
@@ -696,7 +533,7 @@ func (m *Mux) publisherLocked(topicName string, class topic.Class) (*topic.Publi
 	if err != nil {
 		return nil, err
 	}
-	m.pubs[topicName] = &pubEntry{p: p, class: class, lastUse: m.tick}
+	m.pubs[topicName] = &pubEntry{p: p, lastUse: m.tick}
 	return p, nil
 }
 
@@ -708,23 +545,17 @@ func (m *Mux) publisherLocked(topicName string, class topic.Class) (*topic.Publi
 func (m *Mux) Housekeeping() int {
 	m.mu.Lock()
 	m.tick++
-	type renewal struct {
-		lane int
-		pat  string
-	}
-	var pats []renewal
+	var pats []subKey
 	for lane := 0; lane < NumClasses; lane++ {
 		for pat := range m.refs[lane] {
-			pats = append(pats, renewal{lane, pat})
+			pats = append(pats, subKey{lane, pat})
 		}
 	}
 	var keys []string
 	for _, c := range m.clients {
-		c.mu.Lock()
 		if c.key != "" {
 			keys = append(keys, c.key)
 		}
-		c.mu.Unlock()
 	}
 	var planRefresh []*topic.Publisher
 	for _, e := range m.pubs {
@@ -756,34 +587,11 @@ func (m *Mux) Housekeeping() int {
 	m.mu.Lock()
 	m.renewErrs += uint64(errs)
 	m.mu.Unlock()
-	m.updateGauges()
+	h := m.Health()
+	m.mPatterns.Set(float64(h.Patterns))
+	m.mPresence.Set(float64(h.Presence))
+	m.mThrottled.Set(float64(h.Throttled))
 	return errs
-}
-
-func (m *Mux) updateGauges() {
-	if m.mPatterns == nil {
-		return
-	}
-	m.mu.Lock()
-	pats := 0
-	for lane := 0; lane < NumClasses; lane++ {
-		pats += len(m.refs[lane])
-	}
-	leases, throttled := 0, 0
-	for _, c := range m.clients {
-		c.mu.Lock()
-		if c.key != "" {
-			leases++
-		}
-		if c.isThrott {
-			throttled++
-		}
-		c.mu.Unlock()
-	}
-	m.mu.Unlock()
-	m.mPatterns.Set(float64(pats))
-	m.mPresence.Set(float64(leases))
-	m.mThrottled.Set(float64(throttled))
 }
 
 // ClassHealth is one priority lane's health snapshot.
@@ -820,6 +628,7 @@ func (h Health) Degraded() bool {
 // Health builds the gateway's health snapshot.
 func (m *Mux) Health() Health {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	h := Health{Name: m.cfg.Name, Conns: len(m.clients), RenewErrs: m.renewErrs}
 	for lane := 0; lane < NumClasses; lane++ {
 		h.Patterns += len(m.refs[lane])
@@ -829,23 +638,17 @@ func (m *Mux) Health() Health {
 			Saturated:  m.saturated[lane],
 		}
 	}
-	clients := make([]*Client, 0, len(m.clients))
 	for _, c := range m.clients {
-		clients = append(clients, c)
-	}
-	m.mu.Unlock()
-	for _, c := range clients {
-		c.mu.Lock()
 		if c.key != "" {
 			h.Presence++
 		}
-		if c.isThrott {
+		if c.Throttled() {
 			h.Throttled++
 		}
 		for lane := 0; lane < NumClasses; lane++ {
-			h.PerClass[lane].QueueDepth += c.q[lane].len()
+			queued, _ := c.q[lane].Depths(c.app)
+			h.PerClass[lane].QueueDepth += queued
 		}
-		c.mu.Unlock()
 	}
 	return h
 }
@@ -853,10 +656,10 @@ func (m *Mux) Health() Health {
 // Stats is the Mux's cumulative accounting (conservation checks).
 type Stats struct {
 	Received  uint64 // enveloped frames drained off the class inboxes
-	Matched   uint64 // (frame, client) pairs matched
-	Unmatched uint64 // frames matching no attached client
-	BadFrames uint64 // non-enveloped inbox frames
-	PubOK     uint64 // client publishes accepted
+	Matched   uint64 // (frame, client) pairs matched by the index
+	Unmatched uint64 // frames matching no client (pattern lease outliving clients)
+	BadFrames uint64 // non-enveloped or unparseable inbox frames
+	PubOK     uint64 // client publishes accepted upstream
 	PubErrs   uint64 // client publishes refused
 }
 
@@ -864,14 +667,7 @@ type Stats struct {
 func (m *Mux) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Stats{
-		Received:  m.received,
-		Matched:   m.matched,
-		Unmatched: m.unmatched,
-		BadFrames: m.badFrames,
-		PubOK:     m.pubOK,
-		PubErrs:   m.pubErrs,
-	}
+	return m.st
 }
 
 // FramingLedger is the conservation law across the client framing

@@ -1,7 +1,10 @@
 package gateway
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -482,6 +485,128 @@ func TestGatewayMetrics(t *testing.T) {
 	}
 	if got := snap.Gauges[metrics.Name("flipc_gw_patterns", "gw", "gw-m")]; got != 1 {
 		t.Fatalf("patterns gauge = %v", got)
+	}
+}
+
+// A second hello under a different name must not strand the first
+// presence lease: Detach drops the one key the client holds.
+func TestRepeatedHelloKeepsOneLease(t *testing.T) {
+	h := newMuxHarness(t, Config{})
+	c := h.mux.Attach()
+	hello(t, h.mux, c, "a")
+	hello(t, h.mux, c, "a") // same name: idempotent
+	h.mux.HandleFrame(c, frameBody(t, Frame{Op: OpHello, Ver: 1, Name: "b"}))
+	if frames := popFrames(t, c); len(frames) != 1 || frames[0].Op != OpErr || frames[0].Code != ErrCodeBadFrame {
+		t.Fatalf("renaming hello answered %+v, want one bad-frame error", frames)
+	}
+	if n := h.reg.PresenceCount(); n != 1 {
+		t.Fatalf("presence after three hellos = %d, want 1", n)
+	}
+	h.mux.Detach(c)
+	if n := h.reg.PresenceCount(); n != 0 {
+		t.Fatalf("presence after detach = %d, want 0", n)
+	}
+}
+
+// drainUntilDetached is a client's writer: it pops until Detach, waking
+// only through Kick, then makes the one PopOut that hands back what it
+// held.
+func drainUntilDetached(c *Client) {
+	for {
+		if _, ok := c.PopOut(); ok {
+			continue
+		}
+		if c.Closed() {
+			c.PopOut()
+			return
+		}
+		<-c.Kick()
+	}
+}
+
+// Clients attach, subscribe, ping and detach while one goroutine pumps
+// and every client's writer drains through its own goroutine. At
+// quiescence the framing law over every client ever attached balances
+// exactly: a detach racing a delivery may not lose the frame.
+func TestDetachRacingDeliveryKeepsFramingLaw(t *testing.T) {
+	h := newMuxHarness(t, Config{ClientQueue: 8, ThrottleAt: 4})
+	var writers sync.WaitGroup
+	attach := func(id string) *Client {
+		c := h.mux.Attach()
+		hello(t, h.mux, c, id)
+		h.mux.HandleFrame(c, frameBody(t, Frame{Op: OpSub, Class: uint8(topic.Normal), Name: "stress.*"}))
+		writers.Add(1)
+		go func() { defer writers.Done(); drainUntilDetached(c) }()
+		return c
+	}
+	anchor := attach("anchor")
+	all := []*Client{anchor}
+	pub, err := topic.NewPublisher(h.pbD, h.dir, topic.PublisherConfig{Topic: "stress.x", Class: topic.Normal, Window: 256, RefreshEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if h.mux.Pump() == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var sent uint64
+	ping := frameBody(t, Frame{Op: OpPing, Payload: []byte("p")})
+	var live []*Client
+	for round := 0; round < 200; round++ {
+		c := attach(fmt.Sprintf("c%d", round))
+		all = append(all, c)
+		live = append(live, c)
+		h.mux.HandleFrame(c, ping)
+		for i := 0; i < 4; i++ {
+			res, err := pub.Publish([]byte{byte(round), byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent += uint64(res.Sent)
+		}
+		if len(live) > 3 {
+			h.mux.Detach(live[0])
+			live = live[1:]
+		}
+	}
+	for _, c := range append(live, anchor) {
+		h.mux.Detach(c)
+	}
+	done := make(chan struct{})
+	go func() { writers.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a writer never woke for its detach")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !pub.Outbox().Flush() || h.mux.Stats().Received+h.mux.InboxDrops(int(topic.Normal)) < sent {
+		if time.Now().After(deadline) {
+			t.Fatalf("inbox never drained: sent %d, stats %+v", sent, h.mux.Stats())
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	<-pumped
+	if err := FramingLaw(h.mux, all...).Err(); err != nil {
+		t.Fatal(err)
+	}
+	h.mux.Pump() // reaps the last departures: every writer handed back what it held
+	if free, slots := len(h.mux.slab.free), len(*h.mux.slab.slots.Load()); free != slots {
+		t.Fatalf("%d of %d slab slots free after every client left", free, slots)
 	}
 }
 

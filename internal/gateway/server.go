@@ -99,30 +99,26 @@ func (s *Server) handle(conn net.Conn) {
 	c := s.mux.Attach()
 	done := make(chan struct{})
 
-	// Writer: drain the client's queues on every kick; exit when the
-	// reader is done (connection gone) or the client closes.
+	// Writer: drain the client's queues, blocking on Kick when they are
+	// empty; exit when the reader is done (connection gone, client
+	// detached). Its PopOut after the detach hands back the frame it
+	// last wrote.
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		defer func() { <-done; c.PopOut() }()
 		for {
-			for {
-				frame, ok := c.PopOut()
-				if !ok {
-					break
-				}
-				if _, err := conn.Write(frame); err != nil {
-					_ = conn.Close()
+			frame, ok := c.PopOut()
+			if !ok {
+				select {
+				case <-c.Kick():
+					continue
+				case <-done:
 					return
 				}
 			}
-			select {
-			case <-c.Kick():
-				if c.Closed() {
-					// Final drain below the close flag is not needed:
-					// a detached client's queues are abandoned.
-					return
-				}
-			case <-done:
+			if _, err := conn.Write(frame); err != nil {
+				_ = conn.Close()
 				return
 			}
 		}
@@ -140,8 +136,8 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.mux.HandleFrame(c, body)
 	}
-	close(done)
 	s.mux.Detach(c)
+	close(done)
 	_ = conn.Close()
 	s.mu.Lock()
 	delete(s.conns, conn)

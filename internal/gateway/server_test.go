@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -123,6 +125,64 @@ func TestServerPingAndDisconnectCleanup(t *testing.T) {
 			t.Fatalf("cleanup: presence %d conns %d", h.reg.PresenceCount(), h.mux.Health().Conns)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// Clients on distinct topics share the frame slab, and each writer
+// goroutine reads its slots while the pump recycles others: no client
+// may receive a byte of another client's topic.
+func TestServerClientsNeverSeeOtherTopics(t *testing.T) {
+	h := newMuxHarness(t, Config{Name: "gw-iso"})
+	addr := startServer(t, h)
+	const clients, want = 4, 300
+	stop := make(chan struct{})
+	defer close(stop)
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		name := fmt.Sprintf("iso.%d", i)
+		c, err := Dial(addr, fmt.Sprintf("iso-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Subscribe(name, topic.Normal); err != nil {
+			t.Fatal(err)
+		}
+		pub, err := topic.NewPublisher(h.pbD, h.dir, topic.PublisherConfig{Topic: name, Class: topic.Normal, RefreshEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := bytes.Repeat([]byte{byte(i)}, 40+i)
+		go func() {
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = pub.Publish(payload)
+				time.Sleep(20 * time.Microsecond)
+			}
+		}()
+		go func() {
+			_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+			for n := 0; n < want; n++ {
+				f, err := c.RecvDeliver()
+				if err == nil && (f.Name != name || !bytes.Equal(f.Payload, payload)) {
+					err = fmt.Errorf("client on %s got %s: % x", name, f.Name, f.Payload)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < clients; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -229,24 +229,43 @@ func (x *PatternIndex) remove(n *patNode, segs []string, key uint64) bool {
 
 // Match visits the key of every pattern that topic matches. A key
 // subscribed through several matching patterns is visited once per
-// pattern; callers that need a set dedupe (the registry and the
-// gateway both merge into maps).
+// pattern; callers that need a set dedupe (the registry into a map,
+// the gateway into its target list).
 func (x *PatternIndex) Match(topic string, visit func(key uint64)) {
-	if topic == "" {
-		return
+	if topic != "" {
+		matchNode(&x.root, topic, visit)
 	}
-	matchNode(&x.root, topic, visit)
+}
+
+// MatchBytes is Match over a topic name still in a frame buffer: the
+// gateway matches straight out of the communication buffer. Out of
+// line: inlined into another package, the call into the generic walk
+// loses its escape facts and the caller's visit closure moves to the
+// heap on every match.
+//
+//go:noinline
+func (x *PatternIndex) MatchBytes(topic []byte, visit func(key uint64)) {
+	if len(topic) != 0 {
+		matchNode(&x.root, topic, visit)
+	}
 }
 
 // matchNode matches rest — one or more "."-separated segments, cut as
-// the walk descends so a match allocates nothing — below n.
-func matchNode(n *patNode, rest string, visit func(uint64)) {
+// the walk descends so a match allocates nothing, whichever form the
+// name is in — below n.
+func matchNode[T string | []byte](n *patNode, rest T, visit func(uint64)) {
 	// "**" at this level swallows the whole remaining suffix (≥1 segs).
 	for k := range n.dstar {
 		visit(k)
 	}
-	seg, tail, more := strings.Cut(rest, ".")
-	for _, c := range [2]*patNode{n.children[seg], n.star} {
+	seg, tail, more := rest, rest[len(rest):], false
+	for i := 0; i < len(rest); i++ {
+		if rest[i] == '.' {
+			seg, tail, more = rest[:i], rest[i+1:], true
+			break
+		}
+	}
+	for _, c := range [2]*patNode{n.children[string(seg)], n.star} {
 		if c == nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package nameservice
 
 import (
+	"strings"
 	"testing"
 
 	"flipc/internal/israce"
@@ -23,5 +24,15 @@ func TestPatternMatchAllocs(t *testing.T) {
 	}
 	if hits != 4*101 {
 		t.Fatalf("visited %d keys over 101 calls, want 4 per call", hits)
+	}
+	// A name past the 32-byte stack buffer a string conversion may use.
+	long := []byte("metrics." + strings.Repeat("n", 150) + ".cpu")
+	x.Add("metrics.*.cpu", 9)
+	hits = 0
+	if n := testing.AllocsPerRun(100, func() { x.MatchBytes(long, visit) }); n != 0 {
+		t.Fatalf("MatchBytes allocates %v objects per call, want 0", n)
+	}
+	if hits != 3*101 { // metrics.*.cpu twice over, metrics.**
+		t.Fatalf("MatchBytes visited %d keys over 101 calls, want 3 per call", hits)
 	}
 }

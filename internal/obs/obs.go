@@ -33,6 +33,7 @@ import (
 
 	"flipc/internal/duralog"
 	"flipc/internal/engine"
+	"flipc/internal/gateway"
 	"flipc/internal/metrics"
 	"flipc/internal/nettrans"
 	"flipc/internal/registrystore"
@@ -75,32 +76,12 @@ type Server struct {
 	// the node degraded with 503.
 	ShardHealth func() []ShardJSON
 	// GatewayHealth returns the client edge plane's health — set only
-	// on gateway daemons (flipcgw), typically a closure converting
-	// gateway.Mux.Health. Surfaced in /metrics?format=json and
-	// /healthz; a saturated endpoint class (the shared class inbox
-	// dropped frames in the last housekeeping tick) marks the node
-	// degraded with 503 — clients are losing frames before per-client
-	// accounting can see them.
-	GatewayHealth func() *GatewayJSON
-}
-
-// GatewayJSON is the gateway daemon's status in the JSON exposition.
-type GatewayJSON struct {
-	Name      string             `json:"name"`
-	Conns     int                `json:"conns"`
-	Presence  int                `json:"presence_leases"`
-	Patterns  int                `json:"patterns"`
-	Throttled int                `json:"throttled_clients"`
-	RenewErrs uint64             `json:"renew_errors"`
-	PerClass  []GatewayClassJSON `json:"per_class"`
-}
-
-// GatewayClassJSON is one gateway endpoint class in the exposition.
-type GatewayClassJSON struct {
-	Class      string `json:"class"`
-	QueueDepth int    `json:"queue_depth"`
-	InboxDrops uint64 `json:"inbox_drops"`
-	Saturated  bool   `json:"saturated"`
+	// on gateway daemons (flipcgw), typically gateway.Mux.Health.
+	// Surfaced in /metrics?format=json and /healthz; a saturated
+	// endpoint class (the shared class inbox dropped frames in the last
+	// housekeeping tick) marks the node degraded with 503 — clients are
+	// losing frames before per-client accounting can see them.
+	GatewayHealth func() *gateway.Health
 }
 
 // ShardJSON is one registry shard's status in the JSON exposition.
@@ -116,7 +97,7 @@ type ShardJSON struct {
 	Err     string `json:"err,omitempty"`
 }
 
-func (s *Server) gateway() *GatewayJSON {
+func (s *Server) gateway() *gateway.Health {
 	if s.GatewayHealth == nil {
 		return nil
 	}
@@ -241,7 +222,7 @@ type MetricsJSON struct {
 	Registry   *registrystore.Health `json:"registry,omitempty"`
 	Durable    []DurableJSON         `json:"durable,omitempty"`
 	Shards     []ShardJSON           `json:"shards,omitempty"`
-	Gateway    *GatewayJSON          `json:"gateway,omitempty"`
+	Gateway    *gateway.Health       `json:"gateway,omitempty"`
 }
 
 // Handler returns the HTTP handler serving the observability routes.
@@ -408,16 +389,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	shards := s.shards()
 	gw := s.gateway()
 	healthy := len(quarantined) == 0
-	if gw != nil {
-		for _, ch := range gw.PerClass {
-			if ch.Saturated {
-				// A saturated endpoint class drops frames at the
-				// shared inbox, before per-client queues: every client
-				// on that class is losing data, not just slow ones.
-				healthy = false
-				break
-			}
-		}
+	if gw != nil && gw.Degraded() {
+		// A saturated endpoint class drops frames at the shared inbox,
+		// before per-client queues: every client on that class is
+		// losing data, not just slow ones.
+		healthy = false
 	}
 	if reg != nil && reg.StoreErr != "" {
 		healthy = false // the registry can no longer make mutations durable
@@ -461,7 +437,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Registry    *registrystore.Health `json:"registry,omitempty"`
 		Durable     []DurableJSON         `json:"durable,omitempty"`
 		Shards      []ShardJSON           `json:"shards,omitempty"`
-		Gateway     *GatewayJSON          `json:"gateway,omitempty"`
+		Gateway     *gateway.Health       `json:"gateway,omitempty"`
 	}{healthy, peers, quarantined, reg, durable, shards, gw})
 }
 

@@ -31,16 +31,16 @@ func AppendEnvelope(dst []byte, topic string, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// OpenEnvelope splits an enveloped frame into topic name and payload.
-// ok is false if the frame cannot be an envelope (empty, or the length
-// byte overruns the frame).
-func OpenEnvelope(frame []byte) (topic string, payload []byte, ok bool) {
+// OpenEnvelope splits an enveloped frame into topic name and payload,
+// both aliasing frame. ok is false if the frame cannot be an envelope
+// (empty, or the length byte overruns the frame).
+func OpenEnvelope(frame []byte) (topic, payload []byte, ok bool) {
 	if len(frame) < 1 {
-		return "", nil, false
+		return nil, nil, false
 	}
 	n := int(frame[0])
 	if n == 0 || 1+n > len(frame) {
-		return "", nil, false
+		return nil, nil, false
 	}
-	return string(frame[1 : 1+n]), frame[1+n:], true
+	return frame[1 : 1+n], frame[1+n:], true
 }

@@ -195,6 +195,19 @@ func (q *Queue) AdvanceProcessChecked(eng mem.View) error {
 	return nil
 }
 
+// Process is ProcessPeek and AdvanceProcess in one step, for an engine
+// side whose application is trusted code in the same process: the
+// value at the process position and a move past it, or false.
+func (q *Queue) Process(eng mem.View) (uint64, bool) {
+	proc := eng.Load(q.process)
+	if proc == eng.Load(q.release) {
+		return 0, false
+	}
+	v := eng.Load(q.slot(proc))
+	eng.Store(q.process, proc+1)
+	return v, true
+}
+
 // Acquire removes and returns the slot value at the tail on behalf of
 // the application: a buffer the engine has finished processing. It
 // returns false when no processed buffer is available.
@@ -207,6 +220,15 @@ func (q *Queue) Acquire(app mem.View) (uint64, bool) {
 	v := app.Load(q.slot(acq))
 	app.Store(q.acquire, acq+1)
 	return v, true
+}
+
+// Unacquired visits, oldest first, every value released and not yet
+// acquired, processed or not, moving no pointer: how the application
+// takes back what a departed engine side will never finish.
+func (q *Queue) Unacquired(app mem.View, visit func(uint64)) {
+	for i, rel := app.Load(q.acquire), app.Load(q.release); i != rel; i++ {
+		visit(app.Load(q.slot(i)))
+	}
 }
 
 // AcquirePeek returns the value the next Acquire would return without

@@ -440,3 +440,39 @@ func TestDebugOffsets(t *testing.T) {
 		t.Fatal("control-word offsets alias")
 	}
 }
+
+// Process is a peek and an advance in one step; Unacquired walks what
+// the application still owns, processed or not, and moves nothing.
+func TestProcessAndUnacquired(t *testing.T) {
+	q, app, eng := newQueue(t, 8, true)
+	for v := uint64(10); v < 15; v++ {
+		q.Release(app, v)
+	}
+	for want := uint64(10); want < 12; want++ {
+		if v, ok := q.Process(eng); !ok || v != want {
+			t.Fatalf("Process = %d, %v; want %d", v, ok, want)
+		}
+	}
+	if v, ok := q.Acquire(app); !ok || v != 10 {
+		t.Fatalf("Acquire = %d, %v; want 10", v, ok)
+	}
+	var seen []uint64
+	q.Unacquired(app, func(v uint64) { seen = append(seen, v) })
+	if len(seen) != 4 || seen[0] != 11 || seen[3] != 14 {
+		t.Fatalf("Unacquired visited %v, want 11..14", seen)
+	}
+	if toProc, toAcq := q.Depths(app); toProc != 3 || toAcq != 1 {
+		t.Fatalf("Depths after Unacquired = %d, %d; want 3, 1", toProc, toAcq)
+	}
+	for q.Release(app, 0) {
+	}
+	for i := 0; i < 7; i++ {
+		q.Process(eng)
+	}
+	if _, ok := q.Process(eng); ok {
+		t.Fatal("Process past release")
+	}
+	if err := q.CheckInvariant(app); err != nil {
+		t.Fatal(err)
+	}
+}
