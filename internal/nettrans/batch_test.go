@@ -68,9 +68,7 @@ func TestBatchBoundaryFailureConservation(t *testing.T) {
 
 	// Kill the send path under the peer lock, exactly as a mid-run
 	// network failure would: the next write errors.
-	a.mu.Lock()
-	p := a.peers[1]
-	a.mu.Unlock()
+	p := a.lookup(1)
 	p.mu.Lock()
 	if p.conn == nil {
 		p.mu.Unlock()

@@ -38,19 +38,34 @@
 // counted (Stats.RxDrops). What nettrans still does not do, per the
 // paper, is retransmit: frames in flight when a connection dies are
 // lost, and loss accounting — not recovery — is the contract.
+//
+// # Receive path
+//
+// One reader goroutine per connection copies frames into the inbox the
+// engine polls. Like the paper's engine it polls rather than waits
+// while traffic flows: after a read that returned bytes it retries
+// non-blocking reads for up to spinWindow before it parks in the
+// netpoller, so a busy link never pays a thread wake-up per burst and
+// an idle one parks within microseconds (Stats.RxParks counts parks).
+// As in sync.Mutex, it spins only when another P and another CPU can
+// run the engine meanwhile.
 package nettrans
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"flipc/internal/metrics"
@@ -258,6 +273,10 @@ type Stats struct {
 	// place because its oldest frame was still inside the flush
 	// deadline.
 	FlushHeld uint64
+	// RxParks counts the readers' fallbacks to a blocking read: none
+	// while a link's traffic keeps its reader spinning, about one per
+	// silence on an idle link.
+	RxParks uint64
 }
 
 // Transport is a TCP-backed interconnect.Transport. Create one per
@@ -267,8 +286,8 @@ type Transport struct {
 	cfg Config
 	ln  net.Listener
 
-	mu    sync.Mutex
-	peers map[wire.NodeID]*peer
+	mu    sync.Mutex // serializes peerFor's growth of peers
+	peers atomic.Pointer[peerTable]
 
 	// connMu guards conns, the set of every live connection — primary
 	// send paths and duplicates from simultaneous dials alike — so
@@ -294,6 +313,7 @@ type Transport struct {
 	flushLost  atomic.Uint64
 	ctlBypass  atomic.Uint64
 	flushHeld  atomic.Uint64
+	rxParks    atomic.Uint64
 
 	// pendingFrames tracks corked frames across all peers so the
 	// engine's every-pass FlushSends exits without touching peer locks
@@ -304,6 +324,13 @@ type Transport struct {
 	// histogram scrape behind the adaptive value.
 	deadlineNs atomic.Int64
 	lastProbe  atomic.Int64
+}
+
+// peerTable is the grow-only peer set: peerFor publishes a grown copy
+// under Transport.mu, every other reader takes one atomic load.
+type peerTable struct {
+	byNode []*peer // indexed by node, nil where no peer
+	all    []*peer // attach order
 }
 
 // Listen creates a transport for node accepting peer connections on
@@ -338,11 +365,11 @@ func ListenConfig(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:    cfg,
 		ln:     ln,
-		peers:  make(map[wire.NodeID]*peer),
 		conns:  make(map[net.Conn]struct{}),
 		inbox:  make(chan []byte, cfg.InboxDepth),
 		closed: make(chan struct{}),
 	}
+	t.peers.Store(&peerTable{})
 	t.deadlineNs.Store(int64(cfg.FlushDeadline))
 	if cfg.Trace != nil {
 		t.rxDropLab = cfg.Trace.Label("rx.drop")
@@ -366,6 +393,7 @@ func (t *Transport) registerMetrics(reg *metrics.Registry) {
 	reg.Func("flipc_transport_flush_lost_total", func() float64 { return float64(t.flushLost.Load()) })
 	reg.Func("flipc_transport_ctl_bypass_total", func() float64 { return float64(t.ctlBypass.Load()) })
 	reg.Func("flipc_transport_flush_held_total", func() float64 { return float64(t.flushHeld.Load()) })
+	reg.Func("flipc_transport_rx_parks_total", func() float64 { return float64(t.rxParks.Load()) })
 	reg.Func("flipc_transport_flush_deadline_ns", func() float64 { return float64(t.deadlineNs.Load()) })
 	reg.Func("flipc_transport_pending_frames", func() float64 { return float64(t.pendingFrames.Load()) })
 	reg.Func("flipc_transport_inbox_depth", func() float64 { return float64(len(t.inbox)) })
@@ -382,16 +410,10 @@ func (t *Transport) registerPeerMetrics(reg *metrics.Registry, p *peer) {
 		func() float64 { return float64(p.sendFails.Load()) })
 	reg.Func(metrics.Name("flipc_peer_reconnects_total", "peer", node),
 		func() float64 { return float64(p.reconnects.Load()) })
-	reg.Func(metrics.Name("flipc_peer_state", "peer", node), func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return float64(p.state)
-	})
-	reg.Func(metrics.Name("flipc_peer_mean_outage_ms", "peer", node), func() float64 {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.reconnect.Value()
-	})
+	reg.Func(metrics.Name("flipc_peer_state", "peer", node),
+		func() float64 { return float64(p.health().State) })
+	reg.Func(metrics.Name("flipc_peer_mean_outage_ms", "peer", node),
+		func() float64 { return p.health().MeanOutageMs })
 }
 
 // Addr returns the listening address to advertise to peers.
@@ -425,23 +447,37 @@ func (t *Transport) untrack(conn net.Conn) {
 	t.connMu.Unlock()
 }
 
+// lookup returns node's state machine, or nil for a node this
+// transport has never seen.
+func (t *Transport) lookup(node wire.NodeID) *peer {
+	if byNode := t.peers.Load().byNode; int(node) < len(byNode) {
+		return byNode[node]
+	}
+	return nil
+}
+
 // peerFor returns the state machine for node, creating it if needed.
 func (t *Transport) peerFor(node wire.NodeID) *peer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	p := t.peers[node]
-	if p == nil {
-		p = &peer{node: node, state: PeerUnknown}
-		t.peers[node] = p
-		if t.cfg.Metrics != nil {
-			t.registerPeerMetrics(t.cfg.Metrics, p)
-		}
+	if p := t.lookup(node); p != nil {
+		return p
+	}
+	p := &peer{node: node, state: PeerUnknown}
+	old := t.peers.Load()
+	byNode := make([]*peer, max(len(old.byNode), int(node)+1))
+	copy(byNode, old.byNode)
+	byNode[node] = p
+	t.peers.Store(&peerTable{byNode: byNode, all: append(slices.Clip(old.all), p)})
+	if t.cfg.Metrics != nil {
+		t.registerPeerMetrics(t.cfg.Metrics, p)
 	}
 	return p
 }
 
 // acceptLoop admits inbound peers. Each connection starts with a
-// 4-byte hello carrying the peer's node ID.
+// 4-byte hello carrying the peer's node ID. The connection is tracked
+// before the hello so Close also ends a dialer that never sends one.
 func (t *Transport) acceptLoop() {
 	for {
 		conn, err := t.ln.Accept()
@@ -449,45 +485,51 @@ func (t *Transport) acceptLoop() {
 			return // listener closed
 		}
 		go func() {
-			var hello [4]byte
-			if _, err := io.ReadFull(conn, hello[:]); err != nil {
-				conn.Close()
-				return
-			}
 			if !t.track(conn) {
 				conn.Close()
 				return
 			}
-			p := t.peerFor(wire.NodeID(binary.BigEndian.Uint16(hello[0:2])))
-			p.mu.Lock()
-			if p.conn == nil {
-				// First connection, or an inbound revival of a failed
-				// link (the peer redialed us).
-				t.adoptLocked(p, conn)
+			var hello [4]byte
+			if _, err := io.ReadFull(conn, hello[:]); err != nil {
+				t.untrack(conn)
+				conn.Close()
+				return
 			}
-			// On a duplicate (both sides dialed simultaneously) keep
-			// reading from this connection but leave the registered one
-			// as the send path; it stays tracked, so Close tears it
-			// down with everything else.
-			p.mu.Unlock()
-			t.readLoop(p, conn)
+			// A first connection, or an inbound revival of a failed link
+			// (the peer redialed us).
+			t.attach(t.peerFor(wire.NodeID(binary.BigEndian.Uint16(hello[0:2]))), conn, "")
 		}()
 	}
 }
 
-// adoptLocked installs conn as p's send path. Caller holds p.mu and
-// has already tracked conn.
-func (t *Transport) adoptLocked(p *peer, conn net.Conn) {
-	revived := p.state == PeerReconnecting || p.state == PeerDead
-	p.conn = conn
-	p.state = PeerConnected
-	p.attempts = 0
-	if revived {
-		p.reconnect.Observe(float64(time.Since(p.downAt).Microseconds()) / 1000)
-		p.reconnects.Add(1)
-		t.reconnects.Add(1)
+// attach makes conn — tracked, hello exchanged — p's send path unless
+// another connection already is, and starts its reader either way. A
+// surplus connection (both sides dialed at once) stays a tracked, read
+// duplicate: the remote may have adopted it as its send path, so
+// closing it would sever the link being established, and Close tears
+// it down with the rest. A non-empty addr is where conn was dialed.
+// attach reports whether conn became the send path.
+func (t *Transport) attach(p *peer, conn net.Conn, addr string) bool {
+	p.mu.Lock()
+	if addr != "" {
+		p.addr = addr
 	}
-	t.traceEvent("peer.up", p.node, revived)
+	adopted := p.conn == nil && !t.isClosed()
+	if adopted {
+		revived := p.state == PeerReconnecting || p.state == PeerDead
+		p.conn = conn
+		p.state = PeerConnected
+		p.attempts = 0
+		if revived {
+			p.reconnect.Observe(float64(time.Since(p.downAt).Microseconds()) / 1000)
+			p.reconnects.Add(1)
+			t.reconnects.Add(1)
+		}
+		t.traceEvent("peer.up", p.node, revived)
+	}
+	p.mu.Unlock()
+	go t.readLoop(p, conn)
+	return adopted
 }
 
 // connFailedLocked handles a dead connection. Caller holds p.mu. If
@@ -575,23 +617,11 @@ func (t *Transport) redialLoop(p *peer) {
 			conn, err = t.dialHello(addr)
 		}
 		if err == nil {
-			if !t.track(conn) {
+			if t.track(conn) {
+				t.attach(p, conn, addr)
+			} else {
 				conn.Close()
-				return
 			}
-			p.mu.Lock()
-			if p.conn != nil || p.state == PeerDead {
-				// An inbound hello won the race; keep the surplus
-				// connection as a tracked duplicate (the remote may be
-				// sending on it) rather than severing it.
-				p.mu.Unlock()
-				go t.readLoop(p, conn)
-				return
-			}
-			p.addr = addr
-			t.adoptLocked(p, conn)
-			p.mu.Unlock()
-			go t.readLoop(p, conn)
 			return
 		}
 
@@ -607,10 +637,7 @@ func (t *Transport) redialLoop(p *peer) {
 			t.traceEvent("peer.dead", p.node, attempt)
 			return
 		}
-		backoff = time.Duration(float64(backoff) * rc.Multiplier)
-		if backoff > rc.MaxBackoff {
-			backoff = rc.MaxBackoff
-		}
+		backoff = min(time.Duration(float64(backoff)*rc.Multiplier), rc.MaxBackoff)
 	}
 }
 
@@ -636,12 +663,9 @@ func (t *Transport) dialHello(addr string) (net.Conn, error) {
 // The address is remembered for automatic redialing.
 func (t *Transport) Dial(node wire.NodeID, addr string) error {
 	p := t.peerFor(node)
-	p.mu.Lock()
-	if p.conn != nil {
-		p.mu.Unlock()
+	if t.PeerUp(node) {
 		return fmt.Errorf("nettrans: node %d already connected", node)
 	}
-	p.mu.Unlock()
 	conn, err := t.dialHello(addr)
 	if err != nil {
 		return fmt.Errorf("nettrans: dial node %d at %s: %w", node, addr, err)
@@ -650,20 +674,10 @@ func (t *Transport) Dial(node wire.NodeID, addr string) error {
 		conn.Close()
 		return fmt.Errorf("nettrans: transport closed")
 	}
-	p.mu.Lock()
-	p.addr = addr
-	if p.conn != nil {
-		// A simultaneous inbound hello won the adoption race. Keep the
-		// surplus connection alive as a tracked duplicate — the remote
-		// may have adopted it as its send path, so closing it here
-		// would sever the link we just helped establish.
-		p.mu.Unlock()
-		go t.readLoop(p, conn)
+	if !t.attach(p, conn, addr) {
+		// A simultaneous inbound hello won the adoption race.
 		return fmt.Errorf("nettrans: node %d already connected", node)
 	}
-	t.adoptLocked(p, conn)
-	p.mu.Unlock()
-	go t.readLoop(p, conn)
 	return nil
 }
 
@@ -689,17 +703,13 @@ func (t *Transport) Register(node wire.NodeID, addr string) {
 // failure: the normal recovery path (state machine, redial, counters)
 // takes over. Chaos tests and operational drains use this.
 func (t *Transport) DropConn(node wire.NodeID) {
-	t.mu.Lock()
-	p := t.peers[node]
-	t.mu.Unlock()
-	if p == nil {
-		return
+	if p := t.lookup(node); p != nil {
+		p.mu.Lock()
+		if p.conn != nil {
+			t.connFailedLocked(p, p.conn, errConnDropped)
+		}
+		p.mu.Unlock()
 	}
-	p.mu.Lock()
-	if p.conn != nil {
-		t.connFailedLocked(p, p.conn, errConnDropped)
-	}
-	p.mu.Unlock()
 }
 
 // parsePreamble validates one frame preamble against the boot-time
@@ -719,11 +729,60 @@ func parsePreamble(pre []byte, messageSize int) error {
 	return nil
 }
 
+// spinWindow is how long a reader polls an empty socket before it
+// parks. It is the ski-rental bound: spinning longer than a park and
+// wake-up costs cannot pay, and that cost — the reader's wake-up seen
+// by the engine, bench row path.wait_transport_ns on p2p_tcp — measured
+// about 10 µs on loopback.
+const spinWindow = 10 * time.Microsecond
+
+// rxConn is a reader's side of its connection, under its bufio.Reader
+// (see the package doc's receive path).
+type rxConn struct {
+	conn  net.Conn
+	raw   syscall.RawConn // nil: not a syscall.Conn, every read blocks
+	parks *atomic.Uint64
+	spin  bool // the last read returned bytes, and another P and CPU exist
+	buf   []byte
+	n     int
+	err   error
+	try   func(fd uintptr) bool // bound once: a closure per read allocates
+}
+
+func newRxConn(conn net.Conn, parks *atomic.Uint64) *rxConn {
+	r := &rxConn{conn: conn, parks: parks}
+	if sc, ok := conn.(syscall.Conn); ok {
+		r.raw, _ = sc.SyscallConn() // on error raw stays nil: reads block
+	}
+	// One non-blocking read(2); true tells RawConn.Read not to wait.
+	r.try = func(fd uintptr) bool { r.n, r.err = syscall.Read(int(fd), r.buf); return true }
+	return r
+}
+
+func (r *rxConn) Read(p []byte) (int, error) {
+	if r.spin {
+		r.buf = p
+		for start := time.Now(); r.raw.Read(r.try) == nil; {
+			if r.n > 0 {
+				return r.n, nil
+			}
+			// EOF and errors fall through to conn.Read, which reports them.
+			if r.err != syscall.EAGAIN || time.Since(start) > spinWindow {
+				break
+			}
+		}
+	}
+	r.parks.Add(1)
+	n, err := r.conn.Read(p)
+	r.spin = n > 0 && r.raw != nil && min(runtime.GOMAXPROCS(0), runtime.NumCPU()) > 1
+	return n, err
+}
+
 // readLoop pumps frames from one of p's connections into the inbox.
 func (t *Transport) readLoop(p *peer, conn net.Conn) {
 	buf := make([]byte, preambleBytes+t.cfg.MessageSize)
 	// One read(2) per burst of corked frames, not one per frame.
-	r := bufio.NewReaderSize(conn, 64<<10)
+	r := bufio.NewReaderSize(newRxConn(conn, &t.rxParks), 64<<10)
 	for {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			p.mu.Lock()
@@ -767,79 +826,60 @@ func (t *Transport) TrySend(dst wire.NodeID, frame []byte) bool {
 	if len(frame) != t.cfg.MessageSize {
 		return false
 	}
-	t.mu.Lock()
-	p := t.peers[dst]
-	t.mu.Unlock()
+	p := t.lookup(dst)
 	if p == nil {
 		t.peerDowns.Add(1)
 		return false
 	}
 	p.mu.Lock()
-	conn := p.conn
-	if conn == nil {
-		p.mu.Unlock()
-		p.sendFails.Add(1)
-		t.peerDowns.Add(1)
-		return false
-	}
-	if t.cfg.BatchWrites {
-		if wire.Expedited(frame[6]) {
-			// Control class bypasses the cork: flush anything already
-			// corked for this peer (the TCP stream keeps per-pair
-			// ordering), then write the frame synchronously so credit
-			// adverts and registry traffic never pay the latency
-			// budget bulk frames trade against.
-			if !t.flushPeerLocked(p, 0) || t.writeFrameLocked(p, frame) != nil {
-				p.mu.Unlock()
-				p.sendFails.Add(1)
-				t.peerDowns.Add(1)
-				return false
-			}
-			p.mu.Unlock()
-			t.ctlBypass.Add(1)
-			p.sent.Add(1)
-			t.sent.Add(1)
-			return true
-		}
-		// Coalesce: append preamble+frame to the peer's pending buffer;
-		// the engine's end-of-pass FlushSends (deadline permitting) or
-		// filling the buffer writes the whole run in one syscall.
-		var pre [preambleBytes]byte
-		binary.BigEndian.PutUint16(pre[0:2], preambleMagic)
-		binary.BigEndian.PutUint16(pre[2:4], uint16(t.cfg.MessageSize))
-		if len(p.pending) == 0 {
-			p.pendingSince = time.Now()
-		}
-		p.pending = append(p.pending, pre[:]...)
-		p.pending = append(p.pending, frame...)
-		t.pendingFrames.Add(1)
-		full := len(p.pending) >= t.cfg.MaxBatchFrames*(preambleBytes+t.cfg.MessageSize)
-		if full && !t.flushPeerLocked(p, 1) {
-			// The inline flush failed. The rest of the batch is counted
-			// as FlushLost; this frame is excluded from the count
-			// because the refusal keeps its message queued at the
-			// engine — counting it too would record it both lost and
-			// (after the retry) delivered.
-			p.mu.Unlock()
-			p.sendFails.Add(1)
-			t.peerDowns.Add(1)
-			return false
-		}
-		p.mu.Unlock()
-		p.sent.Add(1)
-		t.sent.Add(1)
-		return true
-	}
-	if err := t.writeFrameLocked(p, frame); err != nil {
-		p.mu.Unlock()
-		p.sendFails.Add(1)
-		t.peerDowns.Add(1)
-		return false
-	}
+	ok := p.conn != nil && t.sendLocked(p, frame)
 	p.mu.Unlock()
+	if !ok {
+		p.sendFails.Add(1)
+		t.peerDowns.Add(1)
+		return false
+	}
 	p.sent.Add(1)
 	t.sent.Add(1)
 	return true
+}
+
+// sendLocked writes or corks frame on p's live connection and reports
+// whether the link took it. Caller holds p.mu.
+func (t *Transport) sendLocked(p *peer, frame []byte) bool {
+	if !t.cfg.BatchWrites {
+		return t.writeFrameLocked(p, frame) == nil
+	}
+	if wire.Expedited(frame[6]) {
+		// Control class bypasses the cork: flush anything already
+		// corked for this peer (the TCP stream keeps per-pair
+		// ordering), then write the frame synchronously so credit
+		// adverts and registry traffic never pay the latency
+		// budget bulk frames trade against.
+		if !t.flushPeerLocked(p, 0) || t.writeFrameLocked(p, frame) != nil {
+			return false
+		}
+		t.ctlBypass.Add(1)
+		return true
+	}
+	// Coalesce: append preamble+frame to the peer's pending buffer;
+	// the engine's end-of-pass FlushSends (deadline permitting) or
+	// filling the buffer writes the whole run in one syscall.
+	var pre [preambleBytes]byte
+	binary.BigEndian.PutUint16(pre[0:2], preambleMagic)
+	binary.BigEndian.PutUint16(pre[2:4], uint16(t.cfg.MessageSize))
+	if len(p.pending) == 0 {
+		p.pendingSince = time.Now()
+	}
+	p.pending = append(p.pending, pre[:]...)
+	p.pending = append(p.pending, frame...)
+	t.pendingFrames.Add(1)
+	// A failed inline flush counts the rest of the batch as FlushLost
+	// but not this frame: its refusal keeps the message queued at the
+	// engine, and counting it too would record it both lost and (after
+	// the retry) delivered.
+	full := len(p.pending) >= t.cfg.MaxBatchFrames*(preambleBytes+t.cfg.MessageSize)
+	return !full || t.flushPeerLocked(p, 1)
 }
 
 // writeFrameLocked writes preamble+frame synchronously on p's
@@ -919,14 +959,8 @@ func (t *Transport) flushDeadline(now time.Time) time.Duration {
 	if now.UnixNano()-last >= int64(flushProbeInterval) &&
 		t.lastProbe.CompareAndSwap(last, now.UnixNano()) {
 		if p99, ok := t.probeLatency(); ok {
-			d := time.Duration(p99 * t.cfg.FlushBudget)
-			if d < t.cfg.FlushDeadline {
-				d = t.cfg.FlushDeadline
-			}
-			if d > t.cfg.MaxFlushDelay {
-				d = t.cfg.MaxFlushDelay
-			}
-			t.deadlineNs.Store(int64(d))
+			d := max(time.Duration(p99*t.cfg.FlushBudget), t.cfg.FlushDeadline)
+			t.deadlineNs.Store(int64(min(d, t.cfg.MaxFlushDelay)))
 		}
 	}
 	return time.Duration(t.deadlineNs.Load())
@@ -967,13 +1001,7 @@ func (t *Transport) FlushSends() {
 	}
 	now := time.Now()
 	deadline := t.flushDeadline(now)
-	t.mu.Lock()
-	ps := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		ps = append(ps, p)
-	}
-	t.mu.Unlock()
-	for _, p := range ps {
+	for _, p := range t.peers.Load().all {
 		p.mu.Lock()
 		if len(p.pending) > 0 && deadline > 0 && now.Sub(p.pendingSince) < deadline {
 			t.flushHeld.Add(1)
@@ -1005,26 +1033,16 @@ func (t *Transport) PeerUp(dst wire.NodeID) bool {
 // PeerState returns dst's position in the connection state machine
 // (PeerUnknown for a node this transport has never seen).
 func (t *Transport) PeerState(dst wire.NodeID) PeerState {
-	t.mu.Lock()
-	p := t.peers[dst]
-	t.mu.Unlock()
-	if p == nil {
-		return PeerUnknown
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
+	h, _ := t.PeerHealth(dst)
+	return h.State
 }
 
 // PeerHealth returns one peer's health snapshot.
 func (t *Transport) PeerHealth(dst wire.NodeID) (PeerHealth, bool) {
-	t.mu.Lock()
-	p := t.peers[dst]
-	t.mu.Unlock()
-	if p == nil {
-		return PeerHealth{Node: dst, State: PeerUnknown}, false
+	if p := t.lookup(dst); p != nil {
+		return p.health(), true
 	}
-	return p.health(), true
+	return PeerHealth{Node: dst, State: PeerUnknown}, false
 }
 
 func (p *peer) health() PeerHealth {
@@ -1045,39 +1063,21 @@ func (p *peer) health() PeerHealth {
 
 // Health returns every known peer's health snapshot, ordered by node.
 func (t *Transport) Health() []PeerHealth {
-	t.mu.Lock()
-	ps := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		ps = append(ps, p)
+	all := t.peers.Load().all
+	out := make([]PeerHealth, len(all))
+	for i, p := range all {
+		out[i] = p.health()
 	}
-	t.mu.Unlock()
-	out := make([]PeerHealth, 0, len(ps))
-	for _, p := range ps {
-		out = append(out, p.health())
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].Node > out[j].Node; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.SortFunc(out, func(a, b PeerHealth) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
 
 // Peers returns the currently connected peer nodes.
 func (t *Transport) Peers() []wire.NodeID {
-	t.mu.Lock()
-	ps := make([]*peer, 0, len(t.peers))
-	for _, p := range t.peers {
-		ps = append(ps, p)
-	}
-	t.mu.Unlock()
-	out := make([]wire.NodeID, 0, len(ps))
-	for _, p := range ps {
-		p.mu.Lock()
-		up := p.state == PeerConnected
-		p.mu.Unlock()
-		if up {
-			out = append(out, p.node)
+	var out []wire.NodeID
+	for _, h := range t.Health() {
+		if h.State == PeerConnected {
+			out = append(out, h.Node)
 		}
 	}
 	return out
@@ -1094,6 +1094,7 @@ func (t *Transport) Stats() Stats {
 		FlushLost:  t.flushLost.Load(),
 		CtlBypass:  t.ctlBypass.Load(),
 		FlushHeld:  t.flushHeld.Load(),
+		RxParks:    t.rxParks.Load(),
 	}
 }
 
@@ -1118,13 +1119,7 @@ func (t *Transport) Close() {
 		}
 		t.conns = nil
 		t.connMu.Unlock()
-		t.mu.Lock()
-		ps := make([]*peer, 0, len(t.peers))
-		for _, p := range t.peers {
-			ps = append(ps, p)
-		}
-		t.mu.Unlock()
-		for _, p := range ps {
+		for _, p := range t.peers.Load().all {
 			p.mu.Lock()
 			p.conn = nil
 			p.state = PeerDead
