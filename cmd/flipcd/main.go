@@ -65,15 +65,10 @@ func main() {
 		checks   = flag.Bool("checks", true, "engine validity checks (quarantine on comm-buffer corruption)")
 
 		// Aggregation: -batch corks per-peer writes into the pending
-		// buffer; control-class frames always bypass the cork. The flush
-		// deadline is fixed (-flush-deadline) or, with -flush-budget,
-		// adapts to the observed one-way p99 (needs -http for the
-		// latency histogram; the fixed deadline is the floor).
+		// buffer; control-class frames always bypass the cork.
 		batch       = flag.Bool("batch", false, "coalesce per-peer writes (pending-buffer aggregation)")
 		batchFrames = flag.Int("batch-frames", 64, "with -batch: frames per peer before an inline flush")
-		flushDl     = flag.Duration("flush-deadline", 0, "with -batch: max age of a corked frame (adaptive floor when -flush-budget is set)")
-		flushBudget = flag.Float64("flush-budget", 0, "with -batch: adaptive flush deadline = observed one-way p99 x this (0 = fixed deadline)")
-		maxFlushDl  = flag.Duration("max-flush-delay", time.Millisecond, "with -batch -flush-budget: adaptive deadline cap")
+		flushDl     = flag.Duration("flush-deadline", 0, "with -batch: max age of a corked frame")
 
 		// Registry role: -registry serves the topic registry in-band.
 		// With -waldir the registry is durable (WAL + snapshots) and
@@ -125,8 +120,6 @@ func main() {
 		BatchWrites:    *batch,
 		MaxBatchFrames: *batchFrames,
 		FlushDeadline:  *flushDl,
-		FlushBudget:    *flushBudget,
-		MaxFlushDelay:  *maxFlushDl,
 		Trace:          ring,
 		Metrics:        reg,
 	})
@@ -137,12 +130,7 @@ func main() {
 	reportOnFatal = tr // fatal exits from here on include the health report
 	fmt.Printf("flipcd: node %d listening on %s (message size %d)\n", *node, tr.Addr(), *msgSize)
 	if *batch {
-		if *flushBudget > 0 {
-			fmt.Printf("flipcd: aggregation on: %d frames/peer, adaptive deadline p99 x %.2f in [%v, %v]\n",
-				*batchFrames, *flushBudget, *flushDl, *maxFlushDl)
-		} else {
-			fmt.Printf("flipcd: aggregation on: %d frames/peer, fixed deadline %v\n", *batchFrames, *flushDl)
-		}
+		fmt.Printf("flipcd: aggregation on: %d frames/peer, flush deadline %v\n", *batchFrames, *flushDl)
 	}
 
 	var srv *obs.Server

@@ -5,6 +5,7 @@ import (
 
 	"flipc/internal/engine"
 	"flipc/internal/interconnect"
+	"flipc/internal/sim"
 	"flipc/internal/wire"
 )
 
@@ -147,5 +148,58 @@ func TestMultipleCommBuffersPerNode(t *testing.T) {
 	pump(all...)
 	if _, ok := repO.Receive(); !ok {
 		t.Fatal("trusted app's message lost")
+	}
+}
+
+// An engine on a mux port over a corking transport must reach the
+// shared transport's FlushSends: a frame corked below the mux is
+// otherwise never sent. The mesh holds a run until a flush (or until
+// it fills 8 frames), so one send shows the difference.
+func TestMuxPortFlushesCorkedFrames(t *testing.T) {
+	clock := sim.NewClock()
+	cfg := interconnect.DefaultMeshConfig()
+	cfg.BatchFrames = 8
+	mesh, err := interconnect.NewMesh(clock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := mesh.Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muxTr, err := interconnect.NewMux(shared).Attach(0, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peerTr, err := mesh.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewDomain(Config{Node: 0, MessageSize: 64, NumBuffers: 16, MaxEndpoints: 32}, muxTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewDomain(Config{Node: 1, MessageSize: 64, NumBuffers: 16}, peerTr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	rep, _ := b.NewRecvEndpoint(4)
+	rm, _ := b.AllocBuffer()
+	rep.Post(rm)
+	sep, _ := a.NewSendEndpoint(4)
+	sm, _ := a.AllocBuffer()
+	if err := sep.Send(sm, rep.Addr(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		a.Poll()
+		b.Poll()
+		clock.RunFor(10 * sim.Microsecond)
+	}
+	if _, ok := rep.Receive(); !ok {
+		t.Fatal("frame corked below the mux was never sent")
 	}
 }

@@ -810,7 +810,7 @@ func (e *Engine) pollSend() bool {
 	if e.flusher != nil {
 		// End-of-pass flush: one write per peer for everything this pass
 		// corked, and — because a batching transport may hold frames
-		// across passes under a latency-budget deadline — the deadline
+		// across passes until its flush deadline — the deadline
 		// enforcement point for frames corked on earlier passes. Called
 		// even when this pass sent nothing, or a quiet engine would
 		// strand a corked frame forever (see interconnect.BatchFlusher).

@@ -11,6 +11,7 @@ import (
 	"flipc/internal/interconnect"
 	"flipc/internal/kkt"
 	"flipc/internal/mem"
+	"flipc/internal/msglib"
 	"flipc/internal/sim"
 	"flipc/internal/stats"
 	"flipc/internal/wire"
@@ -116,34 +117,56 @@ func E9DropsAndFlowControl(seed int64) (*E9Result, error) {
 	}
 	res.DroppedRaw = res.SentRaw - res.DeliveredRaw
 
-	// Phase 2: the same blast through a credit window — zero drops.
-	snd, err := flowctl.NewSender(a, rep.Addr() /*provisional*/, 4)
+	// Phase 2: the same blast through a credit window — zero drops. The
+	// sender charges a flowctl.Account per send; after every receive the
+	// receiver returns its cumulative disposed count (consumed + dropped)
+	// on a reverse channel, so a lost advert is subsumed by the next.
+	const window = 4
+	data, err := msglib.NewOutbox(a, 0, window)
 	if err != nil {
 		return nil, err
 	}
-	rcv, err := flowctl.NewReceiver(b, snd.CreditAddr(), 4, 1)
+	creditIn, err := msglib.NewInbox(a, 0, 2*window)
 	if err != nil {
 		return nil, err
 	}
-	snd.Retarget(rcv.Addr())
-	got := uint64(0)
+	in, err := msglib.NewInbox(b, 0, window)
+	if err != nil {
+		return nil, err
+	}
+	creditOut, err := msglib.NewOutbox(b, 0, window)
+	if err != nil {
+		return nil, err
+	}
+	acct := flowctl.NewAccount(window)
+	var sent, got uint64
+	var advert [flowctl.CreditFrameBytes]byte
 	for got < blast {
-		for snd.Sent() < blast {
-			if err := snd.TrySend([]byte{byte(snd.Sent())}); err != nil {
-				break // window exhausted; drain below
+		for sent < blast && acct.Available() > 0 {
+			if data.Send(in.Addr(), []byte{byte(sent)}) != nil {
+				break // backpressure; drain below
 			}
+			acct.Spend()
+			sent++
 		}
 		pump()
-		for {
-			if _, ok := rcv.Receive(); !ok {
-				break
-			}
+		for _, _, ok := in.Receive(); ok; _, _, ok = in.Receive() {
 			got++
+			n := flowctl.EncodeCredit(advert[:], in.Addr(), window, in.Received()+in.Drops())
+			if err := creditOut.Send(creditIn.Addr(), advert[:n]); err != nil {
+				return nil, fmt.Errorf("E9 credit advert: %w", err)
+			}
 		}
 		pump()
+		for p, _, ok := creditIn.Receive(); ok; p, _, ok = creditIn.Receive() {
+			if _, w, disposed, ok := flowctl.DecodeCredit(p); ok {
+				acct.SetWindow(int(w))
+				acct.Ack(disposed)
+			}
+		}
 	}
-	res.SentWindowed = snd.Sent()
-	res.DroppedWindowed = rcv.Drops()
+	res.SentWindowed = sent
+	res.DroppedWindowed = in.Drops()
 
 	res.Table = Table{
 		ID:      "E9",

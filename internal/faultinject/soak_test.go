@@ -12,10 +12,12 @@ import (
 	"flipc/internal/engine"
 	"flipc/internal/faultinject"
 	"flipc/internal/interconnect"
+	"flipc/internal/metrics"
+	"flipc/internal/nettrans"
 	"flipc/internal/wire"
 )
 
-// The chaos soak: a three-node in-process cluster with every injector
+// The chaos soak: a three-node cluster on one fabric with every injector
 // fault mode live at 2%, a mid-run partition, and deliberate
 // comm-buffer corruption on every node, driven with the engines on
 // their own goroutines (run it with -race). Sacrificial endpoints are
@@ -31,21 +33,94 @@ import (
 // Any engine panic fails the test; so does a quarantine that never
 // recovers, or a single unaccounted frame.
 func TestChaosSoakConservation(t *testing.T) {
-	chaosSoak(t, interconnect.NewFabric(512))
+	fabric := interconnect.NewFabric(512)
+	ports := make([]interconnect.Transport, soakNodes)
+	for i := range ports {
+		p, err := fabric.Attach(wire.NodeID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports[i] = p
+	}
+	chaosSoak(t, ports, func(i int) wireLedger {
+		return wireLedger{delivered: ports[i].(interface{ Stats() interconnect.Stats }).Stats().Delivered}
+	})
 }
 
-// TestChaosSoakConservationBatched is the same soak over a batching
-// fabric: TrySend corks frames per destination and the engines' every-
-// pass FlushSends drains the corks under the adaptive-flush contract.
-// The identical conservation law must hold — deferred delivery through
-// a cork is still delivery, never a loss.
+// TestChaosSoakConservationBatched asks the same soak of the production
+// cork: three nettrans transports on 127.0.0.1 with BatchWrites, dialed
+// as a full mesh under the same injectors. TrySend corks up to 8 frames
+// per peer and each engine's end-of-pass FlushSends drains the corks, so
+// deferred delivery through a cork must still be delivery. The law
+// gains the transport's own loss terms: frames dropped at a full inbox
+// (RxDrops) and frames lost in a cork with their connection (FlushLost).
 func TestChaosSoakConservationBatched(t *testing.T) {
-	chaosSoak(t, interconnect.NewFabricBatch(512, 8))
+	trs := make([]*nettrans.Transport, soakNodes)
+	regs := make([]*metrics.Registry, soakNodes)
+	ports := make([]interconnect.Transport, soakNodes)
+	for i := range trs {
+		regs[i] = metrics.NewRegistry() // read for the inbox depth only
+		tr, err := nettrans.ListenConfig(nettrans.Config{
+			Node: wire.NodeID(i), Addr: "127.0.0.1:0", MessageSize: 64,
+			BatchWrites: true, MaxBatchFrames: 8, Metrics: regs[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		trs[i], ports[i] = tr, tr
+	}
+	for i := range trs {
+		for j := i + 1; j < soakNodes; j++ {
+			if err := trs[i].Dial(wire.NodeID(j), trs[j].Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	limit := time.Now().Add(5 * time.Second)
+	for i := range trs {
+		for j := range trs {
+			for i != j && !trs[i].PeerUp(wire.NodeID(j)) {
+				if time.Now().After(limit) {
+					t.Fatalf("link %d->%d never came up", i, j)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	chaosSoak(t, ports, func(i int) wireLedger {
+		st := trs[i].Stats()
+		return wireLedger{
+			delivered: st.Delivered,
+			lost:      st.RxDrops + st.FlushLost,
+			queued:    uint64(regs[i].Snapshot().Gauges["flipc_transport_inbox_depth"]),
+		}
+	})
+	var st nettrans.Stats
+	for _, tr := range trs {
+		s := tr.Stats()
+		st.RxDrops += s.RxDrops
+		st.FlushLost += s.FlushLost
+		st.PeerDowns += s.PeerDowns
+		st.CtlBypass += s.CtlBypass
+	}
+	t.Logf("nettrans: rx drops=%d flush lost=%d peer downs=%d ctl bypass=%d",
+		st.RxDrops, st.FlushLost, st.PeerDowns, st.CtlBypass)
 }
 
-func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
+// soakNodes is the chaos soak's cluster size.
+const soakNodes = 3
+
+// wireLedger is one transport's own side of the soak's books: frames it
+// handed toward the engine, frames it lost itself, and frames handed
+// over but still queued for the engine to poll.
+type wireLedger struct{ delivered, lost, queued uint64 }
+
+// chaosSoak runs the soak over ports, one attached transport per node;
+// ledger reads port i's wireLedger.
+func chaosSoak(t *testing.T, ports []interconnect.Transport, ledger func(i int) wireLedger) {
 	const (
-		nodes       = 3
+		nodes       = soakNodes
 		msgsPerNode = 35000
 		chaosBurst  = 50
 		seed        = 20260806
@@ -64,20 +139,15 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 	type node struct {
 		d        *core.Domain
 		inj      *faultinject.Injector
-		port     interconnect.Transport
 		sep      *core.Endpoint // main traffic source
 		rep      *core.Endpoint // main inbox, kept stocked
 		chaosRep *core.Endpoint // inbox whose queue gets scribbled mid-run
 	}
 	ns := make([]*node, nodes)
 	for i := range ns {
-		port, err := fabric.Attach(wire.NodeID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := chaos
 		cfg.Seed = seed + int64(i)
-		inj, err := faultinject.Wrap(port, cfg)
+		inj, err := faultinject.Wrap(ports[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +166,7 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 			t.Fatal(err)
 		}
 		defer d.Close()
-		n := &node{d: d, inj: inj, port: port}
+		n := &node{d: d, inj: inj}
 		if n.sep, err = d.NewSendEndpoint(32); err != nil {
 			t.Fatal(err)
 		}
@@ -335,16 +405,20 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 	}
 
 	// Quiesce: engines are still running; wait until the injectors hold
-	// nothing, the fabric has handed over everything forwarded into it,
-	// and the flow counters stop moving (outstanding sends drained).
-	type flow struct{ fwd, del, sent uint64 }
+	// nothing, the transports have handed over or lost everything
+	// forwarded into them and the engines have polled it, and the flow
+	// counters stop moving (outstanding sends drained).
+	type flow struct{ fwd, del, lost, queued, sent uint64 }
 	sample := func() flow {
 		var f flow
-		for _, n := range ns {
+		for i, n := range ns {
 			st := n.inj.Stats()
 			f.fwd += st.Forwarded
 			f.sent += st.Sent
-			f.del += n.port.(interface{ Stats() interconnect.Stats }).Stats().Delivered
+			w := ledger(i)
+			f.del += w.delivered
+			f.lost += w.lost
+			f.queued += w.queued
 		}
 		return f
 	}
@@ -359,7 +433,7 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 			held += n.inj.Held()
 		}
 		cur := sample()
-		if held == 0 && cur.fwd == cur.del && cur == prev {
+		if held == 0 && cur.queued == 0 && cur.fwd == cur.del+cur.lost && cur == prev {
 			break
 		}
 		prev = cur
@@ -409,20 +483,25 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 			faults[k] += c
 		}
 	}
+	var wireLost uint64
+	for i := range ns {
+		wireLost += ledger(i).lost
+	}
 	// Every frame the engines sent entered an injector; every frame the
-	// injectors released was received by an engine.
+	// injectors released was received by an engine or lost, counted, in
+	// a transport.
 	if eng.Sent != inj.Sent {
 		t.Errorf("engines sent %d, injectors accepted %d", eng.Sent, inj.Sent)
 	}
-	if eng.Received != inj.Forwarded {
-		t.Errorf("injectors forwarded %d, engines received %d", inj.Forwarded, eng.Received)
+	if eng.Received+wireLost != inj.Forwarded {
+		t.Errorf("injectors forwarded %d, engines received %d, transports lost %d", inj.Forwarded, eng.Received, wireLost)
 	}
 	// The global conservation law: sent - swallowed + duplicated lands
-	// in exactly one receive-side category.
+	// in exactly one receive-side or transport loss category.
 	lost := eng.RecvDrops + eng.AddrDrops + eng.BadFrames + eng.ChecksumDrops + eng.QuarantineDrops
-	if eng.Sent-inj.Dropped-inj.Partitioned+inj.Duplicated != eng.Delivered+lost {
-		t.Errorf("conservation violated: sent=%d dropped=%d partitioned=%d duplicated=%d delivered=%d lost=%d",
-			eng.Sent, inj.Dropped, inj.Partitioned, inj.Duplicated, eng.Delivered, lost)
+	if eng.Sent-inj.Dropped-inj.Partitioned+inj.Duplicated != eng.Delivered+lost+wireLost {
+		t.Errorf("conservation violated: sent=%d dropped=%d partitioned=%d duplicated=%d delivered=%d lost=%d wire lost=%d",
+			eng.Sent, inj.Dropped, inj.Partitioned, inj.Duplicated, eng.Delivered, lost, wireLost)
 	}
 	if eng.Sent < 100000 {
 		t.Errorf("soak too small: %d messages sent, want >= 100000", eng.Sent)
@@ -454,11 +533,11 @@ func chaosSoak(t *testing.T, fabric *interconnect.Fabric) {
 	if faults[engine.FaultQueueInvariant] < nodes {
 		t.Errorf("queue-invariant faults = %d, want >= %d", faults[engine.FaultQueueInvariant], nodes)
 	}
-	t.Logf("chaos soak: sent=%d delivered=%d | injector drop=%d partition=%d dup=%d corrupt=%d delay=%d reorder=%d | recv drops=%d addr=%d bad=%d cksum=%d quarantine=%d | episodes=%d recoveries=%d",
+	t.Logf("chaos soak: sent=%d delivered=%d | injector drop=%d partition=%d dup=%d corrupt=%d delay=%d reorder=%d | recv drops=%d addr=%d bad=%d cksum=%d quarantine=%d | wire lost=%d | episodes=%d recoveries=%d",
 		eng.Sent, eng.Delivered, inj.Dropped, inj.Partitioned, inj.Duplicated,
 		inj.Corrupted, inj.Delayed, inj.Reordered,
 		eng.RecvDrops, eng.AddrDrops, eng.BadFrames, eng.ChecksumDrops,
-		eng.QuarantineDrops, eng.Quarantines, eng.QuarantineRecoveries)
+		eng.QuarantineDrops, wireLost, eng.Quarantines, eng.QuarantineRecoveries)
 }
 
 // chaosEP digs the commbuf endpoint out of a core endpoint via the

@@ -2,8 +2,7 @@ package flowctl
 
 // The reusable credit core: cumulative-count window accounting, the
 // AIMD window controller, and the credit/hello frame codec. The
-// point-to-point Sender/Receiver in this package and the per-topic
-// receive credit in internal/topic are both built on it.
+// per-topic receive credit in internal/topic is built on it.
 //
 // Credit frames carry a *cumulative* disposed count (everything the
 // receiving endpoint has ever consumed or discarded), not a delta: the

@@ -6,14 +6,13 @@
 // applications or by libraries designed to fit between applications and
 // FLIPC" (§Message Transfer). This package is such a library:
 //
-//   - Sender/Receiver implement a credit window (the customization PAM
-//     chose for its active-message facility): the sender spends one
-//     credit per message and the receiver returns batched credits on a
-//     reverse FLIPC channel, so the receive endpoint can never be
-//     overrun;
-//   - Account, AIMD, and the credit/hello codec (credit.go) are the
-//     reusable core the per-topic receive credit in internal/topic is
-//     built on;
+//   - Account, AIMD, and the credit/hello codec (credit.go) are a
+//     credit window (the customization PAM chose for its active-message
+//     facility): the sender charges one credit per message and the
+//     receiver returns cumulative credit on a reverse FLIPC channel, so
+//     the receive endpoint is never overrun. The per-topic receive
+//     credit in internal/topic is built on them, and experiment E9
+//     drives them by hand over a msglib Outbox/Inbox pair;
 //   - RPCBuffers and PeriodicBuffers are the paper's two static-sizing
 //     examples, where application structure removes the need for any
 //     runtime flow control at all.
@@ -22,283 +21,6 @@
 // credit frame lost to a transient peer outage shrinks the window only
 // until the next frame arrives — never permanently.
 package flowctl
-
-import (
-	"errors"
-	"fmt"
-	"sync/atomic"
-
-	"flipc/internal/core"
-)
-
-// ErrNoCredit is returned by TrySend when the window is exhausted.
-var ErrNoCredit = errors.New("flowctl: send window exhausted")
-
-// ErrPeerDown is returned by TrySend when the sender's health probe
-// reports the destination node unreachable. Unlike ErrNoCredit it will
-// not clear by draining — callers should back off, reroute, or fail
-// the operation rather than spin.
-var ErrPeerDown = errors.New("flowctl: destination peer down")
-
-// Sender is the sending half of a credit-windowed channel. It wraps a
-// FLIPC send endpoint plus a private receive endpoint on which the
-// peer returns credits. The send path is not safe for concurrent use
-// (match it with the lock-free endpoint variants; wrap externally for
-// multithreading), but the Sent and PeerDowns counters are atomic so
-// metrics and health scrapers may read them from other goroutines.
-type Sender struct {
-	d        *core.Domain
-	sep      *core.Endpoint // data out
-	creditEp *core.Endpoint // credits in
-	dst      core.Addr
-	acct     Account
-	sent     atomic.Uint64
-	probe    func() bool // nil = destination assumed reachable
-	downs    atomic.Uint64
-}
-
-// NewSender creates a windowed sender to dst. window must match the
-// number of buffers the receiver guarantees (Receiver's bufs). The
-// returned sender's CreditAddr must be conveyed to the receiver.
-func NewSender(d *core.Domain, dst core.Addr, window int) (*Sender, error) {
-	if window < 1 {
-		return nil, fmt.Errorf("flowctl: window %d must be positive", window)
-	}
-	sep, err := d.NewSendEndpoint(0)
-	if err != nil {
-		return nil, err
-	}
-	creditEp, err := d.NewRecvEndpoint(0)
-	if err != nil {
-		return nil, err
-	}
-	s := &Sender{d: d, sep: sep, creditEp: creditEp, dst: dst, acct: NewAccount(window)}
-	// Keep credit buffers posted: one per possible in-flight credit batch.
-	for i := 0; i < creditEp.QueueDepth()-1; i++ {
-		m, err := d.AllocBuffer()
-		if err != nil {
-			return nil, fmt.Errorf("flowctl: posting credit buffers: %w", err)
-		}
-		if err := creditEp.Post(m); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// CreditAddr is the address the receiver must send credits to.
-func (s *Sender) CreditAddr() core.Addr { return s.creditEp.Addr() }
-
-// Retarget redirects the sender's data messages. Sender and receiver
-// each need the other's address, so the usual wiring is: create the
-// sender against a provisional address, create the receiver with the
-// sender's CreditAddr, then Retarget the sender at the receiver's Addr.
-func (s *Sender) Retarget(dst core.Addr) { s.dst = dst }
-
-// Credits returns the currently available window.
-func (s *Sender) Credits() int {
-	s.harvest()
-	return s.acct.Available()
-}
-
-// harvest collects returned credits and completed send buffers.
-func (s *Sender) harvest() {
-	for {
-		m, ok := s.creditEp.Receive()
-		if !ok {
-			break
-		}
-		if _, window, disposed, ok := DecodeCredit(m.Payload()[:m.Len()]); ok {
-			// Cumulative: a lost or reordered earlier frame is
-			// subsumed by this one.
-			s.acct.SetWindow(int(window))
-			s.acct.Ack(disposed)
-		}
-		// Repost the credit buffer.
-		if err := s.creditEp.Post(m); err != nil {
-			s.d.FreeBuffer(m)
-		}
-	}
-	// Reclaim completed data buffers so the pool does not leak.
-	for {
-		m, ok := s.sep.Acquire()
-		if !ok {
-			break
-		}
-		s.d.FreeBuffer(m)
-	}
-}
-
-// SetHealthProbe installs a liveness probe for the destination node —
-// typically a closure over the transport's peer health, e.g.
-// func() bool { return tr.PeerUp(node) } for a nettrans Transport.
-// When the probe reports the peer down, TrySend fails fast with
-// ErrPeerDown before consuming a credit: peer loss becomes a
-// flow-control signal instead of credits leaking into a dead link and
-// starving the window for the peer's recovery.
-func (s *Sender) SetHealthProbe(probe func() bool) { s.probe = probe }
-
-// PeerDowns returns the number of sends refused by the health probe.
-// Safe to call from any goroutine.
-func (s *Sender) PeerDowns() uint64 { return s.downs.Load() }
-
-// TrySend sends payload if a credit is available, returning ErrNoCredit
-// otherwise (or ErrPeerDown when a configured health probe reports the
-// destination unreachable). With correct wiring the receiver can never
-// be overrun, so its drop counter stays at zero (experiment E9).
-func (s *Sender) TrySend(payload []byte) error {
-	s.harvest()
-	if s.probe != nil && !s.probe() {
-		s.downs.Add(1)
-		return ErrPeerDown
-	}
-	if s.acct.Available() == 0 {
-		return ErrNoCredit
-	}
-	m, err := s.d.AllocBuffer()
-	if err != nil {
-		return err
-	}
-	n := copy(m.Payload(), payload)
-	if n < len(payload) {
-		s.d.FreeBuffer(m)
-		return fmt.Errorf("flowctl: payload %d exceeds message capacity %d", len(payload), n)
-	}
-	if err := s.sep.Send(m, s.dst, n); err != nil {
-		s.d.FreeBuffer(m)
-		return err
-	}
-	s.acct.Spend()
-	s.sent.Add(1)
-	return nil
-}
-
-// Sent returns the number of messages sent. Safe to call from any
-// goroutine.
-func (s *Sender) Sent() uint64 { return s.sent.Load() }
-
-// Receiver is the receiving half: it keeps bufs buffers posted on its
-// receive endpoint and returns cumulative credit advertisements after
-// messages are consumed. The receive path is not safe for concurrent
-// use, but Received may be read from any goroutine.
-type Receiver struct {
-	d         *core.Domain
-	rep       *core.Endpoint
-	creditSep *core.Endpoint
-	creditDst core.Addr
-	bufs      int
-	batch     int
-	owed      int
-	received  atomic.Uint64
-}
-
-// NewReceiver creates the receiving half. bufs is the window size
-// (buffers kept posted); creditDst is the sender's CreditAddr;
-// batch is how many consumed messages accumulate before a credit
-// message is returned (1 = immediate, higher amortizes credit traffic).
-func NewReceiver(d *core.Domain, creditDst core.Addr, bufs, batch int) (*Receiver, error) {
-	if bufs < 1 {
-		return nil, fmt.Errorf("flowctl: bufs %d must be positive", bufs)
-	}
-	if batch < 1 || batch > bufs {
-		return nil, fmt.Errorf("flowctl: batch %d must be in [1,%d]", batch, bufs)
-	}
-	if !creditDst.Valid() {
-		return nil, fmt.Errorf("flowctl: invalid credit destination %v", creditDst)
-	}
-	depth := 2
-	for depth < bufs+1 {
-		depth *= 2
-	}
-	rep, err := d.NewRecvEndpoint(depth)
-	if err != nil {
-		return nil, err
-	}
-	creditSep, err := d.NewSendEndpoint(0)
-	if err != nil {
-		return nil, err
-	}
-	r := &Receiver{d: d, rep: rep, creditSep: creditSep, creditDst: creditDst, bufs: bufs, batch: batch}
-	for i := 0; i < bufs; i++ {
-		m, err := d.AllocBuffer()
-		if err != nil {
-			return nil, fmt.Errorf("flowctl: posting window buffers: %w", err)
-		}
-		if err := rep.Post(m); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-// Addr is the data address senders target.
-func (r *Receiver) Addr() core.Addr { return r.rep.Addr() }
-
-// Receive returns the next message payload (copied), reposting the
-// buffer and returning credits per the batch policy.
-func (r *Receiver) Receive() ([]byte, bool) {
-	m, ok := r.rep.Receive()
-	if !ok {
-		return nil, false
-	}
-	out := append([]byte(nil), m.Payload()[:m.Len()]...)
-	if err := r.rep.Post(m); err != nil {
-		r.d.FreeBuffer(m)
-	}
-	r.received.Add(1)
-	r.owed++
-	if r.owed >= r.batch {
-		r.returnCredits()
-	}
-	return out, true
-}
-
-// disposed is the cumulative count of frames this endpoint has disposed
-// of — consumed plus discarded-at-arrival. Including the endpoint's own
-// drops keeps the sender's ledger honest even against an overrunning
-// (mis-wired) peer: a dropped frame occupies no buffer, so it must not
-// occupy the window either.
-func (r *Receiver) disposed() uint64 { return r.received.Load() + r.rep.Drops() }
-
-// returnCredits sends one cumulative credit advertisement. A failed
-// attempt (no buffer, queue full) loses nothing: the owed trigger is
-// kept so the next Receive retries, and the advertisement is cumulative
-// so even a frame lost after a successful local send is subsumed by the
-// next one that gets through.
-func (r *Receiver) returnCredits() {
-	// Reclaim previous credit sends first.
-	for {
-		m, ok := r.creditSep.Acquire()
-		if !ok {
-			break
-		}
-		r.d.FreeBuffer(m)
-	}
-	m, err := r.d.AllocBuffer()
-	if err != nil {
-		return // retry on next Receive; credits stay owed
-	}
-	n := EncodeCredit(m.Payload(), r.rep.Addr(), uint16(r.bufs), r.disposed())
-	if err := r.creditSep.Send(m, r.creditDst, n); err != nil {
-		r.d.FreeBuffer(m)
-		return // retry on next Receive; credits stay owed
-	}
-	r.owed = 0
-}
-
-// Sync re-advertises the cumulative window state unconditionally — the
-// recovery call after a suspected feedback-channel outage (every credit
-// frame lost in flight is subsumed by this one). Harmless at any other
-// time.
-func (r *Receiver) Sync() { r.returnCredits() }
-
-// Drops exposes the data endpoint's discard counter; with an honest
-// sender it stays zero.
-func (r *Receiver) Drops() uint64 { return r.rep.Drops() }
-
-// Received returns the number of messages consumed. Safe to call from
-// any goroutine.
-func (r *Receiver) Received() uint64 { return r.received.Load() }
 
 // Static sizing: the paper's two examples of application structure
 // eliminating runtime flow control (§Message Transfer).

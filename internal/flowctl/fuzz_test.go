@@ -37,7 +37,7 @@ func FuzzCreditCodec(f *testing.F) {
 
 // FuzzDecodeCredit throws arbitrary bytes at both decoders: they must
 // never panic, and anything they accept must carry the right magic —
-// the property the adaptive-flush transports lean on when control
+// the property the corking transports lean on when control
 // frames cross flush boundaries (a torn or mixed-up frame must decode
 // to ok=false, never to a plausible credit update).
 func FuzzDecodeCredit(f *testing.F) {

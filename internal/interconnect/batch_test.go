@@ -122,69 +122,3 @@ func TestMeshBatchFlushDeadline(t *testing.T) {
 		t.Fatal("frame not delivered after deadline flush")
 	}
 }
-
-// TestFabricBatchLossless drives a batching fabric port into a
-// saturated destination: the cork bounds itself, refusals are counted
-// backpressure, and after draining the receiver every accepted frame
-// arrives — the fabric never loses a frame it accepted.
-func TestFabricBatchLossless(t *testing.T) {
-	f := NewFabricBatch(4, 2)
-	a, _ := f.Attach(0)
-	b, _ := f.Attach(1)
-
-	accepted, refused := 0, 0
-	for i := 0; i < 32; i++ {
-		if a.TrySend(1, make([]byte, 64)) {
-			accepted++
-		} else {
-			refused++
-		}
-	}
-	if refused == 0 {
-		t.Fatal("saturated destination never refused: cork is unbounded")
-	}
-	got := 0
-	for drained := false; !drained; {
-		drained = true
-		for {
-			if _, ok := b.Poll(); !ok {
-				break
-			}
-			got++
-			drained = false
-		}
-		a.(BatchFlusher).FlushSends()
-	}
-	if got != accepted {
-		t.Fatalf("delivered %d of %d accepted frames: batch mode lost frames", got, accepted)
-	}
-}
-
-// TestFabricBatchExpeditedOrder corks bulk frames and sends a
-// control frame: the bypass drains the cork first, preserving
-// per-pair FIFO through the expedited path.
-func TestFabricBatchExpeditedOrder(t *testing.T) {
-	f := NewFabricBatch(16, 8)
-	a, _ := f.Attach(0)
-	b, _ := f.Attach(1)
-
-	bulk := make([]byte, 8)
-	bulk[0] = 1
-	if !a.TrySend(1, bulk) {
-		t.Fatal("bulk refused")
-	}
-	if _, ok := b.Poll(); ok {
-		t.Fatal("bulk frame escaped the cork")
-	}
-	ctl := make([]byte, 8)
-	ctl[0] = 2
-	ctl[6] = wire.FlagCtl
-	if !a.TrySend(1, ctl) {
-		t.Fatal("ctl refused")
-	}
-	f1, ok1 := b.Poll()
-	f2, ok2 := b.Poll()
-	if !ok1 || !ok2 || f1[0] != 1 || f2[0] != 2 {
-		t.Fatal("expedited path broke per-pair order")
-	}
-}

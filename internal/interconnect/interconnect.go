@@ -4,15 +4,18 @@
 //   - Mesh: a discrete-event model of the Paragon's 2D mesh
 //     interconnect (wormhole-routed, 200 MB/s peak links of which the
 //     best software achieves 160 MB/s, i.e. 6.25 ns/byte), used by the
-//     virtual-time experiments;
+//     virtual-time experiments, optionally corking per-destination
+//     runs (MeshConfig.BatchFrames);
 //   - Fabric: a real, goroutine-safe in-process transport used by the
-//     concurrency tests, examples, and wall-clock benchmarks.
+//     concurrency tests, examples, and wall-clock benchmarks. It never
+//     corks: a frame TrySend accepts is in the destination's queue.
 //
 // Both deliver fixed-size frames reliably and in order per source →
 // destination pair, which is the transport guarantee FLIPC's optimistic
 // protocol relies on (§Message Transfer): because receivers always
 // accept from the interconnect (discarding when no buffer is posted),
-// a reliable interconnect cannot deadlock.
+// a reliable interconnect cannot deadlock. Mux shares any transport
+// among several communication buffers on one node.
 package interconnect
 
 import (
@@ -56,15 +59,14 @@ type PeerStatusReporter interface {
 // per peer, amortizing per-frame syscall and wire-header work across a
 // burst of frames to the same node (a topic publisher's fanout run).
 // The engine type-asserts for it and calls FlushSends at the end of
-// every send pass — making FlushSends the enforcement point for any
-// flush-deadline policy the transport runs. A transport with a latency
-// budget (nettrans.Config.FlushBudget) may legitimately hold a
-// buffered frame across passes until its deadline; every accepted
-// frame is still eventually flushed or counted lost, never silently
-// stranded. Mesh and Fabric implement the same contract when batching
-// is enabled (MeshConfig.BatchFrames, NewFabricBatch), so sim and
-// bench scenarios exercise the aggregation path the wire transport
-// runs.
+// every send pass — making FlushSends the enforcement point for the
+// transport's flush deadline. A transport with a deadline may hold a
+// buffered frame across passes until it expires; every accepted frame
+// is still eventually flushed or counted lost, never silently
+// stranded. Two transports cork: nettrans (Config.BatchWrites) on real
+// sockets and Mesh (MeshConfig.BatchFrames) in virtual time, so sim
+// scenarios exercise the aggregation path the wire transport runs.
+// Wrappers (Mux ports, faultinject.Injector) forward the call.
 type BatchFlusher interface {
 	FlushSends()
 }
@@ -96,8 +98,8 @@ type MeshConfig struct {
 	// BatchFrames, when > 0, gives each port the pending-buffer
 	// contract (interconnect.BatchFlusher): TrySend corks frames into
 	// per-destination runs and FlushSends transmits each run paying
-	// RouteSetup once for the whole run — the aggregation win the
-	// adaptive-flush ablations measure. A run reaching BatchFrames
+	// RouteSetup once for the whole run — the aggregation win
+	// `flipcsim -topics -batch` asserts. A run reaching BatchFrames
 	// transmits inline; control-class frames (wire.Expedited) transmit
 	// immediately, after flushing their destination's run so per-pair
 	// order holds. 0 (the default) keeps frame-at-a-time sends with
@@ -330,7 +332,6 @@ func (p *meshPort) Stats() Stats { return p.stats }
 // the real Go scheduler and memory system.
 type Fabric struct {
 	depth int
-	batch int
 	mu    sync.Mutex // serializes Attach
 	// ports is indexed by node. Ports are attach-only: Attach publishes
 	// a grown copy, senders look up with one atomic load.
@@ -356,23 +357,6 @@ func (f *Fabric) port(node wire.NodeID) *fabricPort {
 	return nil
 }
 
-// NewFabricBatch is NewFabric with the pending-buffer contract
-// (BatchFlusher): each port corks up to batchFrames frames per
-// destination and FlushSends delivers the runs — the in-process
-// analogue of nettrans.BatchWrites, so wall-clock tests (notably the
-// chaos-soak conservation law) exercise the engine's end-of-pass flush
-// discipline. Control-class frames (wire.Expedited) never cork. A run
-// that cannot fully drain into a saturated destination stays corked
-// and retries on later flushes; when a destination's cork is full,
-// TrySend refuses (counted SendBusy) — the fabric stays lossless.
-func NewFabricBatch(depth, batchFrames int) *Fabric {
-	f := NewFabric(depth)
-	if batchFrames > 0 {
-		f.batch = batchFrames
-	}
-	return f
-}
-
 // Attach creates the port for a node.
 func (f *Fabric) Attach(node wire.NodeID) (Transport, error) {
 	f.mu.Lock()
@@ -396,11 +380,6 @@ type fabricPort struct {
 	sent      atomic.Uint64
 	delivered atomic.Uint64
 	busy      atomic.Uint64
-
-	// pendMu guards the cork (batch mode). The port's engine is the
-	// only sender, but scrapers and flushes may race it.
-	pendMu  sync.Mutex
-	pending map[wire.NodeID][][]byte
 }
 
 func (p *fabricPort) TrySend(dst wire.NodeID, frame []byte) bool {
@@ -408,103 +387,13 @@ func (p *fabricPort) TrySend(dst wire.NodeID, frame []byte) bool {
 	if dp == nil {
 		return false
 	}
-	cp := append([]byte(nil), frame...)
-	if p.fabric.batch > 0 {
-		return p.trySendBatched(dst, dp, cp, frame[6])
-	}
 	select {
-	case dp.ch <- cp:
+	case dp.ch <- append([]byte(nil), frame...):
 		p.sent.Add(1)
 		return true
 	default:
 		p.busy.Add(1)
 		return false
-	}
-}
-
-// trySendBatched corks cp for dst (or expedites it). The cork bounds
-// itself at the fabric's batch size: a full cork tries an inline flush
-// and refuses the frame if the destination still cannot absorb the
-// run — counted backpressure, so the fabric never loses a frame it
-// accepted.
-func (p *fabricPort) trySendBatched(dst wire.NodeID, dp *fabricPort, cp []byte, flags uint8) bool {
-	p.pendMu.Lock()
-	defer p.pendMu.Unlock()
-	if wire.Expedited(flags) {
-		// Per-pair ordering: the run corked for dst must go first. If
-		// the destination cannot absorb it, the control frame cannot
-		// jump the queue — refuse and let the engine retry.
-		if !p.flushDstLocked(dst, dp) {
-			p.busy.Add(1)
-			return false
-		}
-		select {
-		case dp.ch <- cp:
-			p.sent.Add(1)
-			return true
-		default:
-			p.busy.Add(1)
-			return false
-		}
-	}
-	run := p.pending[dst]
-	if len(run) >= p.fabric.batch {
-		if !p.flushDstLocked(dst, dp) {
-			p.busy.Add(1)
-			return false
-		}
-		run = p.pending[dst]
-	}
-	if p.pending == nil {
-		p.pending = make(map[wire.NodeID][][]byte)
-	}
-	p.pending[dst] = append(run, cp)
-	p.sent.Add(1)
-	return true
-}
-
-// flushDstLocked drains dst's corked run into its channel, keeping
-// whatever does not fit. Reports whether the cork is now empty.
-func (p *fabricPort) flushDstLocked(dst wire.NodeID, dp *fabricPort) bool {
-	run := p.pending[dst]
-	for len(run) > 0 {
-		select {
-		case dp.ch <- run[0]:
-			run = run[1:]
-		default:
-			p.pending[dst] = run
-			return false
-		}
-	}
-	if p.pending != nil {
-		p.pending[dst] = nil
-	}
-	return true
-}
-
-// FlushSends implements BatchFlusher (batch mode): the engine's
-// end-of-pass call drains every corked run. Runs that hit a saturated
-// destination stay corked for the next pass — delivery is deferred,
-// never dropped.
-func (p *fabricPort) FlushSends() {
-	if p.fabric.batch <= 0 {
-		return
-	}
-	p.pendMu.Lock()
-	defer p.pendMu.Unlock()
-	for dst, run := range p.pending {
-		if len(run) == 0 {
-			continue
-		}
-		dp := p.fabric.port(dst)
-		if dp == nil {
-			// Destination detached: nothing to deliver to. Keep the
-			// fabric's invariants simple — this cannot happen in the
-			// tests (ports never detach) — but do not wedge the cork.
-			p.pending[dst] = nil
-			continue
-		}
-		p.flushDstLocked(dst, dp)
 	}
 }
 

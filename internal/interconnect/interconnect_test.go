@@ -259,7 +259,7 @@ func TestFabricBackpressure(t *testing.T) {
 // next send to it lands.
 func TestFabricAttachWhileSending(t *testing.T) {
 	const nodes = 32
-	f := NewFabricBatch(64, 4) // batch mode: FlushSends reads the table too
+	f := NewFabric(64)
 	a, _ := f.Attach(0)
 	attached := make(chan wire.NodeID)
 	done := make(chan struct{})
@@ -271,7 +271,6 @@ func TestFabricAttachWhileSending(t *testing.T) {
 				t.Errorf("send to node %d refused after Attach returned", dst)
 			}
 			a.TrySend(dst+1, frame) // may race the next Attach: either answer is legal
-			a.(BatchFlusher).FlushSends()
 		}
 	}()
 	ports := make([]Transport, 0, nodes)
@@ -285,7 +284,6 @@ func TestFabricAttachWhileSending(t *testing.T) {
 	}
 	close(attached)
 	<-done
-	a.(BatchFlusher).FlushSends()
 	for i, p := range ports {
 		got := 0
 		for _, ok := p.Poll(); ok; _, ok = p.Poll() {

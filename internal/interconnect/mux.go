@@ -16,7 +16,8 @@ import (
 // that range; the applications share nothing (each has its own arena)
 // and cannot observe each other's traffic.
 //
-// Outbound frames pass straight through to the underlying transport.
+// Outbound frames pass straight through to the underlying transport,
+// and so do FlushSends and PeerUp (BatchFlusher, PeerStatusReporter).
 // Inbound frames are demultiplexed by the destination address's
 // endpoint-index field; frames for an unclaimed range are dropped and
 // counted (there is no engine to deliver them to).
@@ -102,6 +103,30 @@ func (p *muxPort) TrySend(dst wire.NodeID, frame []byte) bool {
 	p.mux.mu.Lock()
 	defer p.mux.mu.Unlock()
 	return p.mux.tr.TrySend(dst, frame)
+}
+
+// FlushSends implements BatchFlusher by forwarding to the shared
+// transport, so a corking transport's runs leave on this engine's pass
+// as they would if the engine owned it. A no-op over one that never
+// corks.
+func (p *muxPort) FlushSends() {
+	if f, ok := p.mux.tr.(BatchFlusher); ok {
+		p.mux.mu.Lock()
+		defer p.mux.mu.Unlock()
+		f.FlushSends()
+	}
+}
+
+// PeerUp implements PeerStatusReporter by forwarding to the shared
+// transport, so a dead peer counts as PeerDown, not WireBusy. A
+// transport that tracks no peers reports every peer up.
+func (p *muxPort) PeerUp(dst wire.NodeID) bool {
+	if r, ok := p.mux.tr.(PeerStatusReporter); ok {
+		p.mux.mu.Lock()
+		defer p.mux.mu.Unlock()
+		return r.PeerUp(dst)
+	}
+	return true
 }
 
 // Poll implements Transport: drain the shared transport, then pop this

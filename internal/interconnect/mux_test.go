@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"sync"
 	"testing"
 
 	"flipc/internal/wire"
@@ -101,6 +102,57 @@ func TestMuxSendPassThrough(t *testing.T) {
 	if pkt.Payload[0] != 'S' {
 		t.Fatal("payload corrupted")
 	}
+}
+
+// peerStub is a shared transport that tracks peers and corks: node
+// down is unreachable, and flushes are counted.
+type peerStub struct {
+	Transport
+	down    wire.NodeID
+	flushes int
+}
+
+func (s *peerStub) PeerUp(dst wire.NodeID) bool { return dst != s.down }
+func (s *peerStub) FlushSends()                 { s.flushes++ }
+
+// A mux port forwards the shared transport's peer status and flush
+// capabilities, so its engine counts a dead peer as PeerDown and drains
+// the transport's cork; over a transport without them it reports every
+// peer up. Engines on two ports flush concurrently: the mux lock
+// serializes them (the stub's counter is unsynchronized, so -race
+// checks that).
+func TestMuxForwardsCapabilities(t *testing.T) {
+	fabric := NewFabric(16)
+	tr, _ := fabric.Attach(0)
+	stub := &peerStub{Transport: tr, down: 2}
+	m := NewMux(stub)
+	sub, _ := m.Attach(0, 8)
+	other, _ := m.Attach(8, 16)
+	if !sub.(PeerStatusReporter).PeerUp(1) || sub.(PeerStatusReporter).PeerUp(2) {
+		t.Fatal("PeerUp not forwarded to the shared transport")
+	}
+	const flushes = 1000
+	var wg sync.WaitGroup
+	for _, p := range []Transport{sub, other} {
+		wg.Add(1)
+		go func(p Transport) {
+			defer wg.Done()
+			for i := 0; i < flushes; i++ {
+				p.(BatchFlusher).FlushSends()
+			}
+		}(p)
+	}
+	wg.Wait()
+	if stub.flushes != 2*flushes {
+		t.Fatalf("FlushSends reached the shared transport %d times, want %d", stub.flushes, 2*flushes)
+	}
+
+	plain, _ := fabric.Attach(1)
+	sub, _ = NewMux(plain).Attach(0, 8)
+	if !sub.(PeerStatusReporter).PeerUp(2) {
+		t.Fatal("a transport that tracks no peers must report them up")
+	}
+	sub.(BatchFlusher).FlushSends() // no-op over a transport that never corks
 }
 
 func TestMuxBadFrameCountedUnclaimed(t *testing.T) {

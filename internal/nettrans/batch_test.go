@@ -173,53 +173,6 @@ func TestFlushDeadlineHoldsYoungCork(t *testing.T) {
 	pollUntil(t, b, 2*time.Second)
 }
 
-// TestAdaptiveFlushDeadline exercises the deadline policy directly:
-// the probed p99 scaled by the budget, clamped between the static
-// floor and MaxFlushDelay, refreshed at most once per probe interval.
-func TestAdaptiveFlushDeadline(t *testing.T) {
-	p99 := 10e6 // 10ms observed one-way p99
-	a, err := ListenConfig(Config{
-		Node: 0, Addr: "127.0.0.1:0", MessageSize: 64,
-		BatchWrites:   true,
-		FlushDeadline: time.Millisecond,
-		FlushBudget:   0.5,
-		MaxFlushDelay: 20 * time.Millisecond,
-		LatencyProbe:  func() (float64, bool) { return p99, true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	if d := a.flushDeadline(time.Now()); d != 5*time.Millisecond {
-		t.Fatalf("deadline = %v, want 5ms (p99 10ms x budget 0.5)", d)
-	}
-	// Within the probe interval the cached value holds even though the
-	// probe now reports something else.
-	p99 = 100e6
-	if d := a.flushDeadline(time.Now()); d != 5*time.Millisecond {
-		t.Fatalf("deadline = %v, want cached 5ms inside probe interval", d)
-	}
-	// Force a re-probe: a huge p99 clamps at MaxFlushDelay.
-	a.lastProbe.Store(0)
-	if d := a.flushDeadline(time.Now()); d != 20*time.Millisecond {
-		t.Fatalf("deadline = %v, want MaxFlushDelay cap 20ms", d)
-	}
-	// A tiny p99 clamps at the static floor.
-	p99 = 1e5
-	a.lastProbe.Store(0)
-	if d := a.flushDeadline(time.Now()); d != time.Millisecond {
-		t.Fatalf("deadline = %v, want FlushDeadline floor 1ms", d)
-	}
-	// An empty histogram (probe not ready) keeps the last value.
-	a.lastProbe.Store(0)
-	probed := false
-	a.cfg.LatencyProbe = func() (float64, bool) { probed = true; return 0, false }
-	if d := a.flushDeadline(time.Now()); d != time.Millisecond || !probed {
-		t.Fatalf("deadline = %v (probed=%v), want unchanged 1ms after empty probe", d, probed)
-	}
-}
-
 // TestCreditFramesAcrossFlushBoundaries interleaves expedited credit
 // frames with corked bulk traffic: every credit frame must arrive
 // decodable and in order relative to the bulk frames sent before it —

@@ -172,8 +172,8 @@ type Config struct {
 	// interconnect.BatchFlusher capability): TrySend buffers accepted
 	// frames per peer and FlushSends pushes each peer's buffer in one
 	// conn.Write. The messaging engine calls FlushSends at the end of
-	// every send pass — the deadline enforcement point for the flush
-	// policy below; callers driving TrySend directly must call
+	// every send pass — the enforcement point for FlushDeadline;
+	// callers driving TrySend directly must call
 	// FlushSends themselves. Control-class frames (wire.Expedited)
 	// never cork: they flush the peer's pending run and go to the wire
 	// immediately. Off by default (TrySend then writes synchronously,
@@ -181,30 +181,13 @@ type Config struct {
 	BatchWrites bool
 	// MaxBatchFrames bounds the per-peer coalescing buffer; a TrySend
 	// that fills it flushes inline (default 64). The size cap is the
-	// backstop of the flush policy, not the policy itself.
+	// backstop of the flush deadline, not a policy of its own.
 	MaxBatchFrames int
 	// FlushDeadline holds a corked frame across FlushSends calls until
 	// it has aged this long, trading latency for fewer, larger writes.
 	// Zero (the default) flushes on every FlushSends — the engine-pass
-	// granularity of PR 4. When FlushBudget is set this is the floor of
-	// the adaptive deadline.
+	// granularity.
 	FlushDeadline time.Duration
-	// FlushBudget, when > 0, derives the flush deadline adaptively from
-	// the observed one-way delivery p99 (the stamp-trailer measurement
-	// exported as flipc_recv_latency_ns): deadline = p99 × FlushBudget,
-	// clamped to [FlushDeadline, MaxFlushDelay] and refreshed on a slow
-	// cadence. A budget of 0.25 says "corking may add at most a quarter
-	// of the tail latency already being paid" — the latency-budget
-	// aggregation scheme the A-series ablation measures. Requires
-	// Metrics (or LatencyProbe) for the p99 source; until samples
-	// exist the deadline is the FlushDeadline floor.
-	FlushBudget float64
-	// MaxFlushDelay clamps the adaptive deadline (default 1ms).
-	MaxFlushDelay time.Duration
-	// LatencyProbe overrides the adaptive policy's one-way p99 source
-	// (nanoseconds); nil reads the flipc_recv_latency_ns histogram from
-	// Metrics. Tests inject deterministic latencies through it.
-	LatencyProbe func() (p99ns float64, ok bool)
 	// Trace, when non-nil, records peer lifecycle events (peer.up,
 	// peer.down, peer.redial, peer.dead, rx.drop).
 	Trace *trace.Ring
@@ -319,11 +302,6 @@ type Transport struct {
 	// engine's every-pass FlushSends exits without touching peer locks
 	// when nothing is corked.
 	pendingFrames atomic.Int64
-	// deadlineNs is the effective flush deadline: FlushDeadline, or the
-	// adaptive value when FlushBudget is set. lastProbe throttles the
-	// histogram scrape behind the adaptive value.
-	deadlineNs atomic.Int64
-	lastProbe  atomic.Int64
 }
 
 // peerTable is the grow-only peer set: peerFor publishes a grown copy
@@ -351,9 +329,6 @@ func ListenConfig(cfg Config) (*Transport, error) {
 	if cfg.MaxBatchFrames <= 0 {
 		cfg.MaxBatchFrames = 64
 	}
-	if cfg.MaxFlushDelay <= 0 {
-		cfg.MaxFlushDelay = time.Millisecond
-	}
 	if cfg.FlushDeadline < 0 {
 		cfg.FlushDeadline = 0
 	}
@@ -370,7 +345,6 @@ func ListenConfig(cfg Config) (*Transport, error) {
 		closed: make(chan struct{}),
 	}
 	t.peers.Store(&peerTable{})
-	t.deadlineNs.Store(int64(cfg.FlushDeadline))
 	if cfg.Trace != nil {
 		t.rxDropLab = cfg.Trace.Label("rx.drop")
 	}
@@ -394,7 +368,6 @@ func (t *Transport) registerMetrics(reg *metrics.Registry) {
 	reg.Func("flipc_transport_ctl_bypass_total", func() float64 { return float64(t.ctlBypass.Load()) })
 	reg.Func("flipc_transport_flush_held_total", func() float64 { return float64(t.flushHeld.Load()) })
 	reg.Func("flipc_transport_rx_parks_total", func() float64 { return float64(t.rxParks.Load()) })
-	reg.Func("flipc_transport_flush_deadline_ns", func() float64 { return float64(t.deadlineNs.Load()) })
 	reg.Func("flipc_transport_pending_frames", func() float64 { return float64(t.pendingFrames.Load()) })
 	reg.Func("flipc_transport_inbox_depth", func() float64 { return float64(len(t.inbox)) })
 }
@@ -854,8 +827,8 @@ func (t *Transport) sendLocked(p *peer, frame []byte) bool {
 		// Control class bypasses the cork: flush anything already
 		// corked for this peer (the TCP stream keeps per-pair
 		// ordering), then write the frame synchronously so credit
-		// adverts and registry traffic never pay the latency
-		// budget bulk frames trade against.
+		// adverts and registry traffic never wait out the flush
+		// deadline bulk frames trade against.
 		if !t.flushPeerLocked(p, 0) || t.writeFrameLocked(p, frame) != nil {
 			return false
 		}
@@ -946,61 +919,19 @@ func (t *Transport) flushPeerLocked(p *peer, exclude int) bool {
 	return true
 }
 
-// flushDeadline returns the effective hold deadline for corked frames,
-// refreshing the adaptive value (observed one-way p99 × FlushBudget,
-// clamped to [FlushDeadline, MaxFlushDelay]) at most every
-// flushProbeInterval — a histogram snapshot copies every bucket, so it
-// cannot run per pass.
-func (t *Transport) flushDeadline(now time.Time) time.Duration {
-	if t.cfg.FlushBudget <= 0 {
-		return t.cfg.FlushDeadline
-	}
-	last := t.lastProbe.Load()
-	if now.UnixNano()-last >= int64(flushProbeInterval) &&
-		t.lastProbe.CompareAndSwap(last, now.UnixNano()) {
-		if p99, ok := t.probeLatency(); ok {
-			d := max(time.Duration(p99*t.cfg.FlushBudget), t.cfg.FlushDeadline)
-			t.deadlineNs.Store(int64(min(d, t.cfg.MaxFlushDelay)))
-		}
-	}
-	return time.Duration(t.deadlineNs.Load())
-}
-
-// flushProbeInterval is how often the adaptive deadline re-reads the
-// latency histogram.
-const flushProbeInterval = 5 * time.Millisecond
-
-// probeLatency reads the one-way delivery p99 in nanoseconds from the
-// configured probe, falling back to the metrics registry's
-// flipc_recv_latency_ns histogram (the engine's stamp-trailer
-// measurement).
-func (t *Transport) probeLatency() (float64, bool) {
-	if t.cfg.LatencyProbe != nil {
-		return t.cfg.LatencyProbe()
-	}
-	if t.cfg.Metrics == nil {
-		return 0, false
-	}
-	snap := t.cfg.Metrics.Histogram("flipc_recv_latency_ns").Snapshot()
-	if snap.Count == 0 {
-		return 0, false
-	}
-	return snap.Quantile(0.99), true
-}
-
 // FlushSends implements interconnect.BatchFlusher: it pushes corked
 // frames to the wire, one write per peer. The engine calls it at the
-// end of every send pass, which makes it the flush policy's deadline
-// enforcement point: a peer whose oldest corked frame is younger than
-// the (possibly adaptive) deadline is left corked for a later pass;
-// everything at or past the deadline flushes. A no-op when nothing is
-// corked anywhere (and for transports without BatchWrites).
+// end of every send pass, which makes it the enforcement point of
+// Config.FlushDeadline: a peer whose oldest corked frame is younger
+// than the deadline is left corked for a later pass; everything at or
+// past it flushes. A no-op when nothing is corked anywhere (and for
+// transports without BatchWrites).
 func (t *Transport) FlushSends() {
 	if !t.cfg.BatchWrites || t.pendingFrames.Load() == 0 {
 		return
 	}
 	now := time.Now()
-	deadline := t.flushDeadline(now)
+	deadline := t.cfg.FlushDeadline
 	for _, p := range t.peers.Load().all {
 		p.mu.Lock()
 		if len(p.pending) > 0 && deadline > 0 && now.Sub(p.pendingSince) < deadline {

@@ -352,6 +352,89 @@ func TestRenewAfterRebindDropsStaleAddress(t *testing.T) {
 	settle(t, "delivery at rebound address", func() bool { return drain(s) == 1 })
 }
 
+// Cumulative credit heals a feedback outage. While the subscriber's
+// node is partitioned from the publisher's, every advertisement it
+// returns is lost in flight: the publisher spends its window down and
+// throttles, though the subscriber drained everything. After the heal
+// one Renew re-advertises the cumulative disposed count, which restores
+// the full window; the subscriber's endpoint never dropped a frame.
+func TestWindowSurvivesCreditOutage(t *testing.T) {
+	fabric := interconnect.NewFabric(1024)
+	pubD := newDomain(t, fabric, 0)
+	tr, err := fabric.Attach(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faultinject.Wrap(tr, faultinject.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subD, err := core.NewDomain(core.Config{Node: 1, MessageSize: 128, NumBuffers: 256}, inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(subD.Close)
+	subD.Start()
+
+	dir := LocalDirectory{R: nameservice.NewTopicRegistry()}
+	const window = 8
+	sub, err := NewSubscriberCredit(subD, dir, "t", Normal, 32, window, CreditConfig{Batch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(pubD, dir, PublisherConfig{Topic: "t", Class: Normal, Credit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handshake(t, pub, sub)
+
+	// Outage: the subscriber's credit returns are swallowed, so the
+	// publisher throttles once the window is spent.
+	inj.Partition(0, true)
+	sent, delivered := 0, 0
+	for throttled := 0; throttled == 0; {
+		if sent > 2*window {
+			t.Fatalf("sent %d into a window of %d without a throttle", sent, window)
+		}
+		res, err := pub.Publish([]byte("m"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent += res.Sent
+		throttled += res.Throttled
+		delivered += drain(sub)
+	}
+	if sent != window {
+		t.Fatalf("sent %d before the first throttle, want the window %d", sent, window)
+	}
+	settle(t, "outage deliveries", func() bool { delivered += drain(sub); return delivered == sent })
+	// Every advert those deliveries triggered has left the subscriber's
+	// engine into the partition, so none can slip through after the heal.
+	settle(t, "outage adverts sent", sub.credit.out.Flush)
+	if avail, _, _ := pub.CreditAvailable(sub.Addr()); avail != 0 {
+		t.Fatalf("credit available during the outage = %d, want 0 (advertisements lost)", avail)
+	}
+
+	// Heal: one cumulative advertisement repairs everything lost.
+	inj.Heal()
+	if err := sub.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	settle(t, "window after heal and renew", func() bool {
+		avail, w, ok := pub.CreditAvailable(sub.Addr())
+		return ok && w == window && avail == window
+	})
+	if sub.Drops() != 0 {
+		t.Fatalf("subscriber endpoint dropped %d", sub.Drops())
+	}
+	if inj.Stats().Partitioned == 0 {
+		t.Fatal("no advertisement was lost: the test exercised no outage")
+	}
+	if err := FanoutLaw(pub, sub).Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Satellite regression: seeded frame loss on the credit channel. The
 // subscriber's outgoing transport (which carries only credit
 // advertisements) drops half its frames; cumulative framing plus the
