@@ -3,6 +3,7 @@ package nameservice
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -437,6 +438,40 @@ func TestStaleReplySkipped(t *testing.T) {
 			if err := op.call(); err != nil && !errors.Is(err, ErrDuplicate) {
 				t.Errorf("%s took the stale reply %x as its answer: %v", op.name, parked, err)
 			}
+		}
+	}
+}
+
+// BenchmarkRegistryRoundTrip is one Client.Do (a subscription renew)
+// against a server that a goroutine pumps with ServeOne, both domains
+// on a started fabric. allocs/op counts the heap objects of the whole
+// round trip, client and server side, engines included.
+func BenchmarkRegistryRoundTrip(b *testing.B) {
+	srv, cli := goldenRig(b)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !srv.ServeOne() {
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	op := Op{Kind: OpSubscribe, Name: "alarms", Addr: goldSub, Class: 1}
+	if _, err := cli.Do(op, callTimeout); err != nil { // declares the topic: every timed call renews
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Do(op, callTimeout); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
