@@ -11,8 +11,9 @@
 //   - Outbox: send with one call; completed buffers are reclaimed and
 //     recycled behind the scenes;
 //   - Inbox: receive with one call; the buffer pool is kept posted and
-//     consumed buffers are reposted automatically (with a zero-copy
-//     variant for callers that want to avoid the payload copy).
+//     consumed buffers are reposted automatically. A receive lends the
+//     payload, copied into the inbox's own buffer and valid until the
+//     next receive; the zero-copy variant skips only that memcpy.
 //
 // Both are single-threaded like the lock-free endpoint variants they
 // wrap; use one per thread or add external locking.
@@ -168,6 +169,7 @@ func (o *Outbox) Endpoint() *core.Endpoint { return o.ep }
 type Inbox struct {
 	d        *core.Domain
 	ep       *core.Endpoint
+	buf      []byte // the lent payload; capacity MaxPayload
 	received uint64
 
 	mReceived *metrics.Counter // nil until Instrument
@@ -198,7 +200,7 @@ func NewInbox(d *core.Domain, depth, bufs int) (*Inbox, error) {
 	if err != nil {
 		return nil, err
 	}
-	in := &Inbox{d: d, ep: ep}
+	in := &Inbox{d: d, ep: ep, buf: make([]byte, 0, d.MaxPayload())}
 	for i := 0; i < bufs; i++ {
 		m, err := d.AllocBuffer()
 		if err != nil {
@@ -214,20 +216,24 @@ func NewInbox(d *core.Domain, depth, bufs int) (*Inbox, error) {
 // Addr returns the inbox's receive address.
 func (in *Inbox) Addr() core.Addr { return in.ep.Addr() }
 
-// Receive returns the next message's payload (copied) and flags; the
-// underlying buffer is reposted immediately.
+// Receive returns the next message's payload (lent: valid until the next
+// receive on this inbox) and flags; the buffer is reposted immediately.
 func (in *Inbox) Receive() (payload []byte, flags uint8, ok bool) {
 	m, ok := in.ep.Receive()
 	if !ok {
 		return nil, 0, false
 	}
-	payload = append([]byte(nil), m.Payload()[:m.Len()]...)
-	flags = m.Flags()
-	if err := in.ep.Post(m); err != nil {
-		in.d.FreeBuffer(m)
-	}
-	in.bump()
+	payload, flags = in.lend(m)
 	return payload, flags, true
+}
+
+// lend copies m's payload into in.buf, reposts m and counts the receive.
+func (in *Inbox) lend(m *core.Message) ([]byte, uint8) {
+	in.buf = append(in.buf[:0], m.Payload()[:m.Len()]...)
+	flags := m.Flags()
+	in.Done(m)
+	in.bump()
+	return in.buf, flags
 }
 
 // ReceiveZeroCopy returns the message itself; the caller must hand it
@@ -240,12 +246,10 @@ func (in *Inbox) ReceiveZeroCopy() (*core.Message, bool) {
 	return m, ok
 }
 
-// Done returns a zero-copy message's buffer to the posted pool.
+// Done returns a zero-copy message's buffer to the posted pool, or to
+// the domain if the endpoint refuses it.
 func (in *Inbox) Done(m *core.Message) {
-	if m == nil {
-		return
-	}
-	if err := in.ep.Post(m); err != nil {
+	if m != nil && in.ep.Post(m) != nil {
 		in.d.FreeBuffer(m)
 	}
 }
@@ -256,12 +260,7 @@ func (in *Inbox) ReceiveBlock(prio core.Priority) ([]byte, uint8, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	payload := append([]byte(nil), m.Payload()[:m.Len()]...)
-	flags := m.Flags()
-	if err := in.ep.Post(m); err != nil {
-		in.d.FreeBuffer(m)
-	}
-	in.bump()
+	payload, flags := in.lend(m)
 	return payload, flags, nil
 }
 

@@ -649,8 +649,8 @@ func newSubDurState(d *core.Domain, name string) (*subDurState, error) {
 }
 
 // stashedFrame is one ahead-of-seam frame held in the reorder stash
-// (copied: the inbox buffer it arrived in is long since reposted by
-// the time the hole fills).
+// (copied: the inbox lends a payload only until its next receive, and
+// the hole fills receives later).
 type stashedFrame struct {
 	body  []byte
 	flags uint8

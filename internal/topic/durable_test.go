@@ -13,6 +13,7 @@ import (
 	"flipc/internal/core"
 	"flipc/internal/duralog"
 	"flipc/internal/interconnect"
+	"flipc/internal/msglib"
 	"flipc/internal/nameservice"
 )
 
@@ -360,6 +361,61 @@ func TestDurableRebindHealsGap(t *testing.T) {
 		if seq != uint64(i+1) {
 			t.Fatalf("delivery %d = seq %d, want %d (stream: %v)", i, seq, i+1, got)
 		}
+	}
+}
+
+// The reorder stash keeps its own copy of a frame, because a receive
+// lends its payload only until the next one. Frame 5 arrives ahead of
+// the seam and is stashed; frames 1-3 are then received and delivered
+// in order, each overwriting the inbox's lent buffer; frame 4 fills the
+// hole, and the stash gives frame 5 back with its own body.
+func TestDurableStashOutlivesLentPayload(t *testing.T) {
+	fabric := interconnect.NewFabric(64)
+	srcD := newIdleDomain(t, fabric, 0)
+	subD := newIdleDomain(t, fabric, 1)
+	dir := LocalDirectory{R: nameservice.NewTopicRegistry()}
+	sub, err := NewSubscriberDurable(subD, dir, "orders", Normal, 16, 16, "node1/stash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.handleGrant(0) // the seam locks with sequence 1 next
+	src, err := msglib.NewOutbox(srcD, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(seq uint64) string {
+		if seq == 5 {
+			return "the stashed frame's own body"
+		}
+		return fmt.Sprintf("live-%d", seq)
+	}
+	send := func(seqs ...uint64) { // durable data frames, laid out as stageSeq lays them
+		for _, seq := range seqs {
+			if err := src.Send(sub.Addr(), append(binary.BigEndian.AppendUint64(nil, seq), body(seq)...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pollAll(srcD, subD)
+	}
+	recv := func(want uint64) {
+		t.Helper()
+		if p, _, ok := sub.Receive(); !ok || string(p) != body(want) {
+			t.Fatalf("receive = %q (ok %v), want %q", p, ok, body(want))
+		}
+	}
+
+	send(5, 1, 2, 3)
+	for seq := uint64(1); seq <= 3; seq++ {
+		recv(seq)
+	}
+	if len(sub.dur.stash) != 1 {
+		t.Fatalf("stash holds %d frames, want frame 5 alone", len(sub.dur.stash))
+	}
+	send(4)
+	recv(4)
+	recv(5)
+	if _, _, ok := sub.Receive(); ok || len(sub.dur.stash) != 0 || sub.dur.next.Load() != 6 {
+		t.Fatalf("after the hole filled: stash %d, next %d", len(sub.dur.stash), sub.dur.next.Load())
 	}
 }
 

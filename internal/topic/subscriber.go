@@ -181,12 +181,13 @@ func (s *Subscriber) Leave() error {
 	return Unsubscribe(s.dir, s.topic, s.subAddr)
 }
 
-// Receive returns the next application message (copied payload) if one
-// is waiting. Topic-control frames (credit hellos, replay markers) are
-// consumed internally and never surface. On a durable subscription the
-// stream is exactly-once and in-order: the sequence prefix is stripped,
-// duplicates and gaps are absorbed by the seam (see durable.go), and
-// replayed messages are delivered with the replay flag bit still set.
+// Receive returns the next application message if one is waiting; the
+// payload is lent until the next receive, as msglib.Inbox.Receive's is.
+// Topic-control frames (credit hellos, replay markers) are consumed
+// internally and never surface. On a durable subscription the stream is
+// exactly-once and in-order: the sequence prefix is stripped, duplicates
+// and gaps are absorbed by the seam (see durable.go), and replayed
+// messages are delivered with the replay flag bit still set.
 func (s *Subscriber) Receive() (payload []byte, flags uint8, ok bool) {
 	if s.dur != nil {
 		// A hole the replay stream just filled may have unblocked a run
@@ -197,27 +198,35 @@ func (s *Subscriber) Receive() (payload []byte, flags uint8, ok bool) {
 		}
 	}
 	for {
-		payload, flags, ok = s.in.Receive()
-		if !ok {
+		if payload, flags, ok = s.in.Receive(); !ok {
 			return nil, 0, false
 		}
-		if flags&ctlFlag != 0 {
-			s.handleCtl(payload)
-			continue
+		if payload, ok = s.accept(payload, flags); ok {
+			return payload, flags, true
 		}
-		if s.dur != nil {
-			if payload, ok = s.durAccept(payload, flags); !ok {
-				continue
-			}
-		}
-		s.noteDelivery()
-		return payload, flags, true
 	}
+}
+
+// accept consumes a topic-control frame or runs a durable one through
+// the seam, reporting whether what is left is an application delivery.
+func (s *Subscriber) accept(payload []byte, flags uint8) ([]byte, bool) {
+	if flags&ctlFlag != 0 {
+		s.handleCtl(payload)
+		return nil, false
+	}
+	if s.dur != nil {
+		var ok bool
+		if payload, ok = s.durAccept(payload, flags); !ok {
+			return nil, false
+		}
+	}
+	s.noteDelivery()
+	return payload, true
 }
 
 // ReceiveBlock blocks for the next application message at the class's
 // scheduler priority: a control-topic consumer preempts bulk consumers
-// at the real-time semaphore.
+// at the real-time semaphore. The payload is lent, as Receive's is.
 func (s *Subscriber) ReceiveBlock() ([]byte, uint8, error) {
 	if s.dur != nil {
 		if payload, flags, ok := s.durStashPop(); ok {
@@ -230,18 +239,9 @@ func (s *Subscriber) ReceiveBlock() ([]byte, uint8, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		if flags&ctlFlag != 0 {
-			s.handleCtl(payload)
-			continue
+		if payload, ok := s.accept(payload, flags); ok {
+			return payload, flags, nil
 		}
-		if s.dur != nil {
-			var ok bool
-			if payload, ok = s.durAccept(payload, flags); !ok {
-				continue
-			}
-		}
-		s.noteDelivery()
-		return payload, flags, nil
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flipc/internal/core"
+	"flipc/internal/duralog"
 	"flipc/internal/interconnect"
 	"flipc/internal/israce"
 	"flipc/internal/metrics"
@@ -173,6 +174,96 @@ func TestPublishAllocs(t *testing.T) {
 	// runtime allocation during the run is not the publisher's.
 	if mallocs/rounds != 0 {
 		t.Fatalf("%d publishes at fanout %d allocated %d objects, want 0 a publish", rounds, fanout, mallocs)
+	}
+}
+
+// pollAll runs passes of idle domains' engines until none has work.
+func pollAll(doms ...*core.Domain) {
+	for pass := 0; pass < 200; pass++ {
+		work := false
+		for _, d := range doms {
+			if d.Poll() {
+				work = true
+			}
+		}
+		if !work {
+			return
+		}
+	}
+}
+
+// A receive lends its payload, so Subscriber.Receive allocates nothing:
+// on a plain subscriber, on a credit-enabled one returning a credit per
+// delivery, and on a durable one taking frames in order at its seam.
+// The frames are in the inbox before the count starts; the engine
+// passes that put them there are not the receiver's cost.
+func TestReceiveAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const runs = 16 // AllocsPerRun receives once more, as a warm-up
+	for _, tc := range []struct {
+		name string
+		join func(d *core.Domain, dir Directory) (*Subscriber, error)
+	}{
+		{"plain", func(d *core.Domain, dir Directory) (*Subscriber, error) {
+			return NewSubscriber(d, dir, "t", Normal, 2*runs, 2*runs)
+		}},
+		{"credit", func(d *core.Domain, dir Directory) (*Subscriber, error) {
+			return NewSubscriberCredit(d, dir, "t", Normal, 2*runs, 2*runs, CreditConfig{Batch: 1})
+		}},
+		{"durable", func(d *core.Domain, dir Directory) (*Subscriber, error) {
+			return NewSubscriberDurable(d, dir, "t", Normal, 2*runs, 2*runs, "node1/allocs")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fabric := interconnect.NewFabric(256)
+			pubD := newIdleDomain(t, fabric, 0)
+			subD := newIdleDomain(t, fabric, 1)
+			dir := LocalDirectory{R: nameservice.NewTopicRegistry()}
+			sub, err := tc.join(subD, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := PublisherConfig{Topic: "t", Class: Normal, Credit: sub.credit != nil}
+			if sub.dur != nil {
+				cfg.Log = newDurableLog(t, duralog.Options{NoSync: true})
+			}
+			pub, err := NewPublisher(pubD, dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ready := func() bool {
+				return (sub.credit == nil || pub.CreditAdverts() == 1) && (sub.dur == nil || sub.DurableLocked())
+			}
+			for i := 0; !ready(); i++ { // the credit and durable handshakes
+				if i == 1000 {
+					t.Fatal("handshake never completed")
+				}
+				pollAll(pubD, subD)
+				drain(sub)
+				if err := sub.Renew(); err != nil {
+					t.Fatal(err)
+				}
+				pub.PumpReplay(0)
+				pollAll(pubD, subD)
+			}
+			for i := 0; i <= runs; i++ {
+				if res, err := pub.Publish([]byte{byte(i), 'm'}); err != nil || res.Sent != 1 {
+					t.Fatalf("publish %d: %+v, %v", i, res, err)
+				}
+				pollAll(pubD, subD)
+			}
+			got := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if p, _, ok := sub.Receive(); ok && len(p) == 2 && p[0] == byte(got) {
+					got++
+				}
+			})
+			if got != runs+1 || allocs != 0 {
+				t.Fatalf("%d of %d frames received in order, %v objects a receive (want 0)", got, runs+1, allocs)
+			}
+		})
 	}
 }
 
