@@ -138,7 +138,8 @@ func E9DropsAndFlowControl(seed int64) (*E9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	acct := flowctl.NewAccount(window)
+	var acct flowctl.Account
+	acct.Grant(0, window) // the receiver's whole inbox, granted up front
 	var sent, got uint64
 	var advert [flowctl.CreditFrameBytes]byte
 	for got < blast {
@@ -160,8 +161,7 @@ func E9DropsAndFlowControl(seed int64) (*E9Result, error) {
 		pump()
 		for p, _, ok := creditIn.Receive(); ok; p, _, ok = creditIn.Receive() {
 			if _, w, disposed, ok := flowctl.DecodeCredit(p); ok {
-				acct.SetWindow(int(w))
-				acct.Ack(disposed)
+				acct.Grant(disposed, w)
 			}
 		}
 	}

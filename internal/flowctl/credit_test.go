@@ -7,84 +7,46 @@ import (
 )
 
 func TestAccountLedger(t *testing.T) {
-	a := NewAccount(4)
+	var a Account
+	if a.Available() != 0 || a.Window() != 0 {
+		t.Fatalf("zero account: available %d window %d", a.Available(), a.Window())
+	}
+	a.Grant(0, 4)
 	if a.Available() != 4 || a.Window() != 4 {
-		t.Fatalf("fresh account: available %d window %d", a.Available(), a.Window())
+		t.Fatalf("first grant: available %d window %d", a.Available(), a.Window())
 	}
 	for i := 0; i < 4; i++ {
 		a.Spend()
 	}
-	if a.Available() != 0 || a.Outstanding() != 4 {
-		t.Fatalf("spent account: available %d outstanding %d", a.Available(), a.Outstanding())
+	if a.Available() != 0 {
+		t.Fatalf("spent account: available %d", a.Available())
 	}
-	if !a.Ack(3) {
-		t.Fatal("ack 3 did not advance")
+	if !a.Grant(3, 4) {
+		t.Fatal("disposed 3 did not advance")
 	}
-	if a.Available() != 3 {
-		t.Fatalf("available after ack = %d, want 3", a.Available())
+	if a.Available() != 3 || a.Window() != 4 {
+		t.Fatalf("edge 7: available %d window %d", a.Available(), a.Window())
 	}
-	// Stale/reordered report: ignored.
-	if a.Ack(2) {
-		t.Fatal("stale ack advanced the ledger")
+	// A stale advert, and a newer one granting a narrower window, leave
+	// the edge where it is: a grant is never pulled back.
+	if a.Grant(2, 4) || a.Available() != 3 {
+		t.Fatalf("stale advert moved the ledger: available %d", a.Available())
 	}
-	if a.Available() != 3 {
-		t.Fatalf("available after stale ack = %d", a.Available())
+	if a.Grant(3, 1); a.Available() != 3 {
+		t.Fatalf("narrower advert pulled the edge in: available %d", a.Available())
 	}
-	// A report above the charged count realigns sent.
-	if !a.Ack(10) {
-		t.Fatal("over-ack did not advance")
+	// A disposed count above the charged count realigns sent: the peer
+	// grants window frames, never more.
+	if !a.Grant(10, 4) || a.Available() != 4 {
+		t.Fatalf("over-report: available %d", a.Available())
 	}
-	if a.Outstanding() != 0 || a.Available() != 4 {
-		t.Fatalf("over-ack: outstanding %d available %d", a.Outstanding(), a.Available())
-	}
-	// Resync forgives outstanding frames.
+	// Resync forgives outstanding frames and keeps the window open past
+	// them.
 	a.Spend()
 	a.Spend()
-	if a.Available() != 2 {
-		t.Fatalf("available = %d", a.Available())
-	}
 	a.Resync()
-	if a.Available() != 4 {
-		t.Fatalf("available after resync = %d", a.Available())
-	}
-	// Baseline aligns both counters.
-	a.Baseline(100)
-	if a.Outstanding() != 0 || a.Available() != 4 {
-		t.Fatalf("baseline: outstanding %d available %d", a.Outstanding(), a.Available())
-	}
-	a.SetWindow(-1)
-	if a.Window() != 0 || a.Available() != 0 {
-		t.Fatalf("negative window not clamped: %d", a.Window())
-	}
-}
-
-func TestAIMDController(t *testing.T) {
-	c := NewAIMD(1, 8, 4)
-	// Clean intervals: +1 up to the cap.
-	for i := 0; i < 10; i++ {
-		c.Observe(0)
-	}
-	if c.Window() != 8 {
-		t.Fatalf("window after clean growth = %d, want 8", c.Window())
-	}
-	// A drop epoch halves.
-	if got := c.Observe(1); got != 4 {
-		t.Fatalf("window after drop epoch = %d, want 4", got)
-	}
-	// Same cumulative count = clean interval again.
-	if got := c.Observe(1); got != 5 {
-		t.Fatalf("window after recovery interval = %d, want 5", got)
-	}
-	// Repeated drop epochs floor at min.
-	for i := uint64(2); i < 12; i++ {
-		c.Observe(i)
-	}
-	if c.Window() != 1 {
-		t.Fatalf("window floor = %d, want 1", c.Window())
-	}
-	// Constructor clamps.
-	if got := NewAIMD(0, 0, 99).Window(); got != 1 {
-		t.Fatalf("clamped controller window = %d", got)
+	if a.Available() != 4 || a.Window() != 4 {
+		t.Fatalf("after resync: available %d window %d", a.Available(), a.Window())
 	}
 }
 

@@ -6,11 +6,11 @@
 // applications or by libraries designed to fit between applications and
 // FLIPC" (§Message Transfer). This package is such a library:
 //
-//   - Account, AIMD, and the credit/hello codec (credit.go) are a
-//     credit window (the customization PAM chose for its active-message
+//   - Account and the credit/hello codec (credit.go) are a credit
+//     window (the customization PAM chose for its active-message
 //     facility): the sender charges one credit per message and the
-//     receiver returns cumulative credit on a reverse FLIPC channel, so
-//     the receive endpoint is never overrun. The per-topic receive
+//     receiver returns cumulative grants on a reverse FLIPC channel;
+//     granting only buffers it has posted, it is never overrun. The per-topic receive
 //     credit in internal/topic is built on them, and experiment E9
 //     drives them by hand over a msglib Outbox/Inbox pair;
 //   - RPCBuffers and PeriodicBuffers are the paper's two static-sizing

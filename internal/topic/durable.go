@@ -307,9 +307,7 @@ func (p *Publisher) handleResumeLocked(from core.Addr, cursor uint64, name strin
 		sr.ackSeen = false
 	}
 	p.catchup[from] = sr
-	if p.durHello != nil {
-		p.durHello[from] = true
-	}
+	p.heard[from] = nil // handshake complete; a durable topic keeps no credit account
 	if stored && sr.ackSeen {
 		// A locked seam resumes only from its own position (explicit
 		// cursor), and an ack proves this address locked. A stored-cursor
@@ -361,8 +359,8 @@ func (p *Publisher) handleAckLocked(from core.Addr, name string, seq uint64) {
 	if name == "" {
 		return
 	}
-	if p.durHello != nil && from.Valid() {
-		p.durHello[from] = true
+	if from.Valid() {
+		p.heard[from] = nil
 	}
 	_ = p.log.Ack(name, seq)
 	if sr := p.replay[name]; sr != nil {
@@ -493,17 +491,10 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 	return sent
 }
 
-// stageSeq prefixes payload with its 8-byte log sequence in the
-// publisher's staging buffer (the engine copies on send, so the
-// buffer is reusable across the fanout).
+// stageSeq prefixes payload with its 8-byte log sequence.
 func (p *Publisher) stageSeq(seq uint64, payload []byte) []byte {
-	need := len(payload) + 8
-	if cap(p.seqScratch) < need {
-		p.seqScratch = make([]byte, need)
-	}
-	b := p.seqScratch[:need]
-	binary.BigEndian.PutUint64(b[:8], seq)
-	copy(b[8:], payload)
+	b := p.stage(8, payload)
+	binary.BigEndian.PutUint64(b, seq)
 	return b
 }
 
