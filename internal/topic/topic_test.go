@@ -193,8 +193,8 @@ func pollAll(doms ...*core.Domain) {
 }
 
 // A receive lends its payload, so Subscriber.Receive allocates nothing:
-// on a plain subscriber, on a credit-enabled one returning a credit per
-// delivery, and on a durable one taking frames in order at its seam.
+// on a plain subscriber, on a credit-enabled one returning credits as
+// it consumes, and on a durable one taking frames in order at its seam.
 // The frames are in the inbox before the count starts; the engine
 // passes that put them there are not the receiver's cost.
 func TestReceiveAllocs(t *testing.T) {
@@ -210,7 +210,7 @@ func TestReceiveAllocs(t *testing.T) {
 			return NewSubscriber(d, dir, "t", Normal, 2*runs, 2*runs)
 		}},
 		{"credit", func(d *core.Domain, dir Directory) (*Subscriber, error) {
-			return NewSubscriberCredit(d, dir, "t", Normal, 2*runs, 2*runs, CreditConfig{Batch: 1})
+			return NewSubscriberCredit(d, dir, "t", Normal, 2*runs, 2*runs)
 		}},
 		{"durable", func(d *core.Domain, dir Directory) (*Subscriber, error) {
 			return NewSubscriberDurable(d, dir, "t", Normal, 2*runs, 2*runs, "node1/allocs")
