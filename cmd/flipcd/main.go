@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -133,23 +134,15 @@ func main() {
 		fmt.Printf("flipcd: aggregation on: %d frames/peer, flush deadline %v\n", *batchFrames, *flushDl)
 	}
 
-	var srv *obs.Server
 	if *httpAddr != "" {
-		srv = &obs.Server{Registry: reg, Health: tr.Health, Trace: ring}
 		if *duraDir != "" {
-			// Read-only sweep per scrape: ScanDir never opens (so never
-			// truncates) the logs, making it safe against live writers.
-			root := *duraDir
-			srv.DurableHealth = func() []duralog.TopicHealth {
-				ths, _ := duralog.ScanDir(root)
-				return ths
-			}
+			registerDurable(reg, *duraDir)
 		}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(fmt.Errorf("http listen %s: %w", *httpAddr, err))
 		}
-		go http.Serve(ln, srv.Handler())
+		go http.Serve(ln, (&obs.Server{Registry: reg, Trace: ring}).Handler())
 		fmt.Printf("flipcd: metrics on http://%s/metrics (healthz, debug/trace)\n", ln.Addr())
 	}
 
@@ -183,9 +176,6 @@ func main() {
 	}
 	defer d.Close()
 	reportEngine = d.Engine() // reports from here on include fault containment
-	if srv != nil {
-		srv.Quarantined = d.Engine().Quarantined
-	}
 	d.Start()
 
 	// Registry role: an in-band nameservice server, durable when
@@ -207,11 +197,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if srv != nil && rn.mgr != nil {
-			srv.RegistryHealth = rn.mgr.Health
-		}
-		if srv != nil && rn.sharded() {
-			srv.ShardHealth = rn.shardHealth
+		if reg != nil {
+			rn.registerHealth(reg)
 		}
 		role := "primary"
 		if rn.mgr != nil {
@@ -309,6 +296,21 @@ func main() {
 			d.FreeBuffer(m)
 		}
 	}
+}
+
+// registerDurable registers the "durable" health source: a read-only
+// sweep of the log root per scrape (ScanDir never opens, so never
+// truncates, a log, which makes it safe against live writers). A sweep
+// that fails is itself degraded, reported as one entry under the root
+// carrying the error.
+func registerDurable(reg *metrics.Registry, root string) {
+	reg.Status("durable", func() (any, bool) {
+		ths, err := duralog.ScanDir(root)
+		if err != nil {
+			ths = []duralog.TopicHealth{{Topic: root, Health: duralog.Health{Err: err.Error()}}}
+		}
+		return ths, !slices.ContainsFunc(ths, duralog.TopicHealth.Degraded)
+	})
 }
 
 // report prints the transport's loss accounting, per-peer health, and

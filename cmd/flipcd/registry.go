@@ -2,14 +2,14 @@ package main
 
 import (
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"flipc/internal/core"
+	"flipc/internal/metrics"
 	"flipc/internal/nameservice"
-	"flipc/internal/obs"
 	"flipc/internal/registrystore"
 	"flipc/internal/shardmap"
 	"flipc/internal/topic"
@@ -77,8 +77,8 @@ type registryNode struct {
 	smap       *shardmap.Map     // static map (spec-configured)
 	sjournal   *shardmap.Journal // journal-backed map (takes precedence)
 	peerMu     sync.Mutex
-	peerCli    map[uint32]*nameservice.Client // lazy per-shard probe clients
-	peerStatus map[uint32]obs.ShardJSON       // last probe result per shard
+	peerCli    map[uint32]*nameservice.Client       // lazy per-shard probe clients
+	peerStatus map[uint32]registrystore.ShardHealth // last probe result per shard
 }
 
 // sharded reports whether this node runs a sharded registry.
@@ -135,7 +135,7 @@ func startRegistry(d *core.Domain, dir *nameservice.Directory, opts registryOpts
 			return nil, fmt.Errorf("flipcd: shard %d not in map %q", opts.Shard, opts.ShardMap)
 		}
 		rn.peerCli = make(map[uint32]*nameservice.Client)
-		rn.peerStatus = make(map[uint32]obs.ShardJSON)
+		rn.peerStatus = make(map[uint32]registrystore.ShardHealth)
 	}
 	if opts.WALDir != "" {
 		st, err := registrystore.Open(opts.WALDir, rn.reg, registrystore.Options{})
@@ -211,7 +211,7 @@ func (rn *registryNode) ensureFeed() error {
 // startStandby subscribes to the primary's replication stream through
 // the remote directory and bootstraps a full-state resync.
 func (rn *registryNode) startStandby() error {
-	addr, err := parseEndpointAddr(rn.opts.StreamAddr)
+	addr, err := wire.ParseAddr(rn.opts.StreamAddr)
 	if err != nil {
 		return err
 	}
@@ -382,7 +382,7 @@ func (rn *registryNode) probeShards() {
 		return
 	}
 	for _, e := range m.Entries() {
-		st := obs.ShardJSON{Shard: e.ID, Role: "unknown"}
+		st := registrystore.ShardHealth{Shard: e.ID, Role: "unknown"}
 		switch {
 		case e.ID == rn.opts.Shard:
 			st.Probed = true
@@ -433,39 +433,40 @@ func (rn *registryNode) probePeer(shard uint32, addr wire.Addr) (nameservice.Reg
 	return cli.RegistryInfo(probeTimeout)
 }
 
-// shardHealth is the /healthz and /metrics roll-up source: the cached
-// per-shard status, ordered by shard id (the map's entry order).
-func (rn *registryNode) shardHealth() []obs.ShardJSON {
+// registerHealth registers the registry's health sources: "registry"
+// (role, generation and store state; durable registries only) and, on
+// a sharded deployment, "shards" (the per-shard roll-up).
+func (rn *registryNode) registerHealth(reg *metrics.Registry) {
+	if rn.mgr != nil {
+		reg.Status("registry", func() (any, bool) {
+			h := rn.mgr.Health()
+			return h, !h.Degraded()
+		})
+	}
+	if rn.sharded() {
+		reg.Status("shards", func() (any, bool) {
+			sh := rn.shardHealth()
+			return sh, !slices.ContainsFunc(sh, registrystore.ShardHealth.Degraded)
+		})
+	}
+}
+
+// shardHealth is the per-shard roll-up: the cached per-shard status,
+// ordered by shard id (the map's entry order).
+func (rn *registryNode) shardHealth() []registrystore.ShardHealth {
 	m := rn.shardMap()
 	if m == nil {
 		return nil
 	}
 	rn.peerMu.Lock()
 	defer rn.peerMu.Unlock()
-	out := make([]obs.ShardJSON, 0, m.Len())
+	out := make([]registrystore.ShardHealth, 0, m.Len())
 	for _, e := range m.Entries() {
 		if st, ok := rn.peerStatus[e.ID]; ok {
 			out = append(out, st)
 		} else {
-			out = append(out, obs.ShardJSON{Shard: e.ID, Role: "unknown"})
+			out = append(out, registrystore.ShardHealth{Shard: e.ID, Role: "unknown"})
 		}
 	}
 	return out
-}
-
-// parseEndpointAddr parses a hex endpoint address as flipcd prints them
-// (with or without the 0x prefix).
-func parseEndpointAddr(s string) (wire.Addr, error) {
-	if len(s) > 2 && (s[:2] == "0x" || s[:2] == "0X") {
-		s = s[2:]
-	}
-	v, err := strconv.ParseUint(s, 16, 32)
-	if err != nil {
-		return wire.NilAddr, fmt.Errorf("flipcd: bad endpoint address %q: %w", s, err)
-	}
-	a := wire.Addr(v)
-	if !a.Valid() {
-		return wire.NilAddr, fmt.Errorf("flipcd: invalid endpoint address %q", s)
-	}
-	return a, nil
 }

@@ -122,7 +122,7 @@ func main() {
 	defer d.Close()
 	d.Start()
 
-	server, err := parseEndpointAddr(*regAddr)
+	server, err := wire.ParseAddr(*regAddr)
 	if err != nil {
 		fatal(err)
 	}
@@ -145,13 +145,11 @@ func main() {
 	}
 
 	if *httpAddr != "" {
-		srv := &obs.Server{Registry: mreg, Health: tr.Health, Trace: ring,
-			Quarantined: d.Engine().Quarantined, GatewayHealth: func() *gateway.Health { h := mux.Health(); return &h }}
 		ln, err := net.Listen("tcp", *httpAddr)
 		if err != nil {
 			fatal(fmt.Errorf("http listen %s: %w", *httpAddr, err))
 		}
-		go http.Serve(ln, srv.Handler())
+		go http.Serve(ln, (&obs.Server{Registry: mreg, Trace: ring}).Handler())
 		fmt.Printf("flipcgw: metrics on http://%s/metrics (healthz)\n", ln.Addr())
 	}
 
@@ -237,23 +235,6 @@ func buildDirectory(d *core.Domain, server wire.Addr, timeout time.Duration) (to
 	fmt.Printf("flipcgw: sharded registry: %d/%d shards installed (map epoch %d)\n",
 		installed, m.Len(), m.Epoch())
 	return sdir, nil
-}
-
-// parseEndpointAddr parses a hex endpoint address as flipcd prints
-// them (with or without the 0x prefix).
-func parseEndpointAddr(s string) (wire.Addr, error) {
-	if len(s) > 2 && (s[:2] == "0x" || s[:2] == "0X") {
-		s = s[2:]
-	}
-	v, err := strconv.ParseUint(s, 16, 32)
-	if err != nil {
-		return wire.NilAddr, fmt.Errorf("bad endpoint address %q: %w", s, err)
-	}
-	a := wire.Addr(v)
-	if !a.Valid() {
-		return wire.NilAddr, fmt.Errorf("invalid endpoint address %q", s)
-	}
-	return a, nil
 }
 
 func fatal(err error) {

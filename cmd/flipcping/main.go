@@ -39,13 +39,9 @@ func main() {
 	if *target == "" {
 		fatal(fmt.Errorf("missing -target (the address flipcd printed)"))
 	}
-	addrVal, err := strconv.ParseUint(strings.TrimPrefix(*target, "0x"), 16, 32)
+	dst, err := wire.ParseAddr(*target)
 	if err != nil {
-		fatal(fmt.Errorf("bad -target %q: %v", *target, err))
-	}
-	dst := wire.Addr(addrVal)
-	if !dst.Valid() {
-		fatal(fmt.Errorf("-target %v is not a valid endpoint address", dst))
+		fatal(fmt.Errorf("-target: %w", err))
 	}
 
 	tr, err := nettrans.Listen(wire.NodeID(*node), *listen, *msgSize)

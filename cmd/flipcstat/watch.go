@@ -9,8 +9,25 @@ import (
 	"strings"
 	"time"
 
+	"flipc/internal/duralog"
+	"flipc/internal/gateway"
+	"flipc/internal/nettrans"
 	"flipc/internal/obs"
+	"flipc/internal/registrystore"
 )
+
+// watchDoc is the /metrics?format=json document as the table reads it:
+// the instruments, plus the health sources a node registers, each
+// decoded into its own layer's type. A source the node does not run is
+// absent, and its section is not drawn.
+type watchDoc struct {
+	obs.MetricsJSON
+	Peers    []nettrans.PeerHealth       `json:"peers"`
+	Registry *registrystore.Health       `json:"registry"`
+	Shards   []registrystore.ShardHealth `json:"shards"`
+	Durable  []duralog.TopicHealth       `json:"durable"`
+	Gateway  *gateway.Health             `json:"gateway"`
+}
 
 // watchLoop polls a flipcd observability endpoint and renders a
 // refreshing table: counter deltas per interval, latency histogram
@@ -22,7 +39,7 @@ func watchLoop(url string, interval time.Duration, count int) {
 		url = "http://" + url
 	}
 	client := &http.Client{Timeout: interval}
-	var prev *obs.MetricsJSON
+	var prev *watchDoc
 	prevAt := time.Now()
 	for i := 0; count <= 0 || i < count; i++ {
 		if i > 0 {
@@ -39,7 +56,7 @@ func watchLoop(url string, interval time.Duration, count int) {
 	}
 }
 
-func fetchMetrics(client *http.Client, url string) (*obs.MetricsJSON, error) {
+func fetchMetrics(client *http.Client, url string) (*watchDoc, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -48,7 +65,7 @@ func fetchMetrics(client *http.Client, url string) (*obs.MetricsJSON, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
 	}
-	var doc obs.MetricsJSON
+	var doc watchDoc
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return nil, fmt.Errorf("decode %s: %w", url, err)
 	}
@@ -56,7 +73,7 @@ func fetchMetrics(client *http.Client, url string) (*obs.MetricsJSON, error) {
 }
 
 // render clears the screen and prints one refresh of the live table.
-func render(doc, prev *obs.MetricsJSON, dt time.Duration, url string) {
+func render(doc, prev *watchDoc, dt time.Duration, url string) {
 	fmt.Print("\033[H\033[2J") // home + clear
 	fmt.Printf("flipcstat -watch %s  (%s)\n", url, time.Now().Format("15:04:05"))
 

@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"flipc/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/render.golden from the current output")
@@ -25,7 +23,7 @@ func TestRenderGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var docs [2]obs.MetricsJSON
+	var docs [2]watchDoc
 	if err := json.Unmarshal(raw, &docs); err != nil {
 		t.Fatal(err)
 	}

@@ -161,29 +161,34 @@ type Log struct {
 // Health is a log's operator-facing state.
 type Health struct {
 	// Head is the last appended payload sequence.
-	Head uint64
+	Head uint64 `json:"head"`
 	// First is the first retained payload sequence.
-	First uint64
+	First uint64 `json:"first"`
 	// Depth is the number of retained payloads (Head - First + 1).
-	Depth uint64
+	Depth uint64 `json:"depth"`
 	// Segments is the number of on-disk segments.
-	Segments int
+	Segments int `json:"segments"`
 	// Cursors maps subscriber name to acknowledged sequence.
-	Cursors map[string]uint64
+	Cursors map[string]uint64 `json:"cursors,omitempty"`
 	// MaxLag is Head minus the lowest cursor (0 with no cursors).
-	MaxLag uint64
+	MaxLag uint64 `json:"max_lag"`
 	// LaggingSub names the subscriber at MaxLag.
-	LaggingSub string
+	LaggingSub string `json:"lagging_sub,omitempty"`
 	// Breached reports a cursor lagging past the retention horizon:
 	// its next needed sequence was force-deleted, so a resume from it
 	// starts at First with a counted gap.
-	Breached bool
+	Breached bool `json:"breached"`
 	// RetentionBreaches counts forced segment deletions that stranded
 	// at least one cursor.
-	RetentionBreaches uint64
-	// Err is the sticky I/O error, if any.
-	Err error
+	RetentionBreaches uint64 `json:"retention_breaches"`
+	// Err is the sticky I/O error's text, "" if none.
+	Err string `json:"err,omitempty"`
 }
+
+// Degraded reports a log whose durability no longer holds: a cursor
+// lagged past the retention horizon (its resume will start late with a
+// counted gap), or the log can no longer journal.
+func (h Health) Degraded() bool { return h.Breached || h.Err != "" }
 
 // TopicDir maps a topic name to its log directory under root. Names
 // are path-escaped so any registry-legal topic name is a legal
@@ -538,7 +543,9 @@ func (l *Log) Health() Health {
 		Segments:          len(l.segs),
 		Cursors:           make(map[string]uint64, len(l.cursors)),
 		RetentionBreaches: l.breaches,
-		Err:               l.err,
+	}
+	if l.err != nil {
+		h.Err = l.err.Error()
 	}
 	if l.head+1 > h.First {
 		h.Depth = l.head + 1 - h.First
@@ -645,9 +652,10 @@ func readCursors(path string, cursors map[string]uint64) (uint64, error) {
 	return head, nil
 }
 
-// TopicHealth is one topic's health as seen by ScanDir.
+// TopicHealth is one topic's health as seen by ScanDir, in the form
+// the "durable" health source shows it.
 type TopicHealth struct {
-	Topic string
+	Topic string `json:"topic"`
 	Health
 }
 

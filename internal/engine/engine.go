@@ -83,13 +83,12 @@ type Config struct {
 	// Metrics, when non-nil, publishes the engine's counters and
 	// latency instruments into the registry: per-pass duration and
 	// quantum utilization, queue-depth samples, and per-endpoint
-	// one-way delivery latency (sends are then stamped, see Stamp).
-	// All instrument updates are single-writer plain stores.
+	// one-way delivery latency. Sends are then stamped, so receivers
+	// that also run with Metrics measure true one-way latency. The
+	// "quarantined" health source lists quarantined endpoints and is
+	// healthy while there are none. All instrument updates are
+	// single-writer plain stores.
 	Metrics *metrics.Registry
-	// Stamp forces a send timestamp onto every outgoing frame even
-	// without Metrics, so *receivers* can measure one-way latency.
-	// Stamping is implied when Metrics is set.
-	Stamp bool
 	// Checksum puts a CRC32C trailer on every outgoing frame (when the
 	// payload leaves trailer room — see wire.ChecksumBytes). Receivers
 	// verify flag-gated, per frame, so checksumming and plain senders
@@ -181,9 +180,8 @@ type Engine struct {
 	// zero without a sweep. Engine loop is the single writer.
 	ctlDrops []atomic.Uint64
 
-	lab   *traceLabels // typed trace labels, nil when Trace is nil
-	m     *engMetrics  // registry instruments, nil when Metrics is nil
-	stamp bool         // stamp outgoing frames with a send timestamp
+	lab *traceLabels // typed trace labels, nil when Trace is nil
+	m   *engMetrics  // registry instruments, nil when Metrics is nil
 
 	// qsnap is the cross-goroutine quarantine snapshot: the engine loop
 	// stores an immutable slice on every quarantine/recovery; any
@@ -371,8 +369,11 @@ func New(buf *commbuf.Buffer, tr interconnect.Transport, cfg Config) (*Engine, e
 	}
 	if cfg.Metrics != nil {
 		e.m = newEngMetrics(cfg.Metrics, buf.Config().MaxEndpoints)
+		cfg.Metrics.Status("quarantined", func() (any, bool) {
+			qs := e.Quarantined()
+			return qs, len(qs) == 0
+		})
 	}
-	e.stamp = cfg.Stamp || cfg.Metrics != nil
 	return e, nil
 }
 
@@ -877,7 +878,7 @@ func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, Fau
 		Payload:  msg.Payload()[:size],
 		Checksum: e.cfg.Checksum,
 	}
-	if e.stamp {
+	if e.m != nil { // stamped, so receivers measure one-way latency
 		pkt.Stamp = time.Now().UnixNano()
 	}
 	if err := wire.Encode(&pkt, e.frame); err != nil {

@@ -13,7 +13,8 @@ import (
 // stores the pass count every pass and the other counters only when one
 // of them moved. A pass can move a counter without doing work — a busy
 // wire, a forged config word noticed by the sweep — and a scrape after
-// that pass must already see it, as must the quarantine gauge.
+// that pass must already see it, as must the quarantine gauge and the
+// "quarantined" health source.
 func TestMetricsMirrorNeverLagsStats(t *testing.T) {
 	buf, err := commbuf.New(commbuf.Config{Node: 0, MessageSize: 64, NumBuffers: 16})
 	if err != nil {
@@ -42,6 +43,9 @@ func TestMetricsMirrorNeverLagsStats(t *testing.T) {
 		}
 		if got, want := reg.Gauge("flipc_engine_quarantined").Value(), float64(len(eng.Quarantined())); got != want {
 			t.Fatalf("%s: quarantined gauge = %g, %g endpoints quarantined", when, got, want)
+		}
+		if hs := reg.Statuses(); len(hs) != 1 || hs[0].Name != "quarantined" || hs[0].OK != (len(eng.Quarantined()) == 0) {
+			t.Fatalf("%s: health sources %+v, %d endpoints quarantined", when, hs, len(eng.Quarantined()))
 		}
 	}
 

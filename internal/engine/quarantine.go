@@ -54,14 +54,18 @@ func (k FaultKind) String() string {
 	}
 }
 
+// MarshalText renders the category as its name, the form /healthz
+// shows.
+func (k FaultKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // QuarantinedEndpoint describes one endpoint the engine has stopped
 // servicing: which slot, why, and on which Poll pass the fault was
 // detected. Exposed through Engine.Quarantined for core, msglib, and
 // the observability surfaces.
 type QuarantinedEndpoint struct {
-	Slot int
-	Kind FaultKind
-	Pass uint64 // Stats.Polls value when the fault was detected
+	Slot int       `json:"slot"`
+	Kind FaultKind `json:"kind"`
+	Pass uint64    `json:"pass"` // Stats.Polls value when the fault was detected
 }
 
 // quarantine freezes endpoint slot after a detected invariant

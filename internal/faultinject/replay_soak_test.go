@@ -301,8 +301,8 @@ func TestDurableReplaySoak(t *testing.T) {
 	if cur, ok := reg2.CursorOf("soak", name); !ok || cur != published {
 		t.Fatalf("failed-over registry cursor = %d (ok=%v), want %d", cur, ok, published)
 	}
-	if h := log.Health(); h.MaxLag != 0 || h.Err != nil {
-		t.Fatalf("log health after quiesce: lag %d err %v", h.MaxLag, h.Err)
+	if h := log.Health(); h.MaxLag != 0 || h.Err != "" {
+		t.Fatalf("log health after quiesce: lag %d err %q", h.MaxLag, h.Err)
 	}
 
 	// Chaos coverage: every configured fault mode actually fired, on

@@ -36,16 +36,17 @@ type Config struct {
 	// in the client's Throttled ledger, mirroring the publisher-side
 	// credit discipline.
 	ThrottleAt int
-	// PubWindow bounds each cached publisher's outstanding fanout
-	// frames (default 64).
-	PubWindow int
 	// MaxPublishers bounds the per-topic publisher cache (default 64).
 	// Evictions free the publisher's endpoint; a topic published again
 	// later gets a fresh one.
 	MaxPublishers int
-	// Registry receives flipc_gw_* instruments (optional).
+	// Registry receives flipc_gw_* instruments and the "gateway" health
+	// source, which is degraded while a class is saturated (optional).
 	Registry *metrics.Registry
 }
+
+// pubWindow bounds each cached publisher's outstanding fanout frames.
+const pubWindow = 64
 
 // NumClasses is the number of priority lanes a gateway terminates.
 const NumClasses = 3
@@ -63,7 +64,7 @@ func (c *Config) fill() error {
 	for _, d := range []struct {
 		knob *int
 		def  int
-	}{{&c.InboxBuffers, 128}, {&c.ClientQueue, 64}, {&c.ThrottleAt, 16}, {&c.PubWindow, 64}, {&c.MaxPublishers, 64}} {
+	}{{&c.InboxBuffers, 128}, {&c.ClientQueue, 64}, {&c.ThrottleAt, 16}, {&c.MaxPublishers, 64}} {
 		if *d.knob <= 0 {
 			*d.knob = d.def
 		}
@@ -143,6 +144,11 @@ func NewMux(d *core.Domain, cfg Config) (*Mux, error) {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.NewRegistry() // unscraped: the instruments stay non-nil
+	} else {
+		reg.Status("gateway", func() (any, bool) {
+			h := m.Health()
+			return h, !h.Degraded()
+		})
 	}
 	m.instrument(reg)
 	return m, nil
@@ -528,7 +534,7 @@ func (m *Mux) publisherLocked(name []byte, class topic.Class) (*topic.Publisher,
 	p, err := topic.NewPublisher(m.d, m.dir, topic.PublisherConfig{
 		Topic:  topicName,
 		Class:  class,
-		Window: m.cfg.PubWindow,
+		Window: pubWindow,
 	})
 	if err != nil {
 		return nil, err
@@ -602,7 +608,8 @@ type ClassHealth struct {
 	Saturated  bool   `json:"saturated"`   // inbox dropped frames since the last tick
 }
 
-// Health is the gateway's health snapshot (obs /healthz and flipcstat).
+// Health is the gateway's health snapshot, in the form the "gateway"
+// health source shows it.
 type Health struct {
 	Name      string                  `json:"name"`
 	Conns     int                     `json:"conns"`
@@ -613,9 +620,9 @@ type Health struct {
 	PerClass  [NumClasses]ClassHealth `json:"per_class"`
 }
 
-// Degraded reports whether any lane is saturated — the /healthz
-// degradation condition: the shared inbox is dropping, so clients are
-// losing frames before per-client accounting can even see them.
+// Degraded reports whether any lane is saturated: the shared inbox is
+// dropping, so clients are losing frames before per-client accounting
+// can even see them.
 func (h Health) Degraded() bool {
 	for _, ch := range h.PerClass {
 		if ch.Saturated {

@@ -420,9 +420,26 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	}
 }
 
-// The gateway's health snapshot reflects saturation of a class inbox.
+// gatewayOK is the verdict of the "gateway" health source in reg.
+func gatewayOK(t *testing.T, reg *metrics.Registry) bool {
+	t.Helper()
+	for _, st := range reg.Statuses() {
+		if st.Name == "gateway" {
+			return st.OK
+		}
+	}
+	t.Fatal("no gateway health source registered")
+	return false
+}
+
+// The gateway's health snapshot, and the health source it registers,
+// reflect saturation of a class inbox.
 func TestHealthSaturation(t *testing.T) {
-	h := newMuxHarness(t, Config{Name: "gw-sat", InboxBuffers: 4})
+	reg := metrics.NewRegistry()
+	h := newMuxHarness(t, Config{Name: "gw-sat", InboxBuffers: 4, Registry: reg})
+	if !gatewayOK(t, reg) {
+		t.Fatal("idle gateway reads degraded")
+	}
 	c := h.mux.Attach()
 	hello(t, h.mux, c, "x")
 	h.mux.HandleFrame(c, frameBody(t, Frame{Op: OpSub, Class: uint8(topic.Bulk), Name: "flood.*"}))
@@ -448,6 +465,9 @@ func TestHealthSaturation(t *testing.T) {
 	if !hl.PerClass[int(topic.Bulk)].Saturated {
 		t.Fatalf("bulk lane not saturated: %+v", hl)
 	}
+	if gatewayOK(t, reg) {
+		t.Fatal("saturated gateway's health source reads healthy")
+	}
 	// With the flood stopped and in-flight frames drained, a later
 	// tick clears it (saturation is a per-tick drop delta).
 	deadline = time.Now().Add(5 * time.Second)
@@ -458,6 +478,9 @@ func TestHealthSaturation(t *testing.T) {
 		h.mux.Pump()
 		time.Sleep(time.Millisecond)
 		h.mux.Housekeeping()
+	}
+	if !gatewayOK(t, reg) {
+		t.Fatal("health source still degraded after saturation cleared")
 	}
 }
 

@@ -65,6 +65,7 @@ type instruments struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	funcs    map[string]func() float64
+	status   map[string]func() (any, bool)
 }
 
 // Registry holds named instruments. Registration copies the instrument
@@ -82,6 +83,7 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		funcs:    map[string]func() float64{},
+		status:   map[string]func() (any, bool){},
 	})
 	return r
 }
@@ -94,6 +96,7 @@ func (r *Registry) clone() *instruments {
 		gauges:   make(map[string]*Gauge, len(old.gauges)+1),
 		hists:    make(map[string]*Histogram, len(old.hists)+1),
 		funcs:    make(map[string]func() float64, len(old.funcs)+1),
+		status:   make(map[string]func() (any, bool), len(old.status)+1),
 	}
 	for k, v := range old.counters {
 		n.counters[k] = v
@@ -106,6 +109,9 @@ func (r *Registry) clone() *instruments {
 	}
 	for k, v := range old.funcs {
 		n.funcs[k] = v
+	}
+	for k, v := range old.status {
+		n.status[k] = v
 	}
 	return n
 }
@@ -174,6 +180,41 @@ func (r *Registry) Func(name string, fn func() float64) {
 	n := r.clone()
 	n.funcs[name] = fn
 	r.cur.Store(n)
+}
+
+// Status registers a health source: a layer's own document and its
+// own verdict on it (doc must marshal to JSON; ok is false when the
+// layer is degraded). Like Func it is evaluated at scrape time, on the
+// scraper's goroutine, and costs the message path nothing. The rule for
+// "degraded" thus lives with the layer that knows it, and a renderer
+// only shows each document under its name and ANDs the verdicts.
+// Registering a name again replaces the source. fn must be safe to call
+// from any goroutine.
+func (r *Registry) Status(name string, fn func() (doc any, ok bool)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.clone()
+	n.status[name] = fn
+	r.cur.Store(n)
+}
+
+// Status is one health source's reading.
+type Status struct {
+	Name string
+	Doc  any
+	OK   bool
+}
+
+// Statuses evaluates every health source, ordered by name.
+func (r *Registry) Statuses() []Status {
+	ins := r.cur.Load()
+	out := make([]Status, 0, len(ins.status))
+	for name, fn := range ins.status {
+		doc, ok := fn()
+		out = append(out, Status{Name: name, Doc: doc, OK: ok})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Snapshot is a point-in-time copy of every instrument. Func gauges

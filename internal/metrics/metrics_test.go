@@ -70,6 +70,31 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 }
 
+func TestStatuses(t *testing.T) {
+	r := NewRegistry()
+	if got := r.Statuses(); len(got) != 0 {
+		t.Fatalf("empty registry statuses = %v", got)
+	}
+	down := false
+	r.Status("peers", func() (any, bool) { return []string{"a"}, !down })
+	r.Status("gateway", func() (any, bool) { return "gw", true })
+	got := r.Statuses()
+	if len(got) != 2 || got[0].Name != "gateway" || got[1].Name != "peers" || !got[0].OK || !got[1].OK {
+		t.Fatalf("statuses = %+v", got)
+	}
+	down = true // evaluated per call, not at registration
+	if got := r.Statuses(); got[1].OK {
+		t.Fatalf("peers verdict not re-evaluated: %+v", got)
+	}
+	r.Status("gateway", func() (any, bool) { return nil, false })
+	if got := r.Statuses(); len(got) != 2 || got[0].OK || got[0].Doc != nil {
+		t.Fatalf("re-registration did not replace the source: %+v", got)
+	}
+	if s := r.Snapshot(); len(s.Gauges) != 0 {
+		t.Fatalf("statuses leaked into the snapshot: %v", s.Gauges)
+	}
+}
+
 // TestConcurrentSnapshotVsWriter is the registry's contract test: one
 // writer per instrument hammering plain-store updates while many
 // readers snapshot and other goroutines register new instruments.

@@ -23,8 +23,6 @@ func fastReconnect() ReconnectConfig {
 	return ReconnectConfig{
 		InitialBackoff: 2 * time.Millisecond,
 		MaxBackoff:     50 * time.Millisecond,
-		Multiplier:     2,
-		Jitter:         0.5,
 	}
 }
 

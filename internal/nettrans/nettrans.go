@@ -111,21 +111,35 @@ func (s PeerState) String() string {
 	}
 }
 
+// MarshalText renders the state as its name, the form /healthz shows.
+func (s PeerState) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText parses a state name back; an unrecognised one reads as
+// PeerUnknown.
+func (s *PeerState) UnmarshalText(b []byte) error {
+	*s = PeerUnknown
+	for st := PeerConnected; st <= PeerDead; st++ {
+		if st.String() == string(b) {
+			*s = st
+		}
+	}
+	return nil
+}
+
+// Redial backoff shape: each failed attempt doubles the delay (up to
+// ReconnectConfig.MaxBackoff), and each delay is drawn from
+// d*[1-backoffJitter, 1] so a cluster's redials do not synchronise.
+const (
+	backoffMultiplier = 2
+	backoffJitter     = 0.5
+)
+
 // ReconnectConfig tunes the redial state machine.
 type ReconnectConfig struct {
-	// Disabled turns off active redialing. Peers still transition to
-	// reconnecting on failure and revive on inbound hellos; they are
-	// just never dialed from this side.
-	Disabled bool
 	// InitialBackoff is the delay before the first redial (default 10ms).
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential backoff (default 2s).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff after each failed attempt (default 2).
-	Multiplier float64
-	// Jitter randomizes each delay to d*[1-Jitter, 1]; default 0.5.
-	// Zero means the default; negative disables jitter.
-	Jitter float64
 	// MaxAttempts marks the peer dead after this many consecutive
 	// failed redials. Zero means retry forever.
 	MaxAttempts int
@@ -137,15 +151,6 @@ func (rc *ReconnectConfig) applyDefaults() {
 	}
 	if rc.MaxBackoff == 0 {
 		rc.MaxBackoff = 2 * time.Second
-	}
-	if rc.Multiplier < 1 {
-		rc.Multiplier = 2
-	}
-	if rc.Jitter == 0 {
-		rc.Jitter = 0.5
-	}
-	if rc.Jitter < 0 {
-		rc.Jitter = 0
 	}
 }
 
@@ -220,17 +225,22 @@ type peer struct {
 	reconnects atomic.Uint64
 }
 
-// PeerHealth is a snapshot of one peer's state and loss counters.
+// PeerHealth is a snapshot of one peer's state and loss counters, in
+// the form the "peers" health source shows it.
 type PeerHealth struct {
-	Node         wire.NodeID
-	State        PeerState
-	Addr         string  // dial address, "" if only ever inbound
-	Sent         uint64  // frames written to this peer
-	SendFailures uint64  // frames refused while down (each is a counted loss)
-	Reconnects   uint64  // times the link was re-established
-	Attempts     int     // failed redials in the current outage
-	MeanOutageMs float64 // smoothed outage duration (EWMA)
+	Node         wire.NodeID `json:"node"`
+	State        PeerState   `json:"state"`
+	Addr         string      `json:"addr,omitempty"`     // dial address, "" if only ever inbound
+	Sent         uint64      `json:"sent"`               // frames written to this peer
+	SendFailures uint64      `json:"send_failures"`      // frames refused while down (each is a counted loss)
+	Reconnects   uint64      `json:"reconnects"`         // times the link was re-established
+	Attempts     int         `json:"attempts,omitempty"` // failed redials in the current outage
+	MeanOutageMs float64     `json:"mean_outage_ms"`     // smoothed outage duration (EWMA)
 }
+
+// Degraded reports a peer whose link is not up: frames to it are being
+// refused (and counted) until it reconnects.
+func (h PeerHealth) Degraded() bool { return h.State != PeerConnected }
 
 // Stats counts transport-wide activity. Every frame the transport
 // refuses or discards lands in PeerDowns or RxDrops — loss is never
@@ -356,8 +366,9 @@ func ListenConfig(cfg Config) (*Transport, error) {
 }
 
 // registerMetrics bridges the transport's loss-accounting atomics into
-// the registry as snapshot-time funcs. Per-peer instruments are added
-// lazily by peerFor as peers appear.
+// the registry as snapshot-time funcs, and registers the "peers"
+// health source: every peer's health, healthy while all are connected.
+// Per-peer instruments are added lazily by peerFor as peers appear.
 func (t *Transport) registerMetrics(reg *metrics.Registry) {
 	reg.Func("flipc_transport_sent_total", func() float64 { return float64(t.sent.Load()) })
 	reg.Func("flipc_transport_delivered_total", func() float64 { return float64(t.delivered.Load()) })
@@ -370,6 +381,10 @@ func (t *Transport) registerMetrics(reg *metrics.Registry) {
 	reg.Func("flipc_transport_rx_parks_total", func() float64 { return float64(t.rxParks.Load()) })
 	reg.Func("flipc_transport_pending_frames", func() float64 { return float64(t.pendingFrames.Load()) })
 	reg.Func("flipc_transport_inbox_depth", func() float64 { return float64(len(t.inbox)) })
+	reg.Status("peers", func() (any, bool) {
+		hs := t.Health()
+		return hs, !slices.ContainsFunc(hs, PeerHealth.Degraded)
+	})
 }
 
 // registerPeerMetrics exposes one peer's health through the registry.
@@ -525,7 +540,7 @@ func (t *Transport) connFailedLocked(p *peer, conn net.Conn, err error) {
 // kickRedialLocked starts the redial goroutine for p if active
 // reconnection applies. Caller holds p.mu.
 func (t *Transport) kickRedialLocked(p *peer) {
-	if t.cfg.Reconnect.Disabled || p.redialing || t.isClosed() {
+	if p.redialing || t.isClosed() {
 		return
 	}
 	if p.addr == "" && t.cfg.Resolver == nil {
@@ -560,11 +575,7 @@ func (t *Transport) redialLoop(p *peer) {
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for attempt := 1; ; attempt++ {
-		d := backoff
-		if rc.Jitter > 0 {
-			d = time.Duration(float64(d) * (1 - rc.Jitter*rand.Float64()))
-		}
-		timer.Reset(d)
+		timer.Reset(time.Duration(float64(backoff) * (1 - backoffJitter*rand.Float64())))
 		select {
 		case <-t.closed:
 			return
@@ -610,7 +621,7 @@ func (t *Transport) redialLoop(p *peer) {
 			t.traceEvent("peer.dead", p.node, attempt)
 			return
 		}
-		backoff = min(time.Duration(float64(backoff)*rc.Multiplier), rc.MaxBackoff)
+		backoff = min(backoff*backoffMultiplier, rc.MaxBackoff)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -303,5 +304,24 @@ func TestCloseIdempotent(t *testing.T) {
 	a.Close()
 	if a.TrySend(1, make([]byte, 64)) {
 		t.Fatal("send after close succeeded")
+	}
+}
+
+// PeerHealth travels as JSON (the "peers" health source, decoded again
+// by flipcstat -watch): a state is its name both ways.
+func TestPeerHealthJSONRoundTrip(t *testing.T) {
+	for st := PeerUnknown; st <= PeerDead; st++ {
+		in := PeerHealth{Node: 3, State: st, Sent: 9}
+		b, err := json.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out PeerHealth
+		if err := json.Unmarshal(b, &out); err != nil || out != in {
+			t.Fatalf("%s: %s decoded to %+v (%v)", st, b, out, err)
+		}
+		if in.Degraded() != (st != PeerConnected) {
+			t.Fatalf("%s: Degraded = %v", st, in.Degraded())
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,7 +29,7 @@ type fixture struct {
 	peers   []nettrans.PeerHealth
 	quar    []engine.QuarantinedEndpoint
 	reg     registrystore.Health
-	shards  []ShardJSON
+	shards  []registrystore.ShardHealth
 	durable []duralog.TopicHealth
 	gw      gateway.Health
 }
@@ -41,7 +42,7 @@ func healthyFixture() fixture {
 		},
 		reg: registrystore.Health{Role: "primary", RegistryGen: 3, Seq: 120, SnapshotSeq: 100,
 			WALRecords: 20, Epoch: 2, Promotions: 1},
-		shards: []ShardJSON{
+		shards: []registrystore.ShardHealth{
 			{Shard: 0, Role: "primary", Gen: 3, Seq: 120, Primary: true, Probed: true},
 			{Shard: 1, Role: "primary", Gen: 5, Seq: 40, Primary: true, Probed: true},
 			{Shard: 2, Role: "unknown"},
@@ -75,7 +76,7 @@ var goldenCases = []struct {
 	{"registry_store_err", func(f *fixture) { f.reg.StoreErr = "registrystore: wal: disk full" }},
 	{"shard_no_primary", func(f *fixture) { f.shards[1].Role, f.shards[1].Primary = "standby", false }},
 	{"shard_probe_err", func(f *fixture) {
-		f.shards[1] = ShardJSON{Shard: 1, Role: "unknown", Err: "nameservice: timeout"}
+		f.shards[1] = registrystore.ShardHealth{Shard: 1, Role: "unknown", Err: "nameservice: timeout"}
 	}},
 	{"durable_breached", func(f *fixture) { f.durable[1].Breached, f.durable[1].RetentionBreaches = true, 1 }},
 	{"gateway_saturated", func(f *fixture) { f.gw.PerClass[2].Saturated, f.gw.PerClass[2].InboxDrops = true, 17 }},
@@ -96,16 +97,21 @@ func fixtureRegistry() *metrics.Registry {
 	return reg
 }
 
+// server registers every source the way its layer does: the layer's
+// document, judged by the layer's own rule.
 func (f fixture) server() *Server {
-	return &Server{
-		Registry:       fixtureRegistry(),
-		Health:         func() []nettrans.PeerHealth { return f.peers },
-		Quarantined:    func() []engine.QuarantinedEndpoint { return f.quar },
-		RegistryHealth: func() registrystore.Health { return f.reg },
-		ShardHealth:    func() []ShardJSON { return f.shards },
-		DurableHealth:  func() []duralog.TopicHealth { return f.durable },
-		GatewayHealth:  func() *gateway.Health { return &f.gw },
-	}
+	reg := fixtureRegistry()
+	reg.Status("peers", func() (any, bool) { return f.peers, !slices.ContainsFunc(f.peers, nettrans.PeerHealth.Degraded) })
+	reg.Status("quarantined", func() (any, bool) { return f.quar, len(f.quar) == 0 })
+	reg.Status("registry", func() (any, bool) { return f.reg, !f.reg.Degraded() })
+	reg.Status("shards", func() (any, bool) {
+		return f.shards, !slices.ContainsFunc(f.shards, registrystore.ShardHealth.Degraded)
+	})
+	reg.Status("durable", func() (any, bool) {
+		return f.durable, !slices.ContainsFunc(f.durable, duralog.TopicHealth.Degraded)
+	})
+	reg.Status("gateway", func() (any, bool) { return f.gw, !f.gw.Degraded() })
+	return &Server{Registry: reg}
 }
 
 // TestGoldenExposition pins /healthz and /metrics?format=json for a

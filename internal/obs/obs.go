@@ -1,25 +1,29 @@
 // Package obs is the node observability surface: an HTTP handler that
-// exposes the wait-free metrics registry, transport peer health, and
-// the trace ring of a running FLIPC node.
+// renders a node's wait-free metrics registry and trace ring. It knows
+// no layer's internals: each layer registers its own health source in
+// the registry (metrics.Registry.Status), with its own document and its
+// own rule for "degraded", and obs shows every source under its name.
 //
 // Routes:
 //
 //	/metrics      Prometheus text exposition (default) or JSON with
-//	              server-side quantiles (?format=json) — the schema
-//	              flipcstat -watch consumes.
-//	/healthz      200 when every known peer is connected (or none are
-//	              known), no endpoint is quarantined, no durable
-//	              topic log is degraded (sticky I/O error, or a cursor
-//	              lagging past the retention horizon), and — on sharded
-//	              registry nodes — every registry shard has a live
-//	              primary; 503 otherwise. JSON body with peer states,
-//	              quarantined endpoints, per-topic durable log health,
-//	              and the per-shard registry roll-up.
+//	              server-side quantiles (?format=json): the keys
+//	              counters, gauges and histograms, plus one key per
+//	              health source. flipcstat -watch consumes it.
+//	/healthz      200 when every health source is healthy, 503
+//	              otherwise. JSON body with "healthy" plus one key per
+//	              health source.
 //	/debug/trace  plain-text dump of the trace ring, oldest first.
 //
+// A health source whose document is empty (nil, or an empty slice or
+// map) is left out of both bodies. The FLIPC layers register peers
+// (nettrans), quarantined (engine), gateway (gateway.Mux), and, from
+// flipcd, registry, shards and durable; each layer's health type states
+// when it is degraded.
+//
 // Scrapes never block the message path: every read is a registry
-// snapshot (plain loads) or a per-peer health copy. The cost of a
-// scrape lands entirely on the scraper's goroutine.
+// snapshot (plain loads) or a health source evaluated on the scraper's
+// goroutine.
 package obs
 
 import (
@@ -28,161 +32,21 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"reflect"
 	"strings"
 
-	"flipc/internal/duralog"
-	"flipc/internal/engine"
-	"flipc/internal/gateway"
 	"flipc/internal/metrics"
-	"flipc/internal/nettrans"
-	"flipc/internal/registrystore"
 	"flipc/internal/trace"
 )
 
-// Server bundles the observable parts of one node. Any field may be
-// nil; the corresponding route degrades (empty metrics, healthy with
-// no peers, 404 trace).
+// Server bundles the observable parts of one node. Either field may be
+// nil; the corresponding route degrades (empty metrics and healthy,
+// 404 trace).
 type Server struct {
-	// Registry is the node's metrics registry.
+	// Registry is the node's metrics registry, health sources included.
 	Registry *metrics.Registry
-	// Health returns the transport's per-peer health snapshots
-	// (typically nettrans.Transport.Health).
-	Health func() []nettrans.PeerHealth
 	// Trace is the node's trace ring, dumped by /debug/trace.
 	Trace *trace.Ring
-	// Quarantined returns the engine's quarantined endpoints (typically
-	// engine.Engine.Quarantined — safe from any goroutine). A non-empty
-	// result marks the node degraded on /healthz: the engine has fenced
-	// off part of the communication buffer.
-	Quarantined func() []engine.QuarantinedEndpoint
-	// RegistryHealth returns the durable registry's role, generation,
-	// and WAL/snapshot state (registrystore.Manager.Health) — set only
-	// on registry nodes. Surfaced in both /metrics?format=json and
-	// /healthz so operators and flipcstat see failover state live.
-	RegistryHealth func() registrystore.Health
-	// DurableHealth returns per-topic durable log health (typically a
-	// closure over the open logs' Health, or duralog.ScanDir for a
-	// read-only sweep) — set only on nodes hosting durable topic logs.
-	// Surfaced in /metrics?format=json and /healthz; a cursor lagging
-	// past the retention horizon (Breached) or a sticky log error marks
-	// the node degraded.
-	DurableHealth func() []duralog.TopicHealth
-	// ShardHealth returns the per-shard registry roll-up of a sharded
-	// deployment (one entry per shard in the map, probed by the
-	// registry node's housekeeping) — set only on sharded registry
-	// nodes. Surfaced in /metrics?format=json and /healthz; a shard
-	// confirmed to have no live primary, or whose probe errors, marks
-	// the node degraded with 503.
-	ShardHealth func() []ShardJSON
-	// GatewayHealth returns the client edge plane's health — set only
-	// on gateway daemons (flipcgw), typically gateway.Mux.Health.
-	// Surfaced in /metrics?format=json and /healthz; a saturated
-	// endpoint class (the shared class inbox dropped frames in the last
-	// housekeeping tick) marks the node degraded with 503 — clients are
-	// losing frames before per-client accounting can see them.
-	GatewayHealth func() *gateway.Health
-}
-
-// ShardJSON is one registry shard's status in the JSON exposition.
-// Probed false with an empty Err means the shard has no address hint
-// to probe — unknown, which the health roll-up does not treat as dead.
-type ShardJSON struct {
-	Shard   uint32 `json:"shard"`
-	Role    string `json:"role"`
-	Gen     uint64 `json:"gen"`
-	Seq     uint64 `json:"seq"`
-	Primary bool   `json:"primary"`
-	Probed  bool   `json:"probed"`
-	Err     string `json:"err,omitempty"`
-}
-
-func (s *Server) gateway() *gateway.Health {
-	if s.GatewayHealth == nil {
-		return nil
-	}
-	return s.GatewayHealth()
-}
-
-func (s *Server) shards() []ShardJSON {
-	if s.ShardHealth == nil {
-		return nil
-	}
-	return s.ShardHealth()
-}
-
-func (s *Server) registryHealth() *registrystore.Health {
-	if s.RegistryHealth == nil {
-		return nil
-	}
-	h := s.RegistryHealth()
-	return &h
-}
-
-// QuarantineJSON is one quarantined endpoint in the JSON exposition.
-type QuarantineJSON struct {
-	Slot int    `json:"slot"`
-	Kind string `json:"kind"`
-	Pass uint64 `json:"pass"`
-}
-
-func (s *Server) quarantined() []QuarantineJSON {
-	if s.Quarantined == nil {
-		return nil
-	}
-	qs := s.Quarantined()
-	out := make([]QuarantineJSON, 0, len(qs))
-	for _, q := range qs {
-		out = append(out, QuarantineJSON{Slot: q.Slot, Kind: q.Kind.String(), Pass: q.Pass})
-	}
-	return out
-}
-
-// DurableJSON is one durable topic log's health in the JSON
-// exposition: depth and cursor lag are what flipcstat -watch renders;
-// breached means the slowest cursor's next needed sequence was
-// force-retired by retention, so its resume will start late with a
-// counted gap.
-type DurableJSON struct {
-	Topic             string            `json:"topic"`
-	Head              uint64            `json:"head"`
-	First             uint64            `json:"first"`
-	Depth             uint64            `json:"depth"`
-	Segments          int               `json:"segments"`
-	Cursors           map[string]uint64 `json:"cursors,omitempty"`
-	MaxLag            uint64            `json:"max_lag"`
-	LaggingSub        string            `json:"lagging_sub,omitempty"`
-	Breached          bool              `json:"breached"`
-	RetentionBreaches uint64            `json:"retention_breaches"`
-	Err               string            `json:"err,omitempty"`
-}
-
-func (s *Server) durable() []DurableJSON {
-	if s.DurableHealth == nil {
-		return nil
-	}
-	ths := s.DurableHealth()
-	out := make([]DurableJSON, 0, len(ths))
-	for _, t := range ths {
-		j := DurableJSON{
-			Topic:             t.Topic,
-			Head:              t.Head,
-			First:             t.First,
-			Depth:             t.Depth,
-			Segments:          t.Segments,
-			Cursors:           t.Cursors,
-			MaxLag:            t.MaxLag,
-			LaggingSub:        t.LaggingSub,
-			Breached:          t.Breached,
-			RetentionBreaches: t.RetentionBreaches,
-		}
-		if t.Err != nil {
-			j.Err = t.Err.Error()
-		}
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Topic < out[j].Topic })
-	return out
 }
 
 // HistJSON is one histogram in the JSON exposition: counts plus
@@ -201,28 +65,12 @@ type HistJSON struct {
 	P999  float64 `json:"p999"`
 }
 
-// PeerJSON is one peer's health in the JSON exposition.
-type PeerJSON struct {
-	Node         uint16  `json:"node"`
-	State        string  `json:"state"`
-	Addr         string  `json:"addr,omitempty"`
-	Sent         uint64  `json:"sent"`
-	SendFailures uint64  `json:"send_failures"`
-	Reconnects   uint64  `json:"reconnects"`
-	Attempts     int     `json:"attempts,omitempty"`
-	MeanOutageMs float64 `json:"mean_outage_ms"`
-}
-
-// MetricsJSON is the /metrics?format=json document.
+// MetricsJSON is the instrument part of the /metrics?format=json
+// document; each health source adds one more key, its name.
 type MetricsJSON struct {
-	Counters   map[string]uint64     `json:"counters"`
-	Gauges     map[string]float64    `json:"gauges"`
-	Histograms map[string]HistJSON   `json:"histograms"`
-	Peers      []PeerJSON            `json:"peers"`
-	Registry   *registrystore.Health `json:"registry,omitempty"`
-	Durable    []DurableJSON         `json:"durable,omitempty"`
-	Shards     []ShardJSON           `json:"shards,omitempty"`
-	Gateway    *gateway.Health       `json:"gateway,omitempty"`
+	Counters   map[string]uint64   `json:"counters"`
+	Gauges     map[string]float64  `json:"gauges"`
+	Histograms map[string]HistJSON `json:"histograms"`
 }
 
 // Handler returns the HTTP handler serving the observability routes.
@@ -234,27 +82,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func (s *Server) peers() []PeerJSON {
-	if s.Health == nil {
-		return nil
-	}
-	hs := s.Health()
-	out := make([]PeerJSON, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, PeerJSON{
-			Node:         uint16(h.Node),
-			State:        h.State.String(),
-			Addr:         h.Addr,
-			Sent:         h.Sent,
-			SendFailures: h.SendFailures,
-			Reconnects:   h.Reconnects,
-			Attempts:     h.Attempts,
-			MeanOutageMs: h.MeanOutageMs,
-		})
-	}
-	return out
-}
-
 // jsonQuantile maps an empty-histogram NaN to 0 for JSON.
 func jsonQuantile(h metrics.HistSnapshot, q float64) float64 {
 	v := h.Quantile(q)
@@ -264,18 +91,13 @@ func jsonQuantile(h metrics.HistSnapshot, q float64) float64 {
 	return v
 }
 
-// MetricsDoc builds the JSON exposition document from the current
-// instrument state.
-func (s *Server) MetricsDoc() MetricsJSON {
+// instruments builds the instrument part of the JSON exposition from
+// the current registry state.
+func (s *Server) instruments() MetricsJSON {
 	doc := MetricsJSON{
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistJSON{},
-		Peers:      s.peers(),
-		Registry:   s.registryHealth(),
-		Durable:    s.durable(),
-		Shards:     s.shards(),
-		Gateway:    s.gateway(),
 	}
 	if s.Registry == nil {
 		return doc
@@ -297,12 +119,44 @@ func (s *Server) MetricsDoc() MetricsJSON {
 	return doc
 }
 
+// health evaluates every health source into doc, each under its name
+// (an empty document is left out), and reports whether all are healthy.
+func (s *Server) health(doc map[string]any) bool {
+	if s.Registry == nil {
+		return true
+	}
+	healthy := true
+	for _, st := range s.Registry.Statuses() {
+		healthy = healthy && st.OK
+		if !empty(st.Doc) {
+			doc[st.Name] = st.Doc
+		}
+	}
+	return healthy
+}
+
+// empty reports a document with nothing to show: nil, or an empty
+// slice or map.
+func empty(doc any) bool {
+	v := reflect.ValueOf(doc)
+	switch v.Kind() {
+	case reflect.Invalid:
+		return true
+	case reflect.Slice, reflect.Map:
+		return v.Len() == 0
+	}
+	return false
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
+		m := s.instruments()
+		doc := map[string]any{"counters": m.Counters, "gauges": m.Gauges, "histograms": m.Histograms}
+		s.health(doc)
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(s.MetricsDoc())
+		enc.Encode(doc)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -326,7 +180,7 @@ func labeled(name, extra string) string {
 	return name + "{" + extra + "}"
 }
 
-// writePrometheus renders the registry (and peer health) in the
+// writePrometheus renders the registry's instruments in the
 // Prometheus text exposition format. Histograms are rendered as
 // summaries: precomputed quantiles plus _sum and _count, which keeps
 // the exposition small (the raw layout has 976 buckets per histogram).
@@ -382,63 +236,14 @@ func baseSuffix(name, suffix string) string {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	peers := s.peers()
-	quarantined := s.quarantined()
-	reg := s.registryHealth()
-	durable := s.durable()
-	shards := s.shards()
-	gw := s.gateway()
-	healthy := len(quarantined) == 0
-	if gw != nil && gw.Degraded() {
-		// A saturated endpoint class drops frames at the shared inbox,
-		// before per-client queues: every client on that class is
-		// losing data, not just slow ones.
-		healthy = false
-	}
-	if reg != nil && reg.StoreErr != "" {
-		healthy = false // the registry can no longer make mutations durable
-	}
-	for _, sh := range shards {
-		if (sh.Probed && !sh.Primary) || sh.Err != "" {
-			// A shard confirmed to have no live primary (or whose probe
-			// fails outright) means part of the topic namespace cannot
-			// take mutations: the deployment is degraded even though
-			// this node itself is fine.
-			healthy = false
-			break
-		}
-	}
-	for _, t := range durable {
-		if t.Breached || t.Err != "" {
-			// A cursor lagged past the retention horizon (its resume
-			// will start late with a counted gap) or the log can no
-			// longer journal: durability is degraded.
-			healthy = false
-			break
-		}
-	}
-	for _, p := range peers {
-		if p.State != nettrans.PeerConnected.String() {
-			healthy = false
-			break
-		}
-	}
+	doc := map[string]any{}
+	healthy := s.health(doc)
+	doc["healthy"] = healthy
 	w.Header().Set("Content-Type", "application/json")
 	if !healthy {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	// Sort for stable output (Health is already node-ordered; keep the
-	// guarantee local).
-	sort.Slice(peers, func(i, j int) bool { return peers[i].Node < peers[j].Node })
-	json.NewEncoder(w).Encode(struct {
-		Healthy     bool                  `json:"healthy"`
-		Peers       []PeerJSON            `json:"peers"`
-		Quarantined []QuarantineJSON      `json:"quarantined,omitempty"`
-		Registry    *registrystore.Health `json:"registry,omitempty"`
-		Durable     []DurableJSON         `json:"durable,omitempty"`
-		Shards      []ShardJSON           `json:"shards,omitempty"`
-		Gateway     *gateway.Health       `json:"gateway,omitempty"`
-	}{healthy, peers, quarantined, reg, durable, shards, gw})
+	json.NewEncoder(w).Encode(doc)
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -62,7 +62,7 @@ func newCluster(t *testing.T) [2]*node {
 		t.Cleanup(d.Close)
 		d.Start()
 		n.d = d
-		n.srv = &Server{Registry: n.reg, Health: n.tr.Health, Trace: n.tri}
+		n.srv = &Server{Registry: n.reg, Trace: n.tri}
 	}
 	return ns
 }
@@ -138,7 +138,10 @@ func TestScrapeLiveCluster(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /metrics?format=json: %d", code)
 	}
-	var doc MetricsJSON
+	var doc struct {
+		MetricsJSON
+		Peers []nettrans.PeerHealth `json:"peers"`
+	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, body)
 	}
@@ -168,7 +171,7 @@ func TestScrapeLiveCluster(t *testing.T) {
 	if !found {
 		t.Fatalf("no per-endpoint latency histogram in %v", doc.Histograms)
 	}
-	if len(doc.Peers) != 1 || doc.Peers[0].State != "connected" {
+	if len(doc.Peers) != 1 || doc.Peers[0].State != nettrans.PeerConnected {
 		t.Fatalf("peers = %+v", doc.Peers)
 	}
 
@@ -214,13 +217,13 @@ func TestHealthz(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	var h struct {
-		Healthy bool       `json:"healthy"`
-		Peers   []PeerJSON `json:"peers"`
+		Healthy bool                  `json:"healthy"`
+		Peers   []nettrans.PeerHealth `json:"peers"`
 	}
 	if err := json.Unmarshal([]byte(body), &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Healthy || len(h.Peers) != 1 {
+	if h.Healthy || len(h.Peers) != 1 || h.Peers[0].State != nettrans.PeerReconnecting {
 		t.Fatalf("healthz body = %+v", h)
 	}
 }
@@ -259,6 +262,38 @@ func TestEmptyServer(t *testing.T) {
 	}
 }
 
+func TestHealthzAndsSources(t *testing.T) {
+	// /healthz is healthy exactly when every source is, shows each
+	// source's document under its name, and leaves empty ones out.
+	reg := metrics.NewRegistry()
+	lagOK := true
+	reg.Status("durable", func() (any, bool) { return []string{"orders lag 90"}, lagOK })
+	reg.Status("quarantined", func() (any, bool) { return []int(nil), true })
+	s := &Server{Registry: reg}
+	code, body := get(t, s.Handler(), "/healthz")
+	if code != http.StatusOK || body != `{"durable":["orders lag 90"],"healthy":true}`+"\n" {
+		t.Fatalf("healthy sources: %d %s", code, body)
+	}
+	lagOK = false
+	code, body = get(t, s.Handler(), "/healthz")
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, `"healthy":false`) {
+		t.Fatalf("one degraded source must degrade healthz: %d %s", code, body)
+	}
+	// The same documents ride /metrics?format=json for flipcstat -watch,
+	// whatever their verdict.
+	code, body = get(t, s.Handler(), "/metrics?format=json")
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); code != http.StatusOK || err != nil {
+		t.Fatalf("metrics json: %d %v", code, err)
+	}
+	if _, ok := doc["durable"]; !ok {
+		t.Fatalf("metrics json lacks the durable source: %s", body)
+	}
+	if _, ok := doc["quarantined"]; ok {
+		t.Fatalf("empty source rendered: %s", body)
+	}
+}
+
 func TestHealthzDurable(t *testing.T) {
 	// A durable-log health source flips /healthz exactly when a cursor
 	// breached retention or the log carries a sticky error; a merely
@@ -267,7 +302,9 @@ func TestHealthzDurable(t *testing.T) {
 		Head: 100, First: 1, Depth: 100, Segments: 2,
 		Cursors: map[string]uint64{"slow": 10}, MaxLag: 90, LaggingSub: "slow",
 	}}
-	s := &Server{DurableHealth: func() []duralog.TopicHealth { return []duralog.TopicHealth{th} }}
+	reg := metrics.NewRegistry()
+	reg.Status("durable", func() (any, bool) { return []duralog.TopicHealth{th}, !th.Degraded() })
+	s := &Server{Registry: reg}
 	code, body := get(t, s.Handler(), "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("lagging-but-covered cursor should be healthy: %d %s", code, body)
@@ -286,7 +323,7 @@ func TestHealthzDurable(t *testing.T) {
 	}
 
 	th.Breached = false
-	th.Err = fmt.Errorf("disk on fire")
+	th.Err = "disk on fire"
 	code, body = get(t, s.Handler(), "/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("sticky log error must degrade healthz: %d %s", code, body)
@@ -300,7 +337,9 @@ func TestHealthzDurable(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("metrics json: %d", code)
 	}
-	var doc MetricsJSON
+	var doc struct {
+		Durable []duralog.TopicHealth `json:"durable"`
+	}
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatal(err)
 	}

@@ -180,6 +180,30 @@ type Health struct {
 	StoreErr    string `json:"store_err,omitempty"`
 }
 
+// Degraded reports a store error: the registry can no longer make
+// mutations durable.
+func (h Health) Degraded() bool { return h.StoreErr != "" }
+
+// ShardHealth is one registry shard's status in a sharded deployment,
+// as the registry node's housekeeping last probed it; a node registers
+// one per shard in the map as its "shards" health source. Probed false
+// with an empty Err means the shard has no address hint to probe:
+// unknown, which is not treated as dead.
+type ShardHealth struct {
+	Shard   uint32 `json:"shard"`
+	Role    string `json:"role"`
+	Gen     uint64 `json:"gen"`
+	Seq     uint64 `json:"seq"`
+	Primary bool   `json:"primary"`
+	Probed  bool   `json:"probed"`
+	Err     string `json:"err,omitempty"`
+}
+
+// Degraded reports a shard confirmed to have no live primary, or whose
+// probe failed outright: part of the topic namespace cannot take
+// mutations, so the deployment is degraded even if this node is fine.
+func (s ShardHealth) Degraded() bool { return (s.Probed && !s.Primary) || s.Err != "" }
+
 // Health snapshots the node's durability/failover status.
 func (m *Manager) Health() Health {
 	m.mu.Lock()

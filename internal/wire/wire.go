@@ -20,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
+	"strings"
 )
 
 // NodeID identifies a node in the cluster.
@@ -79,6 +81,20 @@ func (a Addr) String() string {
 		return "addr(nil)"
 	}
 	return fmt.Sprintf("addr(n%d:e%d:g%d)", a.Node(), a.Index(), a.Gen())
+}
+
+// ParseAddr parses an endpoint address written in hex, as the daemons
+// print them, with or without a 0x prefix. The nil address (generation
+// 0) is rejected.
+func ParseAddr(s string) (Addr, error) {
+	v, err := strconv.ParseUint(strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X"), 16, 32)
+	if err != nil {
+		return NilAddr, fmt.Errorf("wire: bad endpoint address %q: %w", s, err)
+	}
+	if a := Addr(v); a.Valid() {
+		return a, nil
+	}
+	return NilAddr, fmt.Errorf("wire: invalid endpoint address %q", s)
 }
 
 // Message size constraints (Paragon DMA requirements, kept verbatim).

@@ -515,3 +515,28 @@ func TestStampFlagCannotBeForged(t *testing.T) {
 		t.Fatalf("stamp=%d flags=%#x, want unforged", got.Stamp, got.Flags)
 	}
 }
+
+func TestParseAddr(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Addr
+		ok   bool
+	}{
+		{"0x1", 1, true},
+		{"0X400401", 0x400401, true},
+		{"400401", 0x400401, true},
+		{"ffffffff", 0xffffffff, true},
+		{"", NilAddr, false},
+		{"0x", NilAddr, false},
+		{"xyz", NilAddr, false},
+		{"0x1g", NilAddr, false},
+		{"100000000", NilAddr, false}, // wider than 32 bits
+		{"0", NilAddr, false},         // nil address
+		{"0x400", NilAddr, false},     // generation 0
+	} {
+		got, err := ParseAddr(c.in)
+		if (err == nil) != c.ok || got != c.want {
+			t.Errorf("ParseAddr(%q) = %#x, %v; want %#x, ok=%v", c.in, uint32(got), err, uint32(c.want), c.ok)
+		}
+	}
+}
