@@ -298,20 +298,19 @@ type Transport struct {
 	// stay on the formatted slow path because they carry errors).
 	rxDropLab trace.Label
 
-	sent       atomic.Uint64
-	delivered  atomic.Uint64
-	peerDowns  atomic.Uint64
-	rxDrops    atomic.Uint64
-	reconnects atomic.Uint64
-	flushLost  atomic.Uint64
-	ctlBypass  atomic.Uint64
-	flushHeld  atomic.Uint64
-	rxParks    atomic.Uint64
+	sent, peerDowns, reconnects, flushLost, ctlBypass, flushHeld atomic.Uint64
 
 	// pendingFrames tracks corked frames across all peers so the
 	// engine's every-pass FlushSends exits without touching peer locks
 	// when nothing is corked.
 	pendingFrames atomic.Int64
+
+	// The socket readers store these on every frame. The pads keep them
+	// off the lines the send path and Poll use, wherever the Transport
+	// lands in its size class (most are not multiples of 64 bytes).
+	_                           [64]byte
+	delivered, rxDrops, rxParks atomic.Uint64
+	_                           [64]byte
 }
 
 // peerTable is the grow-only peer set: peerFor publishes a grown copy

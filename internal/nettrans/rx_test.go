@@ -15,6 +15,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"flipc/internal/israce"
 )
@@ -213,5 +214,25 @@ func TestTrySendFlushSendsAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("TrySend+FlushSends: %v allocs per frame, want 0", allocs)
+	}
+}
+
+// TestReceiveCountersOwnCacheLines pins the Transport layout: the
+// counters the socket readers store on every frame sit a full cache
+// line away from every other field and from the end of the object, so
+// neither the send path nor a neighbouring object shares their line,
+// wherever the allocator places the Transport.
+func TestReceiveCountersOwnCacheLines(t *testing.T) {
+	var tr Transport
+	first, last := unsafe.Offsetof(tr.delivered), unsafe.Offsetof(tr.rxParks)
+	if unsafe.Offsetof(tr.rxDrops) < first || unsafe.Offsetof(tr.rxDrops) > last {
+		t.Fatalf("rxDrops at %d, outside the receive group [%d, %d]", unsafe.Offsetof(tr.rxDrops), first, last)
+	}
+	end := last + unsafe.Sizeof(tr.rxParks)
+	if before := first - (unsafe.Offsetof(tr.pendingFrames) + unsafe.Sizeof(tr.pendingFrames)); before < 64 {
+		t.Errorf("%d bytes between the send-side fields and delivered, want >= 64", before)
+	}
+	if after := unsafe.Sizeof(tr) - end; after < 64 {
+		t.Errorf("%d bytes after rxParks, want >= 64", after)
 	}
 }
