@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -333,5 +334,44 @@ func TestFabricConcurrentOrderPerPair(t *testing.T) {
 	st := b.(*fabricPort).Stats()
 	if st.Delivered != n {
 		t.Fatalf("Delivered = %d", st.Delivered)
+	}
+}
+
+// BenchmarkFabricSendPoll sends one frame through one pair and polls it
+// back: the fabric's whole per-frame cost, the caller-owned copy
+// included.
+func BenchmarkFabricSendPoll(b *testing.B) {
+	f := NewFabric(0)
+	a, _ := f.Attach(0)
+	r, _ := f.Attach(1)
+	frame := make([]byte, 128)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !a.TrySend(1, frame) {
+			b.Fatal("TrySend refused")
+		}
+		if _, ok := r.Poll(); !ok {
+			b.Fatal("frame missing")
+		}
+	}
+}
+
+// BenchmarkFabricPollIdle polls a port nothing was sent to, on a fabric
+// of 1 and of 8 attached nodes (so 1 and 8 inbound rings).
+func BenchmarkFabricPollIdle(b *testing.B) {
+	for _, nodes := range []int{1, 8} {
+		b.Run(fmt.Sprintf("rings=%d", nodes), func(b *testing.B) {
+			f := NewFabric(0)
+			p, _ := f.Attach(0)
+			for n := 1; n < nodes; n++ {
+				f.Attach(wire.NodeID(n))
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := p.Poll(); ok {
+					b.Fatal("phantom frame")
+				}
+			}
+		})
 	}
 }
