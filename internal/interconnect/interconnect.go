@@ -6,12 +6,16 @@
 //     best software achieves 160 MB/s, i.e. 6.25 ns/byte), used by the
 //     virtual-time experiments, optionally corking per-destination
 //     runs (MeshConfig.BatchFrames);
-//   - Fabric: a real, goroutine-safe in-process transport used by the
-//     concurrency tests, examples, and wall-clock benchmarks. It never
-//     corks: a frame TrySend accepts is in the destination's queue.
+//   - Fabric: a real in-process transport used by the concurrency
+//     tests, examples, and wall-clock benchmarks: one single-producer,
+//     single-consumer ring of NewFabric's depth per source →
+//     destination pair, so concurrent senders on one port (or pollers)
+//     must be serialized, as Mux and faultinject.Injector do. It never
+//     corks: a frame TrySend accepts is in the pair's ring.
 //
 // Both deliver fixed-size frames reliably and in order per source →
-// destination pair, which is the transport guarantee FLIPC's optimistic
+// destination pair, and only per pair: frames from different sources
+// interleave. That is the transport guarantee FLIPC's optimistic
 // protocol relies on (§Message Transfer): because receivers always
 // accept from the interconnect (discarding when no buffer is posted),
 // a reliable interconnect cannot deadlock. Mux shares any transport
@@ -20,6 +24,8 @@ package interconnect
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -151,7 +157,7 @@ func (m *Mesh) Attach(node wire.NodeID) (Transport, error) {
 	if _, dup := m.ports[node]; dup {
 		return nil, fmt.Errorf("interconnect: node %d already attached", node)
 	}
-	p := &meshPort{mesh: m, node: node}
+	p := &meshPort{mesh: m, node: node, pending: make(map[wire.NodeID]*meshRun)}
 	m.ports[node] = p
 	return p, nil
 }
@@ -208,46 +214,33 @@ func (p *meshPort) TrySend(dst wire.NodeID, frame []byte) bool {
 	if dp == nil {
 		return false // unreachable node: drop at source
 	}
-	bf := p.mesh.cfg.BatchFrames
+	run := p.pending[dst] // nil until BatchFrames corks a frame for dst
 	var corked int
-	if bf > 0 {
-		if run := p.pending[dst]; run != nil {
-			corked = len(run.frames)
-		}
+	if run != nil {
+		corked = len(run.frames)
 	}
 	if p.mesh.cfg.PortDepth > 0 && len(dp.inbox)+corked >= p.mesh.cfg.PortDepth {
 		p.stats.SendBusy++
 		return false
 	}
+	p.stats.Sent++
 	cp := append([]byte(nil), frame...)
-	if bf <= 0 {
-		p.transmit(dst, dp, [][]byte{cp})
-		p.stats.Sent++
-		return true
-	}
-	if wire.Expedited(frame[6]) {
-		// Control class: flush the destination's corked run first (the
-		// mesh delivers in order per pair), then go immediately.
+	if p.mesh.cfg.BatchFrames <= 0 || wire.Expedited(frame[6]) {
+		// Uncorked, or control class: flush the destination's corked run
+		// first (the mesh delivers in order per pair), then go at once.
 		p.flushRun(dst)
 		p.transmit(dst, dp, [][]byte{cp})
-		p.stats.Sent++
 		return true
 	}
-	run := p.pending[dst]
 	if run == nil {
 		run = &meshRun{}
-		if p.pending == nil {
-			p.pending = make(map[wire.NodeID]*meshRun)
-		}
 		p.pending[dst] = run
 		p.order = append(p.order, dst)
 	}
 	if len(run.frames) == 0 {
 		run.since = p.mesh.clock.Now()
 	}
-	run.frames = append(run.frames, cp)
-	p.stats.Sent++
-	if len(run.frames) >= bf {
+	if run.frames = append(run.frames, cp); len(run.frames) >= p.mesh.cfg.BatchFrames {
 		p.flushRun(dst)
 	}
 	return true
@@ -267,7 +260,6 @@ func (p *meshPort) transmit(dst wire.NodeID, dp *meshPort, frames [][]byte) {
 		sim.Time(p.mesh.Hops(p.node, dst))*p.mesh.cfg.HopLatency
 	var serial sim.Time
 	for _, f := range frames {
-		f := f
 		serial += sim.Time(float64(len(f)) * p.mesh.cfg.NSPerByte)
 		p.mesh.clock.At(base+serial, func() {
 			dp.inbox = append(dp.inbox, f)
@@ -278,13 +270,10 @@ func (p *meshPort) transmit(dst wire.NodeID, dp *meshPort, frames [][]byte) {
 
 // flushRun transmits dst's corked run, if any.
 func (p *meshPort) flushRun(dst wire.NodeID) {
-	run := p.pending[dst]
-	if run == nil || len(run.frames) == 0 {
-		return
+	if run := p.pending[dst]; run != nil && len(run.frames) > 0 {
+		p.transmit(dst, p.mesh.ports[dst], run.frames)
+		run.frames = nil
 	}
-	frames := run.frames
-	run.frames = nil
-	p.transmit(dst, p.mesh.ports[dst], frames)
 }
 
 // FlushSends implements BatchFlusher: the engine's end-of-pass call
@@ -292,20 +281,11 @@ func (p *meshPort) flushRun(dst wire.NodeID) {
 // deadline (every run, when no deadline is configured). A no-op
 // without BatchFrames.
 func (p *meshPort) FlushSends() {
-	if p.mesh.cfg.BatchFrames <= 0 || len(p.pending) == 0 {
-		return
-	}
-	now := p.mesh.clock.Now()
-	dl := p.mesh.cfg.FlushDeadline
+	now, dl := p.mesh.clock.Now(), p.mesh.cfg.FlushDeadline
 	for _, dst := range p.order {
-		run := p.pending[dst]
-		if run == nil || len(run.frames) == 0 {
-			continue
+		if run := p.pending[dst]; len(run.frames) > 0 && (dl <= 0 || now-run.since >= dl) {
+			p.flushRun(dst)
 		}
-		if dl > 0 && now-run.since < dl {
-			continue
-		}
-		p.flushRun(dst)
 	}
 }
 
@@ -326,90 +306,170 @@ func (p *meshPort) LocalNode() wire.NodeID { return p.node }
 // Stats returns a snapshot of the port's counters.
 func (p *meshPort) Stats() Stats { return p.stats }
 
-// Fabric is a real in-process transport: per-node bounded queues,
-// safe for concurrent use by engine goroutines on every node. Delivery
-// is immediate (no modeled latency) — wall-clock behaviour comes from
-// the real Go scheduler and memory system.
+// Fabric is a real in-process transport: one ring per (source,
+// destination) pair, each node's own pair included, delivering at once
+// — wall-clock behaviour comes from the real Go scheduler and memory
+// system. As between the paper's engine and its applications, the two
+// ends of a ring synchronize only through single-writer loads and
+// stores: no lock and no read-modify-write is on the frame path. So a
+// port is single-producer and single-consumer: its TrySend calls must
+// be serialized, and so must its Poll calls.
 type Fabric struct {
 	depth int
-	mu    sync.Mutex // serializes Attach
-	// ports is indexed by node. Ports are attach-only: Attach publishes
-	// a grown copy, senders look up with one atomic load.
-	ports atomic.Pointer[[]*fabricPort]
+	mu    sync.Mutex    // serializes Attach
+	ports []*fabricPort // under mu
 }
 
-// NewFabric creates a fabric whose ports queue up to depth frames
-// (default 256).
+// NewFabric creates a fabric whose rings hold up to depth frames each
+// (default 256). Depth is per (source, destination) pair, so a node's
+// inbound capacity grows with the nodes attached, and frames are
+// ordered per pair only.
 func NewFabric(depth int) *Fabric {
 	if depth <= 0 {
 		depth = 256
 	}
-	f := &Fabric{depth: depth}
-	f.ports.Store(new([]*fabricPort))
-	return f
+	return &Fabric{depth: depth}
 }
 
-// port returns node's port, or nil when no such node is attached.
-func (f *Fabric) port(node wire.NodeID) *fabricPort {
-	if t := *f.ports.Load(); int(node) < len(t) {
-		return t[node]
-	}
-	return nil
-}
-
-// Attach creates the port for a node.
+// Attach creates the port for a node and its rings to and from every
+// node attached so far, and its own. They are published copy-on-write,
+// so an Attach never stalls the engines already running.
 func (f *Fabric) Attach(node wire.NodeID) (Transport, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.port(node) != nil {
-		return nil, fmt.Errorf("interconnect: node %d already attached", node)
+	for _, q := range f.ports {
+		if q.node == node {
+			return nil, fmt.Errorf("interconnect: node %d already attached", node)
+		}
 	}
-	p := &fabricPort{fabric: f, node: node, ch: make(chan []byte, f.depth)}
-	old := *f.ports.Load()
-	table := make([]*fabricPort, max(len(old), int(node)+1))
-	copy(table, old)
-	table[node] = p
-	f.ports.Store(&table)
+	p := &fabricPort{node: node}
+	p.out.Store(new([]*ring))
+	p.in.Store(new([]*ring))
+	f.ports = append(f.ports, p)
+	for _, q := range f.ports {
+		f.link(q, p)
+		if q != p {
+			f.link(p, q)
+		}
+	}
 	return p, nil
 }
 
+// link publishes a new ring from src to dst in src's outbound table
+// and dst's inbound list.
+func (f *Fabric) link(src, dst *fabricPort) {
+	size := 1 << bits.Len(uint(f.depth-1))
+	r := &ring{slots: make([][]byte, size), mask: uint64(size - 1), depth: uint64(f.depth)}
+	out := make([]*ring, max(len(*src.out.Load()), int(dst.node)+1))
+	copy(out, *src.out.Load())
+	out[dst.node] = r
+	src.out.Store(&out)
+	in := append(slices.Clip(*dst.in.Load()), r)
+	dst.in.Store(&in)
+}
+
+const cacheLine = 64
+
+// ring is one pair's frames. The sender is the only writer of the
+// slots and of tail, the receiver the only writer of head, and the two
+// indexes are the pair's sent and delivered counts. Each side caches
+// the other's index on its own line and reloads it only when the cache
+// reads full (sender) or empty (receiver): an idle ring costs the
+// receiver one tail load.
+type ring struct {
+	slots [][]byte // a power of two >= depth long; the header is read-only
+	mask  uint64
+	depth uint64
+	_     [cacheLine - 40]byte
+
+	tail      atomic.Uint64 // stored by the sender only
+	headCache uint64
+	_         [cacheLine - 16]byte
+
+	head      atomic.Uint64 // stored by the receiver only
+	tailCache uint64
+	_         [cacheLine - 16]byte
+}
+
+// push copies frame into the next slot, then publishes it; a full ring
+// refuses it without allocating.
+func (r *ring) push(frame []byte) bool {
+	t := r.tail.Load()
+	if t-r.headCache >= r.depth {
+		if r.headCache = r.head.Load(); t-r.headCache >= r.depth {
+			return false
+		}
+	}
+	r.slots[t&r.mask] = append([]byte(nil), frame...)
+	r.tail.Store(t + 1)
+	return true
+}
+
+// pop returns the oldest published frame. The sender only ever
+// overwrites the slot with a new copy, never writes into a frame it
+// published, so the caller owns the slice.
+func (r *ring) pop() ([]byte, bool) {
+	h := r.head.Load()
+	if h == r.tailCache {
+		if r.tailCache = r.tail.Load(); h == r.tailCache {
+			return nil, false
+		}
+	}
+	f := r.slots[h&r.mask]
+	r.head.Store(h + 1)
+	return f, true
+}
+
 type fabricPort struct {
-	fabric    *Fabric
-	node      wire.NodeID
-	ch        chan []byte
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	busy      atomic.Uint64
+	node wire.NodeID
+	out  atomic.Pointer[[]*ring] // by destination node; nil where none is attached
+	in   atomic.Pointer[[]*ring] // in attach order
+	next int                     // the inbound ring Poll tries first
+	busy atomic.Uint64
 }
 
 func (p *fabricPort) TrySend(dst wire.NodeID, frame []byte) bool {
-	dp := p.fabric.port(dst)
-	if dp == nil {
+	out := *p.out.Load()
+	if int(dst) >= len(out) || out[dst] == nil {
 		return false
 	}
-	select {
-	case dp.ch <- append([]byte(nil), frame...):
-		p.sent.Add(1)
-		return true
-	default:
+	if !out[dst].push(frame) {
 		p.busy.Add(1)
 		return false
 	}
+	return true
 }
 
+// Poll tries the inbound rings round-robin, starting after the last one
+// that had a frame, and returns the oldest frame of the first that has
+// one.
 func (p *fabricPort) Poll() ([]byte, bool) {
-	select {
-	case f := <-p.ch:
-		p.delivered.Add(1)
-		return f, true
-	default:
-		return nil, false
+	in := *p.in.Load()
+	for i, j := 0, p.next; i < len(in); i, j = i+1, j+1 {
+		if j >= len(in) {
+			j = 0
+		}
+		if f, ok := in[j].pop(); ok {
+			p.next = j + 1
+			return f, true
+		}
 	}
+	return nil, false
 }
 
 func (p *fabricPort) LocalNode() wire.NodeID { return p.node }
 
-// Stats returns a snapshot of the port's counters.
+// Stats returns a snapshot of the port's counters, read from its rings'
+// indexes; it may be called from any goroutine.
 func (p *fabricPort) Stats() Stats {
-	return Stats{Sent: p.sent.Load(), Delivered: p.delivered.Load(), SendBusy: p.busy.Load()}
+	s := Stats{SendBusy: p.busy.Load()}
+	for _, r := range *p.out.Load() {
+		if r != nil {
+			s.Sent += r.tail.Load()
+		}
+	}
+	for _, r := range *p.in.Load() {
+		s.Delivered += r.head.Load()
+	}
+	return s
 }

@@ -1,10 +1,15 @@
 package interconnect
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"flipc/internal/israce"
 
 	"flipc/internal/sim"
 	"flipc/internal/wire"
@@ -250,6 +255,194 @@ func TestFabricBackpressure(t *testing.T) {
 	b.Poll()
 	if !a.TrySend(1, make([]byte, 64)) {
 		t.Fatal("send after drain failed")
+	}
+	// Depth is per pair: a full a→b ring does not refuse another sender.
+	c, _ := f.Attach(2)
+	if !c.TrySend(1, make([]byte, 64)) || !c.TrySend(1, make([]byte, 64)) {
+		t.Fatal("second sender refused while the first pair is full")
+	}
+	if c.TrySend(1, make([]byte, 64)) {
+		t.Fatal("send to full pair accepted")
+	}
+}
+
+// TestFabricAllocs pins the Transport contract's one heap object: the
+// caller-owned copy a TrySend makes and the matching Poll hands over.
+// An idle Poll and a refused TrySend allocate nothing.
+func TestFabricAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	f := NewFabric(1)
+	a, _ := f.Attach(0)
+	b, _ := f.Attach(1)
+	frame := make([]byte, 128)
+	if n := testing.AllocsPerRun(1000, func() {
+		if !a.TrySend(1, frame) {
+			t.Fatal("TrySend refused")
+		}
+		if _, ok := b.Poll(); !ok {
+			t.Fatal("frame missing")
+		}
+	}); n != 1 {
+		t.Errorf("TrySend→Poll cycle: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { b.Poll() }); n != 0 {
+		t.Errorf("idle Poll: %v allocs, want 0", n)
+	}
+	a.TrySend(1, frame)
+	if n := testing.AllocsPerRun(1000, func() {
+		if a.TrySend(1, frame) {
+			t.Fatal("send to full pair accepted")
+		}
+	}); n != 0 {
+		t.Errorf("refused TrySend: %v allocs, want 0", n)
+	}
+}
+
+// TestRingIndexesOwnCacheLines pins the ring layout: the sender's tail
+// and the receiver's head, each beside its owner's cache of the other,
+// sit on lines of their own, clear of the read-only slot header and of
+// whatever the allocator places after the ring.
+func TestRingIndexesOwnCacheLines(t *testing.T) {
+	var r ring
+	tail, head := unsafe.Offsetof(r.tail), unsafe.Offsetof(r.head)
+	if head-tail < cacheLine {
+		t.Errorf("head %d bytes after tail, want >= %d", head-tail, cacheLine)
+	}
+	if tail < cacheLine {
+		t.Errorf("tail at %d, want >= %d past the slot header", tail, cacheLine)
+	}
+	if after := unsafe.Sizeof(r) - head; after < cacheLine {
+		t.Errorf("%d bytes from head to the end of the ring, want >= %d", after, cacheLine)
+	}
+	if unsafe.Offsetof(r.headCache)-tail >= cacheLine || unsafe.Offsetof(r.tailCache)-head >= cacheLine {
+		t.Error("an index cache is off its owner's line")
+	}
+}
+
+// TestFabricConcurrentSenders drives one receiver from three senders on
+// goroutines of their own, and a fourth node that attaches while the
+// receiver polls; beside them a node sends to itself and a goroutine
+// reads every port's Stats throughout. Frames must arrive in order per
+// source, and at quiesce every frame sent is a frame delivered.
+func TestFabricConcurrentSenders(t *testing.T) {
+	const n = 3000
+	f := NewFabric(16)
+	var (
+		mu    sync.Mutex
+		ports []Transport
+	)
+	attach := func(node wire.NodeID) Transport {
+		p, err := f.Attach(node)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		mu.Lock()
+		ports = append(ports, p)
+		mu.Unlock()
+		return p
+	}
+	sums := func() (sent, delivered uint64) {
+		mu.Lock()
+		ps := slices.Clone(ports)
+		mu.Unlock()
+		// Delivered first: a ring's head never passes its tail, so read
+		// in this order the sums can only show delivered <= sent.
+		for _, p := range ps {
+			delivered += p.(*fabricPort).Stats().Delivered
+		}
+		for _, p := range ps {
+			sent += p.(*fabricPort).Stats().Sent
+		}
+		return sent, delivered
+	}
+	send := func(p Transport, dst wire.NodeID, seq int) {
+		frame := make([]byte, 64)
+		frame[0] = byte(p.LocalNode())
+		binary.LittleEndian.PutUint32(frame[1:], uint32(seq))
+		for !p.TrySend(dst, frame) {
+			runtime.Gosched()
+		}
+	}
+	recv := attach(0)
+	var senders, others sync.WaitGroup
+	for node := wire.NodeID(1); node <= 3; node++ {
+		p := attach(node)
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for i := 0; i < n; i++ {
+				send(p, 0, i)
+			}
+		}()
+	}
+	loop := attach(4)
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for i := 0; i < n; i++ {
+			send(loop, 4, i)
+			frame, ok := loop.Poll()
+			if !ok || binary.LittleEndian.Uint32(frame[1:]) != uint32(i) {
+				t.Errorf("self pair: frame %d came back as %v, %v", i, frame, ok)
+				return
+			}
+		}
+	}()
+	stop := make(chan struct{})
+	others.Add(1)
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sent, delivered := sums(); delivered > sent {
+				t.Errorf("Stats read delivered %d > sent %d", delivered, sent)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+	polling := make(chan struct{})
+	senders.Add(1)
+	go func() {
+		defer senders.Done()
+		<-polling
+		late := attach(5)
+		for i := 0; i < n; i++ {
+			send(late, 0, i)
+		}
+	}()
+	next := make(map[byte]uint32)
+	for got := 0; got < 4*n; {
+		frame, ok := recv.Poll()
+		if !ok {
+			runtime.Gosched()
+			continue
+		}
+		if got == 0 {
+			close(polling)
+		}
+		got++
+		src, seq := frame[0], binary.LittleEndian.Uint32(frame[1:])
+		if seq != next[src] {
+			t.Errorf("from node %d: frame %d, want %d", src, seq, next[src])
+		}
+		next[src] = seq + 1
+	}
+	senders.Wait()
+	close(stop)
+	others.Wait()
+	if _, ok := recv.Poll(); ok {
+		t.Error("phantom frame after quiesce")
+	}
+	if sent, delivered := sums(); sent != 5*n || delivered != 5*n {
+		t.Errorf("at quiesce: sent %d, delivered %d, want %d each", sent, delivered, 5*n)
 	}
 }
 

@@ -2,6 +2,7 @@ package interconnect
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"flipc/internal/wire"
@@ -76,23 +77,16 @@ func (m *Mux) pump() {
 		if !ok {
 			return
 		}
-		pkt, err := wire.Decode(frame)
-		if err != nil {
+		i := -1
+		if pkt, err := wire.Decode(frame); err == nil {
+			idx := int(pkt.Dst.Index())
+			i = slices.IndexFunc(m.ports, func(p *muxPort) bool { return idx >= p.lo && idx < p.hi })
+		}
+		if i < 0 {
 			m.unclaimed++
 			continue
 		}
-		idx := int(pkt.Dst.Index())
-		claimed := false
-		for _, p := range m.ports {
-			if idx >= p.lo && idx < p.hi {
-				p.inbox = append(p.inbox, frame)
-				claimed = true
-				break
-			}
-		}
-		if !claimed {
-			m.unclaimed++
-		}
+		m.ports[i].inbox = append(m.ports[i].inbox, frame)
 	}
 }
 
