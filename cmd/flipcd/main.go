@@ -29,6 +29,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"net"
@@ -36,6 +37,7 @@ import (
 	"os"
 	"os/signal"
 	"slices"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -247,51 +249,40 @@ func main() {
 	}
 	fmt.Printf("flipcd: echo endpoint address %#x (%v)\n", uint32(rep.Addr()), rep.Addr())
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	// SIGQUIT prints the health report without terminating — the
 	// operator's live look at a daemon with no -http surface.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	echoed := 0
-	for {
-		select {
-		case <-stop:
-			fmt.Printf("flipcd: %d messages echoed; drops=%d\n", echoed, rep.Drops())
-			report(tr)
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
+	var echoed atomic.Uint64
+	go echo(d, rep, sep, &echoed)
+	for sig := range sigs {
+		fmt.Printf("flipcd: %d messages echoed; drops=%d\n", echoed.Load(), rep.Drops())
+		report(tr)
+		if sig != syscall.SIGQUIT {
 			return
-		case <-quit:
-			fmt.Printf("flipcd: %d messages echoed; drops=%d\n", echoed, rep.Drops())
-			report(tr)
-		default:
 		}
-		m, ok := rep.Receive()
-		if !ok {
-			time.Sleep(200 * time.Microsecond)
-			continue
+	}
+}
+
+// echo answers each message on rep from sep, to the reply address in
+// its first four payload bytes, until the domain closes.
+func echo(d *core.Domain, rep, sep *core.Endpoint, echoed *atomic.Uint64) {
+	for {
+		m, err := rep.ReceiveBlock(1, time.Time{})
+		if err != nil {
+			return // domain closed
 		}
-		if m.Len() >= 4 {
-			replyTo := wire.Addr(uint32(m.Payload()[0])<<24 | uint32(m.Payload()[1])<<16 |
-				uint32(m.Payload()[2])<<8 | uint32(m.Payload()[3]))
-			if replyTo.Valid() {
-				out, err := d.AllocBuffer()
-				if err == nil {
-					n := copy(out.Payload(), m.Payload()[:m.Len()])
-					if sep.Send(out, replyTo, n) != nil {
-						d.FreeBuffer(out)
-					}
-					// Reclaim completed sends opportunistically.
-					for {
-						done, ok := sep.Acquire()
-						if !ok {
-							break
-						}
-						d.FreeBuffer(done)
-					}
+		if p := m.Payload()[:m.Len()]; len(p) >= 4 {
+			if to := wire.Addr(binary.BigEndian.Uint32(p)); to.Valid() {
+				if out, err := d.AllocBuffer(); err == nil && sep.Send(out, to, copy(out.Payload(), p)) != nil {
+					d.FreeBuffer(out)
 				}
 			}
 		}
-		echoed++
+		for done, ok := sep.Acquire(); ok; done, ok = sep.Acquire() {
+			d.FreeBuffer(done) // reclaim completed sends
+		}
+		echoed.Add(1)
 		if rep.Post(m) != nil {
 			d.FreeBuffer(m)
 		}

@@ -11,16 +11,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/engine"
 	"flipc/internal/metrics"
+	"flipc/internal/msglib"
+	"flipc/internal/nameservice"
 	"flipc/internal/nettrans"
 	"flipc/internal/stats"
 	"flipc/internal/wire"
@@ -49,19 +52,13 @@ func main() {
 		fatal(err)
 	}
 	defer tr.Close()
-	for _, part := range strings.Split(*peers, ",") {
-		if part == "" {
-			continue
-		}
-		kv := strings.SplitN(part, "=", 2)
-		if len(kv) != 2 {
-			fatal(fmt.Errorf("bad -peer entry %q", part))
-		}
-		id, err := strconv.Atoi(kv[0])
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.Dial(wire.NodeID(id), kv[1]); err != nil {
+	peerList, err := nameservice.ParsePeerList(*peers)
+	if err != nil {
+		fatal(err)
+	}
+	for _, id := range peerList.Nodes() {
+		addr, _ := peerList.Resolve(id)
+		if err := tr.Dial(id, addr); err != nil {
 			fatal(err)
 		}
 	}
@@ -80,57 +77,42 @@ func main() {
 	defer d.Close()
 	d.Start()
 
-	rep, err := d.NewRecvEndpoint(8)
+	// The outbox reclaims completed sends; the inbox keeps buffers posted.
+	in, err := msglib.NewInbox(d, 8, 4)
 	if err != nil {
 		fatal(err)
 	}
-	sep, err := d.NewSendEndpoint(8)
+	out, err := msglib.NewOutbox(d, 8, 4)
 	if err != nil {
 		fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		m, err := d.AllocBuffer()
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.Post(m); err != nil {
-			fatal(err)
-		}
 	}
 
-	my := uint32(rep.Addr())
 	var rtts []float64
-	lost := 0
+	lost, late := 0, 0
 	for i := 0; i < *count; i++ {
-		m, err := d.AllocBuffer()
-		if err != nil {
-			fatal(err)
-		}
-		p := m.Payload()
-		p[0], p[1], p[2], p[3] = byte(my>>24), byte(my>>16), byte(my>>8), byte(my)
-		n := 4 + copy(p[4:], fmt.Sprintf("ping %d", i))
+		want := fmt.Appendf(nil, "ping %d", i)
 		start := time.Now()
-		if err := sep.Send(m, dst, n); err != nil {
+		deadline := start.Add(2 * time.Second)
+		ping := append(binary.BigEndian.AppendUint32(nil, uint32(in.Addr())), want...)
+		if err := out.SendBlock(dst, ping, 1, deadline); err != nil {
 			fatal(err)
 		}
-		deadline := time.Now().Add(2 * time.Second)
-		gotReply := false
-		for time.Now().Before(deadline) {
-			if reply, ok := rep.Receive(); ok {
-				rtts = append(rtts, float64(time.Since(start).Microseconds()))
-				gotReply = true
-				if rep.Post(reply) != nil {
-					d.FreeBuffer(reply)
-				}
+		// Wait for this ping's echo: a reply to an earlier ping that outlived
+		// its deadline is discarded and counted late, never timed as this one.
+		for {
+			reply, _, err := in.ReceiveBlock(1, deadline)
+			if errors.Is(err, core.ErrTimeout) {
+				lost++
 				break
 			}
-			time.Sleep(20 * time.Microsecond)
-		}
-		if !gotReply {
-			lost++
-		}
-		if done, ok := sep.Acquire(); ok {
-			d.FreeBuffer(done)
+			if err != nil {
+				fatal(err)
+			}
+			if len(reply) >= 4 && bytes.Equal(reply[4:], want) {
+				rtts = append(rtts, float64(time.Since(start).Microseconds()))
+				break
+			}
+			late++
 		}
 	}
 	if len(rtts) == 0 {
@@ -140,7 +122,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("flipcping: %d exchanges, %d lost\n", len(rtts), lost)
+	fmt.Printf("flipcping: %d exchanges, %d lost, %d late replies discarded\n", len(rtts), lost, late)
 	fmt.Printf("rtt µs: %v\n", sum)
 	fmt.Printf("one-way estimate: %.1f µs (rtt/2; TCP substrate, not Paragon)\n", sum.Mean/2)
 	// If the echo daemon stamps its replies (flipcd -http), the engine

@@ -93,9 +93,10 @@ func main() {
 		go func() {
 			for m := 0; m < s.msgs; m++ {
 				payload := fmt.Sprintf("%s report %d", s.name, m)
-				for out.Send(dst, []byte(payload)) != nil {
-					time.Sleep(100 * time.Microsecond)
+				if err := out.SendBlock(dst, []byte(payload), 1, time.Time{}); err != nil {
+					log.Fatal(err)
 				}
+				// Pacing, not polling: each stream reports on its own cadence.
 				time.Sleep(time.Duration(1+m%3) * time.Millisecond)
 			}
 		}()
@@ -105,7 +106,7 @@ func main() {
 	// message to its stream — one thread, many prioritized sources.
 	perStream := map[*core.Endpoint]int{}
 	for got := 0; got < total; got++ {
-		msg, from, err := group.ReceiveBlock(5)
+		msg, from, err := group.ReceiveBlock(5, time.Now().Add(5*time.Second))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -128,17 +128,12 @@ func main() {
 	// ...and the native subscriber sees the gps stream without knowing
 	// gateways exist.
 	deadline := time.Now().Add(2 * time.Second)
-	for got := 0; got < 3; {
-		payload, _, ok := nativeSub.Receive()
-		if !ok {
-			if time.Now().After(deadline) {
-				log.Fatalf("native subscriber: %d of 3 deliveries", got)
-			}
-			time.Sleep(time.Millisecond)
-			continue
+	for got := 0; got < 3; got++ {
+		payload, _, err := nativeSub.ReceiveBlock(deadline)
+		if err != nil {
+			log.Fatalf("native subscriber: %d of 3 deliveries: %v", got, err)
 		}
 		fmt.Printf("native   <- metrics.gps %q\n", payload)
-		got++
 	}
 
 	// The presence ledger: every connected client is a leased entry.

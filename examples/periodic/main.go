@@ -91,25 +91,19 @@ func main() {
 		for _, p := range ps {
 			for s := 0; s < p.rate; s++ {
 				payload := fmt.Sprintf("%s p%d s%d", p.name, period, s)
-				for p.out.Send(dst, []byte(payload)) != nil {
-					time.Sleep(50 * time.Microsecond)
+				if err := p.out.SendBlock(dst, []byte(payload), 1, time.Time{}); err != nil {
+					log.Fatal(err)
 				}
 			}
 		}
 		// Historian drains once per period (a strictly periodic
 		// consumer). Worst case bound guarantees nothing was dropped.
 		deadline := time.Now().Add(time.Second)
-		drained := 0
-		for drained < perPeriod && time.Now().Before(deadline) {
-			if _, _, ok := inbox.Receive(); ok {
-				drained++
-				received++
-			} else {
-				time.Sleep(50 * time.Microsecond)
+		for drained := 0; drained < perPeriod; drained++ {
+			if _, _, err := inbox.ReceiveBlock(1, deadline); err != nil {
+				log.Fatalf("period %d: drained %d/%d: %v", period, drained, perPeriod, err)
 			}
-		}
-		if drained != perPeriod {
-			log.Fatalf("period %d: drained %d/%d", period, drained, perPeriod)
+			received++
 		}
 	}
 

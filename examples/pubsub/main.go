@@ -103,7 +103,7 @@ func main() {
 
 	// The control-class receive blocks at a higher scheduler priority
 	// than any bulk consumer would.
-	alarm, flags, err := alarmSub.ReceiveBlock()
+	alarm, flags, err := alarmSub.ReceiveBlock(time.Now().Add(2 * time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/interconnect"
@@ -80,20 +81,19 @@ func main() {
 
 	// Step 3 happens on the engines. Step 4: blocking receive through
 	// the real-time semaphore path (no interrupting upcalls).
-	msg, err := rep.ReceiveBlock(1)
+	msg, err := rep.ReceiveBlock(1, time.Now().Add(2*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("received %d bytes: %q\n", msg.Len(), msg.Payload()[:msg.Len()])
 
-	// Step 5: the sender reclaims its buffer for reuse.
-	for {
-		if done, ok := sep.Acquire(); ok {
-			if err := sender.FreeBuffer(done); err != nil {
-				log.Fatal(err)
-			}
-			break
-		}
+	// Step 5: the sender reclaims its buffer once the engine is done with it.
+	done, err := sep.AcquireBlock(1, time.Now().Add(2*time.Second))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := sender.FreeBuffer(done); err != nil {
+		log.Fatal(err)
 	}
 	if err := receiver.FreeBuffer(msg); err != nil {
 		log.Fatal(err)

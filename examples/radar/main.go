@@ -100,7 +100,7 @@ func main() {
 	go func() {
 		defer wg.Done()
 		for got := 0; got < trackCount; got++ {
-			m, err := tracks.ReceiveBlock(9) // high priority
+			m, err := tracks.ReceiveBlock(9, time.Now().Add(5*time.Second)) // high priority
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -110,24 +110,19 @@ func main() {
 			}
 		}
 	}()
-	// Low-priority maintenance consumer.
-	stopMaint := make(chan struct{})
+	// Low-priority maintenance consumer, serving a two-second window.
+	maintUntil := time.Now().Add(2 * time.Second)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for {
-			select {
-			case <-stopMaint:
-				return
-			default:
+			m, err := maint.ReceiveBlock(1, maintUntil)
+			if err != nil {
+				return // core.ErrTimeout: the window closed
 			}
-			if m, ok := maint.Receive(); ok {
-				record("maint")
-				if maint.Post(m) != nil {
-					command.FreeBuffer(m)
-				}
-			} else {
-				time.Sleep(200 * time.Microsecond)
+			record("maint")
+			if maint.Post(m) != nil {
+				command.FreeBuffer(m)
 			}
 		}
 	}()
@@ -148,24 +143,20 @@ func main() {
 	// Flood maintenance first, then emit the urgent tracks.
 	for i := 0; i < maintFlood; i++ {
 		payload := fmt.Sprintf("maint: pump %d vibration nominal", i)
-		for maintOut.Send(maintAddr, []byte(payload)) != nil {
-			time.Sleep(100 * time.Microsecond)
+		if err := maintOut.SendBlock(maintAddr, []byte(payload), 1, time.Time{}); err != nil {
+			log.Fatal(err)
 		}
 	}
 	for i := 0; i < trackCount; i++ {
 		payload := fmt.Sprintf("track: contact %d bearing %03d range %dnm", i, (i*37)%360, 40-i)
-		for trackOut.Send(trackAddr, []byte(payload)) != nil {
-			time.Sleep(100 * time.Microsecond)
+		if err := trackOut.SendBlock(trackAddr, []byte(payload), 9, time.Time{}); err != nil {
+			log.Fatal(err)
 		}
 	}
 
-	// Wait for all tracks; then stop the maintenance consumer.
+	// Wait for all tracks and the end of the maintenance window.
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	go func() {
-		time.Sleep(2 * time.Second)
-		close(stopMaint)
-	}()
 	timeout := time.After(10 * time.Second)
 	select {
 	case <-done:

@@ -69,7 +69,7 @@ func main() {
 	// Server loop: request payload = reply addr (4B) | request id (4B).
 	go func() {
 		for {
-			payload, _, err := inbox.ReceiveBlock(5)
+			payload, _, err := inbox.ReceiveBlock(5, time.Time{})
 			if err != nil {
 				return // domain closed
 			}
@@ -81,8 +81,8 @@ func main() {
 			reply := make([]byte, 8)
 			binary.BigEndian.PutUint32(reply[:4], id)
 			binary.BigEndian.PutUint32(reply[4:], id*id) // the "computation"
-			for out.Send(replyTo, reply) != nil {
-				time.Sleep(50 * time.Microsecond)
+			if out.SendBlock(replyTo, reply, 5, time.Time{}) != nil {
+				return // domain closed
 			}
 		}
 	}()
@@ -114,17 +114,15 @@ func main() {
 					req := make([]byte, 8)
 					binary.BigEndian.PutUint32(req[:4], uint32(replies.Addr()))
 					binary.BigEndian.PutUint32(req[4:], next)
-					if err := reqs.Send(serverAddr, req); err != nil {
-						time.Sleep(50 * time.Microsecond)
-						continue
+					if err := reqs.SendBlock(serverAddr, req, 1, time.Time{}); err != nil {
+						log.Fatalf("client %d: %v", c, err)
 					}
 					next++
 					inFlight++
 				}
-				payload, _, ok := replies.Receive()
-				if !ok {
-					time.Sleep(50 * time.Microsecond)
-					continue
+				payload, _, err := replies.ReceiveBlock(1, time.Now().Add(time.Second))
+				if err != nil {
+					log.Fatalf("client %d: reply %d: %v", c, got, err)
 				}
 				id := binary.BigEndian.Uint32(payload[:4])
 				sq := binary.BigEndian.Uint32(payload[4:])

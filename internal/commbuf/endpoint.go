@@ -217,9 +217,9 @@ func (ep *Endpoint) Drops() *waitfree.Counter { return ep.drops }
 // Buffer returns the owning communication buffer.
 func (ep *Endpoint) Buffer() *Buffer { return ep.buf }
 
-// SetWakeup sets or clears the blocked-receiver flag. The engine reads
-// it after delivering to this endpoint and, when set, posts the
-// endpoint index on the doorbell ring for the kernel.
+// SetWakeup sets or clears the blocked-thread flag. The engine reads
+// it after delivering to this endpoint or completing sends from it and,
+// when set, posts the endpoint index on the doorbell ring for the kernel.
 func (ep *Endpoint) SetWakeup(app mem.View, waiting bool) {
 	var v uint64
 	if waiting {
@@ -228,7 +228,7 @@ func (ep *Endpoint) SetWakeup(app mem.View, waiting bool) {
 	app.Store(ep.wakeWord, v)
 }
 
-// WakeupRequested reads the blocked-receiver flag.
+// WakeupRequested reads the blocked-thread flag.
 func (ep *Endpoint) WakeupRequested(v mem.View) bool { return v.Load(ep.wakeWord) != 0 }
 
 // Lock acquires the endpoint's application lock by spinning on

@@ -21,9 +21,10 @@
 // paper's measurements all use the lock-free forms, and experiment E4
 // shows why.
 //
-// Blocking receives use the real-time semaphore option: the waiting
+// Blocking calls use the real-time semaphore option: the waiting
 // thread is woken by the kernel presenting it to the scheduler in
 // priority order; FLIPC never interrupts application code with upcalls.
+// Each takes an absolute deadline, the zero time meaning none.
 package core
 
 import (
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"flipc/internal/commbuf"
 	"flipc/internal/engine"
@@ -57,6 +59,8 @@ var (
 	ErrWrongType = errors.New("flipc: wrong endpoint type for operation")
 	// ErrClosed: the domain has been closed.
 	ErrClosed = errors.New("flipc: domain closed")
+	// ErrTimeout: a blocking call's deadline passed first.
+	ErrTimeout = errors.New("flipc: deadline passed")
 )
 
 // Config configures one domain.
@@ -101,7 +105,7 @@ type Domain struct {
 
 	mu      sync.Mutex
 	started bool
-	closed  bool
+	closed  atomic.Bool // written under mu; read without it by every endpoint op
 	stop    chan struct{}
 	done    chan struct{}
 }
@@ -169,7 +173,7 @@ func (d *Domain) Poll() bool {
 func (d *Domain) Start() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.started || d.closed {
+	if d.started || d.closed.Load() {
 		return
 	}
 	d.started = true
@@ -194,23 +198,15 @@ func (d *Domain) Start() {
 // ErrClosed.
 func (d *Domain) Close() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
+	closed, started := d.closed.Swap(true), d.started
+	d.mu.Unlock()
+	if closed {
 		return
 	}
-	d.closed = true
-	started := d.started
-	d.mu.Unlock()
 	close(d.stop)
 	if started {
 		<-d.done
 	}
-}
-
-func (d *Domain) isClosed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.closed
 }
 
 // Message is an application handle on one fixed-size message buffer:
@@ -225,7 +221,7 @@ type Message struct {
 // pool. FLIPC internalizes buffers to guarantee alignment; applications
 // must allocate through here rather than supplying their own memory.
 func (d *Domain) AllocBuffer() (*Message, error) {
-	if d.isClosed() {
+	if d.closed.Load() {
 		return nil, ErrClosed
 	}
 	m, err := d.buf.AllocMsg()

@@ -343,7 +343,7 @@ func TestReceiveBlockWakesOnArrival(t *testing.T) {
 
 	got := make(chan *Message, 1)
 	go func() {
-		m, err := rep.ReceiveBlock(5)
+		m, err := rep.ReceiveBlock(5, time.Time{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -368,7 +368,7 @@ func TestReceiveBlockWakesOnArrival(t *testing.T) {
 func TestReceiveBlockWrongType(t *testing.T) {
 	doms := newCluster(t, 1, Config{})
 	sep, _ := doms[0].NewSendEndpoint(4)
-	if _, err := sep.ReceiveBlock(0); err != ErrWrongType {
+	if _, err := sep.ReceiveBlock(0, time.Time{}); err != ErrWrongType {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -450,7 +450,7 @@ func TestGroupReceiveBlock(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		m, e, err := g.ReceiveBlock(1)
+		m, e, err := g.ReceiveBlock(1, time.Time{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -625,7 +625,7 @@ func TestCloseWakesBlockedReceiver(t *testing.T) {
 	rep, _ := d.NewRecvEndpoint(4)
 	errc := make(chan error, 1)
 	go func() {
-		_, err := rep.ReceiveBlock(1)
+		_, err := rep.ReceiveBlock(1, time.Time{})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let it block
@@ -649,7 +649,7 @@ func TestCloseWakesBlockedGroup(t *testing.T) {
 	g, _ := d.NewGroup(rep1, rep2)
 	errc := make(chan error, 1)
 	go func() {
-		_, _, err := g.ReceiveBlock(1)
+		_, _, err := g.ReceiveBlock(1, time.Time{})
 		errc <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -804,7 +804,7 @@ func TestReceiveBlockFastPath(t *testing.T) {
 	pump(a, b)
 	done := make(chan struct{})
 	go func() {
-		if _, err := rep.ReceiveBlock(1); err != nil {
+		if _, err := rep.ReceiveBlock(1, time.Time{}); err != nil {
 			t.Error(err)
 		}
 		close(done)

@@ -39,7 +39,7 @@ func (d *Domain) NewSendEndpointPrio(depth int, prio uint8) (*Endpoint, error) {
 }
 
 func (d *Domain) newEndpoint(typ commbuf.EndpointType, depth int, prio uint8) (*Endpoint, error) {
-	if d.isClosed() {
+	if d.closed.Load() {
 		return nil, ErrClosed
 	}
 	ep, err := d.buf.AllocEndpointPrio(typ, depth, prio)
@@ -202,41 +202,75 @@ func (e *Endpoint) ReceiveLocked() (*Message, bool) {
 	return e.Receive()
 }
 
-// wakePollFallback bounds how long a blocked receiver trusts the
-// doorbell before re-polling. The doorbell ring can fill under load (a
-// wait-free structure cannot block the producer), so blocking receives
-// are doorbell-driven with a polling safety net.
-const wakePollFallback = 2 * time.Millisecond
+// WakePollFallback bounds how long a blocked thread trusts the
+// doorbell before re-polling: the ring can fill under load (a wait-free
+// producer cannot block), so blocking calls keep a polling safety net.
+// It is the one fixed interval on any wait path.
+const WakePollFallback = 2 * time.Millisecond
 
-// ReceiveBlock blocks until a message arrives, waking through the
-// real-time semaphore path: the engine rings the kernel doorbell, the
-// kernel presents this thread to the scheduler, and the scheduler
-// releases waiters in priority order. prio is this thread's scheduling
-// priority.
-func (e *Endpoint) ReceiveBlock(prio Priority) (*Message, error) {
+// block is the one wait behind every blocking call (paper pillar 5). It
+// arms the wakeup flag of each endpoint in eps, registers sem with the
+// kernel for it, and waits on sem at prio until ready reports true, the
+// domain closes, or deadline passes (the zero time never does). The
+// engine rings an armed endpoint's doorbell on a delivery or a completed
+// send; the kernel hands the wakeup to the scheduler in priority order.
+func (d *Domain) block(sem *rtsched.Semaphore, eps []*Endpoint, prio Priority, deadline time.Time, ready func() bool) error {
+	if ready() {
+		return nil
+	}
+	if eps[0].ep.Type() == commbuf.EndpointSend {
+		d.eng.WatchSends(1) // before arming: a later completion reads the flag
+		defer d.eng.WatchSends(-1)
+	}
+	defer func() {
+		for _, e := range eps {
+			e.ep.SetWakeup(d.app, false)
+			d.kernel.Unregister(e.ep.Index())
+		}
+	}()
+	for _, e := range eps {
+		_ = d.kernel.Register(e.ep.Index(), rtsched.Registration{Sem: sem, Prio: prio}) // fails only on a nil semaphore
+		e.ep.SetWakeup(d.app, true)
+	}
+	for {
+		// Re-check after arming the flags: work that landed between the
+		// fast path and SetWakeup rang no doorbell.
+		if ready() {
+			return nil
+		}
+		if d.closed.Load() {
+			return ErrClosed
+		}
+		wait := WakePollFallback
+		if !deadline.IsZero() {
+			left := time.Until(deadline)
+			if left <= 0 {
+				return ErrTimeout
+			}
+			wait = min(wait, left)
+		}
+		sem.WaitTimeout(prio, wait)
+	}
+}
+
+// AcquireBlock is Acquire that blocks, at scheduling priority prio, until
+// a buffer is ready (a completed send, or a delivered message) or the
+// deadline (zero: none) passes, when it returns ErrTimeout.
+func (e *Endpoint) AcquireBlock(prio Priority, deadline time.Time) (*Message, error) {
+	var msg *Message
+	err := e.d.block(e.sem, []*Endpoint{e}, prio, deadline, func() bool {
+		var ok bool
+		msg, ok = e.Acquire()
+		return ok
+	})
+	return msg, err
+}
+
+// ReceiveBlock is AcquireBlock spelled for receive endpoints: it blocks
+// until a message arrives or the deadline (zero: none) passes.
+func (e *Endpoint) ReceiveBlock(prio Priority, deadline time.Time) (*Message, error) {
 	if e.ep.Type() != commbuf.EndpointRecv {
 		return nil, ErrWrongType
 	}
-	if msg, ok := e.Receive(); ok {
-		return msg, nil
-	}
-	if err := e.d.kernel.Register(e.ep.Index(), rtsched.Registration{Sem: e.sem, Prio: prio}); err != nil {
-		return nil, err
-	}
-	e.ep.SetWakeup(e.d.app, true)
-	defer func() {
-		e.ep.SetWakeup(e.d.app, false)
-		e.d.kernel.Unregister(e.ep.Index())
-	}()
-	for {
-		// Re-check after arming the flag: a message that landed between
-		// the fast path and SetWakeup must not be missed.
-		if msg, ok := e.Receive(); ok {
-			return msg, nil
-		}
-		if e.d.isClosed() {
-			return nil, ErrClosed
-		}
-		e.sem.WaitTimeout(prio, wakePollFallback)
-	}
+	return e.AcquireBlock(prio, deadline)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"flipc/internal/commbuf"
 	"flipc/internal/rtsched"
@@ -17,10 +19,11 @@ import (
 // cannot be merged — the library scans members instead, round-robin so
 // a busy member cannot starve the others.
 type Group struct {
-	d   *Domain
-	eps []*Endpoint
-	rr  int
-	sem *rtsched.Semaphore
+	d      *Domain
+	eps    []*Endpoint
+	rr     int
+	sem    *rtsched.Semaphore
+	closed atomic.Bool
 }
 
 // ErrEmptyGroup is returned when constructing a group with no members.
@@ -60,33 +63,28 @@ func (g *Group) Receive() (*Message, *Endpoint, bool) {
 }
 
 // ReceiveBlock blocks until any member endpoint has a message, waking
-// through the same kernel/scheduler path as Endpoint.ReceiveBlock. All
-// members share one semaphore registration while the call is blocked.
-func (g *Group) ReceiveBlock(prio Priority) (*Message, *Endpoint, error) {
-	if msg, e, ok := g.Receive(); ok {
-		return msg, e, nil
+// through the same kernel/scheduler path as Endpoint.ReceiveBlock, or
+// until the deadline (zero: none) passes. All members share one
+// semaphore registration while the call is blocked.
+func (g *Group) ReceiveBlock(prio Priority, deadline time.Time) (*Message, *Endpoint, error) {
+	var msg *Message
+	var from *Endpoint
+	err := g.d.block(g.sem, g.eps, prio, deadline, func() bool {
+		var ok bool
+		msg, from, ok = g.Receive()
+		return ok || g.closed.Load()
+	})
+	if err == nil && msg == nil {
+		err = ErrClosed
 	}
-	for _, e := range g.eps {
-		if err := g.d.kernel.Register(e.ep.Index(), rtsched.Registration{Sem: g.sem, Prio: prio}); err != nil {
-			return nil, nil, err
-		}
-		e.ep.SetWakeup(g.d.app, true)
-	}
-	defer func() {
-		for _, e := range g.eps {
-			e.ep.SetWakeup(g.d.app, false)
-			g.d.kernel.Unregister(e.ep.Index())
-		}
-	}()
-	for {
-		if msg, e, ok := g.Receive(); ok {
-			return msg, e, nil
-		}
-		if g.d.isClosed() {
-			return nil, nil, ErrClosed
-		}
-		g.sem.WaitTimeout(prio, wakePollFallback)
-	}
+	return msg, from, err
+}
+
+// Close ends the group's blocking: a ReceiveBlock in progress, and every
+// later one, returns ErrClosed. The members stay open.
+func (g *Group) Close() {
+	g.closed.Store(true)
+	g.sem.Post()
 }
 
 // Drops sums the members' discarded-message counts (without resetting).

@@ -187,7 +187,14 @@ type Engine struct {
 	// stores an immutable slice on every quarantine/recovery; any
 	// goroutine may load it through Quarantined().
 	qsnap atomic.Pointer[[]QuarantinedEndpoint]
+
+	sendWaiters atomic.Int32 // see WatchSends
 }
+
+// WatchSends adds delta to the count of threads blocked for a completed
+// send. Only while it is non-zero does a pass read a send endpoint's
+// wakeup flag, so without one the pass makes exactly the paper's accesses.
+func (e *Engine) WatchSends(delta int) { e.sendWaiters.Add(int32(delta)) }
 
 // traceLabels are the engine's pre-interned fast-path trace labels.
 type traceLabels struct {
@@ -650,11 +657,17 @@ func (e *Engine) deliver(frame []byte) {
 		e.m.recvQDepth.Observe(uint64(posted))
 	}
 	if info.WakeupRequested(e.view) {
-		if e.buf.Doorbell().Push(e.view, uint64(info.Index)) {
-			e.stats.Doorbells++
-		}
-		// A full doorbell is harmless: the receiver also polls.
+		e.ring(info)
 	}
+}
+
+// ring posts an endpoint whose wakeup flag is armed on the kernel
+// doorbell: after a delivery, or once after a pass's completed sends.
+func (e *Engine) ring(info *commbuf.EndpointInfo) {
+	if e.buf.Doorbell().Push(e.view, uint64(info.Index)) {
+		e.stats.Doorbells++
+	}
+	// A full doorbell is harmless: the waiter also polls.
 }
 
 // checkRecvBuffer validates a posted receive buffer id read from an
@@ -761,6 +774,7 @@ func (e *Engine) pollSend() bool {
 				e.m.sendQDepth.Observe(uint64(depth))
 			}
 		}
+		before := budget
 		for budget > 0 {
 			if a.low && lowSpent >= lowLimit {
 				break
@@ -806,6 +820,9 @@ func (e *Engine) pollSend() bool {
 			if a.low {
 				lowSpent++
 			}
+		}
+		if budget != before && e.sendWaiters.Load() != 0 && info.WakeupRequested(e.view) {
+			e.ring(info) // completed sends: wake a thread waiting for a buffer
 		}
 	}
 	if e.flusher != nil {

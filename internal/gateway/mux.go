@@ -283,6 +283,17 @@ func (m *Mux) Pump() int {
 	return done
 }
 
+// take fans out one frame a blocking receive took off the class inbox
+// whose endpoint is from, as Pump does for the frames it drains.
+func (m *Mux) take(from *core.Endpoint, msg *core.Message) {
+	for lane, in := range m.in {
+		if in.Endpoint() == from {
+			m.deliver(lane, msg.Payload()[:msg.Len()], msg.Flags())
+			in.Done(msg)
+		}
+	}
+}
+
 // reap takes back the slots of every departed client whose writer has
 // made its last PopOut; the others wait for a later Pump.
 func (m *Mux) reap() {

@@ -6,6 +6,9 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"flipc/internal/core"
+	"flipc/internal/topic"
 )
 
 // Server is the connection plane: it owns the listener and the
@@ -18,25 +21,30 @@ import (
 type Server struct {
 	mux *Mux
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
-	pumpStop chan struct{}
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
+	inbox  *core.Group // the class inboxes the pump blocks on; Close closes it
 }
 
 // NewServer wraps a Mux for TCP serving.
 func NewServer(m *Mux) *Server {
-	return &Server{mux: m, conns: make(map[net.Conn]struct{}), pumpStop: make(chan struct{})}
+	eps := make([]*core.Endpoint, NumClasses)
+	for lane, in := range m.in {
+		eps[lane] = in.Endpoint()
+	}
+	g, _ := m.d.NewGroup(eps...) // receive endpoints of m's domain: cannot fail
+	return &Server{mux: m, conns: make(map[net.Conn]struct{}), inbox: g}
 }
 
 // Mux returns the server's core (health, stats).
 func (s *Server) Mux() *Mux { return s.mux }
 
 // Serve accepts connections on ln until Close. It also runs the fanout
-// pump loop: Pump is polled with a short sleep when idle, exactly like
-// flipcd's drain loops — the fabric has no blocking receive.
+// pump loop, which blocks on the class inboxes as one endpoint group
+// between Pump calls and is woken by the engine's doorbell.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -80,17 +88,17 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+// pumpLoop drains the inboxes with Pump, then blocks, at the control
+// class's priority, for the next frame and fans it out as Pump would.
 func (s *Server) pumpLoop() {
 	defer s.wg.Done()
 	for {
-		select {
-		case <-s.pumpStop:
-			return
-		default:
+		s.mux.Pump()
+		msg, from, err := s.inbox.ReceiveBlock(topic.Control.SchedPriority(), time.Time{})
+		if err != nil {
+			return // Close closed the group, or the domain closed
 		}
-		if s.mux.Pump() == 0 {
-			time.Sleep(50 * time.Microsecond)
-		}
+		s.mux.take(from, msg)
 	}
 }
 
@@ -159,7 +167,7 @@ func (s *Server) Close() error {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	close(s.pumpStop)
+	s.inbox.Close()
 	var err error
 	if ln != nil {
 		err = ln.Close()

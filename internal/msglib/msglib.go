@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/metrics"
@@ -95,8 +96,8 @@ func (o *Outbox) reclaim() {
 // Send transmits payload to dst in one call: it takes a pooled buffer,
 // copies the payload, queues the send, and recycles completed buffers.
 // Returns ErrBackpressure when the pool and queue are both exhausted —
-// the caller retries after the engine catches up (or sizes the pool to
-// its burst, per the static flow-control examples).
+// the caller waits with SendBlock, or sizes the pool to its burst, per
+// the static flow-control examples.
 func (o *Outbox) Send(dst core.Addr, payload []byte) error {
 	return o.SendFlags(dst, payload, 0)
 }
@@ -108,10 +109,7 @@ func (o *Outbox) SendFlags(dst core.Addr, payload []byte, flags uint8) error {
 	}
 	o.reclaim()
 	if len(o.pool) == 0 {
-		if o.mBackpressure != nil {
-			o.mBackpressure.Inc()
-		}
-		return ErrBackpressure
+		return o.backpressure()
 	}
 	m := o.pool[len(o.pool)-1]
 	o.pool = o.pool[:len(o.pool)-1]
@@ -119,10 +117,7 @@ func (o *Outbox) SendFlags(dst core.Addr, payload []byte, flags uint8) error {
 	if err := o.ep.SendFlags(m, dst, n, flags); err != nil {
 		o.pool = append(o.pool, m)
 		if errors.Is(err, core.ErrQueueFull) {
-			if o.mBackpressure != nil {
-				o.mBackpressure.Inc()
-			}
-			return ErrBackpressure
+			return o.backpressure()
 		}
 		return err
 	}
@@ -131,6 +126,30 @@ func (o *Outbox) SendFlags(dst core.Addr, payload []byte, flags uint8) error {
 		o.mSent.Inc()
 	}
 	return nil
+}
+
+// backpressure counts one refused send.
+func (o *Outbox) backpressure() error {
+	if o.mBackpressure != nil {
+		o.mBackpressure.Inc()
+	}
+	return ErrBackpressure
+}
+
+// SendBlock is Send that, instead of returning ErrBackpressure, waits
+// at prio for the engine to complete an earlier send, woken by the
+// doorbell. Past the deadline (zero: none) it returns core.ErrTimeout.
+func (o *Outbox) SendBlock(dst core.Addr, payload []byte, prio core.Priority, deadline time.Time) error {
+	for {
+		if err := o.Send(dst, payload); err != ErrBackpressure {
+			return err
+		}
+		m, err := o.ep.AcquireBlock(prio, deadline)
+		if err != nil {
+			return err
+		}
+		o.pool = append(o.pool, m)
+	}
 }
 
 // SendReady reports whether the next Send can proceed without
@@ -254,9 +273,10 @@ func (in *Inbox) Done(m *core.Message) {
 	}
 }
 
-// ReceiveBlock is Receive that blocks via the real-time semaphore path.
-func (in *Inbox) ReceiveBlock(prio core.Priority) ([]byte, uint8, error) {
-	m, err := in.ep.ReceiveBlock(prio)
+// ReceiveBlock is Receive that blocks via the real-time semaphore path
+// until a message arrives or the deadline (zero: none) passes.
+func (in *Inbox) ReceiveBlock(prio core.Priority, deadline time.Time) ([]byte, uint8, error) {
+	m, err := in.ep.ReceiveBlock(prio, deadline)
 	if err != nil {
 		return nil, 0, err
 	}

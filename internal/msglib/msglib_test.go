@@ -239,7 +239,7 @@ func TestInboxReceiveBlock(t *testing.T) {
 	in, _ := NewInbox(b, 4, 2)
 	got := make(chan []byte, 1)
 	go func() {
-		p, _, err := in.ReceiveBlock(3)
+		p, _, err := in.ReceiveBlock(3, time.Time{})
 		if err != nil {
 			t.Error(err)
 		}
@@ -256,6 +256,40 @@ func TestInboxReceiveBlock(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ReceiveBlock never woke")
+	}
+}
+
+// SendBlock turns backpressure into a wait for the engine: with a
+// one-buffer pool the second send waits until the first completes, and
+// with the engine stopped it returns core.ErrTimeout at its deadline.
+func TestOutboxSendBlock(t *testing.T) {
+	a, b := newPair(t)
+	out, _ := NewOutbox(a, 4, 1)
+	in, _ := NewInbox(b, 4, 4)
+	if err := out.Send(in.Addr(), []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Send(in.Addr(), []byte("second")); !errors.Is(err, ErrBackpressure) {
+		t.Fatalf("Send with the pool in flight = %v, want ErrBackpressure", err)
+	}
+	deadline := time.Now().Add(20 * time.Millisecond)
+	err := out.SendBlock(in.Addr(), []byte("second"), 1, deadline)
+	if !errors.Is(err, core.ErrTimeout) || time.Now().Before(deadline) {
+		t.Fatalf("SendBlock with no engine = %v, want core.ErrTimeout at the deadline", err)
+	}
+	a.Start()
+	b.Start()
+	if err := out.SendBlock(in.Addr(), []byte("second"), 1, time.Now().Add(5*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"first", "second"} {
+		p, _, err := in.ReceiveBlock(1, time.Now().Add(5*time.Second))
+		if err != nil || string(p) != want {
+			t.Fatalf("received %q, %v; want %q", p, err, want)
+		}
+	}
+	if out.Sent() != 2 {
+		t.Fatalf("sent %d, want 2", out.Sent())
 	}
 }
 

@@ -540,7 +540,7 @@ func (s *Server) ServeOne() bool {
 	if !ok {
 		return false
 	}
-	s.handle(req)
+	s.handle(req, 0)
 	return true
 }
 
@@ -548,18 +548,22 @@ func (s *Server) ServeOne() bool {
 // the domain closes.
 func (s *Server) Serve(prio core.Priority) {
 	for {
-		req, _, err := s.in.ReceiveBlock(prio)
+		req, _, err := s.in.ReceiveBlock(prio, time.Time{})
 		if err != nil {
 			return
 		}
-		s.handle(req)
+		s.handle(req, prio)
 	}
 }
 
-func (s *Server) handle(req []byte) {
+// handle answers one request. A reply whose outbox stays backlogged for
+// one doorbell round (the engine holds earlier replies for a peer that
+// is down) is dropped: the client's timeout handles the loss, like any
+// FLIPC discard, and the server moves on to the next request.
+func (s *Server) handle(req []byte, prio core.Priority) {
 	replyTo, resp := s.process(req, s.out.MaxPayload())
 	if resp != nil {
-		s.reply(replyTo, resp)
+		_ = s.out.SendBlock(replyTo, resp, prio, time.Now().Add(core.WakePollFallback))
 	}
 }
 
@@ -722,18 +726,6 @@ func (s *Server) snapResponse(q *request) []byte {
 	return resp
 }
 
-func (s *Server) reply(to wire.Addr, resp []byte) {
-	// Bounded retry: with RPCBuffers-style sizing backpressure clears
-	// as soon as the engine drains; give it a few chances and then drop
-	// (the client's timeout handles the loss, like any FLIPC discard).
-	for i := 0; i < 64; i++ {
-		if err := s.out.Send(to, resp); err == nil {
-			return
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-}
-
 // Client calls a remote name server. Not safe for concurrent use (one
 // per thread, matching the lock-free endpoint discipline).
 type Client struct {
@@ -769,8 +761,9 @@ func NewClient(d *core.Domain, server wire.Addr) (*Client, error) {
 
 // do performs one request/response exchange, for every op: lay the
 // request out from the op's row, send it, wait for the reply that echoes
-// what this request sent, and map its status.
-func (c *Client) do(op Op, offset int, timeout time.Duration) ([]byte, error) {
+// what this request sent, and map its status. The send and the reply
+// share the one deadline.
+func (c *Client) do(op Op, offset int, deadline time.Time) ([]byte, error) {
 	row := rowOf(op.Kind)
 	if row == nil {
 		return nil, fmt.Errorf("nameservice: unknown op %d", op.Kind)
@@ -795,18 +788,13 @@ func (c *Client) do(op Op, offset int, timeout time.Duration) ([]byte, error) {
 	if len(op.Name) > 200 || len(req) > c.d.MaxPayload() {
 		return nil, fmt.Errorf("nameservice: name %q too long for message size", op.Name)
 	}
-	deadline := time.Now().Add(timeout)
-	for c.out.Send(c.server, req) != nil {
-		if time.Now().After(deadline) {
-			return nil, ErrRemoteTimeout
-		}
-		time.Sleep(50 * time.Microsecond)
+	if err := c.out.SendBlock(c.server, req, 0, deadline); err != nil {
+		return nil, remoteErr(err)
 	}
-	for time.Now().Before(deadline) {
-		resp, _, ok := c.in.Receive()
-		if !ok {
-			time.Sleep(50 * time.Microsecond)
-			continue
+	for {
+		resp, _, err := c.in.ReceiveBlock(0, deadline)
+		if err != nil {
+			return nil, remoteErr(err)
 		}
 		if len(resp) < 9 {
 			return nil, ErrBadReply
@@ -817,7 +805,14 @@ func (c *Client) do(op Op, offset int, timeout time.Duration) ([]byte, error) {
 		}
 		return resp, row.statusErr(op.Name, resp)
 	}
-	return nil, ErrRemoteTimeout
+}
+
+// remoteErr reports a blocking call's deadline as the client's timeout.
+func remoteErr(err error) error {
+	if errors.Is(err, core.ErrTimeout) {
+		return ErrRemoteTimeout
+	}
+	return err
 }
 
 // Do executes one directory op at the server, with the meaning
@@ -834,19 +829,19 @@ func (c *Client) Do(op Op, timeout time.Duration) (TopicSnapshot, error) {
 	if row := rowOf(op.Kind); row == nil || row.apply == nil {
 		return TopicSnapshot{}, fmt.Errorf("nameservice: op %d is not a directory op", op.Kind)
 	}
-	_, err := c.do(op, 0, timeout)
+	_, err := c.do(op, 0, time.Now().Add(timeout))
 	return TopicSnapshot{}, err
 }
 
 // Register publishes name → addr at the server.
 func (c *Client) Register(name string, addr wire.Addr, timeout time.Duration) error {
-	_, err := c.do(Op{Kind: opRegister, Name: name, Addr: addr}, 0, timeout)
+	_, err := c.do(Op{Kind: opRegister, Name: name, Addr: addr}, 0, time.Now().Add(timeout))
 	return err
 }
 
 // Lookup resolves name at the server.
 func (c *Client) Lookup(name string, timeout time.Duration) (wire.Addr, error) {
-	resp, err := c.do(Op{Kind: opLookup, Name: name}, 0, timeout)
+	resp, err := c.do(Op{Kind: opLookup, Name: name}, 0, time.Now().Add(timeout))
 	if err != nil {
 		return wire.NilAddr, err
 	}
@@ -855,7 +850,7 @@ func (c *Client) Lookup(name string, timeout time.Duration) (wire.Addr, error) {
 
 // Unregister removes name at the server.
 func (c *Client) Unregister(name string, timeout time.Duration) error {
-	_, err := c.do(Op{Kind: opUnregister, Name: name}, 0, timeout)
+	_, err := c.do(Op{Kind: opUnregister, Name: name}, 0, time.Now().Add(timeout))
 	return err
 }
 
@@ -864,7 +859,7 @@ func (c *Client) Unregister(name string, timeout time.Duration) error {
 // it to detect a failed-over registry (the generation moved) and to
 // pick the primary among candidate registry endpoints.
 func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
-	resp, err := c.do(Op{Kind: opRegistryInfo}, 0, timeout)
+	resp, err := c.do(Op{Kind: opRegistryInfo}, 0, time.Now().Add(timeout))
 	if err == nil && len(resp) < infoRespBytes {
 		err = fmt.Errorf("%w: registry info of %d bytes", ErrBadReply, len(resp))
 	}
@@ -889,11 +884,7 @@ func (c *Client) RegistryInfo(timeout time.Duration) (RegistryInfo, error) {
 func (c *Client) pages(kind OpKind, name string, timeout time.Duration, add func(resp []byte, offset int) (next int, done bool, err error)) error {
 	deadline := time.Now().Add(timeout)
 	for offset := 0; ; {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return ErrRemoteTimeout
-		}
-		resp, err := c.do(Op{Kind: kind, Name: name}, offset, remain)
+		resp, err := c.do(Op{Kind: kind, Name: name}, offset, deadline)
 		if err != nil {
 			return err
 		}

@@ -250,8 +250,48 @@ func TestRemoteTimeoutWithoutServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.Lookup("anything", 50*time.Millisecond); !errors.Is(err, ErrRemoteTimeout) {
+	const timeout = 50 * time.Millisecond
+	start := time.Now()
+	if _, err := cli.Lookup("anything", timeout); !errors.Is(err, ErrRemoteTimeout) {
 		t.Fatalf("err = %v", err)
+	}
+	if took := time.Since(start); took < timeout {
+		t.Fatalf("timed out after %v, before the %v timeout", took, timeout)
+	}
+}
+
+// A server that exists but never serves: the request lands in its
+// inbox, no reply comes, and the call returns ErrRemoteTimeout no
+// earlier than its timeout.
+func TestRemoteTimeoutUnservedServer(t *testing.T) {
+	fabric := interconnect.NewFabric(16)
+	mk := func(node wire.NodeID) *core.Domain {
+		tr, _ := fabric.Attach(node)
+		d, err := core.NewDomain(core.Config{Node: node, MessageSize: 64, NumBuffers: 16}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		d.Start()
+		return d
+	}
+	srv, err := NewServer(mk(0), New(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := NewClient(mk(1), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 30 * time.Millisecond
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := cli.Lookup("anything", timeout); !errors.Is(err, ErrRemoteTimeout) {
+			t.Fatalf("call %d: err = %v", i, err)
+		}
+		if took := time.Since(start); took < timeout {
+			t.Fatalf("call %d timed out after %v, before the %v timeout", i, took, timeout)
+		}
 	}
 }
 
@@ -306,7 +346,7 @@ func TestRemoteEndToEndDiscovery(t *testing.T) {
 	if err := sep.Send(m, dst, n); err != nil {
 		t.Fatal(err)
 	}
-	got, err := rep.ReceiveBlock(3)
+	got, err := rep.ReceiveBlock(3, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,7 +173,7 @@ func TestWireGoldenClientRequests(t *testing.T) {
 						continue
 					}
 					seen = append(seen, bytes.Clone(req)) // the inbox lends req until its next receive
-					srv.handle(req)
+					srv.handle(req, 0)
 				}
 			}()
 			err := g.call(cli)

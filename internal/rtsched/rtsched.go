@@ -31,30 +31,36 @@ import (
 // dispatch FIFO.
 type Priority int
 
-type waiter struct {
+// rank orders a queued waiter or wakeup: higher priority first, FIFO
+// (by seq) within a priority.
+type rank struct {
 	prio Priority
 	seq  uint64
-	ch   chan struct{}
 }
 
-type waiterHeap []*waiter
+func (r *rank) order() *rank { return r }
 
-func (h waiterHeap) Len() int { return len(h) }
-func (h waiterHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq
+// byRank is a heap of waiters or pending wakeups, highest rank on top.
+type byRank[T interface{ order() *rank }] []T
+
+func (h byRank[T]) Len() int { return len(h) }
+func (h byRank[T]) Less(i, j int) bool {
+	a, b := h[i].order(), h[j].order()
+	return a.prio > b.prio || a.prio == b.prio && a.seq < b.seq
 }
-func (h waiterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *waiterHeap) Push(x interface{}) { *h = append(*h, x.(*waiter)) }
-func (h *waiterHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	w := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return w
+func (h byRank[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *byRank[T]) Push(x any)   { *h = append(*h, x.(T)) }
+func (h *byRank[T]) Pop() any {
+	old, n := *h, len(*h)-1
+	x := old[n]
+	clear(old[n:]) // drop the reference for the GC
+	*h = old[:n]
+	return x
+}
+
+type waiter struct {
+	rank
+	ch chan struct{}
 }
 
 // Semaphore is a counting semaphore whose waiters are released in
@@ -64,7 +70,7 @@ type Semaphore struct {
 	mu      sync.Mutex
 	count   int
 	seq     uint64
-	waiters waiterHeap
+	waiters byRank[*waiter]
 }
 
 // NewSemaphore returns a semaphore with an initial count.
@@ -88,35 +94,12 @@ func (s *Semaphore) Post() {
 	s.count++
 }
 
-// Wait decrements the semaphore, blocking at the given priority until
-// a post arrives.
-func (s *Semaphore) Wait(prio Priority) {
-	s.mu.Lock()
-	if s.count > 0 {
-		s.count--
-		s.mu.Unlock()
-		return
-	}
-	s.seq++
-	w := &waiter{prio: prio, seq: s.seq, ch: make(chan struct{})}
-	heap.Push(&s.waiters, w)
-	s.mu.Unlock()
-	<-w.ch
-}
-
 // TryWait decrements without blocking, reporting success.
-func (s *Semaphore) TryWait() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.count > 0 {
-		s.count--
-		return true
-	}
-	return false
-}
+func (s *Semaphore) TryWait() bool { return s.WaitTimeout(0, 0) }
 
-// WaitTimeout is Wait with a deadline; it reports whether the
-// semaphore was acquired (false on timeout).
+// WaitTimeout decrements the semaphore, blocking at the given priority
+// until a post arrives or d passes (negative: unbounded, zero: no
+// blocking); it reports whether the semaphore was acquired.
 func (s *Semaphore) WaitTimeout(prio Priority, d time.Duration) bool {
 	s.mu.Lock()
 	if s.count > 0 {
@@ -124,17 +107,25 @@ func (s *Semaphore) WaitTimeout(prio Priority, d time.Duration) bool {
 		s.mu.Unlock()
 		return true
 	}
+	if d == 0 {
+		s.mu.Unlock()
+		return false
+	}
 	s.seq++
-	w := &waiter{prio: prio, seq: s.seq, ch: make(chan struct{})}
+	w := &waiter{rank: rank{prio, s.seq}, ch: make(chan struct{})}
 	heap.Push(&s.waiters, w)
 	s.mu.Unlock()
 
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	var expired <-chan time.Time
+	if d >= 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case <-w.ch:
 		return true
-	case <-timer.C:
+	case <-expired:
 	}
 	// Timed out: remove ourselves unless a racing Post already popped us.
 	s.mu.Lock()
@@ -159,30 +150,9 @@ func (s *Semaphore) Waiting() int {
 // pending is one wakeup presented to the scheduler but not yet
 // dispatched.
 type pending struct {
-	prio Priority
-	seq  uint64
-	sem  *Semaphore
-	ep   int
-}
-
-type pendingHeap []*pending
-
-func (h pendingHeap) Len() int { return len(h) }
-func (h pendingHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h pendingHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pendingHeap) Push(x interface{}) { *h = append(*h, x.(*pending)) }
-func (h *pendingHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return p
+	rank
+	sem *Semaphore
+	ep  int
 }
 
 // Registration associates an endpoint with the semaphore (and thread
@@ -202,7 +172,7 @@ type Kernel struct {
 	mu     sync.Mutex
 	seq    uint64
 	regs   map[int]Registration
-	queue  pendingHeap
+	queue  byRank[*pending]
 	posted uint64
 	rung   uint64
 	// queued mirrors len(queue), written under mu: a Dispatch with
@@ -248,7 +218,7 @@ func (k *Kernel) Drain() int {
 		k.rung++
 		if reg, ok := k.regs[int(v)]; ok {
 			k.seq++
-			heap.Push(&k.queue, &pending{prio: reg.Prio, seq: k.seq, sem: reg.Sem, ep: int(v)})
+			heap.Push(&k.queue, &pending{rank: rank{reg.Prio, k.seq}, sem: reg.Sem, ep: int(v)})
 			k.queued.Store(int64(len(k.queue)))
 			n++
 		}

@@ -35,7 +35,7 @@ func TestSemaphoreWaitBlocksUntilPost(t *testing.T) {
 	s := NewSemaphore(0)
 	done := make(chan struct{})
 	go func() {
-		s.Wait(0)
+		s.WaitTimeout(0, -1)
 		close(done)
 	}()
 	select {
@@ -66,7 +66,7 @@ func TestSemaphorePriorityOrder(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			s.Wait(p)
+			s.WaitTimeout(p, -1)
 			mu.Lock()
 			order = append(order, p)
 			mu.Unlock()
@@ -310,7 +310,7 @@ func TestEndToEndBlockedReceiverWake(t *testing.T) {
 	k.Register(5, Registration{Sem: sem, Prio: 3})
 	done := make(chan struct{})
 	go func() {
-		sem.Wait(3)
+		sem.WaitTimeout(3, -1)
 		close(done)
 	}()
 	time.Sleep(5 * time.Millisecond)

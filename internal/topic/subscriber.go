@@ -3,6 +3,7 @@ package topic
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"flipc/internal/core"
 	"flipc/internal/metrics"
@@ -217,16 +218,16 @@ func (s *Subscriber) accept(payload []byte, flags uint8) ([]byte, bool) {
 
 // ReceiveBlock blocks for the next application message at the class's
 // scheduler priority: a control-topic consumer preempts bulk consumers
-// at the real-time semaphore. The payload is lent, as Receive's is.
-func (s *Subscriber) ReceiveBlock() ([]byte, uint8, error) {
-	if s.dur != nil {
-		if payload, flags, ok := s.durStashPop(); ok {
-			s.delivered.Add(1)
+// at the real-time semaphore. The payload is lent, as Receive's is. Past
+// the deadline (zero: none) it returns core.ErrTimeout.
+func (s *Subscriber) ReceiveBlock(deadline time.Time) ([]byte, uint8, error) {
+	for {
+		// Receive first: it also takes what the durable stash holds,
+		// which a frame accepted below may have made deliverable.
+		if payload, flags, ok := s.Receive(); ok {
 			return payload, flags, nil
 		}
-	}
-	for {
-		payload, flags, err := s.in.ReceiveBlock(s.class.SchedPriority())
+		payload, flags, err := s.in.ReceiveBlock(s.class.SchedPriority(), deadline)
 		if err != nil {
 			return nil, 0, err
 		}

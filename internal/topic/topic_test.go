@@ -398,7 +398,7 @@ func TestPubSubViaRemoteDirectory(t *testing.T) {
 	if _, err := pub.Publish([]byte("contact")); err != nil {
 		t.Fatal(err)
 	}
-	payload, flags, err := s.ReceiveBlock()
+	payload, flags, err := s.ReceiveBlock(time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
