@@ -8,7 +8,6 @@
 //
 //	flipcstat                  # all four configurations, 64-byte messages
 //	flipcstat -msgsize 256 -exchanges 100
-//	flipcstat -transport       # TCP transport resilience + loss accounting
 //	flipcstat -watch host:port # live metrics from a flipcd -http endpoint
 package main
 
@@ -29,7 +28,6 @@ func main() {
 		exchanges = flag.Int("exchanges", 50, "two-way exchanges per configuration")
 		seed      = flag.Int64("seed", 1996, "jitter seed")
 		lines     = flag.Int("lines", 0, "also print the N hottest cache lines per node")
-		transport = flag.Bool("transport", false, "run the TCP transport resilience report instead")
 		watch     = flag.String("watch", "", "poll a flipcd observability endpoint (host:port or URL) and render live metrics")
 		interval  = flag.Duration("interval", time.Second, "poll interval for -watch")
 		samples   = flag.Int("count", 0, "number of -watch refreshes (0 = until interrupted)")
@@ -38,10 +36,6 @@ func main() {
 
 	if *watch != "" {
 		watchLoop(*watch, *interval, *samples)
-		return
-	}
-	if *transport {
-		transportReport(*exchanges * 4)
 		return
 	}
 

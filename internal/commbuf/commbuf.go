@@ -64,6 +64,9 @@ const (
 	slotFreed
 )
 
+// doorbellDepth is the capacity of the engine→kernel wakeup ring.
+const doorbellDepth = 64
+
 // Config sizes a communication buffer. The fixed message size and all
 // capacities are chosen at boot time, as in the paper; nothing grows
 // afterwards.
@@ -88,9 +91,6 @@ type Config struct {
 	// sizing the arena, and used by AllocEndpoint when depth is 0.
 	// Must be a power of two >= 2.
 	DefaultQueueDepth int
-	// DoorbellDepth is the engine→kernel wakeup ring capacity
-	// (power of two >= 2).
-	DoorbellDepth int
 	// AllowedNodes, when non-empty, restricts where this buffer's
 	// applications may send: the engine's validity checks refuse sends
 	// to any node not listed. This is the paper's future-work
@@ -118,9 +118,6 @@ func (c *Config) applyDefaults() {
 	if c.DefaultQueueDepth == 0 {
 		c.DefaultQueueDepth = 8
 	}
-	if c.DoorbellDepth == 0 {
-		c.DoorbellDepth = 64
-	}
 	if c.LineWords == 0 {
 		c.LineWords = mem.DefaultLineWords
 	}
@@ -142,9 +139,6 @@ func (c Config) validate() error {
 	}
 	if c.DefaultQueueDepth < 2 || c.DefaultQueueDepth&(c.DefaultQueueDepth-1) != 0 {
 		return fmt.Errorf("commbuf: DefaultQueueDepth %d must be a power of two >= 2", c.DefaultQueueDepth)
-	}
-	if c.DoorbellDepth < 2 || c.DoorbellDepth&(c.DoorbellDepth-1) != 0 {
-		return fmt.Errorf("commbuf: DoorbellDepth %d must be a power of two >= 2", c.DoorbellDepth)
 	}
 	return nil
 }
@@ -198,7 +192,7 @@ func arenaWordsFor(c Config) int {
 	if c.Padded {
 		words += lines(1) * c.NumBuffers // buffer meta: one line each
 		words += lines(epCfgWords) * c.MaxEndpoints
-		words += waitfree.RingWords(c.DoorbellDepth, lw, true) + lw
+		words += waitfree.RingWords(doorbellDepth, lw, true) + lw
 		per := lines(1) + // app line (wake flag + lock)
 			waitfree.QueueWords(c.DefaultQueueDepth, lw, true) +
 			waitfree.CounterWords(lw, true)
@@ -206,7 +200,7 @@ func arenaWordsFor(c Config) int {
 	} else {
 		words += bufMetaWordsUnpadded * c.NumBuffers
 		words += epCfgWords * c.MaxEndpoints
-		words += waitfree.RingWords(c.DoorbellDepth, lw, false) + lw
+		words += waitfree.RingWords(doorbellDepth, lw, false) + lw
 		per := 2 + waitfree.QueueWords(c.DefaultQueueDepth, lw, false) +
 			waitfree.CounterWords(lw, false)
 		words += per * c.MaxEndpoints
@@ -287,14 +281,14 @@ func New(cfg Config) (*Buffer, error) {
 	// Doorbell ring.
 	var dbBase int
 	if cfg.Padded {
-		dbBase, err = arena.AllocLines(waitfree.RingWords(cfg.DoorbellDepth, lw, true) / lw)
+		dbBase, err = arena.AllocLines(waitfree.RingWords(doorbellDepth, lw, true) / lw)
 	} else {
-		dbBase, err = arena.AllocWords(waitfree.RingWords(cfg.DoorbellDepth, lw, false))
+		dbBase, err = arena.AllocWords(waitfree.RingWords(doorbellDepth, lw, false))
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.doorbell, err = waitfree.NewRing(arena, dbBase, cfg.DoorbellDepth, lw, cfg.Padded)
+	b.doorbell, err = waitfree.NewRing(arena, dbBase, doorbellDepth, lw, cfg.Padded)
 	if err != nil {
 		return nil, err
 	}

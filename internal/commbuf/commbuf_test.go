@@ -32,7 +32,7 @@ func TestNewDefaults(t *testing.T) {
 	if cfg.MessageSize != wire.MinMessageSize {
 		t.Fatalf("MessageSize = %d", cfg.MessageSize)
 	}
-	if cfg.NumBuffers == 0 || cfg.MaxEndpoints == 0 || cfg.DefaultQueueDepth == 0 || cfg.DoorbellDepth == 0 {
+	if cfg.NumBuffers == 0 || cfg.MaxEndpoints == 0 || cfg.DefaultQueueDepth == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 	if b.Node() != 2 {
@@ -50,7 +50,6 @@ func TestNewValidation(t *testing.T) {
 		{MessageSize: 64, NumBuffers: -1},
 		{MessageSize: 64, MaxEndpoints: -2},
 		{MessageSize: 64, DefaultQueueDepth: 3},
-		{MessageSize: 64, DoorbellDepth: 5},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -108,13 +108,7 @@ func Calibrated() Costs {
 			BusLock: 2970 * sim.Nanosecond,
 		},
 
-		Mesh: interconnect.MeshConfig{
-			Width:      4,
-			Height:     4,
-			NSPerByte:  6.25, // 160 MB/s — the measured slope
-			HopLatency: 100 * sim.Nanosecond,
-			RouteSetup: 1200 * sim.Nanosecond,
-		},
+		Mesh: interconnect.DefaultMeshConfig(),
 	}
 }
 

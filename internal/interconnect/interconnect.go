@@ -4,8 +4,8 @@
 //   - Mesh: a discrete-event model of the Paragon's 2D mesh
 //     interconnect (wormhole-routed, 200 MB/s peak links of which the
 //     best software achieves 160 MB/s, i.e. 6.25 ns/byte), used by the
-//     virtual-time experiments, optionally corking per-destination
-//     runs (MeshConfig.BatchFrames);
+//     virtual-time experiments, corking per-destination runs under
+//     wire.Cork (MeshConfig.BatchFrames);
 //   - Fabric: a real in-process transport used by the concurrency
 //     tests, examples, and wall-clock benchmarks: one single-producer,
 //     single-consumer ring of NewFabric's depth per source →
@@ -59,20 +59,16 @@ type PeerStatusReporter interface {
 	PeerUp(dst wire.NodeID) bool
 }
 
-// BatchFlusher is an optional transport capability for fanout-heavy
-// workloads: TrySend may buffer accepted frames per destination peer,
-// and FlushSends pushes everything buffered to the wire in one write
-// per peer, amortizing per-frame syscall and wire-header work across a
-// burst of frames to the same node (a topic publisher's fanout run).
-// The engine type-asserts for it and calls FlushSends at the end of
-// every send pass — making FlushSends the enforcement point for the
-// transport's flush deadline. A transport with a deadline may hold a
-// buffered frame across passes until it expires; every accepted frame
-// is still eventually flushed or counted lost, never silently
-// stranded. Two transports cork: nettrans (Config.BatchWrites) on real
-// sockets and Mesh (MeshConfig.BatchFrames) in virtual time, so sim
-// scenarios exercise the aggregation path the wire transport runs.
-// Wrappers (Mux ports, faultinject.Injector) forward the call.
+// BatchFlusher is an optional transport capability: TrySend may cork
+// accepted frames into per-destination runs, and FlushSends transmits
+// the runs that are due, one wire transaction each. wire.Cork states
+// when a run is due. The engine type-asserts for it and calls
+// FlushSends at the end of every send pass. Every accepted frame is
+// eventually transmitted or counted lost, never silently stranded. Two
+// transports cork: nettrans (Config.BatchWrites) on real sockets and
+// Mesh (MeshConfig.BatchFrames) in virtual time, so sim scenarios
+// exercise the policy the wire transport runs. Wrappers (Mux ports,
+// faultinject.Injector) forward the call.
 type BatchFlusher interface {
 	FlushSends()
 }
@@ -101,19 +97,13 @@ type MeshConfig struct {
 	// deadlock-avoidance argument assumes nodes always drain the
 	// interconnect, so experiments use a generous depth.
 	PortDepth int
-	// BatchFrames, when > 0, gives each port the pending-buffer
-	// contract (interconnect.BatchFlusher): TrySend corks frames into
-	// per-destination runs and FlushSends transmits each run paying
-	// RouteSetup once for the whole run — the aggregation win
-	// `flipcsim -topics -batch` asserts. A run reaching BatchFrames
-	// transmits inline; control-class frames (wire.Expedited) transmit
-	// immediately, after flushing their destination's run so per-pair
-	// order holds. 0 (the default) keeps frame-at-a-time sends with
-	// RouteSetup per frame.
+	// BatchFrames is the cork's run cap (wire.Cork.Frames). A run pays
+	// RouteSetup once for all its frames — the aggregation win
+	// `flipcsim -topics -batch` asserts. 0 (the default) is aggregation
+	// off: RouteSetup per frame.
 	BatchFrames int
-	// FlushDeadline holds a corked run across FlushSends calls until
-	// its oldest frame has aged this much virtual time; 0 flushes every
-	// run on every FlushSends.
+	// FlushDeadline is the cork's deadline (wire.Cork.Deadline) in
+	// virtual time.
 	FlushDeadline sim.Time
 }
 
@@ -134,6 +124,7 @@ func DefaultMeshConfig() MeshConfig {
 type Mesh struct {
 	clock *sim.Clock
 	cfg   MeshConfig
+	cork  wire.Cork
 	ports map[wire.NodeID]*meshPort
 }
 
@@ -145,7 +136,12 @@ func NewMesh(clock *sim.Clock, cfg MeshConfig) (*Mesh, error) {
 	if cfg.NSPerByte < 0 || cfg.HopLatency < 0 || cfg.RouteSetup < 0 {
 		return nil, fmt.Errorf("interconnect: negative mesh timing")
 	}
-	return &Mesh{clock: clock, cfg: cfg, ports: make(map[wire.NodeID]*meshPort)}, nil
+	return &Mesh{
+		clock: clock,
+		cfg:   cfg,
+		cork:  wire.Cork{Frames: cfg.BatchFrames, Deadline: int64(cfg.FlushDeadline)},
+		ports: make(map[wire.NodeID]*meshPort),
+	}, nil
 }
 
 // Attach creates the transport port for a node. Each node may attach
@@ -191,8 +187,7 @@ type meshPort struct {
 	txFree sim.Time // when the injection link is next idle
 	stats  Stats
 
-	// Pending-buffer state (MeshConfig.BatchFrames > 0): per-destination
-	// corked runs, flushed by FlushSends or a full/expedited trigger.
+	// Per-destination corked runs (see wire.Cork).
 	pending map[wire.NodeID]*meshRun
 	order   []wire.NodeID // destinations in first-corked order
 }
@@ -204,44 +199,36 @@ type meshRun struct {
 	since  sim.Time
 }
 
-// TrySend implements Transport. The sending link serializes frames at
-// NSPerByte, so back-to-back sends queue behind each other — this is
-// what bounds throughput in the bandwidth experiments. With
-// BatchFrames set, frames cork into per-destination runs instead (see
-// MeshConfig.BatchFrames); control-class frames transmit immediately.
+// TrySend implements Transport: it admits the frame to dst's run
+// under the mesh's wire.Cork. The sending link serializes frames at
+// NSPerByte, so back-to-back transmissions queue behind each other —
+// this is what bounds throughput in the bandwidth experiments.
 func (p *meshPort) TrySend(dst wire.NodeID, frame []byte) bool {
 	dp := p.mesh.ports[dst]
 	if dp == nil {
 		return false // unreachable node: drop at source
 	}
-	run := p.pending[dst] // nil until BatchFrames corks a frame for dst
-	var corked int
-	if run != nil {
-		corked = len(run.frames)
-	}
-	if p.mesh.cfg.PortDepth > 0 && len(dp.inbox)+corked >= p.mesh.cfg.PortDepth {
-		p.stats.SendBusy++
-		return false
-	}
-	p.stats.Sent++
-	cp := append([]byte(nil), frame...)
-	if p.mesh.cfg.BatchFrames <= 0 || wire.Expedited(frame[6]) {
-		// Uncorked, or control class: flush the destination's corked run
-		// first (the mesh delivers in order per pair), then go at once.
-		p.flushRun(dst)
-		p.transmit(dst, dp, [][]byte{cp})
-		return true
-	}
+	run := p.pending[dst]
 	if run == nil {
 		run = &meshRun{}
 		p.pending[dst] = run
 		p.order = append(p.order, dst)
 	}
+	if p.mesh.cfg.PortDepth > 0 && len(dp.inbox)+len(run.frames) >= p.mesh.cfg.PortDepth {
+		p.stats.SendBusy++
+		return false
+	}
+	p.stats.Sent++
+	act := p.mesh.cork.Admit(len(run.frames), frame[6])
+	if act == wire.CorkAlone {
+		p.flushRun(dst, run)
+	}
 	if len(run.frames) == 0 {
 		run.since = p.mesh.clock.Now()
 	}
-	if run.frames = append(run.frames, cp); len(run.frames) >= p.mesh.cfg.BatchFrames {
-		p.flushRun(dst)
+	run.frames = append(run.frames, append([]byte(nil), frame...))
+	if act != wire.CorkHold {
+		p.flushRun(dst, run)
 	}
 	return true
 }
@@ -268,23 +255,21 @@ func (p *meshPort) transmit(dst wire.NodeID, dp *meshPort, frames [][]byte) {
 	p.txFree = start + serial
 }
 
-// flushRun transmits dst's corked run, if any.
-func (p *meshPort) flushRun(dst wire.NodeID) {
-	if run := p.pending[dst]; run != nil && len(run.frames) > 0 {
+// flushRun transmits dst's corked run, if it holds any frame.
+func (p *meshPort) flushRun(dst wire.NodeID, run *meshRun) {
+	if len(run.frames) > 0 {
 		p.transmit(dst, p.mesh.ports[dst], run.frames)
 		run.frames = nil
 	}
 }
 
-// FlushSends implements BatchFlusher: the engine's end-of-pass call
-// transmits every corked run whose oldest frame has reached the flush
-// deadline (every run, when no deadline is configured). A no-op
-// without BatchFrames.
+// FlushSends implements BatchFlusher: it transmits every corked run
+// the mesh's wire.Cork says is due.
 func (p *meshPort) FlushSends() {
-	now, dl := p.mesh.clock.Now(), p.mesh.cfg.FlushDeadline
+	now := int64(p.mesh.clock.Now())
 	for _, dst := range p.order {
-		if run := p.pending[dst]; len(run.frames) > 0 && (dl <= 0 || now-run.since >= dl) {
-			p.flushRun(dst)
+		if run := p.pending[dst]; len(run.frames) > 0 && p.mesh.cork.Due(int64(run.since), now) {
+			p.flushRun(dst, run)
 		}
 	}
 }

@@ -295,29 +295,6 @@ func TestChaosRegisterConnectsInBackground(t *testing.T) {
 	drainSeqs(t, b, &got, 1, 5*time.Second)
 }
 
-// MaxAttempts bounds the redial effort: an unreachable peer ends Dead,
-// with the final state visible and every refused send still counted.
-func TestChaosMaxAttemptsMarksPeerDead(t *testing.T) {
-	rc := fastReconnect()
-	rc.MaxAttempts = 2
-	a := chaosListen(t, 0, rc)
-	b := chaosListen(t, 1, fastReconnect())
-	if err := a.Dial(1, b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	b.Close() // listener and connections gone: redials must fail
-	waitFor(t, 5*time.Second, "peer marked dead", func() bool {
-		return a.PeerState(1) == PeerDead
-	})
-	before := a.Stats().PeerDowns
-	if a.TrySend(1, make([]byte, 64)) {
-		t.Fatal("send to dead peer accepted")
-	}
-	if a.Stats().PeerDowns != before+1 {
-		t.Fatal("refused send to dead peer not counted")
-	}
-}
-
 // End to end through the engine: messages queued on a send endpoint
 // survive an outage (counted as Stats.PeerDown, not lost) and drain in
 // order once the transport reconnects.

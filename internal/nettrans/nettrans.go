@@ -23,15 +23,16 @@
 // blacklist the peer. Each peer therefore runs a small connection state
 // machine:
 //
-//	connected ──(write/read error)──▶ reconnecting ──(MaxAttempts)──▶ dead
+//	connected ──(write/read error)──▶ reconnecting
 //	     ▲                                │
 //	     └──────(redial or inbound hello)─┘
 //
 // While reconnecting, the transport redials the peer's last known
 // address (or one supplied by a Resolver, e.g. a nameservice node
-// registry) with exponential backoff and jitter; an inbound connection
-// from the peer also revives the link, so either side can re-establish
-// it. Frames offered while a peer is down are refused and counted
+// registry) with exponential backoff and jitter, for as long as the
+// transport is open; an inbound connection from the peer also revives
+// the link, so either side can re-establish it. Close leaves every
+// peer dead. Frames offered while a peer is down are refused and counted
 // (Stats.PeerDowns) — never silently discarded — and a transport that
 // implements PeerUp lets the engine distinguish "peer gone" from "wire
 // busy, retry". Receive-side overload (a full inbox) is likewise
@@ -87,9 +88,9 @@ var errConnDropped = errors.New("nettrans: connection dropped")
 type PeerState uint8
 
 // Peer states. A peer is Reconnecting from the moment its connection
-// fails until a redial or inbound hello revives it; it becomes Dead
-// only when ReconnectConfig.MaxAttempts is exhausted (or the transport
-// closes). There is no permanent blacklisting on a single send failure.
+// fails until a redial or inbound hello revives it; the transport
+// never gives up on it. Dead is the state of every peer of a closed
+// transport. There is no blacklisting on a send failure.
 const (
 	PeerUnknown PeerState = iota
 	PeerConnected
@@ -140,9 +141,6 @@ type ReconnectConfig struct {
 	InitialBackoff time.Duration
 	// MaxBackoff caps the exponential backoff (default 2s).
 	MaxBackoff time.Duration
-	// MaxAttempts marks the peer dead after this many consecutive
-	// failed redials. Zero means retry forever.
-	MaxAttempts int
 }
 
 func (rc *ReconnectConfig) applyDefaults() {
@@ -173,28 +171,20 @@ type Config struct {
 	Resolver func(wire.NodeID) (string, bool)
 	// Reconnect tunes the redial state machine.
 	Reconnect ReconnectConfig
-	// BatchWrites enables per-peer write coalescing (the
-	// interconnect.BatchFlusher capability): TrySend buffers accepted
-	// frames per peer and FlushSends pushes each peer's buffer in one
-	// conn.Write. The messaging engine calls FlushSends at the end of
-	// every send pass — the enforcement point for FlushDeadline;
-	// callers driving TrySend directly must call
-	// FlushSends themselves. Control-class frames (wire.Expedited)
-	// never cork: they flush the peer's pending run and go to the wire
-	// immediately. Off by default (TrySend then writes synchronously,
-	// as before).
+	// BatchWrites turns on aggregation: each peer's run is corked under
+	// wire.Cork with a cap of MaxBatchFrames and written in one
+	// conn.Write (the interconnect.BatchFlusher capability). Callers
+	// driving TrySend without the engine must call FlushSends
+	// themselves. Off by default: the cap is one frame, and TrySend
+	// writes every frame synchronously.
 	BatchWrites bool
-	// MaxBatchFrames bounds the per-peer coalescing buffer; a TrySend
-	// that fills it flushes inline (default 64). The size cap is the
-	// backstop of the flush deadline, not a policy of its own.
+	// MaxBatchFrames is the cork's run cap under BatchWrites
+	// (wire.Cork.Frames, default 64).
 	MaxBatchFrames int
-	// FlushDeadline holds a corked frame across FlushSends calls until
-	// it has aged this long, trading latency for fewer, larger writes.
-	// Zero (the default) flushes on every FlushSends — the engine-pass
-	// granularity.
+	// FlushDeadline is the cork's deadline (wire.Cork.Deadline).
 	FlushDeadline time.Duration
 	// Trace, when non-nil, records peer lifecycle events (peer.up,
-	// peer.down, peer.redial, peer.dead, rx.drop).
+	// peer.down, peer.redial, rx.drop).
 	Trace *trace.Ring
 	// Metrics, when non-nil, exposes the transport's loss-accounting
 	// counters and per-peer health through the registry. The transport
@@ -215,9 +205,8 @@ type peer struct {
 	attempts     int        // consecutive failed redials this outage
 	redialing    bool       // a redial goroutine is live
 	downAt       time.Time  // when the current outage began
-	wbuf         []byte     // preamble+frame send scratch, guarded by mu
-	pending      []byte     // coalesced frames awaiting FlushSends (BatchWrites)
-	pendingSince time.Time  // when the oldest corked frame was accepted
+	pending      []byte     // the corked run, preamble+frame each (see wire.Cork)
+	pendingSince int64      // nanotime when the run's oldest frame was admitted
 	reconnect    stats.Ewma // smoothed outage duration, milliseconds
 
 	sent       atomic.Uint64
@@ -246,21 +235,21 @@ func (h PeerHealth) Degraded() bool { return h.State != PeerConnected }
 // refuses or discards lands in PeerDowns or RxDrops — loss is never
 // silent.
 type Stats struct {
-	Sent       uint64 // frames accepted for a peer (written, or buffered under BatchWrites)
+	Sent       uint64 // frames accepted for a peer (written, or corked)
 	Delivered  uint64 // frames handed to the inbox
 	PeerDowns  uint64 // sends refused: peer disconnected/unknown/dead
 	RxDrops    uint64 // received frames dropped: inbox full
 	Reconnects uint64 // peer links re-established
-	// FlushLost counts frames accepted into a peer's coalescing buffer
-	// (BatchWrites) and then lost because the connection died before
-	// the flush completed — the batched-write analogue of frames lost
-	// in a dead TCP buffer, and like them a counted, never silent loss.
+	// FlushLost counts frames accepted into a peer's corked run and
+	// then lost because the connection died before the flush completed
+	// — the batched-write analogue of frames lost in a dead TCP
+	// buffer, and like them a counted, never silent loss.
 	// A frame whose own TrySend was refused is never in FlushLost: it
 	// stays queued at the engine, so counting it here too would both
 	// lose and deliver it.
 	FlushLost uint64
-	// CtlBypass counts control-class frames (wire.Expedited) written
-	// straight to the wire past the cork.
+	// CtlBypass counts frames wire.Cork sent alone, past the cork:
+	// control-class frames under BatchWrites.
 	CtlBypass uint64
 	// FlushHeld counts FlushSends passes that left a peer's cork in
 	// place because its oldest frame was still inside the flush
@@ -298,9 +287,11 @@ type Transport struct {
 	// stay on the formatted slow path because they carry errors).
 	rxDropLab trace.Label
 
+	cork wire.Cork
+
 	sent, peerDowns, reconnects, flushLost, ctlBypass, flushHeld atomic.Uint64
 
-	// pendingFrames tracks corked frames across all peers so the
+	// pendingFrames counts the frames corked across all peers so the
 	// engine's every-pass FlushSends exits without touching peer locks
 	// when nothing is corked.
 	pendingFrames atomic.Int64
@@ -338,9 +329,6 @@ func ListenConfig(cfg Config) (*Transport, error) {
 	if cfg.MaxBatchFrames <= 0 {
 		cfg.MaxBatchFrames = 64
 	}
-	if cfg.FlushDeadline < 0 {
-		cfg.FlushDeadline = 0
-	}
 	cfg.Reconnect.applyDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -352,6 +340,10 @@ func ListenConfig(cfg Config) (*Transport, error) {
 		conns:  make(map[net.Conn]struct{}),
 		inbox:  make(chan []byte, cfg.InboxDepth),
 		closed: make(chan struct{}),
+		cork:   wire.Cork{Frames: 1, Deadline: int64(cfg.FlushDeadline)},
+	}
+	if cfg.BatchWrites {
+		t.cork.Frames = cfg.MaxBatchFrames
 	}
 	t.peers.Store(&peerTable{})
 	if cfg.Trace != nil {
@@ -503,7 +495,7 @@ func (t *Transport) attach(p *peer, conn net.Conn, addr string) bool {
 	}
 	adopted := p.conn == nil && !t.isClosed()
 	if adopted {
-		revived := p.state == PeerReconnecting || p.state == PeerDead
+		revived := p.state == PeerReconnecting
 		p.conn = conn
 		p.state = PeerConnected
 		p.attempts = 0
@@ -561,8 +553,8 @@ func (t *Transport) isClosed() bool {
 }
 
 // redialLoop re-establishes p's link with exponential backoff and
-// jitter. It exits when the link revives (from either side), the peer
-// is marked dead, or the transport closes.
+// jitter. It exits when the link revives (from either side) or the
+// transport closes.
 func (t *Transport) redialLoop(p *peer) {
 	defer func() {
 		p.mu.Lock()
@@ -584,7 +576,7 @@ func (t *Transport) redialLoop(p *peer) {
 		p.mu.Lock()
 		if p.conn != nil || p.state == PeerDead {
 			p.mu.Unlock()
-			return // revived inbound, or given up concurrently
+			return // revived inbound, or the transport closed
 		}
 		addr := p.addr
 		p.mu.Unlock()
@@ -611,15 +603,7 @@ func (t *Transport) redialLoop(p *peer) {
 		t.traceEvent("peer.redial", p.node, attempt, err)
 		p.mu.Lock()
 		p.attempts = attempt
-		dead := rc.MaxAttempts > 0 && attempt >= rc.MaxAttempts
-		if dead {
-			p.state = PeerDead
-		}
 		p.mu.Unlock()
-		if dead {
-			t.traceEvent("peer.dead", p.node, attempt)
-			return
-		}
 		backoff = min(backoff*backoffMultiplier, rc.MaxBackoff)
 	}
 }
@@ -798,13 +782,13 @@ func (t *Transport) readLoop(p *peer, conn net.Conn) {
 	}
 }
 
-// TrySend implements interconnect.Transport. The frame is written
-// synchronously (or coalesced until FlushSends under BatchWrites);
-// TCP's buffers make the write effectively non-blocking at FLIPC
-// message sizes unless the peer has stopped reading. A failed write
-// marks the peer down and starts recovery; the refusal is counted, and
-// the engine keeps the message queued, so nothing is silently lost on
-// this side of the wire.
+// TrySend implements interconnect.Transport. The frame joins dst's
+// corked run, which wire.Cork may have written at once; TCP's buffers
+// make the write effectively non-blocking at FLIPC message sizes
+// unless the peer has stopped reading. A failed write marks the peer
+// down and starts recovery; the refusal is counted, and the engine
+// keeps the message queued, so nothing is silently lost on this side
+// of the wire.
 func (t *Transport) TrySend(dst wire.NodeID, frame []byte) bool {
 	if len(frame) != t.cfg.MessageSize {
 		return false
@@ -827,83 +811,65 @@ func (t *Transport) TrySend(dst wire.NodeID, frame []byte) bool {
 	return true
 }
 
-// sendLocked writes or corks frame on p's live connection and reports
-// whether the link took it. Caller holds p.mu.
+// epoch anchors nanotime, the monotonic clock of the corked runs.
+var epoch = time.Now()
+
+func nanotime() int64 { return int64(time.Since(epoch)) }
+
+// sendLocked admits frame to p's run under t.cork and reports whether
+// the link took it. Caller holds p.mu and has verified p.conn is live.
 func (t *Transport) sendLocked(p *peer, frame []byte) bool {
-	if !t.cfg.BatchWrites {
-		return t.writeFrameLocked(p, frame) == nil
+	held := t.held(p)
+	act := t.cork.Admit(held, frame[6])
+	if act == wire.CorkAlone && !t.flushPeerLocked(p, 0) {
+		return false
 	}
-	if wire.Expedited(frame[6]) {
-		// Control class bypasses the cork: flush anything already
-		// corked for this peer (the TCP stream keeps per-pair
-		// ordering), then write the frame synchronously so credit
-		// adverts and registry traffic never wait out the flush
-		// deadline bulk frames trade against.
-		if !t.flushPeerLocked(p, 0) || t.writeFrameLocked(p, frame) != nil {
-			return false
-		}
-		t.ctlBypass.Add(1)
-		return true
-	}
-	// Coalesce: append preamble+frame to the peer's pending buffer;
-	// the engine's end-of-pass FlushSends (deadline permitting) or
-	// filling the buffer writes the whole run in one syscall.
 	var pre [preambleBytes]byte
 	binary.BigEndian.PutUint16(pre[0:2], preambleMagic)
 	binary.BigEndian.PutUint16(pre[2:4], uint16(t.cfg.MessageSize))
-	if len(p.pending) == 0 {
-		p.pendingSince = time.Now()
+	p.pending = append(append(p.pending, pre[:]...), frame...)
+	if act == wire.CorkHold {
+		if held == 0 {
+			p.pendingSince = nanotime()
+		}
+		t.pendingFrames.Add(1)
+		return true
 	}
-	p.pending = append(p.pending, pre[:]...)
-	p.pending = append(p.pending, frame...)
-	t.pendingFrames.Add(1)
-	// A failed inline flush counts the rest of the batch as FlushLost
-	// but not this frame: its refusal keeps the message queued at the
-	// engine, and counting it too would record it both lost and (after
-	// the retry) delivered.
-	full := len(p.pending) >= t.cfg.MaxBatchFrames*(preambleBytes+t.cfg.MessageSize)
-	return !full || t.flushPeerLocked(p, 1)
+	// A failed write counts the rest of the run as FlushLost but not
+	// this frame: its refusal keeps the message queued at the engine,
+	// and counting it too would record it both lost and (after the
+	// retry) delivered.
+	if !t.flushPeerLocked(p, 1) {
+		return false
+	}
+	if act == wire.CorkAlone {
+		t.ctlBypass.Add(1)
+	}
+	return true
 }
 
-// writeFrameLocked writes preamble+frame synchronously on p's
-// connection, tearing the link down on error. Caller holds p.mu and
-// has verified p.conn is live.
-func (t *Transport) writeFrameLocked(p *peer, frame []byte) error {
-	conn := p.conn
-	if p.wbuf == nil {
-		p.wbuf = make([]byte, preambleBytes+t.cfg.MessageSize)
-		binary.BigEndian.PutUint16(p.wbuf[0:2], preambleMagic)
-		binary.BigEndian.PutUint16(p.wbuf[2:4], uint16(t.cfg.MessageSize))
-	}
-	copy(p.wbuf[preambleBytes:], frame)
-	if _, err := conn.Write(p.wbuf); err != nil {
-		t.connFailedLocked(p, conn, err)
-		return err
-	}
-	return nil
+// held returns the number of frames in p's run. Caller holds p.mu.
+func (t *Transport) held(p *peer) int {
+	return len(p.pending) / (preambleBytes + t.cfg.MessageSize)
 }
 
-// dropPendingLocked discards p's coalescing buffer, counting the
-// buffered frames as FlushLost except the last exclude of them — the
-// frames whose own TrySend is being refused, which stay queued at the
-// engine and must not be double-accounted. Caller holds p.mu.
+// dropPendingLocked discards p's run, counting its frames as FlushLost
+// except the last exclude of them: the frames whose own TrySend is
+// being refused, which stay queued at the engine and must not be
+// double-accounted, and which pendingFrames never counted. Caller
+// holds p.mu.
 func (t *Transport) dropPendingLocked(p *peer, exclude int) {
-	if len(p.pending) == 0 {
-		return
-	}
-	n := len(p.pending) / (preambleBytes + t.cfg.MessageSize)
-	t.pendingFrames.Add(-int64(n))
-	if n > exclude {
-		t.flushLost.Add(uint64(n - exclude))
+	if n := t.held(p) - exclude; n > 0 {
+		t.pendingFrames.Add(-int64(n))
+		t.flushLost.Add(uint64(n))
 	}
 	p.pending = p.pending[:0]
-	p.pendingSince = time.Time{}
 }
 
-// flushPeerLocked writes p's pending buffer in one conn.Write,
-// reporting whether the peer's link survived. On a write error the
-// buffered frames are counted lost (minus exclude, see
-// dropPendingLocked) before the link is torn down. Caller holds p.mu.
+// flushPeerLocked writes p's run in one conn.Write, reporting whether
+// the peer's link survived. On a write error the run is counted lost
+// (minus exclude, see dropPendingLocked) before the link is torn down.
+// Caller holds p.mu.
 func (t *Transport) flushPeerLocked(p *peer, exclude int) bool {
 	if len(p.pending) == 0 {
 		return true
@@ -913,43 +879,35 @@ func (t *Transport) flushPeerLocked(p *peer, exclude int) bool {
 		t.dropPendingLocked(p, exclude)
 		return false
 	}
-	_, err := conn.Write(p.pending)
-	if err != nil {
-		// Count the cork before the teardown: connFailedLocked's own
+	if _, err := conn.Write(p.pending); err != nil {
+		// Count the run before the teardown: connFailedLocked's own
 		// dropPendingLocked would count every frame, including one the
 		// caller is about to report refused.
 		t.dropPendingLocked(p, exclude)
 		t.connFailedLocked(p, conn, err)
 		return false
 	}
-	n := len(p.pending) / (preambleBytes + t.cfg.MessageSize)
-	t.pendingFrames.Add(-int64(n))
+	t.pendingFrames.Add(-int64(t.held(p) - exclude))
 	p.pending = p.pending[:0]
-	p.pendingSince = time.Time{}
 	return true
 }
 
-// FlushSends implements interconnect.BatchFlusher: it pushes corked
-// frames to the wire, one write per peer. The engine calls it at the
-// end of every send pass, which makes it the enforcement point of
-// Config.FlushDeadline: a peer whose oldest corked frame is younger
-// than the deadline is left corked for a later pass; everything at or
-// past it flushes. A no-op when nothing is corked anywhere (and for
-// transports without BatchWrites).
+// FlushSends implements interconnect.BatchFlusher: it writes every
+// peer's run that t.cork says is due, one write per peer, and counts
+// each run it leaves corked in FlushHeld. A no-op when nothing is
+// corked anywhere.
 func (t *Transport) FlushSends() {
-	if !t.cfg.BatchWrites || t.pendingFrames.Load() == 0 {
+	if t.pendingFrames.Load() == 0 {
 		return
 	}
-	now := time.Now()
-	deadline := t.cfg.FlushDeadline
+	now := nanotime()
 	for _, p := range t.peers.Load().all {
 		p.mu.Lock()
-		if len(p.pending) > 0 && deadline > 0 && now.Sub(p.pendingSince) < deadline {
+		if len(p.pending) > 0 && !t.cork.Due(p.pendingSince, now) {
 			t.flushHeld.Add(1)
-			p.mu.Unlock()
-			continue
+		} else {
+			t.flushPeerLocked(p, 0)
 		}
-		t.flushPeerLocked(p, 0)
 		p.mu.Unlock()
 	}
 }

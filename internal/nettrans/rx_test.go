@@ -7,6 +7,7 @@ package nettrans
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"unsafe"
 
 	"flipc/internal/israce"
+	"flipc/internal/wire"
 )
 
 // dialedPair returns transport a dialed into transport b.
@@ -168,52 +170,78 @@ func TestCloseEndsConnWithoutHello(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestTrySendFlushSendsAllocs drives both the corked and the uncorked
+// transport with a bulk and a control-class frame per run: neither
+// allocates, and only the corked one sends a frame alone (CtlBypass) or
+// holds a run (FlushHeld) — aggregation off is a one-frame cap, not a
+// second path with counters of its own.
 func TestTrySendFlushSendsAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts need a build without -race")
 	}
-	// A raw sink, so that no receiving transport's frame copy is counted.
-	sink, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	reading := make(chan struct{})
-	go func() {
-		c, err := sink.Accept()
-		if err != nil {
-			close(reading)
-			return
-		}
-		defer c.Close()
-		buf := make([]byte, 64<<10)
-		for i := 0; ; i++ {
-			if _, err := c.Read(buf); err != nil {
-				return
+	for _, cfg := range []Config{
+		{BatchWrites: true},
+		// A deadline no run could wait out: with a one-frame cap none is
+		// ever held, so FlushHeld stays 0.
+		{BatchWrites: false, FlushDeadline: time.Hour},
+	} {
+		t.Run(fmt.Sprintf("BatchWrites=%v", cfg.BatchWrites), func(t *testing.T) {
+			// A raw sink, so that no receiving transport's frame copy is counted.
+			sink, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
 			}
-			if i == 0 {
-				close(reading)
+			defer sink.Close()
+			reading := make(chan struct{})
+			go func() {
+				c, err := sink.Accept()
+				if err != nil {
+					close(reading)
+					return
+				}
+				defer c.Close()
+				buf := make([]byte, 64<<10)
+				for i := 0; ; i++ {
+					if _, err := c.Read(buf); err != nil {
+						return
+					}
+					if i == 0 {
+						close(reading)
+					}
+				}
+			}()
+			cfg.Node, cfg.Addr, cfg.MessageSize = 0, "127.0.0.1:0", 64
+			a, err := ListenConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	a, err := ListenConfig(Config{Node: 0, Addr: "127.0.0.1:0", MessageSize: 64, BatchWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := a.Dial(1, sink.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	<-reading
-	frame := make([]byte, 64)
-	allocs := testing.AllocsPerRun(200, func() {
-		if !a.TrySend(1, frame) {
-			t.Fatal("TrySend refused a frame on a live link")
-		}
-		a.FlushSends()
-	})
-	if allocs != 0 {
-		t.Fatalf("TrySend+FlushSends: %v allocs per frame, want 0", allocs)
+			defer a.Close()
+			if err := a.Dial(1, sink.Addr().String()); err != nil {
+				t.Fatal(err)
+			}
+			<-reading
+			bulk, ctl := make([]byte, 64), make([]byte, 64)
+			ctl[6] = wire.FlagCtl
+			var runs uint64
+			allocs := testing.AllocsPerRun(200, func() {
+				runs++
+				if !a.TrySend(1, bulk) || !a.TrySend(1, ctl) {
+					t.Fatal("TrySend refused a frame on a live link")
+				}
+				a.FlushSends()
+			})
+			if allocs != 0 {
+				t.Fatalf("TrySend+FlushSends: %v allocs per run, want 0", allocs)
+			}
+			st := a.Stats()
+			wantBypass := uint64(0)
+			if cfg.BatchWrites {
+				wantBypass = runs
+			}
+			if st.CtlBypass != wantBypass || st.FlushHeld != 0 {
+				t.Fatalf("CtlBypass %d, FlushHeld %d; want %d, 0", st.CtlBypass, st.FlushHeld, wantBypass)
+			}
+		})
 	}
 }
 

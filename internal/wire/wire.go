@@ -154,6 +154,59 @@ func Expedited(flags uint8) bool {
 	return flags&FlagCtl != 0 || flags&PriorityMask >= CtlPriorityFloor
 }
 
+// Cork is the aggregation policy of both corking transports, nettrans
+// on sockets and interconnect.Mesh in virtual time: when a frame the
+// transport has accepted reaches the wire. The transport keeps a run
+// of accepted frames per destination and transmits a run in one wire
+// transaction. Cork makes every decision about a run; the transport
+// only carries them out:
+//
+//   - Admit, for each frame offered: an expedited frame (see Expedited)
+//     goes alone — its destination's run is transmitted first, so
+//     per-pair order holds, then the frame by itself, so control
+//     traffic never waits behind the bulk data it regulates. Any other
+//     frame joins the run, and a run that reaches Frames frames (the
+//     cap) is transmitted at once;
+//   - Due, at each FlushSends: a run is transmitted once its oldest
+//     frame has been held Deadline, or at every FlushSends when
+//     Deadline is 0.
+//
+// Aggregation off is a cap of one frame: every frame is transmitted as
+// it is admitted, so no run is ever held and no frame goes alone.
+// Times are nanoseconds on the transport's clock (sim.Time in virtual
+// time, a monotonic wall clock on sockets).
+type Cork struct {
+	Frames   int   // run cap; 1 or less transmits every frame at once
+	Deadline int64 // ns a run may be held across FlushSends calls
+}
+
+// CorkAction is what a transport does with a frame Cork admits.
+type CorkAction uint8
+
+const (
+	CorkHold  CorkAction = iota // the frame joins its run, which waits for FlushSends
+	CorkFlush                   // the frame joins its run, which is transmitted now
+	CorkAlone                   // the run is transmitted, then the frame by itself
+)
+
+// Admit decides for a frame with these flags offered to a destination
+// whose run holds held frames.
+func (c Cork) Admit(held int, flags uint8) CorkAction {
+	switch {
+	case c.Frames > 1 && Expedited(flags):
+		return CorkAlone
+	case held+1 >= c.Frames:
+		return CorkFlush
+	}
+	return CorkHold
+}
+
+// Due reports whether a run whose oldest frame was admitted at since is
+// transmitted by a FlushSends call at now.
+func (c Cork) Due(since, now int64) bool {
+	return c.Deadline <= 0 || now-since >= c.Deadline
+}
+
 // StampBytes is the size of the optional send-timestamp trailer: a
 // big-endian UnixNano written into the last eight bytes of the fixed
 // frame. The trailer rides in the zero-filled slack after the payload,

@@ -540,3 +540,41 @@ func TestParseAddr(t *testing.T) {
 		}
 	}
 }
+
+func TestCorkPolicy(t *testing.T) {
+	corked := Cork{Frames: 4, Deadline: 100}
+	for _, tc := range []struct {
+		name  string
+		cork  Cork
+		held  int
+		flags uint8
+		want  CorkAction
+	}{
+		{"run below the cap holds", corked, 2, 0, CorkHold},
+		{"cap reached", corked, 3, 0, CorkFlush},
+		{"expedited with an empty run", corked, 0, FlagCtl, CorkAlone},
+		{"expedited with a non-empty run", corked, 2, CtlPriorityFloor, CorkAlone},
+		{"aggregation off", Cork{Frames: 1}, 0, 0, CorkFlush},
+		{"expedited with aggregation off", Cork{Frames: 1}, 0, FlagCtl, CorkFlush},
+		{"zero cap is aggregation off", Cork{}, 0, 0, CorkFlush},
+	} {
+		if got := tc.cork.Admit(tc.held, tc.flags); got != tc.want {
+			t.Errorf("%s: Admit(%d, %#02x) = %d, want %d", tc.name, tc.held, tc.flags, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name       string
+		cork       Cork
+		since, now int64
+		want       bool
+	}{
+		{"deadline 0", Cork{Frames: 4}, 1000, 1000, true},
+		{"deadline not yet reached", corked, 1000, 1099, false},
+		{"deadline reached", corked, 1000, 1100, true},
+		{"deadline passed", corked, 1000, 5000, true},
+	} {
+		if got := tc.cork.Due(tc.since, tc.now); got != tc.want {
+			t.Errorf("%s: Due(%d, %d) = %v, want %v", tc.name, tc.since, tc.now, got, tc.want)
+		}
+	}
+}
