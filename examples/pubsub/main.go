@@ -109,24 +109,20 @@ func main() {
 	}
 	fmt.Printf("alarm (class %v): %q\n", topic.ClassFromFlags(flags), alarm)
 
-	// Drain the telemetry subscribers and show the conservation law:
-	// every fanned-out message is delivered or counted at one ledger.
+	// Drain each telemetry subscriber, blocking on its doorbell, until
+	// every publish reached it or was counted at a ledger, then show the
+	// conservation law: every fanned-out message is delivered or counted
+	// at one ledger.
 	deadline := time.Now().Add(2 * time.Second)
-	var law topic.FanoutLedger
-	for {
-		for _, s := range telemetrySubs {
-			for {
-				if _, _, ok := s.Receive(); !ok {
-					break
-				}
+	pubDrops := telemetryPub.Drops()
+	for _, s := range telemetrySubs {
+		for s.Received()+s.AppDrops()+pubDrops[s.Addr()] < telemetryPub.Published() {
+			if _, _, err := s.ReceiveBlock(deadline); err != nil {
+				break // the law below reports what is missing
 			}
 		}
-		law = topic.FanoutLaw(telemetryPub, telemetrySubs...)
-		if law.Err() == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
 	}
+	law := topic.FanoutLaw(telemetryPub, telemetrySubs...)
 	if err := law.Err(); err != nil {
 		log.Fatal(err)
 	}

@@ -45,10 +45,7 @@ type Wire struct {
 
 // Time returns the wire time for one packet of n bytes.
 func (w Wire) Time(n int) sim.Time {
-	if n < 0 {
-		n = 0
-	}
-	return w.Fixed + sim.Time(float64(n)*w.NSPerByte)
+	return w.Fixed + sim.Time(float64(max(n, 0))*w.NSPerByte)
 }
 
 // MBPerSecond converts (bytes, elapsed) into MB/s (1 MB = 1e6 bytes,

@@ -122,6 +122,7 @@ type segment struct {
 	first uint64 // first payload sequence stored (names the file)
 	path  string
 	index []idxEntry // sparse payload index, ascending by seq
+	rd    *segFile   // its read side, made by the first Reader on it
 }
 
 // startOff returns the byte offset a Reader should start reading this
@@ -156,6 +157,9 @@ type Log struct {
 	err      error  // sticky I/O error; surfaced in Health
 	body     []byte // record-body staging (flags | payload, or a name)
 	enc      []byte // frame staging
+
+	open []*segFile // sealed segments' read descriptors, retired ones included
+	bufs [][]byte   // free Reader buffers, at most freeBufs
 }
 
 // Health is a log's operator-facing state.
@@ -246,9 +250,7 @@ func recoverLog(dir string, opt Options, repair bool) (*Log, error) {
 	// Cursors never exceed head (acks are clamped on the way in; a
 	// stale checkpoint cannot resurrect one above the recovered head).
 	for s, c := range l.cursors {
-		if c > l.head {
-			l.cursors[s] = l.head
-		}
+		l.cursors[s] = min(c, l.head)
 	}
 	return l, nil
 }
@@ -265,9 +267,7 @@ func (l *Log) recoverSegment(s *segment) func([]byte) (int, error) {
 			if len(f.Payload) < 1 {
 				return fmt.Errorf("%w: payload record %d bytes", recio.ErrCorrupt, len(f.Payload))
 			}
-			if f.Seq > l.head {
-				l.head = f.Seq
-			}
+			l.head = max(l.head, f.Seq)
 			if f.Seq%idxEvery == 0 {
 				s.index = append(s.index, idxEntry{seq: f.Seq, off: rec})
 			}
@@ -360,9 +360,7 @@ func (l *Log) Ack(sub string, seq uint64) error {
 	if l.err != nil {
 		return l.err
 	}
-	if seq > l.head {
-		seq = l.head
-	}
+	seq = min(seq, l.head)
 	if cur, ok := l.cursors[sub]; ok && cur >= seq {
 		return nil
 	}
@@ -503,13 +501,9 @@ func (l *Log) Retain() (int, error) {
 	// deletion. With no cursors nothing is voluntarily deletable: a
 	// durable topic with no acked subscriber yet must keep everything
 	// (MaxSegments still bounds the disk).
-	minNeeded := uint64(0)
-	hasCursor := false
+	hasCursor, minNeeded := len(l.cursors) > 0, ^uint64(0)
 	for _, c := range l.cursors {
-		if !hasCursor || c+1 < minNeeded {
-			minNeeded = c + 1
-		}
-		hasCursor = true
+		minNeeded = min(minNeeded, c+1)
 	}
 	removed := 0
 	for len(l.segs) > 1 {
@@ -523,6 +517,15 @@ func (l *Log) Retain() (int, error) {
 		}
 		if err := l.writeCursorsLocked(); err != nil {
 			return removed, err
+		}
+		if f := l.segs[0].rd; f != nil {
+			// Readers still on it keep it readable through one descriptor
+			// until the last of them lets go.
+			if f.retired = true; f.refs == 0 {
+				l.closeSeg(f)
+			} else if err := l.openSeg(f); err != nil {
+				return removed, l.check(err)
+			}
 		}
 		if err := l.check(os.Remove(l.segs[0].path)); err != nil {
 			return removed, err
@@ -564,10 +567,13 @@ func (l *Log) Health() Health {
 }
 
 // Close seals the active segment, checkpoints the cursors, and closes
-// the log.
+// the log and every read descriptor, retired segments' included.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	for len(l.open) > 0 {
+		l.closeSeg(l.open[0])
+	}
 	err := l.sealLocked()
 	if cerr := l.writeCursorsLocked(); err == nil {
 		err = cerr
@@ -580,29 +586,18 @@ func (l *Log) Close() error {
 // the only record of a seq-0 cursor — which is why it goes through
 // recio.ReplaceFile and is synced before the rename. Caller holds l.mu.
 func (l *Log) writeCursorsLocked() error {
-	var b []byte
-	var hdr [17]byte
-	binary.BigEndian.PutUint32(hdr[0:4], cursorsMagic)
-	hdr[4] = cursorsVersion
-	binary.BigEndian.PutUint64(hdr[5:13], l.head)
-	binary.BigEndian.PutUint32(hdr[13:17], uint32(len(l.cursors)))
-	b = append(b, hdr[:]...)
+	b := binary.BigEndian.AppendUint32(nil, cursorsMagic)
+	b = binary.BigEndian.AppendUint64(append(b, cursorsVersion), l.head)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(l.cursors)))
 	subs := make([]string, 0, len(l.cursors))
 	for s := range l.cursors {
 		subs = append(subs, s)
 	}
 	sort.Strings(subs)
-	var seq8 [8]byte
 	for _, s := range subs {
-		b = append(b, byte(len(s)))
-		b = append(b, s...)
-		binary.BigEndian.PutUint64(seq8[:], l.cursors[s])
-		b = append(b, seq8[:]...)
+		b = binary.BigEndian.AppendUint64(append(append(b, byte(len(s))), s...), l.cursors[s])
 	}
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], wire.Checksum(b))
-	b = append(b, crc[:]...)
-
+	b = binary.BigEndian.AppendUint32(b, wire.Checksum(b))
 	return l.check(recio.ReplaceFile(filepath.Join(l.dir, cursorsName), b, l.opt.NoSync))
 }
 
@@ -628,18 +623,12 @@ func readCursors(path string, cursors map[string]uint64) (uint64, error) {
 	}
 	head := binary.BigEndian.Uint64(body[5:13])
 	n := int(binary.BigEndian.Uint32(body[13:17]))
-	off := 17
-	for i := 0; i < n; i++ {
-		if off+1 > len(body) {
+	for i, off := 0, 17; i < n; i++ {
+		if off >= len(body) || body[off] == 0 || off+1+int(body[off])+8 > len(body) {
 			return 0, nil
 		}
-		subLen := int(body[off])
-		off++
-		if subLen == 0 || off+subLen+8 > len(body) {
-			return 0, nil
-		}
-		sub := string(body[off : off+subLen])
-		seq := binary.BigEndian.Uint64(body[off+subLen : off+subLen+8])
+		sub := string(body[off+1 : off+1+int(body[off])])
+		seq := binary.BigEndian.Uint64(body[off+1+len(sub):])
 		// Insert-if-absent, not just max-merge: a seq-0 cursor is a
 		// registered subscriber that has acknowledged nothing yet, and
 		// dropping it would let Retain delete the history it still
@@ -647,7 +636,7 @@ func readCursors(path string, cursors map[string]uint64) (uint64, error) {
 		if cur, ok := cursors[sub]; !ok || seq > cur {
 			cursors[sub] = seq
 		}
-		off += subLen + 8
+		off += 1 + len(sub) + 8
 	}
 	return head, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"flipc/internal/recio"
@@ -14,31 +15,50 @@ import (
 // is unread in it after a slide always includes a whole record.
 const readerBufBytes = recio.MaxFrameBytes
 
-// Reader is a resumable cursor over a log's payload records: an open
-// descriptor on one segment, an offset, and one fixed buffer. It reads
-// each byte of the log once however many calls the read is spread over,
-// crosses rotations, and follows the active tail — where a whole-suffix
-// re-read per call touched every word again. A Reader belongs to one
-// goroutine at a time; it takes the log's lock only to refill.
+// freeBufs bounds the log's free list of Reader buffers: not a sync.Pool,
+// which a collection empties, so that no resume after one allocates.
+const freeBufs = 4
+
+// segFile is the read side of one segment, shared by its Readers. While
+// the segment is active they read through the log's own recio.File;
+// once it is sealed, the first read opens one descriptor that all of
+// them pread through. It stays open for the next resume, and closes at
+// Log.Close, or once no Reader is on the segment and one read past its
+// end or Retain retired it.
+type segFile struct {
+	*os.File
+	path    string
+	refs    int  // Readers positioned on the segment
+	retired bool // unlinked by Retain: close at refs 0
+}
+
+// Reader is a resumable cursor over a log's payload records: a position
+// (segment, offset) and a buffer lent by the log while it is positioned.
+// The log owns the descriptors it reads through, so once warm, placing a
+// Reader opens no file and allocates nothing. It reads each byte of the
+// log once however many calls the read is spread over, crosses rotations,
+// and follows the active tail — where a whole-suffix re-read per call
+// touched every word again. A Reader belongs to one goroutine at a time;
+// it takes the log's lock only to refill and to let go.
 type Reader struct {
 	l    *Log
-	f    *os.File // the segment being read; nil until positioned
+	f    *segFile // the segment being read; nil until positioned
 	seg  uint64   // that segment's first sequence
 	off  int64    // file offset the next refill reads at
-	buf  []byte
-	r, w int    // unread window buf[r:w]
-	prev int    // where the record Next last returned starts in buf
-	next uint64 // the sequence Next returns next (or the first retained above it)
+	buf  []byte   // borrowed from the log while positioned
+	r, w int      // unread window buf[r:w]
+	prev int      // where the record Next last returned starts in buf
+	next uint64   // the sequence Next returns next (or the first retained above it)
 }
 
 // NewReader returns a Reader positioned at sequence from. It holds no
-// descriptor until the first Next and none after Close.
+// segment or buffer until the first Next and none after Close.
 func (l *Log) NewReader(from uint64) *Reader {
-	return &Reader{l: l, next: from, buf: make([]byte, readerBufBytes)}
+	return &Reader{l: l, next: from}
 }
 
 // Seek positions the reader at sequence from; a reader already there
-// keeps its descriptor and what it has buffered.
+// keeps its segment and what it has buffered.
 func (r *Reader) Seek(from uint64) {
 	if from != r.next {
 		r.Close()
@@ -46,14 +66,28 @@ func (r *Reader) Seek(from uint64) {
 	}
 }
 
-// Close releases the descriptor and forgets what was buffered. The
-// reader stays usable: the next Next reopens where it stopped.
+// Close lets go of the segment, gives the buffer back to the log and
+// forgets what was buffered. The reader stays usable: the next Next
+// repositions where it stopped.
 func (r *Reader) Close() {
 	if r.f != nil {
-		r.f.Close()
-		r.f = nil
+		r.l.mu.Lock()
+		r.leaveLocked(false)
+		r.l.mu.Unlock()
 	}
-	r.r, r.w = 0, 0
+}
+
+// leaveLocked steps the reader off its segment, which it read to the
+// end if past, and gives its buffer back. Caller holds l.mu.
+func (r *Reader) leaveLocked(past bool) {
+	f, l := r.f, r.l
+	if len(l.bufs) < freeBufs {
+		l.bufs = append(l.bufs, r.buf)
+	}
+	r.f, r.buf, r.r, r.w = nil, nil, 0, 0
+	if f.refs--; f.refs == 0 && (past || f.retired) {
+		l.closeSeg(f)
+	}
 }
 
 // Next returns the next retained payload record, or io.EOF once it has
@@ -92,8 +126,9 @@ func (r *Reader) Unread() {
 // fill reads more of the log behind the unread window, moving to the
 // next segment when this one is exhausted and sealed. It runs under the
 // log's lock, so it never races an append, and at the active tail it
-// first flushes the group-commit buffer: the reader sees every append
-// that returned. io.EOF means the reader is at the head.
+// reads through the log's own file, whose ReadAt first flushes the
+// group-commit buffer: the reader sees every append that returned.
+// io.EOF means the reader is at the head.
 func (r *Reader) fill() error {
 	l := r.l
 	l.mu.Lock()
@@ -109,25 +144,32 @@ func (r *Reader) fill() error {
 		if r.f == nil {
 			// The segment holding r.next: the last one that starts at or
 			// below it, or the oldest retained if retention got there first.
-			i := l.segAfter(r.next) - 1
-			if i < 0 {
-				i = 0
+			s := &l.segs[max(l.segAfter(r.next)-1, 0)]
+			if s.rd == nil {
+				s.rd = &segFile{path: s.path}
 			}
-			s := &l.segs[i]
-			f, err := os.Open(s.path)
-			if err != nil {
-				return fmt.Errorf("duralog: %w", err)
-			}
-			r.f, r.seg, r.off = f, s.first, s.startOff(r.next)
-		}
-		if r.seg == tail && l.active != nil {
-			if err := l.check(l.active.Flush()); err != nil {
-				return err
+			s.rd.refs++
+			r.f, r.seg, r.off = s.rd, s.first, s.startOff(r.next)
+			if n := len(l.bufs); n > 0 {
+				r.buf, l.bufs = l.bufs[n-1], l.bufs[:n-1]
+			} else {
+				r.buf = make([]byte, readerBufBytes)
 			}
 		}
 		r.w = copy(r.buf, r.buf[r.r:r.w])
 		r.r = 0
-		n, err := r.f.ReadAt(r.buf[r.w:], r.off)
+		var n int
+		var err error
+		if r.seg == tail && l.active != nil {
+			if n, err = l.active.ReadAt(r.buf[r.w:], r.off); l.active.Err() != nil {
+				return l.check(err)
+			}
+		} else {
+			if err := l.openSeg(r.f); err != nil {
+				return fmt.Errorf("duralog: %w", err)
+			}
+			n, err = r.f.ReadAt(r.buf[r.w:], r.off)
+		}
 		r.off += int64(n)
 		r.w += n
 		if n > 0 {
@@ -144,7 +186,30 @@ func (r *Reader) fill() error {
 		if after := l.segs[l.segAfter(r.seg)].first; r.next < after {
 			r.next = after
 		}
-		r.Close()
+		r.leaveLocked(true)
+	}
+}
+
+// openSeg gives f a read descriptor if it has none. Caller holds l.mu.
+func (l *Log) openSeg(f *segFile) error {
+	if f.File != nil {
+		return nil
+	}
+	fd, err := os.Open(f.path)
+	if err == nil {
+		f.File = fd
+		l.open = append(l.open, f)
+	}
+	return err
+}
+
+// closeSeg closes f's descriptor, if it has one. Caller holds l.mu.
+func (l *Log) closeSeg(f *segFile) {
+	if f.File != nil {
+		f.File.Close()
+		f.File = nil
+		i := slices.Index(l.open, f)
+		l.open = slices.Delete(l.open, i, i+1)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 
 	"flipc/internal/israce"
@@ -215,5 +216,202 @@ func TestAppendAndAckDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Append+Ack allocate %.2f objects per call, want 0", n)
+	}
+}
+
+// sealedLog journals n records and reopens the log, so that every
+// segment is sealed: readers go through the shared descriptors.
+func sealedLog(t *testing.T, n uint64, segBytes int) *Log {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, n)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if l, err = Open(dir, Options{NoSync: true, SegmentBytes: segBytes}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// TestReadersShareOneSealedDescriptor: readers on one sealed segment,
+// at once or one resume after another, read through one descriptor
+// that the first of them opened.
+func TestReadersShareOneSealedDescriptor(t *testing.T) {
+	l := sealedLog(t, 200, 1<<20)
+	var rs []*Reader
+	for from := uint64(1); from <= 160; from += 20 {
+		r := l.NewReader(from)
+		wantRange(t, fmt.Sprintf("reader at %d", from), drain(t, r, 5), from, from+4)
+		rs = append(rs, r)
+	}
+	fd := rs[0].f.File
+	for _, r := range rs {
+		if r.f.File != fd {
+			t.Fatal("two readers on one sealed segment hold different descriptors")
+		}
+	}
+	if len(l.open) != 1 {
+		t.Fatalf("%d read descriptors open, want 1", len(l.open))
+	}
+	for _, r := range rs {
+		r.Close()
+	}
+	for k := uint64(1); k <= 50; k++ {
+		r := l.NewReader(k)
+		wantRange(t, "resume", drain(t, r, 1), k, k)
+		r.Close()
+		if f := l.segs[0].rd.File; f != fd {
+			t.Fatalf("resume %d opened the segment again", k)
+		}
+	}
+}
+
+// TestRetiredSegmentClosesWithItsLastReader: Retain unlinks a segment
+// two readers are on; both keep reading it, and its descriptor closes
+// when the second lets go.
+func TestRetiredSegmentClosesWithItsLastReader(t *testing.T) {
+	l := sealedLog(t, 100, 300)
+	a, b := l.NewReader(1), l.NewReader(2)
+	wantRange(t, "a", drain(t, a, 1), 1, 1)
+	wantRange(t, "b", drain(t, b, 1), 2, 2)
+	held := a.f
+	if err := l.Ack("only", 80); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := l.Retain(); err != nil || removed < 2 {
+		t.Fatalf("retain removed %d segments (err %v)", removed, err)
+	}
+	if _, err := os.Stat(held.path); !os.IsNotExist(err) {
+		t.Fatalf("the segment under the readers was not retired: %v", err)
+	}
+	wantRange(t, "a after retirement", drain(t, a, 2), 2, 3)
+	a.Close()
+	if held.File == nil {
+		t.Fatal("the descriptor closed while a reader was still on the segment")
+	}
+	wantRange(t, "b after retirement", drain(t, b, 1), 3, 3)
+	b.Close()
+	if held.File != nil || len(l.open) != 0 {
+		t.Fatalf("%d descriptors open after the last reader let go, want 0", len(l.open))
+	}
+}
+
+// TestLogCloseClosesEveryDescriptor: Log.Close closes the descriptors of
+// live and retired segments alike, readers still on them or not.
+func TestLogCloseClosesEveryDescriptor(t *testing.T) {
+	l := sealedLog(t, 100, 300)
+	var held []*segFile
+	for _, from := range []uint64{1, 30, 60, 90} {
+		r := l.NewReader(from)
+		drain(t, r, 1)
+		held = append(held, r.f)
+		if from == 60 {
+			r.Close() // a descriptor kept for the next resume
+		}
+	}
+	if err := l.Ack("only", 50); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Retain(); err != nil || !held[0].retired {
+		t.Fatalf("retain: %v; the first reader's segment not retired", err)
+	}
+	if len(l.open) != len(held) {
+		t.Fatalf("%d descriptors before Close, want %d", len(l.open), len(held))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range held {
+		if f.File != nil {
+			t.Fatalf("descriptor %d still open after Log.Close", i)
+		}
+	}
+	if len(l.open) != 0 {
+		t.Fatalf("%d descriptors after Log.Close", len(l.open))
+	}
+}
+
+// TestResumeDoesNotAllocate: once warm, a resume — NewReader, Next,
+// Close — allocates nothing, on a sealed segment and on the active one.
+func TestResumeDoesNotAllocate(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	sealed := sealedLog(t, 100, 1<<20)
+	active, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer active.Close()
+	appendN(t, active, 1, 100)
+	for name, l := range map[string]*Log{"sealed": sealed, "active": active} {
+		from := uint64(0)
+		if n := testing.AllocsPerRun(200, func() {
+			from = from%100 + 1
+			r := l.NewReader(from)
+			if seq, _, _, err := r.Next(); err != nil || seq != from {
+				t.Fatalf("resume at %d: seq %d err %v", from, seq, err)
+			}
+			r.Close()
+		}); n != 0 {
+			t.Fatalf("%s segment: a resume allocates %.2f objects, want 0", name, n)
+		}
+	}
+}
+
+// TestConcurrentResumes: readers on several goroutines resume over one
+// log while it grows, rotates and retires segments; each reads records
+// in order, and once the log closes no descriptor is left open.
+func TestConcurrentResumes(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 50)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 100; k++ {
+				r := l.NewReader(uint64(1 + (g*37+k*11)%50))
+				prev := uint64(0)
+				for i := 0; i < 20; i++ {
+					seq, _, payload, err := r.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil || seq <= prev || string(payload) != fmt.Sprintf("msg-%04d", seq) {
+						t.Errorf("reader %d: seq %d after %d, payload %q, err %v", g, seq, prev, payload, err)
+						r.Close()
+						return
+					}
+					prev = seq
+				}
+				r.Close()
+			}
+		}(g)
+	}
+	for head := uint64(50); head < 250; head += 10 {
+		appendN(t, l, head+1, head+10)
+		if err := l.Ack("sub", head-40); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Retain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(l.open) != 0 {
+		t.Fatalf("%d descriptors open after Close", len(l.open))
 	}
 }

@@ -205,13 +205,7 @@ func (p *Probe) SendAt(t sim.Time, payloadBytes int) {
 		pl := m.Payload()
 		pl[0] = byte(tag >> 8)
 		pl[1] = byte(tag)
-		n := payloadBytes
-		if n < 2 {
-			n = 2
-		}
-		if n > len(pl) {
-			n = len(pl)
-		}
+		n := min(max(payloadBytes, 2), len(pl))
 		if err := p.sep.Send(m, p.rep.Addr(), n); err != nil {
 			p.c.Domains[p.src].FreeBuffer(m)
 			return

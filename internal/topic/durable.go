@@ -237,16 +237,10 @@ type subReplay struct {
 	granted uint64 // cursor granted for the round in flight (dedup key)
 	ackSeen bool   // addr has acked in-band: its seam is locked
 	// rd is the log cursor the rounds read through. It keeps its place
-	// (descriptor, offset, buffered records) from pump to pump and is
-	// closed whenever nothing is owed: done, evicted, re-addressed.
+	// (segment, offset, buffered records) from pump to pump and is
+	// closed whenever nothing is owed: done, evicted, re-addressed (a
+	// later round repositions it at sr.next).
 	rd *duralog.Reader
-}
-
-// release closes sr's log cursor (a later round reopens it at sr.next).
-func (sr *subReplay) release() {
-	if sr.rd != nil {
-		sr.rd.Close()
-	}
 }
 
 // handleDurCtlLocked dispatches one durable control frame from the
@@ -290,19 +284,17 @@ func (p *Publisher) handleResumeLocked(from core.Addr, cursor uint64, name strin
 		}
 		cursor = c
 	}
-	if cursor > head {
-		cursor = head
-	}
+	cursor = min(cursor, head)
 	sr := p.replay[name]
 	if sr == nil {
-		sr = &subReplay{name: name}
+		sr = &subReplay{name: name, rd: p.log.NewReader(0)}
 		p.replay[name] = sr
 	}
 	if sr.addr != from {
 		if sr.addr.Valid() {
 			delete(p.catchup, sr.addr)
 		}
-		sr.release()
+		sr.rd.Close()
 		sr.addr = from
 		sr.ackSeen = false
 	}
@@ -315,41 +307,35 @@ func (p *Publisher) handleResumeLocked(from core.Addr, cursor uint64, name strin
 		// honoring it would rewind a live stream into duplicate replay.
 		return
 	}
-	if stored && !sr.done && sr.granted == cursor && sr.next > cursor {
-		// Duplicate of the round in flight (resume retries race the
-		// grant in the other direction). Re-send the grant — idempotent,
-		// the seam locks at the same place — but keep the replay
-		// position: rewinding would resend everything already pumped. If
-		// the grant truly was lost and frames were discarded unlocked,
-		// the freshly locked seam gap-resumes with its exact position.
-		var buf [grantFrameBytes]byte
-		n := encodeGrant(buf[:], cursor)
-		_ = p.replayOutFor(sr).SendFlags(from, buf[:n], ctlFlag|p.cfg.Class.Flags())
-		p.pumpReplayLocked(replayBurst)
-		return
+	// A stored-cursor duplicate of the round in flight (resume retries
+	// race the grant in the other direction) gets the grant again —
+	// idempotent, the seam locks at the same place — but keeps the
+	// replay position: rewinding would resend everything already pumped.
+	// If the grant truly was lost and frames were discarded unlocked, the
+	// freshly locked seam gap-resumes with its exact position.
+	if !stored || sr.done || sr.granted != cursor || sr.next <= cursor {
+		sr.next = cursor + 1
+		if first := p.log.First(); sr.next < first {
+			// The retention horizon passed this cursor before it caught
+			// up: the gap is unreplayable. Counted, never silent.
+			p.replayStranded += first - sr.next
+			sr.next = first
+		}
+		sr.done = false
+		// A short repair of an already-locked seam rides the live outbox
+		// (ordered with the live stream it patches); a fresh or long
+		// catch-up drains on the Bulk channel.
+		sr.hot = sr.ackSeen && head-cursor <= hotReplayMax
+		sr.granted = sr.next - 1
 	}
-	sr.next = cursor + 1
-	if first := p.log.First(); sr.next < first {
-		// The retention horizon passed this cursor before it caught
-		// up: the gap is unreplayable. Counted, never silent.
-		p.replayStranded += first - sr.next
-		sr.next = first
-	}
-	sr.done = false
-	// A short repair of an already-locked seam rides the live outbox
-	// (ordered with the live stream it patches); a fresh or long
-	// catch-up drains on the Bulk channel.
-	sr.hot = sr.ackSeen && head-cursor <= hotReplayMax
-	sr.granted = sr.next - 1
 	// Grant the resolved cursor before any data flows: the subscriber
 	// locks its seam at exactly this position, so a dropped or
 	// reordered first replay frame can never shift the seam past a
 	// sequence it still owes. A lost grant is healed by the next resume
-	// (renew cadence).
+	// (renew cadence). The data follows at the caller's pump.
 	var buf [grantFrameBytes]byte
-	n := encodeGrant(buf[:], sr.next-1)
+	n := encodeGrant(buf[:], sr.granted)
 	_ = p.replayOutFor(sr).SendFlags(from, buf[:n], ctlFlag|p.cfg.Class.Flags())
-	p.pumpReplayLocked(replayBurst)
 }
 
 // handleAckLocked applies an in-band cursor acknowledgment: max-merge
@@ -383,7 +369,6 @@ func (p *Publisher) handleAckLocked(from core.Addr, name string, seq uint64) {
 			// index; a round in flight is always indexed, or a later
 			// evict could not find it to stop it.
 			p.catchup[sr.addr] = sr
-			p.pumpReplayLocked(replayBurst)
 		}
 		sr.lastAck = seq
 	}
@@ -392,9 +377,11 @@ func (p *Publisher) handleAckLocked(from core.Addr, name string, seq uint64) {
 
 // PumpReplay drains up to max pending replay frames (replayBurst if
 // max <= 0) across all catching-up subscribers and returns how many
-// were sent. The publish path pumps automatically on every fanout;
-// call this from a housekeeping loop to keep catch-up moving on an
-// idle topic. A no-op for a non-durable publisher.
+// were sent. It is the only pump of its call: a resume it harvests
+// grants, and its replay rides this pump. The publish path pumps
+// automatically on every fanout; call this from a housekeeping loop to
+// keep catch-up moving on an idle topic. A no-op for a non-durable
+// publisher.
 func (p *Publisher) PumpReplay(max int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -450,9 +437,6 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 	start := sr.next
 	sent := 0
 	out := p.replayOutFor(sr)
-	if sr.rd == nil {
-		sr.rd = p.log.NewReader(sr.next)
-	}
 	sr.rd.Seek(sr.next) // a no-op unless a resume, a heal or a deferral moved the round
 	for sent < max {
 		seq, flags, payload, err := sr.rd.Next()
@@ -485,7 +469,7 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 			// the publish path uses to turn a live-send backpressure
 			// drop into a catch-up re-entry.
 			sr.done = true
-			sr.release()
+			sr.rd.Close()
 		}
 	}
 	return sent
@@ -505,7 +489,7 @@ func (p *Publisher) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, sr := range p.replay {
-		sr.release()
+		sr.rd.Close()
 	}
 }
 
@@ -856,78 +840,49 @@ func (s *Subscriber) renewDurable() {
 	}
 }
 
+// durStats is the subscriber's durable state for its accessors: a
+// non-durable subscriber reads the zero state (no name, every count 0).
+func (s *Subscriber) durStats() *subDurState {
+	if s.dur == nil {
+		return &noDurState
+	}
+	return s.dur
+}
+
+var noDurState subDurState
+
 // DurableName returns the subscriber's stable cursor identity ("" for
 // a non-durable subscriber).
-func (s *Subscriber) DurableName() string {
-	if s.dur == nil {
-		return ""
-	}
-	return s.dur.name
-}
+func (s *Subscriber) DurableName() string { return s.durStats().name }
 
 // DurableLocked reports whether the exactly-once seam is established
 // (the subscriber has handed off from replay to the live stream at a
 // known sequence).
-func (s *Subscriber) DurableLocked() bool { return s.dur != nil && s.dur.locked.Load() }
+func (s *Subscriber) DurableLocked() bool { return s.durStats().locked.Load() }
 
 // NextSeq returns the next log sequence the application will see
 // (meaningful once DurableLocked).
-func (s *Subscriber) NextSeq() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.next.Load()
-}
+func (s *Subscriber) NextSeq() uint64 { return s.durStats().next.Load() }
 
 // AckedSeq returns the last sequence acknowledged in-band.
-func (s *Subscriber) AckedSeq() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.acked.Load()
-}
+func (s *Subscriber) AckedSeq() uint64 { return s.durStats().acked.Load() }
 
 // Replayed returns how many deliveries arrived as replay (the rest of
 // Received was live traffic).
-func (s *Subscriber) Replayed() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.replayed.Load()
-}
+func (s *Subscriber) Replayed() uint64 { return s.durStats().replayed.Load() }
 
 // DupDrops returns duplicates discarded at the seam — the price of
 // at-least-once replay under an exactly-once delivery contract.
-func (s *Subscriber) DupDrops() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.dupDrops.Load()
-}
+func (s *Subscriber) DupDrops() uint64 { return s.durStats().dupDrops.Load() }
 
 // GapDrops returns ahead-of-seam frames discarded pending replay
 // (each one re-arrives as replay after the gap resume).
-func (s *Subscriber) GapDrops() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.gapDrops.Load()
-}
+func (s *Subscriber) GapDrops() uint64 { return s.durStats().gapDrops.Load() }
 
 // SeamDrops returns live frames discarded before the seam locked
 // (covered by the initial replay — deferral, not loss).
-func (s *Subscriber) SeamDrops() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.seamDrops.Load()
-}
+func (s *Subscriber) SeamDrops() uint64 { return s.durStats().seamDrops.Load() }
 
 // ResumesSent returns how many resume requests this subscriber has
 // issued (initial, gap-triggered, and Renew retries).
-func (s *Subscriber) ResumesSent() uint64 {
-	if s.dur == nil {
-		return 0
-	}
-	return s.dur.resumes.Load()
-}
+func (s *Subscriber) ResumesSent() uint64 { return s.durStats().resumes.Load() }

@@ -92,7 +92,7 @@ func (p *Publisher) Evict(addr core.Addr) bool {
 				// name; its rebind re-resumes from there at the new
 				// address.
 				sr.done = true
-				sr.release()
+				sr.rd.Close()
 				delete(p.catchup, addr)
 			}
 			return true

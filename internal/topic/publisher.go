@@ -326,8 +326,9 @@ func (p *Publisher) helloLocked() {
 
 // harvestLocked drains the control-return inbox: credit
 // advertisements feed the per-subscriber accounts, durable resume and
-// ack frames feed the replay engine (dispatched by magic byte).
-// Caller holds p.mu.
+// ack frames feed the replay engine (dispatched by magic byte). A
+// resume only grants: the caller pumps the replay afterwards. Caller
+// holds p.mu.
 func (p *Publisher) harvestLocked() {
 	if p.creditIn == nil {
 		return
@@ -613,6 +614,7 @@ func (p *Publisher) CreditAdverts() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.harvestLocked()
+	p.pumpReplayLocked(replayBurst)
 	n := 0
 	for _, dst := range p.plan {
 		if p.heard[dst] != nil {
@@ -629,6 +631,7 @@ func (p *Publisher) CreditAvailable(addr core.Addr) (avail, window int, ok bool)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.harvestLocked()
+	p.pumpReplayLocked(replayBurst)
 	cs := p.heard[addr]
 	if cs == nil {
 		return 0, 0, false

@@ -23,7 +23,7 @@ func newDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *cor
 
 // newIdleDomain is newDomain without the engine goroutine: nothing
 // moves (or allocates) unless the test calls Poll.
-func newIdleDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *core.Domain {
+func newIdleDomain(t testing.TB, fabric *interconnect.Fabric, node wire.NodeID) *core.Domain {
 	t.Helper()
 	tr, err := fabric.Attach(node)
 	if err != nil {
