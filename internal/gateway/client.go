@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"net"
+	"strings"
 	"time"
 
 	"flipc/internal/topic"
@@ -78,7 +79,7 @@ func (g *Conn) Recv() (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	f.Payload = append([]byte(nil), f.Payload...) // DecodeBody copied Name already
+	f.Name, f.Payload = strings.Clone(f.Name), append([]byte(nil), f.Payload...) // DecodeBody lent both
 	return f, nil
 }
 

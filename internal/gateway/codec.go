@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unsafe"
 )
 
 // Client framing: every frame on the wire is
@@ -153,8 +154,8 @@ func splitName(body []byte) (lead byte, name, rest []byte, ok bool) {
 }
 
 // DecodeBody parses one frame body (the bytes after the length
-// prefix). The returned Frame's Name is a copy; its Payload aliases
-// body — copy it before retaining.
+// prefix). It lends body: Name is a string view of it and Payload a
+// slice of it, valid until body is reused — clone them to retain.
 func DecodeBody(body []byte) (Frame, error) {
 	var f Frame
 	if len(body) < 1 || len(body) > MaxFrameBody {
@@ -169,7 +170,7 @@ func DecodeBody(body []byte) (Frame, error) {
 		if !ok || short && len(payload) > 0 {
 			return f, ErrBadFrame
 		}
-		f.Name = string(name)
+		f.Name = unsafe.String(&name[0], len(name))
 		switch {
 		case f.Op == OpHello:
 			f.Ver = lead
@@ -186,7 +187,7 @@ func DecodeBody(body []byte) (Frame, error) {
 		if n == 0 || n > MaxClientName || 1+n != len(rest) {
 			return f, ErrBadFrame
 		}
-		f.Name = string(rest[1 : 1+n])
+		f.Name = unsafe.String(&rest[1], n)
 	case OpErr:
 		if len(rest) < 2 {
 			return f, ErrBadFrame

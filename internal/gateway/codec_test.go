@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net"
 	"testing"
+
+	"flipc/internal/israce"
 )
 
 func roundTrip(t *testing.T, f Frame) Frame {
@@ -125,5 +128,64 @@ func TestScannerStream(t *testing.T) {
 	}
 	if _, err := sc.Next(); !errors.Is(err, io.EOF) {
 		t.Fatalf("after stream: %v", err)
+	}
+}
+
+// DecodeBody lends its frame: decoding any body, Name included,
+// allocates nothing.
+func TestDecodeBodyAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, f := range []Frame{
+		{Op: OpHello, Ver: 1, Name: "sensor-7"},
+		{Op: OpSub, Class: 2, Name: "metrics.*"},
+		{Op: OpUnsub, Name: "metrics.**"},
+		{Op: OpPub, Class: 1, Name: "metrics.cpu", Payload: []byte("42")},
+		{Op: OpDeliver, Class: 0, Name: "a.b", Payload: []byte{0, 1, 2}},
+	} {
+		enc, err := AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := enc[frameHeaderBytes:]
+		if n := testing.AllocsPerRun(100, func() {
+			if got, err := DecodeBody(body); err != nil || got.Name != f.Name {
+				t.Fatalf("decode %+v: %+v, %v", f, got, err)
+			}
+		}); n != 0 {
+			t.Fatalf("op %d: DecodeBody allocates %v objects, want 0", f.Op, n)
+		}
+	}
+}
+
+// Conn.Recv hands out copies: a frame's Name and Payload survive the
+// next Recv, which reads into the same scanner buffer.
+func TestRecvFrameOutlivesNextRecv(t *testing.T) {
+	near, far := net.Pipe()
+	defer near.Close()
+	defer far.Close()
+	go func() {
+		for _, f := range []Frame{
+			{Op: OpDeliver, Class: 1, Name: "a.first", Payload: []byte("one")},
+			{Op: OpDeliver, Class: 1, Name: "b.other", Payload: []byte("two")},
+		} {
+			enc, _ := AppendFrame(nil, f)
+			if _, err := far.Write(enc); err != nil {
+				return
+			}
+		}
+	}()
+	g := &Conn{c: near, sc: NewScanner(near)}
+	first, err := g.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := g.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Name != "a.first" || string(first.Payload) != "one" || second.Name != "b.other" || string(second.Payload) != "two" {
+		t.Fatalf("frames changed under the next Recv: %q %q, %q %q", first.Name, first.Payload, second.Name, second.Payload)
 	}
 }

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -372,6 +373,7 @@ func (m *Mux) HandleFrame(c *Client, body []byte) {
 		m.sendErr(c, ErrCodeBadFrame, "unparseable frame")
 		return
 	}
+	f.Name = strings.Clone(f.Name) // the control path keeps names; body is the reader's to reuse
 	switch f.Op {
 	case OpHello:
 		m.handleHello(c, f)

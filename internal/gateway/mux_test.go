@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strings"
@@ -82,6 +83,8 @@ func popFrames(t *testing.T, c *Client) []Frame {
 		if err != nil {
 			t.Fatalf("queued frame undecodable: %v", err)
 		}
+		// Held past the next PopOut: copy what DecodeBody lent.
+		f.Name, f.Payload = strings.Clone(f.Name), bytes.Clone(f.Payload)
 		out = append(out, f)
 	}
 }
@@ -659,5 +662,49 @@ func TestFramingLedgerErrNamesTerms(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.names) {
 			t.Errorf("%s off by one: error %q does not name %q", tc.term, err, tc.names)
 		}
+	}
+}
+
+// The control path keeps what DecodeBody lent it: after a hello and a
+// sub, the reader reuses the frame buffer (Scanner.Next reads the next
+// frame into it), and the client's name, its subscription, the pattern
+// index, the refs and the registry pattern must not change with it.
+func TestControlPathOutlivesFrameBuffer(t *testing.T) {
+	r := newPollRig(t, Config{})
+	c := r.mux.Attach()
+	scribble := func(body []byte) { // the name starts after op, lead and length bytes
+		for i := 3; i < len(body); i++ {
+			body[i] = 'z'
+		}
+	}
+	buf := frameBody(t, Frame{Op: OpHello, Ver: 1, Name: "alice"})
+	r.mux.HandleFrame(c, buf)
+	scribble(buf)
+	lane := int(topic.Normal)
+	buf = frameBody(t, Frame{Op: OpSub, Class: uint8(lane), Name: "metrics.*"})
+	r.mux.HandleFrame(c, buf)
+	scribble(buf)
+	if frames := popFrames(t, c); len(frames) != 0 {
+		t.Fatalf("hello and sub answered %+v", frames)
+	}
+
+	r.mux.mu.Lock()
+	defer r.mux.mu.Unlock()
+	if c.name != "alice" || c.key != "gw-poll/alice" {
+		t.Fatalf("client name %q, key %q after the buffer was reused", c.name, c.key)
+	}
+	if _, ok := c.subs[subKey{lane, "metrics.*"}]; !ok || len(c.subs) != 1 {
+		t.Fatalf("client subscriptions %v, want metrics.* on lane %d", c.subs, lane)
+	}
+	if n := r.mux.refs[lane]["metrics.*"]; n != 1 || len(r.mux.refs[lane]) != 1 {
+		t.Fatalf("lane refs %v, want metrics.*: 1", r.mux.refs[lane])
+	}
+	var matched []uint64
+	r.mux.subs[lane].Match("metrics.cpu", func(key uint64) { matched = append(matched, key) })
+	if len(matched) != 1 || matched[0] != c.id {
+		t.Fatalf("index matched %v for metrics.cpu, want [%d]", matched, c.id)
+	}
+	if pats := r.reg.Patterns(); len(pats) != 1 || pats[0] != "metrics.*" {
+		t.Fatalf("registry patterns %q, want [metrics.*]", pats)
 	}
 }

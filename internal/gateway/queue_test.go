@@ -65,8 +65,8 @@ func (r *pollRig) deliver(t *testing.T, c *Client, body []byte) {
 }
 
 // The whole edge path — a client publish, the engine pass, the pump's
-// fanout and the writer's pop — allocates one object, the fabric's
-// frame copy, at a short and at a long topic name.
+// fanout, the writer's pop and the client's decode — allocates one
+// object, the fabric's frame copy, at a short and at a long topic name.
 func TestDeliverPathAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -80,15 +80,17 @@ func TestDeliverPathAllocs(t *testing.T) {
 		got := 0
 		n := testing.AllocsPerRun(200, func() {
 			r.deliver(t, pubC, body)
-			if _, ok := sub.PopOut(); ok {
-				got++
+			if b, ok := sub.PopOut(); ok {
+				if f, err := DecodeBody(b[frameHeaderBytes:]); err == nil && f.Op == OpDeliver && f.Name == name {
+					got++
+				}
 			}
 		})
 		if got != 201 {
-			t.Fatalf("%d-byte topic: %d of 201 deliveries popped", len(name), got)
+			t.Fatalf("%d-byte topic: %d of 201 deliveries popped and decoded", len(name), got)
 		}
 		if n != 1 {
-			t.Fatalf("%d-byte topic: publish to pop allocates %v objects, want 1 (the fabric copy)", len(name), n)
+			t.Fatalf("%d-byte topic: publish to pop and decode allocates %v objects, want 1 (the fabric copy)", len(name), n)
 		}
 	}
 }

@@ -349,14 +349,6 @@ func (r *TopicRegistry) PatternCount() int {
 	return r.pats.Len()
 }
 
-// PatternGen returns the pattern-plane generation — the component the
-// registry folds into every topic's effective snapshot generation.
-func (r *TopicRegistry) PatternGen() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.patGen
-}
-
 // Patterns returns the live patterns, sorted (diagnostics).
 func (r *TopicRegistry) Patterns() []string {
 	r.mu.Lock()

@@ -103,7 +103,7 @@ type Op struct {
 	Name  string    // topic, pattern or presence key
 	Addr  wire.Addr // the subscriber's data address; presence: the gateway's control address
 	Class uint8     // OpSubscribe: the topic's class byte
-	Seq   uint64    // OpAckCursor: the acknowledged sequence
+	Seq   uint64    // OpAckCursor: the acknowledged sequence; OpSnapshot: a generation hint (see Apply)
 	Sub   string    // OpAckCursor: the subscriber's stable name; OpUpsertPresence: the gateway's
 }
 
@@ -265,9 +265,14 @@ func (k OpKind) EveryShard() bool {
 
 // Apply executes one directory op against the registry: what the server
 // does with an admitted request and topic.LocalDirectory does in process.
-// A snapshot of a topic nobody declared is empty, not an error.
+// A snapshot of a topic nobody declared is empty, not an error. A
+// snapshot's Op.Seq is the caller's plan generation + 1 (0: none): on a
+// match the answer is {Name, Gen} alone. Client.Do drops the hint.
 func (r *TopicRegistry) Apply(op Op) (TopicSnapshot, error) {
 	if op.Kind == OpSnapshot {
+		if op.Seq != 0 && uint32(op.Seq-1) == r.Gen(op.Name) {
+			return TopicSnapshot{Name: op.Name, Gen: uint32(op.Seq - 1)}, nil
+		}
 		snap, _ := r.Snapshot(op.Name)
 		return snap, nil
 	}

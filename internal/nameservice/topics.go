@@ -364,8 +364,8 @@ func (r *TopicRegistry) Snapshot(topic string) (TopicSnapshot, bool) {
 	return snap, true
 }
 
-// Gen returns topic's membership generation without building a
-// snapshot — the publisher's cheap staleness probe.
+// Gen returns topic's effective membership generation, TopicSnapshot.Gen,
+// without building a snapshot: Apply's check of a snapshot's hint.
 func (r *TopicRegistry) Gen(topic string) uint32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -133,3 +133,58 @@ func TestTopicRegistryClassChangeBumpsGen(t *testing.T) {
 		t.Fatalf("topics = %v", got)
 	}
 }
+
+// A snapshot's generation hint (Op.Seq = Gen+1) only ever saves the
+// slices: a zero or stale hint gets the full snapshot, and every change
+// a publisher's plan reads moves Gen, so a {Name, Gen} answer never
+// hides one. A renewal, which changes nothing a plan reads, keeps Gen.
+func TestSnapshotGenerationHint(t *testing.T) {
+	r := NewTopicRegistry()
+	r.SetTTL(1)
+	a, b, pat := topicAddr(t, 1, 3, 1), topicAddr(t, 1, 4, 1), topicAddr(t, 2, 9, 1)
+	snapshot := func(seq uint64) TopicSnapshot {
+		t.Helper()
+		s, err := r.Apply(Op{Kind: OpSnapshot, Name: "t", Seq: seq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if err := r.Declare("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Subscribe("t", a); err != nil {
+		t.Fatal(err)
+	}
+	gen := snapshot(0).Gen
+	for _, seq := range []uint64{0, uint64(gen), uint64(gen) + 2} {
+		if s := snapshot(seq); len(s.Subs) != 1 || s.Gen != gen || s.Class != 1 {
+			t.Fatalf("hint %d at generation %d: %+v, want the full snapshot", seq, gen, s)
+		}
+	}
+	if s := snapshot(uint64(gen) + 1); s.Name != "t" || s.Gen != gen || s.Class != 0 || s.Subs != nil || s.Pats != nil || s.Cursors != nil {
+		t.Fatalf("matching hint: %+v, want {Name, Gen} alone", s)
+	}
+	for _, step := range []struct {
+		what  string
+		do    func() error
+		moves bool
+	}{
+		{"renewal", func() error { return r.Subscribe("t", a) }, false},
+		{"cursor ack", func() error { return r.AckCursor("t", "billing", 7) }, false},
+		{"exact subscribe", func() error { return r.Subscribe("t", b) }, true},
+		{"exact unsubscribe", func() error { r.Unsubscribe("t", b); return nil }, true},
+		{"pattern subscribe", func() error { return r.SubscribePattern("t", pat) }, true},
+		{"class change", func() error { return r.Declare("t", 2) }, true},
+		{"lease expiry", func() error { r.Advance(); r.Advance(); return nil }, true},
+	} {
+		before := snapshot(0).Gen
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		s := snapshot(uint64(before) + 1)
+		if moved := s.Gen != before; moved != step.moves || moved != (s.Subs != nil) {
+			t.Fatalf("%s: generation %d -> %d with subs %v, want moved=%v and a full snapshot iff it moved", step.what, before, s.Gen, s.Subs, step.moves)
+		}
+	}
+}

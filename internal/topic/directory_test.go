@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flipc/internal/interconnect"
+	"flipc/internal/israce"
 	"flipc/internal/nameservice"
 	"flipc/internal/shardmap"
 )
@@ -87,6 +88,16 @@ func TestDirectoryConformance(t *testing.T) {
 				t.Fatalf("snapshot %q: %v", name, err)
 			}
 			answers = append(answers, fmt.Sprintf("%s class=%d subs=%v pats=%v", name, snap.Class, snap.Addrs(), snap.Pats))
+			// The generation hint: a directory answers a matching one
+			// in full or with {Name, Gen} alone, and a stale one in full.
+			for _, seq := range []uint64{uint64(snap.Gen) + 1, uint64(snap.Gen) + 2} {
+				hinted, err := dir.Do(nameservice.Op{Kind: nameservice.OpSnapshot, Name: name, Seq: seq})
+				full := fmt.Sprint(hinted) == fmt.Sprint(snap)
+				genOnly := seq == uint64(snap.Gen)+1 && fmt.Sprint(hinted) == fmt.Sprint(nameservice.TopicSnapshot{Name: name, Gen: snap.Gen})
+				if err != nil || !full && !genOnly {
+					t.Fatalf("snapshot %q, hint %d at generation %d: %+v, %v; want %+v or {Name, Gen}", name, seq, snap.Gen, hinted, err, snap)
+				}
+			}
 		}
 		return strings.Join(answers, "\n")
 	}
@@ -153,7 +164,8 @@ func TestDirectoryConformance(t *testing.T) {
 
 // TestLocalSnapshotAllocs: a snapshot through Directory.Do costs what
 // TopicRegistry.Snapshot and Addrs cost by themselves — the publisher
-// takes one every RefreshEvery publishes, inside the fanout path.
+// takes one inside the fanout path whenever its probe finds the topic
+// changed.
 func TestLocalSnapshotAllocs(t *testing.T) {
 	reg := nameservice.NewTopicRegistry()
 	var dir Directory = LocalDirectory{R: reg}
@@ -172,5 +184,68 @@ func TestLocalSnapshotAllocs(t *testing.T) {
 	})
 	if through != direct {
 		t.Fatalf("snapshot through Do allocates %v objects, TopicRegistry.Snapshot + Addrs %v", through, direct)
+	}
+}
+
+// countingDir counts the snapshots a directory answers in full — with
+// the membership slices, not the {Name, Gen} of a matched hint.
+type countingDir struct {
+	Directory
+	probes, full int
+}
+
+func (c *countingDir) Do(op nameservice.Op) (nameservice.TopicSnapshot, error) {
+	snap, err := c.Directory.Do(op)
+	if op.Kind == nameservice.OpSnapshot {
+		c.probes++
+		if snap.Subs != nil || snap.Pats != nil || snap.Cursors != nil {
+			c.full++
+		}
+	}
+	return snap, err
+}
+
+// A publisher probes the directory every RefreshEvery publishes with
+// its plan's generation: an unchanged topic answers with the generation
+// alone, and only a membership change costs a full snapshot. Through a
+// LocalDirectory, a refresh of an unchanged topic allocates nothing.
+func TestRefreshProbesGeneration(t *testing.T) {
+	dir := &countingDir{Directory: LocalDirectory{R: nameservice.NewTopicRegistry()}}
+	if err := Subscribe(dir, "t", mustAddr(t, 1, 3), Normal); err != nil {
+		t.Fatal(err)
+	}
+	const every = 64
+	p, err := NewPublisher(newIdleDomain(t, interconnect.NewFabric(64), 0), dir, PublisherConfig{Topic: "t", Class: Normal, RefreshEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func() {
+		t.Helper()
+		dir.probes, dir.full = 0, 0
+		for i := 0; i < 4*every; i++ {
+			if _, err := p.Publish([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dir.probes != 4 {
+			t.Fatalf("%d publishes probed the directory %d times, want 4", 4*every, dir.probes)
+		}
+	}
+	publish()
+	if dir.full != 0 {
+		t.Fatalf("an unchanged topic answered %d full snapshots, want 0", dir.full)
+	}
+	if err := Subscribe(dir, "t", mustAddr(t, 1, 4), Normal); err != nil {
+		t.Fatal(err)
+	}
+	publish()
+	if dir.full != 1 || p.Subscribers() != 2 {
+		t.Fatalf("after a subscribe: %d full snapshots and %d planned subscribers, want 1 and 2", dir.full, p.Subscribers())
+	}
+	if israce.Enabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = p.Refresh() }); n != 0 {
+		t.Fatalf("refreshing an unchanged topic allocates %v objects, want 0", n)
 	}
 }

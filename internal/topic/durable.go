@@ -860,13 +860,6 @@ func (s *Subscriber) DurableName() string { return s.durStats().name }
 // known sequence).
 func (s *Subscriber) DurableLocked() bool { return s.durStats().locked.Load() }
 
-// NextSeq returns the next log sequence the application will see
-// (meaningful once DurableLocked).
-func (s *Subscriber) NextSeq() uint64 { return s.durStats().next.Load() }
-
-// AckedSeq returns the last sequence acknowledged in-band.
-func (s *Subscriber) AckedSeq() uint64 { return s.durStats().acked.Load() }
-
 // Replayed returns how many deliveries arrived as replay (the rest of
 // Received was live traffic).
 func (s *Subscriber) Replayed() uint64 { return s.durStats().replayed.Load() }

@@ -14,6 +14,7 @@ import (
 	"flipc/internal/flowctl"
 	"flipc/internal/metrics"
 	"flipc/internal/msglib"
+	"flipc/internal/nameservice"
 	"flipc/internal/wire"
 )
 
@@ -234,7 +235,11 @@ func (p *Publisher) Refresh() error {
 }
 
 func (p *Publisher) refreshLocked() error {
-	snap, err := Snapshot(p.dir, p.cfg.Topic)
+	op := nameservice.Op{Kind: nameservice.OpSnapshot, Name: p.cfg.Topic}
+	if p.plan != nil {
+		op.Seq = uint64(p.planGen) + 1 // a generation hint: a match may come back as {Name, Gen} (see TopicRegistry.Apply)
+	}
+	snap, err := p.dir.Do(op)
 	if err != nil {
 		return err
 	}
