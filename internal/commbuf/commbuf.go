@@ -155,7 +155,6 @@ type Buffer struct {
 	arena *mem.Arena
 
 	// Layout (word offsets), fixed at New time.
-	payloadBase []int // per-buffer payload byte offsets
 	msgs        []Msg // the canonical handle for each buffer id
 	epCfgBase   int   // endpoint descriptor config area
 	epCfgStride int
@@ -250,15 +249,14 @@ func New(cfg Config) (*Buffer, error) {
 
 	// Payload area: one aligned region per buffer. FLIPC internalizes
 	// all message buffers so it can guarantee DMA alignment (§Architecture).
-	b.payloadBase = make([]int, cfg.NumBuffers)
 	b.msgs = make([]Msg, cfg.NumBuffers)
 	for i := 0; i < cfg.NumBuffers; i++ {
 		off, err := arena.AllocPayload(cfg.MaxPayload(), 32)
 		if err != nil {
 			return nil, err
 		}
-		b.payloadBase[i] = off
-		b.msgs[i] = Msg{buf: b, id: i, metaOff: metaBase + i*metaStride}
+		b.msgs[i] = Msg{buf: b, id: i, metaOff: metaBase + i*metaStride,
+			payload: arena.Payload(off, cfg.MaxPayload())}
 	}
 
 	// Endpoint descriptor config area.
@@ -330,6 +328,10 @@ func New(cfg Config) (*Buffer, error) {
 // Config returns the buffer's (defaulted) configuration.
 func (b *Buffer) Config() Config { return b.cfg }
 
+// MaxPayload returns the application payload capacity per message,
+// without copying the Config.
+func (b *Buffer) MaxPayload() int { return wire.MaxPayload(b.cfg.MessageSize) }
+
 // Arena exposes the underlying shared region (for tracer installation
 // and for the engine's views).
 func (b *Buffer) Arena() *mem.Arena { return b.arena }
@@ -396,20 +398,6 @@ func (b *Buffer) NumBuffers() int { return b.cfg.NumBuffers }
 // uses this as part of its validity checks on untrusted queue slots.
 func (b *Buffer) ValidBufID(id uint64) bool { return id < uint64(b.cfg.NumBuffers) }
 
-// MetaWordOffset returns the word offset of buffer id's meta word, for
-// fault-injection tooling that models a hostile application scribbling
-// on its own control words. Reports false for out-of-range ids.
-// Production code never needs this.
-func (b *Buffer) MetaWordOffset(id int) (int, bool) {
-	if id < 0 || id >= b.cfg.NumBuffers {
-		return 0, false
-	}
-	return b.msgs[id].metaOff, true
-}
-
-// payloadOffset returns the byte offset of buffer id's payload.
-func (b *Buffer) payloadOffset(id int) int { return b.payloadBase[id] }
-
 // SlotForAddrIndex maps an address's endpoint-index field to this
 // buffer's descriptor slot, reporting false when the index falls
 // outside this buffer's [EndpointBase, EndpointBase+MaxEndpoints)
@@ -420,12 +408,6 @@ func (b *Buffer) SlotForAddrIndex(idx int) (int, bool) {
 		return 0, false
 	}
 	return slot, true
-}
-
-// EndpointRange returns this buffer's [lo, hi) endpoint-index range in
-// the node's address space.
-func (b *Buffer) EndpointRange() (lo, hi int) {
-	return b.cfg.EndpointBase, b.cfg.EndpointBase + b.cfg.MaxEndpoints
 }
 
 // NodeAllowed reports whether this buffer's applications may send to

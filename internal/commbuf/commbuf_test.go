@@ -118,21 +118,40 @@ func TestFreeMsgValidation(t *testing.T) {
 	}
 }
 
+// Each handle carries its payload area, cut once in New: every id's
+// slice is exactly MaxPayload long with no spare capacity, so an append
+// cannot spill into the next buffer; no two ids share a byte; and a
+// second lookup of an id reaches the same bytes as the first.
 func TestMsgPayloadIsolation(t *testing.T) {
-	b := newBuffer(t, defaultConfig())
-	m1, _ := b.AllocMsg()
-	m2, _ := b.AllocMsg()
-	p1 := m1.Payload()
-	p2 := m2.Payload()
-	if len(p1) != 56 || len(p2) != 56 {
-		t.Fatalf("payload lengths %d, %d", len(p1), len(p2))
-	}
-	for i := range p1 {
-		p1[i] = 0xAA
-	}
-	for _, v := range p2 {
-		if v == 0xAA {
-			t.Fatal("payloads overlap")
+	for _, padded := range []bool{true, false} {
+		cfg := defaultConfig()
+		cfg.Padded = padded
+		b := newBuffer(t, cfg)
+		want := b.MaxPayload()
+		if want != 56 || want != b.Config().MaxPayload() {
+			t.Fatalf("padded=%v: MaxPayload = %d, Config's %d, want 56", padded, want, b.Config().MaxPayload())
+		}
+		for id := 0; id < cfg.NumBuffers; id++ {
+			m, err := b.MsgByID(uint64(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := m.Payload()
+			if len(p) != want || cap(p) != want {
+				t.Fatalf("padded=%v id %d: len %d cap %d, want both %d", padded, id, len(p), cap(p), want)
+			}
+			for i := range p {
+				p[i] = byte(id + 1)
+			}
+			_ = append(p, 0xFF) // must reallocate, not write past the area
+		}
+		for id := 0; id < cfg.NumBuffers; id++ {
+			m, _ := b.MsgByID(uint64(id))
+			for i, v := range m.Payload() {
+				if v != byte(id+1) {
+					t.Fatalf("padded=%v id %d byte %d = %#x, want %#x: payloads overlap", padded, id, i, v, id+1)
+				}
+			}
 		}
 	}
 }

@@ -80,12 +80,13 @@ func unpackMeta(v uint64) metaWord {
 
 // Msg is the handle on one fixed-size message buffer inside the
 // communication buffer: one immutable entry per buffer ID, built by New.
-// The handle caches only the buffer ID and where its meta word lives; all
-// mutable state is in the arena.
+// The handle caches only the buffer ID, where its meta word lives and
+// its payload area; all mutable state is in the arena.
 type Msg struct {
 	buf     *Buffer
 	id      int
-	metaOff int // word offset of the meta word
+	metaOff int    // word offset of the meta word
+	payload []byte // the payload area, len == cap == MaxPayload
 }
 
 // ID returns the buffer-table index.
@@ -94,9 +95,7 @@ func (m *Msg) ID() int { return m.id }
 // Payload returns the buffer's full application payload area
 // (MessageSize-8 bytes). The application may only touch it while it
 // owns the buffer (StateOwned or StateDone).
-func (m *Msg) Payload() []byte {
-	return m.buf.arena.Payload(m.buf.payloadOffset(m.id), m.buf.cfg.MaxPayload())
-}
+func (m *Msg) Payload() []byte { return m.payload }
 
 func (m *Msg) meta(v mem.View) metaWord { return unpackMeta(v.Load(m.metaOff)) }
 
@@ -132,8 +131,8 @@ func (m *Msg) StageSend(v mem.View, dst wire.Addr, size int, flags uint8) error 
 	if !dst.Valid() {
 		return fmt.Errorf("commbuf: invalid destination %v", dst)
 	}
-	if size < 0 || size > m.buf.cfg.MaxPayload() {
-		return fmt.Errorf("commbuf: payload size %d out of range [0,%d]", size, m.buf.cfg.MaxPayload())
+	if size < 0 || size > len(m.payload) {
+		return fmt.Errorf("commbuf: payload size %d out of range [0,%d]", size, len(m.payload))
 	}
 	if st := m.State(v); st != StateOwned {
 		return fmt.Errorf("commbuf: StageSend on buffer %d in state %v", m.id, st)

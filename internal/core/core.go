@@ -156,7 +156,7 @@ func (d *Domain) Engine() *engine.Engine { return d.eng }
 func (d *Domain) Kernel() *rtsched.Kernel { return d.kernel }
 
 // MaxPayload returns the application payload bytes per message.
-func (d *Domain) MaxPayload() int { return d.buf.Config().MaxPayload() }
+func (d *Domain) MaxPayload() int { return d.buf.MaxPayload() }
 
 // Poll runs one engine pass plus a kernel pump, for callers that drive
 // the domain manually (simulations, single-threaded tests). Returns

@@ -143,15 +143,6 @@ type Stats struct {
 	QuarantineRecoveries uint64
 }
 
-// Faults returns the total quarantine episodes across all categories.
-func (s *Stats) Faults() uint64 {
-	var n uint64
-	for _, v := range s.EndpointFaults {
-		n += v
-	}
-	return n
-}
-
 // Engine is one node's messaging engine instance.
 type Engine struct {
 	buf     *commbuf.Buffer
@@ -876,7 +867,7 @@ func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, Fau
 			return txFault, FaultBadBufState
 		}
 		if !dst.Valid() ||
-			size < 0 || size > e.buf.Config().MaxPayload() ||
+			size < 0 || size > e.buf.MaxPayload() ||
 			!e.buf.NodeAllowed(e.view, dst.Node()) {
 			// Policy refusal: this message is dropped and counted, but the
 			// endpoint is healthy and later messages flow.

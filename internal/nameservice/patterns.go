@@ -112,9 +112,41 @@ func MatchesPattern(pat, topic string) bool {
 // wildcard.
 type patNode struct {
 	children map[string]*patNode
-	star     *patNode            // "*"  — exactly one segment
-	dstar    map[uint64]struct{} // "**" — one or more segments (terminal by construction)
-	keys     map[uint64]struct{} // subscribers whose pattern ends here
+	star     *patNode // "*"  — exactly one segment
+	dstar    keySet   // "**" — one or more segments (terminal by construction)
+	keys     keySet   // subscribers whose pattern ends here
+}
+
+// keySet is a set of subscriber keys that a match ranges over as a
+// slice; pos, which only add and remove touch, keeps both O(1).
+type keySet struct {
+	list []uint64
+	pos  map[uint64]int // key -> index in list
+}
+
+func (s *keySet) add(key uint64) bool {
+	if _, ok := s.pos[key]; ok {
+		return false
+	}
+	if s.pos == nil {
+		s.pos = make(map[uint64]int)
+	}
+	s.pos[key] = len(s.list)
+	s.list = append(s.list, key)
+	return true
+}
+
+// remove swaps the last key into key's place.
+func (s *keySet) remove(key uint64) bool {
+	i, ok := s.pos[key]
+	if !ok {
+		return false
+	}
+	last := s.list[len(s.list)-1]
+	s.list[i], s.pos[last] = last, i
+	s.list = s.list[:len(s.list)-1]
+	delete(s.pos, key)
+	return true
 }
 
 // PatternIndex is a prefix-tree index from subscription patterns to
@@ -136,20 +168,11 @@ func (x *PatternIndex) Len() int { return x.n }
 // pattern must already be validated (ValidPattern).
 func (x *PatternIndex) Add(pat string, key uint64) bool {
 	n := &x.root
-	segs := strings.Split(pat, ".")
-	for _, s := range segs {
-		if s == "**" {
-			if n.dstar == nil {
-				n.dstar = make(map[uint64]struct{})
-			}
-			if _, ok := n.dstar[key]; ok {
-				return false
-			}
-			n.dstar[key] = struct{}{}
-			x.n++
-			return true
-		}
-		if s == "*" {
+	for _, s := range strings.Split(pat, ".") {
+		switch s {
+		case "**":
+			return x.count(n.dstar.add(key), 1)
+		case "*":
 			if n.star == nil {
 				n.star = &patNode{}
 			}
@@ -166,15 +189,15 @@ func (x *PatternIndex) Add(pat string, key uint64) bool {
 		}
 		n = c
 	}
-	if n.keys == nil {
-		n.keys = make(map[uint64]struct{})
+	return x.count(n.keys.add(key), 1)
+}
+
+// count moves the pair count by d when changed, and returns changed.
+func (x *PatternIndex) count(changed bool, d int) bool {
+	if changed {
+		x.n += d
 	}
-	if _, ok := n.keys[key]; ok {
-		return false
-	}
-	n.keys[key] = struct{}{}
-	x.n++
-	return true
+	return changed
 }
 
 // Remove drops key's subscription to pat, reporting whether it
@@ -186,21 +209,11 @@ func (x *PatternIndex) Remove(pat string, key uint64) bool {
 
 func (x *PatternIndex) remove(n *patNode, segs []string, key uint64) bool {
 	if len(segs) == 0 {
-		if _, ok := n.keys[key]; !ok {
-			return false
-		}
-		delete(n.keys, key)
-		x.n--
-		return true
+		return x.count(n.keys.remove(key), -1)
 	}
 	s := segs[0]
 	if s == "**" {
-		if _, ok := n.dstar[key]; !ok {
-			return false
-		}
-		delete(n.dstar, key)
-		x.n--
-		return true
+		return x.count(n.dstar.remove(key), -1)
 	}
 	var c *patNode
 	if s == "*" {
@@ -214,7 +227,7 @@ func (x *PatternIndex) remove(n *patNode, segs []string, key uint64) bool {
 	if !x.remove(c, segs[1:], key) {
 		return false
 	}
-	if len(c.keys) == 0 && len(c.children) == 0 && c.star == nil && len(c.dstar) == 0 {
+	if len(c.keys.list) == 0 && len(c.children) == 0 && c.star == nil && len(c.dstar.list) == 0 {
 		if s == "*" {
 			n.star = nil
 		} else {
@@ -255,7 +268,7 @@ func (x *PatternIndex) MatchBytes(topic []byte, visit func(key uint64)) {
 // name is in — below n.
 func matchNode[T string | []byte](n *patNode, rest T, visit func(uint64)) {
 	// "**" at this level swallows the whole remaining suffix (≥1 segs).
-	for k := range n.dstar {
+	for _, k := range n.dstar.list {
 		visit(k)
 	}
 	seg, tail, more := rest, rest[len(rest):], false
@@ -273,7 +286,7 @@ func matchNode[T string | []byte](n *patNode, rest T, visit func(uint64)) {
 			matchNode(c, tail, visit)
 			continue
 		}
-		for k := range c.keys {
+		for _, k := range c.keys.list {
 			visit(k)
 		}
 	}
@@ -285,10 +298,10 @@ func (x *PatternIndex) Patterns() []string {
 	var out []string
 	var walk func(n *patNode, prefix []string)
 	walk = func(n *patNode, prefix []string) {
-		if len(n.keys) > 0 {
+		if len(n.keys.list) > 0 {
 			out = append(out, strings.Join(prefix, "."))
 		}
-		if len(n.dstar) > 0 {
+		if len(n.dstar.list) > 0 {
 			out = append(out, strings.Join(append(append([]string{}, prefix...), "**"), "."))
 		}
 		for s, c := range n.children {

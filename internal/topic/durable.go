@@ -851,10 +851,6 @@ func (s *Subscriber) durStats() *subDurState {
 
 var noDurState subDurState
 
-// DurableName returns the subscriber's stable cursor identity ("" for
-// a non-durable subscriber).
-func (s *Subscriber) DurableName() string { return s.durStats().name }
-
 // DurableLocked reports whether the exactly-once seam is established
 // (the subscriber has handed off from replay to the live stream at a
 // known sequence).
