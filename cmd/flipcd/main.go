@@ -157,15 +157,18 @@ func main() {
 	}
 
 	// A registry node needs headroom beyond the echo service: server
-	// window, replication feed or stream subscriber, resync client.
-	numBuffers := 64
+	// window, resync client, and both the durable stream subscription
+	// (inbox, control outbox) and, once promoted, the feed's durable
+	// publisher (live and replay outboxes, control inbox).
+	numBuffers, maxEndpoints := 64, 0 // 0: commbuf's default of 16
 	if *registryOn {
-		numBuffers = 512
+		numBuffers, maxEndpoints = 512, 32
 	}
 	d, err := core.NewDomain(core.Config{
-		Node:        wire.NodeID(*node),
-		MessageSize: *msgSize,
-		NumBuffers:  numBuffers,
+		Node:         wire.NodeID(*node),
+		MessageSize:  *msgSize,
+		NumBuffers:   numBuffers,
+		MaxEndpoints: maxEndpoints,
 		Engine: engine.Config{
 			Trace:          ring,
 			Metrics:        reg,

@@ -26,12 +26,12 @@ type registryOpts struct {
 	Standby bool
 	// StreamAddr is the primary registry server's endpoint address
 	// (hex, as printed by the primary at startup) the standby resolves
-	// the replication stream and resync fetches through.
+	// the replication stream and its bootstrap resync through.
 	StreamAddr string
 	// LeaseInterval is the housekeeping cadence: lease sweeps,
 	// replication pumping, compaction checks.
 	LeaseInterval time.Duration
-	// CompactEvery compacts the log once it accumulates this many
+	// CompactEvery compacts the journal once it accumulates this many
 	// records.
 	CompactEvery int
 	// FailoverAfter promotes a standby that has seen no stream progress
@@ -51,8 +51,8 @@ type registryOpts struct {
 
 // registryNode bundles the registry pieces of one flipcd process: the
 // in-band server, optionally a durable store with role manager, and —
-// depending on role — the replication feed (primary) or the stream
-// apply loop (standby).
+// depending on role — the feed publishing the store's journal
+// (primary) or the durable subscription applying it (standby).
 type registryNode struct {
 	opts registryOpts
 	d    *core.Domain
@@ -62,14 +62,14 @@ type registryNode struct {
 	mgr  *registrystore.Manager
 	feed *registrystore.Feed
 
+	sub    *topic.Subscriber // the standby's durable stream subscription
 	apply  *registrystore.Apply
 	client *nameservice.Client // resync fetches from the primary
 
-	seen           map[int]uint64 // quarantine episodes already evicted
-	lastSeq        uint64         // stream progress markers (previous tick)
-	lastHeartbeats uint64
-	lastMoved      time.Time
-	promoteReq     chan struct{}
+	seen       map[int]uint64 // quarantine episodes already evicted
+	lastSeq    uint64         // stream progress marker (previous tick)
+	lastMoved  time.Time
+	promoteReq chan struct{}
 
 	// Sharded deployments: the shard map (journaled or static), this
 	// node's shard id, and the peer-shard probe state behind the
@@ -178,7 +178,7 @@ func startRegistry(d *core.Domain, dir *nameservice.Directory, opts registryOpts
 	return rn, nil
 }
 
-// startPrimary attaches the replication feed and fences a new
+// startPrimary creates the replication feed and fences a new
 // incarnation.
 func (rn *registryNode) startPrimary() error {
 	if err := rn.ensureFeed(); err != nil {
@@ -188,28 +188,29 @@ func (rn *registryNode) startPrimary() error {
 	return nil
 }
 
-// ensureFeed creates and attaches the replication feed once. The feed
-// publishes into the reserved control topic on this registry itself;
-// with no standby subscribed the fanout plan is empty and pumping is a
-// no-op.
+// ensureFeed creates the replication feed once: a durable publisher
+// over the store's journal on the reserved control topic of this
+// registry itself. With no standby subscribed the fanout plan is empty
+// and pumping publishes to no one.
 func (rn *registryNode) ensureFeed() error {
 	if rn.feed != nil {
 		return nil
 	}
 	pub, err := topic.NewPublisher(rn.d, topic.LocalDirectory{R: rn.reg}, topic.PublisherConfig{
 		Topic: rn.replicationTopic(), Class: registrystore.ReplicationClass,
-		RefreshEvery: 1, Window: 64,
+		RefreshEvery: 1, Window: 64, Log: rn.st.Log(), CreditBuffers: 16,
 	})
 	if err != nil {
 		return err
 	}
-	rn.feed = registrystore.NewFeed(pub, rn.d.MaxPayload())
-	rn.mgr.AttachFeed(rn.feed)
+	rn.feed = registrystore.NewFeed(pub)
 	return nil
 }
 
 // startStandby subscribes to the primary's replication stream through
-// the remote directory and bootstraps a full-state resync.
+// the remote directory, as a durable subscriber named after this node,
+// and bootstraps a full-state resync: the subscription resumes from
+// the snapshot's sequence.
 func (rn *registryNode) startStandby() error {
 	addr, err := wire.ParseAddr(rn.opts.StreamAddr)
 	if err != nil {
@@ -224,11 +225,12 @@ func (rn *registryNode) startStandby() error {
 	client.Privileged = true
 	rn.client = client
 	rdir := topic.RemoteDirectory{C: client}
-	sub, err := topic.NewSubscriber(rn.d, rdir, rn.replicationTopic(),
-		registrystore.ReplicationClass, 64, 64)
+	sub, err := topic.NewSubscriberDurable(rn.d, rdir, rn.replicationTopic(),
+		registrystore.ReplicationClass, 64, 64, fmt.Sprintf("standby/%d", rn.d.Buffer().Node()))
 	if err != nil {
 		return err
 	}
+	rn.sub = sub
 	rn.apply = registrystore.NewApply(sub, rn.reg, rn.st)
 	return rn.resyncFromPrimary()
 }
@@ -284,17 +286,24 @@ func (rn *registryNode) promote() {
 	if rn.apply != nil {
 		rn.mgr.ObservePeer(rn.apply.PrimaryGen())
 	}
+	gen := rn.mgr.Promote()
+	if rn.sub != nil {
+		// The subscription this node followed the stream with is now
+		// one to its own stream. nettrans carries no frame to its own
+		// node, so the feed's sends to it would never complete and
+		// would fill the feed's window: drop it before the feed exists.
+		rn.reg.Unsubscribe(rn.replicationTopic(), rn.sub.Addr())
+	}
 	if err := rn.ensureFeed(); err != nil {
 		fmt.Printf("flipcd: promoted without replication feed: %v\n", err)
 	}
-	gen := rn.mgr.Promote()
 	fmt.Printf("flipcd: registry promoted to primary at generation %d\n", gen)
 }
 
 // housekeeping runs the registry's periodic work until stop closes:
 // lease sweeps, quarantine eviction, replication pumping, compaction
-// (primary); stream draining, lease renewal, gap resync, and failover
-// detection (standby).
+// (primary); stream draining, lease and cursor renewal, resync of a
+// stranded cursor, and failover detection (standby).
 func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 	tick := time.NewTicker(rn.opts.LeaseInterval)
 	defer tick.Stop()
@@ -353,14 +362,14 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 
 // streamSilent records replication-stream progress and reports whether
 // the stream has been silent past the failover timeout. Progress is a
-// *change* in the applied sequence number or the heartbeat count since
-// the previous tick — both counters are cumulative, so comparing
-// against the last observed values is what distinguishes "the primary
-// is alive" from "the primary was alive once".
+// *change* in the journaled sequence since the previous tick — the
+// primary's heartbeats are journaled records, so a live primary moves
+// it even when nothing mutates, and comparing against the last observed
+// value is what distinguishes "the primary is alive" from "the primary
+// was alive once".
 func (rn *registryNode) streamSilent() bool {
-	seq, hb := rn.apply.LastSeq(), rn.apply.Heartbeats()
-	if seq != rn.lastSeq || hb != rn.lastHeartbeats {
-		rn.lastSeq, rn.lastHeartbeats = seq, hb
+	if seq := rn.st.Seq(); seq != rn.lastSeq {
+		rn.lastSeq = seq
 		rn.lastMoved = time.Now()
 	}
 	return rn.opts.FailoverAfter > 0 && time.Since(rn.lastMoved) > rn.opts.FailoverAfter

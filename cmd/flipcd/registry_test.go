@@ -28,46 +28,62 @@ func testDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *co
 }
 
 // TestStreamSilenceTriggersFailover exercises the standby's failover
-// detector: heartbeat-only stream progress (the applied sequence never
-// moves) must keep holding off the -failover-after promotion, and true
-// stream silence after the primary dies must trip it. Regression test
-// for the detector reading the cumulative heartbeat counter as
-// perpetual progress, which made auto-promotion permanently unreachable
-// once any heartbeat had ever arrived.
+// detector: heartbeat-only stream progress (nothing mutates; each
+// journaled heartbeat moves the sequence) must keep holding off the
+// -failover-after promotion, and true stream silence after the primary
+// dies must trip it. Regression test for the detector reading a
+// cumulative counter as perpetual progress, which made auto-promotion
+// permanently unreachable once any heartbeat had ever arrived.
 func TestStreamSilenceTriggersFailover(t *testing.T) {
 	fabric := interconnect.NewFabric(1024)
 	primD := testDomain(t, fabric, 0)
 	stbyD := testDomain(t, fabric, 1)
+	open := func() (*nameservice.TopicRegistry, *registrystore.Store) {
+		reg := nameservice.NewTopicRegistry()
+		st, err := registrystore.Open(t.TempDir(), reg, registrystore.Options{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return reg, st
+	}
 
-	// Primary side: just a replication feed on the reserved topic.
-	regA := nameservice.NewTopicRegistry()
+	// Primary side: a promoted store and the feed over its journal.
+	regA, stA := open()
+	mgrA := registrystore.NewManager(regA, stA)
 	dirA := topic.LocalDirectory{R: regA}
 	pub, err := topic.NewPublisher(primD, dirA, topic.PublisherConfig{
 		Topic: registrystore.ReplicationTopic, Class: registrystore.ReplicationClass,
-		RefreshEvery: 1, Window: 64,
+		RefreshEvery: 1, Window: 64, Log: stA.Log(), CreditBuffers: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := registrystore.NewFeed(pub, primD.MaxPayload())
+	feed := registrystore.NewFeed(pub)
+	mgrA.Promote()
 
-	// Standby side: the stream apply loop plus the detector state.
-	regB := nameservice.NewTopicRegistry()
-	sub, err := topic.NewSubscriber(stbyD, dirA, registrystore.ReplicationTopic,
-		registrystore.ReplicationClass, 64, 64)
+	// Standby side: the durable stream subscription plus the detector
+	// state, bootstrapped from the primary's state.
+	regB, stB := open()
+	sub, err := topic.NewSubscriberDurable(stbyD, dirA, registrystore.ReplicationTopic,
+		registrystore.ReplicationClass, 64, 64, "standby/1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rn := &registryNode{
 		opts:      registryOpts{FailoverAfter: 300 * time.Millisecond},
-		apply:     registrystore.NewApply(sub, regB, nil),
+		st:        stB,
+		apply:     registrystore.NewApply(sub, regB, stB),
 		lastMoved: time.Now(),
+	}
+	if err := rn.apply.Resync(regA.ExportState(), stA.Seq()); err != nil {
+		t.Fatal(err)
 	}
 
 	// Heartbeat-only progress, spanning well past FailoverAfter in
 	// total: each delivered heartbeat must refresh the silence clock.
 	for i := 0; i < 6; i++ {
-		feed.Heartbeat(1)
+		mgrA.Heartbeat()
 		if _, err := feed.Pump(); err != nil {
 			t.Fatal(err)
 		}
@@ -76,6 +92,9 @@ func TestStreamSilenceTriggersFailover(t *testing.T) {
 		if rn.streamSilent() {
 			t.Fatalf("heartbeat progress read as silence on tick %d", i)
 		}
+	}
+	if stB.Seq() != stA.Seq() || rn.apply.NeedResync() {
+		t.Fatalf("standby at %d (resync %v), primary at %d", stB.Seq(), rn.apply.NeedResync(), stA.Seq())
 	}
 
 	// The primary dies: no more heartbeats. Silence must be detected

@@ -10,8 +10,9 @@ import (
 // runFailover kills the registry mid-traffic and measures the takeover:
 // the one-domain case of the registry plane runShards runs three of.
 //
-// Node 0 hosts the primary registry (durable store + replication feed),
-// node 1 the standby (store + stream apply), node 2 a control-class
+// Node 0 hosts the primary registry (durable store, its journal fed to
+// the replication stream), node 1 the standby (store + durable stream
+// subscription), node 2 a control-class
 // publisher, and every remaining node one subscriber — all resolving
 // through the plane's directory. Phase one runs traffic against the
 // primary while the standby follows the mutation stream. Then the
@@ -85,8 +86,8 @@ func runFailover(o opts) error {
 	// renewals keep appending to the log while the clock runs, and
 	// chasing a moving head would never terminate.
 	target := r.stP.Seq()
-	if !sc.await(func() bool { return r.apply.LastSeq() >= target }) {
-		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", r.apply.LastSeq(), target)
+	if !sc.await(func() bool { return r.stS.Seq() >= target }) {
+		return fmt.Errorf("standby never caught up: stream at %d, primary at %d", r.stS.Seq(), target)
 	}
 
 	// The kill. The durable subscriber dies with the primary — a

@@ -454,10 +454,11 @@ func (d *durable) check(publishes int, reg *nameservice.TopicRegistry) (topic.Du
 
 // replica is one registry failover domain: a primary and a standby
 // registry, each with its own store and manager, joined by the
-// replication stream the primary feeds and the standby applies.
+// replication stream — the primary's journal, which its feed publishes
+// and the standby's durable subscription applies.
 type replica struct {
 	regP, regS *nameservice.TopicRegistry
-	stP        *registrystore.Store
+	stP, stS   *registrystore.Store
 	mgrP, mgrS *registrystore.Manager
 	feed       *registrystore.Feed
 	apply      *registrystore.Apply
@@ -478,7 +479,7 @@ func (r *replica) replicate() error {
 	}
 	r.apply.Drain()
 	if r.apply.NeedResync() {
-		return fmt.Errorf("standby gapped during steady state")
+		return fmt.Errorf("standby stranded during steady state")
 	}
 	return nil
 }
@@ -520,10 +521,11 @@ func (sc *scenario) newPlane(n int) (*plane, error) {
 	return p, nil
 }
 
-// newReplica builds one domain: the primary (durable store, feed on
-// the reserved control-priority stream, fenced at promotion) on node
-// primary, and the standby (own store, stream apply) on node standby,
-// subscribed through the primary's own registry.
+// newReplica builds one domain: the primary (durable store, feed of its
+// journal on the reserved control-priority stream, fenced at promotion)
+// on node primary, and the standby (own store, durable stream
+// subscription) on node standby, subscribed through the primary's own
+// registry.
 func (sc *scenario) newReplica(streamTopic string, primary, standby int) (*replica, error) {
 	open := func(tag string) (*nameservice.TopicRegistry, *registrystore.Store, *registrystore.Manager, error) {
 		wal, err := sc.tempDir(tag)
@@ -545,32 +547,30 @@ func (sc *scenario) newReplica(streamTopic string, primary, standby int) (*repli
 	dirP := topic.LocalDirectory{R: r.regP}
 	repPub, err := topic.NewPublisher(sc.c.Domains[primary], dirP, topic.PublisherConfig{
 		Topic: streamTopic, Class: registrystore.ReplicationClass,
-		Window: sc.o.window, RefreshEvery: 1,
+		Window: sc.o.window, RefreshEvery: 1, Log: r.stP.Log(), CreditBuffers: 8,
 	})
 	if err != nil {
 		return nil, err
 	}
-	r.feed = registrystore.NewFeed(repPub, sc.c.Domains[primary].MaxPayload())
-	r.mgrP.AttachFeed(r.feed)
+	r.feed = registrystore.NewFeed(repPub)
 	r.genP = r.mgrP.Promote()
 
-	var stS *registrystore.Store
-	if r.regS, stS, r.mgrS, err = open(fmt.Sprintf("reg%d-s", primary)); err != nil {
+	if r.regS, r.stS, r.mgrS, err = open(fmt.Sprintf("reg%d-s", primary)); err != nil {
 		return nil, err
 	}
-	repSub, err := topic.NewSubscriber(sc.c.Domains[standby], dirP, streamTopic,
-		registrystore.ReplicationClass, sc.o.window, sc.o.window)
+	repSub, err := topic.NewSubscriberDurable(sc.c.Domains[standby], dirP, streamTopic,
+		registrystore.ReplicationClass, sc.o.window, sc.o.window, fmt.Sprintf("standby/%d", standby))
 	if err != nil {
 		return nil, err
 	}
-	r.apply = registrystore.NewApply(repSub, r.regS, stS)
+	r.apply = registrystore.NewApply(repSub, r.regS, r.stS)
 	return r, nil
 }
 
 // resync bootstraps every standby with a full-state resync (records
-// enqueued before it subscribed never reached it): the sequence is
-// captured before the export, so the stream overlap double-applies
-// idempotently instead of gapping.
+// journaled before it subscribed were never published to it): the
+// sequence is captured before the export, and the standby's stream
+// resumes there, skipping the overlap the export already reflects.
 func (p *plane) resync() error {
 	for _, r := range p.reps {
 		seq := r.stP.Seq()

@@ -518,22 +518,56 @@ func (l *Log) Retain() (int, error) {
 		if err := l.writeCursorsLocked(); err != nil {
 			return removed, err
 		}
-		if f := l.segs[0].rd; f != nil {
-			// Readers still on it keep it readable through one descriptor
-			// until the last of them lets go.
-			if f.retired = true; f.refs == 0 {
-				l.closeSeg(f)
-			} else if err := l.openSeg(f); err != nil {
-				return removed, l.check(err)
-			}
-		}
-		if err := l.check(os.Remove(l.segs[0].path)); err != nil {
+		if err := l.dropOldestLocked(); err != nil {
 			return removed, err
 		}
-		l.segs = l.segs[1:]
 		removed++
 	}
 	return removed, nil
+}
+
+// dropOldestLocked deletes the oldest segment. Readers still on it keep
+// it readable through one descriptor until the last of them lets go.
+// Caller holds l.mu.
+func (l *Log) dropOldestLocked() error {
+	if f := l.segs[0].rd; f != nil {
+		if f.retired = true; f.refs == 0 {
+			l.closeSeg(f)
+		} else if err := l.openSeg(f); err != nil {
+			return l.check(err)
+		}
+	}
+	if err := l.check(os.Remove(l.segs[0].path)); err != nil {
+		return err
+	}
+	l.segs = l.segs[1:]
+	return nil
+}
+
+// Reset empties the log and restarts it at head: every segment is
+// deleted, cursors are clamped to head, and the checkpoint carries head
+// across a restart, so the next Append is head+1. A replica installing a
+// snapshot taken at head uses it to discard a history the snapshot
+// supersedes, whatever sequences that history reached.
+func (l *Log) Reset(head uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if err := l.sealLocked(); err != nil {
+		return err
+	}
+	for len(l.segs) > 0 {
+		if err := l.dropOldestLocked(); err != nil {
+			return err
+		}
+	}
+	l.head = head
+	for s, c := range l.cursors {
+		l.cursors[s] = min(c, head)
+	}
+	return l.writeCursorsLocked()
 }
 
 // Health returns the log's operator-facing state.

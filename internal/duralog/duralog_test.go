@@ -429,3 +429,52 @@ func TestZeroCursorSurvivesRecovery(t *testing.T) {
 		t.Fatalf("scan health %+v, want breached with stuck2 at 0", hs)
 	}
 }
+
+// TestResetRestartsAtHead: Reset discards every segment, whether head
+// moves down or up, and the checkpoint alone carries the new head across
+// a reopen. A reader left on a deleted segment lets go of it cleanly.
+func TestResetRestartsAtHead(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 128, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 1, 20)
+	if err := l.Ack("a", 15); err != nil {
+		t.Fatal(err)
+	}
+	r := l.NewReader(1)
+	if seq, _, _, err := r.Next(); err != nil || seq != 1 {
+		t.Fatalf("reader before reset: seq %d err %v", seq, err)
+	}
+	if err := l.Reset(7); err != nil {
+		t.Fatal(err)
+	}
+	if h := l.Health(); h.Head != 7 || h.First != 8 || h.Segments != 0 || h.Cursors["a"] != 7 {
+		t.Fatalf("after reset: %+v", h)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*")); len(segs) != 0 {
+		t.Fatalf("segments left behind: %v", segs)
+	}
+	appendN(t, l, 8, 9)
+	if got := collect(t, l, 0); len(got) != 2 || got[0] != 8 {
+		t.Fatalf("replay after reset: %v", got)
+	}
+	r.Close()
+	if err := l.Reset(100); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.Head() != 100 || len(collect(t, l2, 0)) != 0 {
+		t.Fatalf("reopened at head %d with records %v", l2.Head(), collect(t, l2, 0))
+	}
+	appendN(t, l2, 101, 101)
+}

@@ -133,6 +133,10 @@ func NewMux(d *core.Domain, cfg Config) (*Mux, error) {
 	// inbox envelope behind a length prefix, an op and a class byte.
 	m.slab.size = d.MaxPayload() + frameHeaderBytes + 2
 	m.slab.slots.Store(new([][]byte))
+	if need, free := NumClasses*cfg.InboxBuffers, d.Buffer().FreeBufferCount(); need > free {
+		return nil, fmt.Errorf("gateway: %d class inboxes of %d buffers need %d message buffers, the domain has %d free",
+			NumClasses, cfg.InboxBuffers, need, free)
+	}
 	for lane := 0; lane < NumClasses; lane++ {
 		in, err := msglib.NewInbox(d, cfg.InboxBuffers, cfg.InboxBuffers)
 		if err != nil {

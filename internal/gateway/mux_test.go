@@ -708,3 +708,24 @@ func TestControlPathOutlivesFrameBuffer(t *testing.T) {
 		t.Fatalf("registry patterns %q, want [metrics.*]", pats)
 	}
 }
+
+// TestNewMuxStatesBufferShortfall builds a Mux on a domain with
+// commbuf's default 64 message buffers: the default inboxes need 3 ×
+// 128, and the error must say both numbers instead of surfacing the
+// pool's bare exhaustion.
+func TestNewMuxStatesBufferShortfall(t *testing.T) {
+	tr, err := interconnect.NewFabric(64).Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDomain(core.Config{Node: 0, MessageSize: 256, NumBuffers: 64}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	_, err = NewMux(d, Config{Name: "gw-small", Dir: topic.LocalDirectory{R: nameservice.NewTopicRegistry()}})
+	want := fmt.Sprintf("need %d message buffers, the domain has 64 free", NumClasses*128)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewMux on 64 buffers: err = %v, want it to contain %q", err, want)
+	}
+}

@@ -25,12 +25,11 @@ const bufferBytes = 64 << 10
 // File is one append-only record file under the package comment's
 // discipline. Not safe for concurrent use: the owner's lock covers it.
 type File struct {
-	path   string
 	nosync bool
 	f      *os.File
 	size   int64  // bytes handed to the OS
 	buf    []byte // Buffered appends not yet handed over
-	err    error  // sticky: the first failed write, sync or replace
+	err    error  // sticky: the first failed write or sync
 }
 
 // ScanFile hands the bytes of the record file at path to scan, which
@@ -67,7 +66,7 @@ func OpenFile(path string, nosync bool, scan func(b []byte) (int, error)) (*File
 	if err != nil {
 		return nil, err
 	}
-	f := &File{path: path, nosync: nosync, size: size}
+	f := &File{nosync: nosync, size: size}
 	if f.f, err = os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644); err != nil {
 		return nil, fmt.Errorf("recio: %w", err)
 	}
@@ -134,24 +133,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return f.f.ReadAt(p, off)
-}
-
-// Replace atomically swaps the file's contents for b (ReplaceFile; nil
-// empties it) and continues appending behind them.
-func (f *File) Replace(b []byte) error {
-	if err := f.Flush(); err != nil {
-		return err
-	}
-	if err := f.check("replace", ReplaceFile(f.path, b, f.nosync)); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(f.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return f.check("reopen", err)
-	}
-	f.f.Close() // the replaced inode; nothing of ours is left in it
-	f.f, f.size = nf, int64(len(b))
-	return nil
 }
 
 // Close syncs and closes the file. Closing twice is harmless.

@@ -131,8 +131,8 @@ func TestOpenFileCallbackErrorLeavesFileAlone(t *testing.T) {
 	}
 }
 
-// TestFileStickyError: one failed write and every later Append, Sync
-// and Replace fails with that same error and the file does not
+// TestFileStickyError: one failed write and every later Append, Flush,
+// Sync and ReadAt fails with that same error and the file does not
 // grow — even once the descriptor works again, which is what separates
 // sticky from merely still-broken.
 func TestFileStickyError(t *testing.T) {
@@ -156,11 +156,10 @@ func TestFileStickyError(t *testing.T) {
 	f.f.Close()
 	f.f = good
 	for name, op := range map[string]func() error{
-		"Append":  func() error { return f.Append(each[1], Buffered) },
-		"Flush":   f.Flush,
-		"Sync":    f.Sync,
-		"Replace": func() error { return f.Replace(each[1]) },
-		"ReadAt":  func() error { _, err := f.ReadAt(make([]byte, 1), 0); return err },
+		"Append": func() error { return f.Append(each[1], Buffered) },
+		"Flush":  f.Flush,
+		"Sync":   f.Sync,
+		"ReadAt": func() error { _, err := f.ReadAt(make([]byte, 1), 0); return err },
 	} {
 		if err := op(); err != first {
 			t.Fatalf("%s after the failure: %v, want the first error %v", name, err, first)
@@ -172,49 +171,4 @@ func TestFileStickyError(t *testing.T) {
 	if disk, _ := os.ReadFile(path); !bytes.Equal(disk, each[0]) {
 		t.Fatalf("file is %d bytes after the failure, want only the %d acknowledged", len(disk), len(each[0]))
 	}
-}
-
-func TestFileReplace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "rec.log")
-	f, err := OpenFile(path, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	_, each := frames(t, 1, 2, 3)
-	check := func(step string, want ...[]byte) {
-		t.Helper()
-		if err := f.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		disk, _ := os.ReadFile(path)
-		if !bytes.Equal(disk, bytes.Join(want, nil)) || f.Size() != int64(len(disk)) {
-			t.Fatalf("%s: file holds %d bytes (File.Size %d), want %d", step, len(disk), f.Size(), len(bytes.Join(want, nil)))
-		}
-	}
-	if err := f.Append(each[0], Buffered); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Replace(each[1]); err != nil {
-		t.Fatal(err)
-	}
-	check("replace", each[1])
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("replace left its sibling behind: %v", err)
-	}
-	if err := f.Append(each[2], Written); err != nil {
-		t.Fatal(err)
-	}
-	check("append after replace", each[1], each[2])
-	if err := f.Append(each[0], Buffered); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Replace(nil); err != nil {
-		t.Fatal(err)
-	}
-	check("replace with nothing")
-	if err := f.Append(each[0], Synced); err != nil {
-		t.Fatal(err)
-	}
-	check("append to the emptied file", each[0])
 }

@@ -1,12 +1,14 @@
 package recio_test
 
-// The three record-file clients, opened over directories laid out byte
-// by byte here in the formats the tree wrote before they shared
+// The record-file clients, opened over directories laid out byte by
+// byte here in the formats the tree wrote before they shared
 // recio.File (wal.log + snapshot.dat v1 and v2, the shard journal,
 // seg-%016x.log + cursors.dat) — and, the other way round, the bytes
 // each client writes today compared with that layout. Together: an old
 // directory opens under this code with the same recovered state, and a
-// directory this code writes is one the old code opens.
+// directory this code writes is one this code and the layouts above
+// describe. A registry directory's journal is a duralog now: an old
+// wal.log is replayed once and retired by the first snapshot.
 
 import (
 	"bytes"
@@ -122,15 +124,15 @@ func TestRegistryDirectoryLayout(t *testing.T) {
 		}
 		wantFile(t, filepath.Join(dir, "wal.log"), mixed) // the torn record, and only it, is gone
 
-		// What this code writes next is the old layout too: journaled
-		// records append as v1 frames, and a compaction leaves a v2
-		// snapshot of the exported state plus the records beyond it.
-		framed := st.Journal(&registrystore.Record{Type: registrystore.RecDeclare, Topic: "gamma", Class: 1})
-		next := wal(recio.V1, registrystore.Record{Type: registrystore.RecDeclare, Seq: 14, Topic: "gamma", Class: 1})
-		if !bytes.Equal(framed, next) {
-			t.Fatalf("snapshot v%d: journaled frame differs from the layout", ver)
+		// What this code writes next goes to the journal, a duralog in
+		// the same directory: each record framed as before and carried
+		// whole as a payload record at its own sequence. A compaction
+		// leaves a v2 snapshot of the exported state, retires wal.log,
+		// and moves the snapshot's journal cursor.
+		rec := registrystore.Record{Type: registrystore.RecDeclare, Topic: "gamma", Class: 1}
+		if err := st.Journal(&rec); err != nil || rec.Seq != 14 {
+			t.Fatalf("snapshot v%d: journaled seq %d: %v", ver, rec.Seq, err)
 		}
-		wantFile(t, filepath.Join(dir, "wal.log"), append(mixed, next...))
 		if err := reg.Declare("gamma", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -138,15 +140,32 @@ func TestRegistryDirectoryLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantFile(t, filepath.Join(dir, "snapshot.dat"), snapshotBytes(2, reg.ExportState(), 14))
-		wantFile(t, filepath.Join(dir, "wal.log"), nil)
-		tail := st.Journal(&registrystore.Record{Type: registrystore.RecRenew, Topic: "alpha", Addr: a1})
+		if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
+			t.Fatalf("snapshot v%d: wal.log survived the first snapshot: %v", ver, err)
+		}
+		if err := st.Journal(&registrystore.Record{Type: registrystore.RecRenew, Topic: "alpha", Addr: a1}); err != nil {
+			t.Fatal(err)
+		}
 		if err := reg.Subscribe("alpha", a1); err != nil { // the renewal just journaled
 			t.Fatal(err)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		wantFile(t, filepath.Join(dir, "wal.log"), tail)
+		flags := registrystore.ReplicationClass.Flags()
+		var seg []byte
+		for _, f := range []recio.Frame{
+			{Type: 1, Ver: recio.V1, Seq: 14, Payload: append([]byte{flags}, wal(recio.V1, registrystore.Record{Type: registrystore.RecDeclare, Seq: 14, Topic: "gamma", Class: 1})...)},
+			{Type: 2, Ver: recio.V1, Seq: 14, Payload: []byte("registrystore/snapshot")},
+			{Type: 1, Ver: recio.V1, Seq: 15, Payload: append([]byte{flags}, wal(recio.V1, registrystore.Record{Type: registrystore.RecRenew, Seq: 15, Topic: "alpha", Addr: a1})...)},
+		} {
+			var err error
+			if seg, err = recio.Append(seg, &f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wantFile(t, filepath.Join(dir, "seg-000000000000000e.log"), seg)
+		wantFile(t, filepath.Join(dir, "cursors.dat"), cursorsBytes(15, []string{"registrystore/snapshot"}, []uint64{14}))
 
 		reg2 := nameservice.NewTopicRegistry()
 		st2, err := registrystore.Open(dir, reg2, registrystore.Options{})

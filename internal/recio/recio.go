@@ -1,7 +1,8 @@
 // Package recio is the CRC-framed durable record codec and the
-// record-file discipline shared by internal/registrystore (the registry
-// WAL and replication stream), internal/shardmap (the shard-map
-// journal) and internal/duralog (per-topic payload segments). It owns
+// record-file discipline shared by internal/duralog (per-topic payload
+// segments, the registry's journal among them) and internal/shardmap
+// (the shard-map journal); internal/registrystore frames its records
+// with it and reads a pre-duralog wal.log through ScanFile. It owns
 // the frame layout, the file discipline, and the mixed-version upgrade
 // story; record *semantics* (what a type byte means, how a body is
 // parsed) stay with the owning package.
@@ -18,7 +19,7 @@
 //     it returns: Buffered (group commit), Written (to the OS) or Synced
 //     (fsync, unless the file is NoSync). Which record gets which class
 //     is the owner's policy.
-//   - Sticky error. After one failed write, sync or replace every later
+//   - Sticky error. After one failed write or sync every later
 //     operation returns that error and writes nothing: a record
 //     acknowledged behind a torn one would vanish with it at the next
 //     open.

@@ -13,8 +13,8 @@ const (
 	// RoleStandby tracks the primary's mutation stream and serves no
 	// mutations of its own.
 	RoleStandby Role = iota
-	// RolePrimary serves mutations, journals them, and feeds the
-	// replication stream.
+	// RolePrimary serves mutations and journals them; its journal is
+	// the replication stream.
 	RolePrimary
 )
 
@@ -43,7 +43,6 @@ type Manager struct {
 	role Role
 	reg  *nameservice.TopicRegistry
 	st   *Store
-	feed *Feed
 
 	floor      uint64 // highest peer registry generation observed
 	promotions uint64
@@ -54,14 +53,6 @@ type Manager struct {
 // node starts as a standby; call Promote to begin serving.
 func NewManager(reg *nameservice.TopicRegistry, st *Store) *Manager {
 	return &Manager{reg: reg, st: st}
-}
-
-// AttachFeed connects the replication stream (primary side). Journaled
-// records are enqueued to it from the mutation observer.
-func (m *Manager) AttachFeed(f *Feed) {
-	m.mu.Lock()
-	m.feed = f
-	m.mu.Unlock()
 }
 
 // Role returns the node's current role.
@@ -88,27 +79,22 @@ func (m *Manager) Promote() uint64 {
 	m.reg.SetRegistryGen(gen)
 	m.reg.BumpTopicGens()
 	m.reg.RestampLeases()
-	rec := Record{Type: RecFence, Gen: gen}
-	framed := m.st.Journal(&rec)
-	if framed != nil && m.feed != nil {
-		m.feed.Enqueue(rec.Seq, framed)
-	}
+	m.st.Journal(&Record{Type: RecFence, Gen: gen})
 	m.reg.Observe(m.observe)
 	m.role = RolePrimary
 	m.promotions++
 	return gen
 }
 
-// observe is the primary's mutation observer: write-ahead journal plus
-// replication enqueue, called under the registry lock before the
-// mutating call returns.
+// observe is the primary's mutation observer: the write-ahead journal,
+// called under the registry lock before the mutating call returns. The
+// Feed publishes what it journals; nothing here waits on replication.
 func (m *Manager) observe(mut nameservice.Mutation) {
 	rec, ok := recordOf(mut)
 	if !ok {
 		return
 	}
-	framed := m.st.Journal(&rec)
-	if framed == nil {
+	if m.st.Journal(&rec) != nil {
 		// The mutation could not be made durable (sticky store error):
 		// self-demote rather than keep acknowledging non-durable,
 		// non-replicated mutations. The observer stays attached — we
@@ -121,13 +107,6 @@ func (m *Manager) observe(mut nameservice.Mutation) {
 			m.demotions++
 		}
 		m.mu.Unlock()
-		return
-	}
-	m.mu.Lock()
-	feed := m.feed
-	m.mu.Unlock()
-	if feed != nil {
-		feed.Enqueue(rec.Seq, framed)
 	}
 }
 
@@ -153,16 +132,14 @@ func (m *Manager) ObservePeer(gen uint64) bool {
 	return false
 }
 
-// Heartbeat enqueues a replication heartbeat if this node is primary
-// with a feed attached. The heartbeat's sequence number is the feed's
-// own cursor (see Feed.Heartbeat), not the store's: the store cursor
-// can run ahead of the enqueue order under concurrent mutation.
+// Heartbeat journals a heartbeat carrying the registry generation if
+// this node is primary. It is a record like any other: the stream
+// carries it in sequence, so a silent standby sees both the primary's
+// liveness and its generation, and the standby journals it at the same
+// sequence.
 func (m *Manager) Heartbeat() {
-	m.mu.Lock()
-	feed, role := m.feed, m.role
-	m.mu.Unlock()
-	if role == RolePrimary && feed != nil {
-		feed.Heartbeat(m.reg.RegistryGen())
+	if m.Role() == RolePrimary {
+		m.st.Journal(&Record{Type: RecHeartbeat, Gen: m.reg.RegistryGen()})
 	}
 }
 

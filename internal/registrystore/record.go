@@ -1,7 +1,8 @@
 // Package registrystore makes the nameservice topic registry durable
-// and replicated: a write-ahead record log plus periodic compacted
-// snapshots on the registry node, and a mutation stream to a standby
-// replica carried over a reserved control-priority FLIPC topic.
+// and replicated with one log: a write-ahead journal (a duralog) plus
+// periodic compacted snapshots on the registry node, published as a
+// durable topic on a reserved control-priority FLIPC stream that a
+// standby replica follows as a durable subscriber.
 //
 // The durability contract is generation fencing: a registry that
 // restarts (or a standby that takes over) resumes at a registry
@@ -36,9 +37,9 @@ type RecType uint8
 // Record types. Declare/Subscribe/Renew/Unsubscribe/Advance mirror the
 // registry's mutation operations; Fence and Heartbeat are the store's
 // own: a Fence persists the registry generation an incarnation serves
-// at, a Heartbeat (replication stream only, never logged) carries the
-// primary's generation and sequence so a silent standby can detect both
-// primary death and its own stream gaps.
+// at, a Heartbeat carries the primary's generation on the housekeeping
+// cadence so a silent standby can detect primary death. Both are
+// journaled, so they move the sequence like any record.
 const (
 	RecDeclare RecType = iota + 1
 	RecSubscribe
@@ -80,10 +81,8 @@ func (t RecType) String() string {
 }
 
 // Record is one registry mutation (or store control event) in its
-// durable form. Seq is the registry-wide mutation sequence number,
-// assigned by the primary's store; gaps in Seq on the standby mean the
-// replication stream lost records (the optimistic transport may drop)
-// and the replica must resync from a full state snapshot.
+// durable form. Seq is the registry-wide mutation sequence number: the
+// primary's journal sequence, at which a standby journals it too.
 type Record struct {
 	Type  RecType
 	Seq   uint64
@@ -118,7 +117,7 @@ const (
 // is a structurally incomplete prefix (a torn tail, truncated at
 // recovery); ErrCorrupt is everything else — bad checksum, unknown
 // type or version, malformed body. A log reader stops at the first
-// corrupt record; a replica treats it as a stream gap.
+// corrupt record; a replica treats it as a record it cannot apply.
 var (
 	ErrCorrupt = recio.ErrCorrupt
 	ErrShort   = recio.ErrShort

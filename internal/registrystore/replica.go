@@ -2,8 +2,10 @@ package registrystore
 
 import (
 	"fmt"
+	"io"
 	"sync"
 
+	"flipc/internal/duralog"
 	"flipc/internal/nameservice"
 	"flipc/internal/topic"
 )
@@ -12,7 +14,7 @@ import (
 // streams registry mutation records over. The "!" prefix keeps it out
 // of any application namespace; the standby subscribes to it through
 // the primary's own registry, so the stream dogfoods the full topic
-// stack (priority classes, fanout accounting, optimistic loss).
+// stack (priority classes, fanout accounting, durable replay).
 const ReplicationTopic = "!registry"
 
 // ShardReplicationTopic is the reserved replication stream of one
@@ -29,155 +31,81 @@ func ShardReplicationTopic(shard uint32) string {
 // are small and latency-critical, exactly what Control is for.
 const ReplicationClass = topic.Control
 
-// Feed is the primary's side of the replication stream: journaled
-// records are enqueued (cheap, called under the registry lock by the
-// manager's observer) and a periodic Pump — run outside any lock, on
-// the housekeeping cadence — coalesces them into control-class fanout
-// messages. Publishing is optimistic: a dropped batch is not retried,
-// because the standby detects the sequence gap and resyncs from a full
-// state snapshot; that keeps the primary's mutation path free of any
-// replication backpressure.
+// Feed is the primary's side of the replication stream: a durable
+// topic publisher over the store's own journal (PublisherConfig.Log is
+// Store.Log). Journal appends each record under the registry's lock;
+// Pump — run outside any lock, on the housekeeping cadence — fans out
+// the records appended since the last Pump, without appending them
+// again, and drives the publisher's replay. A frame the network drops
+// costs the standby a replay from its cursor, not a resync.
 type Feed struct {
-	mu       sync.Mutex
-	pub      *topic.Publisher
-	queue    [][]byte
-	maxBatch int
-	lastSeq  uint64 // highest record sequence enqueued so far
-
-	enqueued uint64
-	batches  uint64
-	dropped  uint64 // fanout drops reported by the publisher
-	oversize uint64 // records too large for any batch (forces a resync)
+	pub *topic.Publisher
+	rd  *duralog.Reader
 }
 
-// NewFeed wraps pub. maxBatch bounds one stream message's payload and
-// must not exceed the domain's payload capacity (default 512).
-func NewFeed(pub *topic.Publisher, maxBatch int) *Feed {
-	if maxBatch <= 0 {
-		maxBatch = 512
-	}
-	return &Feed{pub: pub, maxBatch: maxBatch}
+// NewFeed wraps pub, a durable publisher over the store's journal. The
+// records already journaled reach a standby by its replay, or by the
+// snapshot it bootstraps from; the Feed publishes live from the next.
+func NewFeed(pub *topic.Publisher) *Feed {
+	log := pub.DurableLog()
+	return &Feed{pub: pub, rd: log.NewReader(log.Head() + 1)}
 }
 
-// Enqueue queues one framed record (carrying sequence number seq) for
-// the next Pump. Safe to call from the registry's mutation observer: it
-// takes only the feed's own lock.
-func (f *Feed) Enqueue(seq uint64, framed []byte) {
-	f.mu.Lock()
-	f.queue = append(f.queue, framed)
-	f.enqueued++
-	if seq > f.lastSeq {
-		f.lastSeq = seq
-	}
-	f.mu.Unlock()
-}
-
-// Heartbeat queues a heartbeat carrying the primary's registry
-// generation and the sequence number of the last record enqueued ahead
-// of it, letting a silent standby detect both primary liveness and its
-// own stream gaps. The sequence is the feed's own cursor, not the
-// store's: a mutation that has journaled sequence N but not yet
-// enqueued record N must not be claimed by a heartbeat that will reach
-// the standby first (the standby would read N as a gap and resync
-// spuriously), so the heartbeat is built and queued under the same
-// lock that orders record enqueues.
-func (f *Feed) Heartbeat(gen uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	framed, err := AppendRecord(nil, &Record{Type: RecHeartbeat, Seq: f.lastSeq, Gen: gen})
-	if err != nil {
-		return
-	}
-	f.queue = append(f.queue, framed)
-	f.enqueued++
-}
-
-// Pump drains the queue, coalescing records into batches of at most
-// maxBatch bytes (records are self-framing, so concatenation is the
-// batch format), and publishes each batch. It must run on the
-// publisher's single thread (the housekeeping loop). Returns the
-// number of records published.
+// Pump publishes every record journaled since the last Pump, in order,
+// then pumps the publisher's replay. It must run on the publisher's
+// single thread (the housekeeping loop). Returns the number of records
+// published and the first error; a record the stream cannot carry is
+// stranded (see topic.Publisher.PublishLogged) and the rest still go.
 func (f *Feed) Pump() (int, error) {
-	f.mu.Lock()
-	q := f.queue
-	f.queue = nil
-	f.mu.Unlock()
-	if len(q) == 0 {
-		return 0, nil
-	}
-	published := 0
-	var batch []byte
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		res, err := f.pub.Publish(batch)
-		batch = batch[:0]
-		f.mu.Lock()
-		f.batches++
-		f.dropped += uint64(res.Dropped)
-		f.mu.Unlock()
-		return err
-	}
-	for _, rec := range q {
-		if len(rec) > f.maxBatch {
-			f.mu.Lock()
-			f.oversize++
-			f.mu.Unlock()
-			continue // the standby's gap detection will force a resync
-		}
-		if len(batch)+len(rec) > f.maxBatch {
-			if err := flush(); err != nil {
-				return published, err
+	n := 0
+	var first error
+	for ; ; n++ {
+		seq, flags, payload, err := f.rd.Next()
+		if err != nil {
+			if err != io.EOF && first == nil {
+				first = err
 			}
+			break
 		}
-		batch = append(batch, rec...)
-		published++
+		if _, err := f.pub.PublishLogged(seq, flags, payload); err != nil && first == nil {
+			first = err
+		}
 	}
-	return published, flush()
+	f.pub.PumpReplay(0)
+	return n, first
 }
 
-// Dropped returns the cumulative fanout drops the publisher reported —
-// each one a future standby resync.
-func (f *Feed) Dropped() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped + f.oversize
-}
-
-// Apply is the standby's side of the replication stream: it drains the
-// subscriber, parses record batches, and applies them to the standby's
-// registry copy in sequence order, journaling each applied record to
-// the standby's own store so a standby restart recovers too.
+// Apply is the standby's side of the replication stream: a durable
+// subscription with a stable name, whose records it applies to the
+// standby's registry copy once each and in order, journaling each to
+// the standby's own store at the primary's sequence so a standby
+// restart recovers too.
 //
-// Sequence discipline: the first applied record must be lastSeq+1
-// (lastSeq starts at 0, so a standby can follow a fresh primary from
-// genesis); any discontinuity — a dropped stream message, a heartbeat
-// whose sequence is ahead of ours, a corrupt batch — marks the replica
-// gapped. A gapped replica stops applying (its copy would diverge) and
-// reports NeedResync until Resync installs a full state snapshot.
+// Sequence discipline: the subscription's replay seam delivers the
+// stream exactly once and in order from the cursor it resumes at — the
+// store's head, set by Resync — so a dropped frame is replayed, not
+// lost. A record at or below the head is the bootstrap overlap and is
+// skipped. One above head+1 means the publisher's retention passed the
+// cursor (counted in its ReplayStranded): the copy would diverge, so
+// nothing more applies and NeedResync reports true until Resync
+// installs a full state snapshot.
 type Apply struct {
 	mu  sync.Mutex
 	sub *topic.Subscriber
 	reg *nameservice.TopicRegistry
-	st  *Store // optional: standby durability
+	st  *Store
 
-	lastSeq    uint64
 	primaryGen uint64
-	gap        bool
-
-	applied    uint64
-	heartbeats uint64
-	skipped    uint64
+	stranded   bool
 }
 
-// NewApply wraps the standby's stream subscriber. st may be nil (a
-// diskless replica).
+// NewApply wraps the standby's durable stream subscriber (see
+// topic.NewSubscriberDurable), its registry and its store.
 func NewApply(sub *topic.Subscriber, reg *nameservice.TopicRegistry, st *Store) *Apply {
 	return &Apply{sub: sub, reg: reg, st: st}
 }
 
-// Drain consumes every waiting stream message, returning how many were
+// Drain consumes every waiting stream record, returning how many were
 // processed. Call it on the standby's housekeeping cadence.
 func (a *Apply) Drain() int {
 	n := 0
@@ -187,101 +115,60 @@ func (a *Apply) Drain() int {
 			return n
 		}
 		a.mu.Lock()
-		a.feedLocked(payload)
+		a.applyLocked(payload)
 		a.mu.Unlock()
 		n++
 	}
 }
 
-// feedLocked parses one batch. Caller holds a.mu.
-func (a *Apply) feedLocked(b []byte) {
-	for len(b) > 0 {
-		rec, n, err := DecodeRecord(b)
-		if err != nil {
-			a.gap = true // corrupt stream bytes: treat as lost records
-			return
-		}
-		a.applyLocked(&rec, b[:n])
-		b = b[n:]
+// applyLocked applies one framed record. Caller holds a.mu.
+func (a *Apply) applyLocked(b []byte) {
+	rec, _, err := DecodeRecord(b)
+	head := a.st.Seq()
+	if err == nil && rec.Seq <= head {
+		return // the bootstrap overlap
 	}
-}
-
-// applyLocked applies one record. Caller holds a.mu.
-func (a *Apply) applyLocked(rec *Record, framed []byte) {
-	if rec.Type == RecHeartbeat {
-		a.heartbeats++
-		if rec.Gen > a.primaryGen {
-			a.primaryGen = rec.Gen
-		}
-		if rec.Seq != a.lastSeq {
-			a.gap = true // the primary is ahead of (or behind) our copy
-		}
+	if err != nil || rec.Seq != head+1 || applyRecord(a.reg, &rec) != nil {
+		a.stranded = true
 		return
 	}
-	if rec.Seq <= a.lastSeq {
-		a.skipped++ // duplicate or pre-resync record
-		return
-	}
-	if a.gap {
-		return // diverged: wait for resync, do not compound
-	}
-	if rec.Seq != a.lastSeq+1 {
-		a.gap = true
-		return
-	}
-	if err := applyRecord(a.reg, rec); err != nil {
-		a.gap = true
-		return
-	}
-	if rec.Type == RecFence && rec.Gen > a.primaryGen {
+	if (rec.Type == RecFence || rec.Type == RecHeartbeat) && rec.Gen > a.primaryGen {
 		a.primaryGen = rec.Gen
 	}
-	a.lastSeq = rec.Seq
-	a.applied++
-	if a.st != nil {
-		a.st.AppendRaw(rec, framed)
-	}
+	a.st.Journal(&rec)
 }
 
-// NeedResync reports whether the replica has diverged and needs a full
-// state snapshot.
+// NeedResync reports whether the stream passed the replica by and it
+// needs a full state snapshot.
 func (a *Apply) NeedResync() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.gap
+	return a.stranded
 }
 
 // Resync installs a full state snapshot exported by the primary at
 // sequence seq (captured before the export, so records the snapshot
 // already reflects replay harmlessly; see Store.Compact for why the
-// overlap is safe). Clears the gap and resumes stream application at
-// seq+1. The replica's local log is discarded wholesale: it may hold a
+// overlap is safe) and restarts the store's journal at seq. The
+// replica's local journal is discarded wholesale: it may hold a
 // divergent history (an ex-primary's unreplicated tail, possibly with
 // sequence numbers above seq), and the snapshot supersedes all of it.
+// A subscription that has not yet locked its seam resumes at seq.
 func (a *Apply) Resync(state nameservice.RegistryState, seq uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.reg.RestoreState(state)
-	a.lastSeq = seq
-	a.gap = false
-	if state.Gen > a.primaryGen {
-		a.primaryGen = state.Gen
+	a.stranded = false
+	a.primaryGen = max(a.primaryGen, state.Gen)
+	if a.sub != nil {
+		a.sub.ResumeFrom(seq)
 	}
-	if a.st != nil {
-		return a.st.ResetTo(state, seq)
-	}
-	return nil
+	return a.st.ResetTo(state, seq)
 }
 
-// Renew refreshes the stream subscription's lease at the primary.
+// Renew refreshes the stream subscription's lease at the primary and
+// acknowledges its cursor in-band.
 func (a *Apply) Renew() error { return a.sub.Renew() }
-
-// LastSeq returns the last applied sequence number.
-func (a *Apply) LastSeq() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastSeq
-}
 
 // PrimaryGen returns the highest primary registry generation observed
 // on the stream (heartbeats and fences) or via resync.
@@ -289,18 +176,4 @@ func (a *Apply) PrimaryGen() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.primaryGen
-}
-
-// Applied returns the records applied to the replica.
-func (a *Apply) Applied() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.applied
-}
-
-// Heartbeats returns the heartbeats observed.
-func (a *Apply) Heartbeats() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.heartbeats
 }

@@ -1,10 +1,13 @@
 package registrystore
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"flipc/internal/core"
+	"flipc/internal/faultinject"
 	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
 	"flipc/internal/topic"
@@ -13,126 +16,246 @@ import (
 
 func newDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *core.Domain {
 	t.Helper()
+	d, _ := newCutDomain(t, fabric, node)
+	return d
+}
+
+// newCutDomain is newDomain whose transport a test can partition.
+func newCutDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) (*core.Domain, *faultinject.Injector) {
+	t.Helper()
 	tr, err := fabric.Attach(node)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewDomain(core.Config{Node: node, MessageSize: 256, NumBuffers: 512}, tr)
+	inj, err := faultinject.Wrap(tr, faultinject.Config{Seed: int64(node) + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDomain(core.Config{Node: node, MessageSize: 256, NumBuffers: 512}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
 	d.Start()
-	return d
+	return d, inj
 }
 
-func TestApplyGapForcesResync(t *testing.T) {
-	reg := nameservice.NewTopicRegistry()
-	a := NewApply(nil, reg, nil)
+// replicaPair is one failover domain: a primary registry whose journal
+// the Feed publishes as the durable replication topic, and a standby
+// following it as a durable subscriber, each with its own store.
+type replicaPair struct {
+	t          *testing.T
+	regA, regB *nameservice.TopicRegistry
+	stA, stB   *Store
+	mgrA       *Manager
+	feed       *Feed
+	apply      *Apply
+	dirA       topic.LocalDirectory
+	resyncs    int // Resync calls after the standby's bootstrap
+}
 
+func openStore(t *testing.T, dir string) (*nameservice.TopicRegistry, *Store) {
+	t.Helper()
+	reg := nameservice.NewTopicRegistry()
+	st, err := Open(dir, reg, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return reg, st
+}
+
+// newReplicaPair promotes a primary on primD and bootstraps a standby on
+// stbyD with a full-state resync (which the resync count leaves out).
+func newReplicaPair(t *testing.T, primD, stbyD *core.Domain) *replicaPair {
+	t.Helper()
+	p := &replicaPair{t: t}
+	p.regA, p.stA = openStore(t, t.TempDir())
+	p.mgrA = NewManager(p.regA, p.stA)
+	p.dirA = topic.LocalDirectory{R: p.regA}
+	pub, err := topic.NewPublisher(primD, p.dirA, topic.PublisherConfig{
+		Topic: ReplicationTopic, Class: ReplicationClass, RefreshEvery: 1, Window: 64,
+		Log: p.stA.Log(), CreditBuffers: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.feed = NewFeed(pub)
+	p.mgrA.Promote()
+
+	p.regB, p.stB = openStore(t, t.TempDir())
+	sub, err := topic.NewSubscriberDurable(stbyD, p.dirA, ReplicationTopic, ReplicationClass, 128, 128, "standby/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.apply = NewApply(sub, p.regB, p.stB)
+	p.resync()
+	p.resyncs = 0
+	return p
+}
+
+// resync installs the primary's state at its pre-export sequence.
+func (p *replicaPair) resync() {
+	p.t.Helper()
+	seq := p.stA.Seq()
+	if err := p.apply.Resync(p.regA.ExportState(), seq); err != nil {
+		p.t.Fatal(err)
+	}
+	p.resyncs++
+}
+
+// pump is one housekeeping beat on each side: publish what the primary
+// journaled, drain the standby, resync it if the stream passed it by,
+// and (renew) renew its lease and cursor.
+func (p *replicaPair) pump(renew bool) {
+	p.t.Helper()
+	if _, err := p.feed.Pump(); err != nil {
+		p.t.Fatalf("feed pump: %v", err)
+	}
+	for p.apply.Drain() > 0 {
+	}
+	if p.apply.NeedResync() {
+		p.resync()
+	}
+	if renew {
+		if err := p.apply.Renew(); err != nil {
+			p.t.Fatal(err)
+		}
+	}
+}
+
+// catchUp pumps until the standby's journal reaches the primary's
+// sequence (a renewal journals a record at the primary, so only every
+// sixteenth beat renews, and the next one carries it).
+func (p *replicaPair) catchUp() {
+	p.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; p.stB.Seq() != p.stA.Seq(); i++ {
+		if time.Now().After(deadline) {
+			p.t.Fatalf("standby never caught up: at %d, primary at %d", p.stB.Seq(), p.stA.Seq())
+		}
+		p.pump(i%16 == 15)
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestApplyGapForcesResync: the standby applies the stream once and in
+// order, journaling each record at the primary's sequence, and skips the
+// records at or below its head that a replay overlap re-delivers. Only a
+// record above head+1 — the retention horizon passed the cursor, so the
+// seam cannot replay what lies between — asks for a resync.
+func TestApplyGapForcesResync(t *testing.T) {
+	reg, st := openStore(t, t.TempDir())
+	a := NewApply(nil, reg, st)
 	sub1, err := wire.MakeAddr(1, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := func(r Record) []byte {
+	feed := func(r Record) {
 		b, err := AppendRecord(nil, &r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
-	}
-	feed := func(b []byte) {
 		a.mu.Lock()
-		a.feedLocked(b)
+		a.applyLocked(b)
 		a.mu.Unlock()
 	}
 
-	// In-sequence from genesis: applies.
-	feed(framed(Record{Type: RecDeclare, Seq: 1, Topic: "t", Class: 1}))
-	feed(framed(Record{Type: RecSubscribe, Seq: 2, Topic: "t", Addr: sub1}))
-	if a.NeedResync() || a.Applied() != 2 {
-		t.Fatalf("in-sequence stream: gap=%v applied=%d", a.NeedResync(), a.Applied())
+	// In sequence from genesis: applies, journaled at the same sequence.
+	feed(Record{Type: RecDeclare, Seq: 1, Topic: "t", Class: 1})
+	feed(Record{Type: RecSubscribe, Seq: 2, Topic: "t", Addr: sub1})
+	feed(Record{Type: RecHeartbeat, Seq: 3, Gen: 3})
+	if a.NeedResync() || st.Seq() != 3 || a.PrimaryGen() != 3 {
+		t.Fatalf("in-sequence stream: resync=%v seq=%d primaryGen=%d", a.NeedResync(), st.Seq(), a.PrimaryGen())
 	}
-	// Sequence jump (a dropped stream message): gap, and no further
-	// records apply until resync.
-	feed(framed(Record{Type: RecAdvance, Seq: 5}))
-	if !a.NeedResync() {
-		t.Fatal("sequence gap not detected")
+	// A replay overlapping what is applied: skipped, no resync.
+	feed(Record{Type: RecUnsubscribe, Seq: 2, Topic: "t", Addr: sub1})
+	if snap, _ := reg.Snapshot("t"); a.NeedResync() || st.Seq() != 3 || len(snap.Subs) != 1 {
+		t.Fatalf("overlap: resync=%v seq=%d subs=%v", a.NeedResync(), st.Seq(), snap.Subs)
 	}
+	// A record above head+1: stranded. Nothing applies until resync.
 	epochBefore := reg.Epoch()
-	feed(framed(Record{Type: RecAdvance, Seq: 6}))
-	if reg.Epoch() != epochBefore {
-		t.Fatal("gapped replica kept applying")
+	feed(Record{Type: RecAdvance, Seq: 6})
+	feed(Record{Type: RecAdvance, Seq: 7})
+	if !a.NeedResync() || reg.Epoch() != epochBefore || st.Seq() != 3 {
+		t.Fatalf("stranded cursor: resync=%v epoch moved %v seq=%d", a.NeedResync(), reg.Epoch() != epochBefore, st.Seq())
 	}
-	// Resync clears the gap and resumes at the snapshot's sequence.
+	// Resync installs the snapshot and restarts the journal at its
+	// sequence; the stream applies from the next record.
 	src := nameservice.NewTopicRegistry()
 	if err := src.Subscribe("t", sub1); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Resync(src.ExportState(), 6); err != nil {
+	if err := a.Resync(src.ExportState(), 7); err != nil {
 		t.Fatal(err)
 	}
-	if a.NeedResync() || a.LastSeq() != 6 {
-		t.Fatalf("after resync: gap=%v lastSeq=%d", a.NeedResync(), a.LastSeq())
+	if a.NeedResync() || st.Seq() != 7 {
+		t.Fatalf("after resync: resync=%v seq=%d", a.NeedResync(), st.Seq())
 	}
-	feed(framed(Record{Type: RecAdvance, Seq: 7}))
-	if a.NeedResync() || reg.Epoch() == epochBefore {
+	feed(Record{Type: RecAdvance, Seq: 8})
+	if a.NeedResync() || reg.Epoch() == epochBefore || st.Seq() != 8 {
 		t.Fatal("post-resync record did not apply")
-	}
-
-	// A heartbeat whose sequence is ahead of ours is also a gap.
-	feed(framed(Record{Type: RecHeartbeat, Seq: 9, Gen: 3}))
-	if !a.NeedResync() {
-		t.Fatal("heartbeat ahead of replica not detected as gap")
-	}
-	if a.PrimaryGen() != 3 {
-		t.Fatalf("heartbeat generation not tracked: %d", a.PrimaryGen())
 	}
 }
 
-// TestHeartbeatCarriesEnqueuedSeq pins the heartbeat's sequence to the
-// feed's enqueue order: a mutation that has journaled sequence N but
-// not yet enqueued record N (the store cursor runs ahead of the feed
-// between Journal and Enqueue) must not be claimed by a heartbeat that
-// reaches the standby first, or the standby reads N as a gap and
-// resyncs spuriously.
-func TestHeartbeatCarriesEnqueuedSeq(t *testing.T) {
-	sub1, err := wire.MakeAddr(1, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFeed(nil, 512)
-	rec := Record{Type: RecSubscribe, Seq: 5, Topic: "t", Addr: sub1}
-	framed, err := AppendRecord(nil, &rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Enqueue(rec.Seq, framed)
+// TestDroppedFrameResumesWithoutResync cuts the standby's node off for
+// one Pump: the records published meanwhile are lost on the wire. The
+// standby's durable subscription replays them from its cursor, so it
+// reaches the primary's sequence with zero resyncs and the same topics.
+func TestDroppedFrameResumesWithoutResync(t *testing.T) {
+	fabric := interconnect.NewFabric(4096)
+	primD, primCut := newCutDomain(t, fabric, 0)
+	stbyD, stbyCut := newCutDomain(t, fabric, 1)
+	p := newReplicaPair(t, primD, stbyD)
 
-	// Journal has already assigned sequence 6 elsewhere, but record 6 is
-	// not enqueued yet: the heartbeat must carry 5, the feed's cursor.
-	f.Heartbeat(3)
-	f.mu.Lock()
-	hbFramed := f.queue[len(f.queue)-1]
-	f.mu.Unlock()
-	hb, _, err := DecodeRecord(hbFramed)
-	if err != nil {
+	mutate := func(base uint16, n int) {
+		for i := 0; i < n; i++ {
+			a, err := wire.MakeAddr(2, base+uint16(i), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.regA.Subscribe("data", a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.mgrA.Heartbeat()
+	}
+	mutate(1, 8)
+	p.catchUp()
+
+	primCut.Partition(1, true)
+	stbyCut.Partition(0, true)
+	mutate(20, 8)
+	pub := p.feed.pub
+	sent, replayed := pub.Sent(), pub.Replayed()
+	if _, err := p.feed.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	if hb.Type != RecHeartbeat || hb.Seq != 5 || hb.Gen != 3 {
-		t.Fatalf("heartbeat = %+v, want type heartbeat seq 5 gen 3", hb)
+	// Every data frame of this beat, live or replayed, is lost once the
+	// engine has sent it.
+	lost := pub.Sent() - sent + pub.Replayed() - replayed
+	if lost == 0 {
+		t.Fatal("test setup: the cut beat sent nothing")
 	}
+	deadline := time.Now().Add(5 * time.Second)
+	for primCut.Stats().Partitioned < lost {
+		if time.Now().After(deadline) {
+			t.Fatalf("the engine sent %d of %d frames into the cut", primCut.Stats().Partitioned, lost)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	primCut.Heal()
+	stbyCut.Heal()
 
-	// A standby that has applied through 5 reads the heartbeat as
-	// confirmation, not as a gap.
-	a := NewApply(nil, nameservice.NewTopicRegistry(), nil)
-	a.mu.Lock()
-	a.lastSeq = 4
-	a.feedLocked(framed)
-	a.feedLocked(hbFramed)
-	a.mu.Unlock()
-	if a.NeedResync() {
-		t.Fatal("in-order heartbeat read as a sequence gap")
+	mutate(40, 8)
+	p.catchUp()
+	if p.resyncs != 0 {
+		t.Fatalf("a dropped frame cost %d resyncs; the standby should have replayed from its cursor", p.resyncs)
+	}
+	if p.stB.Seq() != p.stA.Seq() {
+		t.Fatalf("standby at %d, primary at %d", p.stB.Seq(), p.stA.Seq())
+	}
+	if a, b := p.regA.ExportState().Topics, p.regB.ExportState().Topics; !reflect.DeepEqual(a, b) {
+		t.Fatalf("standby topics diverged:\n got %+v\nwant %+v", b, a)
 	}
 }
 
@@ -149,43 +272,13 @@ func TestRegistryFailoverSoak(t *testing.T) {
 	stbyD := newDomain(t, fabric, 1)
 	workD := newDomain(t, fabric, 2)
 
-	// Primary registry with a durable store.
-	regA := nameservice.NewTopicRegistry()
-	stA, err := Open(t.TempDir(), regA, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stA.Close()
-	mgrA := NewManager(regA, stA)
-	dirA := topic.LocalDirectory{R: regA}
-
-	// Replication stream: publisher on the primary, subscriber on the
-	// standby, both through the primary's own registry (dogfooding).
-	repPub, err := topic.NewPublisher(primD, dirA, topic.PublisherConfig{
-		Topic: ReplicationTopic, Class: ReplicationClass, RefreshEvery: 1, Window: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := NewFeed(repPub, primD.MaxPayload())
-	mgrA.AttachFeed(feed)
-	genA := mgrA.Promote()
-
-	regB := nameservice.NewTopicRegistry()
-	stB, err := Open(t.TempDir(), regB, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stB.Close()
-	repSub, err := topic.NewSubscriber(stbyD, dirA, ReplicationTopic, ReplicationClass, 128, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apply := NewApply(repSub, regB, stB)
-	// Bootstrap: full-state resync at the primary's pre-export sequence.
-	seq := stA.Seq()
-	if err := apply.Resync(regA.ExportState(), seq); err != nil {
-		t.Fatal(err)
-	}
+	// Replication stream: the primary's journal published on the
+	// reserved topic, the standby a durable subscriber, both through the
+	// primary's own registry (dogfooding).
+	rp := newReplicaPair(t, primD, stbyD)
+	regA, regB, stB, mgrA, apply := rp.regA, rp.regB, rp.stB, rp.mgrA, rp.apply
+	dirA := rp.dirA
+	genA := regA.RegistryGen()
 
 	// Workload: subscribers and a publisher on "data", resolving through
 	// a failover directory so the registry can be retargeted live.
@@ -202,20 +295,6 @@ func TestRegistryFailoverSoak(t *testing.T) {
 		Topic: "data", Class: topic.Normal, RefreshEvery: 8, Window: 256})
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	pump := func() {
-		if _, err := feed.Pump(); err != nil {
-			t.Fatalf("feed pump: %v", err)
-		}
-		for apply.Drain() > 0 {
-		}
-		if apply.NeedResync() {
-			seq := stA.Seq()
-			if err := apply.Resync(regA.ExportState(), seq); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 
 	const phase = 1500
@@ -239,24 +318,13 @@ func TestRegistryFailoverSoak(t *testing.T) {
 			}
 			if i%64 == 0 {
 				mgrA.Heartbeat()
-				pump()
+				rp.pump(i%1024 == 0)
 			}
 		}
 	}
 	publish(phase)
-	pump()
-	// Let the replication fanout settle before comparing states.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		pump()
-		if !apply.NeedResync() && apply.LastSeq() >= stA.Seq() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never caught up: lastSeq=%d primary=%d", apply.LastSeq(), stA.Seq())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Let the replication stream settle before comparing states.
+	rp.catchUp()
 
 	// Kill the primary mid-traffic and fail over.
 	before := regA.ExportState()
@@ -316,7 +384,7 @@ func TestRegistryFailoverSoak(t *testing.T) {
 
 	// Conservation across the whole run: every per-subscriber frame was
 	// delivered or counted at exactly one ledger.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		var delivered, recvDrops uint64
 		for _, s := range subs {
@@ -339,5 +407,41 @@ func TestRegistryFailoverSoak(t *testing.T) {
 	}
 	if h := mgrB.Health(); h.Role != "primary" || h.RegistryGen != genB {
 		t.Fatalf("new primary health = %+v", h)
+	}
+}
+
+// TestStrandedRecordResyncs: a record the stream cannot carry — a cursor
+// ack whose name overflows one frame — is stranded by the publisher and
+// granted past, so the standby's seam skips it. The record after it is
+// then above the standby's head+1: the standby resyncs once, and only
+// then, and follows the stream again.
+func TestStrandedRecordResyncs(t *testing.T) {
+	fabric := interconnect.NewFabric(4096)
+	p := newReplicaPair(t, newDomain(t, fabric, 0), newDomain(t, fabric, 1))
+	if err := p.regA.Subscribe("data", addr(t, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp()
+	if p.resyncs != 0 {
+		t.Fatalf("%d resyncs before anything was stranded", p.resyncs)
+	}
+
+	if err := p.regA.AckCursor("data", strings.Repeat("n", 230), 1); err != nil {
+		t.Fatal(err)
+	}
+	p.mgrA.Heartbeat()
+	if _, err := p.feed.Pump(); err == nil {
+		t.Fatal("an oversize record published without error")
+	}
+	p.catchUp()
+	if p.resyncs != 1 || p.feed.pub.ReplayStranded() == 0 {
+		t.Fatalf("resyncs %d, stranded %d; want one resync for a stranded record", p.resyncs, p.feed.pub.ReplayStranded())
+	}
+	if err := p.regA.Subscribe("data", addr(t, 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp()
+	if a, b := p.regA.ExportState().Topics, p.regB.ExportState().Topics; p.resyncs != 1 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("after the resync: %d resyncs, topics\n got %+v\nwant %+v", p.resyncs, b, a)
 	}
 }

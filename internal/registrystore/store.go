@@ -8,16 +8,25 @@ import (
 	"path/filepath"
 	"sync"
 
+	"flipc/internal/duralog"
 	"flipc/internal/nameservice"
 	"flipc/internal/recio"
 	"flipc/internal/wire"
 )
 
-// File names inside a store directory.
+// File names inside a store directory, beside the journal's duralog
+// segments and cursor checkpoint. walName is the journal's pre-duralog
+// form: Open replays one it finds, and the first snapshot retires it.
 const (
 	walName  = "wal.log"
 	snapName = "snapshot.dat"
 )
+
+// snapCursor is the journal cursor the snapshot holds: Retain drops the
+// segments every cursor has passed — this one, and a standby's, which
+// its durable subscription acknowledges in-band — as it does for any
+// durable topic's subscribers.
+const snapCursor = "registrystore/snapshot"
 
 // snapMagic marks a snapshot file ("FLPR").
 const snapMagic = 0x464C5052
@@ -31,23 +40,28 @@ const (
 	snapVersionV1 = 1
 )
 
-// Store persists one registry's state: a write-ahead record log (a
-// recio.File, whose file discipline this is) plus a periodically
-// compacted snapshot. Journal writes are ordered ahead of mutation
-// acknowledgement (the registry's observer runs under its lock, before
-// the mutating call returns), and every record that can move a
-// membership generation is synced to stable storage before the journal
-// call returns — so a recovered registry's generations exactly
-// reconstruct what was served. Lease renewals are written unsynced
-// (they never move generations, and recovery restamps leases anyway),
-// keeping the steady-state renewal path cheap.
+// Store persists one registry's state: a journal of framed records — a
+// duralog.Log in the store's directory, whose record sequence is the
+// registry's mutation sequence — plus a periodically compacted
+// snapshot. The same log is the replication stream: the primary's Feed
+// publishes it as a durable topic, and a standby journals each record
+// it applies at the same sequence.
+//
+// Journal writes are ordered ahead of mutation acknowledgement (the
+// registry's observer runs under its lock, before the mutating call
+// returns), and every record that can move a membership generation is
+// synced to stable storage before the journal call returns — so a
+// recovered registry's generations exactly reconstruct what was
+// served. Lease renewals, heartbeats and cursor acks ride the log's
+// group commit unsynced (they never move generations, and recovery
+// restamps leases anyway), keeping the steady-state renewal path cheap.
 type Store struct {
 	mu         sync.Mutex
 	dir        string
-	wal        *recio.File
-	seq        uint64 // last sequence number assigned or applied
+	log        *duralog.Log
+	legacy     bool   // a pre-duralog wal.log is still on disk
 	snapSeq    uint64 // sequence covered by the snapshot file
-	walRecords int    // records in the log since the last compaction
+	walRecords int    // records in the journal since the last compaction
 	nosync     bool
 	err        error // sticky I/O error; surfaced in Health
 	enc        []byte
@@ -61,59 +75,78 @@ type Options struct {
 }
 
 // Open opens (creating if necessary) the store in dir and replays its
-// snapshot and the log's intact records into reg, wholesale-replacing
-// reg's state. Records at or below the snapshot's sequence are skipped:
-// they are already reflected in the restored state.
+// snapshot, then a pre-duralog wal.log if one is left, then the
+// journal's intact records into reg, wholesale-replacing reg's state.
+// Records at or below the snapshot's sequence are skipped: they are
+// already reflected in the restored state.
 //
 // Open recovers state only; it does not fence a new incarnation or
 // attach the journal — that is role policy, owned by Manager (a
 // primary fences and journals; a standby's state instead tracks the
 // replication stream).
 func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := &Store{dir: dir, nosync: opt.NoSync}
+	var err error
+	if s.log, err = duralog.Open(dir, duralog.Options{NoSync: opt.NoSync}); err != nil {
 		return nil, fmt.Errorf("registrystore: %w", err)
 	}
-	s := &Store{dir: dir, nosync: opt.NoSync}
-
 	state, snapSeq, err := readSnapshot(filepath.Join(dir, snapName))
 	if err != nil {
+		s.log.Close()
 		return nil, err
 	}
 	reg.RestoreState(state)
-	s.snapSeq, s.seq = snapSeq, snapSeq
-
-	s.wal, err = recio.OpenFile(filepath.Join(dir, walName), opt.NoSync, func(b []byte) (int, error) {
-		return s.replay(reg, b)
-	})
+	s.snapSeq = snapSeq
+	seq := snapSeq
+	// replay applies the intact records of b beyond the snapshot and
+	// returns where they end: a torn or corrupt record ends the
+	// incarnation — nothing beyond it was acknowledged as durable in
+	// order.
+	replay := func(b []byte) (int, error) {
+		off := 0
+		for off < len(b) {
+			rec, n, err := DecodeRecord(b[off:])
+			if err != nil {
+				break
+			}
+			if rec.Seq > snapSeq {
+				if err := applyRecord(reg, &rec); err != nil {
+					return off, fmt.Errorf("replay %v: %w", rec.Type, err)
+				}
+				seq = max(seq, rec.Seq)
+				s.walRecords++
+			}
+			off += n
+		}
+		return off, nil
+	}
+	if _, err = os.Stat(filepath.Join(dir, walName)); err == nil {
+		s.legacy = true
+		_, _, err = recio.ScanFile(filepath.Join(dir, walName), true, replay)
+	} else if errors.Is(err, os.ErrNotExist) {
+		err = nil
+	}
+	if err == nil {
+		err = s.log.Replay(snapSeq+1, func(_ uint64, _ uint8, b []byte) error {
+			n, err := replay(b)
+			if err == nil && n != len(b) {
+				err = ErrCorrupt
+			}
+			return err
+		})
+	}
+	if err == nil && s.log.Head() < seq {
+		// The journal starts where the snapshot and the old wal.log end.
+		err = s.log.Reset(seq)
+	}
+	if err == nil {
+		err = s.log.Ack(snapCursor, snapSeq)
+	}
 	if err != nil {
+		s.log.Close()
 		return nil, fmt.Errorf("registrystore: %w", err)
 	}
 	return s, nil
-}
-
-// replay applies every intact record of the log's bytes beyond the
-// snapshot to reg and returns where they end: a torn tail (short) or
-// corruption ends the incarnation — nothing beyond it was acknowledged
-// as durable in order.
-func (s *Store) replay(reg *nameservice.TopicRegistry, b []byte) (int, error) {
-	off := 0
-	for off < len(b) {
-		rec, n, err := DecodeRecord(b[off:])
-		if err != nil {
-			break
-		}
-		if rec.Seq > s.snapSeq {
-			if err := applyRecord(reg, &rec); err != nil {
-				return off, fmt.Errorf("replay %v: %w", rec.Type, err)
-			}
-			if rec.Seq > s.seq {
-				s.seq = rec.Seq
-			}
-			s.walRecords++
-		}
-		off += n
-	}
-	return off, nil
 }
 
 // class maps a record type to its durability class: a record that can
@@ -137,81 +170,61 @@ func (s *Store) check(err error) error {
 	return s.err
 }
 
-// Journal assigns the next sequence number to rec, appends it to the
-// log (synced per class), and returns the framed bytes — the exact
-// encoding the replication stream forwards, so log and stream can never
-// disagree. Returns nil after a sticky I/O error (surfaced in Health).
-func (s *Store) Journal(rec *Record) []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil
-	}
-	s.seq++
-	rec.Seq = s.seq
-	// Newly journaled records carry the current frame version; replayed
-	// and replicated bytes keep whatever version they were written with.
-	rec.Ver = recio.V1
-	framed, err := AppendRecord(s.enc[:0], rec)
-	if err != nil {
-		s.err = err
-		return nil
-	}
-	s.enc = framed
-	if s.appendLocked(rec.Type, framed) != nil {
-		return nil
-	}
-	return append([]byte(nil), framed...)
-}
-
-// AppendRaw appends an already-framed record received from the
-// replication stream (the standby's log path), preserving the
-// primary's sequence number.
-func (s *Store) AppendRaw(rec *Record, framed []byte) error {
+// Journal appends rec to the journal at the log's next sequence, which
+// it stamps into rec.Seq, and syncs it if its class says so. A standby
+// journals each record it applies, which then lands at the sequence the
+// primary gave it. Fails after a sticky I/O error (surfaced in Health).
+func (s *Store) Journal(rec *Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.appendLocked(rec.Type, framed); err != nil {
-		return err
+	rec.Seq = s.log.Head() + 1
+	// Newly journaled records carry the current frame version; replayed
+	// wal.log bytes keep whatever version they were written with.
+	rec.Ver = recio.V1
+	framed, err := AppendRecord(s.enc[:0], rec)
+	if err != nil {
+		return s.check(err)
 	}
-	if rec.Seq > s.seq {
-		s.seq = rec.Seq
+	s.enc = framed
+	if _, err := s.log.Append(ReplicationClass.Flags(), framed); err != nil {
+		return s.check(err)
 	}
-	return nil
-}
-
-// appendLocked appends one framed record to the log. Caller holds s.mu.
-func (s *Store) appendLocked(t RecType, framed []byte) error {
-	if err := s.check(s.wal.Append(framed, class(t))); err != nil {
-		return err
+	if class(rec.Type) == recio.Synced {
+		if err := s.log.Sync(); err != nil {
+			return s.check(err)
+		}
 	}
 	s.walRecords++
 	return nil
 }
 
-// ResetTo installs a full-state snapshot at seq and discards the
-// entire local log (standby resync). The snapshot supersedes all local
-// history: a demoted or restarted ex-primary's log may describe a
-// divergent timeline whose records carry sequence numbers above the
-// resync point, and retaining any of them would replay divergent state
-// on top of the new primary's snapshot at the next restart.
+// ResetTo installs a full-state snapshot at seq and restarts the
+// journal empty at seq (standby resync). The snapshot supersedes all
+// local history: a demoted or restarted ex-primary's journal may
+// describe a divergent timeline whose records carry sequence numbers
+// above the resync point, and retaining any of them would replay
+// divergent state on top of the new primary's snapshot at the next
+// restart.
 func (s *Store) ResetTo(state nameservice.RegistryState, seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.installLocked(state, seq, ^uint64(0)); err != nil {
+	if err := s.snapshotLocked(state, seq); err != nil {
 		return err
 	}
-	s.seq = seq
-	return nil
+	s.walRecords = 0
+	if err := s.check(s.log.Reset(seq)); err != nil {
+		return err
+	}
+	return s.check(s.log.Ack(snapCursor, seq))
 }
 
-// installLocked writes a snapshot of state at seq, then rewrites the log
-// keeping only the records above keepAbove. Those were acknowledged as
-// synced when journaled, which is why Replace syncs the rewrite before
-// it supersedes the log that holds them. Caller holds s.mu.
-func (s *Store) installLocked(state nameservice.RegistryState, seq, keepAbove uint64) error {
+// snapshotLocked writes a snapshot of state at seq and retires a
+// pre-duralog wal.log: every record in it is at or below the journal's
+// first sequence, so at or below seq. Caller holds s.mu.
+func (s *Store) snapshotLocked(state nameservice.RegistryState, seq uint64) error {
 	if s.err != nil {
 		return s.err
 	}
@@ -219,37 +232,25 @@ func (s *Store) installLocked(state nameservice.RegistryState, seq, keepAbove ui
 		s.err = err
 		return err
 	}
-	buf := make([]byte, s.wal.Size())
-	if _, err := s.wal.ReadAt(buf, 0); err != nil && len(buf) > 0 {
-		return s.check(err)
-	}
-	var keep []byte
-	kept, off := 0, 0
-	recio.Scan(buf, func(f recio.Frame, size int) error {
-		if f.Seq > keepAbove {
-			keep = append(keep, buf[off:off+size]...)
-			kept++
-		}
-		off += size
-		return nil
-	})
-	if err := s.check(s.wal.Replace(keep)); err != nil {
-		return err
-	}
 	s.snapSeq = seq
-	s.walRecords = kept
+	if s.legacy {
+		if err := s.check(os.Remove(filepath.Join(s.dir, walName))); err != nil {
+			return err
+		}
+		s.legacy = false
+	}
 	return nil
 }
 
-// Seq returns the last sequence number assigned or applied.
-func (s *Store) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
+// Log returns the journal: the replication Feed's durable publisher is
+// built over it.
+func (s *Store) Log() *duralog.Log { return s.log }
 
-// WALRecords returns the records accumulated in the log since the last
-// compaction — the operator's WAL-lag signal.
+// Seq returns the last sequence number journaled.
+func (s *Store) Seq() uint64 { return s.log.Head() }
+
+// WALRecords returns the records accumulated in the journal since the
+// last compaction — the operator's journal-lag signal.
 func (s *Store) WALRecords() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,34 +271,40 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Close closes the log (syncing buffered renewals).
+// Close closes the journal (syncing buffered renewals).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wal.Close()
+	return s.log.Close()
 }
 
-// Compact snapshots reg's current state and drops the log records the
-// snapshot covers.
+// Compact snapshots reg's current state and retires the journal
+// segments every cursor — the snapshot's, and a standby's — has passed.
 //
 // Locking discipline: the registry export must happen outside s.mu
 // (a registry mutation in flight holds the registry lock while calling
 // Journal, which takes s.mu — exporting under s.mu would deadlock), so
 // the snapshot may include mutations journaled after seqBefore was
-// captured. Those records are retained in the log and will replay on
-// top of the snapshot at recovery; replay of the registry's mutation
+// captured. Those records stay in the journal and will replay on top
+// of the snapshot at recovery; replay of the registry's mutation
 // records over a state that already reflects them is idempotent for
 // membership and never moves a generation spuriously downward, so the
 // overlap is harmless.
 func (s *Store) Compact(reg *nameservice.TopicRegistry) error {
-	s.mu.Lock()
-	seqBefore := s.seq
-	s.mu.Unlock()
+	seqBefore := s.Seq()
 	state := reg.ExportState()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installLocked(state, seqBefore, seqBefore)
+	if err := s.snapshotLocked(state, seqBefore); err != nil {
+		return err
+	}
+	s.walRecords = int(s.log.Head() - seqBefore)
+	if err := s.check(s.log.Ack(snapCursor, seqBefore)); err != nil {
+		return err
+	}
+	_, err := s.log.Retain()
+	return s.check(err)
 }
 
 // writeSnapshot writes state atomically (recio.ReplaceFile), CRC-framed

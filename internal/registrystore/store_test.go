@@ -199,7 +199,11 @@ func TestWALTruncatedMidRecord(t *testing.T) {
 	_ = reg
 
 	// Tear the final record mid-write, as a crash during append would.
-	wal := filepath.Join(dir, "wal.log")
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("journal segments %v: %v", segs, err)
+	}
+	wal := segs[len(segs)-1]
 	b, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -355,6 +359,12 @@ func TestResyncDiscardsDivergentLocalHistory(t *testing.T) {
 	if st2.Seq() != resyncSeq {
 		t.Fatalf("restarted store seq = %d, want %d", st2.Seq(), resyncSeq)
 	}
+	// The journal continues from the resync point, as the stream the
+	// standby follows next numbers its records.
+	rec := Record{Type: RecSubscribe, Topic: "t", Addr: a2}
+	if err := st2.Journal(&rec); err != nil || rec.Seq != resyncSeq+1 {
+		t.Fatalf("journal after resync: seq %d, err %v; want seq %d", rec.Seq, err, resyncSeq+1)
+	}
 }
 
 func TestStoreErrorDemotesPrimary(t *testing.T) {
@@ -364,11 +374,17 @@ func TestStoreErrorDemotesPrimary(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Break the log out from under the store: every further journal
-	// write fails stickily.
-	st.mu.Lock()
-	st.wal.Close()
-	st.mu.Unlock()
+	// Break the journal out from under the store: its directory becomes
+	// a file, so the segment the next write opens cannot be created, and
+	// every further journal write fails stickily.
+	st.log.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Remove(dir) })
 
 	// The next mutation cannot be made durable: the manager must demote
 	// itself rather than keep acknowledging non-durable, non-replicated

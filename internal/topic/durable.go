@@ -447,6 +447,19 @@ func (p *Publisher) pumpOneLocked(sr *subReplay, max int) int {
 			// Sticky log error; surfaced through the log's Health.
 			return sent
 		}
+		if p.fitsSeq(payload) != nil {
+			// A record its owner appended too large for one frame (see
+			// PublishLogged) can never be sent: stranded, like a record
+			// retention passed, and granted past so the seam skips it.
+			var buf [grantFrameBytes]byte
+			if out.SendFlags(sr.addr, buf[:encodeGrant(buf[:], seq)], ctlFlag|p.cfg.Class.Flags()) != nil {
+				sr.rd.Unread()
+				break
+			}
+			p.replayStranded++
+			sr.next = seq + 1
+			continue
+		}
 		frame := p.stageSeq(seq, payload)
 		// A bulk round drains at the replay outbox's Bulk priority
 		// under live traffic; a hot round rides the live outbox. The
@@ -592,6 +605,7 @@ type subDurState struct {
 
 	locked     atomic.Bool             // seam established; next is meaningful
 	next       atomic.Uint64           // next sequence the application gets
+	from       uint64                  // the cursor an unlocked seam resumes from
 	gapPending bool                    // a resume for a detected gap is in flight
 	needResume bool                    // a resume must be (re)sent (start, rebind)
 	stash      map[uint64]stashedFrame // ahead-of-seam frames held for the hole
@@ -619,6 +633,7 @@ func newSubDurState(d *core.Domain, name string) (*subDurState, error) {
 		out:        out,
 		pubs:       make(map[core.Addr]struct{}),
 		needResume: true,
+		from:       UseStoredCursor,
 		stash:      make(map[uint64]stashedFrame),
 	}, nil
 }
@@ -719,13 +734,26 @@ func (s *Subscriber) durAccept(payload []byte, flags uint8) ([]byte, bool) {
 	}
 }
 
-// handleGrant locks the seam at the publisher-resolved cursor. Stale
-// grants (a second publisher answering, or a retried resume's echo)
-// arrive after the seam is locked and are ignored — the seam only
-// moves forward, through deliveries.
+// handleGrant locks the seam at the publisher-resolved cursor. On a
+// locked seam a grant at or behind it is stale (a second publisher
+// answering, or a retried resume's echo) and ignored. One ahead of it
+// says the publisher cannot replay up to the cursor — retention passed
+// it, or a record there cannot be framed; the publisher counts those
+// in ReplayStranded — so the seam skips to it rather than wait forever.
 func (s *Subscriber) handleGrant(cursor uint64) {
 	d := s.dur
-	if d == nil || d.locked.Load() {
+	if d == nil {
+		return
+	}
+	if d.locked.Load() {
+		if cursor >= d.next.Load() {
+			d.next.Store(cursor + 1)
+			for seq := range d.stash {
+				if seq <= cursor {
+					delete(d.stash, seq)
+				}
+			}
+		}
 		return
 	}
 	d.locked.Store(true)
@@ -772,8 +800,9 @@ func (s *Subscriber) handleDone(start, head uint64) {
 }
 
 // sendResume asks every known publisher to (re)start our replay. The
-// cursor is our seam position once locked; before that we ask for the
-// cursor the log stored under our name (the restart path).
+// cursor is our seam position once locked; before that it is the one
+// ResumeFrom set, or the cursor the log stored under our name (the
+// restart path).
 func (s *Subscriber) sendResume() {
 	d := s.dur
 	if d == nil {
@@ -784,7 +813,7 @@ func (s *Subscriber) sendResume() {
 		d.needResume = true
 		return
 	}
-	cursor := UseStoredCursor
+	cursor := d.from
 	if d.locked.Load() {
 		cursor = d.next.Load() - 1
 	}
@@ -821,7 +850,10 @@ func (s *Subscriber) sendAck() {
 // resume (the backstop for lost control frames), acknowledge the seam
 // in-band, and register the cursor with the directory so it survives
 // registry failover. Directory registration is best-effort — the
-// in-band ack to the publisher's log is the durable copy.
+// in-band ack to the publisher's log is the durable copy — and skipped
+// on a reserved "!" topic: a registry's replication stream is itself
+// the registry's journal, where a registration would journal a record
+// the standby receives and acknowledges again, one more per renewal.
 func (s *Subscriber) renewDurable() {
 	d := s.dur
 	if d == nil {
@@ -832,7 +864,7 @@ func (s *Subscriber) renewDurable() {
 	}
 	if d.locked.Load() {
 		s.sendAck()
-		if cur := d.acked.Load(); cur > d.dirAcked {
+		if cur := d.acked.Load(); cur > d.dirAcked && s.topic[0] != '!' {
 			if AckCursor(s.dir, s.topic, d.name, cur) == nil {
 				d.dirAcked = cur
 			}
@@ -850,6 +882,17 @@ func (s *Subscriber) durStats() *subDurState {
 }
 
 var noDurState subDurState
+
+// ResumeFrom makes an unlocked seam resume from cursor instead of the
+// cursor the publisher's log stored under the subscriber's name: a
+// subscriber that keeps its own position (a registry standby, whose
+// position is its journal's head) asks for exactly the records after
+// it. No effect once the seam has locked.
+func (s *Subscriber) ResumeFrom(cursor uint64) {
+	if s.dur != nil {
+		s.dur.from = cursor
+	}
+}
 
 // DurableLocked reports whether the exactly-once seam is established
 // (the subscriber has handed off from replay to the live stream at a

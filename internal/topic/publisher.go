@@ -422,17 +422,90 @@ func (p *Publisher) Publish(payload []byte) (PublishResult, error) {
 
 // PublishFlags is Publish with application flag bits (the class's
 // priority bits are merged in; the topic-control bit and wire-internal
-// bits are reserved and masked).
+// bits are reserved and masked). On a durable topic it is the append
+// half — journal the payload — followed by PublishLogged's fanout half.
 func (p *Publisher) PublishFlags(payload []byte, flags uint8) (PublishResult, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.refreshIfStaleLocked(); err != nil {
+	if err := p.beginLocked(); err != nil {
 		return PublishResult{}, err
+	}
+	flags = p.maskFlags(flags)
+	var seq uint64
+	if p.log != nil {
+		// The durable tap: journal before fanout — a frame is never on
+		// the wire without being replayable. An append failure fails the
+		// publish: an unjournaled durable send would be silent loss in
+		// disguise.
+		if err := p.fitsSeq(payload); err != nil {
+			return PublishResult{}, err
+		}
+		var err error
+		if seq, err = p.log.Append(flags, payload); err != nil {
+			return PublishResult{}, fmt.Errorf("topic: durable append: %w", err)
+		}
+	}
+	return p.fanoutLocked(seq, payload, flags)
+}
+
+// PublishLogged fans out record seq of the publisher's log, which the
+// log's owner has already appended with flags: the fanout half of a
+// durable publish, for a log that something other than this publisher
+// writes (a registry's journal, whose appends happen under the
+// registry's lock). Records must be published in log order, each after
+// its append; the replay seam treats them exactly as PublishFlags'.
+func (p *Publisher) PublishLogged(seq uint64, flags uint8, payload []byte) (PublishResult, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.log == nil {
+		return PublishResult{}, fmt.Errorf("topic: PublishLogged on a publisher with no log")
+	}
+	if err := p.beginLocked(); err != nil {
+		return PublishResult{}, err
+	}
+	if err := p.fitsSeq(payload); err != nil {
+		return PublishResult{}, err
+	}
+	return p.fanoutLocked(seq, payload, p.maskFlags(flags))
+}
+
+// beginLocked is what every publish does before its payload: probe the
+// directory on the refresh cadence, harvest the control inbox, and
+// re-send owed hellos. A resume harvested here is granted below the
+// payload about to be journaled, so the payload is inside its replay.
+// Caller holds p.mu.
+func (p *Publisher) beginLocked() error {
+	if err := p.refreshIfStaleLocked(); err != nil {
+		return err
 	}
 	p.harvestLocked()
 	if p.helloOwed {
 		p.helloLocked()
 	}
+	return nil
+}
+
+// maskFlags masks the reserved bits out of application flags — the
+// topic-control bit, the replay marker, the priority field (the class
+// owns it: caller bits would forge the frame's class at the engine,
+// wire, and rtsched layers), and the wire-internal trailer flags — and
+// merges in the class's priority bits.
+func (p *Publisher) maskFlags(flags uint8) uint8 {
+	return (flags &^ (ctlFlag | replayFlag | wire.PriorityMask | wire.FlagStamped | wire.FlagChecksummed)) | p.cfg.Class.Flags()
+}
+
+// fitsSeq refuses a durable payload that cannot carry its 8-byte
+// sequence prefix in one frame.
+func (p *Publisher) fitsSeq(payload []byte) error {
+	if len(payload)+8 > p.out.MaxPayload() {
+		return fmt.Errorf("topic: durable payload %d exceeds frame budget %d", len(payload), p.out.MaxPayload()-8)
+	}
+	return nil
+}
+
+// fanoutLocked sends one payload — journaled as log record dseq when the
+// topic is durable — to every planned subscriber. Caller holds p.mu.
+func (p *Publisher) fanoutLocked(dseq uint64, payload []byte, flags uint8) (PublishResult, error) {
 	var res PublishResult
 	if len(p.plan) == 0 && len(p.patPlan) == 0 && p.log == nil {
 		return res, nil
@@ -442,27 +515,9 @@ func (p *Publisher) PublishFlags(payload []byte, flags uint8) (PublishResult, er
 		start = p.nowNanos()
 	}
 	orig := payload // pre-staging bytes: what pattern subscribers get
-	// Reserved bits really are masked: the topic-control bit, the
-	// replay marker, the priority field (the class owns it — caller
-	// bits would forge the frame's class at the engine, wire, and
-	// rtsched layers), and the wire-internal trailer flags.
-	flags = (flags &^ (ctlFlag | replayFlag | wire.PriorityMask | wire.FlagStamped | wire.FlagChecksummed)) | p.cfg.Class.Flags()
-	var dseq uint64
 	if p.log != nil {
-		// The durable tap: journal before fanout — a frame is never on
-		// the wire without being replayable — then prefix the live
-		// frame with its log sequence. An append failure fails the
-		// publish: an unjournaled durable send would be silent loss in
-		// disguise.
-		if len(payload)+8 > p.out.MaxPayload() {
-			return res, fmt.Errorf("topic: durable payload %d exceeds frame budget %d", len(payload), p.out.MaxPayload()-8)
-		}
-		seq, err := p.log.Append(flags, payload)
-		if err != nil {
-			return res, fmt.Errorf("topic: durable append: %w", err)
-		}
-		dseq = seq
-		payload = p.stageSeq(seq, payload)
+		// Live frames carry their log sequence as a prefix.
+		payload = p.stageSeq(dseq, payload)
 	}
 	if p.cfg.Credit {
 		// Attribution: each subscriber counts its disposals per
