@@ -660,3 +660,73 @@ func TestReplayCursorDescriptorLifetime(t *testing.T) {
 		}
 	}
 }
+
+// A locked seam whose cursor the retention horizon has passed: the
+// publisher counts the unreplayable range in ReplayStranded and grants
+// past it, and the seam skips to the first retained record and carries
+// on in order, where it used to ask for the lost range forever.
+func TestDurableLockedSeamSkipsStrandedRange(t *testing.T) {
+	fabric := interconnect.NewFabric(1024)
+	pubD := newDomain(t, fabric, 0)
+	subD := newDomain(t, fabric, 1)
+	dir := LocalDirectory{R: nameservice.NewTopicRegistry()}
+	log := newDurableLog(t, duralog.Options{NoSync: true, SegmentBytes: 256, MaxSegments: 2})
+	sub, err := NewSubscriberDurable(subD, dir, "orders", Normal, 64, 8, "node1/consumer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := NewPublisher(pubD, dir, PublisherConfig{Topic: "orders", Class: Normal, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lockSeam(t, pub, sub)
+
+	// The subscriber stops draining: its 8 posted buffers fill and the
+	// rest of the burst is dropped at its endpoint, while forced
+	// retention deletes the segments that held it.
+	const n = 100
+	for i := 0; i < n; i++ {
+		if _, err := pub.Publish([]byte(fmt.Sprintf("m-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(t, "the burst to land", func() bool { return sub.Drops() > 0 && pub.Outbox().Flush() })
+	if _, err := log.Retain(); err != nil {
+		t.Fatal(err)
+	}
+	first := log.First()
+	if first < 20 {
+		t.Fatalf("test setup: retention kept everything from %d", first)
+	}
+
+	var got []int
+	settle(t, "the seam to reach the head", func() bool {
+		for {
+			payload, _, ok := sub.Receive()
+			if !ok {
+				break
+			}
+			var i int
+			if _, err := fmt.Sscanf(string(payload), "m-%03d", &i); err != nil {
+				t.Fatalf("payload %q", payload)
+			}
+			got = append(got, i)
+		}
+		if err := sub.Renew(); err != nil {
+			t.Fatal(err)
+		}
+		pub.PumpReplay(0)
+		return len(got) > 0 && got[len(got)-1] == n-1
+	})
+	if pub.ReplayStranded() == 0 {
+		t.Fatal("the skipped range was not counted stranded")
+	}
+	for k := 1; k < len(got); k++ {
+		if got[k] <= got[k-1] {
+			t.Fatalf("deliveries out of order or duplicated: %v", got)
+		}
+		if got[k] >= int(first) && got[k] != got[k-1]+1 {
+			t.Fatalf("retained record %d missing after %d: %v", got[k-1]+1, got[k-1], got)
+		}
+	}
+}
