@@ -300,6 +300,12 @@ func (rn *registryNode) promote() {
 	fmt.Printf("flipcd: registry promoted to primary at generation %d\n", gen)
 }
 
+// streamInterval is the replication stream's beat between lease ticks.
+// Each journal record is one stream frame: a standby drained only once a
+// lease tick takes one inbox (64 records) per tick, too few once a few
+// hundred subscriptions renew every TTL.
+const streamInterval = 10 * time.Millisecond
+
 // housekeeping runs the registry's periodic work until stop closes:
 // lease sweeps, quarantine eviction, replication pumping, compaction
 // (primary); stream draining, lease and cursor renewal, resync of a
@@ -307,12 +313,17 @@ func (rn *registryNode) promote() {
 func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 	tick := time.NewTicker(rn.opts.LeaseInterval)
 	defer tick.Stop()
+	beat := time.NewTicker(streamInterval)
+	defer beat.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-rn.promoteReq:
 			rn.promote()
+		case <-beat.C:
+			rn.streamBeat()
+			continue
 		case <-tick.C:
 		}
 		if rn.sharded() {
@@ -325,11 +336,7 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 			}
 			if rn.mgr != nil {
 				rn.mgr.Heartbeat()
-				if rn.feed != nil {
-					if _, err := rn.feed.Pump(); err != nil {
-						fmt.Printf("flipcd: replication pump: %v\n", err)
-					}
-				}
+				rn.streamBeat()
 				if rn.st.WALRecords() >= rn.opts.CompactEvery {
 					if err := rn.st.Compact(rn.reg); err != nil {
 						fmt.Printf("flipcd: compaction: %v\n", err)
@@ -344,7 +351,7 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 		if rn.apply == nil {
 			continue
 		}
-		rn.apply.Drain()
+		rn.streamBeat()
 		if rn.apply.NeedResync() {
 			if err := rn.resyncFromPrimary(); err != nil {
 				fmt.Printf("flipcd: standby resync: %v\n", err)
@@ -360,15 +367,32 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 	}
 }
 
+// streamBeat moves the replication stream: a primary publishes what it
+// journaled since the last beat, a standby applies what arrived.
+func (rn *registryNode) streamBeat() {
+	switch {
+	case rn.mgr == nil:
+	case rn.mgr.Role() == registrystore.RolePrimary:
+		if rn.feed != nil {
+			if _, err := rn.feed.Pump(); err != nil {
+				fmt.Printf("flipcd: replication pump: %v\n", err)
+			}
+		}
+	case rn.apply != nil:
+		rn.apply.Drain()
+	}
+}
+
 // streamSilent records replication-stream progress and reports whether
 // the stream has been silent past the failover timeout. Progress is a
-// *change* in the journaled sequence since the previous tick — the
-// primary's heartbeats are journaled records, so a live primary moves
-// it even when nothing mutates, and comparing against the last observed
-// value is what distinguishes "the primary is alive" from "the primary
-// was alive once".
+// *change* in the highest sequence the stream delivered since the
+// previous tick — the primary's heartbeats are journaled records, so a
+// live primary moves it even when nothing mutates, and comparing against
+// the last observed value is what distinguishes "the primary is alive"
+// from "the primary was alive once". Not the journal head: a standby
+// whose store failed stops journaling while the primary lives.
 func (rn *registryNode) streamSilent() bool {
-	if seq := rn.st.Seq(); seq != rn.lastSeq {
+	if seq := rn.apply.Delivered(); seq != rn.lastSeq {
 		rn.lastSeq = seq
 		rn.lastMoved = time.Now()
 	}

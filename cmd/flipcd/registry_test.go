@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -107,5 +109,99 @@ func TestStreamSilenceTriggersFailover(t *testing.T) {
 		}
 		rn.apply.Drain()
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestStandbyStoreFailureDoesNotPromote: a standby whose own store fails
+// stops journaling, but the primary is alive and its heartbeats still
+// arrive. The standby must not read its frozen journal head as stream
+// silence and take over, and must not ask for a resync it could not
+// journal either.
+func TestStandbyStoreFailureDoesNotPromote(t *testing.T) {
+	fabric := interconnect.NewFabric(1024)
+	primD := testDomain(t, fabric, 0)
+	stbyD := testDomain(t, fabric, 1)
+
+	regA := nameservice.NewTopicRegistry()
+	stA, err := registrystore.Open(t.TempDir(), regA, registrystore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { stA.Close() })
+	mgrA := registrystore.NewManager(regA, stA)
+	dirA := topic.LocalDirectory{R: regA}
+	pub, err := topic.NewPublisher(primD, dirA, topic.PublisherConfig{
+		Topic: registrystore.ReplicationTopic, Class: registrystore.ReplicationClass,
+		RefreshEvery: 1, Window: 64, Log: stA.Log(), CreditBuffers: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := registrystore.NewFeed(pub)
+	mgrA.Promote()
+
+	dirB := filepath.Join(t.TempDir(), "standby")
+	regB := nameservice.NewTopicRegistry()
+	stB, err := registrystore.Open(dirB, regB, registrystore.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := topic.NewSubscriberDurable(stbyD, dirA, registrystore.ReplicationTopic,
+		registrystore.ReplicationClass, 64, 64, "standby/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn := &registryNode{
+		opts:      registryOpts{FailoverAfter: 300 * time.Millisecond},
+		st:        stB,
+		apply:     registrystore.NewApply(sub, regB, stB),
+		lastMoved: time.Now(),
+	}
+	if err := rn.apply.Resync(regA.ExportState(), stA.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	mgrA.Heartbeat()
+	deadline := time.Now().Add(5 * time.Second)
+	for stB.Seq() != stA.Seq() {
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never followed: at %d, primary at %d", stB.Seq(), stA.Seq())
+		}
+		if _, err := feed.Pump(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(10 * time.Millisecond)
+		rn.apply.Drain()
+	}
+
+	// The standby's store directory becomes a file: the next segment
+	// its journal opens cannot be created.
+	stB.Close()
+	if err := os.RemoveAll(dirB); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dirB, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Heartbeats keep coming, well past FailoverAfter in total.
+	for i := 0; i < 8; i++ {
+		mgrA.Heartbeat()
+		if _, err := feed.Pump(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Millisecond)
+		rn.apply.Drain()
+		if rn.apply.NeedResync() {
+			t.Fatalf("tick %d: a standby whose store failed asked for a resync", i)
+		}
+		if rn.streamSilent() {
+			t.Fatalf("tick %d: a live primary's heartbeats read as silence once the standby's store failed", i)
+		}
+	}
+	if stB.Err() == nil {
+		t.Fatal("test setup: the standby's store never failed")
+	}
+	if rn.apply.Delivered() != stA.Seq() {
+		t.Fatalf("stream delivered up to %d, primary at %d", rn.apply.Delivered(), stA.Seq())
 	}
 }

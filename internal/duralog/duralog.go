@@ -433,6 +433,34 @@ func (l *Log) Sync() error {
 	return l.check(l.active.Sync())
 }
 
+// Flush hands every buffered record to the OS without an fsync: what
+// it wrote survives a crash of the process, not of the machine.
+func (l *Log) Flush() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil || l.active == nil {
+		return l.err
+	}
+	return l.check(l.active.Flush())
+}
+
+// Forget drops sub's cursor, so it no longer holds retention back, and
+// checkpoints the cursors without it. A later Ack registers sub again,
+// and so does the next Open if a retained segment still holds one of
+// its acks.
+func (l *Log) Forget(sub string) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if _, ok := l.cursors[sub]; !ok {
+		return nil
+	}
+	delete(l.cursors, sub)
+	return l.writeCursorsLocked()
+}
+
 // Cursor returns sub's acknowledged sequence; ok reports whether sub
 // has ever acked.
 func (l *Log) Cursor(sub string) (uint64, bool) {

@@ -89,6 +89,10 @@ func (f *Feed) Pump() (int, error) {
 // cursor (counted in its ReplayStranded): the copy would diverge, so
 // nothing more applies and NeedResync reports true until Resync
 // installs a full state snapshot.
+//
+// A standby whose store has failed (Manager.Health reports it) stops
+// applying and never asks for a resync it could not journal, but still
+// tracks what the stream delivers (Delivered), the primary's liveness.
 type Apply struct {
 	mu  sync.Mutex
 	sub *topic.Subscriber
@@ -96,6 +100,7 @@ type Apply struct {
 	st  *Store
 
 	primaryGen uint64
+	delivered  uint64 // highest sequence the stream delivered
 	stranded   bool
 }
 
@@ -124,26 +129,39 @@ func (a *Apply) Drain() int {
 // applyLocked applies one framed record. Caller holds a.mu.
 func (a *Apply) applyLocked(b []byte) {
 	rec, _, err := DecodeRecord(b)
-	head := a.st.Seq()
-	if err == nil && rec.Seq <= head {
-		return // the bootstrap overlap
-	}
-	if err != nil || rec.Seq != head+1 || applyRecord(a.reg, &rec) != nil {
+	if err != nil {
 		a.stranded = true
 		return
 	}
+	a.delivered = max(a.delivered, rec.Seq)
 	if (rec.Type == RecFence || rec.Type == RecHeartbeat) && rec.Gen > a.primaryGen {
 		a.primaryGen = rec.Gen
 	}
-	a.st.Journal(&rec)
+	head := a.st.Seq()
+	if rec.Seq <= head || a.st.Err() != nil {
+		return // the bootstrap overlap, or a store that cannot journal
+	}
+	if rec.Seq != head+1 || applyRecord(a.reg, &rec) != nil {
+		a.stranded = true
+		return
+	}
+	_ = a.st.Journal(&rec) // a failure is sticky: the Err check stops what follows
 }
 
 // NeedResync reports whether the stream passed the replica by and it
-// needs a full state snapshot.
+// needs a full state snapshot (never once its store has failed).
 func (a *Apply) NeedResync() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stranded
+	return a.stranded && a.st.Err() == nil
+}
+
+// Delivered returns the highest record sequence the stream delivered,
+// applied or not: the standby's measure of the primary's liveness.
+func (a *Apply) Delivered() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.delivered
 }
 
 // Resync installs a full state snapshot exported by the primary at
@@ -158,12 +176,15 @@ func (a *Apply) Resync(state nameservice.RegistryState, seq uint64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.reg.RestoreState(state)
-	a.stranded = false
 	a.primaryGen = max(a.primaryGen, state.Gen)
 	if a.sub != nil {
 		a.sub.ResumeFrom(seq)
 	}
-	return a.st.ResetTo(state, seq)
+	if err := a.st.ResetTo(state, seq); err != nil {
+		return err
+	}
+	a.stranded = false
+	return nil
 }
 
 // Renew refreshes the stream subscription's lease at the primary and

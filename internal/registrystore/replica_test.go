@@ -259,6 +259,69 @@ func TestDroppedFrameResumesWithoutResync(t *testing.T) {
 	}
 }
 
+// TestLaggingStandbyBoundsJournal: a standby cut off from the primary
+// stops acknowledging, and its cursor would pin every journal segment
+// after it. Compaction forgets the cursor once the journal passes
+// journalMaxSegments, so the primary's segments stay bounded however
+// long the standby is gone; when it comes back its cursor is stranded,
+// and it resyncs exactly once and follows the stream again.
+func TestLaggingStandbyBoundsJournal(t *testing.T) {
+	fabric := interconnect.NewFabric(4096)
+	primD, primCut := newCutDomain(t, fabric, 0)
+	stbyD, stbyCut := newCutDomain(t, fabric, 1)
+	p := newReplicaPair(t, primD, stbyD)
+	if err := p.regA.Subscribe("data", addr(t, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp()
+
+	primCut.Partition(1, true)
+	stbyCut.Partition(0, true)
+	// Cursor acks with long names fill segments quickly: about 400 to a
+	// segment, so each round writes two segments.
+	name := strings.Repeat("c", 150)
+	seq := uint64(0)
+	var peak int
+	for round := 0; round < 3*journalMaxSegments; round++ {
+		for i := 0; i < 800; i++ {
+			seq++
+			if err := p.regA.AckCursor("data", name, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.feed.Pump(); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.stA.Compact(p.regA); err != nil {
+			t.Fatal(err)
+		}
+		h := p.stA.Log().Health()
+		if h.Segments > journalMaxSegments {
+			t.Fatalf("round %d: %d journal segments after compaction, bound %d", round, h.Segments, journalMaxSegments)
+		}
+		peak = max(peak, h.Segments)
+	}
+	if peak < journalMaxSegments/2 {
+		t.Fatalf("test setup: the journal peaked at %d segments, never near the bound %d", peak, journalMaxSegments)
+	}
+	if first := p.stA.Log().First(); first <= p.stB.Seq()+1 {
+		t.Fatalf("test setup: retention kept the standby's next record %d (first retained %d)", p.stB.Seq()+1, first)
+	}
+	primCut.Heal()
+	stbyCut.Heal()
+
+	if err := p.regA.Subscribe("data", addr(t, 2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp()
+	if p.resyncs != 1 || p.feed.pub.ReplayStranded() == 0 {
+		t.Fatalf("resyncs %d, stranded %d; want one resync for a cursor retention passed", p.resyncs, p.feed.pub.ReplayStranded())
+	}
+	if a, b := p.regA.ExportState().Topics, p.regB.ExportState().Topics; !reflect.DeepEqual(a, b) {
+		t.Fatalf("standby topics diverged:\n got %+v\nwant %+v", b, a)
+	}
+}
+
 // TestRegistryFailoverSoak is the failover soak: a primary registry
 // replicates to a standby over the reserved control-priority topic
 // while a publisher fans traffic out to subscribers; the primary is

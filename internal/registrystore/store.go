@@ -28,6 +28,14 @@ const (
 // durable topic's subscribers.
 const snapCursor = "registrystore/snapshot"
 
+// The journal's segment size, and the segment count past which Compact
+// forgets a lagging standby's cursor rather than keep every segment after
+// it: the standby's next resume is then stranded and it resyncs once.
+const (
+	journalSegmentBytes = 64 << 10
+	journalMaxSegments  = 16
+)
+
 // snapMagic marks a snapshot file ("FLPR").
 const snapMagic = 0x464C5052
 
@@ -52,9 +60,10 @@ const (
 // returns), and every record that can move a membership generation is
 // synced to stable storage before the journal call returns — so a
 // recovered registry's generations exactly reconstruct what was
-// served. Lease renewals, heartbeats and cursor acks ride the log's
-// group commit unsynced (they never move generations, and recovery
-// restamps leases anyway), keeping the steady-state renewal path cheap.
+// served. Lease renewals, heartbeats and cursor acks are handed to the
+// OS but not synced (they never move generations, and recovery restamps
+// leases anyway): they survive a crash of the process, not of the
+// machine, keeping the steady-state renewal path cheap.
 type Store struct {
 	mu         sync.Mutex
 	dir        string
@@ -87,7 +96,7 @@ type Options struct {
 func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, error) {
 	s := &Store{dir: dir, nosync: opt.NoSync}
 	var err error
-	if s.log, err = duralog.Open(dir, duralog.Options{NoSync: opt.NoSync}); err != nil {
+	if s.log, err = duralog.Open(dir, duralog.Options{SegmentBytes: journalSegmentBytes, NoSync: opt.NoSync}); err != nil {
 		return nil, fmt.Errorf("registrystore: %w", err)
 	}
 	state, snapSeq, err := readSnapshot(filepath.Join(dir, snapName))
@@ -171,7 +180,8 @@ func (s *Store) check(err error) error {
 }
 
 // Journal appends rec to the journal at the log's next sequence, which
-// it stamps into rec.Seq, and syncs it if its class says so. A standby
+// it stamps into rec.Seq, and syncs it or hands it to the OS as its
+// class says. A standby
 // journals each record it applies, which then lands at the sequence the
 // primary gave it. Fails after a sticky I/O error (surfaced in Health).
 func (s *Store) Journal(rec *Record) error {
@@ -192,10 +202,12 @@ func (s *Store) Journal(rec *Record) error {
 	if _, err := s.log.Append(ReplicationClass.Flags(), framed); err != nil {
 		return s.check(err)
 	}
+	sync := s.log.Flush
 	if class(rec.Type) == recio.Synced {
-		if err := s.log.Sync(); err != nil {
-			return s.check(err)
-		}
+		sync = s.log.Sync
+	}
+	if err := sync(); err != nil {
+		return s.check(err)
 	}
 	s.walRecords++
 	return nil
@@ -280,6 +292,8 @@ func (s *Store) Close() error {
 
 // Compact snapshots reg's current state and retires the journal
 // segments every cursor — the snapshot's, and a standby's — has passed.
+// If more than journalMaxSegments segments are left, the cursors behind
+// the snapshot are forgotten and the segments below it go as well.
 //
 // Locking discipline: the registry export must happen outside s.mu
 // (a registry mutation in flight holds the registry lock while calling
@@ -302,6 +316,20 @@ func (s *Store) Compact(reg *nameservice.TopicRegistry) error {
 	s.walRecords = int(s.log.Head() - seqBefore)
 	if err := s.check(s.log.Ack(snapCursor, seqBefore)); err != nil {
 		return err
+	}
+	if _, err := s.log.Retain(); err != nil {
+		return s.check(err)
+	}
+	h := s.log.Health()
+	if h.Segments <= journalMaxSegments {
+		return nil
+	}
+	for sub, c := range h.Cursors {
+		if sub != snapCursor && c < seqBefore {
+			if err := s.check(s.log.Forget(sub)); err != nil {
+				return err
+			}
+		}
 	}
 	_, err := s.log.Retain()
 	return s.check(err)

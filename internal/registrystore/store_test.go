@@ -367,6 +367,45 @@ func TestResyncDiscardsDivergentLocalHistory(t *testing.T) {
 	}
 }
 
+// TestWrittenRecordsSurviveProcessCrash: a renewal, a heartbeat and a
+// cursor ack are not synced, but each is handed to the OS before Journal
+// returns, so a process that dies without closing its store loses none
+// of them. A second Open of the same directory, with the first store
+// still open and never flushed again, plays the restarted process.
+func TestWrittenRecordsSurviveProcessCrash(t *testing.T) {
+	dir := t.TempDir()
+	a := addr(t, 1, 4)
+	reg, st, mgr := journalVia(t, dir, func(r *nameservice.TopicRegistry) {
+		if err := r.Subscribe("t", a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	synced := st.Seq()
+	if err := reg.Subscribe("t", a); err != nil { // a renewal
+		t.Fatal(err)
+	}
+	mgr.Heartbeat()
+	if err := reg.AckCursor("t", "sub", 7); err != nil {
+		t.Fatal(err)
+	}
+	if st.Seq() != synced+3 {
+		t.Fatalf("journaled to %d, want %d", st.Seq(), synced+3)
+	}
+
+	reg2 := nameservice.NewTopicRegistry()
+	st2, err := Open(dir, reg2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if st2.Seq() != st.Seq() {
+		t.Fatalf("recovered to %d, journaled to %d: unsynced records were lost with the process", st2.Seq(), st.Seq())
+	}
+	if c, ok := reg2.CursorOf("t", "sub"); !ok || c != 7 {
+		t.Fatalf("recovered cursor %d (ok %v), want 7", c, ok)
+	}
+}
+
 func TestStoreErrorDemotesPrimary(t *testing.T) {
 	dir := t.TempDir()
 	reg, st, mgr := journalVia(t, dir, func(r *nameservice.TopicRegistry) {
