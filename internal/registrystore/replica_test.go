@@ -274,6 +274,16 @@ func TestLaggingStandbyBoundsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.catchUp()
+	// The standby's cursor, which pins the segments, must have reached
+	// the primary's log before the cut.
+	deadline := time.Now().Add(5 * time.Second)
+	for _, ok := p.stA.Log().Cursor("standby/1"); !ok; _, ok = p.stA.Log().Cursor("standby/1") {
+		if time.Now().After(deadline) {
+			t.Fatal("the standby's cursor never reached the primary's log")
+		}
+		p.pump(true)
+		time.Sleep(time.Millisecond)
+	}
 
 	primCut.Partition(1, true)
 	stbyCut.Partition(0, true)
