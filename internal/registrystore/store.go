@@ -181,9 +181,9 @@ func (s *Store) check(err error) error {
 
 // Journal appends rec to the journal at the log's next sequence, which
 // it stamps into rec.Seq, and syncs it or hands it to the OS as its
-// class says. A standby
-// journals each record it applies, which then lands at the sequence the
-// primary gave it. Fails after a sticky I/O error (surfaced in Health).
+// class says. A standby journals each record it applies, which then
+// lands at the sequence the primary gave it. Fails after a sticky I/O
+// error (surfaced in Health).
 func (s *Store) Journal(rec *Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
