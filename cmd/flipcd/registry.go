@@ -62,9 +62,8 @@ type registryNode struct {
 	mgr  *registrystore.Manager
 	feed *registrystore.Feed
 
-	sub    *topic.Subscriber // the standby's durable stream subscription
-	apply  *registrystore.Apply
-	client *nameservice.Client // resync fetches from the primary
+	apply  *registrystore.Apply // the standby's durable stream subscription, applied
+	client *nameservice.Client  // resync fetches from the primary
 
 	seen       map[int]uint64 // quarantine episodes already evicted
 	lastSeq    uint64         // stream progress marker (previous tick)
@@ -230,7 +229,6 @@ func (rn *registryNode) startStandby() error {
 	if err != nil {
 		return err
 	}
-	rn.sub = sub
 	rn.apply = registrystore.NewApply(sub, rn.reg, rn.st)
 	return rn.resyncFromPrimary()
 }
@@ -287,13 +285,6 @@ func (rn *registryNode) promote() {
 		rn.mgr.ObservePeer(rn.apply.PrimaryGen())
 	}
 	gen := rn.mgr.Promote()
-	if rn.sub != nil {
-		// The subscription this node followed the stream with is now
-		// one to its own stream. nettrans carries no frame to its own
-		// node, so the feed's sends to it would never complete and
-		// would fill the feed's window: drop it before the feed exists.
-		rn.reg.Unsubscribe(rn.replicationTopic(), rn.sub.Addr())
-	}
 	if err := rn.ensureFeed(); err != nil {
 		fmt.Printf("flipcd: promoted without replication feed: %v\n", err)
 	}

@@ -127,6 +127,9 @@ func (c Config) validate() error {
 	if err := wire.CheckMessageSize(c.MessageSize); err != nil {
 		return err
 	}
+	if int(c.Node) >= wire.MaxNodes {
+		return fmt.Errorf("commbuf: node %d out of range (max %d)", c.Node, wire.MaxNodes-1)
+	}
 	if c.NumBuffers < 1 {
 		return fmt.Errorf("commbuf: NumBuffers %d must be positive", c.NumBuffers)
 	}

@@ -24,9 +24,13 @@ func unpackEpCfg(v uint64) (state uint64, typ EndpointType, depth int, gen uint1
 	return v & 0xFF, EndpointType(v >> 8 & 0xFF), int(uint16(v >> 16)), uint16(v >> 32), uint8(v >> 48)
 }
 
-// Endpoint is the application-side handle on one endpoint: its queue,
-// drop counter, wakeup flag, and application lock word. The handle
-// caches immutable offsets; all mutable state lives in the arena.
+// Endpoint is one endpoint descriptor as a value: its slot, the fields
+// of its config word, its queue and drop counter (held by value), and
+// its wake and lock words. The application's handle (AllocEndpoint) and
+// the engine's (OpenEndpoint) are this one type, built by one
+// constructor from the descriptor's word offsets. It caches only
+// immutable offsets; all mutable state lives in the arena. The zero
+// value describes no endpoint (type EndpointInvalid).
 //
 // Endpoints implement the paper's resource-control model: message
 // buffers are associated with endpoints by being queued on them, so
@@ -40,11 +44,33 @@ type Endpoint struct {
 	prio  uint8
 	addr  wire.Addr
 
-	queue *waitfree.Queue
-	drops *waitfree.Counter
+	queue waitfree.Queue
+	drops waitfree.Counter
 
 	wakeWord int // app-written: blocked-receiver flag
 	lockWord int // app-written: test-and-set lock for *Locked interfaces
+}
+
+// endpointAt builds slot i's descriptor value from cfg, an active config
+// word of a valid type, and the word offsets of the queue, counter and
+// app line. The allocator passes the words it has just written, the
+// engine the words it has just read: neither makes another arena access.
+// An error means the offsets do not describe a sane endpoint.
+func (b *Buffer) endpointAt(i int, cfg uint64, qBase, cBase, aBase int) (Endpoint, error) {
+	_, typ, depth, gen, prio := unpackEpCfg(cfg)
+	ep := Endpoint{buf: b, index: i, typ: typ, gen: gen, prio: prio, wakeWord: aBase, lockWord: aBase + 1}
+	// A generation no allocation writes (a forged word) reads as NilAddr.
+	ep.addr, _ = wire.MakeAddr(b.cfg.Node, uint16(b.cfg.EndpointBase+i), gen)
+	if err := ep.queue.Init(b.arena, qBase, depth, b.cfg.LineWords, b.cfg.Padded); err != nil {
+		return Endpoint{}, fmt.Errorf("commbuf: endpoint %d descriptor: %w", i, err)
+	}
+	if err := ep.drops.Init(b.arena, cBase, b.cfg.LineWords, b.cfg.Padded); err != nil {
+		return Endpoint{}, fmt.Errorf("commbuf: endpoint %d descriptor: %w", i, err)
+	}
+	if !b.arena.ValidWord(aBase) || !b.arena.ValidWord(aBase+1) {
+		return Endpoint{}, fmt.Errorf("commbuf: endpoint %d app line %d outside arena", i, aBase)
+	}
+	return ep, nil
 }
 
 // AllocEndpoint allocates an endpoint descriptor slot and its queue,
@@ -109,38 +135,18 @@ func (b *Buffer) AllocEndpointPrio(typ EndpointType, depth int, prio uint8) (*En
 			return nil, fmt.Errorf("commbuf: endpoint app line: %w", err)
 		}
 	}
-	queue, err := waitfree.NewQueue(b.arena, qBase, depth, lw, padded)
-	if err != nil {
-		return nil, err
-	}
-	drops, err := waitfree.NewCounter(b.arena, cBase, lw, padded)
-	if err != nil {
-		return nil, err
-	}
 
 	gen := b.nextGen[slot]
 	b.nextGen[slot]++
 	if int(b.nextGen[slot]) >= wire.MaxGen {
 		b.nextGen[slot] = 1
 	}
-	addr, err := wire.MakeAddr(b.cfg.Node, uint16(b.cfg.EndpointBase+slot), gen)
+	cfg := packEpCfg(slotActive, typ, depth, gen, prio)
+	ep, err := b.endpointAt(slot, cfg, qBase, cBase, aBase)
 	if err != nil {
 		return nil, err
 	}
-
-	ep := &Endpoint{
-		buf:      b,
-		index:    slot,
-		typ:      typ,
-		gen:      gen,
-		prio:     prio,
-		addr:     addr,
-		queue:    queue,
-		drops:    drops,
-		wakeWord: aBase,
-		lockWord: aBase + 1,
-	}
-	b.eps[slot] = ep
+	b.eps[slot] = &ep
 
 	// Write descriptor body, then publish the config word.
 	kv := b.View(mem.ActorKernel)
@@ -148,8 +154,8 @@ func (b *Buffer) AllocEndpointPrio(typ EndpointType, depth int, prio uint8) (*En
 	kv.Store(cfgOff+1, uint64(qBase))
 	kv.Store(cfgOff+2, uint64(cBase))
 	kv.Store(cfgOff+3, uint64(aBase))
-	kv.Store(cfgOff, packEpCfg(slotActive, typ, depth, gen, prio))
-	return ep, nil
+	kv.Store(cfgOff, cfg)
+	return &ep, nil
 }
 
 // FreeEndpoint deactivates an endpoint. Its arena storage is not
@@ -208,11 +214,14 @@ func (ep *Endpoint) Priority() uint8 { return ep.prio }
 // Index returns the descriptor slot index.
 func (ep *Endpoint) Index() int { return ep.index }
 
+// Gen returns the slot generation the descriptor was allocated at.
+func (ep *Endpoint) Gen() uint16 { return ep.gen }
+
 // Queue returns the endpoint's buffer queue.
-func (ep *Endpoint) Queue() *waitfree.Queue { return ep.queue }
+func (ep *Endpoint) Queue() *waitfree.Queue { return &ep.queue }
 
 // Drops returns the endpoint's discarded-message counter.
-func (ep *Endpoint) Drops() *waitfree.Counter { return ep.drops }
+func (ep *Endpoint) Drops() *waitfree.Counter { return &ep.drops }
 
 // Buffer returns the owning communication buffer.
 func (ep *Endpoint) Buffer() *Buffer { return ep.buf }
@@ -246,37 +255,12 @@ func (ep *Endpoint) TryLock(app mem.View) bool { return app.TestAndSet(ep.lockWo
 // Unlock releases the application lock.
 func (ep *Endpoint) Unlock(app mem.View) { app.Unset(ep.lockWord) }
 
-// EndpointInfo is the engine's handle on an endpoint, reconstructed
-// from the shared descriptor (the engine trusts nothing cached on the
-// application side). Returned by OpenEndpoint.
-type EndpointInfo struct {
-	Index    int
-	Type     EndpointType
-	Depth    int
-	Gen      uint16
-	Priority uint8
-	Queue    *waitfree.Queue
-	Drops    *waitfree.Counter
-
-	wakeWord int
-}
-
-// EndpointCfgWord loads descriptor slot i's config word — the cheap
-// change-detection read the engine performs every scan pass. Any
-// allocation, free, generation bump, or priority change alters the
-// word, so an unchanged value means a cached EndpointInfo is still
-// valid. Out-of-range slots read as 0 (never a valid active word).
-func (b *Buffer) EndpointCfgWord(eng mem.View, i int) uint64 {
-	if i < 0 || i >= b.cfg.MaxEndpoints {
-		return 0
-	}
-	return eng.Load(b.epCfgBase + i*b.epCfgStride)
-}
-
 // EndpointCfgOffset returns the word offset of descriptor slot i's
-// config word, for fault-injection tooling that models a hostile
-// application forging descriptors. Reports false for out-of-range
-// slots. Production code never needs this.
+// config word, or false for an out-of-range slot. The engine loads it
+// every pass as its change detection: any allocation, free, generation
+// bump, or priority change alters the word, so an unchanged value means
+// its cached descriptor is still valid. Fault-injection tooling stores
+// to it to model a hostile application forging descriptors.
 func (b *Buffer) EndpointCfgOffset(i int) (int, bool) {
 	if i < 0 || i >= b.cfg.MaxEndpoints {
 		return 0, false
@@ -292,52 +276,25 @@ func ForgedCfgWord() uint64 {
 	return packEpCfg(slotActive, EndpointType(0x7F), 8, 1, 0)
 }
 
-// OpenEndpoint reads descriptor slot i through the engine's view and
-// returns a handle when the slot holds an active, sane endpoint.
-func (b *Buffer) OpenEndpoint(eng mem.View, i int) (*EndpointInfo, bool) {
-	info, err := b.OpenEndpointChecked(eng, i)
-	return info, err == nil && info != nil
-}
-
-// OpenEndpointChecked is OpenEndpoint distinguishing the two ways a
-// slot can yield no endpoint: (nil, nil) for a slot that is simply not
-// active (unallocated, freed, out of range), versus (nil, error) for a
-// slot whose config word claims to be active but whose descriptor body
-// does not describe a sane endpoint — a forged config word or scribbled
-// descriptor, which the engine quarantines rather than silently
-// ignores.
-func (b *Buffer) OpenEndpointChecked(eng mem.View, i int) (*EndpointInfo, error) {
+// OpenEndpoint reads descriptor slot i through the engine's view (the
+// engine trusts nothing cached on the application side). A slot that
+// is simply not active (unallocated, freed, out of range) yields the
+// zero Endpoint and no error. A slot whose config word claims to be
+// active but whose descriptor body does not describe a sane endpoint —
+// a forged config word or scribbled descriptor, which the engine
+// quarantines rather than silently ignores — yields an error.
+func (b *Buffer) OpenEndpoint(eng mem.View, i int) (Endpoint, error) {
 	if i < 0 || i >= b.cfg.MaxEndpoints {
-		return nil, nil
+		return Endpoint{}, nil
 	}
 	cfgOff := b.epCfgBase + i*b.epCfgStride
-	state, typ, depth, gen, prio := unpackEpCfg(eng.Load(cfgOff))
+	cfg := eng.Load(cfgOff)
+	state, typ, _, _, _ := unpackEpCfg(cfg)
 	if state != slotActive {
-		return nil, nil
+		return Endpoint{}, nil
 	}
 	if typ != EndpointSend && typ != EndpointRecv {
-		return nil, fmt.Errorf("commbuf: endpoint %d active with invalid type %d", i, uint8(typ))
+		return Endpoint{}, fmt.Errorf("commbuf: endpoint %d active with invalid type %d", i, uint8(typ))
 	}
-	qBase := int(eng.Load(cfgOff + 1))
-	cBase := int(eng.Load(cfgOff + 2))
-	aBase := int(eng.Load(cfgOff + 3))
-	queue, err := waitfree.NewQueue(b.arena, qBase, depth, b.cfg.LineWords, b.cfg.Padded)
-	if err != nil {
-		return nil, fmt.Errorf("commbuf: endpoint %d descriptor: %w", i, err)
-	}
-	drops, err := waitfree.NewCounter(b.arena, cBase, b.cfg.LineWords, b.cfg.Padded)
-	if err != nil {
-		return nil, fmt.Errorf("commbuf: endpoint %d descriptor: %w", i, err)
-	}
-	if !b.arena.ValidWord(aBase + 1) {
-		return nil, fmt.Errorf("commbuf: endpoint %d app line %d outside arena", i, aBase)
-	}
-	return &EndpointInfo{
-		Index: i, Type: typ, Depth: depth, Gen: gen, Priority: prio,
-		Queue: queue, Drops: drops, wakeWord: aBase,
-	}, nil
+	return b.endpointAt(i, cfg, int(eng.Load(cfgOff+1)), int(eng.Load(cfgOff+2)), int(eng.Load(cfgOff+3)))
 }
-
-// WakeupRequested reads the blocked-receiver flag through the engine's
-// view.
-func (e *EndpointInfo) WakeupRequested(eng mem.View) bool { return eng.Load(e.wakeWord) != 0 }

@@ -108,33 +108,48 @@ func TestFreeEndpointBumpsGeneration(t *testing.T) {
 	}
 }
 
+// opened reports whether OpenEndpoint found a sane active descriptor in
+// slot i.
+func opened(b *Buffer, eng mem.View, i int) bool {
+	ep, err := b.OpenEndpoint(eng, i)
+	return err == nil && ep.Type() != EndpointInvalid
+}
+
+// mustOpen is OpenEndpoint on a slot the test knows is active.
+func mustOpen(t *testing.T, b *Buffer, eng mem.View, i int) Endpoint {
+	t.Helper()
+	ep, err := b.OpenEndpoint(eng, i)
+	if err != nil || ep.Type() == EndpointInvalid {
+		t.Fatalf("OpenEndpoint(%d) failed on active slot: %v", i, err)
+	}
+	return ep
+}
+
 func TestOpenEndpoint(t *testing.T) {
 	b := newBuffer(t, defaultConfig())
 	eng := b.View(mem.ActorEngine)
-	if _, ok := b.OpenEndpoint(eng, 0); ok {
+	if opened(b, eng, 0) {
 		t.Fatal("opened unallocated slot")
 	}
 	ep, err := b.AllocEndpoint(EndpointRecv, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := b.OpenEndpoint(eng, ep.Index())
-	if !ok {
-		t.Fatal("OpenEndpoint failed on active slot")
+	info := mustOpen(t, b, eng, ep.Index())
+	if info.Type() != EndpointRecv || info.Queue().Capacity() != 4 || info.Gen() != ep.Addr().Gen() ||
+		info.Addr() != ep.Addr() || info.Index() != ep.Index() {
+		t.Fatalf("engine descriptor %+v, app descriptor %+v", info, *ep)
 	}
-	if info.Type != EndpointRecv || info.Depth != 4 || info.Gen != ep.Addr().Gen() {
-		t.Fatalf("info = %+v", info)
-	}
-	if _, ok := b.OpenEndpoint(eng, -1); ok {
+	if opened(b, eng, -1) {
 		t.Fatal("negative index opened")
 	}
-	if _, ok := b.OpenEndpoint(eng, b.Config().MaxEndpoints); ok {
+	if opened(b, eng, b.Config().MaxEndpoints) {
 		t.Fatal("out-of-range index opened")
 	}
 	if err := b.FreeEndpoint(ep); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.OpenEndpoint(eng, ep.Index()); ok {
+	if opened(b, eng, ep.Index()) {
 		t.Fatal("opened freed slot")
 	}
 }
@@ -149,24 +164,21 @@ func TestAppEngineHandleAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := b.OpenEndpoint(eng, ep.Index())
-	if !ok {
-		t.Fatal("open failed")
-	}
+	info := mustOpen(t, b, eng, ep.Index())
 	if !ep.Queue().Release(app, 5) {
 		t.Fatal("release failed")
 	}
-	v, ok := info.Queue.ProcessPeek(eng)
+	v, ok := info.Queue().ProcessPeek(eng)
 	if !ok || v != 5 {
 		t.Fatalf("engine peek = %d,%v", v, ok)
 	}
-	info.Queue.AdvanceProcess(eng)
+	info.Queue().AdvanceProcess(eng)
 	got, ok := ep.Queue().Acquire(app)
 	if !ok || got != 5 {
 		t.Fatalf("app acquire = %d,%v", got, ok)
 	}
 	// Drop counters agree too.
-	info.Drops.Incr(eng)
+	info.Drops().Incr(eng)
 	if ep.Drops().Read(app) != 1 {
 		t.Fatal("drop counter not shared")
 	}
@@ -177,7 +189,7 @@ func TestWakeupFlag(t *testing.T) {
 	app := b.View(mem.ActorApp)
 	eng := b.View(mem.ActorEngine)
 	ep, _ := b.AllocEndpoint(EndpointRecv, 4)
-	info, _ := b.OpenEndpoint(eng, ep.Index())
+	info := mustOpen(t, b, eng, ep.Index())
 	if ep.WakeupRequested(app) || info.WakeupRequested(eng) {
 		t.Fatal("fresh wakeup flag set")
 	}
@@ -215,7 +227,7 @@ func TestPaddedEndpointLineIsolation(t *testing.T) {
 	app := b.View(mem.ActorApp)
 	eng := b.View(mem.ActorEngine)
 	ep, _ := b.AllocEndpoint(EndpointSend, 4)
-	info, _ := b.OpenEndpoint(eng, ep.Index())
+	info := mustOpen(t, b, eng, ep.Index())
 
 	before := model.Counts()
 	for i := 0; i < 20; i++ {
@@ -230,13 +242,13 @@ func TestPaddedEndpointLineIsolation(t *testing.T) {
 		if !ep.Queue().Release(app, uint64(m.ID())) {
 			t.Fatal("release failed")
 		}
-		id, ok := info.Queue.ProcessPeek(eng)
+		id, ok := info.Queue().ProcessPeek(eng)
 		if !ok {
 			t.Fatal("peek failed")
 		}
 		em, _ := b.MsgByID(id)
 		em.EngineCompleteSend(eng)
-		info.Queue.AdvanceProcess(eng)
+		info.Queue().AdvanceProcess(eng)
 		got, ok := ep.Queue().Acquire(app)
 		if !ok || got != id {
 			t.Fatal("acquire failed")
@@ -264,7 +276,7 @@ func TestPaddedEndpointLineIsolation(t *testing.T) {
 	app2 := b2.View(mem.ActorApp)
 	eng2 := b2.View(mem.ActorEngine)
 	ep2, _ := b2.AllocEndpoint(EndpointSend, 4)
-	info2, _ := b2.OpenEndpoint(eng2, ep2.Index())
+	info2 := mustOpen(t, b2, eng2, ep2.Index())
 	before2 := model2.Counts()
 	for i := 0; i < 20; i++ {
 		m, err := b2.AllocMsg()
@@ -277,10 +289,10 @@ func TestPaddedEndpointLineIsolation(t *testing.T) {
 		if !ep2.Queue().Release(app2, uint64(m.ID())) {
 			t.Fatal("release failed")
 		}
-		id, _ := info2.Queue.ProcessPeek(eng2)
+		id, _ := info2.Queue().ProcessPeek(eng2)
 		em, _ := b2.MsgByID(id)
 		em.EngineCompleteSend(eng2)
-		info2.Queue.AdvanceProcess(eng2)
+		info2.Queue().AdvanceProcess(eng2)
 		if _, ok := ep2.Queue().Acquire(app2); !ok {
 			t.Fatal("acquire failed")
 		}
@@ -297,30 +309,30 @@ func TestOpenEndpointChecked(t *testing.T) {
 	b := newBuffer(t, defaultConfig())
 	eng := b.View(mem.ActorEngine)
 
-	// Unallocated slot: no endpoint, no fault.
-	if info, err := b.OpenEndpointChecked(eng, 0); info != nil || err != nil {
-		t.Fatalf("unallocated slot: info=%v err=%v", info, err)
+	// Unallocated slot: no endpoint (the zero descriptor), no fault.
+	if info, err := b.OpenEndpoint(eng, 0); info != (Endpoint{}) || err != nil {
+		t.Fatalf("unallocated slot: info=%+v err=%v", info, err)
 	}
 	// Out of range: same — it is simply not this buffer's slot.
-	if info, err := b.OpenEndpointChecked(eng, -1); info != nil || err != nil {
-		t.Fatalf("out-of-range slot: info=%v err=%v", info, err)
+	if info, err := b.OpenEndpoint(eng, -1); info != (Endpoint{}) || err != nil {
+		t.Fatalf("out-of-range slot: info=%+v err=%v", info, err)
 	}
 
 	ep, err := b.AllocEndpoint(EndpointSend, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := b.OpenEndpointChecked(eng, ep.Index())
-	if err != nil || info == nil || info.Type != EndpointSend {
-		t.Fatalf("active slot: info=%v err=%v", info, err)
+	info, err := b.OpenEndpoint(eng, ep.Index())
+	if err != nil || info.Type() != EndpointSend {
+		t.Fatalf("active slot: info=%+v err=%v", info, err)
 	}
 
 	// Freed slot: inactive again, not a fault.
 	if err := b.FreeEndpoint(ep); err != nil {
 		t.Fatal(err)
 	}
-	if info, err := b.OpenEndpointChecked(eng, ep.Index()); info != nil || err != nil {
-		t.Fatalf("freed slot: info=%v err=%v", info, err)
+	if info, err := b.OpenEndpoint(eng, ep.Index()); info != (Endpoint{}) || err != nil {
+		t.Fatalf("freed slot: info=%+v err=%v", info, err)
 	}
 }
 
@@ -335,11 +347,8 @@ func TestOpenEndpointCheckedForgedDescriptor(t *testing.T) {
 		t.Fatal("EndpointCfgOffset out of range")
 	}
 	app.Store(off, ForgedCfgWord())
-	if _, err := b.OpenEndpointChecked(eng, 3); err == nil {
-		t.Fatal("forged config word accepted")
-	}
-	if _, ok := b.OpenEndpoint(eng, 3); ok {
-		t.Fatal("OpenEndpoint accepted forged descriptor")
+	if info, err := b.OpenEndpoint(eng, 3); err == nil || info != (Endpoint{}) {
+		t.Fatalf("forged config word accepted: %+v", info)
 	}
 
 	// A real endpoint whose queue-base word is scribbled out of the
@@ -349,8 +358,15 @@ func TestOpenEndpointCheckedForgedDescriptor(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgOff, _ := b.EndpointCfgOffset(ep.Index())
+	qBase := app.Load(cfgOff + 1)
 	app.Store(cfgOff+1, 1<<40) // queue base far outside the arena
-	if _, err := b.OpenEndpointChecked(eng, ep.Index()); err == nil {
+	if _, err := b.OpenEndpoint(eng, ep.Index()); err == nil {
 		t.Fatal("wild queue base accepted")
+	}
+	// A wild app-line word: the engine reads the wake flag through it.
+	app.Store(cfgOff+1, qBase)
+	app.Store(cfgOff+3, 1<<64-1) // -1 as a word offset
+	if _, err := b.OpenEndpoint(eng, ep.Index()); err == nil {
+		t.Fatal("app line below the arena accepted")
 	}
 }

@@ -39,14 +39,8 @@ func TestFigure4CycleTracedSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	app, eng := b.View(mem.ActorApp), b.View(mem.ActorEngine)
-	sInfo, ok := b.OpenEndpoint(eng, sep.Index())
-	if !ok {
-		t.Fatal("send endpoint did not open")
-	}
-	rInfo, ok := b.OpenEndpoint(eng, rep.Index())
-	if !ok {
-		t.Fatal("recv endpoint did not open")
-	}
+	sInfo := mustOpen(t, b, eng, sep.Index())
+	rInfo := mustOpen(t, b, eng, rep.Index())
 	sm, err := b.AllocMsg()
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +58,9 @@ func TestFigure4CycleTracedSequence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	engineTake := func(info *EndpointInfo) *Msg {
+	engineTake := func(info *Endpoint) *Msg {
 		t.Helper()
-		id, ok, err := info.Queue.ProcessPeekChecked(eng)
+		id, ok, err := info.Queue().ProcessPeekChecked(eng)
 		if err != nil || !ok {
 			t.Fatalf("peek = %d, %v, %v", id, ok, err)
 		}
@@ -89,24 +83,24 @@ func TestFigure4CycleTracedSequence(t *testing.T) {
 		t.Fatal("send refused")
 	}
 	// Step 3: the sending engine transmits it, then finds the queue idle.
-	m := engineTake(sInfo)
+	m := engineTake(&sInfo)
 	m.EngineCompleteSend(eng)
-	must(sInfo.Queue.AdvanceProcessChecked(eng))
-	if _, ok, _ := sInfo.Queue.ProcessPeekChecked(eng); ok {
+	must(sInfo.Queue().AdvanceProcessChecked(eng))
+	if _, ok, _ := sInfo.Queue().ProcessPeekChecked(eng); ok {
 		t.Fatal("send queue not idle")
 	}
 	// Step 4: the receiving engine delivers it; a second arrival finds
 	// no buffer and is counted.
-	m = engineTake(rInfo)
+	m = engineTake(&rInfo)
 	m.EngineFillRecv(eng, 24, 1)
-	must(rInfo.Queue.AdvanceProcessChecked(eng))
+	must(rInfo.Queue().AdvanceProcessChecked(eng))
 	if rInfo.WakeupRequested(eng) {
 		t.Fatal("wakeup flag set")
 	}
-	if _, ok := rInfo.Queue.ProcessPeek(eng); ok {
+	if _, ok := rInfo.Queue().ProcessPeek(eng); ok {
 		t.Fatal("recv queue not idle")
 	}
-	rInfo.Drops.Incr(eng)
+	rInfo.Drops().Incr(eng)
 	// Step 5: both applications take their buffers back.
 	if id, ok := rep.Queue().Acquire(app); !ok || id != uint64(rm.ID()) {
 		t.Fatalf("receive = %d, %v", id, ok)

@@ -16,7 +16,7 @@ import (
 type Endpoint struct {
 	d   *Domain
 	ep  *commbuf.Endpoint
-	sem *rtsched.Semaphore
+	sem rtsched.Semaphore // what a blocked call on this endpoint waits on
 }
 
 // NewSendEndpoint allocates a send endpoint with the given queue depth
@@ -46,7 +46,7 @@ func (d *Domain) newEndpoint(typ commbuf.EndpointType, depth int, prio uint8) (*
 	if err != nil {
 		return nil, err
 	}
-	return &Endpoint{d: d, ep: ep, sem: rtsched.NewSemaphore(0)}, nil
+	return &Endpoint{d: d, ep: ep}, nil
 }
 
 // Free releases the endpoint, invalidating its address.
@@ -258,7 +258,7 @@ func (d *Domain) block(sem *rtsched.Semaphore, eps []*Endpoint, prio Priority, d
 // deadline (zero: none) passes, when it returns ErrTimeout.
 func (e *Endpoint) AcquireBlock(prio Priority, deadline time.Time) (*Message, error) {
 	var msg *Message
-	err := e.d.block(e.sem, []*Endpoint{e}, prio, deadline, func() bool {
+	err := e.d.block(&e.sem, []*Endpoint{e}, prio, deadline, func() bool {
 		var ok bool
 		msg, ok = e.Acquire()
 		return ok

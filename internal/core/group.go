@@ -22,7 +22,7 @@ type Group struct {
 	d      *Domain
 	eps    []*Endpoint
 	rr     int
-	sem    *rtsched.Semaphore
+	sem    rtsched.Semaphore
 	closed atomic.Bool
 }
 
@@ -42,7 +42,7 @@ func (d *Domain) NewGroup(eps ...*Endpoint) (*Group, error) {
 			return nil, fmt.Errorf("flipc: group member %v is not a receive endpoint", e.Addr())
 		}
 	}
-	return &Group{d: d, eps: append([]*Endpoint(nil), eps...), sem: rtsched.NewSemaphore(0)}, nil
+	return &Group{d: d, eps: append([]*Endpoint(nil), eps...)}, nil
 }
 
 // Members returns the group's endpoints (in construction order).
@@ -69,7 +69,7 @@ func (g *Group) Receive() (*Message, *Endpoint, bool) {
 func (g *Group) ReceiveBlock(prio Priority, deadline time.Time) (*Message, *Endpoint, error) {
 	var msg *Message
 	var from *Endpoint
-	err := g.d.block(g.sem, g.eps, prio, deadline, func() bool {
+	err := g.d.block(&g.sem, g.eps, prio, deadline, func() bool {
 		var ok bool
 		msg, from, ok = g.Receive()
 		return ok || g.closed.Load()

@@ -130,3 +130,27 @@ func TestFigure4CycleAllocs(t *testing.T) {
 		t.Fatalf("Post/Send/Poll/Poll/Receive/Acquire allocates %v objects, want <= 1", n)
 	}
 }
+
+// TestEndpointOpenAllocs: opening an endpoint costs two heap objects,
+// the descriptor (its queue and counter held by value) and the handle
+// (its semaphore held by value).
+func TestEndpointOpenAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const runs = 10 // AllocsPerRun opens one more, as a warm-up
+	d := newCluster(t, 1, Config{MaxEndpoints: 2 * (runs + 1), DefaultQueueDepth: 4})[0]
+	for _, c := range []struct {
+		name string
+		open func(int) (*Endpoint, error)
+	}{{"NewSendEndpoint", d.NewSendEndpoint}, {"NewRecvEndpoint", d.NewRecvEndpoint}} {
+		n := testing.AllocsPerRun(runs, func() {
+			if _, err := c.open(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n != 2 {
+			t.Errorf("%s allocates %v objects, want 2", c.name, n)
+		}
+	}
+}

@@ -70,7 +70,7 @@ func TestReceiveBlockWakesOnDoorbell(t *testing.T) {
 	a, b := doms[0], doms[1]
 	sep, _ := a.NewSendEndpoint(4)
 	rep, _ := b.NewRecvEndpoint(4)
-	wakeMedian(t, rep.sem,
+	wakeMedian(t, &rep.sem,
 		func() {
 			rb, _ := b.AllocBuffer()
 			rep.Post(rb)
@@ -99,7 +99,7 @@ func TestGroupReceiveBlockWakesOnDoorbell(t *testing.T) {
 	rep2, _ := b.NewRecvEndpoint(4)
 	g, _ := b.NewGroup(rep1, rep2)
 	r := 0
-	wakeMedian(t, g.sem,
+	wakeMedian(t, &g.sem,
 		func() {
 			rep := []*Endpoint{rep1, rep2}[r%2]
 			r++
@@ -127,7 +127,7 @@ func TestAcquireBlockWakesOnSendCompletion(t *testing.T) {
 	a, b := doms[0], doms[1]
 	sep, _ := a.NewSendEndpoint(4)
 	rep, _ := b.NewRecvEndpoint(4)
-	wakeMedian(t, sep.sem,
+	wakeMedian(t, &sep.sem,
 		func() {
 			sb, _ := a.AllocBuffer()
 			sep.Send(sb, rep.Addr(), 1) // queued; the engine has not run
@@ -211,7 +211,7 @@ func TestGroupCloseReleasesBlockedReceive(t *testing.T) {
 		_, _, err := g.ReceiveBlock(1, time.Time{})
 		errc <- err
 	}()
-	untilBlocked(t, g.sem)
+	untilBlocked(t, &g.sem)
 	g.Close()
 	select {
 	case err := <-errc:

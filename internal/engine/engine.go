@@ -25,9 +25,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -153,8 +154,8 @@ type Engine struct {
 	cfg     Config
 
 	eps        []epCache
-	cfgOffs    []int        // config-word offset of every descriptor slot
-	active     []activeSend // healthy send endpoints in scan order, rebuilt on orderStale
+	sweep      []sweepSlot  // every descriptor slot's config word, dense for the per-pass sweep
+	active     []activeSend // healthy send endpoints in scan order, rebuilt in place on orderStale
 	orderStale bool
 	scan       int // round-robin cursor, a slot index
 	scanPos    int // first position in active at or after slot scan, as far as already searched
@@ -315,19 +316,29 @@ func (m *engMetrics) mirror(s *Stats) {
 	}
 }
 
-// epCache is what the engine knows about one descriptor slot. The zero
-// value is the cache of a never-allocated slot (config word 0).
-type epCache struct {
-	cfgWord   uint64 // config word the cache was built from
-	info      *commbuf.EndpointInfo
-	fault     FaultKind // != FaultNone while the slot is quarantined
-	faultPass uint64    // Polls value when the fault was detected
+// sweepSlot is where one descriptor slot's config word is and the word
+// the slot's cache was built from: 16 bytes a slot, apart from the
+// cached descriptor, so the change-detection sweep reads a dense array.
+type sweepSlot struct {
+	off  int
+	word uint64
 }
 
-// activeSend is one entry of the send scan: a healthy send endpoint and
-// the two queue words whose equality means it has nothing queued.
+// epCache is what the engine knows about one descriptor slot: the
+// descriptor value itself, so opening an endpoint allocates nothing. The
+// zero value is the cache of a never-allocated slot (config word 0, an
+// EndpointInvalid descriptor).
+type epCache struct {
+	ep        commbuf.Endpoint // zero unless the slot held a sane active descriptor
+	fault     FaultKind        // != FaultNone while the slot is quarantined
+	faultPass uint64           // Polls value when the fault was detected
+}
+
+// activeSend is one entry of the send scan: a healthy send endpoint (in
+// its slot's cache, which never moves) and the two queue words whose
+// equality means it has nothing queued.
 type activeSend struct {
-	info             *commbuf.EndpointInfo
+	ep               *commbuf.Endpoint
 	process, release int  // word offsets
 	low              bool // subject to the unreserved share of the quantum
 }
@@ -347,14 +358,15 @@ func New(buf *commbuf.Buffer, tr interconnect.Transport, cfg Config) (*Engine, e
 		view:       buf.View(mem.ActorEngine),
 		cfg:        cfg,
 		eps:        make([]epCache, buf.Config().MaxEndpoints),
-		cfgOffs:    make([]int, buf.Config().MaxEndpoints),
+		sweep:      make([]sweepSlot, buf.Config().MaxEndpoints),
+		active:     make([]activeSend, 0, buf.Config().MaxEndpoints),
 		orderStale: true,
 		frame:      make([]byte, buf.Config().MessageSize),
 		sendSeqs:   make([]uint8, buf.Config().MaxEndpoints),
 		ctlDrops:   make([]atomic.Uint64, buf.Config().MaxEndpoints),
 	}
-	for i := range e.cfgOffs {
-		e.cfgOffs[i], _ = buf.EndpointCfgOffset(i)
+	for i := range e.sweep {
+		e.sweep[i].off, _ = buf.EndpointCfgOffset(i)
 	}
 	if h, ok := tr.(interconnect.PeerStatusReporter); ok {
 		e.health = h
@@ -417,15 +429,15 @@ func (e *Engine) EndpointCtlDrops(addrIndex int, gen uint16) uint64 {
 	return w & (1<<48 - 1)
 }
 
-// endpoint returns the engine's cached handle for slot i, rebuilding it
-// when the shared descriptor changed (allocation, free, generation
+// endpoint returns the engine's cached descriptor for slot i, rebuilding
+// it when the shared descriptor changed (allocation, free, generation
 // bump). Change detection is one config-word load and a compare; only a
 // changed word pays for refresh.
-func (e *Engine) endpoint(i int) *commbuf.EndpointInfo {
-	if w := e.view.Load(e.cfgOffs[i]); w != e.eps[i].cfgWord {
+func (e *Engine) endpoint(i int) *commbuf.Endpoint {
+	if w := e.view.Load(e.sweep[i].off); w != e.sweep[i].word {
 		e.refresh(i, w)
 	}
-	return e.eps[i].info
+	return &e.eps[i].ep
 }
 
 // refresh rebuilds slot i's cache after its config word changed to w,
@@ -438,8 +450,9 @@ func (e *Engine) endpoint(i int) *commbuf.EndpointInfo {
 // frozen.
 func (e *Engine) refresh(i int, w uint64) {
 	recovered := e.eps[i].fault != FaultNone
-	info, err := e.buf.OpenEndpointChecked(e.view, i)
-	e.eps[i] = epCache{cfgWord: w, info: info}
+	ep, err := e.buf.OpenEndpoint(e.view, i)
+	e.sweep[i].word = w
+	e.eps[i] = epCache{ep: ep}
 	e.orderStale = true
 	if recovered {
 		e.stats.QuarantineRecoveries++
@@ -544,7 +557,7 @@ func (e *Engine) deliver(frame []byte) {
 		}
 		return
 	}
-	info := e.endpoint(slot)
+	ep := e.endpoint(slot)
 	if e.eps[slot].fault != FaultNone {
 		// Quarantined destination (possibly quarantined just now by the
 		// descriptor check in endpoint). The fault episode was counted
@@ -555,7 +568,7 @@ func (e *Engine) deliver(frame []byte) {
 		}
 		return
 	}
-	if info == nil || info.Type != commbuf.EndpointRecv || info.Gen != dst.Gen() {
+	if ep.Type() != commbuf.EndpointRecv || ep.Gen() != dst.Gen() {
 		// Unallocated, wrong-type, or stale-generation destination.
 		e.stats.AddrDrops++
 		if e.lab != nil {
@@ -568,9 +581,9 @@ func (e *Engine) deliver(frame []byte) {
 	var id uint64
 	var err error
 	if e.cfg.ValidityChecks {
-		id, ok, err = info.Queue.ProcessPeekChecked(e.view)
+		id, ok, err = ep.Queue().ProcessPeekChecked(e.view)
 	} else {
-		id, ok = info.Queue.ProcessPeek(e.view)
+		id, ok = ep.Queue().ProcessPeek(e.view)
 	}
 	if err != nil {
 		// Wild queue pointers: nothing read from this queue can be
@@ -586,11 +599,11 @@ func (e *Engine) deliver(frame []byte) {
 		// No posted receive buffer: discard and count. The application
 		// reads this counter via flipc's read-and-reset interface; flow
 		// control is its job (or internal/flowctl's), not the transport's.
-		info.Drops.Incr(e.view)
+		ep.Drops().Incr(e.view)
 		e.stats.RecvDrops++
 		if pkt.Flags&wire.FlagCtl != 0 {
 			e.stats.CtlRecvDrops++
-			e.noteCtlDrop(slot, info.Gen)
+			e.noteCtlDrop(slot, ep.Gen())
 		}
 		if e.lab != nil {
 			e.cfg.Trace.Add1(e.lab.recvNobuffer, uint64(dst))
@@ -621,7 +634,7 @@ func (e *Engine) deliver(frame []byte) {
 	}
 	copy(msg.Payload(), pkt.Payload)
 	msg.EngineFillRecv(e.view, int(pkt.Size), pkt.Flags)
-	if err := info.Queue.AdvanceProcessChecked(e.view); err != nil {
+	if err := ep.Queue().AdvanceProcessChecked(e.view); err != nil {
 		// The release pointer moved under us between peek and advance:
 		// only a scribble can do that. The buffer was filled but cannot
 		// be handed over; count the frame as quarantine loss.
@@ -644,18 +657,18 @@ func (e *Engine) deliver(frame []byte) {
 			e.m.latency.Observe(uint64(lat))
 			e.m.epLatencyHist(slot).Observe(uint64(lat))
 		}
-		posted, _ := info.Queue.Depths(e.view)
+		posted, _ := ep.Queue().Depths(e.view)
 		e.m.recvQDepth.Observe(uint64(posted))
 	}
-	if info.WakeupRequested(e.view) {
-		e.ring(info)
+	if ep.WakeupRequested(e.view) {
+		e.ring(ep)
 	}
 }
 
 // ring posts an endpoint whose wakeup flag is armed on the kernel
 // doorbell: after a delivery, or once after a pass's completed sends.
-func (e *Engine) ring(info *commbuf.EndpointInfo) {
-	if e.buf.Doorbell().Push(e.view, uint64(info.Index)) {
+func (e *Engine) ring(ep *commbuf.Endpoint) {
+	if e.buf.Doorbell().Push(e.view, uint64(ep.Index())) {
 		e.stats.Doorbells++
 	}
 	// A full doorbell is harmless: the waiter also polls.
@@ -678,22 +691,23 @@ func (e *Engine) checkRecvBuffer(id uint64) FaultKind {
 // rebuildActive lists the healthy send endpoints in scan order: by slot
 // for round-robin (which rotates its start through the list), by
 // descending priority, slot order within a class, for PolicyPriority.
+// The list lives in the array New made for every slot: no allocation.
 func (e *Engine) rebuildActive() {
 	e.active = e.active[:0]
 	for i := range e.eps {
 		c := &e.eps[i]
-		if c.info == nil || c.info.Type != commbuf.EndpointSend || c.fault != FaultNone {
+		if c.ep.Type() != commbuf.EndpointSend || c.fault != FaultNone {
 			continue
 		}
-		process, release := c.info.Queue.ProcessWords()
+		process, release := c.ep.Queue().ProcessWords()
 		e.active = append(e.active, activeSend{
-			info: c.info, process: process, release: release,
-			low: e.cfg.ReservedQuantum > 0 && c.info.Priority < e.cfg.ReservePriority,
+			ep: &c.ep, process: process, release: release,
+			low: e.cfg.ReservedQuantum > 0 && c.ep.Priority() < e.cfg.ReservePriority,
 		})
 	}
 	if e.cfg.Policy == PolicyPriority {
-		sort.SliceStable(e.active, func(a, b int) bool {
-			return e.active[a].info.Priority > e.active[b].info.Priority
+		slices.SortStableFunc(e.active, func(a, b activeSend) int {
+			return cmp.Compare(b.ep.Priority(), a.ep.Priority())
 		})
 	}
 	e.scanPos = 0
@@ -705,7 +719,7 @@ func (e *Engine) rebuildActive() {
 // the cursor on one slot (slots, not list positions: the same turns as a
 // walk over every slot).
 func (e *Engine) rotation() int {
-	for e.scanPos < len(e.active) && e.active[e.scanPos].info.Index < e.scan {
+	for e.scanPos < len(e.active) && e.active[e.scanPos].ep.Index() < e.scan {
 		e.scanPos++
 	}
 	first := e.scanPos
@@ -724,8 +738,8 @@ func (e *Engine) rotation() int {
 func (e *Engine) pollSend() bool {
 	// Change detection over every slot: an allocation, free, generation
 	// bump or forged config word takes effect in the pass that reads it.
-	for i, off := range e.cfgOffs {
-		if w := e.view.Load(off); w != e.eps[i].cfgWord {
+	for i := range e.sweep {
+		if w := e.view.Load(e.sweep[i].off); w != e.sweep[i].word {
 			e.refresh(i, w)
 		}
 	}
@@ -757,11 +771,11 @@ func (e *Engine) pollSend() bool {
 		if a.low && lowSpent >= lowLimit {
 			continue // unreserved share exhausted this pass
 		}
-		info := a.info
+		ep := a.ep
 		if e.m != nil {
 			// Backlog sample: how deep the send queue stood when the
 			// engine reached this endpoint.
-			if depth, _ := info.Queue.Depths(e.view); depth > 0 {
+			if depth, _ := ep.Queue().Depths(e.view); depth > 0 {
 				e.m.sendQDepth.Observe(uint64(depth))
 			}
 		}
@@ -774,27 +788,27 @@ func (e *Engine) pollSend() bool {
 			var ok bool
 			var err error
 			if e.cfg.ValidityChecks {
-				id, ok, err = info.Queue.ProcessPeekChecked(e.view)
+				id, ok, err = ep.Queue().ProcessPeekChecked(e.view)
 			} else {
-				id, ok = info.Queue.ProcessPeek(e.view)
+				id, ok = ep.Queue().ProcessPeek(e.view)
 			}
 			if err != nil {
 				// Wild queue pointers: freeze the endpoint before reading
 				// a slot through them. No quantum is consumed — a faulty
 				// endpoint cannot starve its neighbors in this pass.
-				e.quarantine(info.Index, FaultQueueInvariant)
+				e.quarantine(ep.Index(), FaultQueueInvariant)
 				work = true
 				break
 			}
 			if !ok {
 				break
 			}
-			verdict, kind := e.transmit(info, id)
+			verdict, kind := e.transmit(ep, id)
 			if verdict == txFault {
 				// Corrupt buffer id or state: the queue cannot be advanced
 				// past it safely (the slot is untrusted), so freeze the
 				// endpoint. No quantum consumed.
-				e.quarantine(info.Index, kind)
+				e.quarantine(ep.Index(), kind)
 				work = true
 				break
 			}
@@ -802,9 +816,9 @@ func (e *Engine) pollSend() bool {
 				break // wire busy/peer down: preserve order, retry next pass
 			}
 			work = true
-			if err := info.Queue.AdvanceProcessChecked(e.view); err != nil {
+			if err := ep.Queue().AdvanceProcessChecked(e.view); err != nil {
 				// Release pointer scribbled between peek and advance.
-				e.quarantine(info.Index, FaultQueueInvariant)
+				e.quarantine(ep.Index(), FaultQueueInvariant)
 				break
 			}
 			budget--
@@ -812,8 +826,8 @@ func (e *Engine) pollSend() bool {
 				lowSpent++
 			}
 		}
-		if budget != before && e.sendWaiters.Load() != 0 && info.WakeupRequested(e.view) {
-			e.ring(info) // completed sends: wake a thread waiting for a buffer
+		if budget != before && e.sendWaiters.Load() != 0 && ep.WakeupRequested(e.view) {
+			e.ring(ep) // completed sends: wake a thread waiting for a buffer
 		}
 	}
 	if e.flusher != nil {
@@ -854,7 +868,7 @@ const (
 // run unconditionally: they are what keeps the engine's no-panic,
 // no-wild-memory guarantee, and they cost two loads. ValidityChecks
 // gates only the policy checks the paper prices at +2 µs.
-func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, FaultKind) {
+func (e *Engine) transmit(ep *commbuf.Endpoint, id uint64) (txVerdict, FaultKind) {
 	msg, err := e.buf.MsgByID(id)
 	if err != nil {
 		return txFault, FaultBadBufID
@@ -872,17 +886,17 @@ func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, Fau
 			// Policy refusal: this message is dropped and counted, but the
 			// endpoint is healthy and later messages flow.
 			msg.EngineDropSend(e.view)
-			info.Drops.Incr(e.view)
+			ep.Drops().Incr(e.view)
 			e.stats.SendRefused++
 			return txRefused, FaultNone
 		}
 	}
-	e.sendSeqs[info.Index]++
+	e.sendSeqs[ep.Index()]++
 	pkt := wire.Packet{
 		Dst:      dst,
 		Size:     uint16(size),
 		Flags:    flags,
-		Seq:      e.sendSeqs[info.Index],
+		Seq:      e.sendSeqs[ep.Index()],
 		Payload:  msg.Payload()[:size],
 		Checksum: e.cfg.Checksum,
 	}
@@ -892,14 +906,14 @@ func (e *Engine) transmit(info *commbuf.EndpointInfo, id uint64) (txVerdict, Fau
 	if err := wire.Encode(&pkt, e.frame); err != nil {
 		// Unencodable without checks enabled (e.g. invalid dst): treat
 		// as a refused send rather than wedging the queue.
-		e.sendSeqs[info.Index]--
+		e.sendSeqs[ep.Index()]--
 		msg.EngineDropSend(e.view)
-		info.Drops.Incr(e.view)
+		ep.Drops().Incr(e.view)
 		e.stats.SendRefused++
 		return txRefused, FaultNone
 	}
 	if !e.tr.TrySend(dst.Node(), e.frame) {
-		e.sendSeqs[info.Index]-- // not sent; reuse the sequence number
+		e.sendSeqs[ep.Index()]-- // not sent; reuse the sequence number
 		if e.health != nil && !e.health.PeerUp(dst.Node()) {
 			// Peer gone, not backpressure: the message stays queued and
 			// drains when the transport re-establishes the link.

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"flipc/internal/commbuf"
 	"flipc/internal/interconnect"
+	"flipc/internal/israce"
 	"flipc/internal/mem"
 	"flipc/internal/trace"
 	"flipc/internal/wire"
@@ -627,5 +629,58 @@ func TestEngineTraceRecordsEvents(t *testing.T) {
 	if !sawSend || !sawDeliver || !sawNoBuffer {
 		t.Fatalf("trace missing events: send=%v deliver=%v nobuffer=%v (total %d)",
 			sawSend, sawDeliver, sawNoBuffer, ring.Total())
+	}
+}
+
+// TestOpenEndpointsAllocs: the engine holds each descriptor by value in
+// its slot cache and its send list in an array made once, so a pass that
+// finds 8 freshly allocated endpoints opens them, rebuilds the scan
+// order and serves them without a heap object, under either policy.
+func TestOpenEndpointsAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const rounds, perPass = 8, 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as testing.AllocsPerRun does
+	for _, policy := range []SendPolicy{PolicyRoundRobin, PolicyPriority} {
+		buf, err := commbuf.New(commbuf.Config{
+			Node: 0, MessageSize: 64, NumBuffers: 16, MaxEndpoints: rounds * perPass, Padded: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := interconnect.NewFabric(16).Attach(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(buf, tr, Config{Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		var total uint64
+		for r := 0; r < rounds; r++ {
+			for k := 0; k < perPass; k++ {
+				typ := commbuf.EndpointSend
+				if k%2 == 1 {
+					typ = commbuf.EndpointRecv
+				}
+				if _, err := buf.AllocEndpointPrio(typ, 2, uint8(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m0)
+			e.Poll()
+			runtime.ReadMemStats(&m1)
+			total += m1.Mallocs - m0.Mallocs
+		}
+		if got := len(e.active); got != rounds*perPass/2 {
+			t.Fatalf("policy %d: %d send endpoints in the scan, want %d", policy, got, rounds*perPass/2)
+		}
+		// Whole objects per pass, as AllocsPerRun reports them.
+		if total/rounds != 0 {
+			t.Fatalf("policy %d: %d passes opening %d endpoints each allocated %d objects, want 0 a pass",
+				policy, rounds, perPass, total)
+		}
 	}
 }

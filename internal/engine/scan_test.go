@@ -43,13 +43,13 @@ func (r *refScan) sendOrder(e *Engine) []int {
 		if e.orderStale {
 			r.prioOrder = r.prioOrder[:0]
 			for i := 0; i < n; i++ {
-				if info := e.eps[i].info; info != nil && info.Type == commbuf.EndpointSend &&
+				if e.eps[i].ep.Type() == commbuf.EndpointSend &&
 					e.eps[i].fault == FaultNone {
 					r.prioOrder = append(r.prioOrder, i)
 				}
 			}
 			sort.SliceStable(r.prioOrder, func(a, b int) bool {
-				return e.eps[r.prioOrder[a]].info.Priority > e.eps[r.prioOrder[b]].info.Priority
+				return e.eps[r.prioOrder[a]].ep.Priority() > e.eps[r.prioOrder[b]].ep.Priority()
 			})
 			e.orderStale = false
 		}
@@ -68,11 +68,11 @@ func (r *refScan) sendOrder(e *Engine) []int {
 }
 
 // refPeek is the parent's (*Engine).peek.
-func refPeek(e *Engine, info *commbuf.EndpointInfo) (uint64, bool, error) {
+func refPeek(e *Engine, info *commbuf.Endpoint) (uint64, bool, error) {
 	if e.cfg.ValidityChecks {
-		return info.Queue.ProcessPeekChecked(e.view)
+		return info.Queue().ProcessPeekChecked(e.view)
 	}
-	id, ok := info.Queue.ProcessPeek(e.view)
+	id, ok := info.Queue().ProcessPeek(e.view)
 	return id, ok, nil
 }
 
@@ -98,10 +98,10 @@ func (r *refScan) poll(e *Engine) bool {
 			break
 		}
 		info := e.endpoint(i)
-		if info == nil || info.Type != commbuf.EndpointSend || e.eps[i].fault != FaultNone {
+		if info.Type() != commbuf.EndpointSend || e.eps[i].fault != FaultNone {
 			continue
 		}
-		low := e.cfg.ReservedQuantum > 0 && info.Priority < e.cfg.ReservePriority
+		low := e.cfg.ReservedQuantum > 0 && info.Priority() < e.cfg.ReservePriority
 		if low && lowSpent >= lowLimit {
 			continue
 		}
@@ -128,7 +128,7 @@ func (r *refScan) poll(e *Engine) bool {
 				break
 			}
 			work = true
-			if err := info.Queue.AdvanceProcessChecked(e.view); err != nil {
+			if err := info.Queue().AdvanceProcessChecked(e.view); err != nil {
 				e.quarantine(i, FaultQueueInvariant)
 				break
 			}

@@ -321,7 +321,7 @@ func TestCorruptorForgeDescriptor(t *testing.T) {
 		t.Fatal("out-of-range slot accepted")
 	}
 	eng := buf.View(mem.ActorEngine)
-	if _, err := buf.OpenEndpointChecked(eng, 2); err == nil {
+	if _, err := buf.OpenEndpoint(eng, 2); err == nil {
 		t.Fatal("forged descriptor opened cleanly")
 	}
 }
@@ -330,15 +330,16 @@ func TestCorruptorScribbleQueueBase(t *testing.T) {
 	buf := newTestBuffer(t)
 	ep, _ := buf.AllocEndpoint(commbuf.EndpointRecv, 4)
 	c := NewCorruptor(buf, 1)
-	before := buf.EndpointCfgWord(buf.View(mem.ActorEngine), ep.Index())
+	eng := buf.View(mem.ActorEngine)
+	cfgOff, _ := buf.EndpointCfgOffset(ep.Index())
+	before := eng.Load(cfgOff)
 	if err := c.ScribbleQueueBase(ep.Index()); err != nil {
 		t.Fatal(err)
 	}
-	eng := buf.View(mem.ActorEngine)
-	if after := buf.EndpointCfgWord(eng, ep.Index()); after == before {
+	if after := eng.Load(cfgOff); after == before {
 		t.Fatal("config word unchanged — engine would never re-open the slot")
 	}
-	if _, err := buf.OpenEndpointChecked(eng, ep.Index()); err == nil {
+	if _, err := buf.OpenEndpoint(eng, ep.Index()); err == nil {
 		t.Fatal("wild queue base opened cleanly")
 	}
 }

@@ -71,7 +71,7 @@ func NewOutboxPrio(d *core.Domain, depth, bufs int, prio uint8) (*Outbox, error)
 	if err != nil {
 		return nil, err
 	}
-	o := &Outbox{d: d, ep: ep}
+	o := &Outbox{d: d, ep: ep, pool: make([]*core.Message, 0, bufs)}
 	for i := 0; i < bufs; i++ {
 		m, err := d.AllocBuffer()
 		if err != nil {

@@ -117,6 +117,41 @@ func TestSendReceiveAllocs(t *testing.T) {
 	}
 }
 
+// TestNewBoxAllocs: an outbox makes its pool at its final size and an
+// inbox posts its buffers without a per-buffer object, so each costs its
+// endpoint's two objects plus its own struct and one slice.
+func TestNewBoxAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const runs = 2 // AllocsPerRun builds one more, as a warm-up
+	tr, err := interconnect.NewFabric(16).Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDomain(core.Config{
+		MessageSize: 64, NumBuffers: 2 * (runs + 1) * 64, MaxEndpoints: 2 * (runs + 1), DefaultQueueDepth: 64,
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := NewOutbox(d, 0, 8); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("NewOutbox(d, 0, 8) allocates %v objects, want <= 4", n)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, err := NewInbox(d, 64, 64); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("NewInbox(d, 64, 64) allocates %v objects, want <= 4", n)
+	}
+}
+
 func TestOutboxRecyclesBuffers(t *testing.T) {
 	a, b := newPair(t)
 	out, _ := NewOutbox(a, 4, 2) // tiny pool

@@ -235,10 +235,10 @@ func (h PeerHealth) Degraded() bool { return h.State != PeerConnected }
 // refuses or discards lands in PeerDowns or RxDrops — loss is never
 // silent.
 type Stats struct {
-	Sent       uint64 // frames accepted for a peer (written, or corked)
-	Delivered  uint64 // frames handed to the inbox
+	Sent       uint64 // frames accepted for a peer (written, or corked) or looped back
+	Delivered  uint64 // frames handed to the inbox, looped-back ones included
 	PeerDowns  uint64 // sends refused: peer disconnected/unknown/dead
-	RxDrops    uint64 // received frames dropped: inbox full
+	RxDrops    uint64 // received or looped-back frames dropped: inbox full
 	Reconnects uint64 // peer links re-established
 	// FlushLost counts frames accepted into a peer's corked run and
 	// then lost because the connection died before the flush completed
@@ -765,21 +765,29 @@ func (t *Transport) readLoop(p *peer, conn net.Conn) {
 			p.mu.Unlock()
 			return
 		}
-		frame := append([]byte(nil), buf[preambleBytes:]...)
-		select {
-		case t.inbox <- frame:
-			t.delivered.Add(1)
-		case <-t.closed:
+		if !t.enqueue(append([]byte(nil), buf[preambleBytes:]...), p.node) {
 			return
-		default:
-			// Inbox full: FLIPC semantics allow dropping here — but the
-			// loss must be visible, so count it.
-			t.rxDrops.Add(1)
-			if t.cfg.Trace != nil {
-				t.cfg.Trace.Add1(t.rxDropLab, uint64(p.node))
-			}
 		}
 	}
+}
+
+// enqueue hands a received frame from node to Poll. It reports false
+// once the transport is closed.
+func (t *Transport) enqueue(frame []byte, from wire.NodeID) bool {
+	select {
+	case t.inbox <- frame:
+		t.delivered.Add(1)
+	case <-t.closed:
+		return false
+	default:
+		// Inbox full: FLIPC semantics allow dropping here — but the
+		// loss must be visible, so count it.
+		t.rxDrops.Add(1)
+		if t.cfg.Trace != nil {
+			t.cfg.Trace.Add1(t.rxDropLab, uint64(from))
+		}
+	}
+	return true
 }
 
 // TrySend implements interconnect.Transport. The frame joins dst's
@@ -788,10 +796,20 @@ func (t *Transport) readLoop(p *peer, conn net.Conn) {
 // unless the peer has stopped reading. A failed write marks the peer
 // down and starts recovery; the refusal is counted, and the engine
 // keeps the message queued, so nothing is silently lost on this side
-// of the wire.
+// of the wire. A frame addressed to this transport's own node loops
+// back: it is copied into the inbox, as a reader would, past any cork.
 func (t *Transport) TrySend(dst wire.NodeID, frame []byte) bool {
 	if len(frame) != t.cfg.MessageSize {
 		return false
+	}
+	if dst == t.cfg.Node {
+		if t.isClosed() {
+			t.peerDowns.Add(1)
+			return false
+		}
+		t.sent.Add(1)
+		t.enqueue(append([]byte(nil), frame...), dst)
+		return true
 	}
 	p := t.lookup(dst)
 	if p == nil {
@@ -922,11 +940,12 @@ func (t *Transport) Poll() ([]byte, bool) {
 	}
 }
 
-// PeerUp reports whether dst's link is currently established. The
+// PeerUp reports whether dst's link is currently established; this
+// transport's own node, which TrySend loops back to, is always up. The
 // engine uses this (via interconnect.PeerStatusReporter) to distinguish
 // "peer gone" from "wire busy".
 func (t *Transport) PeerUp(dst wire.NodeID) bool {
-	return t.PeerState(dst) == PeerConnected
+	return dst == t.cfg.Node || t.PeerState(dst) == PeerConnected
 }
 
 // PeerState returns dst's position in the connection state machine

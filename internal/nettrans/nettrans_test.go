@@ -104,6 +104,63 @@ func TestTrySendNoPeer(t *testing.T) {
 	}
 }
 
+// TestSelfSendLoopsBack: a frame addressed to the transport's own node
+// loops back into its inbox. The engine delivers a send to an endpoint
+// on its own node and the send completes, releasing its buffer, where a
+// refusal would keep it queued, and its window slot held, for good. A
+// full inbox drops a looped-back frame and counts it, as a reader does.
+func TestSelfSendLoopsBack(t *testing.T) {
+	tr, err := ListenConfig(Config{Node: 3, Addr: "127.0.0.1:0", MessageSize: 64, InboxDepth: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if !tr.PeerUp(3) {
+		t.Fatal("own node reported down")
+	}
+	buf, err := commbuf.New(commbuf.Config{Node: 3, MessageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(buf, tr, engine.Config{ValidityChecks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := buf.View(mem.ActorApp)
+	sep, _ := buf.AllocEndpoint(commbuf.EndpointSend, 4)
+	rep, _ := buf.AllocEndpoint(commbuf.EndpointRecv, 4)
+	rm, _ := buf.AllocMsg()
+	rm.StageRecv(app)
+	rep.Queue().Release(app, uint64(rm.ID()))
+	sm, _ := buf.AllocMsg()
+	copy(sm.Payload(), "to myself")
+	sm.StageSend(app, rep.Addr(), 9, 0)
+	sep.Queue().Release(app, uint64(sm.ID()))
+
+	eng.Poll() // the send loops back into the inbox
+	eng.Poll() // and is delivered
+	if id, ok := rep.Queue().Acquire(app); !ok || id != uint64(rm.ID()) {
+		t.Fatalf("receive = %d, %v (engine %+v)", id, ok, eng.Stats())
+	}
+	if got := string(rm.Payload()[:9]); got != "to myself" {
+		t.Fatalf("payload = %q", got)
+	}
+	if id, ok := sep.Queue().Acquire(app); !ok || id != uint64(sm.ID()) {
+		t.Fatal("send buffer not released")
+	}
+	if st := eng.Stats(); st.Sent != 1 || st.Delivered != 1 || st.PeerDown != 0 {
+		t.Fatalf("engine stats %+v", st)
+	}
+
+	frame := make([]byte, 64)
+	if !tr.TrySend(3, frame) || !tr.TrySend(3, frame) {
+		t.Fatal("loopback refused")
+	}
+	if st := tr.Stats(); st.Sent != 3 || st.Delivered != 2 || st.RxDrops != 1 || st.PeerDowns != 0 {
+		t.Fatalf("transport stats %+v, want 3 sent, 2 delivered, 1 inbox drop", st)
+	}
+}
+
 func TestDialErrors(t *testing.T) {
 	a, err := Listen(0, "127.0.0.1:0", 64)
 	if err != nil {

@@ -73,14 +73,6 @@ type Semaphore struct {
 	waiters byRank[*waiter]
 }
 
-// NewSemaphore returns a semaphore with an initial count.
-func NewSemaphore(initial int) *Semaphore {
-	if initial < 0 {
-		initial = 0
-	}
-	return &Semaphore{count: initial}
-}
-
 // Post increments the semaphore, releasing the highest-priority waiter
 // if any. Never blocks; safe to call from the kernel dispatch path.
 func (s *Semaphore) Post() {

@@ -11,28 +11,22 @@ import (
 )
 
 func TestSemaphoreCounting(t *testing.T) {
-	s := NewSemaphore(2)
+	var s Semaphore
+	if s.TryWait() {
+		t.Fatal("TryWait on the zero value succeeded")
+	}
+	s.Post()
+	s.Post()
 	if !s.TryWait() || !s.TryWait() {
-		t.Fatal("initial count not honored")
+		t.Fatal("two posts not counted")
 	}
 	if s.TryWait() {
 		t.Fatal("TryWait on zero succeeded")
 	}
-	s.Post()
-	if !s.TryWait() {
-		t.Fatal("TryWait after Post failed")
-	}
-}
-
-func TestNewSemaphoreNegative(t *testing.T) {
-	s := NewSemaphore(-5)
-	if s.TryWait() {
-		t.Fatal("negative initial count became positive")
-	}
 }
 
 func TestSemaphoreWaitBlocksUntilPost(t *testing.T) {
-	s := NewSemaphore(0)
+	s := new(Semaphore)
 	done := make(chan struct{})
 	go func() {
 		s.WaitTimeout(0, -1)
@@ -54,7 +48,7 @@ func TestSemaphoreWaitBlocksUntilPost(t *testing.T) {
 // The defining real-time property: waiters release in priority order,
 // not arrival order.
 func TestSemaphorePriorityOrder(t *testing.T) {
-	s := NewSemaphore(0)
+	s := new(Semaphore)
 	var order []Priority
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -93,7 +87,7 @@ func TestSemaphorePriorityOrder(t *testing.T) {
 }
 
 func TestSemaphoreWaitTimeout(t *testing.T) {
-	s := NewSemaphore(0)
+	s := new(Semaphore)
 	start := time.Now()
 	if s.WaitTimeout(0, 20*time.Millisecond) {
 		t.Fatal("WaitTimeout acquired from empty semaphore")
@@ -118,7 +112,7 @@ func TestSemaphoreWaitTimeout(t *testing.T) {
 func TestSemaphoreTimeoutPostRace(t *testing.T) {
 	// Repeatedly race a short timeout against a post; acquisitions plus
 	// leftover count must equal posts.
-	s := NewSemaphore(0)
+	s := new(Semaphore)
 	var acquired atomic.Int64
 	const rounds = 200
 	var wg sync.WaitGroup
@@ -172,7 +166,7 @@ func TestKernelRegisterValidation(t *testing.T) {
 
 func TestKernelWakeupPath(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
-	sem := NewSemaphore(0)
+	sem := new(Semaphore)
 	if err := k.Register(3, Registration{Sem: sem, Prio: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestKernelIdlePumpTakesNoLock(t *testing.T) {
 	}
 	k.mu.Unlock()
 
-	sem := NewSemaphore(0)
+	sem := new(Semaphore)
 	if err := k.Register(1, Registration{Sem: sem}); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +236,8 @@ func TestKernelIdlePumpTakesNoLock(t *testing.T) {
 
 func TestKernelDispatchPriorityOrder(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
-	low := NewSemaphore(0)
-	high := NewSemaphore(0)
+	low := new(Semaphore)
+	high := new(Semaphore)
 	k.Register(1, Registration{Sem: low, Prio: 1})
 	k.Register(2, Registration{Sem: high, Prio: 9})
 	ring.Push(eng, 1) // low arrives first
@@ -281,7 +275,7 @@ func TestKernelUnregisteredDoorbellDropped(t *testing.T) {
 
 func TestKernelUnregister(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
-	sem := NewSemaphore(0)
+	sem := new(Semaphore)
 	k.Register(4, Registration{Sem: sem, Prio: 0})
 	k.Unregister(4)
 	ring.Push(eng, 4)
@@ -292,7 +286,7 @@ func TestKernelUnregister(t *testing.T) {
 
 func TestKernelPump(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
-	sem := NewSemaphore(0)
+	sem := new(Semaphore)
 	k.Register(0, Registration{Sem: sem, Prio: 0})
 	ring.Push(eng, 0)
 	ring.Push(eng, 0)
@@ -306,7 +300,7 @@ func TestKernelPump(t *testing.T) {
 
 func TestEndToEndBlockedReceiverWake(t *testing.T) {
 	k, ring, eng, _ := newKernel(t)
-	sem := NewSemaphore(0)
+	sem := new(Semaphore)
 	k.Register(5, Registration{Sem: sem, Prio: 3})
 	done := make(chan struct{})
 	go func() {

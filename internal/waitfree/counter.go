@@ -41,20 +41,29 @@ func CounterWords(lineWords int, padded bool) int {
 // NewCounter lays out a counter at base. The caller must have reserved
 // CounterWords words (line-aligned when padded).
 func NewCounter(a *mem.Arena, base, lineWords int, padded bool) (*Counter, error) {
-	words := CounterWords(lineWords, padded)
-	if base < 0 || !a.ValidWord(base) || !a.ValidWord(base+words-1) {
-		return nil, fmt.Errorf("waitfree: counter [%d,%d) outside arena", base, base+words)
-	}
-	c := &Counter{arena: a, count: base}
-	if padded {
-		if base%lineWords != 0 {
-			return nil, fmt.Errorf("waitfree: padded counter base %d not line-aligned", base)
-		}
-		c.snapshot = base + lineWords
-	} else {
-		c.snapshot = base + 1
+	c := new(Counter)
+	if err := c.Init(a, base, lineWords, padded); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// Init is NewCounter into a Counter the caller holds, for a descriptor
+// that embeds its counter by value. It reads and writes no arena word.
+func (c *Counter) Init(a *mem.Arena, base, lineWords int, padded bool) error {
+	words := CounterWords(lineWords, padded)
+	if base < 0 || !a.ValidWord(base) || !a.ValidWord(base+words-1) {
+		return fmt.Errorf("waitfree: counter [%d,%d) outside arena", base, base+words)
+	}
+	snapshot := base + 1
+	if padded {
+		if base%lineWords != 0 {
+			return fmt.Errorf("waitfree: padded counter base %d not line-aligned", base)
+		}
+		snapshot = base + lineWords
+	}
+	*c = Counter{arena: a, count: base, snapshot: snapshot}
+	return nil
 }
 
 // Incr increments the event count on behalf of the engine. Load+store

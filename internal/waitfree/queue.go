@@ -74,29 +74,33 @@ func QueueWords(capacity, lineWords int, padded bool) int {
 // of two >= 2. The caller must have reserved QueueWords words at base
 // (line-aligned when padded).
 func NewQueue(a *mem.Arena, base, capacity, lineWords int, padded bool) (*Queue, error) {
+	q := new(Queue)
+	if err := q.Init(a, base, capacity, lineWords, padded); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Init is NewQueue into a Queue the caller holds, for a descriptor that
+// embeds its queue by value. It reads and writes no arena word.
+func (q *Queue) Init(a *mem.Arena, base, capacity, lineWords int, padded bool) error {
 	if capacity < 2 || capacity&(capacity-1) != 0 {
-		return nil, fmt.Errorf("waitfree: queue capacity %d must be a power of two >= 2", capacity)
+		return fmt.Errorf("waitfree: queue capacity %d must be a power of two >= 2", capacity)
 	}
 	words := QueueWords(capacity, lineWords, padded)
 	if base < 0 || !a.ValidWord(base) || !a.ValidWord(base+words-1) {
-		return nil, fmt.Errorf("waitfree: queue [%d,%d) outside arena (%d words)", base, base+words, a.Words())
+		return fmt.Errorf("waitfree: queue [%d,%d) outside arena (%d words)", base, base+words, a.Words())
 	}
-	q := &Queue{arena: a, capacity: uint64(capacity)}
+	step := 1
 	if padded {
 		if base%lineWords != 0 {
-			return nil, fmt.Errorf("waitfree: padded queue base %d not line-aligned (line=%d words)", base, lineWords)
+			return fmt.Errorf("waitfree: padded queue base %d not line-aligned (line=%d words)", base, lineWords)
 		}
-		q.release = base
-		q.process = base + lineWords
-		q.acquire = base + 2*lineWords
-		q.slotBase = base + 3*lineWords
-	} else {
-		q.release = base
-		q.process = base + 1
-		q.acquire = base + 2
-		q.slotBase = base + 3
+		step = lineWords
 	}
-	return q, nil
+	*q = Queue{arena: a, capacity: uint64(capacity),
+		release: base, process: base + step, acquire: base + 2*step, slotBase: base + 3*step}
+	return nil
 }
 
 // Capacity returns the number of slots.
