@@ -105,17 +105,9 @@ func main() {
 		tr.Register(id, addr)
 	}
 
-	// Buffer budget: 3 class inboxes plus the publisher cache's
-	// outboxes plus registry clients.
-	d, err := core.NewDomain(core.Config{
-		Node:        wire.NodeID(*node),
-		MessageSize: *msgSize,
-		NumBuffers:  3**inboxBuf + 512,
-		Engine: engine.Config{
-			Trace:   ring,
-			Metrics: mreg,
-		},
-	}, tr)
+	dcfg := domainConfig(*node, *msgSize, *inboxBuf, *maxPubs)
+	dcfg.Engine = engine.Config{Trace: ring, Metrics: mreg}
+	d, err := core.NewDomain(dcfg, tr)
 	if err != nil {
 		fatal(err)
 	}
@@ -190,6 +182,23 @@ func main() {
 	st := mux.Stats()
 	fmt.Printf("flipcgw: shutdown: conns=%d received=%d matched=%d unmatched=%d pub=%d puberr=%d renewErrs=%d\n",
 		h.Conns, st.Received, st.Matched, st.Unmatched, st.PubOK, st.PubErrs, h.RenewErrs)
+}
+
+// domainConfig sizes the gateway's domain for its class inboxes, a full
+// publisher cache and the registry clients: their message buffers, and
+// a descriptor slot for each of their endpoints. The arena's queue
+// storage is sized at the default depth per slot, so each class inbox,
+// whose queue is inboxBufs deep, takes one more slot per default depth.
+func domainConfig(node, msgSize, inboxBufs, maxPubs int) core.Config {
+	const depth = 8                   // the default endpoint queue depth
+	const regBufs, regSlots = 512, 16 // registry clients: 8 buffers and 2 endpoints each
+	return core.Config{
+		Node:              wire.NodeID(node),
+		MessageSize:       msgSize,
+		NumBuffers:        gateway.NumClasses*inboxBufs + maxPubs*gateway.PublisherWindow + regBufs,
+		MaxEndpoints:      gateway.NumClasses*(1+inboxBufs/depth) + maxPubs + regSlots,
+		DefaultQueueDepth: depth,
+	}
 }
 
 // buildDirectory bootstraps the gateway's Directory from one

@@ -38,7 +38,8 @@ type Config struct {
 	// credit discipline.
 	ThrottleAt int
 	// MaxPublishers bounds the per-topic publisher cache (default 64).
-	// Evictions free the publisher's endpoint; a topic published again
+	// An eviction closes an idle publisher's outbox, returning its
+	// endpoint and PublisherWindow buffers; a topic published again
 	// later gets a fresh one.
 	MaxPublishers int
 	// Registry receives flipc_gw_* instruments and the "gateway" health
@@ -46,8 +47,9 @@ type Config struct {
 	Registry *metrics.Registry
 }
 
-// pubWindow bounds each cached publisher's outstanding fanout frames.
-const pubWindow = 64
+// PublisherWindow bounds each cached publisher's outstanding fanout
+// frames: the message buffers its outbox pools.
+const PublisherWindow = 64
 
 // NumClasses is the number of priority lanes a gateway terminates.
 const NumClasses = 3
@@ -526,9 +528,9 @@ func (m *Mux) publishLocked(c *Client, class topic.Class, name, payload []byte) 
 }
 
 // publisherLocked returns the cached publisher for the topic named by
-// name, creating (and, at the cache bound, evicting the
-// least-recently-used entry and freeing its endpoint) as needed.
-// Caller holds m.mu.
+// name, creating (and, at the cache bound, closing the least-recently
+// used idle entry) as needed. A cache whose every publisher has a send
+// in flight evicts none. Caller holds m.mu.
 func (m *Mux) publisherLocked(name []byte, class topic.Class) (*topic.Publisher, error) {
 	if e := m.pubs[string(name)]; e != nil {
 		e.lastUse = m.tick
@@ -538,12 +540,11 @@ func (m *Mux) publisherLocked(name []byte, class topic.Class) (*topic.Publisher,
 		var lruName string
 		var lru *pubEntry
 		for name, e := range m.pubs {
-			if lru == nil || e.lastUse < lru.lastUse {
+			if (lru == nil || e.lastUse < lru.lastUse) && e.p.Outbox().Flush() {
 				lruName, lru = name, e
 			}
 		}
-		if lru != nil {
-			_ = lru.p.Outbox().Endpoint().Free()
+		if lru != nil && lru.p.Outbox().Close() == nil {
 			delete(m.pubs, lruName)
 		}
 	}
@@ -551,7 +552,7 @@ func (m *Mux) publisherLocked(name []byte, class topic.Class) (*topic.Publisher,
 	p, err := topic.NewPublisher(m.d, m.dir, topic.PublisherConfig{
 		Topic:  topicName,
 		Class:  class,
-		Window: pubWindow,
+		Window: PublisherWindow,
 	})
 	if err != nil {
 		return nil, err

@@ -729,3 +729,49 @@ func TestNewMuxStatesBufferShortfall(t *testing.T) {
 		t.Fatalf("NewMux on 64 buffers: err = %v, want it to contain %q", err, want)
 	}
 }
+
+// TestEvictionReturnsPublisherBuffers: with MaxPublishers 4 on a
+// 1 024-buffer domain, publishing to 40 distinct topics needs an
+// eviction to return the evicted publisher's PublisherWindow buffers;
+// freeing only its endpoint ran out of buffers at the 11th topic. A
+// publisher with a send in flight is never the one evicted. The domain
+// is not started, so the send to "busy"'s subscriber stays in flight.
+//
+// Each new publisher still takes fresh queue storage, which
+// commbuf.FreeEndpoint never returns to the arena: 64 slots hold the 3
+// class inboxes and about 50 publisher endpoints in all, so 40 topics
+// stay under that bound.
+func TestEvictionReturnsPublisherBuffers(t *testing.T) {
+	tr, err := interconnect.NewFabric(64).Attach(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := core.NewDomain(core.Config{Node: 0, MessageSize: 256, NumBuffers: 1024, MaxEndpoints: 64}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
+	m, err := NewMux(d, Config{Name: "gw-evict", Dir: dir, MaxPublishers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := topic.NewSubscriber(d, dir, "busy", topic.Normal, 8, 8); err != nil {
+		t.Fatal(err)
+	}
+	c := m.Attach()
+	hello(t, m, c, "cli")
+	for i := -1; i < 40; i++ {
+		name := fmt.Sprintf("t.%d", i)
+		if i < 0 {
+			name = "busy"
+		}
+		m.HandleFrame(c, frameBody(t, Frame{Op: OpPub, Class: uint8(topic.Normal), Name: name, Payload: []byte("x")}))
+	}
+	if st := m.Stats(); st.PubOK != 41 || st.PubErrs != 0 {
+		t.Fatalf("published %d, %d errors; want 41, 0 (%d buffers free)", st.PubOK, st.PubErrs, d.Buffer().FreeBufferCount())
+	}
+	if len(m.pubs) != 4 || m.pubs["busy"] == nil {
+		t.Fatalf("%d publishers cached, busy cached: %v; want 4, true", len(m.pubs), m.pubs["busy"] != nil)
+	}
+}

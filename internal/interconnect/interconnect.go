@@ -41,7 +41,8 @@ import (
 //     injection port is saturated (the engine retries on a later loop
 //     pass). The transport copies the frame before returning.
 //   - Poll returns the next frame addressed to the local node, or
-//     false. The returned slice is owned by the caller.
+//     false. The returned slice is owned by the caller. Poll has one
+//     caller at a time, the engine loop.
 type Transport interface {
 	TrySend(dst wire.NodeID, frame []byte) bool
 	Poll() ([]byte, bool)

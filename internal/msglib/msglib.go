@@ -174,6 +174,25 @@ func (o *Outbox) Flush() bool {
 	return toProc == 0 && toAcq == 0
 }
 
+// Close frees the outbox's endpoint and returns its pooled buffers to
+// the domain. It reclaims completed sends first and refuses while one
+// is still in flight, since the engine may yet read that buffer.
+func (o *Outbox) Close() error {
+	if !o.Flush() {
+		return fmt.Errorf("msglib: outbox %v has sends in flight", o.ep.Addr())
+	}
+	if err := o.ep.Free(); err != nil {
+		return err
+	}
+	for _, m := range o.pool {
+		if err := o.d.FreeBuffer(m); err != nil {
+			return err
+		}
+	}
+	o.pool = nil
+	return nil
+}
+
 // Sent returns the number of messages sent.
 func (o *Outbox) Sent() uint64 { return o.sent }
 

@@ -216,6 +216,28 @@ func TestOutboxBackpressure(t *testing.T) {
 	}
 }
 
+// TestOutboxCloseReturnsBuffers: Close refuses while a send is in
+// flight, then frees the endpoint and returns every pooled buffer.
+func TestOutboxCloseReturnsBuffers(t *testing.T) {
+	a, b := newPair(t)
+	free := a.Buffer().FreeBufferCount()
+	out, _ := NewOutbox(a, 4, 4)
+	in, _ := NewInbox(b, 4, 4)
+	if err := out.Send(in.Addr(), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err == nil {
+		t.Fatal("Close with a send in flight succeeded")
+	}
+	pump(a, b)
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Buffer().FreeBufferCount(); got != free || a.Buffer().ActiveEndpoints() != 0 {
+		t.Fatalf("after Close: %d buffers free (want %d), %d endpoints", got, free, a.Buffer().ActiveEndpoints())
+	}
+}
+
 func TestOutboxValidation(t *testing.T) {
 	a, _ := newPair(t)
 	if _, err := NewOutbox(a, 4, 0); err == nil {

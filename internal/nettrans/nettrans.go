@@ -42,8 +42,12 @@
 //
 // # Receive path
 //
-// One reader goroutine per connection copies frames into the inbox the
-// engine polls. Like the paper's engine it polls rather than waits
+// One reader goroutine per connection hands the engine's Poll bursts:
+// every whole frame one read left buffered, up to burstBytes of frame
+// bodies, copied back to back into one fresh slice and sent on the
+// inbox in one hand-off. Poll returns one frame of its burst per call.
+// InboxDepth still counts frames. Like the paper's engine the reader
+// polls rather than waits
 // while traffic flows: after a read that returned bytes it retries
 // non-blocking reads for up to spinWindow before it parks in the
 // netpoller, so a busy link never pays a thread wake-up per burst and
@@ -162,7 +166,8 @@ type Config struct {
 	// use the same value.
 	MessageSize int
 	// InboxDepth bounds buffered received frames (default 1024).
-	// Frames arriving at a full inbox are dropped and counted.
+	// Frames arriving at a full inbox are dropped and counted; a burst
+	// that does not fit enters as the prefix that does.
 	InboxDepth int
 	// Resolver, when non-nil, maps node IDs to dial addresses for
 	// redialing peers whose address is not already known (typically
@@ -278,7 +283,8 @@ type Transport struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	inbox  chan []byte
+	inbox  chan []byte // bursts of back-to-back frames
+	cur    []byte      // the rest of the burst Poll is working through
 	closed chan struct{}
 	once   sync.Once
 
@@ -296,12 +302,14 @@ type Transport struct {
 	// when nothing is corked.
 	pendingFrames atomic.Int64
 
-	// The socket readers store these on every frame. The pads keep them
+	// The socket readers store these on every burst. The pads keep them
 	// off the lines the send path and Poll use, wherever the Transport
 	// lands in its size class (most are not multiples of 64 bytes).
-	_                           [64]byte
-	delivered, rxDrops, rxParks atomic.Uint64
-	_                           [64]byte
+	_                  [64]byte
+	delivered, rxDrops atomic.Uint64
+	queued             atomic.Int64 // frames in the inbox: readers add, Poll subtracts per burst
+	rxParks            atomic.Uint64
+	_                  [64]byte
 }
 
 // peerTable is the grow-only peer set: peerFor publishes a grown copy
@@ -338,7 +346,7 @@ func ListenConfig(cfg Config) (*Transport, error) {
 		cfg:    cfg,
 		ln:     ln,
 		conns:  make(map[net.Conn]struct{}),
-		inbox:  make(chan []byte, cfg.InboxDepth),
+		inbox:  make(chan []byte, cfg.InboxDepth), // a burst holds at least one frame
 		closed: make(chan struct{}),
 		cork:   wire.Cork{Frames: 1, Deadline: int64(cfg.FlushDeadline)},
 	}
@@ -371,7 +379,7 @@ func (t *Transport) registerMetrics(reg *metrics.Registry) {
 	reg.Func("flipc_transport_flush_held_total", func() float64 { return float64(t.flushHeld.Load()) })
 	reg.Func("flipc_transport_rx_parks_total", func() float64 { return float64(t.rxParks.Load()) })
 	reg.Func("flipc_transport_pending_frames", func() float64 { return float64(t.pendingFrames.Load()) })
-	reg.Func("flipc_transport_inbox_depth", func() float64 { return float64(len(t.inbox)) })
+	reg.Func("flipc_transport_inbox_depth", func() float64 { return float64(t.queued.Load()) })
 	reg.Status("peers", func() (any, bool) {
 		hs := t.Health()
 		return hs, !slices.ContainsFunc(hs, PeerHealth.Degraded)
@@ -745,46 +753,83 @@ func (r *rxConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readLoop pumps frames from one of p's connections into the inbox.
+// burstBytes caps the frame bodies one burst carries; a burst always
+// holds at least one frame. At 128-byte messages that is a corked run
+// of 8, and every multiple of 128 up to it is a Go size class, so the
+// copy never rounds up.
+const burstBytes = 1024
+
+// readLoop pumps frames from one of p's connections into the inbox, one
+// burst per pass: every whole frame the last read left buffered (one
+// read(2) per corked run, not one per frame), up to burstBytes.
 func (t *Transport) readLoop(p *peer, conn net.Conn) {
-	buf := make([]byte, preambleBytes+t.cfg.MessageSize)
-	// One read(2) per burst of corked frames, not one per frame.
+	ms := t.cfg.MessageSize
+	fs := preambleBytes + ms
 	r := bufio.NewReaderSize(newRxConn(conn, &t.rxParks), 64<<10)
+	fail := func(err error) {
+		p.mu.Lock()
+		t.connFailedLocked(p, conn, err)
+		p.mu.Unlock()
+	}
 	for {
-		if _, err := io.ReadFull(r, buf); err != nil {
-			p.mu.Lock()
-			t.connFailedLocked(p, conn, err)
-			p.mu.Unlock()
+		if _, err := r.Peek(fs); err != nil {
+			fail(err)
 			return
 		}
-		if err := parsePreamble(buf[:preambleBytes], t.cfg.MessageSize); err != nil {
+		n := min(r.Buffered()/fs, max(1, burstBytes/ms))
+		raw, _ := r.Peek(n * fs)
+		burst := make([]byte, 0, n*ms)
+		var err error
+		for ; len(raw) > 0 && err == nil; raw = raw[fs:] {
+			if err = parsePreamble(raw, ms); err == nil {
+				burst = append(burst, raw[preambleBytes:fs]...)
+			}
+		}
+		r.Discard(n * fs)
+		// The frames in front of a corrupt preamble are good: hand them
+		// over before the connection goes.
+		if len(burst) > 0 && !t.enqueue(burst, p.node) {
+			return
+		}
+		if err != nil {
 			// Stream corrupt or size mismatch: drop the connection
 			// rather than deliver garbage.
-			p.mu.Lock()
-			t.connFailedLocked(p, conn, fmt.Errorf("nettrans: corrupt stream from node %d: %w", p.node, err))
-			p.mu.Unlock()
-			return
-		}
-		if !t.enqueue(append([]byte(nil), buf[preambleBytes:]...), p.node) {
+			fail(fmt.Errorf("nettrans: corrupt stream from node %d: %w", p.node, err))
 			return
 		}
 	}
 }
 
-// enqueue hands a received frame from node to Poll. It reports false
-// once the transport is closed.
-func (t *Transport) enqueue(frame []byte, from wire.NodeID) bool {
-	select {
-	case t.inbox <- frame:
-		t.delivered.Add(1)
-	case <-t.closed:
-		return false
-	default:
+// enqueue hands a burst of frames from node to Poll in one send: the
+// prefix the inbox has room for, each frame past it dropped and
+// counted. It reports false once the transport is closed.
+func (t *Transport) enqueue(burst []byte, from wire.NodeID) bool {
+	n := int64(len(burst) / t.cfg.MessageSize)
+	q := t.queued.Load()
+	kept := min(n, int64(t.cfg.InboxDepth)-q)
+	for kept > 0 && !t.queued.CompareAndSwap(q, q+kept) {
+		q = t.queued.Load()
+		kept = min(n, int64(t.cfg.InboxDepth)-q)
+	}
+	kept = max(kept, 0)
+	if kept > 0 {
+		// The reservation leaves the channel room: every burst in it
+		// holds at least one of at most InboxDepth queued frames.
+		select {
+		case t.inbox <- burst[:kept*int64(t.cfg.MessageSize)]:
+			t.delivered.Add(uint64(kept))
+		case <-t.closed:
+			return false
+		}
+	}
+	if kept < n {
 		// Inbox full: FLIPC semantics allow dropping here — but the
 		// loss must be visible, so count it.
-		t.rxDrops.Add(1)
+		t.rxDrops.Add(uint64(n - kept))
 		if t.cfg.Trace != nil {
-			t.cfg.Trace.Add1(t.rxDropLab, uint64(from))
+			for range n - kept {
+				t.cfg.Trace.Add1(t.rxDropLab, uint64(from))
+			}
 		}
 	}
 	return true
@@ -797,7 +842,7 @@ func (t *Transport) enqueue(frame []byte, from wire.NodeID) bool {
 // down and starts recovery; the refusal is counted, and the engine
 // keeps the message queued, so nothing is silently lost on this side
 // of the wire. A frame addressed to this transport's own node loops
-// back: it is copied into the inbox, as a reader would, past any cork.
+// back: it is copied into the inbox as a one-frame burst, past any cork.
 func (t *Transport) TrySend(dst wire.NodeID, frame []byte) bool {
 	if len(frame) != t.cfg.MessageSize {
 		return false
@@ -930,14 +975,23 @@ func (t *Transport) FlushSends() {
 	}
 }
 
-// Poll implements interconnect.Transport.
+// Poll implements interconnect.Transport: it returns the next frame of
+// the burst it holds, and takes the next burst from the inbox when that
+// one is spent. A frame's capacity ends with it, so an append to it
+// cannot write into the next frame of its burst.
 func (t *Transport) Poll() ([]byte, bool) {
-	select {
-	case f := <-t.inbox:
-		return f, true
-	default:
-		return nil, false
+	ms := t.cfg.MessageSize
+	if len(t.cur) == 0 {
+		select {
+		case t.cur = <-t.inbox:
+			t.queued.Add(-int64(len(t.cur) / ms))
+		default:
+			return nil, false
+		}
 	}
+	f := t.cur[:ms:ms]
+	t.cur = t.cur[ms:]
+	return f, true
 }
 
 // PeerUp reports whether dst's link is currently established; this

@@ -6,10 +6,12 @@ package nettrans
 // hello.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -262,5 +264,134 @@ func TestReceiveCountersOwnCacheLines(t *testing.T) {
 	}
 	if after := unsafe.Sizeof(tr) - end; after < 64 {
 		t.Errorf("%d bytes after rxParks, want >= 64", after)
+	}
+}
+
+// TestBurstReceiveAllocs: eight frames corked into one FlushSends reach
+// Poll as one burst, one heap object for all eight, where a copy per
+// frame cost eight. The send side allocates nothing
+// (TestTrySendFlushSendsAllocs).
+func TestBurstReceiveAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("allocation counts need a build without -race")
+	}
+	const frames = 8
+	a, b := dialBatchPair(t, Config{MessageSize: 128})
+	frame := make([]byte, 128)
+	run := func() {
+		for range frames {
+			if !a.TrySend(1, frame) {
+				t.Fatal("TrySend refused a frame on a live link")
+			}
+		}
+		a.FlushSends()
+		deadline := time.Now().Add(5 * time.Second)
+		for got := 0; got < frames; {
+			if _, ok := b.Poll(); ok {
+				got++
+			} else if time.Now().After(deadline) {
+				t.Fatalf("polled %d/%d frames (stats %+v)", got, frames, b.Stats())
+			} else {
+				runtime.Gosched()
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs > 2 {
+		t.Fatalf("%v allocs per corked run of %d frames, want <= 2", allocs, frames)
+	}
+}
+
+// TestBurstMeetsFullInboxKeepsPrefix: a corked run of 8 that meets an
+// inbox with room for 3 delivers exactly the first 3, in order, and
+// counts the other 5 dropped.
+func TestBurstMeetsFullInboxKeepsPrefix(t *testing.T) {
+	const frames = 8
+	a, err := ListenConfig(Config{Node: 0, Addr: "127.0.0.1:0", MessageSize: 64, BatchWrites: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := ListenConfig(Config{Node: 1, Addr: "127.0.0.1:0", MessageSize: 64, InboxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Dial(1, b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for seq := range uint32(frames) {
+		if !a.TrySend(1, seqFrame(seq)) {
+			t.Fatal("TrySend refused a frame on a live link")
+		}
+	}
+	a.FlushSends()
+	waitFor(t, 5*time.Second, "every frame delivered or dropped", func() bool {
+		st := b.Stats()
+		return st.Delivered+st.RxDrops == frames
+	})
+	if st := b.Stats(); st.Delivered != 3 || st.RxDrops != frames-3 {
+		t.Fatalf("delivered %d, dropped %d; want 3, %d", st.Delivered, st.RxDrops, frames-3)
+	}
+	var got []uint32
+	drainSeqs(t, b, &got, 3, time.Second)
+	if _, ok := b.Poll(); ok || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("polled %v (and more: %v), want [0 1 2]", got, ok)
+	}
+}
+
+// TestPolledFrameAppendKeepsNextFrame: frames of one burst share its
+// slice, so a polled frame's capacity must end with it, or an append to
+// it writes into the next frame.
+func TestPolledFrameAppendKeepsNextFrame(t *testing.T) {
+	tr, err := Listen(0, "127.0.0.1:0", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	next := bytes.Repeat([]byte{2}, 64)
+	tr.enqueue(append(bytes.Repeat([]byte{1}, 64), next...), 0)
+	f, _ := tr.Poll()
+	_ = append(f, 0xEE)
+	if g, ok := tr.Poll(); !ok || !bytes.Equal(g, next) {
+		t.Fatalf("next frame %x after an append to the one before it", g)
+	}
+}
+
+// TestCorruptPreambleMidBurst: a burst whose 5th preamble is corrupt
+// delivers the 4 frames in front of it, then fails the connection.
+func TestCorruptPreambleMidBurst(t *testing.T) {
+	b := chaosListen(t, 1, fastReconnect())
+	raw, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write([]byte{0, 0, 0, 0}); err != nil { // hello from node 0
+		t.Fatal(err)
+	}
+	var stream []byte
+	for seq := range uint32(8) {
+		magic := uint16(preambleMagic)
+		if seq == 4 {
+			magic ^= 0xFFFF
+		}
+		stream = append(append(stream, mkPreamble(magic, 64)...), seqFrame(seq)...)
+	}
+	if _, err := raw.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on the sender's side: %v, want the connection closed", err)
+	}
+	waitFor(t, 2*time.Second, "the link to fail", func() bool { return b.PeerState(0) == PeerReconnecting })
+	if st := b.Stats(); st.Delivered != 4 || st.RxDrops != 0 {
+		t.Fatalf("delivered %d, dropped %d; want 4, 0", st.Delivered, st.RxDrops)
+	}
+	var got []uint32
+	drainSeqs(t, b, &got, 4, time.Second)
+	if _, ok := b.Poll(); ok || got[0] != 0 || got[3] != 3 || b.openConns() != 0 {
+		t.Fatalf("polled %v (and more: %v), %d conns open; want [0 1 2 3], none", got, ok, b.openConns())
 	}
 }

@@ -45,10 +45,9 @@ package topic
 //
 // Loss accounting stays conservative and never silent: frames the
 // retention horizon has passed before a cursor caught up are counted
-// in the publisher's ReplayStranded ledger; frames discarded at the
-// subscriber before its seam locked are counted in SeamDrops (they
-// are covered by the replay the resume triggers — deferral, not
-// loss); duplicate and out-of-order discards have their own counters.
+// in the publisher's ReplayStranded ledger; frames a subscriber
+// discards before its seam locks, or past its reorder stash, are
+// covered by the replay a resume triggers — deferral, not loss.
 // For a quiesced durable topic with every cursor at head, the
 // conservation law is exact:
 //
@@ -613,11 +612,7 @@ type subDurState struct {
 	acked     atomic.Uint64 // last sequence acknowledged in-band
 	dirAcked  uint64        // last sequence registered with the directory
 	replayed  atomic.Uint64 // deliveries that arrived as replay
-	dupDrops  atomic.Uint64 // duplicates discarded at the seam
-	gapDrops  atomic.Uint64 // ahead-of-seam frames discarded pending replay
-	seamDrops atomic.Uint64 // data frames discarded before the seam locked
 	malformed atomic.Uint64 // durable frames too short to carry a sequence
-	resumes   atomic.Uint64 // resume requests sent
 }
 
 func newSubDurState(d *core.Domain, name string) (*subDurState, error) {
@@ -700,7 +695,6 @@ func (s *Subscriber) durAccept(payload []byte, flags uint8) ([]byte, bool) {
 		// (locking onto it could silently skip them). Deferral, not
 		// loss: the cursor grant establishes the seam and the replay
 		// re-covers everything discarded here.
-		d.seamDrops.Add(1)
 		return nil, false
 	}
 	next := d.next.Load()
@@ -713,7 +707,6 @@ func (s *Subscriber) durAccept(payload []byte, flags uint8) ([]byte, bool) {
 		}
 		return body, true
 	case seq < next:
-		d.dupDrops.Add(1)
 		return nil, false
 	default:
 		// Ahead of the seam. The missing frames are usually already in
@@ -726,8 +719,6 @@ func (s *Subscriber) durAccept(payload []byte, flags uint8) ([]byte, bool) {
 		// every handoff with a duplicate replay round.
 		if len(d.stash) < stashMax {
 			d.stash[seq] = stashedFrame{body: append([]byte(nil), body...), flags: flags}
-		} else {
-			d.gapDrops.Add(1)
 		}
 		d.gapPending = true
 		return nil, false
@@ -826,7 +817,6 @@ func (s *Subscriber) sendResume() {
 		}
 	}
 	d.needResume = !sentAll
-	d.resumes.Add(1)
 }
 
 // sendAck acknowledges our seam position in-band to every known
@@ -902,19 +892,3 @@ func (s *Subscriber) DurableLocked() bool { return s.durStats().locked.Load() }
 // Replayed returns how many deliveries arrived as replay (the rest of
 // Received was live traffic).
 func (s *Subscriber) Replayed() uint64 { return s.durStats().replayed.Load() }
-
-// DupDrops returns duplicates discarded at the seam — the price of
-// at-least-once replay under an exactly-once delivery contract.
-func (s *Subscriber) DupDrops() uint64 { return s.durStats().dupDrops.Load() }
-
-// GapDrops returns ahead-of-seam frames discarded pending replay
-// (each one re-arrives as replay after the gap resume).
-func (s *Subscriber) GapDrops() uint64 { return s.durStats().gapDrops.Load() }
-
-// SeamDrops returns live frames discarded before the seam locked
-// (covered by the initial replay — deferral, not loss).
-func (s *Subscriber) SeamDrops() uint64 { return s.durStats().seamDrops.Load() }
-
-// ResumesSent returns how many resume requests this subscriber has
-// issued (initial, gap-triggered, and Renew retries).
-func (s *Subscriber) ResumesSent() uint64 { return s.durStats().resumes.Load() }
