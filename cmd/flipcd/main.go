@@ -91,7 +91,7 @@ func main() {
 		// shard -shard, replicates over its own !registry/<shard>
 		// stream, and redirects topic ops it does not own.
 		shardID  = flag.Uint("shard", 0, "this registry node's shard id (with -shardmap)")
-		shardMap = flag.String("shardmap", "", "shard map: inline spec id[@hexaddr][*weight],... or a journal file path; empty runs unsharded")
+		shardMap = flag.String("shardmap", "", "shard map: inline spec id[@hexaddr][*weight],..., the same on every registry node; empty runs unsharded")
 	)
 	flag.Parse()
 
@@ -211,8 +211,7 @@ func main() {
 		}
 		fmt.Printf("flipcd: registry server address %#x (%v), role %s\n",
 			uint32(rn.srv.Addr()), rn.srv.Addr(), role)
-		if rn.sharded() {
-			m := rn.shardMap()
+		if m := rn.smap; m != nil {
 			fmt.Printf("flipcd: registry shard %d of %d (map epoch %d), stream %s\n",
 				*shardID, m.Len(), m.Epoch(), rn.replicationTopic())
 		}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,12 +39,11 @@ type registryOpts struct {
 	// Shard is this node's shard id in a sharded registry deployment
 	// (meaningful only with ShardMap).
 	Shard uint32
-	// ShardMap makes the registry sharded: either an inline spec
-	// ("0@hexaddr,1@hexaddr*weight,...", see shardmap.ParseSpec) or a
-	// path to a shard-map journal (detected by a path separator). The
-	// node serves only topics the map assigns to Shard, replicates over
-	// its own "!registry/<shard>" stream, and answers the shard-map
-	// remote op.
+	// ShardMap makes the registry sharded: an inline spec
+	// ("0@hexaddr,1@hexaddr*weight,...", see shardmap.ParseSpec), the
+	// same on every node. The node serves only topics the map assigns
+	// to Shard, replicates over its own "!registry/<shard>" stream, and
+	// answers the shard-map remote op.
 	ShardMap string
 }
 
@@ -70,25 +68,12 @@ type registryNode struct {
 	lastMoved  time.Time
 	promoteReq chan struct{}
 
-	// Sharded deployments: the shard map (journaled or static), this
-	// node's shard id, and the peer-shard probe state behind the
-	// /healthz roll-up.
-	smap       *shardmap.Map     // static map (spec-configured)
-	sjournal   *shardmap.Journal // journal-backed map (takes precedence)
+	// Sharded deployments: the shard map (nil when unsharded) and the
+	// peer-shard probe state behind the /healthz roll-up.
+	smap       *shardmap.Map
 	peerMu     sync.Mutex
 	peerCli    map[uint32]*nameservice.Client       // lazy per-shard probe clients
 	peerStatus map[uint32]registrystore.ShardHealth // last probe result per shard
-}
-
-// sharded reports whether this node runs a sharded registry.
-func (rn *registryNode) sharded() bool { return rn.smap != nil || rn.sjournal != nil }
-
-// shardMap returns the current shard map (nil when unsharded).
-func (rn *registryNode) shardMap() *shardmap.Map {
-	if rn.sjournal != nil {
-		return rn.sjournal.Map()
-	}
-	return rn.smap
 }
 
 // replicationTopic is this node's replication stream: the shared
@@ -96,7 +81,7 @@ func (rn *registryNode) shardMap() *shardmap.Map {
 // in a sharded deployment — so one shard's failover never disturbs
 // another shard's feed or standby subscription.
 func (rn *registryNode) replicationTopic() string {
-	if rn.sharded() {
+	if rn.smap != nil {
 		return registrystore.ShardReplicationTopic(rn.opts.Shard)
 	}
 	return registrystore.ReplicationTopic
@@ -117,20 +102,12 @@ func startRegistry(d *core.Domain, dir *nameservice.Directory, opts registryOpts
 		return nil, fmt.Errorf("flipcd: -standby requires -waldir and -registry-stream")
 	}
 	if opts.ShardMap != "" {
-		if strings.ContainsRune(opts.ShardMap, '/') || strings.ContainsRune(opts.ShardMap, '\\') {
-			j, err := shardmap.OpenJournal(opts.ShardMap, shardmap.JournalOptions{})
-			if err != nil {
-				return nil, err
-			}
-			rn.sjournal = j
-		} else {
-			m, err := shardmap.ParseSpec(opts.ShardMap)
-			if err != nil {
-				return nil, err
-			}
-			rn.smap = m
+		m, err := shardmap.ParseSpec(opts.ShardMap)
+		if err != nil {
+			return nil, err
 		}
-		if _, ok := rn.shardMap().Entry(opts.Shard); !ok {
+		rn.smap = m
+		if _, ok := m.Entry(opts.Shard); !ok {
 			return nil, fmt.Errorf("flipcd: shard %d not in map %q", opts.Shard, opts.ShardMap)
 		}
 		rn.peerCli = make(map[uint32]*nameservice.Client)
@@ -157,8 +134,8 @@ func startRegistry(d *core.Domain, dir *nameservice.Directory, opts registryOpts
 			}
 		})
 	}
-	if rn.sharded() {
-		srv.SetShards(opts.Shard, rn.shardMap)
+	if rn.smap != nil {
+		srv.SetShards(opts.Shard, rn.smap)
 	}
 
 	switch {
@@ -317,7 +294,7 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 			continue
 		case <-tick.C:
 		}
-		if rn.sharded() {
+		if rn.smap != nil {
 			rn.probeShards()
 		}
 		if rn.mgr == nil || rn.mgr.Role() == registrystore.RolePrimary {
@@ -401,11 +378,7 @@ const probeTimeout = 250 * time.Millisecond
 // call. Shards with no hint report unprobed (the roll-up treats them
 // as unknown, not dead).
 func (rn *registryNode) probeShards() {
-	m := rn.shardMap()
-	if m == nil {
-		return
-	}
-	for _, e := range m.Entries() {
+	for _, e := range rn.smap.Entries() {
 		st := registrystore.ShardHealth{Shard: e.ID, Role: "unknown"}
 		switch {
 		case e.ID == rn.opts.Shard:
@@ -467,7 +440,7 @@ func (rn *registryNode) registerHealth(reg *metrics.Registry) {
 			return h, !h.Degraded()
 		})
 	}
-	if rn.sharded() {
+	if rn.smap != nil {
 		reg.Status("shards", func() (any, bool) {
 			sh := rn.shardHealth()
 			return sh, !slices.ContainsFunc(sh, registrystore.ShardHealth.Degraded)
@@ -478,14 +451,10 @@ func (rn *registryNode) registerHealth(reg *metrics.Registry) {
 // shardHealth is the per-shard roll-up: the cached per-shard status,
 // ordered by shard id (the map's entry order).
 func (rn *registryNode) shardHealth() []registrystore.ShardHealth {
-	m := rn.shardMap()
-	if m == nil {
-		return nil
-	}
 	rn.peerMu.Lock()
 	defer rn.peerMu.Unlock()
-	out := make([]registrystore.ShardHealth, 0, m.Len())
-	for _, e := range m.Entries() {
+	out := make([]registrystore.ShardHealth, 0, rn.smap.Len())
+	for _, e := range rn.smap.Entries() {
 		if st, ok := rn.peerStatus[e.ID]; ok {
 			out = append(out, st)
 		} else {

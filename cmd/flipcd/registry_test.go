@@ -205,3 +205,17 @@ func TestStandbyStoreFailureDoesNotPromote(t *testing.T) {
 		t.Fatalf("stream delivered up to %d, primary at %d", rn.apply.Delivered(), stA.Seq())
 	}
 }
+
+// TestShardMapPathRefusedUntouched: -shardmap takes only an inline
+// spec. A file path is refused as a bad spec, and no file is created
+// at that path.
+func TestShardMapPathRefusedUntouched(t *testing.T) {
+	d := testDomain(t, interconnect.NewFabric(64), 0)
+	path := filepath.Join(t.TempDir(), "shardmap.log")
+	if _, err := startRegistry(d, nameservice.New(), registryOpts{ShardMap: path}); err == nil {
+		t.Fatalf("startRegistry accepted -shardmap %q", path)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("startRegistry left a file at %s (stat err %v)", path, err)
+	}
+}

@@ -403,7 +403,7 @@ func (l *Log) rotateLocked(first uint64) error {
 		return err
 	}
 	path := filepath.Join(l.dir, segName(first))
-	f, err := recio.OpenFile(path, l.opt.NoSync, nil)
+	f, err := recio.OpenFile(path, l.opt.NoSync)
 	if err != nil {
 		return l.check(err)
 	}

@@ -143,7 +143,7 @@ func FuzzServerProcess(f *testing.F) {
 		for _, sharded := range []bool{false, true} {
 			s := &Server{dir: New(), topics: NewTopicRegistry()}
 			if sharded {
-				s.SetShards(0, func() *shardmap.Map { return shardMap })
+				s.SetShards(0, shardMap)
 			}
 			for i := uint16(1); i <= 40; i++ {
 				a, err := wire.MakeAddr(3, i%64, 1)

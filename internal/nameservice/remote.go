@@ -462,10 +462,10 @@ type Server struct {
 	out    *msglib.Outbox
 	info   func() RegistryInfo
 
-	// Sharded deployments: this node's shard id and the shard-map
-	// source (SetShards). A nil source serves the whole namespace.
+	// Sharded deployments: this node's shard id and the shard map
+	// (SetShards). A nil map serves the whole namespace.
 	shardSelf uint32
-	shards    func() *shardmap.Map
+	shards    *shardmap.Map
 }
 
 // NewServer creates a server on domain d backed by dir. window sizes
@@ -499,33 +499,23 @@ func NewServerWith(d *core.Domain, dir *Directory, topics *TopicRegistry, window
 // primary at the registry's current generation with sequence 0.
 func (s *Server) SetInfo(fn func() RegistryInfo) { s.info = fn }
 
-// SetShards makes the server shard-aware: it is shard self in the map
-// served by fn (called per request — the map may be swapped on splits
-// and merges). Topic ops on names the map assigns elsewhere answer
-// statusNotOwner, and op 10 serves the map to clients. Wiring-time
-// configuration, like SetInfo: install before the serve loop starts.
-func (s *Server) SetShards(self uint32, fn func() *shardmap.Map) {
+// SetShards makes the server shard-aware: it is shard self in m.
+// Topic ops on names the map assigns elsewhere answer statusNotOwner,
+// and op 10 serves the map to clients. Wiring-time configuration, like
+// SetInfo: install before the serve loop starts.
+func (s *Server) SetShards(self uint32, m *shardmap.Map) {
 	s.shardSelf = self
-	s.shards = fn
-}
-
-// shardMap returns the current shard map, nil at an unsharded server.
-func (s *Server) shardMap() *shardmap.Map {
-	if s.shards == nil {
-		return nil
-	}
-	return s.shards()
+	s.shards = m
 }
 
 // routeFor resolves a topic's owning shard, reporting whether this
 // node owns it. Unsharded servers, unroutable names, and reserved
 // "!"-prefixed infrastructure topics are always owned locally.
 func (s *Server) routeFor(name string) (uint32, bool) {
-	m := s.shardMap()
-	if m == nil || name == "" || name[0] == '!' {
+	if s.shards == nil || name == "" || name[0] == '!' {
 		return s.shardSelf, true
 	}
-	if owner, ok := m.ShardOf(name); ok {
+	if owner, ok := s.shards.ShardOf(name); ok {
 		return owner, owner == s.shardSelf
 	}
 	return s.shardSelf, true
@@ -679,14 +669,13 @@ func (s *Server) listResponse(q *request) []byte {
 // (unsharded deployment).
 func (s *Server) shardMapResponse(q *request) []byte {
 	resp := append(q.resp, make([]byte, shardMapHeaderBytes+1-len(q.resp))...)
-	m := s.shardMap()
-	if m == nil {
+	if s.shards == nil {
 		resp[0] = statusNotFound
 		return resp
 	}
 	binary.BigEndian.PutUint32(resp[1:5], s.shardSelf)
-	binary.BigEndian.PutUint64(resp[9:17], m.Epoch())
-	entries := m.Entries()
+	binary.BigEndian.PutUint64(resp[9:17], s.shards.Epoch())
+	entries := s.shards.Entries()
 	binary.BigEndian.PutUint16(resp[17:19], uint16(len(entries)))
 	for i := q.offset; i < len(entries) && resp[19] < 255 && len(resp)+shardEntryBytes <= cap(q.resp); i++ {
 		resp = binary.BigEndian.AppendUint32(resp, entries[i].ID)

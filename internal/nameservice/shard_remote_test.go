@@ -36,7 +36,7 @@ func newShardedRig(t *testing.T, self uint32, m *shardmap.Map) (*Server, *Client
 		t.Fatal(err)
 	}
 	if m != nil {
-		srv.SetShards(self, func() *shardmap.Map { return m })
+		srv.SetShards(self, m)
 	}
 	go srv.Serve(5)
 	cli, err := NewClient(cd, srv.Addr())

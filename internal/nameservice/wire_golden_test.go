@@ -86,7 +86,7 @@ func goldenServer(t testing.TB, sharded, primary bool) *Server {
 	s := &Server{dir: New(), topics: NewTopicRegistry()}
 	s.SetInfo(func() RegistryInfo { return RegistryInfo{Primary: primary, Gen: 7, Seq: 42, Epoch: 3} })
 	if sharded {
-		s.SetShards(0, func() *shardmap.Map { return goldenMap })
+		s.SetShards(0, goldenMap)
 		for name, want := range map[string]uint32{"big": 0, "alarms": 0, "gw-a/c3": 0, "radar": 1, "gw-a/c1": 1, "!registry": 2} {
 			if got, _ := goldenMap.ShardOf(name); got != want {
 				t.Fatalf("golden name %q hashes to shard %d, the goldens assume %d", name, got, want)
@@ -229,7 +229,7 @@ func goldenRig(t testing.TB) (*Server, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetShards(0, func() *shardmap.Map { return goldenMap })
+	srv.SetShards(0, goldenMap)
 	cli, err := NewClient(mk(1), srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -55,22 +55,19 @@ func ScanFile(path string, repair bool, scan func(b []byte) (int, error)) (intac
 }
 
 // OpenFile opens (creating if necessary) the record file at path for
-// appending, after ScanFile has replayed it through scan and truncated
-// any torn tail; a nil scan expects a new file. An error from scan
-// aborts the open and leaves the file as it was.
-func OpenFile(path string, nosync bool, scan func(b []byte) (int, error)) (*File, error) {
-	if scan == nil {
-		scan = func(b []byte) (int, error) { return len(b), nil }
-	}
-	size, _, err := ScanFile(path, true, scan)
+// appending behind what it already holds. A file that may have a torn
+// tail goes through ScanFile with repair first.
+func OpenFile(path string, nosync bool) (*File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, err
-	}
-	f := &File{nosync: nosync, size: size}
-	if f.f, err = os.OpenFile(path, os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644); err != nil {
 		return nil, fmt.Errorf("recio: %w", err)
 	}
-	return f, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("recio: %w", err)
+	}
+	return &File{nosync: nosync, f: f, size: fi.Size()}, nil
 }
 
 // check makes a non-nil err the file's sticky error.

@@ -24,8 +24,8 @@ func frames(t *testing.T, seqs ...uint64) (all []byte, each [][]byte) {
 // TestOpenFileRecoversIntactPrefix is the torn-tail discipline on one
 // table: whatever follows the last intact frame — a short frame, a
 // frame that fails its checksum, a frame the owner's scan stops at — is
-// cut off at open, appends continue behind the prefix, and a reopen
-// sees both.
+// cut off by a repairing scan, appends through OpenFile continue behind
+// the prefix, and a rescan sees both.
 func TestOpenFileRecoversIntactPrefix(t *testing.T) {
 	all, each := frames(t, 1, 2, 3)
 	corruptMiddle := append([]byte{}, all...)
@@ -68,12 +68,15 @@ func TestOpenFileRecoversIntactPrefix(t *testing.T) {
 				}
 				return n, err
 			}
-			f, err := OpenFile(path, true, collect)
+			if _, _, err := ScanFile(path, true, collect); err != nil {
+				t.Fatal(err)
+			}
+			f, err := OpenFile(path, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(tc.want) {
-				t.Fatalf("open replayed %v, want %v", got, tc.want)
+				t.Fatalf("scan replayed %v, want %v", got, tc.want)
 			}
 			var prefix int64
 			for i := range tc.want {
@@ -116,11 +119,11 @@ func TestOpenFileCallbackErrorLeavesFileAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("cannot apply")
-	if _, err := OpenFile(path, true, func([]byte) (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("open: %v, want the callback's error", err)
+	if _, _, err := ScanFile(path, true, func([]byte) (int, error) { return 0, boom }); !errors.Is(err, boom) {
+		t.Fatalf("repairing scan: %v, want the callback's error", err)
 	}
 	if now, _ := os.ReadFile(path); !bytes.Equal(now, disk) {
-		t.Fatal("a failed open modified the file")
+		t.Fatal("a failed repairing scan modified the file")
 	}
 	count := func(b []byte) (int, error) { return Scan(b, func(Frame, int) error { return nil }) }
 	if _, torn, _ := ScanFile(path, false, count); torn != 4 {
@@ -137,7 +140,7 @@ func TestOpenFileCallbackErrorLeavesFileAlone(t *testing.T) {
 // sticky from merely still-broken.
 func TestFileStickyError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "rec.log")
-	f, err := OpenFile(path, false, nil)
+	f, err := OpenFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}

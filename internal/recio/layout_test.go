@@ -2,13 +2,13 @@ package recio_test
 
 // The record-file clients, opened over directories laid out byte by
 // byte here in the formats the tree wrote before they shared
-// recio.File (wal.log + snapshot.dat v1 and v2, the shard journal,
-// seg-%016x.log + cursors.dat) — and, the other way round, the bytes
-// each client writes today compared with that layout. Together: an old
-// directory opens under this code with the same recovered state, and a
-// directory this code writes is one this code and the layouts above
-// describe. A registry directory's journal is a duralog now: an old
-// wal.log is replayed once and retired by the first snapshot.
+// recio.File (wal.log + snapshot.dat v1 and v2, seg-%016x.log +
+// cursors.dat) — and, the other way round, the bytes each client
+// writes today compared with that layout. Together: an old directory
+// opens under this code with the same recovered state, and a directory
+// this code writes is one this code and the layouts above describe. A
+// registry directory's journal is a duralog now: an old wal.log is
+// replayed once and retired by the first snapshot.
 
 import (
 	"bytes"
@@ -23,7 +23,6 @@ import (
 	"flipc/internal/nameservice"
 	"flipc/internal/recio"
 	"flipc/internal/registrystore"
-	"flipc/internal/shardmap"
 	"flipc/internal/wire"
 )
 
@@ -177,50 +176,6 @@ func TestRegistryDirectoryLayout(t *testing.T) {
 			t.Fatalf("snapshot v%d: reopen after compaction diverged:\n got %+v\nwant %+v", ver, reg2.ExportState(), reg.ExportState())
 		}
 	}
-}
-
-func TestShardJournalLayout(t *testing.T) {
-	recs := []shardmap.Record{
-		{Type: shardmap.RecAdd, Seq: 1, Epoch: 1, Entry: shardmap.Entry{ID: 0}},
-		{Type: shardmap.RecAdd, Seq: 2, Epoch: 2, Entry: shardmap.Entry{ID: 1}},
-		{Type: shardmap.RecAddr, Seq: 3, Epoch: 3, Entry: shardmap.Entry{ID: 1, Addr: 0xC0DE}},
-	}
-	var layout []byte
-	for i := range recs {
-		var err error
-		if layout, err = shardmap.AppendRecord(layout, &recs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "shardmap.log")
-	writeFile(t, path, append(append([]byte{}, layout...), layout[:11]...)) // torn fourth record
-	old, err := shardmap.OpenJournal(path, shardmap.JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	wantFile(t, path, layout)
-
-	path2 := filepath.Join(t.TempDir(), "shardmap.log")
-	j, err := shardmap.OpenJournal(path2, shardmap.JournalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if err := j.Add(shardmap.Entry{ID: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Add(shardmap.Entry{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SetAddr(1, 0xC0DE); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(old.Map().Entries(), j.Map().Entries()) || old.Map().Epoch() != 3 || j.Map().Epoch() != 3 || old.Seq() != j.Seq() {
-		t.Fatalf("opened layout: %v epoch %d seq %d; written: %v epoch %d seq %d",
-			old.Map().Entries(), old.Map().Epoch(), old.Seq(), j.Map().Entries(), j.Map().Epoch(), j.Seq())
-	}
-	wantFile(t, path2, layout)
 }
 
 // ack is a cursor record journaled behind payload record `after`.

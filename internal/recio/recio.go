@@ -1,15 +1,15 @@
 // Package recio is the CRC-framed durable record codec and the
-// record-file discipline shared by internal/duralog (per-topic payload
-// segments, the registry's journal among them) and internal/shardmap
-// (the shard-map journal); internal/registrystore frames its records
-// with it and reads a pre-duralog wal.log through ScanFile. It owns
-// the frame layout, the file discipline, and the mixed-version upgrade
-// story; record *semantics* (what a type byte means, how a body is
-// parsed) stay with the owning package.
+// record-file discipline of internal/duralog (per-topic payload
+// segments, the registry's journal among them); internal/registrystore
+// frames its records with it and reads a pre-duralog wal.log through
+// ScanFile. It owns the frame layout, the file discipline, and the
+// mixed-version upgrade story; record *semantics* (what a type byte
+// means, how a body is parsed) stay with the owning package.
 //
 // The file discipline, stated once (File, ScanFile, ReplaceFile):
 //
-//   - Torn tail. A record file is its intact prefix: opening one hands
+//   - Torn tail. A record file is its intact prefix: recovering one
+//     (ScanFile with repair, before OpenFile appends behind it) hands
 //     the bytes to the owner's scan (Scan, or its own loop over Decode),
 //     which stops at the first record that is short, fails its checksum
 //     or does not parse, and the file is truncated there. A record cut
@@ -45,12 +45,11 @@
 //	body = [0:2] extension length e | [2:2+e] extension | [2+e:n] payload
 //
 // The extension area is the flag-day escape hatch: a v1 writer can
-// attach new per-record fields (shard epochs, trace context) that a v1
-// reader which doesn't understand them skips structurally, because the
-// length is explicit. Writers stamp v1; readers accept both versions,
-// so a log or replication stream written by an old node replays on a
-// new one mid-upgrade — the prerequisite ROADMAP names for shard
-// splits rolling out without a flag day.
+// attach new per-record fields (trace context, say) that a v1 reader
+// which doesn't understand them skips structurally, because the length
+// is explicit. Writers stamp v1; readers accept both versions, so a log
+// or replication stream written by an old node replays on a new one
+// mid-upgrade.
 //
 // The codec is canonical per version: decoding a frame and re-encoding
 // the result (the Frame preserves its decoded version and extension

@@ -1,11 +1,8 @@
 // Package shardmap is the consistent-hash shard map that partitions
 // the topic namespace across N independent registry shards. The map is
-// deliberately tiny — a handful of entries, a virtual-node ring, and a
-// monotone epoch — because it is itself a replicated object: every
-// mutation (add, remove, address hint) is journaled as a recio v1
-// record whose extension area carries the post-mutation shard epoch,
-// so a reader that predates the extension still replays the entry
-// payload and a shard split rolls out mixed-version, no flag day.
+// deliberately tiny — a handful of entries, a virtual-node ring, and an
+// epoch — and it is configuration: every registry node is started with
+// the same spec, so no node ever has to learn a change from another.
 //
 // Routing is a pure function of the map: ShardOf hashes the topic name
 // onto a 64-bit ring of virtual points (Weight points per shard) and
@@ -14,10 +11,9 @@
 // hash — the stream for shard n must live on shard n, whatever the
 // ring says.
 //
-// The Map is not internally synchronized: it is built (or replayed)
-// once and read concurrently, and mutations go through a holder that
-// swaps whole maps (topic.ShardedDirectory, shardmap.Journal) or are
-// externally serialized.
+// A Map is immutable once built (ParseSpec, or Restore from a remote
+// shard-map fetch), so it is read concurrently without a lock; a new
+// map is a new value.
 package shardmap
 
 import (
@@ -28,10 +24,10 @@ import (
 	"strings"
 )
 
-// DefaultWeight is the virtual-node count used for entries added with
-// Weight 0. 64 points per shard keeps the largest/smallest ownership
-// arc within ~2x at small N, which is as balanced as a topic namespace
-// hashed by name can use.
+// DefaultWeight is the virtual-node count of an entry with Weight 0.
+// 64 points per shard keeps the largest/smallest ownership arc within
+// ~2x at small N, which is as balanced as a topic namespace hashed by
+// name can use.
 const DefaultWeight = 64
 
 // reservedStreamPrefix mirrors registrystore.ShardReplicationTopic:
@@ -49,62 +45,26 @@ type Entry struct {
 	Addr   uint32
 }
 
-// entryBytes is the fixed encoding of one Entry: id(4) weight(2) addr(4).
-const entryBytes = 10
-
 type point struct {
 	hash uint64
 	id   uint32
 }
 
 // Map is a consistent-hash shard map: entries sorted by ID, virtual
-// points sorted by hash, and an epoch that moves on every mutation so
-// routers and servers can detect staleness (the NotOwner redirect).
+// points sorted by hash, and an epoch that names the map version (a
+// paged shard-map fetch that sees it change starts over).
 type Map struct {
 	epoch   uint64
 	entries []Entry
 	ring    []point
 }
 
-// New returns an empty map at epoch 0.
-func New() *Map { return &Map{} }
-
-// Restore builds a map directly from an epoch and entry set (a decoded
-// snapshot or a remote shard-map fetch).
+// Restore builds a map from an epoch and entry set (a remote shard-map
+// fetch, or ParseSpec): it sorts the entries, applies the default
+// weight, and builds the ring.
 func Restore(epoch uint64, entries []Entry) *Map {
 	m := &Map{epoch: epoch, entries: append([]Entry(nil), entries...)}
-	m.normalize()
-	return m
-}
-
-// Epoch returns the map epoch: monotone across mutations, carried in
-// journal record extensions and the shard-map remote op.
-func (m *Map) Epoch() uint64 { return m.epoch }
-
-// Len returns the number of shards.
-func (m *Map) Len() int { return len(m.entries) }
-
-// Entries returns the shard entries, sorted by ID. The slice is a
-// copy.
-func (m *Map) Entries() []Entry { return append([]Entry(nil), m.entries...) }
-
-// Entry returns the entry for shard id.
-func (m *Map) Entry(id uint32) (Entry, bool) {
-	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].ID >= id })
-	if i < len(m.entries) && m.entries[i].ID == id {
-		return m.entries[i], true
-	}
-	return Entry{}, false
-}
-
-// Clone returns an independent copy.
-func (m *Map) Clone() *Map { return Restore(m.epoch, m.entries) }
-
-// normalize sorts entries, applies the default weight, and rebuilds
-// the ring.
-func (m *Map) normalize() {
 	sort.Slice(m.entries, func(i, j int) bool { return m.entries[i].ID < m.entries[j].ID })
-	m.ring = m.ring[:0]
 	for i := range m.entries {
 		if m.entries[i].Weight == 0 {
 			m.entries[i].Weight = DefaultWeight
@@ -123,45 +83,26 @@ func (m *Map) normalize() {
 		}
 		return m.ring[i].id < m.ring[j].id // deterministic on (vanishingly rare) collisions
 	})
+	return m
 }
 
-// Add inserts a shard and bumps the epoch. Weight 0 takes
-// DefaultWeight.
-func (m *Map) Add(e Entry) error {
-	if _, ok := m.Entry(e.ID); ok {
-		return fmt.Errorf("shardmap: shard %d already mapped", e.ID)
-	}
-	m.entries = append(m.entries, e)
-	m.normalize()
-	m.epoch++
-	return nil
-}
+// Epoch returns the map epoch, carried by the shard-map remote op.
+func (m *Map) Epoch() uint64 { return m.epoch }
 
-// Remove deletes a shard (a merge: its arc falls to the ring
-// successors) and bumps the epoch.
-func (m *Map) Remove(id uint32) error {
-	for i, e := range m.entries {
-		if e.ID == id {
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			m.normalize()
-			m.epoch++
-			return nil
-		}
-	}
-	return fmt.Errorf("shardmap: shard %d not mapped", id)
-}
+// Len returns the number of shards.
+func (m *Map) Len() int { return len(m.entries) }
 
-// SetAddr updates a shard's endpoint hint and bumps the epoch (a
-// failover moved the shard's primary; routers re-probe).
-func (m *Map) SetAddr(id uint32, addr uint32) error {
-	for i := range m.entries {
-		if m.entries[i].ID == id {
-			m.entries[i].Addr = addr
-			m.epoch++
-			return nil
-		}
+// Entries returns the shard entries, sorted by ID. The slice is a
+// copy.
+func (m *Map) Entries() []Entry { return append([]Entry(nil), m.entries...) }
+
+// Entry returns the entry for shard id.
+func (m *Map) Entry(id uint32) (Entry, bool) {
+	i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].ID >= id })
+	if i < len(m.entries) && m.entries[i].ID == id {
+		return m.entries[i], true
 	}
-	return fmt.Errorf("shardmap: shard %d not mapped", id)
+	return Entry{}, false
 }
 
 // ShardOf routes a topic name to its owning shard. Reserved per-shard
@@ -186,68 +127,12 @@ func (m *Map) ShardOf(name string) (uint32, bool) {
 	return m.ring[i].id, true
 }
 
-// Encode appends the map's snapshot encoding to dst:
-// epoch(8) | count(2) | count x entry(10). This is both the RecSnap
-// journal payload and the shard-map remote op's entry layout.
-func (m *Map) Encode(dst []byte) []byte {
-	var hdr [10]byte
-	binary.BigEndian.PutUint64(hdr[0:8], m.epoch)
-	binary.BigEndian.PutUint16(hdr[8:10], uint16(len(m.entries)))
-	dst = append(dst, hdr[:]...)
-	for _, e := range m.entries {
-		dst = appendEntry(dst, e)
-	}
-	return dst
-}
-
-// DecodeMap parses a snapshot encoding produced by Encode.
-func DecodeMap(b []byte) (*Map, error) {
-	if len(b) < 10 {
-		return nil, fmt.Errorf("shardmap: snapshot %d bytes, need 10", len(b))
-	}
-	epoch := binary.BigEndian.Uint64(b[0:8])
-	count := int(binary.BigEndian.Uint16(b[8:10]))
-	if len(b) != 10+count*entryBytes {
-		return nil, fmt.Errorf("shardmap: snapshot %d bytes, want %d for %d entries",
-			len(b), 10+count*entryBytes, count)
-	}
-	entries := make([]Entry, count)
-	for i := 0; i < count; i++ {
-		entries[i] = decodeEntry(b[10+i*entryBytes:])
-	}
-	seen := map[uint32]bool{}
-	for _, e := range entries {
-		if seen[e.ID] {
-			return nil, fmt.Errorf("shardmap: snapshot repeats shard %d", e.ID)
-		}
-		seen[e.ID] = true
-	}
-	return Restore(epoch, entries), nil
-}
-
-func appendEntry(dst []byte, e Entry) []byte {
-	var buf [entryBytes]byte
-	binary.BigEndian.PutUint32(buf[0:4], e.ID)
-	binary.BigEndian.PutUint16(buf[4:6], e.Weight)
-	binary.BigEndian.PutUint32(buf[6:10], e.Addr)
-	return append(dst, buf[:]...)
-}
-
-func decodeEntry(b []byte) Entry {
-	return Entry{
-		ID:     binary.BigEndian.Uint32(b[0:4]),
-		Weight: binary.BigEndian.Uint16(b[4:6]),
-		Addr:   binary.BigEndian.Uint32(b[6:10]),
-	}
-}
-
 // ParseSpec builds a map from a flag-friendly spec: comma-separated
 // shard elements "id", "id@hexaddr", or "id@hexaddr*weight" (the addr
 // is an endpoint hint as flipcd prints them, with or without 0x). The
-// map starts at epoch = element count, as if each shard had been Added
-// in order.
+// map's epoch is the element count.
 func ParseSpec(spec string) (*Map, error) {
-	m := New()
+	var entries []Entry
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -276,22 +161,26 @@ func ParseSpec(spec string) (*Map, error) {
 			return nil, fmt.Errorf("shardmap: bad shard id in %q: %w", part, err)
 		}
 		e.ID = uint32(id)
-		if err := m.Add(e); err != nil {
-			return nil, err
+		for _, prev := range entries {
+			if prev.ID == e.ID {
+				return nil, fmt.Errorf("shardmap: shard %d already mapped", e.ID)
+			}
 		}
+		entries = append(entries, e)
 	}
-	if m.Len() == 0 {
+	if len(entries) == 0 {
 		return nil, fmt.Errorf("shardmap: empty spec %q", spec)
 	}
-	return m, nil
+	return Restore(uint64(len(entries)), entries), nil
 }
 
 // fnv64 is FNV-1a with an avalanche finalizer, the routing hash: fast,
-// allocation-free, and stable across versions (the ring layout is part
-// of the replicated state, so this function can never change without a
-// map-epoch migration). The finalizer matters: raw FNV-1a mixes the
-// final differing byte through a single multiply, which clusters the
-// near-identical vnode keys badly enough to unbalance the ring.
+// allocation-free, and stable across versions (a node hashing
+// differently would route names to other shards than its peers do, so
+// this function can never change without a fleet-wide reconfiguration).
+// The finalizer matters: raw FNV-1a mixes the final differing byte
+// through a single multiply, which clusters the near-identical vnode
+// keys badly enough to unbalance the ring.
 func fnv64(b []byte) uint64 {
 	const (
 		offset = 14695981039346656037

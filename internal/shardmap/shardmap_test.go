@@ -5,20 +5,18 @@ import (
 	"testing"
 )
 
-func threeShards(t *testing.T) *Map {
+func spec(t *testing.T, s string) *Map {
 	t.Helper()
-	m := New()
-	for id := uint32(0); id < 3; id++ {
-		if err := m.Add(Entry{ID: id}); err != nil {
-			t.Fatal(err)
-		}
+	m, err := ParseSpec(s)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
 
 func TestRoutingDeterministicAndTotal(t *testing.T) {
-	m := threeShards(t)
-	n := m.Clone()
+	m := spec(t, "0,1,2")
+	n := spec(t, "0,1,2")
 	counts := map[uint32]int{}
 	for i := 0; i < 3000; i++ {
 		name := fmt.Sprintf("topic-%d", i)
@@ -41,16 +39,16 @@ func TestRoutingDeterministicAndTotal(t *testing.T) {
 	}
 }
 
+// TestRemoveOnlyMovesVictimsTopics is the property an operator relies
+// on when a fleet's spec drops a shard: only that shard's topics move.
 func TestRemoveOnlyMovesVictimsTopics(t *testing.T) {
-	m := threeShards(t)
+	m := spec(t, "0,1,2")
 	owner := map[string]uint32{}
 	for i := 0; i < 1000; i++ {
 		name := fmt.Sprintf("t%d", i)
 		owner[name], _ = m.ShardOf(name)
 	}
-	if err := m.Remove(1); err != nil {
-		t.Fatal(err)
-	}
+	m = spec(t, "0,2")
 	for name, was := range owner {
 		now, ok := m.ShardOf(name)
 		if !ok {
@@ -66,38 +64,8 @@ func TestRemoveOnlyMovesVictimsTopics(t *testing.T) {
 	}
 }
 
-func TestEpochMovesOnEveryMutation(t *testing.T) {
-	m := New()
-	if m.Epoch() != 0 {
-		t.Fatalf("fresh map at epoch %d", m.Epoch())
-	}
-	steps := []func() error{
-		func() error { return m.Add(Entry{ID: 7}) },
-		func() error { return m.Add(Entry{ID: 9}) },
-		func() error { return m.SetAddr(9, 0xABCD) },
-		func() error { return m.Remove(7) },
-	}
-	for i, step := range steps {
-		if err := step(); err != nil {
-			t.Fatal(err)
-		}
-		if got := m.Epoch(); got != uint64(i+1) {
-			t.Fatalf("after mutation %d epoch is %d", i+1, got)
-		}
-	}
-	if err := m.Add(Entry{ID: 9}); err == nil {
-		t.Fatal("duplicate Add accepted")
-	}
-	if err := m.Remove(42); err == nil {
-		t.Fatal("Remove of unmapped shard accepted")
-	}
-	if m.Epoch() != uint64(len(steps)) {
-		t.Fatalf("failed mutations moved the epoch to %d", m.Epoch())
-	}
-}
-
 func TestReservedStreamRoutesToItsShard(t *testing.T) {
-	m := threeShards(t)
+	m := spec(t, "0,1,2")
 	for id := uint32(0); id < 3; id++ {
 		got, ok := m.ShardOf(fmt.Sprintf("!registry/%d", id))
 		if !ok || got != id {
@@ -111,52 +79,6 @@ func TestReservedStreamRoutesToItsShard(t *testing.T) {
 	}
 	if _, ok := m.ShardOf("!registry"); !ok {
 		t.Fatal("legacy !registry not routable")
-	}
-}
-
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	m := New()
-	if err := m.Add(Entry{ID: 3, Weight: 17, Addr: 0xDEAD}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Add(Entry{ID: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetAddr(0, 0xBEEF); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMap(m.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch() != m.Epoch() {
-		t.Fatalf("epoch %d != %d through the codec", got.Epoch(), m.Epoch())
-	}
-	ge, me := got.Entries(), m.Entries()
-	if len(ge) != len(me) {
-		t.Fatalf("entries %v != %v", ge, me)
-	}
-	for i := range ge {
-		if ge[i] != me[i] {
-			t.Fatalf("entry %d: %v != %v", i, ge[i], me[i])
-		}
-	}
-	for i := 0; i < 200; i++ {
-		name := fmt.Sprintf("x%d", i)
-		a, _ := m.ShardOf(name)
-		b, _ := got.ShardOf(name)
-		if a != b {
-			t.Fatalf("routing diverged through codec on %q: %d vs %d", name, a, b)
-		}
-	}
-	if _, err := DecodeMap([]byte{1, 2, 3}); err == nil {
-		t.Fatal("short snapshot accepted")
-	}
-	dup := Restore(1, []Entry{{ID: 5}}).Encode(nil)
-	dup = append(dup, dup[10:10+entryBytes]...)
-	dup[9] = 2 // two copies of shard 5
-	if _, err := DecodeMap(dup); err == nil {
-		t.Fatal("duplicate-entry snapshot accepted")
 	}
 }
 

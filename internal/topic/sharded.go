@@ -81,8 +81,8 @@ func (s *ShardedDirectory) ShardFor(topic string) (uint32, bool) {
 // lease, and the next renewal retries the failed one. Any other op goes
 // to the shard owning op.Name (a topic, or a presence key: presence is
 // spread by the client KEY's hash), following NotOwner redirects — a
-// stale local map during a split or merge — through the shared bounded
-// helper. A redirect that names a shard this directory never installed
+// stale local map while a new spec rolls out — through the shared
+// bounded helper. A redirect that names a shard this directory never installed
 // surfaces as ErrNoShard: the caller must refetch the map and install
 // the target, not loop.
 func (s *ShardedDirectory) Do(op nameservice.Op) (snap nameservice.TopicSnapshot, err error) {
