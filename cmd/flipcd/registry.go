@@ -200,7 +200,7 @@ func (rn *registryNode) startStandby() error {
 	// the client privileged so the server admits it.
 	client.Privileged = true
 	rn.client = client
-	rdir := topic.RemoteDirectory{C: client}
+	rdir := topic.RemoteDirectory{C: client, Timeout: rn.callTimeout()}
 	sub, err := topic.NewSubscriberDurable(rn.d, rdir, rn.replicationTopic(),
 		registrystore.ReplicationClass, 64, 64, fmt.Sprintf("standby/%d", rn.d.Buffer().Node()))
 	if err != nil {
@@ -210,13 +210,19 @@ func (rn *registryNode) startStandby() error {
 	return rn.resyncFromPrimary()
 }
 
+// callTimeout bounds each registry call housekeeping makes inline on a
+// standby (the stream lease renewal, each resync call): a quarter of the
+// lease interval, so a dead primary holds a tick up for less than the
+// tick itself and the failover detector runs on time.
+func (rn *registryNode) callTimeout() time.Duration { return rn.opts.LeaseInterval / 4 }
+
 // resyncFromPrimary rebuilds the replica's full state over the remote
 // protocol: registry info (generation + pre-export sequence), the
 // paged topic list, and one paged snapshot per topic. Remote snapshots
 // do not carry lease epochs, so every imported lease is restamped —
 // the same re-validation window a takeover grants.
 func (rn *registryNode) resyncFromPrimary() error {
-	const tmo = 2 * time.Second
+	tmo := rn.callTimeout()
 	info, err := rn.client.RegistryInfo(tmo)
 	if err != nil {
 		return err
@@ -268,16 +274,18 @@ func (rn *registryNode) promote() {
 	fmt.Printf("flipcd: registry promoted to primary at generation %d\n", gen)
 }
 
-// streamInterval is the replication stream's beat between lease ticks.
-// Each journal record is one stream frame: a standby drained only once a
-// lease tick takes one inbox (64 records) per tick, too few once a few
-// hundred subscriptions renew every TTL.
+// streamInterval is the replication stream's beat between lease ticks,
+// and the standby's failover detector's. Each journal record is one
+// stream frame: a standby drained only once a lease tick takes one inbox
+// (64 records) per tick, too few when a few hundred subscriptions join
+// or leave at once.
 const streamInterval = 10 * time.Millisecond
 
 // housekeeping runs the registry's periodic work until stop closes:
 // lease sweeps, quarantine eviction, replication pumping, compaction
-// (primary); stream draining, lease and cursor renewal, resync of a
-// stranded cursor, and failover detection (standby).
+// (primary); stream draining and failover detection on every stream
+// beat, lease and cursor renewal and resync of a stranded cursor on
+// every tick (standby).
 func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 	tick := time.NewTicker(rn.opts.LeaseInterval)
 	defer tick.Stop()
@@ -313,13 +321,12 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 			}
 			continue
 		}
-		// Standby: follow the stream. A self-demoted ex-primary (store
-		// failure) has no stream attached; it idles until an operator
-		// intervenes.
+		// Standby: keep the stream subscription alive. A self-demoted
+		// ex-primary (store failure) has no stream attached; it idles
+		// until an operator intervenes.
 		if rn.apply == nil {
 			continue
 		}
-		rn.streamBeat()
 		if rn.apply.NeedResync() {
 			if err := rn.resyncFromPrimary(); err != nil {
 				fmt.Printf("flipcd: standby resync: %v\n", err)
@@ -328,15 +335,13 @@ func (rn *registryNode) housekeeping(stop <-chan struct{}) {
 		if err := rn.apply.Renew(); err != nil {
 			fmt.Printf("flipcd: stream lease renewal: %v\n", err)
 		}
-		if rn.streamSilent() {
-			fmt.Printf("flipcd: no stream progress for %v, taking over\n", rn.opts.FailoverAfter)
-			rn.promote()
-		}
+		rn.streamBeat()
 	}
 }
 
 // streamBeat moves the replication stream: a primary publishes what it
-// journaled since the last beat, a standby applies what arrived.
+// journaled since the last beat; a standby applies what arrived and,
+// once the stream has been silent past the failover timeout, takes over.
 func (rn *registryNode) streamBeat() {
 	switch {
 	case rn.mgr == nil:
@@ -348,13 +353,17 @@ func (rn *registryNode) streamBeat() {
 		}
 	case rn.apply != nil:
 		rn.apply.Drain()
+		if rn.streamSilent() {
+			fmt.Printf("flipcd: no stream progress for %v, taking over\n", rn.opts.FailoverAfter)
+			rn.promote()
+		}
 	}
 }
 
 // streamSilent records replication-stream progress and reports whether
 // the stream has been silent past the failover timeout. Progress is a
 // *change* in the highest sequence the stream delivered since the
-// previous tick — the primary's heartbeats are journaled records, so a
+// previous beat — the primary's heartbeats are journaled records, so a
 // live primary moves it even when nothing mutates, and comparing against
 // the last observed value is what distinguishes "the primary is alive"
 // from "the primary was alive once". Not the journal head: a standby
@@ -366,11 +375,6 @@ func (rn *registryNode) streamSilent() bool {
 	}
 	return rn.opts.FailoverAfter > 0 && time.Since(rn.lastMoved) > rn.opts.FailoverAfter
 }
-
-// probeTimeout bounds one peer-shard RegistryInfo probe. Short: the
-// probe runs inline on the housekeeping tick and a dead shard must not
-// stall lease sweeps.
-const probeTimeout = 250 * time.Millisecond
 
 // probeShards refreshes the per-shard status cache behind the
 // /healthz roll-up: the local shard is read from the manager; every
@@ -427,7 +431,15 @@ func (rn *registryNode) probePeer(shard uint32, addr wire.Addr) (nameservice.Reg
 		rn.peerCli[shard] = cli
 		rn.peerMu.Unlock()
 	}
-	return cli.RegistryInfo(probeTimeout)
+	return cli.RegistryInfo(rn.probeTimeout())
+}
+
+// probeTimeout bounds one peer-shard RegistryInfo probe. The probes run
+// inline on the housekeeping tick, one after another: together they
+// may take a quarter of the lease interval, so dead shards cannot stall
+// lease sweeps or the failover detector.
+func (rn *registryNode) probeTimeout() time.Duration {
+	return rn.opts.LeaseInterval / time.Duration(4*rn.smap.Len())
 }
 
 // registerHealth registers the registry's health sources: "registry"

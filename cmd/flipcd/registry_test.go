@@ -1,12 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"flipc/internal/core"
+	"flipc/internal/faultinject"
 	"flipc/internal/interconnect"
 	"flipc/internal/nameservice"
 	"flipc/internal/registrystore"
@@ -217,5 +219,76 @@ func TestShardMapPathRefusedUntouched(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("startRegistry left a file at %s (stat err %v)", path, err)
+	}
+}
+
+// TestPartitionedPrimaryPromotesOnTime: a standby cut off from its
+// primary (every frame the primary sends it is lost; the primary itself
+// runs on) promotes within FailoverAfter + LeaseInterval of the cut. Its
+// housekeeping tick renews the stream lease at the silent primary, and
+// that call must not hold the tick — and with it the failover detector
+// — past the lease interval.
+func TestPartitionedPrimaryPromotesOnTime(t *testing.T) {
+	const lease, failAfter = 400 * time.Millisecond, time.Second
+	fabric := interconnect.NewFabric(1024)
+	domain := func(node wire.NodeID) (*core.Domain, *faultinject.Injector) {
+		t.Helper()
+		tr, err := fabric.Attach(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faultinject.Wrap(tr, faultinject.Config{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sized as flipcd sizes a registry node's domain.
+		d, err := core.NewDomain(core.Config{Node: node, MessageSize: 256, NumBuffers: 512, MaxEndpoints: 32}, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Close)
+		d.Start()
+		return d, inj
+	}
+	primD, cut := domain(0)
+	stbyD, _ := domain(1)
+
+	start := func(d *core.Domain, opts registryOpts) *registryNode {
+		t.Helper()
+		opts.WALDir, opts.LeaseInterval, opts.CompactEvery = t.TempDir(), lease, 1<<20
+		rn, err := startRegistry(d, nameservice.New(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() { defer close(done); rn.housekeeping(stop) }()
+		t.Cleanup(func() { close(stop); <-done; rn.st.Close() })
+		return rn
+	}
+	prim := start(primD, registryOpts{})
+	stby := start(stbyD, registryOpts{Standby: true, FailoverAfter: failAfter,
+		StreamAddr: fmt.Sprintf("%#x", uint32(prim.srv.Addr()))})
+
+	// The standby follows the primary's heartbeats before the cut.
+	deadline := time.Now().Add(5 * time.Second)
+	for stby.apply.Delivered() <= prim.st.SnapshotSeq()+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the standby never followed: delivered %d, primary at %d", stby.apply.Delivered(), prim.st.Seq())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	cut.Partition(1, true)
+	cutAt := time.Now()
+	for stby.mgr.Role() != registrystore.RolePrimary {
+		if time.Since(cutAt) > 10*time.Second {
+			t.Fatal("the standby never promoted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	took := time.Since(cutAt)
+	t.Logf("promoted %v after the cut (failover-after %v, lease interval %v)", took, failAfter, lease)
+	if took > failAfter+lease {
+		t.Fatalf("promoted %v after the cut, want within failover-after + lease interval = %v", took, failAfter+lease)
 	}
 }

@@ -55,8 +55,8 @@ func runFailover(o opts) error {
 	// (stable cursor name) dies with the primary registry, traffic
 	// continues into the log during the blackout, and a replacement
 	// resuming under the same name must recover every payload by replay
-	// — zero loss, exactly once, with the cursor plane itself surviving
-	// the failover.
+	// — zero loss, exactly once, from the cursor the publisher's log
+	// kept across the failover.
 	dur, err := sc.newDurable(p.dir, "data", "sim/ledger", pubNode, pubNode+1)
 	if err != nil {
 		return err
@@ -76,14 +76,13 @@ func runFailover(o opts) error {
 	}
 
 	// The durable stream must be fully delivered and fully acked —
-	// cursor at head in the log and registered with the primary — before
-	// the kill, so the replacement's resume point is exact and the
-	// cursor record is in the replication stream the standby applies.
-	if !sc.await(func() bool { return dur.atHead(r.regP) }) {
+	// cursor at head in the log — before the kill, so the replacement's
+	// resume point is exact.
+	if !sc.await(dur.atHead) {
 		return fmt.Errorf("durable stream never settled before the kill: %d/%d delivered", len(dur.seen), dur.published)
 	}
 	// Let the stream fully catch up. The target is captured once —
-	// renewals keep appending to the log while the clock runs, and
+	// heartbeats keep appending to the log while the clock runs, and
 	// chasing a moving head would never terminate.
 	target := r.stP.Seq()
 	if !sc.await(func() bool { return r.stS.Seq() >= target }) {
@@ -92,7 +91,7 @@ func runFailover(o opts) error {
 
 	// The kill. The durable subscriber dies with the primary — a
 	// compound failure: no unsubscribe, no farewell ack, the cursor's
-	// last registered position is all that survives.
+	// last acknowledged position in the log is all that survives.
 	p.takeover(0)
 	dur.alive = false
 	deadAddr := dur.current().Addr()
@@ -130,13 +129,13 @@ func runFailover(o opts) error {
 	}
 
 	// Phase two: same traffic against the new primary, with the durable
-	// stream back live; then quiesce the cursor onto the new primary.
+	// stream back live; then quiesce the log cursor at head.
 	sc.settleUntil(sc.phase(both), balanced(ctl))
 	after, err := summarize(ctl.lat...)
 	if err != nil {
 		return fmt.Errorf("post-failover phase: %w", err)
 	}
-	sc.await(func() bool { return dur.atHead(r.regS) })
+	sc.await(dur.atHead)
 
 	// Conservation across both phases: every publish completed without
 	// blocking and is accounted for at one end or the other.
@@ -156,7 +155,7 @@ func runFailover(o opts) error {
 	// kill — including the blackout tranche nobody was alive to hear —
 	// was delivered exactly once, and the only admissible loss class
 	// (retention stranding) is empty.
-	dl, err := dur.check(3*o.msgs, r.regS)
+	dl, err := dur.check(3 * o.msgs)
 	if err != nil {
 		return err
 	}
@@ -168,7 +167,7 @@ func runFailover(o opts) error {
 	}
 	fmt.Printf("data (durable): published %d (1/3 with its subscriber dead); delivered %d distinct, %d by replay; deferred %d, stranded %d\n",
 		dl.Published, dl.Live+dl.Replayed, recovered, dur.pub.Deferred(), dl.Stranded)
-	fmt.Printf("durable ledger: ok (zero payload loss across the kill; cursor %d at head on the new primary)\n", dur.log.Head())
+	fmt.Printf("durable ledger: ok (zero payload loss across the kill; log cursor %d at head)\n", dur.log.Head())
 
 	return reportDegradation("pre-failover", "post-failover", before, after, "after failover", 2)
 }

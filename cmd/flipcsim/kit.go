@@ -417,18 +417,16 @@ func (d *durable) drain() {
 func (d *durable) delivered() bool { return len(d.seen) == d.published }
 
 // atHead reports the quiesced state a kill may strike (or a run may
-// end) in: everything delivered, the log cursor at head, and the same
-// cursor registered with reg.
-func (d *durable) atHead(reg *nameservice.TopicRegistry) bool {
+// end) in: everything delivered and the log cursor at head.
+func (d *durable) atHead() bool {
 	cur, ok := d.log.Cursor(d.name)
-	rc, rok := reg.CursorOf(d.topic, d.name)
-	return d.delivered() && ok && cur == d.log.Head() && rok && rc == cur
+	return d.delivered() && ok && cur == d.log.Head()
 }
 
 // check is the end-of-run verdict: all publishes journaled, every
 // payload delivered exactly once across incarnations, the durable law
-// balanced with nothing stranded, and the cursor at head on reg.
-func (d *durable) check(publishes int, reg *nameservice.TopicRegistry) (topic.DurableLedger, error) {
+// balanced with nothing stranded, and the log cursor at head.
+func (d *durable) check(publishes int) (topic.DurableLedger, error) {
 	l := topic.DurableLaw(d.pub, d.subs...)
 	if d.published != publishes || d.log.Head() != uint64(d.published) {
 		return l, fmt.Errorf("durable journal short: %d published, head %d", d.published, d.log.Head())
@@ -444,10 +442,9 @@ func (d *durable) check(publishes int, reg *nameservice.TopicRegistry) (topic.Du
 	if l.Stranded != 0 {
 		return l, fmt.Errorf("durable stranded %d frames on an unbreached log", l.Stranded)
 	}
-	if !d.atHead(reg) {
+	if !d.atHead() {
 		cur, _ := d.log.Cursor(d.name)
-		rc, _ := reg.CursorOf(d.topic, d.name)
-		return l, fmt.Errorf("durable stream never quiesced: head %d, log cursor %d, registry cursor %d", d.log.Head(), cur, rc)
+		return l, fmt.Errorf("durable stream never quiesced: head %d, log cursor %d", d.log.Head(), cur)
 	}
 	return l, nil
 }

@@ -26,8 +26,8 @@ const nShards = 3
 //     promoted standby serves a superset of the primary's last state
 //     under a strictly higher generation, and the survivors' leases
 //     are untouched;
-//   - the durable cursor plane on a surviving shard is unperturbed:
-//     every payload exactly once, cursor at head, nothing stranded;
+//   - the durable stream on a surviving shard is unperturbed: every
+//     payload exactly once, its log cursor at head, nothing stranded;
 //   - conservation is exact per shard (the fanout law, with throttles
 //     zero on the uncredited control plane).
 func runShards(o opts) error {
@@ -47,7 +47,7 @@ func runShards(o opts) error {
 	// One control topic per shard, names found by searching the map
 	// (routing is deterministic, so so are the names), plus a durable
 	// data topic owned by shard 0 — a surviving shard, to prove the
-	// cursor plane elsewhere never flinches.
+	// durable stream elsewhere never flinches.
 	ctlTopic := map[uint32]string{}
 	for i := 0; len(ctlTopic) < nShards; i++ {
 		name := fmt.Sprintf("ctl-%d", i)
@@ -142,9 +142,8 @@ func runShards(o opts) error {
 	if err != nil {
 		return err
 	}
-	// Durable quiesce: every payload delivered, cursor at head on the
-	// log and registered with shard 0's (never killed) registry.
-	sc.await(func() bool { return dur.atHead(p.reps[0].regP) })
+	// Durable quiesce: every payload delivered, the log cursor at head.
+	sc.await(dur.atHead)
 
 	fmt.Printf("flipcsim -shards: %d nodes, %d shards, %d subscribers/topic, poll %v, gap %v\n",
 		o.nodes, nShards, nsubs, o.poll, o.gap)
@@ -184,13 +183,13 @@ func runShards(o opts) error {
 	}
 	fmt.Println("conservation: ok on every shard (zero subscriptions lost, no publisher blocked)")
 
-	// The durable ledger on surviving shard 0: exactly once, cursor at
-	// head, nothing stranded — the kill next door never touched it.
-	dl, err := dur.check(2*o.msgs, p.reps[0].regP)
+	// The durable ledger on surviving shard 0: exactly once, log cursor
+	// at head, nothing stranded — the kill next door never touched it.
+	dl, err := dur.check(2 * o.msgs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("durable ledger on shard 0: ok (%d payloads exactly once, cursor %d at head, stranded %d)\n",
+	fmt.Printf("durable ledger on shard 0: ok (%d payloads exactly once, log cursor %d at head, stranded %d)\n",
 		dl.Published, dur.log.Head(), dl.Stranded)
 
 	if err := reportIsolation(names, before, after, victim); err != nil {

@@ -59,7 +59,7 @@ func main() {
 	dir := topic.LocalDirectory{R: nameservice.NewTopicRegistry()}
 
 	// Subscribers join with a class and a private buffer pool — the
-	// topic's receive-side credit (size it with SubscriberBuffers).
+	// topic's receive-side credit (size it with flowctl.PeriodicBuffers).
 	mkSub := func(d *core.Domain, topicName string, class topic.Class) *topic.Subscriber {
 		s, err := topic.NewSubscriber(d, dir, topicName, class, 32, 32)
 		if err != nil {

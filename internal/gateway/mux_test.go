@@ -332,9 +332,11 @@ func TestPresenceLifecycle(t *testing.T) {
 	if n := h.reg.PresenceCount(); n != 1 {
 		t.Fatalf("presence after hello = %d", n)
 	}
-	ents := h.reg.PresenceEntries()
-	if len(ents) != 1 || ents[0].Key != "gw-a/sensor" || ents[0].Gateway != "gw-a" {
-		t.Fatalf("presence entries %+v", ents)
+	// The lease is keyed by gateway and client name: re-asserting that
+	// key renews it rather than adding a second.
+	ctlAddr, _ := wire.MakeAddr(1, 1, 1)
+	if err := h.reg.UpsertPresence("gw-a/sensor", "gw-a", ctlAddr); err != nil || h.reg.PresenceCount() != 1 {
+		t.Fatalf("re-asserting gw-a/sensor: %v, %d leases", err, h.reg.PresenceCount())
 	}
 	if by := h.reg.PresenceByGateway(); by["gw-a"] != 1 {
 		t.Fatalf("presence by gateway %+v", by)

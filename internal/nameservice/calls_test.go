@@ -21,10 +21,6 @@ func unsubscribe(c *Client, topic string, addr wire.Addr) error {
 	return do(c, Op{Kind: OpUnsubscribe, Name: topic, Addr: addr})
 }
 
-func ackCursor(c *Client, topic, sub string, seq uint64) error {
-	return do(c, Op{Kind: OpAckCursor, Name: topic, Sub: sub, Seq: seq})
-}
-
 func subscribePattern(c *Client, pat string, addr wire.Addr) error {
 	return do(c, Op{Kind: OpSubscribePattern, Name: pat, Addr: addr})
 }

@@ -59,7 +59,7 @@ func serverProcessSeeds() [][]byte {
 	add(mkReq(OpSubscribe, replyAddr, 0, "t", []byte{1}))                // invalid subscriber addr
 	// Sharded-registry extension: shard-map pages (in-range, past-end),
 	// reserved-topic mutations with and without the privilege marker,
-	// and a cursor ack on a reserved stream (always refused).
+	// and a request on the retired cursor-ack code 9 (unassigned).
 	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 0}))
 	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0, 0, 0, 2}))
 	add(mkReq(opShardMap, replyAddr, 17, "", []byte{0xFF, 0, 0, 0}))
@@ -67,7 +67,7 @@ func serverProcessSeeds() [][]byte {
 	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "!registry", []byte{0}))
 	add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "!registry/1", []byte{reservedMagic}))
 	add(mkReq(OpUnsubscribe, replyAddr, uint32(subAddr), "!registry", nil))
-	add(mkReq(OpAckCursor, replyAddr, 23, "!registry", append(
+	add(mkReq(9, replyAddr, 23, "!registry", append(
 		[]byte{0, 0, 0, 0, 0, 0, 0, 9, 3}, "sub"...)))
 	add(mkReq(OpSubscribe, replyAddr, uint32(subAddr), "seeded-topic", []byte{2}))
 	// Edge plane: pattern subscriptions (accepted at every shard) and

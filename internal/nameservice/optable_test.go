@@ -8,7 +8,7 @@ import (
 
 // allOps is every op constant the package declares.
 var allOps = []OpKind{opRegister, opLookup, opUnregister, OpSubscribe, OpUnsubscribe, OpSnapshot, opRegistryInfo,
-	opTopicList, OpAckCursor, opShardMap, OpSubscribePattern, OpUnsubscribePattern, OpUpsertPresence, OpDropPresence}
+	opTopicList, opShardMap, OpSubscribePattern, OpUnsubscribePattern, OpUpsertPresence, OpDropPresence}
 
 // TestOpTableComplete: every op constant has exactly one row and every
 // row an op constant, codes and names are unique, each row can answer,

@@ -431,23 +431,17 @@ func (r *TopicRegistry) evictPatternEndpointLocked(node wire.NodeID, index uint1
 
 // --- Presence leases ------------------------------------------------
 
-// PresenceEntry is one client's presence record: which gateway
-// currently terminates it, and the gateway's control-class endpoint.
-// Presence is leased soft state exactly like pattern subscriptions:
-// the terminating gateway re-asserts every entry on its renewal tick,
-// and a cold-dead gateway's entire client population is swept within
-// TTL epochs — nothing to fail over, nothing in the WAL.
-type PresenceEntry struct {
-	Key     string // client identity (gateway-scoped unique)
-	Gateway string // terminating gateway's name
-	Addr    wire.Addr
-	Epoch   uint64 // sweep epoch of the last upsert
-}
-
+// presenceRec is one client's presence record, keyed by the client's
+// identity: which gateway currently terminates it, and the gateway's
+// control-class endpoint. Presence is leased soft state exactly like
+// pattern subscriptions: the terminating gateway re-asserts every entry
+// on its renewal tick, and a cold-dead gateway's entire client
+// population is swept within TTL epochs — nothing to fail over,
+// nothing in the WAL.
 type presenceRec struct {
 	gateway string
 	addr    wire.Addr
-	epoch   uint64
+	epoch   uint64 // sweep epoch of the last upsert
 }
 
 // MaxPresenceName bounds presence keys and gateway names.
@@ -489,19 +483,6 @@ func (r *TopicRegistry) PresenceCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.presence)
-}
-
-// PresenceEntries returns every live presence lease, ordered by key
-// (diagnostics and the sim's stranded-entry assertion).
-func (r *TopicRegistry) PresenceEntries() []PresenceEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]PresenceEntry, 0, len(r.presence))
-	for k, rec := range r.presence {
-		out = append(out, PresenceEntry{Key: k, Gateway: rec.gateway, Addr: rec.addr, Epoch: rec.epoch})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // PresenceByGateway returns live lease counts per gateway name.

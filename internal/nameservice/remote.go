@@ -20,12 +20,13 @@ import (
 // "This requires receivers to obtain endpoint addresses of endpoints
 // they have allocated from FLIPC and pass those addresses to senders."
 //
-// The protocol is 14 ops over one request and one response layout. What
+// The protocol is 13 ops over one request and one response layout. What
 // an op is — its code, what follows the name, how it is gated, where a
 // sharded caller sends it, what the registry does for it — is its row of
 // opTable and nothing else: Server.process, Client.do, TopicRegistry.Apply
-// and topic.ShardedDirectory all read the row. A 15th op is a row there,
-// a TopicRegistry method and a typed helper in internal/topic.
+// and topic.ShardedDirectory all read the row. Another op is a row there,
+// a TopicRegistry method and a typed helper in internal/topic; code 9
+// (the retired cursor ack) stays unassigned and is refused as bad.
 //
 // Request (client→server):
 //
@@ -77,7 +78,6 @@ const (
 	OpSnapshot           OpKind = 6
 	opRegistryInfo       OpKind = 7
 	opTopicList          OpKind = 8
-	OpAckCursor          OpKind = 9
 	opShardMap           OpKind = 10
 	OpSubscribePattern   OpKind = 11
 	OpUnsubscribePattern OpKind = 12
@@ -103,8 +103,8 @@ type Op struct {
 	Name  string    // topic, pattern or presence key
 	Addr  wire.Addr // the subscriber's data address; presence: the gateway's control address
 	Class uint8     // OpSubscribe: the topic's class byte
-	Seq   uint64    // OpAckCursor: the acknowledged sequence; OpSnapshot: a generation hint (see Apply)
-	Sub   string    // OpAckCursor: the subscriber's stable name; OpUpsertPresence: the gateway's
+	Seq   uint64    // OpSnapshot: a generation hint (see Apply); never on the wire
+	Sub   string    // OpUpsertPresence: the gateway's name
 }
 
 // tailField is one op-specific field after the name.
@@ -113,7 +113,6 @@ type tailField uint8
 const (
 	tClass  tailField = iota // 1 byte, Op.Class; a request ending before it declares class 0
 	tMarker                  // 1 byte, reservedMagic; only a privileged client sends it
-	tSeq                     // 8 bytes, Op.Seq
 	tSub                     // length byte (1..255) then Op.Sub
 	tOffset                  // page offset, 4 bytes (the 2 bytes pre-failover clients send are still read; none is 0)
 )
@@ -210,12 +209,6 @@ var opTable = [...]opRow{
 	// topic list: every topic name, paged (listResponse); with a snapshot
 	// per name, enough for a replica to bootstrap a full resync.
 	opTopicList: {name: "topic list", tagged: true, tail: []tailField{tOffset}, serve: (*Server).listResponse},
-	// cursor ack: record subscriber Op.Sub's durable-stream cursor on
-	// topic name. Max-merged, so a retry or a reordered ack is harmless.
-	// Never on a reserved topic: replication streams are not durable
-	// topics, privileged caller or not.
-	OpAckCursor: {name: "cursor ack", tagged: true, tail: []tailField{tSeq, tSub}, guarded: true, routed: true, mutation: true,
-		apply: func(r *TopicRegistry, op Op) error { return r.AckCursor(op.Name, op.Sub, op.Seq) }},
 	// shard map: the consistent-hash map and this node's shard id, paged
 	// (shardMapResponse); statusNotFound from an unsharded node.
 	opShardMap: {name: "shard map", tagged: true, tail: []tailField{tOffset}, serve: (*Server).shardMapResponse},
@@ -335,11 +328,6 @@ func (r *opRow) decodeTail(op *Op, tail []byte) (offset int, ok bool) {
 			if len(tail) > 0 {
 				tail = tail[1:]
 			}
-		case tSeq:
-			if len(tail) < 8 {
-				return 0, false
-			}
-			op.Seq, tail = binary.BigEndian.Uint64(tail), tail[8:]
 		case tSub:
 			if len(tail) < 1 || tail[0] == 0 || 1+int(tail[0]) > len(tail) {
 				return 0, false
@@ -366,8 +354,6 @@ func (r *opRow) appendTail(req []byte, op Op, privileged bool, offset int) ([]by
 			if privileged {
 				req = append(req, reservedMagic)
 			}
-		case tSeq:
-			req = binary.BigEndian.AppendUint64(req, op.Seq)
 		case tSub:
 			if len(op.Sub) == 0 || len(op.Sub) > 255 {
 				return nil, fmt.Errorf("nameservice: %s %q: bad name length %d", r.name, op.Name, len(op.Sub))
@@ -454,7 +440,7 @@ func (e *NotOwnerError) Error() string {
 func (e *NotOwnerError) Unwrap() error { return ErrNotOwner }
 
 // Server serves a Directory (and a TopicRegistry) over FLIPC. Run its
-// Serve loop on a goroutine (or call ServeOne from a poll loop).
+// Serve loop on a goroutine.
 type Server struct {
 	dir    *Directory
 	topics *TopicRegistry
@@ -527,17 +513,6 @@ func (s *Server) Addr() wire.Addr { return s.in.Addr() }
 // Topics exposes the server's topic registry (housekeeping: the daemon
 // calls Advance on the lease cadence; diagnostics read snapshots).
 func (s *Server) Topics() *TopicRegistry { return s.topics }
-
-// ServeOne handles at most one pending request, reporting whether it
-// did any work. Never blocks.
-func (s *Server) ServeOne() bool {
-	req, _, ok := s.in.Receive()
-	if !ok {
-		return false
-	}
-	s.handle(req, 0)
-	return true
-}
 
 // Serve blocks handling requests at the given scheduler priority until
 // the domain closes.

@@ -73,7 +73,7 @@ func threeShards(t *testing.T) (*shardmap.Map, map[uint32]string) {
 // regression test: a stock client's subscribe/unsubscribe on a
 // "!"-prefixed topic answers statusReserved (a distinct error, not a
 // generic failure), a privileged (replica) client is admitted, and
-// cursor acks are refused on reserved topics unconditionally.
+// presence drops are refused on reserved names unconditionally.
 func TestReservedTopicRefusedForClients(t *testing.T) {
 	srv, cli, _, cd := newShardedRig(t, 0, nil)
 	ep, err := cd.NewRecvEndpoint(4)
@@ -87,8 +87,8 @@ func TestReservedTopicRefusedForClients(t *testing.T) {
 	if err := unsubscribe(cli, "!registry", ep.Addr()); !errors.Is(err, ErrReserved) {
 		t.Fatalf("client unsubscribe on reserved topic: %v, want ErrReserved", err)
 	}
-	if err := ackCursor(cli, "!registry", "sub", 7); !errors.Is(err, ErrReserved) {
-		t.Fatalf("client cursor ack on reserved topic: %v, want ErrReserved", err)
+	if err := dropPresence(cli, "!registry"); !errors.Is(err, ErrReserved) {
+		t.Fatalf("client presence drop on reserved name: %v, want ErrReserved", err)
 	}
 	if n := len(srv.Topics().Topics()); n != 0 {
 		t.Fatalf("refused mutations still created %d topics", n)
@@ -106,9 +106,10 @@ func TestReservedTopicRefusedForClients(t *testing.T) {
 	if err := unsubscribe(cli, "!registry", ep.Addr()); err != nil {
 		t.Fatalf("privileged unsubscribe on reserved topic: %v", err)
 	}
-	// Streams are not durable topics: privilege does not admit cursors.
-	if err := ackCursor(cli, "!registry", "sub", 7); !errors.Is(err, ErrReserved) {
-		t.Fatalf("privileged cursor ack on reserved topic: %v, want ErrReserved", err)
+	// Privilege admits stream membership only: a presence op has no
+	// marker field, so a reserved name is refused whoever asks.
+	if err := dropPresence(cli, "!registry"); !errors.Is(err, ErrReserved) {
+		t.Fatalf("privileged presence drop on reserved name: %v, want ErrReserved", err)
 	}
 	// Ordinary topics are untouched by the reserved gate.
 	if err := subscribe(cli, "app-topic", ep.Addr(), 0); err != nil {
@@ -146,9 +147,6 @@ func TestShardRoutingNotOwner(t *testing.T) {
 		}
 		if err := unsubscribe(cli, owned[foreign], ep.Addr()); !errors.Is(err, ErrNotOwner) {
 			t.Fatalf("unsubscribe on shard-%d topic: %v, want ErrNotOwner", foreign, err)
-		}
-		if err := ackCursor(cli, owned[foreign], "sub", 1); !errors.Is(err, ErrNotOwner) {
-			t.Fatalf("cursor ack on shard-%d topic: %v, want ErrNotOwner", foreign, err)
 		}
 		if _, err := cli.TopicSnapshot(owned[foreign], callTimeout); !errors.Is(err, ErrNotOwner) {
 			t.Fatalf("snapshot on shard-%d topic: %v, want ErrNotOwner", foreign, err)

@@ -37,18 +37,6 @@ type Subscription struct {
 	Epoch uint64
 }
 
-// Cursor is one named subscriber's acknowledged durable-stream
-// position in a topic (see internal/duralog): every payload sequence
-// at or below Seq has been delivered and acknowledged, so replay after
-// a disconnect resumes at Seq+1. Cursors are keyed by a stable
-// subscriber name, not an endpoint address, because addresses change
-// across rebinds and quarantine recoveries while the replay position
-// must not.
-type Cursor struct {
-	Sub string
-	Seq uint64
-}
-
 // TopicSnapshot is an immutable view of one topic's membership.
 type TopicSnapshot struct {
 	Name  string
@@ -66,9 +54,6 @@ type TopicSnapshot struct {
 	// take no part in credit, hello, or durable replay (see
 	// internal/topic's plan merge).
 	Pats []Subscription
-	// Cursors are the durable-stream replay positions registered for
-	// this topic, ordered by subscriber name.
-	Cursors []Cursor
 }
 
 // Addrs returns the subscriber addresses in snapshot order.
@@ -81,44 +66,35 @@ func (s TopicSnapshot) Addrs() []wire.Addr {
 }
 
 type topicRecord struct {
-	class   uint8
-	gen     uint32
-	subs    map[wire.Addr]uint64 // addr -> epoch of last renewal
-	cursors map[string]uint64    // subscriber name -> acked durable seq
+	class uint8
+	gen   uint32
+	subs  map[wire.Addr]uint64 // addr -> epoch of last renewal
 }
 
 // MutationOp identifies one kind of registry state change.
 type MutationOp uint8
 
-// Mutation operations. MutRenew is a lease refresh that did not change
-// membership (no generation bump); everything else moved durable state.
+// Mutation operations: each one moves a topic's membership or class,
+// and with it the topic's generation. Lease renewals and sweep epochs
+// are soft state and emit nothing; a lease that expires leaves as an
+// unsubscribe.
 const (
 	MutDeclare MutationOp = iota + 1
 	MutSubscribe
-	MutRenew
 	MutUnsubscribe
-	MutAdvance
-	// MutCursor records a durable-stream cursor advance: subscriber Sub
-	// acknowledged every payload sequence through Ack on Topic. Emitted
-	// only when the cursor actually moves (acks are max-merged), so the
-	// journal carries progress, not the ack cadence.
-	MutCursor
 )
 
-// Mutation describes one acknowledged registry state change, in exactly
-// the form needed to replay it: applying the same mutations in the same
+// Mutation describes one acknowledged membership change, in exactly the
+// form needed to replay it: applying the same mutations in the same
 // order to an empty registry reconstructs the same topics, subscriber
-// sets, epochs, and generations (internal/registrystore's write-ahead
-// record log and replication stream are built on this).
+// sets and generations (internal/registrystore's write-ahead record log
+// and replication stream are built on this). Lease epochs are not
+// reconstructed: every incarnation restamps them before it serves.
 type Mutation struct {
 	Op    MutationOp
 	Topic string
 	Addr  wire.Addr
 	Class uint8
-	// Sub and Ack carry MutCursor's subscriber name and acknowledged
-	// sequence.
-	Sub string
-	Ack uint64
 }
 
 // MutationObserver receives every acknowledged mutation. It is called
@@ -164,16 +140,6 @@ func NewTopicRegistry() *TopicRegistry {
 		patMeta:  make(map[patKey]uint64),
 		presence: make(map[string]presenceRec),
 	}
-}
-
-// SetTTL overrides the subscription lease, in sweep epochs (minimum 1).
-func (r *TopicRegistry) SetTTL(epochs int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epochs < 1 {
-		epochs = 1
-	}
-	r.ttl = uint64(epochs)
 }
 
 // Observe attaches obs as the registry's mutation observer (nil
@@ -229,7 +195,8 @@ func (r *TopicRegistry) Declare(topic string, class uint8) error {
 
 // Subscribe adds (or renews) addr's subscription to topic. A renewal
 // refreshes the lease without bumping the membership generation, so
-// steady-state renewals never invalidate publisher fanout plans.
+// steady-state renewals never invalidate publisher fanout plans, and
+// only a join reaches the observer.
 func (r *TopicRegistry) Subscribe(topic string, addr wire.Addr) error {
 	if topic == "" {
 		return fmt.Errorf("nameservice: empty topic name")
@@ -243,13 +210,12 @@ func (r *TopicRegistry) Subscribe(topic string, addr wire.Addr) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	t := r.record(topic)
-	op := MutRenew
-	if _, joined := t.subs[addr]; !joined {
-		t.gen++
-		op = MutSubscribe
-	}
+	_, renewal := t.subs[addr]
 	t.subs[addr] = r.epoch
-	r.notify(Mutation{Op: op, Topic: topic, Addr: addr, Class: t.class})
+	if !renewal {
+		t.gen++
+		r.notify(Mutation{Op: MutSubscribe, Topic: topic, Addr: addr, Class: t.class})
+	}
 	return nil
 }
 
@@ -266,46 +232,6 @@ func (r *TopicRegistry) Unsubscribe(topic string, addr wire.Addr) {
 		t.gen++
 		r.notify(Mutation{Op: MutUnsubscribe, Topic: topic, Addr: addr})
 	}
-}
-
-// AckCursor records subscriber sub's acknowledged durable-stream
-// position on topic. Acks are max-merged: a late or replayed ack below
-// the recorded position is a no-op, so the call is idempotent and safe
-// against reordered in-band acknowledgements. Cursor changes never bump
-// the membership generation (they do not change fanout), and the
-// observer sees MutCursor only when the cursor actually advances.
-func (r *TopicRegistry) AckCursor(topic, sub string, seq uint64) error {
-	if topic == "" {
-		return fmt.Errorf("nameservice: empty topic name")
-	}
-	if sub == "" || len(sub) > 255 {
-		return fmt.Errorf("nameservice: bad cursor subscriber name length %d", len(sub))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.record(topic)
-	if t.cursors == nil {
-		t.cursors = make(map[string]uint64)
-	}
-	if cur, ok := t.cursors[sub]; ok && cur >= seq {
-		return nil
-	}
-	t.cursors[sub] = seq
-	r.notify(Mutation{Op: MutCursor, Topic: topic, Sub: sub, Ack: seq})
-	return nil
-}
-
-// CursorOf returns subscriber sub's acknowledged cursor on topic; ok
-// reports whether one is registered.
-func (r *TopicRegistry) CursorOf(topic, sub string) (uint64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.topics[topic]
-	if t == nil {
-		return 0, false
-	}
-	seq, ok := t.cursors[sub]
-	return seq, ok
 }
 
 // EvictEndpoint removes every subscription whose address names the
@@ -357,10 +283,6 @@ func (r *TopicRegistry) Snapshot(topic string) (TopicSnapshot, bool) {
 		snap.Subs = append(snap.Subs, Subscription{Addr: a, Epoch: e})
 	}
 	sort.Slice(snap.Subs, func(i, j int) bool { return snap.Subs[i].Addr < snap.Subs[j].Addr })
-	for s, seq := range t.cursors {
-		snap.Cursors = append(snap.Cursors, Cursor{Sub: s, Seq: seq})
-	}
-	sort.Slice(snap.Cursors, func(i, j int) bool { return snap.Cursors[i].Sub < snap.Cursors[j].Sub })
 	return snap, true
 }
 
@@ -378,19 +300,21 @@ func (r *TopicRegistry) Gen(topic string) uint32 {
 // Advance starts a new sweep epoch and ages out every subscription not
 // renewed within TTL epochs, returning how many were expired. Call it
 // on the lease cadence (e.g. once per renewal interval from the
-// registry daemon's housekeeping loop).
+// registry daemon's housekeeping loop). Each expiry reaches the
+// observer as an ordinary unsubscribe, as an eviction does; the epoch
+// itself is soft state.
 func (r *TopicRegistry) Advance() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.epoch++
-	r.notify(Mutation{Op: MutAdvance})
 	expired := 0
-	for _, t := range r.topics {
+	for name, t := range r.topics {
 		for a, e := range t.subs {
 			if r.epoch-e > r.ttl {
 				delete(t.subs, a)
 				t.gen++
 				expired++
+				r.notify(Mutation{Op: MutUnsubscribe, Topic: name, Addr: a})
 			}
 		}
 	}
@@ -440,11 +364,10 @@ func (r *TopicRegistry) Topics() []string {
 
 // TopicState is one topic's full durable state (snapshot/restore unit).
 type TopicState struct {
-	Name    string
-	Class   uint8
-	Gen     uint32
-	Subs    []Subscription // ordered by address
-	Cursors []Cursor       // ordered by subscriber name
+	Name  string
+	Class uint8
+	Gen   uint32
+	Subs  []Subscription // ordered by address
 }
 
 // RegistryState is the registry's full durable state: what a compacted
@@ -467,10 +390,6 @@ func (r *TopicRegistry) ExportState() RegistryState {
 			ts.Subs = append(ts.Subs, Subscription{Addr: a, Epoch: e})
 		}
 		sort.Slice(ts.Subs, func(i, j int) bool { return ts.Subs[i].Addr < ts.Subs[j].Addr })
-		for s, seq := range t.cursors {
-			ts.Cursors = append(ts.Cursors, Cursor{Sub: s, Seq: seq})
-		}
-		sort.Slice(ts.Cursors, func(i, j int) bool { return ts.Cursors[i].Sub < ts.Cursors[j].Sub })
 		st.Topics = append(st.Topics, ts)
 	}
 	sort.Slice(st.Topics, func(i, j int) bool { return st.Topics[i].Name < st.Topics[j].Name })
@@ -491,12 +410,6 @@ func (r *TopicRegistry) RestoreState(st RegistryState) {
 		for _, s := range ts.Subs {
 			t.subs[s.Addr] = s.Epoch
 		}
-		for _, c := range ts.Cursors {
-			if t.cursors == nil {
-				t.cursors = make(map[string]uint64, len(ts.Cursors))
-			}
-			t.cursors[c.Sub] = c.Seq
-		}
 		r.topics[ts.Name] = t
 	}
 }
@@ -516,11 +429,12 @@ func (r *TopicRegistry) BumpTopicGens() {
 }
 
 // RestampLeases refreshes every subscription's lease to the current
-// epoch — the failover reconciliation window: a new primary cannot know
-// how stale its replicated lease epochs are, so it gives every imported
-// subscriber a full TTL to re-validate by renewing (live subscribers
-// renew on their normal cadence; dead ones age out), instead of mass-
-// expiring or mass-trusting a divergent set.
+// epoch — the failover reconciliation window: lease renewals are soft
+// state, never journaled or replicated, so a new primary cannot know how
+// stale its lease epochs are; it gives every imported subscriber a full
+// TTL to re-validate by renewing (live subscribers renew on their normal
+// cadence; dead ones age out), instead of mass-expiring or
+// mass-trusting a divergent set.
 func (r *TopicRegistry) RestampLeases() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -162,7 +162,7 @@ func TestSnapshotGenerationHint(t *testing.T) {
 			t.Fatalf("hint %d at generation %d: %+v, want the full snapshot", seq, gen, s)
 		}
 	}
-	if s := snapshot(uint64(gen) + 1); s.Name != "t" || s.Gen != gen || s.Class != 0 || s.Subs != nil || s.Pats != nil || s.Cursors != nil {
+	if s := snapshot(uint64(gen) + 1); s.Name != "t" || s.Gen != gen || s.Class != 0 || s.Subs != nil || s.Pats != nil {
 		t.Fatalf("matching hint: %+v, want {Name, Gen} alone", s)
 	}
 	for _, step := range []struct {
@@ -171,7 +171,6 @@ func TestSnapshotGenerationHint(t *testing.T) {
 		moves bool
 	}{
 		{"renewal", func() error { return r.Subscribe("t", a) }, false},
-		{"cursor ack", func() error { return r.AckCursor("t", "billing", 7) }, false},
 		{"exact subscribe", func() error { return r.Subscribe("t", b) }, true},
 		{"exact unsubscribe", func() error { r.Unsubscribe("t", b); return nil }, true},
 		{"pattern subscribe", func() error { return r.SubscribePattern("t", pat) }, true},

@@ -140,8 +140,6 @@ func TestWireGoldenClientRequests(t *testing.T) {
 			[]string{"07 R 00000001 00"}},
 		{"topic list", false, func(c *Client) error { _, err := c.TopicList(callTimeout); return err }, false,
 			[]string{"08 R 00000001 00 00000000"}},
-		{"cursor ack", false, func(c *Client) error { return ackCursor(c, "alarms", "billing", 0x0102030405060708) }, false,
-			[]string{"09 R 00000001 06 616c61726d73 0102030405060708 07 62696c6c696e67"}},
 		{"shard map", false, func(c *Client) error { _, _, err := c.ShardMap(callTimeout); return err }, false,
 			[]string{"0a R 00000001 00 00000000"}},
 		{"pattern sub", false, func(c *Client) error { return subscribePattern(c, "metrics.*", goldSub) }, true,
@@ -302,12 +300,14 @@ func TestWireGoldenServerResponses(t *testing.T) {
 		{"topic list from 2, legacy offset", primary, greq(8, 22, "", 0, 2), "00 00000003 00000016 01 03 626967"},
 		{"topic list past the end", primary, greq(8, 23, "", 0, 0, 0, 9), "00 00000003 00000017 00"},
 
-		{"cursor ack ok", primary, greq(9, 24, "alarms", cursor...), "00 00000000 00000018"},
-		{"cursor ack short tail", primary, greq(9, 25, "alarms", 0, 0, 0), "03 00000000 00000019"},
-		{"cursor ack empty subscriber", primary, greq(9, 26, "alarms", 0, 0, 0, 0, 0, 0, 0, 9, 0, 0), "03 00000000 0000001a"},
-		{"cursor ack reserved, marker or not", primary, greq(9, 27, "!registry", append(cursor, 0x52)...), "06 00000000 0000001b"},
-		{"cursor ack not owner", primary, greq(9, 28, "radar", cursor...), "05 00000001 0000001c"},
-		{"cursor ack not primary", standby, greq(9, 29, "alarms", cursor...), "04 00000000 0000001d"},
+		// Code 9, the retired cursor ack, is unassigned: refused as bad
+		// before any gate, whatever its tail, name or the node's role.
+		{"code 9 unassigned", primary, greq(9, 24, "alarms", cursor...), "03 00000000 00000018"},
+		{"code 9 short tail", primary, greq(9, 25, "alarms", 0, 0, 0), "03 00000000 00000019"},
+		{"code 9 empty subscriber", primary, greq(9, 26, "alarms", 0, 0, 0, 0, 0, 0, 0, 9, 0, 0), "03 00000000 0000001a"},
+		{"code 9 reserved, marker or not", primary, greq(9, 27, "!registry", append(cursor, 0x52)...), "03 00000000 0000001b"},
+		{"code 9 foreign shard", primary, greq(9, 28, "radar", cursor...), "03 00000000 0000001c"},
+		{"code 9 at standby", standby, greq(9, 29, "alarms", cursor...), "03 00000000 0000001d"},
 
 		{"shard map", primary, greq(10, 30, "", 0, 0, 0, 0),
 			"00 00000000 0000001e 0000000000000009 0003 03 00000000 0040 00000401 00000001 0040 00400401 00000002 0040 00800401"},
@@ -384,7 +384,7 @@ func TestWireGoldenGateMatrix(t *testing.T) {
 		{6, tag, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0, 0x52}, []byte{0xFF}, [5]cell{{0, 1}, {0, 1}, {5, 1}, {0, 2}, {0, 2}}},
 		{7, tag, nil, []byte{0x52}, []byte{0xFF}, [5]cell{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}},
 		{8, tag, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0, 0x52}, []byte{0xFF}, [5]cell{{0, 2}, {0, 2}, {0, 2}, {0, 2}, {0, 2}}},
-		{9, tag, cursor, append(cursor[:len(cursor):len(cursor)], 0x52), []byte{0, 0, 0}, [5]cell{{6, 0}, {6, 0}, {5, 1}, {4, 0}, {3, 0}}},
+		{9, tag, cursor, append(cursor[:len(cursor):len(cursor)], 0x52), []byte{0, 0, 0}, [5]cell{{3, 0}, {3, 0}, {3, 0}, {3, 0}, {3, 0}}}, // unassigned
 		{10, tag, []byte{0, 0, 0, 0}, []byte{0, 0, 0, 0, 0x52}, []byte{0xFF}, [5]cell{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}},
 		{11, addr, nil, []byte{0x52}, []byte{0xFF}, [5]cell{{3, 0}, {3, 0}, {0, 0}, {4, 0}, {0, 0}}},
 		{12, addr, nil, []byte{0x52}, []byte{0xFF}, [5]cell{{3, 0}, {3, 0}, {0, 0}, {4, 0}, {0, 0}}},

@@ -13,13 +13,15 @@
 // because the recovered subscriber sets answer paged-snapshot requests
 // immediately.
 //
-// Replay is exact: the registry's mutation observer emits each
-// acknowledged state change before the mutating call returns (write-
-// ahead, under the registry lock), and applying the same records in
-// the same order to an empty registry reconstructs the same topics,
-// subscriber sets, lease epochs, and generations. Lease expiry is not
-// journaled — it is a deterministic function of the journaled Advance
-// and renewal records.
+// The log carries membership and generations only. The registry's
+// mutation observer emits each acknowledged join, leave and class
+// change before the mutating call returns (write-ahead, under the
+// registry lock), and applying the same records in the same order to
+// an empty registry reconstructs the same topics, subscriber sets and
+// generations. Leases are soft state: a renewal is not journaled, a
+// lease that expires is journaled as the unsubscribe it causes, and
+// every incarnation restamps every lease before it serves. Durable
+// cursors live in each durable topic's own log, not here.
 package registrystore
 
 import (
@@ -34,12 +36,17 @@ import (
 // RecType identifies one record kind in the log and replication stream.
 type RecType uint8
 
-// Record types. Declare/Subscribe/Renew/Unsubscribe/Advance mirror the
-// registry's mutation operations; Fence and Heartbeat are the store's
-// own: a Fence persists the registry generation an incarnation serves
-// at, a Heartbeat carries the primary's generation on the housekeeping
+// Record types. Declare/Subscribe/Unsubscribe mirror the registry's
+// mutation operations; Fence and Heartbeat are the store's own: a Fence
+// persists the registry generation an incarnation serves at, a
+// Heartbeat carries the primary's generation on the housekeeping
 // cadence so a silent standby can detect primary death. Both are
 // journaled, so they move the sequence like any record.
+//
+// Renew, Advance and CursorAck are no longer written. Journals from
+// before leases and cursors left the log still hold them: they decode,
+// a renewal and a sweep replay as they did (so an old journal recovers
+// the state it always recovered), and a cursor ack is skipped.
 const (
 	RecDeclare RecType = iota + 1
 	RecSubscribe
@@ -48,10 +55,6 @@ const (
 	RecAdvance
 	RecFence
 	RecHeartbeat
-	// RecCursorAck persists a durable-stream replay cursor advance
-	// (subscriber Sub acknowledged through Ack on Topic). Unsynced like
-	// renewals: an ack lost to a crash is re-merged from the next in-band
-	// acknowledgement, and cursors only ever move forward.
 	RecCursorAck
 
 	recTypeSentinel
@@ -244,14 +247,8 @@ func recordOf(m nameservice.Mutation) (Record, bool) {
 		return Record{Type: RecDeclare, Topic: m.Topic, Class: m.Class}, true
 	case nameservice.MutSubscribe:
 		return Record{Type: RecSubscribe, Topic: m.Topic, Addr: m.Addr}, true
-	case nameservice.MutRenew:
-		return Record{Type: RecRenew, Topic: m.Topic, Addr: m.Addr}, true
 	case nameservice.MutUnsubscribe:
 		return Record{Type: RecUnsubscribe, Topic: m.Topic, Addr: m.Addr}, true
-	case nameservice.MutAdvance:
-		return Record{Type: RecAdvance}, true
-	case nameservice.MutCursor:
-		return Record{Type: RecCursorAck, Topic: m.Topic, Sub: m.Sub, Ack: m.Ack}, true
 	}
 	return Record{}, false
 }
@@ -282,10 +279,8 @@ func applyRecord(reg *nameservice.TopicRegistry, r *Record) error {
 		reg.SetRegistryGen(r.Gen)
 		reg.BumpTopicGens()
 		return nil
-	case RecHeartbeat:
+	case RecHeartbeat, RecCursorAck:
 		return nil
-	case RecCursorAck:
-		return reg.AckCursor(r.Topic, r.Sub, r.Ack)
 	}
 	return fmt.Errorf("registrystore: cannot apply record type %v", r.Type)
 }

@@ -23,6 +23,12 @@ func newDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) *cor
 // newCutDomain is newDomain whose transport a test can partition.
 func newCutDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) (*core.Domain, *faultinject.Injector) {
 	t.Helper()
+	return newSizedDomain(t, fabric, node, 256)
+}
+
+// newSizedDomain is newCutDomain with msgSize-byte messages.
+func newSizedDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID, msgSize int) (*core.Domain, *faultinject.Injector) {
+	t.Helper()
 	tr, err := fabric.Attach(node)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +37,7 @@ func newCutDomain(t *testing.T, fabric *interconnect.Fabric, node wire.NodeID) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := core.NewDomain(core.Config{Node: node, MessageSize: 256, NumBuffers: 512}, inj)
+	d, err := core.NewDomain(core.Config{Node: node, MessageSize: msgSize, NumBuffers: 512}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +130,8 @@ func (p *replicaPair) pump(renew bool) {
 }
 
 // catchUp pumps until the standby's journal reaches the primary's
-// sequence (a renewal journals a record at the primary, so only every
-// sixteenth beat renews, and the next one carries it).
+// sequence, renewing the standby's lease and acknowledging its cursor
+// every sixteenth beat.
 func (p *replicaPair) catchUp() {
 	p.t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -287,17 +293,17 @@ func TestLaggingStandbyBoundsJournal(t *testing.T) {
 
 	primCut.Partition(1, true)
 	stbyCut.Partition(0, true)
-	// Cursor acks with long names fill segments quickly: about 400 to a
-	// segment, so each round writes two segments.
-	name := strings.Repeat("c", 150)
-	seq := uint64(0)
+	// Subscribe churn on a long topic name fills segments quickly: about
+	// 350 records to a segment, so each round writes two segments.
+	churn := strings.Repeat("c", 150)
+	churner := addr(t, 2, 9)
 	var peak int
 	for round := 0; round < 3*journalMaxSegments; round++ {
-		for i := 0; i < 800; i++ {
-			seq++
-			if err := p.regA.AckCursor("data", name, seq); err != nil {
+		for i := 0; i < 400; i++ {
+			if err := p.regA.Subscribe(churn, churner); err != nil {
 				t.Fatal(err)
 			}
+			p.regA.Unsubscribe(churn, churner)
 		}
 		if _, err := p.feed.Pump(); err != nil {
 			t.Fatal(err)
@@ -329,6 +335,58 @@ func TestLaggingStandbyBoundsJournal(t *testing.T) {
 	}
 	if a, b := p.regA.ExportState().Topics, p.regB.ExportState().Topics; !reflect.DeepEqual(a, b) {
 		t.Fatalf("standby topics diverged:\n got %+v\nwant %+v", b, a)
+	}
+}
+
+// TestExpiryReplicatesAsUnsubscribe: a subscription that stops renewing
+// expires on the primary's sweep and reaches the standby as an
+// unsubscribe record, after which both registries hold the same
+// membership and the same per-topic generations.
+func TestExpiryReplicatesAsUnsubscribe(t *testing.T) {
+	fabric := interconnect.NewFabric(4096)
+	p := newReplicaPair(t, newDomain(t, fabric, 0), newDomain(t, fabric, 1))
+	live, silent := addr(t, 2, 1), addr(t, 2, 2)
+	for _, a := range []wire.Addr{live, silent} {
+		if err := p.regA.Subscribe("data", a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.catchUp()
+	from := p.stB.Seq()
+	for tick := 0; tick <= nameservice.DefaultTopicTTL; tick++ {
+		if err := p.regA.Subscribe("data", live); err != nil {
+			t.Fatal(err)
+		}
+		p.regA.Advance()
+		p.mgrA.Heartbeat()
+		p.pump(true) // the standby renews its own stream lease each tick
+		p.catchUp()
+	}
+	if snap, _ := p.regA.Snapshot("data"); len(snap.Subs) != 1 || snap.Subs[0].Addr != live {
+		t.Fatalf("primary membership after %d sweeps: %+v, want only the renewing subscriber", nameservice.DefaultTopicTTL+1, snap.Subs)
+	}
+	var recs []Record
+	if err := p.stB.Log().Replay(from+1, func(_ uint64, _ uint8, b []byte) error {
+		rec, _, err := DecodeRecord(b)
+		recs = append(recs, rec)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	unsubs := 0
+	for _, r := range recs {
+		switch {
+		case r.Type == RecUnsubscribe && r.Topic == "data" && r.Addr == silent:
+			unsubs++
+		case r.Type != RecHeartbeat:
+			t.Fatalf("standby journaled %+v; want heartbeats and one unsubscribe", r)
+		}
+	}
+	if unsubs != 1 {
+		t.Fatalf("the standby journaled %d unsubscribes of the expired subscription, want 1 (records %+v)", unsubs, recs)
+	}
+	if a, b := membership(p.regA), membership(p.regB); a != b {
+		t.Fatalf("membership diverged:\n standby %s\n primary %s", b, a)
 	}
 }
 
@@ -483,14 +541,16 @@ func TestRegistryFailoverSoak(t *testing.T) {
 	}
 }
 
-// TestStrandedRecordResyncs: a record the stream cannot carry — a cursor
-// ack whose name overflows one frame — is stranded by the publisher and
-// granted past, so the standby's seam skips it. The record after it is
-// then above the standby's head+1: the standby resyncs once, and only
-// then, and follows the stream again.
+// TestStrandedRecordResyncs: a record the stream cannot carry — a
+// subscribe whose topic name overflows one 192-byte frame — is stranded
+// by the publisher and granted past, so the standby's seam skips it.
+// The record after it is then above the standby's head+1: the standby
+// resyncs once, and only then, and follows the stream again.
 func TestStrandedRecordResyncs(t *testing.T) {
 	fabric := interconnect.NewFabric(4096)
-	p := newReplicaPair(t, newDomain(t, fabric, 0), newDomain(t, fabric, 1))
+	primD, _ := newSizedDomain(t, fabric, 0, 192)
+	stbyD, _ := newSizedDomain(t, fabric, 1, 192)
+	p := newReplicaPair(t, primD, stbyD)
 	if err := p.regA.Subscribe("data", addr(t, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +559,7 @@ func TestStrandedRecordResyncs(t *testing.T) {
 		t.Fatalf("%d resyncs before anything was stranded", p.resyncs)
 	}
 
-	if err := p.regA.AckCursor("data", strings.Repeat("n", 230), 1); err != nil {
+	if err := p.regA.Subscribe(strings.Repeat("n", 180), addr(t, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	p.mgrA.Heartbeat()

@@ -40,9 +40,9 @@ const (
 const snapMagic = 0x464C5052
 
 // snapVersion is the snapshot format version written. Version 2 added
-// the per-topic durable-stream cursor section; version 1 files (no
-// cursor section) are still read, so a snapshot taken before the
-// upgrade recovers cleanly.
+// a per-topic durable-stream cursor section, which is now always
+// written empty and skipped on read: cursors live in each durable
+// topic's own log. Version 1 files (no cursor section) are still read.
 const (
 	snapVersion   = 2
 	snapVersionV1 = 1
@@ -60,10 +60,9 @@ const (
 // returns), and every record that can move a membership generation is
 // synced to stable storage before the journal call returns — so a
 // recovered registry's generations exactly reconstruct what was
-// served. Lease renewals, heartbeats and cursor acks are handed to the
-// OS but not synced (they never move generations, and recovery restamps
-// leases anyway): they survive a crash of the process, not of the
-// machine, keeping the steady-state renewal path cheap.
+// served. Heartbeats are handed to the OS but not synced (they never
+// move generations): they survive a crash of the process, not of the
+// machine. Lease renewals are not journaled at all.
 type Store struct {
 	mu         sync.Mutex
 	dir        string
@@ -160,10 +159,9 @@ func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, erro
 
 // class maps a record type to its durability class: a record that can
 // move a membership generation must reach stable storage before the
-// mutation is acknowledged. Cursor acks are unsynced like renewals: one
-// lost to a crash is re-merged from the next in-band acknowledgement,
-// and a stale cursor only means extra (idempotent) replay, never data
-// loss.
+// mutation is acknowledged. A heartbeat cannot, and neither can the
+// renewals and cursor acks a standby journals from an old primary's
+// stream.
 func class(t RecType) recio.Durability {
 	if t == RecRenew || t == RecHeartbeat || t == RecCursorAck {
 		return recio.Written
@@ -283,7 +281,7 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Close closes the journal (syncing buffered renewals).
+// Close closes the journal (syncing buffered heartbeats).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -366,18 +364,7 @@ func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nos
 			binary.BigEndian.PutUint64(sub[4:12], s.Epoch)
 			b = append(b, sub[:]...)
 		}
-		binary.BigEndian.PutUint32(u32[:], uint32(len(t.Cursors)))
-		b = append(b, u32[:]...)
-		var seq8 [8]byte
-		for _, c := range t.Cursors {
-			if len(c.Sub) == 0 || len(c.Sub) > 255 {
-				return fmt.Errorf("registrystore: snapshot cursor name %d bytes", len(c.Sub))
-			}
-			b = append(b, byte(len(c.Sub)))
-			b = append(b, c.Sub...)
-			binary.BigEndian.PutUint64(seq8[:], c.Seq)
-			b = append(b, seq8[:]...)
-		}
+		b = append(b, 0, 0, 0, 0) // no cursors
 	}
 	binary.BigEndian.PutUint32(u32[:], wire.Checksum(b))
 	b = append(b, u32[:]...)
@@ -457,11 +444,7 @@ func readSnapshot(path string) (nameservice.RegistryState, uint64, error) {
 				if subLen == 0 || off+subLen+8 > len(body) {
 					return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
 				}
-				t.Cursors = append(t.Cursors, nameservice.Cursor{
-					Sub: string(body[off : off+subLen]),
-					Seq: binary.BigEndian.Uint64(body[off+subLen : off+subLen+8]),
-				})
-				off += subLen + 8
+				off += subLen + 8 // a cursor entry: skipped
 			}
 		}
 		state.Topics = append(state.Topics, t)

@@ -146,7 +146,6 @@ func newSubCreditState(d *core.Domain, bufs int) (*subCreditState, error) {
 // feed the durable seam; anything else is swallowed — control frames
 // never reach the application.
 func (s *Subscriber) handleCtl(payload []byte) {
-	s.ctlRecv.Add(1)
 	if s.dur != nil && len(payload) > 0 {
 		switch payload[0] {
 		case doneMagic:
@@ -296,7 +295,3 @@ func (s *Subscriber) CreditWindow() int {
 	}
 	return s.credit.grantable
 }
-
-// CtlReceived returns the number of topic-control frames (hellos)
-// filtered out of the application stream. Safe from any goroutine.
-func (s *Subscriber) CtlReceived() uint64 { return s.ctlRecv.Load() }

@@ -127,8 +127,8 @@ func TestCreditThrottlesStalledSubscriber(t *testing.T) {
 	pub.Instrument(reg)
 	sub.Instrument(reg)
 	handshake(t, pub, sub)
-	if sub.CtlReceived() == 0 {
-		t.Fatal("no hello was filtered from the application stream")
+	if sub.Received() != 0 {
+		t.Fatal("a hello reached the application stream")
 	}
 	if avail, w, ok := pub.CreditAvailable(sub.Addr()); !ok || w != grant || avail != grant {
 		t.Fatalf("post-handshake account: avail %d window %d ok %v", avail, w, ok)
@@ -161,8 +161,8 @@ func TestCreditThrottlesStalledSubscriber(t *testing.T) {
 	if pub.Throttled() == 0 || pub.Dropped() != 0 {
 		t.Fatalf("ledgers: throttled %d dropped %d", pub.Throttled(), pub.Dropped())
 	}
-	if n := pub.Throttles()[sub.Addr()]; n != uint64(throttled) {
-		t.Fatalf("per-subscriber throttle account = %d, want %d", n, throttled)
+	if n := pub.Throttled(); n != uint64(throttled) {
+		t.Fatalf("throttle ledger = %d, want %d", n, throttled)
 	}
 	if sub.Drops() != 0 {
 		t.Fatalf("stalled subscriber dropped %d (credit failed to protect it)", sub.Drops())
@@ -372,7 +372,6 @@ func TestCreditHellosStayInReserve(t *testing.T) {
 	}
 	pub := newCreditPub(t, fabric, dir, 1) // handshaken, its whole grant unspent
 	handshake(t, pub, sub)
-	ctl := sub.CtlReceived()
 
 	const refreshEvery = 4
 	late, err := NewPublisher(newDomain(t, fabric, 2), dir, PublisherConfig{Topic: "t", Class: Normal, Credit: true, RefreshEvery: refreshEvery})
@@ -401,7 +400,7 @@ func TestCreditHellosStayInReserve(t *testing.T) {
 	if sub.AppDrops() != 0 || sub.CtlDrops() != 0 {
 		t.Fatalf("endpoint drops: %d application, %d control", sub.AppDrops(), sub.CtlDrops())
 	}
-	if n := sub.CtlReceived() - ctl; n != 1 {
+	if n := late.Outbox().Sent() - late.Sent(); n != 1 { // what its outbox sent that was not data
 		t.Fatalf("newcomer sent %d hellos in one plan generation, want 1", n)
 	}
 	if err := CreditLaw(sub, pubs...); err != nil {
@@ -452,8 +451,8 @@ func TestCreditStallResendsLostHello(t *testing.T) {
 	}
 	settle(t, "refresh sent", pub.Outbox().Flush)
 	drain(sub)
-	if sub.CtlReceived() != 0 {
-		t.Fatal("a refresh in the same plan generation repeated the hello")
+	if n := pub.Outbox().Sent(); n != 1 { // the lost hello, and nothing since
+		t.Fatalf("the outbox sent %d frames: a refresh in the same plan generation repeated the hello", n)
 	}
 	settle(t, "handshake after the re-sent hello", func() bool {
 		stall(t, 1, pub)
@@ -579,16 +578,12 @@ func TestEvictDuringPublish(t *testing.T) {
 		t.Fatalf("ledgers diverged from results: sent %d/%d dropped %d/%d throttled %d/%d",
 			pub.Sent(), sent, pub.Dropped(), dropped, pub.Throttled(), throttled)
 	}
-	var perSubDrops, perSubThrottles uint64
+	var perSubDrops uint64
 	for _, v := range pub.Drops() {
 		perSubDrops += v
 	}
-	for _, v := range pub.Throttles() {
-		perSubThrottles += v
-	}
-	if perSubDrops != dropped || perSubThrottles != throttled {
-		t.Fatalf("per-subscriber accounts diverged: drops %d/%d throttles %d/%d",
-			perSubDrops, dropped, perSubThrottles, throttled)
+	if perSubDrops != dropped {
+		t.Fatalf("per-subscriber drop accounts diverged: %d/%d", perSubDrops, dropped)
 	}
 	// An evicted subscriber's credit account died with the plan entry.
 	if _, _, ok := pub.CreditAvailable(subs[1].Addr()); ok {

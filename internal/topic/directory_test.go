@@ -13,9 +13,10 @@ import (
 )
 
 // describeRegistries renders what a set of registries holds, as one
-// registry would: topics, subscribers, cursors and presence leases are
-// the union over the registries (each lives on one shard); the patterns
-// must be the same on every one of them (they go to every shard).
+// registry would: topics, subscribers and presence leases per gateway
+// are the union over the registries (each lives on one shard); the
+// patterns must be the same on every one of them (they go to every
+// shard).
 func describeRegistries(t *testing.T, regs ...*nameservice.TopicRegistry) string {
 	t.Helper()
 	var lines []string
@@ -25,14 +26,10 @@ func describeRegistries(t *testing.T, regs ...*nameservice.TopicRegistry) string
 			for _, s := range ts.Subs {
 				line += fmt.Sprintf("%v,", s.Addr)
 			}
-			line += " cursors="
-			for _, c := range ts.Cursors {
-				line += fmt.Sprintf("%s@%d,", c.Sub, c.Seq)
-			}
 			lines = append(lines, line)
 		}
-		for _, p := range r.PresenceEntries() {
-			lines = append(lines, fmt.Sprintf("presence %s at %s via %v", p.Key, p.Gateway, p.Addr))
+		for gw, n := range r.PresenceByGateway() {
+			lines = append(lines, fmt.Sprintf("presence at %s: %d", gw, n))
 		}
 		if got, want := strings.Join(r.Patterns(), ","), strings.Join(regs[0].Patterns(), ","); got != want {
 			t.Fatalf("registry %d holds patterns [%s], registry 0 [%s]", i, got, want)
@@ -42,7 +39,7 @@ func describeRegistries(t *testing.T, regs ...*nameservice.TopicRegistry) string
 	return strings.Join(lines, "\n") + "\npatterns " + strings.Join(regs[0].Patterns(), ",")
 }
 
-// TestDirectoryConformance drives one script — every one of the eight
+// TestDirectoryConformance drives one script — every one of the seven
 // directory ops, through the typed helpers — against each Directory
 // implementation, and requires the same answers and the same registry
 // state from all of them: LocalDirectory, RemoteDirectory against a live
@@ -61,8 +58,6 @@ func TestDirectoryConformance(t *testing.T) {
 			{"subscribe elsewhere", Subscribe(dir, "alarms", a2, Normal|Durable)},
 			{"unsubscribe a2", Unsubscribe(dir, "tracks.north", a2)},
 			{"unsubscribe a stranger", Unsubscribe(dir, "tracks.south", a2)},
-			{"ack cursor", AckCursor(dir, "alarms", "billing", 7)},
-			{"ack cursor, stale", AckCursor(dir, "alarms", "billing", 5)},
 			{"subscribe pattern", SubscribePattern(dir, "tracks.*", pat)},
 			{"subscribe second pattern", SubscribePattern(dir, "alarms", pat)},
 			{"unsubscribe second pattern", UnsubscribePattern(dir, "alarms", pat)},
@@ -110,8 +105,7 @@ func TestDirectoryConformance(t *testing.T) {
 			t.Fatalf("local answers lack %q:\n%s", line, wantAnswers)
 		}
 	}
-	if !strings.Contains(wantState, "cursors=billing@7,") || !strings.Contains(wantState, "patterns tracks.*") ||
-		strings.Contains(wantState, "gw-a/c2") || !strings.Contains(wantState, "presence gw-a/c1 at gw-a") {
+	if !strings.Contains(wantState, "patterns tracks.*") || !strings.Contains(wantState, "presence at gw-a: 1") {
 		t.Fatalf("local registry state:\n%s", wantState)
 	}
 
@@ -198,7 +192,7 @@ func (c *countingDir) Do(op nameservice.Op) (nameservice.TopicSnapshot, error) {
 	snap, err := c.Directory.Do(op)
 	if op.Kind == nameservice.OpSnapshot {
 		c.probes++
-		if snap.Subs != nil || snap.Pats != nil || snap.Cursors != nil {
+		if snap.Subs != nil || snap.Pats != nil {
 			c.full++
 		}
 	}

@@ -40,8 +40,9 @@ package topic
 //     and live fanout resumes.
 //  5. Cursors are acknowledged in-band on the Renew cadence (tiny
 //     control frames to every known publisher, max-merged into the
-//     log) and registered with the directory (AckCursor),
-//     so a registry failover carries them to the new primary.
+//     log). The publisher's log is the one place a cursor lives: a
+//     restarted subscriber resumes from it (UseStoredCursor), and a
+//     registry failover does not touch it.
 //
 // Loss accounting stays conservative and never silent: frames the
 // retention horizon has passed before a cursor caught up are counted
@@ -609,8 +610,6 @@ type subDurState struct {
 	needResume bool                    // a resume must be (re)sent (start, rebind)
 	stash      map[uint64]stashedFrame // ahead-of-seam frames held for the hole
 
-	acked     atomic.Uint64 // last sequence acknowledged in-band
-	dirAcked  uint64        // last sequence registered with the directory
 	replayed  atomic.Uint64 // deliveries that arrived as replay
 	malformed atomic.Uint64 // durable frames too short to carry a sequence
 }
@@ -833,17 +832,11 @@ func (s *Subscriber) sendAck() {
 	for pub := range d.pubs {
 		_ = d.out.SendFlags(pub, buf[:n], ctlFlag)
 	}
-	d.acked.Store(cur)
 }
 
 // renewDurable is the durable half of Renew: retry an outstanding
-// resume (the backstop for lost control frames), acknowledge the seam
-// in-band, and register the cursor with the directory so it survives
-// registry failover. Directory registration is best-effort — the
-// in-band ack to the publisher's log is the durable copy — and skipped
-// on a reserved "!" topic: a registry's replication stream is itself
-// the registry's journal, where a registration would journal a record
-// the standby receives and acknowledges again, one more per renewal.
+// resume (the backstop for lost control frames) and acknowledge the
+// seam in-band to the publisher's log.
 func (s *Subscriber) renewDurable() {
 	d := s.dur
 	if d == nil {
@@ -852,14 +845,7 @@ func (s *Subscriber) renewDurable() {
 	if !d.locked.Load() || d.needResume || d.gapPending {
 		s.sendResume()
 	}
-	if d.locked.Load() {
-		s.sendAck()
-		if cur := d.acked.Load(); cur > d.dirAcked && s.topic[0] != '!' {
-			if AckCursor(s.dir, s.topic, d.name, cur) == nil {
-				d.dirAcked = cur
-			}
-		}
-	}
+	s.sendAck()
 }
 
 // durStats is the subscriber's durable state for its accessors: a

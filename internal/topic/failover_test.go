@@ -84,11 +84,11 @@ func TestFailoverDirectoryRetarget(t *testing.T) {
 	if !ok || len(snap.Subs) != 1 || snap.Subs[0].Addr != wire.Addr(sub.Addr()) {
 		t.Fatalf("renew did not re-resolve into new registry: %+v", snap)
 	}
-	if err := sub.Leave(); err != nil {
+	if err := Unsubscribe(fdir, "t", sub.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if snap, _ := regB.Snapshot("t"); len(snap.Subs) != 0 {
-		t.Fatalf("leave did not reach new registry: %+v", snap)
+		t.Fatalf("unsubscribe did not reach new registry: %+v", snap)
 	}
 }
 

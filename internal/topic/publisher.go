@@ -110,7 +110,6 @@ type Publisher struct {
 	dropped   uint64 // per-subscriber frames lost to backpressure
 	throttled uint64 // per-subscriber sends skipped on exhausted credit
 	drops     map[core.Addr]uint64
-	throttles map[core.Addr]uint64
 
 	creditIn *msglib.Inbox            // topic-control return inbox (credit or durable mode)
 	heard    map[core.Addr]*subCredit // subscribers that answered a hello; credit account, nil if durable
@@ -170,9 +169,8 @@ func NewPublisher(d *core.Domain, dir Directory, cfg PublisherConfig) (*Publishe
 	}
 	p := &Publisher{
 		d: d, dir: dir, cfg: cfg, out: out,
-		drops:     make(map[core.Addr]uint64),
-		throttles: make(map[core.Addr]uint64),
-		nowNanos:  func() int64 { return time.Now().UnixNano() },
+		drops:    make(map[core.Addr]uint64),
+		nowNanos: func() int64 { return time.Now().UnixNano() },
 	}
 	if cfg.Credit || cfg.Log != nil {
 		// The control-return inbox: credit advertisements, resume
@@ -543,7 +541,6 @@ func (p *Publisher) fanoutLocked(dseq uint64, payload []byte, flags uint8) (Publ
 		if p.cfg.Credit {
 			cs = p.heard[dst]
 			if p.throttleLocked(dst, cs) {
-				p.throttles[dst]++
 				res.Throttled++
 				continue
 			}
@@ -713,13 +710,6 @@ func (p *Publisher) PatternSubscribers() int {
 	return len(p.patPlan)
 }
 
-// PlanGen returns the membership generation the plan was built from.
-func (p *Publisher) PlanGen() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.planGen
-}
-
 // Published returns the number of fanouts performed.
 func (p *Publisher) Published() uint64 {
 	p.mu.Lock()
@@ -764,13 +754,6 @@ func (p *Publisher) Drops() map[core.Addr]uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return maps.Clone(p.drops)
-}
-
-// Throttles returns a copy of the per-subscriber throttle accounts.
-func (p *Publisher) Throttles() map[core.Addr]uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return maps.Clone(p.throttles)
 }
 
 // FanoutLedger is the fanout conservation law for one publisher and

@@ -27,20 +27,12 @@ type ShardedDirectory struct {
 
 	mu     sync.RWMutex
 	shards map[uint32]*FailoverDirectory
-
-	redirects nameservice.RedirectStats
 }
 
 // NewShardedDirectory builds a sharded directory over an initial map.
 // Shard targets are installed with SetShard.
 func NewShardedDirectory(m *shardmap.Map) *ShardedDirectory {
 	return &ShardedDirectory{m: m, shards: make(map[uint32]*FailoverDirectory)}
-}
-
-// RedirectStats exposes the directory's NotOwner redirect accounting
-// (followed redirects and over-bound storms).
-func (s *ShardedDirectory) RedirectStats() *nameservice.RedirectStats {
-	return &s.redirects
 }
 
 // SetShard installs (or, if the shard already has one, retargets) the
@@ -108,7 +100,7 @@ func (s *ShardedDirectory) Do(op nameservice.Op) (snap nameservice.TopicSnapshot
 	if !ok {
 		return snap, fmt.Errorf("%w: no shard map routes %q", ErrNoShard, op.Name)
 	}
-	err = nameservice.FollowOwner(start, &s.redirects, func(shard uint32) error {
+	err = nameservice.FollowOwner(start, func(shard uint32) error {
 		f := s.Shard(shard)
 		if f == nil {
 			return fmt.Errorf("%w: shard %d for %q", ErrNoShard, shard, op.Name)

@@ -20,8 +20,8 @@ import (
 // stops costing fanout work without any explicit leave.
 //
 // The receive path is single-threaded like the inbox it wraps; the
-// counters (Received, Drops, CtlReceived, CreditWindow) are safe to
-// read from other goroutines.
+// counters (Received, Drops, CreditWindow) are safe to read from other
+// goroutines.
 type Subscriber struct {
 	d     *core.Domain
 	dir   Directory
@@ -37,14 +37,12 @@ type Subscriber struct {
 	// stale address.
 	subAddr   core.Addr
 	delivered atomic.Uint64 // application frames returned to the caller
-	ctlRecv   atomic.Uint64 // topic-control frames filtered out
 	credit    *subCreditState
 	dur       *subDurState
 }
 
-// NewSubscriber creates an inbox with bufs posted buffers (size with
-// SubscriberBuffers; endpoint depth 0 = domain default) and joins
-// topic at the given class.
+// NewSubscriber creates an inbox with bufs posted buffers (endpoint
+// depth 0 = domain default) and joins topic at the given class.
 func NewSubscriber(d *core.Domain, dir Directory, topic string, class Class, depth, bufs int) (*Subscriber, error) {
 	return newSubscriber(d, dir, topic, class, depth, bufs, nil, nil)
 }
@@ -162,12 +160,6 @@ func (s *Subscriber) Rebind() error {
 	}
 	old.Endpoint().Free()
 	return nil
-}
-
-// Leave removes the subscription; in-flight fanout to this endpoint is
-// discarded and counted there, like any send to an unposted receiver.
-func (s *Subscriber) Leave() error {
-	return Unsubscribe(s.dir, s.topic, s.subAddr)
 }
 
 // Receive returns the next application message if one is waiting; the

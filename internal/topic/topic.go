@@ -29,8 +29,8 @@
 // Flow control is per topic: each Subscriber owns a private posted
 // buffer pool (its Inbox), so a hot topic exhausts its own credit, not
 // its neighbors'; each Publisher's outbox pool bounds the topic's
-// outstanding fanout frames. Size both with SubscriberBuffers /
-// PublisherWindow, which apply internal/flowctl's static sizing rules.
+// outstanding fanout frames. Size the window with PublisherWindow,
+// which applies internal/flowctl's static sizing rule.
 package topic
 
 import (
@@ -145,7 +145,7 @@ func ClassFromFlags(flags uint8) Class {
 }
 
 // Directory is the membership plane publishers read and subscribers
-// register through: it executes one nameservice.Op — the eight directory
+// register through: it executes one nameservice.Op — the seven directory
 // ops and what each means are rows of nameservice's op table — and the
 // typed helpers below are how this package and the gateway spell them.
 // Implementations: LocalDirectory over an in-process registry,
@@ -177,14 +177,6 @@ func Unsubscribe(dir Directory, topic string, addr core.Addr) error {
 // no-op, matching the optimistic protocol.
 func Snapshot(dir Directory, topic string) (nameservice.TopicSnapshot, error) {
 	return dir.Do(nameservice.Op{Kind: nameservice.OpSnapshot, Name: topic})
-}
-
-// AckCursor registers a durable subscriber's replay cursor (by its
-// stable name, not its address) with the registry, so the cursor
-// survives registry failover alongside the membership. Max-merged: a
-// stale acknowledgment never regresses the stored cursor.
-func AckCursor(dir Directory, topic, sub string, seq uint64) error {
-	return do(dir, nameservice.Op{Kind: nameservice.OpAckCursor, Name: topic, Sub: sub, Seq: seq})
 }
 
 // SubscribePattern adds (or renews) addr's subscription to every topic
@@ -235,16 +227,6 @@ func (r RemoteDirectory) Do(op nameservice.Op) (nameservice.TopicSnapshot, error
 		return r.C.Do(op, r.Timeout)
 	}
 	return r.C.Do(op, 2*time.Second)
-}
-
-// SubscriberBuffers sizes a subscriber's posted-buffer pool for a
-// periodic publisher: enough credit to absorb rate messages per drain
-// period across two periods of consumer jitter (flowctl's periodic
-// sizing rule). This pool is the topic's receive-side credit — private
-// per subscription, so one saturated topic cannot starve another's
-// buffers.
-func SubscriberBuffers(rate int) int {
-	return flowctl.PeriodicBuffers(rate, 2)
 }
 
 // PublisherWindow sizes a publisher's outbox pool — the topic's bound
