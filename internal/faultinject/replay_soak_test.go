@@ -25,7 +25,8 @@ import (
 //  2. a quarantine-style eviction healed by Rebind (new endpoint, new
 //     address, same seam),
 //  3. a registry failover (state exported to a fresh registry, fence
-//     bumped, directory retargeted) with the cursor plane surviving it.
+//     bumped, directory retargeted), which the cursors in the
+//     publisher's log never see.
 //
 // At the end the durable conservation law must hold exactly: every
 // published sequence was delivered exactly once across incarnations —
@@ -246,10 +247,10 @@ func TestDurableReplaySoak(t *testing.T) {
 	}
 	quiesce(sub, "rebind + partition heal")
 
-	// Phase 4: registry failover. A standby restores the exported state
-	// — subscriptions and cursors — fences above the old incarnation,
-	// and the directory handle is retargeted. Publisher plans rebuild
-	// against the new primary; the cursor plane keeps acking into it.
+	// Phase 4: registry failover. A standby restores the exported
+	// subscriptions, fences above the old incarnation, and the directory
+	// handle is retargeted. Publisher plans rebuild against the new
+	// primary; the subscriber keeps acking into the publisher's log.
 	reg2 := nameservice.NewTopicRegistry()
 	reg2.RestoreState(reg1.ExportState())
 	reg2.SetRegistryGen(reg1.RegistryGen() + 1)
