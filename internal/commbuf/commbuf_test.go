@@ -169,9 +169,6 @@ func TestMsgStateMachine(t *testing.T) {
 	if m.State(app) != StateOwned {
 		t.Fatalf("fresh state = %v", m.State(app))
 	}
-	if m.Done(app) {
-		t.Fatal("fresh buffer Done")
-	}
 	if err := m.StageSend(app, dst, 10, 0x03); err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +181,16 @@ func TestMsgStateMachine(t *testing.T) {
 		t.Fatal("double StageSend accepted")
 	}
 	m.EngineCompleteSend(eng)
-	if !m.Done(app) || m.State(app) != StateDone {
+	if m.State(app) != StateDone {
 		t.Fatalf("after engine: %v", m.State(app))
 	}
-	if err := m.Reclaim(app); err != nil {
-		t.Fatal(err)
+	if st, err := m.Reclaim(app); err != nil || st != StateDone {
+		t.Fatalf("reclaim = %v, %v", st, err)
 	}
 	if m.State(app) != StateOwned {
 		t.Fatalf("after reclaim: %v", m.State(app))
 	}
-	if err := m.Reclaim(app); err == nil {
+	if _, err := m.Reclaim(app); err == nil {
 		t.Fatal("double reclaim accepted")
 	}
 	if err := b.FreeMsg(m); err != nil {
@@ -251,11 +248,11 @@ func TestEngineDropSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.EngineDropSend(eng)
-	if m.State(app) != StateDropped || !m.Done(app) {
+	if m.State(app) != StateDropped {
 		t.Fatalf("state = %v", m.State(app))
 	}
-	if err := m.Reclaim(app); err != nil {
-		t.Fatal(err)
+	if st, err := m.Reclaim(app); err != nil || st != StateDropped {
+		t.Fatalf("reclaim = %v, %v", st, err)
 	}
 	if err := b.FreeMsg(m); err != nil {
 		t.Fatal(err)
@@ -312,7 +309,7 @@ func TestUnstage(t *testing.T) {
 		if err := stage(); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Reclaim(app); err == nil {
+		if _, err := m.Reclaim(app); err == nil {
 			t.Fatal("Reclaim of a queued buffer accepted")
 		}
 		if err := m.Unstage(app); err != nil {

@@ -253,7 +253,7 @@ func TestPaddedEndpointLineIsolation(t *testing.T) {
 		if !ok || got != id {
 			t.Fatal("acquire failed")
 		}
-		if err := m.Reclaim(app); err != nil {
+		if _, err := m.Reclaim(app); err != nil {
 			t.Fatal(err)
 		}
 		if err := b.FreeMsg(m); err != nil {

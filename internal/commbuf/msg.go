@@ -12,7 +12,12 @@ import (
 // between the application and the engine through the endpoint queue, so
 // although both sides write the field over a buffer's lifetime, they
 // never do so concurrently (the paper's rule is about *concurrent*
-// writes; handoff is ordered by the queue-pointer atomics).
+// writes). Each side writes the word with a plain store while it owns
+// the buffer; the queue-pointer store that hands the buffer over
+// publishes it, and the other side reads it only after loading that
+// pointer. Completion therefore shows through the queue: a buffer's
+// owner reads done or dropped here after it acquires the buffer, never
+// by polling the word while the engine holds it.
 type State uint8
 
 // Buffer states.
@@ -99,18 +104,11 @@ func (m *Msg) Payload() []byte { return m.payload }
 
 func (m *Msg) meta(v mem.View) metaWord { return unpackMeta(v.Load(m.metaOff)) }
 
-func (m *Msg) setMeta(v mem.View, w metaWord) { v.Store(m.metaOff, packMeta(w)) }
+// setMeta writes the meta word as its current owner (see State).
+func (m *Msg) setMeta(v mem.View, w metaWord) { v.StoreOwned(m.metaOff, packMeta(w)) }
 
 // State returns the buffer's current state as seen through v.
 func (m *Msg) State(v mem.View) State { return m.meta(v).state }
-
-// Done reports whether the engine has finished processing this buffer —
-// the paper's "state field ... allowing an application to determine
-// when processing of a specific buffer is complete".
-func (m *Msg) Done(v mem.View) bool {
-	s := m.State(v)
-	return s == StateDone || s == StateDropped
-}
 
 // Size returns the meta word's payload size field.
 func (m *Msg) Size(v mem.View) int { return int(m.meta(v).size) }
@@ -152,16 +150,17 @@ func (m *Msg) StageRecv(v mem.View) error {
 }
 
 // Reclaim moves a Done/Dropped buffer back to application ownership
-// after it has been acquired from a queue.
-func (m *Msg) Reclaim(v mem.View) error {
+// after it has been acquired from a queue, and returns which of the two
+// the engine left it in.
+func (m *Msg) Reclaim(v mem.View) (State, error) {
 	st := m.State(v)
 	if st != StateDone && st != StateDropped {
-		return fmt.Errorf("commbuf: Reclaim of buffer %d in state %v", m.id, st)
+		return st, fmt.Errorf("commbuf: Reclaim of buffer %d in state %v", m.id, st)
 	}
 	mw := m.meta(v)
 	mw.state = StateOwned
 	m.setMeta(v, mw)
-	return nil
+	return st, nil
 }
 
 // Unstage undoes StageSend/StageRecv on a buffer the queue then refused
@@ -176,8 +175,9 @@ func (m *Msg) Unstage(v mem.View) error {
 }
 
 // Engine-side meta transitions. These take the engine's view; the
-// engine owns the buffer between the queue's process handoff and its
-// AdvanceProcess.
+// engine owns the buffer from its load of the release pointer that
+// handed the buffer over until its store of the process pointer that
+// hands it back.
 
 // EngineCompleteSend marks a queued send buffer as transmitted.
 func (m *Msg) EngineCompleteSend(eng mem.View) {

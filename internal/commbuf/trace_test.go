@@ -108,14 +108,18 @@ func TestFigure4CycleTracedSequence(t *testing.T) {
 	if rm.Size(app) != 24 || rm.Flags(app) != 1 {
 		t.Fatal("received meta wrong")
 	}
-	must(rm.Reclaim(app))
+	if st, err := rm.Reclaim(app); err != nil || st != StateDone {
+		t.Fatalf("reclaim received buffer = %v, %v", st, err)
+	}
 	if id, ok := sep.Queue().Acquire(app); !ok || id != uint64(sm.ID()) {
 		t.Fatalf("acquire = %d, %v", id, ok)
 	}
-	if !sm.Done(app) {
-		t.Fatal("send buffer not done")
+	if st := sm.State(app); st != StateDone {
+		t.Fatalf("send buffer %v, want done", st)
 	}
-	must(sm.Reclaim(app))
+	if _, err := sm.Reclaim(app); err != nil {
+		t.Fatal(err)
+	}
 	if rep.Drops().ReadAndReset(app) != 1 {
 		t.Fatal("drop not counted")
 	}

@@ -210,11 +210,13 @@ func (d *Domain) Close() {
 }
 
 // Message is an application handle on one fixed-size message buffer:
-// one immutable entry per buffer ID, built by NewDomain, so AllocBuffer
-// and Acquire return the same pointer for the same buffer.
+// one entry per buffer ID, built by NewDomain, so AllocBuffer and
+// Acquire return the same pointer for the same buffer. Its only mutable
+// field is the dropped verdict, which the buffer's owner writes.
 type Message struct {
-	d *Domain
-	m *commbuf.Msg
+	d       *Domain
+	m       *commbuf.Msg
+	dropped bool // written by the owner in Acquire
 }
 
 // AllocBuffer takes a message buffer from the communication buffer's
@@ -250,13 +252,11 @@ func (msg *Message) Len() int { return msg.m.Size(msg.d.app) }
 // Flags returns the received message's flags byte.
 func (msg *Message) Flags() uint8 { return msg.m.Flags(msg.d.app) }
 
-// Done reports whether the engine has finished with this buffer —
-// per-buffer completion detection without touching the queue.
-func (msg *Message) Done() bool { return msg.m.Done(msg.d.app) }
-
 // Dropped reports whether the engine refused this send during validity
-// checking.
-func (msg *Message) Dropped() bool { return msg.m.State(msg.d.app) == commbuf.StateDropped }
+// checking, as the Acquire that last returned the buffer found it. A
+// buffer's completion shows through its endpoint's queue: the engine
+// owns a sent buffer until Acquire returns it.
+func (msg *Message) Dropped() bool { return msg.dropped }
 
 // ID returns the buffer-table index (diagnostics).
 func (msg *Message) ID() int { return msg.m.ID() }

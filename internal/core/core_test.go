@@ -1,9 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,24 +216,40 @@ func TestDropsAndReadAndReset(t *testing.T) {
 	}
 }
 
+// TestPerBufferCompletion: a sent buffer comes back through its send
+// queue, and Acquire records whether the engine sent or refused it.
 func TestPerBufferCompletion(t *testing.T) {
-	doms := newCluster(t, 2, Config{})
+	doms := newCluster(t, 2, Config{AllowedNodes: []wire.NodeID{1}, Engine: engine.Config{ValidityChecks: true}})
 	a, b := doms[0], doms[1]
 	sep, _ := a.NewSendEndpoint(4)
 	rep, _ := b.NewRecvEndpoint(4)
 	rb, _ := b.AllocBuffer()
 	rep.Post(rb)
 	sb, _ := a.AllocBuffer()
-	if sb.Done() {
-		t.Fatal("fresh buffer Done")
+	if err := sep.Send(sb, rep.Addr(), 4); err != nil {
+		t.Fatal(err)
 	}
-	sep.Send(sb, rep.Addr(), 4)
+	if _, ok := sep.Acquire(); ok {
+		t.Fatal("send buffer acquired before the engine ran")
+	}
 	pump(a, b)
-	if !sb.Done() {
-		t.Fatal("sent buffer not Done (per-buffer state field)")
+	if got, ok := sep.Acquire(); !ok || got != sb {
+		t.Fatalf("Acquire = %v, %v; want the sent buffer", got, ok)
 	}
 	if sb.Dropped() {
 		t.Fatal("successful send marked dropped")
+	}
+	if got, ok := rep.Receive(); !ok || got != rb {
+		t.Fatalf("Receive = %v, %v; want the posted buffer", got, ok)
+	}
+
+	barred, _ := wire.MakeAddr(2, 0, 1) // node 2 is not in AllowedNodes
+	if err := sep.Send(sb, barred, 4); err != nil {
+		t.Fatal(err)
+	}
+	pump(a, b)
+	if got, ok := sep.Acquire(); !ok || got != sb || !sb.Dropped() {
+		t.Fatalf("Acquire = %v, %v, dropped %v; want the refused buffer, dropped", got, ok, sb.Dropped())
 	}
 }
 
@@ -813,5 +832,138 @@ func TestReceiveBlockFastPath(t *testing.T) {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("fast path blocked")
+	}
+}
+
+// TestStartedEnginesStreamFIFO streams messages between two fabric
+// domains whose engines run on their own goroutines, sender and
+// receiver each an application goroutine of its own. The window is
+// wider than the engine's send quantum, so a pass finds a run of
+// queued sends; the race detector checks that the queue pointers alone
+// order every plain store to a slot and a meta word. Every message
+// arrives once, in order, and none is refused or discarded.
+func TestStartedEnginesStreamFIFO(t *testing.T) {
+	const (
+		total  = 10000
+		window = 24 // > SendQuantum (8)
+		depth  = 32 // both queues; the receiver keeps depth buffers posted
+	)
+	doms := newCluster(t, 2, Config{NumBuffers: 2 * depth})
+	a, b := doms[0], doms[1]
+	if q := a.Engine().Config().SendQuantum; window <= q {
+		t.Fatalf("window %d not above SendQuantum %d", window, q)
+	}
+	sep, err := a.NewSendEndpoint(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := b.NewRecvEndpoint(depth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < depth; i++ {
+		m, err := b.AllocBuffer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.Post(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Start()
+	b.Start()
+
+	deadline := time.Now().Add(60 * time.Second)
+	var received atomic.Int64
+	errs := make(chan error, 2)
+	go func() { // receiver: check, count, repost
+		for want := uint64(0); want < total; want++ {
+			m, err := rep.ReceiveBlock(1, deadline)
+			if err != nil {
+				errs <- fmt.Errorf("receive %d: %w", want, err)
+				return
+			}
+			if got := binary.LittleEndian.Uint64(m.Payload()); m.Len() != 8 || got != want {
+				errs <- fmt.Errorf("receive %d: got message %d (%d bytes)", want, got, m.Len())
+				return
+			}
+			received.Store(int64(want + 1))
+			if err := rep.Post(m); err != nil {
+				errs <- fmt.Errorf("repost %d: %w", want, err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go func() { // sender: at most window messages ahead of the receiver
+		var pool []*Message
+		for i := 0; i < depth; i++ {
+			m, err := a.AllocBuffer()
+			if err != nil {
+				errs <- err
+				return
+			}
+			pool = append(pool, m)
+		}
+		// acquire waits for the next buffer the engine hands back.
+		acquire := func() error {
+			m, err := sep.AcquireBlock(1, deadline)
+			if err != nil {
+				return err
+			}
+			if m.Dropped() {
+				return fmt.Errorf("send buffer %d refused", m.ID())
+			}
+			pool = append(pool, m)
+			return nil
+		}
+		for i := uint64(0); i < total; i++ {
+			for int64(i)-received.Load() >= window {
+				if time.Now().After(deadline) {
+					errs <- fmt.Errorf("send %d: receiver stalled at %d", i, received.Load())
+					return
+				}
+				runtime.Gosched()
+			}
+			if len(pool) == 0 {
+				if err := acquire(); err != nil {
+					errs <- fmt.Errorf("send %d: %w", i, err)
+					return
+				}
+			}
+			m := pool[len(pool)-1]
+			pool = pool[:len(pool)-1]
+			binary.LittleEndian.PutUint64(m.Payload(), i)
+			if err := sep.Send(m, rep.Addr(), 8); err != nil {
+				errs <- fmt.Errorf("send %d: %w", i, err)
+				return
+			}
+		}
+		// Every buffer comes back, none of them refused.
+		for len(pool) < depth {
+			if err := acquire(); err != nil {
+				errs <- fmt.Errorf("reclaim: %w", err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Close()
+	b.Close()
+	if got := received.Load(); got != total {
+		t.Fatalf("received %d, want %d", got, total)
+	}
+	if drops := rep.Drops(); drops != 0 {
+		t.Fatalf("receiver discarded %d", drops)
+	}
+	sa, sb := a.Engine().Stats(), b.Engine().Stats()
+	if sa.Sent != total || sa.SendRefused != 0 || sb.Delivered != total || sb.RecvDrops != 0 {
+		t.Fatalf("engine stats: sent %d refused %d, delivered %d recv drops %d; want %d, 0, %d, 0",
+			sa.Sent, sa.SendRefused, sb.Delivered, sb.RecvDrops, total, total)
 	}
 }

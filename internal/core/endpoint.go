@@ -156,7 +156,8 @@ func (e *Endpoint) Acquire() (*Message, bool) {
 	// A Reclaim error means the engine marked it neither Done nor
 	// Dropped — application misuse; surface the buffer anyway so it is
 	// not leaked.
-	_ = msg.m.Reclaim(e.d.app)
+	st, _ := msg.m.Reclaim(e.d.app)
+	msg.dropped = st == commbuf.StateDropped
 	return msg, true
 }
 

@@ -133,7 +133,7 @@ func TestMultipleCommBuffersPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	pump(all...)
-	if !forbidden.Dropped() {
+	if got, ok := sepR.Acquire(); !ok || got != forbidden || !forbidden.Dropped() {
 		t.Fatal("restricted app reached a forbidden node")
 	}
 	if _, ok := repO.Receive(); ok {

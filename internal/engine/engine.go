@@ -733,8 +733,9 @@ func (e *Engine) rotation() int {
 }
 
 // pollSend is the sending half of a pass. Its fixed cost is one load
-// per descriptor slot plus two per active send endpoint, and no store
-// (DESIGN.md §3b).
+// per descriptor slot plus two per active send endpoint, and no store;
+// a send run adds one slot load per message to transmit's accesses and
+// one process store per run (DESIGN.md §3b).
 func (e *Engine) pollSend() bool {
 	// Change detection over every slot: an allocation, free, generation
 	// bump or forged config word takes effect in the pass that reads it.
@@ -765,45 +766,38 @@ func (e *Engine) pollSend() bool {
 			pos -= n
 		}
 		a := &e.active[pos]
-		if e.view.Load(a.process) == e.view.Load(a.release) {
+		proc, rel := e.view.Load(a.process), e.view.Load(a.release)
+		if proc == rel {
 			continue // nothing queued
 		}
 		if a.low && lowSpent >= lowLimit {
 			continue // unreserved share exhausted this pass
 		}
 		ep := a.ep
-		if e.m != nil {
+		q := ep.Queue()
+		// A backlog above capacity means a scribbled release pointer.
+		// Checked, nothing is read through it; unchecked, the head goes
+		// out and the run stops there without moving process.
+		wild := rel-proc > uint64(q.Capacity())
+		if e.m != nil && !wild {
 			// Backlog sample: how deep the send queue stood when the
 			// engine reached this endpoint.
-			if depth, _ := ep.Queue().Depths(e.view); depth > 0 {
-				e.m.sendQDepth.Observe(uint64(depth))
-			}
+			e.m.sendQDepth.Observe(rel - proc)
 		}
-		before := budget
-		for budget > 0 {
-			if a.low && lowSpent >= lowLimit {
-				break
-			}
-			var id uint64
-			var ok bool
-			var err error
-			if e.cfg.ValidityChecks {
-				id, ok, err = ep.Queue().ProcessPeekChecked(e.view)
-			} else {
-				id, ok = ep.Queue().ProcessPeek(e.view)
-			}
-			if err != nil {
-				// Wild queue pointers: freeze the endpoint before reading
-				// a slot through them. No quantum is consumed — a faulty
-				// endpoint cannot starve its neighbors in this pass.
-				e.quarantine(ep.Index(), FaultQueueInvariant)
-				work = true
-				break
-			}
-			if !ok {
-				break
-			}
-			verdict, kind := e.transmit(ep, id)
+		if wild && e.cfg.ValidityChecks {
+			// No quantum is consumed: a faulty endpoint cannot starve its
+			// neighbors in this pass.
+			e.quarantine(ep.Index(), FaultQueueInvariant)
+			work = true
+			continue
+		}
+		// The run: the buffers released before the release load, in
+		// order, up to the budget. The engine owns them all from that
+		// load, so process is stored once, when the run ends, and that
+		// store hands every completed buffer back.
+		before, start := budget, proc
+		for ; proc != rel && budget > 0 && !(a.low && lowSpent >= lowLimit); proc++ {
+			verdict, kind := e.transmit(ep, q.Slot(e.view, proc))
 			if verdict == txFault {
 				// Corrupt buffer id or state: the queue cannot be advanced
 				// past it safely (the slot is untrusted), so freeze the
@@ -816,8 +810,7 @@ func (e *Engine) pollSend() bool {
 				break // wire busy/peer down: preserve order, retry next pass
 			}
 			work = true
-			if err := ep.Queue().AdvanceProcessChecked(e.view); err != nil {
-				// Release pointer scribbled between peek and advance.
+			if wild {
 				e.quarantine(ep.Index(), FaultQueueInvariant)
 				break
 			}
@@ -825,6 +818,9 @@ func (e *Engine) pollSend() bool {
 			if a.low {
 				lowSpent++
 			}
+		}
+		if proc != start {
+			e.view.Store(a.process, proc)
 		}
 		if budget != before && e.sendWaiters.Load() != 0 && ep.WakeupRequested(e.view) {
 			e.ring(ep) // completed sends: wake a thread waiting for a buffer

@@ -139,7 +139,11 @@ func TestFuzzCorruptQueuePointers(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		relOff, _, acqOff, slotBase := evil.Queue().DebugOffsets()
+		// The queue lays out release, process, acquire, then the slots,
+		// one stride apart: the words the application side writes.
+		procOff, relOff := evil.Queue().ProcessWords()
+		stride := procOff - relOff
+		acqOff, slotBase := relOff+2*stride, relOff+3*stride
 		offs := []int{relOff, acqOff, slotBase, slotBase + 3}
 		for i, v := range vals {
 			if i >= 16 {

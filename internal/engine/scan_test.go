@@ -235,7 +235,7 @@ func (w *scanWorld) apply(op scanOp) {
 		}
 	case opScribble:
 		if ep != nil && ep.Type() == commbuf.EndpointSend {
-			rel, _, _, _ := ep.Queue().DebugOffsets()
+			_, rel := ep.Queue().ProcessWords()
 			w.app.Store(rel, op.scribble)
 		}
 	case opSend:
@@ -427,6 +427,64 @@ func TestIdlePassWordCount(t *testing.T) {
 				t.Errorf("policy %d, %d slots, %d send + %d recv: %d loads and %d stores in %d idle passes, want %d (slots + 2·activeSend a pass) and 0",
 					policy, sh.slots, sh.send, sh.recv, c.loads, c.stores, passes, want)
 			}
+		}
+	}
+}
+
+// wordStores counts the engine's stores to one arena word.
+type wordStores struct{ word, n int }
+
+func (c *wordStores) OnLoad(mem.Actor, int) {}
+func (c *wordStores) OnStore(a mem.Actor, w int) {
+	if a == mem.ActorEngine && w == c.word {
+		c.n++
+	}
+}
+func (c *wordStores) OnBusLock(mem.Actor, int) {}
+
+// TestSendRunStoresProcessOnce: a pass that sends a run of queued
+// messages from one endpoint hands them all back with one store of the
+// endpoint's process pointer, checked or not.
+func TestSendRunStoresProcessOnce(t *testing.T) {
+	const run = 8
+	for _, checks := range []bool{false, true} {
+		buf, err := commbuf.New(commbuf.Config{Node: 0, MessageSize: 64, NumBuffers: 16, MaxEndpoints: 2, Padded: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep, err := buf.AllocEndpoint(commbuf.EndpointSend, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := &flakyTransport{node: 0}
+		eng, err := New(buf, tr, Config{ValidityChecks: checks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := eng.Config().SendQuantum; q < run {
+			t.Fatalf("SendQuantum %d below the run of %d", q, run)
+		}
+		app := buf.View(mem.ActorApp)
+		dst, _ := wire.MakeAddr(1, 0, 1)
+		for i := 0; i < run; i++ {
+			m, err := buf.AllocMsg()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.StageSend(app, dst, 1, 0); err != nil || !ep.Queue().Release(app, uint64(m.ID())) {
+				t.Fatalf("queueing message %d: %v", i, err)
+			}
+		}
+		process, _ := ep.Queue().ProcessWords()
+		c := &wordStores{word: process}
+		buf.Arena().SetTracer(c)
+		eng.Poll()
+		buf.Arena().SetTracer(nil)
+		if len(tr.frames) != run || c.n != 1 {
+			t.Errorf("checks %v: %d frames sent with %d stores to process, want %d and 1", checks, len(tr.frames), c.n, run)
+		}
+		if toProcess, toAcquire := ep.Queue().Depths(app); toProcess != 0 || toAcquire != run {
+			t.Errorf("checks %v: %d to process, %d to acquire; want 0 and %d", checks, toProcess, toAcquire, run)
 		}
 	}
 }

@@ -293,7 +293,7 @@ func E10KKTVsNative(seed int64) (*E10Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := got.Reclaim(appB); err != nil {
+				if _, err := got.Reclaim(appB); err != nil {
 					return nil, err
 				}
 				delivered++
@@ -305,7 +305,7 @@ func E10KKTVsNative(seed int64) (*E10Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := m.Reclaim(appA); err != nil {
+			if _, err := m.Reclaim(appA); err != nil {
 				return nil, err
 			}
 			_ = id

@@ -58,7 +58,7 @@ func (c *Corruptor) UnownedBuffer(ep *commbuf.Endpoint) error {
 // pointer — the engine must quarantine with FaultQueueInvariant the
 // next time the queue claims processable work.
 func (c *Corruptor) ScribbleRelease(ep *commbuf.Endpoint) {
-	release, _, _, _ := ep.Queue().DebugOffsets()
+	_, release := ep.Queue().ProcessWords()
 	// Far beyond process+capacity: the backlog check fails on the next
 	// peek with pending work.
 	c.app.Store(release, uint64(1)<<40|uint64(c.rng.Intn(1<<20)))

@@ -2,6 +2,7 @@ package faultinject_test
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"flipc/internal/engine"
 	"flipc/internal/faultinject"
 	"flipc/internal/interconnect"
+	"flipc/internal/mem"
 	"flipc/internal/metrics"
 	"flipc/internal/nettrans"
 	"flipc/internal/wire"
@@ -540,13 +542,18 @@ func chaosSoak(t *testing.T, ports []interconnect.Transport, ledger func(i int) 
 		eng.QuarantineDrops, wireLost, eng.Quarantines, eng.QuarantineRecoveries)
 }
 
-// chaosEP digs the commbuf endpoint out of a core endpoint via the
-// buffer's slot table, so the Corruptor can scribble on it through the
-// application view — exactly what a buggy application could do.
+// chaosEP opens a core endpoint's descriptor from the communication
+// buffer, as the engine does, so the Corruptor can scribble on it
+// through the application view — exactly what a buggy application
+// could do.
 func chaosEP(d *core.Domain, ep *core.Endpoint) *commbuf.Endpoint {
 	slot, ok := d.Buffer().SlotForAddrIndex(int(ep.Addr().Index()))
 	if !ok {
 		panic("endpoint has no slot")
 	}
-	return d.Buffer().EndpointByIndex(slot)
+	desc, err := d.Buffer().OpenEndpoint(d.Buffer().View(mem.ActorApp), slot)
+	if err != nil || desc.Addr() != ep.Addr() {
+		panic(fmt.Sprintf("endpoint %v does not open: %v", ep.Addr(), err))
+	}
+	return &desc
 }

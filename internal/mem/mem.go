@@ -11,11 +11,18 @@
 // This package models that region as two areas:
 //
 //   - a control area of 64-bit words holding endpoint descriptors,
-//     queue slots, and counters, accessed only through atomic loads and
-//     stores attributed to an Actor (application, engine, or kernel);
-//   - a payload area of raw bytes holding message buffer contents,
-//     whose cross-actor visibility is ordered by atomic stores to
-//     control words (valid under the Go memory model).
+//     queue slots, and counters, read through atomic loads and written
+//     by stores attributed to an Actor (application, engine, or kernel);
+//   - a payload area of raw bytes holding message buffer contents.
+//
+// A word gets a sequentially consistent Store only where that store
+// publishes a handoff: a queue pointer, a config word, a counter, the
+// doorbell. A word written by its current owner before such a store
+// hands it over — a queue slot, a buffer's meta word — takes
+// StoreOwned, a plain store, and so do the payload bytes. The other
+// side reads them only after loading the publishing word, which orders
+// them under the Go memory model; any access the handoff does not order
+// is a data race the race detector reports.
 //
 // Read-modify-write (TestAndSet) is provided but is reserved for
 // application-to-application locking, mirroring the paper: application
@@ -133,18 +140,10 @@ func (a *Arena) Words() int { return len(a.words) }
 // PayloadBytes returns the payload area size.
 func (a *Arena) PayloadBytes() int { return len(a.payload) }
 
-// LineOf returns the cache line index containing control word w.
-func (a *Arena) LineOf(w int) int { return w / a.lineWords }
-
 // ValidWord reports whether w is a legal control word index. The
 // messaging engine uses this (never panicking access) to validate
 // untrusted offsets read from the communication buffer.
 func (a *Arena) ValidWord(w int) bool { return w >= 0 && w < len(a.words) }
-
-// ValidPayload reports whether [off, off+n) lies within the payload area.
-func (a *Arena) ValidPayload(off, n int) bool {
-	return off >= 0 && n >= 0 && off+n <= len(a.payload) && off+n >= off
-}
 
 // Load atomically reads control word w on behalf of actor. Untraced it
 // is a bounds check and one atomic load and inlines at every call site.
@@ -265,12 +264,6 @@ func (a *Arena) AllocPayload(n, align int) (int, error) {
 	return off, nil
 }
 
-// FreeWords returns the number of unallocated control words remaining.
-func (a *Arena) FreeWords() int { return len(a.words) - a.nextWord }
-
-// FreePayload returns the number of unallocated payload bytes remaining.
-func (a *Arena) FreePayload() int { return len(a.payload) - a.nextPayload }
-
 // View binds an arena to a fixed actor so call sites do not repeat the
 // actor on every access. The zero View is invalid.
 type View struct {
@@ -298,13 +291,26 @@ func (v View) Load(w int) uint64 {
 	return atomic.LoadUint64(&v.arena.words[w])
 }
 
-// Store atomically writes control word w.
+// Store atomically writes control word w: the store that publishes a
+// handoff.
 func (v View) Store(w int, val uint64) {
 	if v.arena.tracer != nil {
 		v.arena.tracedStore(v.actor, w, val)
 		return
 	}
 	atomic.StoreUint64(&v.arena.words[w], val)
+}
+
+// StoreOwned writes control word w with a plain store, for a word the
+// view's actor owns until a later Store hands it over; no reader may
+// load w before it has loaded that publishing word. Traced, it is the
+// same access as Store.
+func (v View) StoreOwned(w int, val uint64) {
+	if v.arena.tracer != nil {
+		v.arena.tracedStore(v.actor, w, val)
+		return
+	}
+	v.arena.words[w] = val
 }
 
 // TestAndSet attempts the application lock primitive on word w.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -52,15 +53,6 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLineOf(t *testing.T) {
-	a := mustArena(t, Config{ControlWords: 16, PayloadBytes: 0, LineWords: 4})
-	for w, want := range map[int]int{0: 0, 3: 0, 4: 1, 7: 1, 15: 3} {
-		if got := a.LineOf(w); got != want {
-			t.Errorf("LineOf(%d) = %d, want %d", w, got, want)
-		}
-	}
-}
-
 func TestValidWord(t *testing.T) {
 	a := mustArena(t, Config{ControlWords: 8, PayloadBytes: 0})
 	if !a.ValidWord(0) || !a.ValidWord(7) {
@@ -68,20 +60,6 @@ func TestValidWord(t *testing.T) {
 	}
 	if a.ValidWord(-1) || a.ValidWord(8) {
 		t.Fatal("invalid words accepted")
-	}
-}
-
-func TestValidPayload(t *testing.T) {
-	a := mustArena(t, Config{ControlWords: 4, PayloadBytes: 100})
-	if !a.ValidPayload(0, 100) || !a.ValidPayload(50, 50) || !a.ValidPayload(99, 0) {
-		t.Fatal("valid ranges rejected")
-	}
-	if a.ValidPayload(-1, 10) || a.ValidPayload(0, 101) || a.ValidPayload(90, 11) {
-		t.Fatal("invalid ranges accepted")
-	}
-	// Overflow guard.
-	if a.ValidPayload(1<<62, 1<<62) {
-		t.Fatal("overflowing range accepted")
 	}
 }
 
@@ -273,38 +251,73 @@ func TestActorString(t *testing.T) {
 
 // Concurrent single-writer usage must be race-detector clean: one
 // goroutine (engine) writes word E, another (app) writes word A, both
-// read each other's word, payload handoff ordered by the control word.
+// read each other's word. The app hands over a payload byte and an
+// owned word, written with a plain store, by its store to A; it
+// rewrites both only after loading E, which the engine stores after
+// reading them.
 func TestConcurrentSingleWriterClean(t *testing.T) {
-	a := mustArena(t, Config{ControlWords: 8, PayloadBytes: 64})
-	const wordApp, wordEng = 0, 4 // separate lines
+	a := mustArena(t, Config{ControlWords: 12, PayloadBytes: 64})
+	const wordApp, wordEng, wordOwned = 0, 4, 8 // separate lines
 	const rounds = 10000
+	app, eng := NewView(a, ActorApp), NewView(a, ActorEngine)
 	var wg sync.WaitGroup
 	wg.Add(2)
+	errs := make(chan error, 1)
 	go func() { // engine: waits for app word to advance, then echoes
 		defer wg.Done()
 		for i := uint64(1); i <= rounds; i++ {
-			for a.Load(ActorEngine, wordApp) < i {
+			for eng.Load(wordApp) < i {
 				runtime.Gosched()
 			}
-			// App published payload before storing wordApp; read it.
+			// App published payload and the owned word before storing
+			// wordApp; read them.
 			b := a.Payload(0, 8)
 			_ = b[0]
-			a.Store(ActorEngine, wordEng, i)
+			if got := eng.Load(wordOwned); got != i*3 {
+				select {
+				case errs <- fmt.Errorf("round %d: owned word %d, want %d", i, got, i*3):
+				default:
+				}
+			}
+			eng.Store(wordEng, i)
 		}
 	}()
 	go func() { // app
 		defer wg.Done()
 		for i := uint64(1); i <= rounds; i++ {
 			a.Payload(0, 8)[0] = byte(i)
-			a.Store(ActorApp, wordApp, i)
-			for a.Load(ActorApp, wordEng) < i {
+			app.StoreOwned(wordOwned, i*3)
+			app.Store(wordApp, i)
+			for app.Load(wordEng) < i {
 				runtime.Gosched()
 			}
 		}
 	}()
 	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
 	if a.Load(ActorNone, wordEng) != rounds {
 		t.Fatalf("final engine word = %d", a.Load(ActorNone, wordEng))
+	}
+}
+
+// StoreOwned is Store to a tracer: the same access, attributed to the
+// view's actor.
+func TestStoreOwnedTraced(t *testing.T) {
+	a := mustArena(t, Config{ControlWords: 8, PayloadBytes: 0})
+	tr := &countTracer{}
+	a.SetTracer(tr)
+	NewView(a, ActorEngine).StoreOwned(6, 9)
+	if tr.stores != 1 || tr.lastActor != ActorEngine || tr.lastWord != 6 {
+		t.Fatalf("tracer after owned store: %+v", tr)
+	}
+	a.SetTracer(nil)
+	NewView(a, ActorApp).StoreOwned(6, 10)
+	if tr.stores != 1 || a.Load(ActorNone, 6) != 10 {
+		t.Fatalf("untraced owned store: %+v, word %d", tr, a.Load(ActorNone, 6))
 	}
 }
 

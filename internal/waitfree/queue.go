@@ -110,16 +110,18 @@ func (q *Queue) slot(i uint64) int { return q.slotBase + int(i&(q.capacity-1)) }
 
 // Release inserts v at the head of the queue on behalf of the
 // application. It returns false when the queue is full (capacity
-// buffers between acquire and release). The slot is written before the
-// release pointer is advanced, which is what publishes the slot to the
-// engine (atomic store ordering).
+// buffers between acquire and release). The slot is the application's
+// until the release pointer moves past it, so it takes a plain store;
+// the sequentially consistent store to release that follows is what
+// publishes the slot to the engine, which loads release before it
+// reads the slot.
 func (q *Queue) Release(app mem.View, v uint64) bool {
 	rel := app.Load(q.release)
 	acq := app.Load(q.acquire)
 	if rel-acq >= q.capacity {
 		return false
 	}
-	app.Store(q.slot(rel), v)
+	app.StoreOwned(q.slot(rel), v)
 	app.Store(q.release, rel+1)
 	return true
 }
@@ -235,17 +237,6 @@ func (q *Queue) Unacquired(app mem.View, visit func(uint64)) {
 	}
 }
 
-// AcquirePeek returns the value the next Acquire would return without
-// consuming it.
-func (q *Queue) AcquirePeek(app mem.View) (uint64, bool) {
-	acq := app.Load(q.acquire)
-	proc := app.Load(q.process)
-	if acq == proc {
-		return 0, false
-	}
-	return app.Load(q.slot(acq)), true
-}
-
 // Depths returns the number of buffers waiting to be processed by the
 // engine and the number processed but not yet acquired, as seen by
 // view's actor. The two sum to the queue occupancy.
@@ -268,28 +259,12 @@ func (q *Queue) Empty(v mem.View) bool {
 	return rel == v.Load(q.process) && rel == v.Load(q.acquire)
 }
 
+// Slot returns the value released at free-running position i, for an
+// engine that loaded process and release once and reads the backlog
+// between them (i in [process, release)) as one run.
+func (q *Queue) Slot(eng mem.View, i uint64) uint64 { return eng.Load(q.slot(i)) }
+
 // ProcessWords returns the offsets of the process and release pointers,
 // for the engine's idle test: equal values mean nothing to process, and
 // the scan loads the two itself so the test inlines into its loop.
 func (q *Queue) ProcessWords() (process, release int) { return q.process, q.release }
-
-// DebugOffsets returns the queue's control-word offsets — release,
-// process, acquire, and the first slot — for fault-injection tooling
-// and tests that model wild application writes. Production code never
-// needs these.
-func (q *Queue) DebugOffsets() (release, process, acquire, slotBase int) {
-	return q.release, q.process, q.acquire, q.slotBase
-}
-
-// CheckInvariant verifies acquire <= process <= release <= acquire+capacity.
-// Used by tests and by the engine's validity-check mode.
-func (q *Queue) CheckInvariant(v mem.View) error {
-	rel := v.Load(q.release)
-	proc := v.Load(q.process)
-	acq := v.Load(q.acquire)
-	if !(acq <= proc && proc <= rel && rel <= acq+q.capacity) {
-		return fmt.Errorf("waitfree: queue invariant violated: acquire=%d process=%d release=%d capacity=%d",
-			acq, proc, rel, q.capacity)
-	}
-	return nil
-}

@@ -387,7 +387,7 @@ type lineTracer struct {
 
 func (l *lineTracer) OnLoad(a mem.Actor, w int) {}
 func (l *lineTracer) OnStore(a mem.Actor, w int) {
-	line := l.arena.LineOf(w)
+	line := w / l.arena.LineWords()
 	if l.writers[line] == nil {
 		l.writers[line] = map[mem.Actor]bool{}
 	}
