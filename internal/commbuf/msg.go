@@ -164,8 +164,8 @@ func (m *Msg) Reclaim(v mem.View) (State, error) {
 }
 
 // Unstage undoes StageSend/StageRecv on a buffer the queue then refused
-// (a racing thread took the last slot): Queued back to Owned, so its
-// owner can stage it again. The engine never saw the buffer.
+// as full: Queued back to Owned, so its owner can stage it again. The
+// engine never saw the buffer.
 func (m *Msg) Unstage(v mem.View) error {
 	if st := m.State(v); st != StateQueued {
 		return fmt.Errorf("commbuf: Unstage of buffer %d in state %v", m.id, st)

@@ -96,22 +96,23 @@ func (e *Endpoint) send(msg *Message, dst Addr, n int, flags uint8) error {
 	if msg == nil || msg.d != e.d {
 		return fmt.Errorf("flipc: Send of foreign or nil message")
 	}
-	if e.ep.Queue().Full(e.d.app) {
-		return ErrQueueFull
-	}
 	if err := msg.m.StageSend(e.d.app, dst, n, flags); err != nil {
 		return err
 	}
-	if !e.ep.Queue().Release(e.d.app, uint64(msg.m.ID())) {
-		// Racing thread filled the queue between the check and the
-		// release; undo the staging. (Single-threaded callers never
-		// reach this; *Locked callers hold the lock.)
-		if err := msg.m.Unstage(e.d.app); err != nil {
-			return err
-		}
-		return ErrQueueFull
+	return e.release(msg)
+}
+
+// release queues a staged buffer, or on a full queue unstages it and
+// returns ErrQueueFull. Staging first leaves one full check per call:
+// the engine reads the meta word only after the release store.
+func (e *Endpoint) release(msg *Message) error {
+	if e.ep.Queue().Release(e.d.app, uint64(msg.m.ID())) {
+		return nil
 	}
-	return nil
+	if err := msg.m.Unstage(e.d.app); err != nil {
+		return err
+	}
+	return ErrQueueFull
 }
 
 // Post provides an empty buffer to a receive endpoint (step 1 of
@@ -124,19 +125,10 @@ func (e *Endpoint) Post(msg *Message) error {
 	if msg == nil || msg.d != e.d {
 		return fmt.Errorf("flipc: Post of foreign or nil message")
 	}
-	if e.ep.Queue().Full(e.d.app) {
-		return ErrQueueFull
-	}
 	if err := msg.m.StageRecv(e.d.app); err != nil {
 		return err
 	}
-	if !e.ep.Queue().Release(e.d.app, uint64(msg.m.ID())) {
-		if err := msg.m.Unstage(e.d.app); err != nil {
-			return err
-		}
-		return ErrQueueFull
-	}
-	return nil
+	return e.release(msg)
 }
 
 // Acquire removes the oldest engine-processed buffer from the endpoint

@@ -162,6 +162,7 @@ type Engine struct {
 	frame      []byte
 	sendSeqs   []uint8
 	stats      Stats
+	run        recvRun // open only inside pollReceive
 
 	// ctlDrops tracks, per endpoint slot, the share of no-buffer
 	// discards (RecvDrops) that carried wire.FlagCtl — in-band control
@@ -449,6 +450,9 @@ func (e *Engine) endpoint(i int) *commbuf.Endpoint {
 // serviced fresh. While the word is unchanged a quarantined slot stays
 // frozen.
 func (e *Engine) refresh(i int, w uint64) {
+	if e.run.ep == &e.eps[i].ep {
+		e.closeRun() // into the descriptor the run was filling
+	}
 	recovered := e.eps[i].fault != FaultNone
 	ep, err := e.buf.OpenEndpoint(e.view, i)
 	e.sweep[i].word = w
@@ -512,11 +516,54 @@ func (e *Engine) pollReceive() bool {
 		e.stats.Received++
 		e.deliver(frame)
 	}
+	e.closeRun()
 	return work
 }
 
-// deliver places one arrived frame into its destination endpoint, or
-// discards it with accounting. This is the receiving half of the
+// recvRun is the receive half's open run: the endpoint the last frames
+// went to, its queue words, and its pointers as the run last loaded
+// them. The engine owns every buffer in [start, proc) from that release
+// load on, so process is stored once, when the run closes: at a change
+// of destination, at the end of the pass, before a quarantine and
+// before a refresh of its slot (DESIGN.md §3b).
+type recvRun struct {
+	ep               *commbuf.Endpoint // nil while no run is open
+	process, release int               // word offsets
+	start, proc, rel uint64
+}
+
+// closeRun hands the open run's filled buffers to the application with
+// one store of process and, once for the run, rings the endpoint's
+// doorbell if a thread waits on it.
+func (e *Engine) closeRun() {
+	r := &e.run
+	if r.ep != nil && r.proc != r.start {
+		e.view.Store(r.process, r.proc)
+		if e.m != nil {
+			// Posted buffers the run left for the next arrivals.
+			e.m.recvQDepth.Observe(r.rel - r.proc)
+		}
+		if r.ep.WakeupRequested(e.view) {
+			e.ring(r.ep)
+		}
+	}
+	r.ep = nil
+}
+
+// recvFault freezes a receive endpoint whose queue or posted buffer is
+// corrupt, after handing over what its run already filled, and counts
+// the frame that found it so.
+func (e *Engine) recvFault(slot int, k FaultKind, dst wire.Addr) {
+	e.closeRun()
+	e.quarantine(slot, k)
+	e.stats.QuarantineDrops++
+	if e.lab != nil {
+		e.cfg.Trace.Add1(e.lab.recvQuarantined, uint64(dst))
+	}
+}
+
+// deliver places one arrived frame into its destination endpoint's run,
+// or discards it with accounting. This is the receiving half of the
 // optimistic protocol: there is never feedback to the sender.
 func (e *Engine) deliver(frame []byte) {
 	var pkt wire.Packet
@@ -576,26 +623,29 @@ func (e *Engine) deliver(frame []byte) {
 		}
 		return
 	}
-	// The queue-invariant check is fused into the peek, so its price is
-	// paid per message and an empty queue costs the same either way.
-	var id uint64
-	var err error
-	if e.cfg.ValidityChecks {
-		id, ok, err = ep.Queue().ProcessPeekChecked(e.view)
-	} else {
-		id, ok = ep.Queue().ProcessPeek(e.view)
+	// Open a run on a new destination; within a run, reload release
+	// only when the buffers it loaded are spent. The queue invariant is
+	// checked on the two words those loads give anyway: the backlog
+	// release-process lies in [0, capacity] on a sane queue. acquire is
+	// not checked: it is the application's word, and loading it would
+	// pull the application's line over to the engine on every frame.
+	r := &e.run
+	if r.ep != ep {
+		e.closeRun()
+		process, release := ep.Queue().ProcessWords()
+		proc := e.view.Load(process)
+		*r = recvRun{ep: ep, process: process, release: release, start: proc, proc: proc, rel: e.view.Load(release)}
+	} else if r.proc == r.rel {
+		r.rel = e.view.Load(r.release)
 	}
-	if err != nil {
+	wild := r.rel-r.proc > uint64(ep.Queue().Capacity())
+	if wild && e.cfg.ValidityChecks {
 		// Wild queue pointers: nothing read from this queue can be
 		// trusted. Freeze the endpoint.
-		e.quarantine(slot, FaultQueueInvariant)
-		e.stats.QuarantineDrops++
-		if e.lab != nil {
-			e.cfg.Trace.Add1(e.lab.recvQuarantined, uint64(dst))
-		}
+		e.recvFault(slot, FaultQueueInvariant, dst)
 		return
 	}
-	if !ok {
+	if r.proc == r.rel {
 		// No posted receive buffer: discard and count. The application
 		// reads this counter via flipc's read-and-reset interface; flow
 		// control is its job (or internal/flowctl's), not the transport's.
@@ -610,58 +660,43 @@ func (e *Engine) deliver(frame []byte) {
 		}
 		return
 	}
+	// A corrupt slot — an id out of range, or with checks a buffer not
+	// queued — is refused before any memory is touched, and the queue is
+	// not advanced past it (a frozen queue cannot mislead the engine
+	// again; re-allocation is the recovery path).
+	msg, err := e.buf.MsgByID(ep.Queue().Slot(e.view, r.proc))
+	if err != nil {
+		e.recvFault(slot, FaultBadBufID, dst)
+		return
+	}
 	if e.cfg.ValidityChecks {
-		if k := e.checkRecvBuffer(id); k != FaultNone {
-			// A corrupted queue slot: refuse to touch memory and freeze
-			// the endpoint — the queue is not advanced (a frozen queue
-			// cannot mislead the engine again, and re-allocation is the
-			// recovery path).
-			e.quarantine(slot, k)
-			e.stats.QuarantineDrops++
-			if e.lab != nil {
-				e.cfg.Trace.Add1(e.lab.recvQuarantined, uint64(dst))
-			}
+		if _, _, _, state := msg.EngineMeta(e.view); state != commbuf.StateQueued {
+			e.recvFault(slot, FaultBadBufState, dst)
 			return
 		}
 	}
-	msg, err := e.buf.MsgByID(id)
-	if err != nil {
-		// Out-of-range buffer id caught without validity checks: still
-		// unambiguous corruption, still never touched. Quarantine.
-		e.quarantine(slot, FaultBadBufID)
-		e.stats.QuarantineDrops++
-		return
-	}
 	copy(msg.Payload(), pkt.Payload)
 	msg.EngineFillRecv(e.view, int(pkt.Size), pkt.Flags)
-	if err := ep.Queue().AdvanceProcessChecked(e.view); err != nil {
-		// The release pointer moved under us between peek and advance:
-		// only a scribble can do that. The buffer was filled but cannot
-		// be handed over; count the frame as quarantine loss.
-		e.quarantine(slot, FaultQueueInvariant)
-		e.stats.QuarantineDrops++
+	if wild {
+		// Unchecked, the head of a scribbled backlog is filled but not
+		// handed over; the frame counts as quarantine loss.
+		e.recvFault(slot, FaultQueueInvariant, dst)
 		return
 	}
+	r.proc++
 	e.stats.Delivered++
 	if e.lab != nil {
 		e.cfg.Trace.Add2(e.lab.recvDelivered, uint64(dst), uint64(pkt.Size))
 	}
-	if e.m != nil {
+	if e.m != nil && pkt.Stamp != 0 {
 		// True one-way delivery latency: sender stamped the frame at
 		// transmit, we are past the copy into the posted buffer.
-		if pkt.Stamp != 0 {
-			lat := time.Now().UnixNano() - pkt.Stamp
-			if lat < 0 {
-				lat = 0 // cross-host clock skew: clamp, never corrupt
-			}
-			e.m.latency.Observe(uint64(lat))
-			e.m.epLatencyHist(slot).Observe(uint64(lat))
+		lat := time.Now().UnixNano() - pkt.Stamp
+		if lat < 0 {
+			lat = 0 // cross-host clock skew: clamp, never corrupt
 		}
-		posted, _ := ep.Queue().Depths(e.view)
-		e.m.recvQDepth.Observe(uint64(posted))
-	}
-	if ep.WakeupRequested(e.view) {
-		e.ring(ep)
+		e.m.latency.Observe(uint64(lat))
+		e.m.epLatencyHist(slot).Observe(uint64(lat))
 	}
 }
 
@@ -672,20 +707,6 @@ func (e *Engine) ring(ep *commbuf.Endpoint) {
 		e.stats.Doorbells++
 	}
 	// A full doorbell is harmless: the waiter also polls.
-}
-
-// checkRecvBuffer validates a posted receive buffer id read from an
-// application-writable queue slot, returning the fault category when
-// the slot cannot be trusted.
-func (e *Engine) checkRecvBuffer(id uint64) FaultKind {
-	msg, err := e.buf.MsgByID(id)
-	if err != nil {
-		return FaultBadBufID
-	}
-	if _, _, _, state := msg.EngineMeta(e.view); state != commbuf.StateQueued {
-		return FaultBadBufState
-	}
-	return FaultNone
 }
 
 // rebuildActive lists the healthy send endpoints in scan order: by slot

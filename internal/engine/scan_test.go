@@ -67,13 +67,30 @@ func (r *refScan) sendOrder(e *Engine) []int {
 	}
 }
 
-// refPeek is the parent's (*Engine).peek.
+// refPeek is the parent's (*Engine).peek: the queue's checked or
+// unchecked peek, loading both pointers for every message.
 func refPeek(e *Engine, info *commbuf.Endpoint) (uint64, bool, error) {
-	if e.cfg.ValidityChecks {
-		return info.Queue().ProcessPeekChecked(e.view)
+	process, release := info.Queue().ProcessWords()
+	proc, rel := e.view.Load(process), e.view.Load(release)
+	if proc == rel {
+		return 0, false, nil
 	}
-	id, ok := info.Queue().ProcessPeek(e.view)
-	return id, ok, nil
+	if e.cfg.ValidityChecks && rel-proc > uint64(info.Queue().Capacity()) {
+		return 0, false, fmt.Errorf("backlog %d above capacity", rel-proc)
+	}
+	return info.Queue().Slot(e.view, proc), true, nil
+}
+
+// refAdvance is the queue's checked advance the parent called after
+// each message: both pointers loaded again, one store of process.
+func refAdvance(e *Engine, info *commbuf.Endpoint) error {
+	process, release := info.Queue().ProcessWords()
+	proc, rel := e.view.Load(process), e.view.Load(release)
+	if pending := rel - proc; pending == 0 || pending > uint64(info.Queue().Capacity()) {
+		return fmt.Errorf("no processable buffer: process=%d release=%d", proc, rel)
+	}
+	e.view.Store(process, proc+1)
+	return nil
 }
 
 // poll is the parent's Poll (metrics off) with its pollSend loop.
@@ -128,7 +145,7 @@ func (r *refScan) poll(e *Engine) bool {
 				break
 			}
 			work = true
-			if err := info.Queue().AdvanceProcessChecked(e.view); err != nil {
+			if err := refAdvance(e, info); err != nil {
 				e.quarantine(i, FaultQueueInvariant)
 				break
 			}
@@ -431,16 +448,23 @@ func TestIdlePassWordCount(t *testing.T) {
 	}
 }
 
-// wordStores counts the engine's stores to one arena word.
-type wordStores struct{ word, n int }
+// wordCounts counts the engine's loads and stores of each arena word.
+type wordCounts struct{ loads, stores map[int]int }
 
-func (c *wordStores) OnLoad(mem.Actor, int) {}
-func (c *wordStores) OnStore(a mem.Actor, w int) {
-	if a == mem.ActorEngine && w == c.word {
-		c.n++
+func newWordCounts() *wordCounts {
+	return &wordCounts{loads: map[int]int{}, stores: map[int]int{}}
+}
+func (c *wordCounts) OnLoad(a mem.Actor, w int) {
+	if a == mem.ActorEngine {
+		c.loads[w]++
 	}
 }
-func (c *wordStores) OnBusLock(mem.Actor, int) {}
+func (c *wordCounts) OnStore(a mem.Actor, w int) {
+	if a == mem.ActorEngine {
+		c.stores[w]++
+	}
+}
+func (c *wordCounts) OnBusLock(mem.Actor, int) {}
 
 // TestSendRunStoresProcessOnce: a pass that sends a run of queued
 // messages from one endpoint hands them all back with one store of the
@@ -476,12 +500,12 @@ func TestSendRunStoresProcessOnce(t *testing.T) {
 			}
 		}
 		process, _ := ep.Queue().ProcessWords()
-		c := &wordStores{word: process}
+		c := newWordCounts()
 		buf.Arena().SetTracer(c)
 		eng.Poll()
 		buf.Arena().SetTracer(nil)
-		if len(tr.frames) != run || c.n != 1 {
-			t.Errorf("checks %v: %d frames sent with %d stores to process, want %d and 1", checks, len(tr.frames), c.n, run)
+		if len(tr.frames) != run || c.stores[process] != 1 {
+			t.Errorf("checks %v: %d frames sent with %d stores to process, want %d and 1", checks, len(tr.frames), c.stores[process], run)
 		}
 		if toProcess, toAcquire := ep.Queue().Depths(app); toProcess != 0 || toAcquire != run {
 			t.Errorf("checks %v: %d to process, %d to acquire; want 0 and %d", checks, toProcess, toAcquire, run)

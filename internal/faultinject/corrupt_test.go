@@ -59,8 +59,8 @@ func (c *Corruptor) UnownedBuffer(ep *commbuf.Endpoint) error {
 // next time the queue claims processable work.
 func (c *Corruptor) ScribbleRelease(ep *commbuf.Endpoint) {
 	_, release := ep.Queue().ProcessWords()
-	// Far beyond process+capacity: the backlog check fails on the next
-	// peek with pending work.
+	// Far beyond process+capacity: the backlog check fails when the
+	// engine next loads the two pointers.
 	c.app.Store(release, uint64(1)<<40|uint64(c.rng.Intn(1<<20)))
 }
 

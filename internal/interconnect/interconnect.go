@@ -11,7 +11,9 @@
 //     single-consumer ring of NewFabric's depth per source →
 //     destination pair, so concurrent senders on one port (or pollers)
 //     must be serialized, as Mux and faultinject.Injector do. It never
-//     corks: a frame TrySend accepts is in the pair's ring.
+//     corks: a frame TrySend accepts is in the pair's ring. The frame
+//     copies are cut from chunks of up to 1 KiB, one heap object per 8
+//     of the 128-byte frames the benchmarks send.
 //
 // Both deliver fixed-size frames reliably and in order per source →
 // destination pair, and only per pair: frames from different sources
@@ -41,8 +43,12 @@ import (
 //     injection port is saturated (the engine retries on a later loop
 //     pass). The transport copies the frame before returning.
 //   - Poll returns the next frame addressed to the local node, or
-//     false. The returned slice is owned by the caller. Poll has one
-//     caller at a time, the engine loop.
+//     false. The returned slice is owned by the caller: the transport
+//     never writes to it again, and its capacity ends with the frame.
+//     It may share its backing array with neighbouring frames (the
+//     socket reader's burst, the fabric's chunk: at most 1 KiB, or the
+//     one frame when it is larger), and a retained frame keeps that
+//     array alive. Poll has one caller at a time, the engine loop.
 type Transport interface {
 	TrySend(dst wire.NodeID, frame []byte) bool
 	Poll() ([]byte, bool)
@@ -370,15 +376,24 @@ type ring struct {
 
 	tail      atomic.Uint64 // stored by the sender only
 	headCache uint64
-	_         [cacheLine - 16]byte
+	chunk     []byte // the sender's unpublished rest of its current chunk
+	_         [cacheLine - 40]byte
 
 	head      atomic.Uint64 // stored by the receiver only
 	tailCache uint64
 	_         [cacheLine - 16]byte
 }
 
-// push copies frame into the next slot, then publishes it; a full ring
-// refuses it without allocating.
+// chunkBytes caps the frames one chunk holds, as nettrans caps a
+// burst: at 128-byte frames a chunk is 8 of them, and every multiple of
+// 128 up to it is a Go size class.
+const chunkBytes = 1024
+
+// push copies frame into the sender's current chunk and publishes that
+// piece of it, capacity-clipped, in the next slot; a full ring refuses
+// it without allocating. A new chunk holds as many frames as the ring
+// has carried, up to chunkBytes of them: only traffic that is already
+// flowing is batched, so a short-lived ring wastes little of its last.
 func (r *ring) push(frame []byte) bool {
 	t := r.tail.Load()
 	if t-r.headCache >= r.depth {
@@ -386,14 +401,23 @@ func (r *ring) push(frame []byte) bool {
 			return false
 		}
 	}
-	r.slots[t&r.mask] = append([]byte(nil), frame...)
+	n := len(frame)
+	if len(r.chunk) < n {
+		frames := min(t+1, uint64(max(1, chunkBytes/n)))
+		r.chunk = make([]byte, n*int(frames))
+	}
+	f := r.chunk[:n:n]
+	copy(f, frame)
+	r.chunk = r.chunk[n:]
+	r.slots[t&r.mask] = f
 	r.tail.Store(t + 1)
 	return true
 }
 
-// pop returns the oldest published frame. The sender only ever
-// overwrites the slot with a new copy, never writes into a frame it
-// published, so the caller owns the slice.
+// pop returns the oldest published frame. The sender never writes into
+// a piece of a chunk it published, and a frame's capacity ends with it,
+// so the caller owns the slice; a frame the caller keeps keeps its
+// chunk (at most chunkBytes) alive.
 func (r *ring) pop() ([]byte, bool) {
 	h := r.head.Load()
 	if h == r.tailCache {

@@ -1,6 +1,7 @@
 package interconnect
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -266,9 +267,10 @@ func TestFabricBackpressure(t *testing.T) {
 	}
 }
 
-// TestFabricAllocs pins the Transport contract's one heap object: the
-// caller-owned copy a TrySend makes and the matching Poll hands over.
-// An idle Poll and a refused TrySend allocate nothing.
+// TestFabricAllocs pins the fabric's heap objects: the caller-owned
+// frames TrySend→Poll cycles hand over are cut from chunks of up to
+// chunkBytes, so N cycles of 128-byte frames cost at most ⌈N/8⌉+1
+// objects. An idle Poll and a refused TrySend allocate nothing.
 func TestFabricAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -277,15 +279,18 @@ func TestFabricAllocs(t *testing.T) {
 	a, _ := f.Attach(0)
 	b, _ := f.Attach(1)
 	frame := make([]byte, 128)
-	if n := testing.AllocsPerRun(1000, func() {
-		if !a.TrySend(1, frame) {
-			t.Fatal("TrySend refused")
+	const cycles = 64
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < cycles; i++ {
+			if !a.TrySend(1, frame) {
+				t.Fatal("TrySend refused")
+			}
+			if _, ok := b.Poll(); !ok {
+				t.Fatal("frame missing")
+			}
 		}
-		if _, ok := b.Poll(); !ok {
-			t.Fatal("frame missing")
-		}
-	}); n != 1 {
-		t.Errorf("TrySend→Poll cycle: %v allocs, want 1", n)
+	}); n > (cycles+7)/8+1 {
+		t.Errorf("%d TrySend→Poll cycles: %v allocs, want at most %d", cycles, n, (cycles+7)/8+1)
 	}
 	if n := testing.AllocsPerRun(1000, func() { b.Poll() }); n != 0 {
 		t.Errorf("idle Poll: %v allocs, want 0", n)
@@ -297,6 +302,44 @@ func TestFabricAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("refused TrySend: %v allocs, want 0", n)
+	}
+}
+
+// TestPolledFrameOutlivesChunk: a frame Poll returned is the caller's.
+// It stays byte-identical while the sender pushes twice the ring's depth
+// of further frames, and an append to it cannot reach the next frame of
+// its chunk.
+func TestPolledFrameOutlivesChunk(t *testing.T) {
+	const depth = 4
+	f := NewFabric(depth)
+	a, _ := f.Attach(0)
+	b, _ := f.Attach(1)
+	frame := func(v byte) []byte { return bytes.Repeat([]byte{v}, 128) }
+	cycle := func(v byte) []byte {
+		t.Helper()
+		if !a.TrySend(1, frame(v)) {
+			t.Fatalf("TrySend %#x refused", v)
+		}
+		got, ok := b.Poll()
+		if !ok || !slices.Equal(got, frame(v)) {
+			t.Fatalf("frame %#x polled as %v, %v", v, ok, got)
+		}
+		return got
+	}
+	for v := byte(0); v < 9; v++ {
+		cycle(v) // past the chunk's growth: the held frame shares a full chunk
+	}
+	held := cycle(0xAA)
+	if cap(held) != len(held) {
+		t.Fatalf("polled frame has capacity %d past its %d bytes", cap(held), len(held))
+	}
+	next := cycle(0xBB) // cut from the same chunk, right after held
+	_ = append(held, 0xFF)
+	for range 2 * depth {
+		cycle(0xCC)
+	}
+	if !slices.Equal(held, frame(0xAA)) || !slices.Equal(next, frame(0xBB)) {
+		t.Fatalf("polled frames changed under the sender:\n%v\n%v", held, next)
 	}
 }
 

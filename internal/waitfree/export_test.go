@@ -35,3 +35,10 @@ func (q *Queue) AcquirePeek(app mem.View) (uint64, bool) {
 	}
 	return app.Load(q.slot(acq)), true
 }
+
+// Empty reports whether all three pointers coincide (no buffers at any
+// stage).
+func (q *Queue) Empty(v mem.View) bool {
+	rel := v.Load(q.release)
+	return rel == v.Load(q.process) && rel == v.Load(q.acquire)
+}

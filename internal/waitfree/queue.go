@@ -127,8 +127,10 @@ func (q *Queue) Release(app mem.View, v uint64) bool {
 }
 
 // ProcessPeek returns the slot value at the engine's process position
-// without advancing, and reports whether one is available. The engine
-// calls this, handles the buffer, then calls AdvanceProcess.
+// without advancing, and reports whether one is available; a trusted
+// caller handles the buffer, then calls AdvanceProcess. The engine
+// itself, whose application may scribble the pointers, loads process
+// and release once per run and reads the backlog with Slot.
 func (q *Queue) ProcessPeek(eng mem.View) (uint64, bool) {
 	proc := eng.Load(q.process)
 	rel := eng.Load(q.release)
@@ -138,67 +140,17 @@ func (q *Queue) ProcessPeek(eng mem.View) (uint64, bool) {
 	return eng.Load(q.slot(proc)), true
 }
 
-// ProcessPeekChecked is ProcessPeek with the engine-safety half of the
-// queue invariant fused in: the unprocessed backlog release-process
-// must lie in (0, capacity], which catches a release pointer scribbled
-// backwards (huge unsigned difference) or wildly forwards. A non-nil
-// error means the control words are corrupt and nothing read through
-// this queue can be trusted.
-//
-// Deliberately NOT checked here: acquire <= process. The acquire word
-// is application-owned and nothing the engine does depends on it, so
-// loading it from the engine would re-create exactly the app/engine
-// line ping-pong the padded layout exists to eliminate (each engine
-// read pulls the line, each application acquire then pays an
-// invalidation). The check uses only words the engine must load
-// anyway, so it is free of coherency cost, and an idle queue costs
-// exactly what an unchecked peek costs.
-func (q *Queue) ProcessPeekChecked(eng mem.View) (uint64, bool, error) {
-	proc := eng.Load(q.process)
-	rel := eng.Load(q.release)
-	pending := rel - proc
-	if pending == 0 {
-		return 0, false, nil
-	}
-	if pending > q.capacity {
-		return 0, false, fmt.Errorf("waitfree: queue invariant violated: process=%d release=%d capacity=%d",
-			proc, rel, q.capacity)
-	}
-	return eng.Load(q.slot(proc)), true, nil
-}
-
 // AdvanceProcess moves the engine's process pointer past the buffer
-// returned by the last ProcessPeek. Calling it with nothing pending is
-// a bug in the engine; it panics rather than corrupt the invariant.
-// The panic is reserved for trusted callers (tests, single-actor
-// drivers); the engine's untrusted read path uses
-// AdvanceProcessChecked, because on a queue whose control words the
-// application can scribble, "nothing pending" may mean corruption
-// rather than an engine bug.
+// returned by the last ProcessPeek. Calling it with nothing pending
+// (a backlog release-process outside (0, capacity]) is a bug in the
+// trusted caller; it panics rather than corrupt the invariant.
 func (q *Queue) AdvanceProcess(eng mem.View) {
-	if err := q.AdvanceProcessChecked(eng); err != nil {
-		panic(err.Error())
-	}
-}
-
-// AdvanceProcessChecked is AdvanceProcess for the engine's read path
-// over application-writable memory: instead of panicking when no buffer
-// is processable — which there can only mean the application moved the
-// release pointer out from under the engine — it returns an error so
-// the engine can quarantine the endpoint and keep running.
-func (q *Queue) AdvanceProcessChecked(eng mem.View) error {
 	proc := eng.Load(q.process)
 	rel := eng.Load(q.release)
-	// pending is the unprocessed backlog; on a sane queue it is in
-	// (0, capacity]. Zero means nothing to process; anything above
-	// capacity means the release pointer moved backwards or wildly
-	// forwards under the engine (free-running counters, so a backwards
-	// move shows up as a huge unsigned difference).
 	if pending := rel - proc; pending == 0 || pending > q.capacity {
-		return fmt.Errorf("waitfree: AdvanceProcess with no processable buffer (process=%d release=%d)", proc, rel)
+		panic(fmt.Sprintf("waitfree: AdvanceProcess with no processable buffer (process=%d release=%d)", proc, rel))
 	}
 	eng.Store(q.process, proc+1)
-	return nil
 }
 
 // Process is ProcessPeek and AdvanceProcess in one step, for an engine
@@ -247,24 +199,13 @@ func (q *Queue) Depths(v mem.View) (toProcess, toAcquire int) {
 	return int(rel - proc), int(proc - acq)
 }
 
-// Full reports whether Release would fail.
-func (q *Queue) Full(v mem.View) bool {
-	return v.Load(q.release)-v.Load(q.acquire) >= q.capacity
-}
-
-// Empty reports whether all three pointers coincide (no buffers at any
-// stage).
-func (q *Queue) Empty(v mem.View) bool {
-	rel := v.Load(q.release)
-	return rel == v.Load(q.process) && rel == v.Load(q.acquire)
-}
-
 // Slot returns the value released at free-running position i, for an
 // engine that loaded process and release once and reads the backlog
 // between them (i in [process, release)) as one run.
 func (q *Queue) Slot(eng mem.View, i uint64) uint64 { return eng.Load(q.slot(i)) }
 
 // ProcessWords returns the offsets of the process and release pointers,
-// for the engine's idle test: equal values mean nothing to process, and
-// the scan loads the two itself so the test inlines into its loop.
+// for the engine, which loads the two itself: equal values mean nothing
+// to process, and a run reads the backlog between them with Slot and
+// hands it back with one store of process.
 func (q *Queue) ProcessWords() (process, release int) { return q.process, q.release }

@@ -134,8 +134,8 @@ func TestQueueFull(t *testing.T) {
 	if q.Release(app, 3) {
 		t.Fatal("release on full queue succeeded")
 	}
-	if !q.Full(app) {
-		t.Fatal("Full() false on full queue")
+	if toProcess, toAcquire := q.Depths(app); toProcess+toAcquire != q.Capacity() {
+		t.Fatalf("full queue holds %d+%d, want %d", toProcess, toAcquire, q.Capacity())
 	}
 	// Processing alone does not free space; acquire does.
 	if _, ok := q.ProcessPeek(eng); !ok {
@@ -395,24 +395,34 @@ func (l *lineTracer) OnStore(a mem.Actor, w int) {
 }
 func (l *lineTracer) OnBusLock(a mem.Actor, w int) {}
 
-func TestAdvanceProcessChecked(t *testing.T) {
+// TestSlotRun: an engine side that loads process and release once reads
+// the backlog between them with Slot and hands it all back with one
+// store of process; the buffers become acquirable only at that store.
+func TestSlotRun(t *testing.T) {
 	q, app, eng := newQueue(t, 4, true)
-	if err := q.AdvanceProcessChecked(eng); err == nil {
-		t.Fatal("empty-queue advance accepted")
+	for v := uint64(10); v < 13; v++ {
+		if !q.Release(app, v) {
+			t.Fatalf("release %d failed", v)
+		}
 	}
-	if !q.Release(app, 7) {
-		t.Fatal("release failed")
+	process, release := q.ProcessWords()
+	proc, rel := eng.Load(process), eng.Load(release)
+	for i := proc; i != rel; i++ {
+		if v := q.Slot(eng, i); v != 10+i-proc {
+			t.Fatalf("Slot(%d) = %d, want %d", i, v, 10+i-proc)
+		}
 	}
-	if err := q.AdvanceProcessChecked(eng); err != nil {
-		t.Fatalf("advance with pending buffer: %v", err)
+	if _, ok := q.Acquire(app); ok {
+		t.Fatal("acquired before the run stored process")
 	}
-	// The corruption case the checked form exists for: the application
-	// yanks the release pointer backwards between the engine's peek and
-	// advance. The checked advance must degrade to an error, never panic.
-	rel, _, _, _ := q.DebugOffsets()
-	app.Store(rel, 0)
-	if err := q.AdvanceProcessChecked(eng); err == nil {
-		t.Fatal("advance past scribbled release pointer accepted")
+	eng.Store(process, rel)
+	for want := uint64(10); want < 13; want++ {
+		if v, ok := q.Acquire(app); !ok || v != want {
+			t.Fatalf("Acquire = %d,%v; want %d", v, ok, want)
+		}
+	}
+	if err := q.CheckInvariant(app); err != nil || !q.Empty(app) {
+		t.Fatalf("after the run: %v, empty %v", err, q.Empty(app))
 	}
 }
 
