@@ -86,10 +86,15 @@ func (r *runRig) acquire(t *testing.T, ep *commbuf.Endpoint) []string {
 	}
 }
 
-// conserved checks that every frame the pass took is accounted for once.
+// accounted reports whether every frame the engine took from its
+// transport is counted exactly once.
+func accounted(s Stats) bool {
+	return s.Received == s.Delivered+s.RecvDrops+s.AddrDrops+s.BadFrames+s.ChecksumDrops+s.QuarantineDrops
+}
+
 func conserved(t *testing.T, s Stats) {
 	t.Helper()
-	if s.Received != s.Delivered+s.RecvDrops+s.AddrDrops+s.BadFrames+s.ChecksumDrops+s.QuarantineDrops {
+	if !accounted(s) {
 		t.Errorf("received %d frames, accounted %+v", s.Received, s)
 	}
 }
