@@ -1,14 +1,10 @@
 package recio_test
 
-// The record-file clients, opened over directories laid out byte by
-// byte here in the formats the tree wrote before they shared
-// recio.File (wal.log + snapshot.dat v1 and v2, seg-%016x.log +
-// cursors.dat) — and, the other way round, the bytes each client
-// writes today compared with that layout. Together: an old directory
-// opens under this code with the same recovered state, and a directory
-// this code writes is one this code and the layouts above describe. A
-// registry directory's journal is a duralog now: an old wal.log is
-// replayed once and retired by the first snapshot.
+// The record-file clients' directories, byte by byte: the files each
+// client writes today, compared with a layout laid out here by hand,
+// and — for the duralog — an old directory in that layout opened under
+// this code. A registry directory in a layout older than today's is
+// internal/registrystore's converter's to read (its upgrade_test.go).
 
 import (
 	"bytes"
@@ -21,14 +17,23 @@ import (
 
 	"flipc/internal/duralog"
 	"flipc/internal/nameservice"
-	"flipc/internal/recio"
 	"flipc/internal/registrystore"
 	"flipc/internal/wire"
 )
 
+func u16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func u32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func u64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 func sealed(b []byte) []byte        { return u32(b, wire.Checksum(b)) }
+
+// frame lays out one record frame: CRC32C(4) over the rest | body
+// length(2) | type(1) | version 1 | seq(8) | body, whose body is an
+// empty extension area's length (2) and the payload.
+func frame(typ uint8, seq uint64, payload []byte) []byte {
+	rec := u64(append(u16(nil, uint16(2+len(payload))), typ, 1), seq)
+	rec = append(u16(rec, 0), payload...)
+	return append(u32(nil, wire.Checksum(rec)), rec...)
+}
 
 func writeFile(t *testing.T, path string, b []byte) {
 	t.Helper()
@@ -44,24 +49,14 @@ func wantFile(t *testing.T, path string, want []byte) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: %d bytes written, differ from the %d-byte layout", filepath.Base(path), len(got), len(want))
+		t.Fatalf("%s: %d bytes written, differ from the %d-byte layout:\n got %x\nwant %x", filepath.Base(path), len(got), len(want), got, want)
 	}
 }
 
-// cursor is one v2 snapshot cursor entry: a durable subscriber's name
-// and acknowledged sequence.
-type cursor struct {
-	sub string
-	seq uint64
-}
-
-// snapshotBytes lays out snapshot.dat: "FLPR" ver gen seq epoch
-// ntopics { nameLen name class gen nsubs {addr epoch} [v2: ncursors
-// {subLen sub seq}] } crc, with each topic's cursor entries taken from
-// cursors by topic name.
-func snapshotBytes(ver uint8, st nameservice.RegistryState, seq uint64, cursors map[string][]cursor) []byte {
-	b := u32(nil, 0x464C5052)
-	b = append(b, ver)
+// snapshotBytes lays out snapshot.dat: "FLPR" version 2 gen seq epoch
+// ntopics { nameLen name class gen nsubs {addr epoch} ncursors=0 } crc.
+func snapshotBytes(st nameservice.RegistryState, seq uint64) []byte {
+	b := append(u32(nil, 0x464C5052), 2)
 	b = u64(u64(u64(b, st.Gen), seq), st.Epoch)
 	b = u32(b, uint32(len(st.Topics)))
 	for _, t := range st.Topics {
@@ -70,116 +65,79 @@ func snapshotBytes(ver uint8, st nameservice.RegistryState, seq uint64, cursors 
 		for _, s := range t.Subs {
 			b = u64(u32(b, uint32(s.Addr)), s.Epoch)
 		}
-		if ver >= 2 {
-			b = u32(b, uint32(len(cursors[t.Name])))
-			for _, c := range cursors[t.Name] {
-				b = u64(append(append(b, byte(len(c.sub))), c.sub...), c.seq)
-			}
-		}
+		b = u32(b, 0)
 	}
 	return sealed(b)
 }
 
+// TestRegistryDirectoryLayout pins what a fresh registry store writes:
+// its journal is a duralog whose payload records each carry one framed
+// registry record (declare = class|topic, subscribe = addr|topic,
+// fence and heartbeat = generation) behind the replication class's
+// flags byte, at the record's own sequence; a compaction writes a v2
+// snapshot with empty cursor sections and acks the snapshot's journal
+// cursor, which cursors.dat carries across Close.
 func TestRegistryDirectoryLayout(t *testing.T) {
 	a1, _ := wire.MakeAddr(1, 4, 1)
-	a2, _ := wire.MakeAddr(2, 9, 1)
-	snap := nameservice.RegistryState{Gen: 3, Epoch: 7, Topics: []nameservice.TopicState{
-		{Name: "alpha", Class: 2, Gen: 5, Subs: []nameservice.Subscription{{Addr: a1, Epoch: 6}}},
-	}}
-	cursors := map[string][]cursor{"alpha": {{"node1/app", 40}}}
-	const snapSeq = 10
-	wal := func(ver uint8, recs ...registrystore.Record) (b []byte) {
-		for i := range recs {
-			recs[i].Ver = ver
-			var err error
-			if b, err = registrystore.AppendRecord(b, &recs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b
+	dir := t.TempDir()
+	reg := nameservice.NewTopicRegistry()
+	st, err := registrystore.Open(dir, reg, registrystore.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	covered := wal(recio.V0, registrystore.Record{Type: registrystore.RecDeclare, Seq: 9, Topic: "stale", Class: 1})
-	live := []registrystore.Record{
-		{Type: registrystore.RecSubscribe, Seq: 11, Topic: "alpha", Addr: a2},
-		{Type: registrystore.RecCursorAck, Seq: 12, Topic: "alpha", Sub: "node1/app", Ack: 55},
-		{Type: registrystore.RecDeclare, Seq: 13, Topic: "beta", Class: 1},
+	journal := func(rec registrystore.Record, wantSeq uint64) {
+		t.Helper()
+		if err := st.Journal(&rec); err != nil || rec.Seq != wantSeq {
+			t.Fatalf("journaled %v at seq %d, want %d: %v", rec.Type, rec.Seq, wantSeq, err)
+		}
 	}
-	torn := wal(recio.V1, registrystore.Record{Type: registrystore.RecDeclare, Seq: 14, Topic: "never-acked", Class: 1})
+	// Each record beside the mutation it stands for.
+	journal(registrystore.Record{Type: registrystore.RecDeclare, Topic: "alpha", Class: 2}, 1)
+	if err := reg.Declare("alpha", 2); err != nil {
+		t.Fatal(err)
+	}
+	journal(registrystore.Record{Type: registrystore.RecSubscribe, Topic: "alpha", Addr: a1}, 2)
+	if err := reg.Subscribe("alpha", a1); err != nil {
+		t.Fatal(err)
+	}
+	journal(registrystore.Record{Type: registrystore.RecFence, Gen: 3}, 3)
+	reg.SetRegistryGen(3)
+	reg.BumpTopicGens()
+	if err := st.Compact(reg); err != nil {
+		t.Fatal(err)
+	}
+	wantFile(t, filepath.Join(dir, "snapshot.dat"), snapshotBytes(reg.ExportState(), 3))
+	// A heartbeat is handed to the OS unsynced (the Written class) and
+	// moves the sequence like any record.
+	journal(registrystore.Record{Type: registrystore.RecHeartbeat, Gen: 3}, 4)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, ver := range []uint8{1, 2} {
-		dir := t.TempDir()
-		writeFile(t, filepath.Join(dir, "snapshot.dat"), snapshotBytes(ver, snap, snapSeq, cursors))
-		mixed := append(append(covered, wal(recio.V0, live[0])...), wal(recio.V1, live[1:]...)...)
-		writeFile(t, filepath.Join(dir, "wal.log"), append(mixed, torn[:len(torn)-4]...))
+	payload := func(seq uint64, typ uint8, body []byte) []byte {
+		return frame(1, seq, append([]byte{registrystore.ReplicationClass.Flags()}, frame(typ, seq, body)...))
+	}
+	var seg []byte
+	for _, f := range [][]byte{
+		payload(1, 1, append([]byte{2}, "alpha"...)),
+		payload(2, 2, append(u32(nil, uint32(a1)), "alpha"...)),
+		payload(3, 6, u64(nil, 3)),
+		frame(2, 3, []byte("registrystore/snapshot")),
+		payload(4, 7, u64(nil, 3)),
+	} {
+		seg = append(seg, f...)
+	}
+	wantFile(t, filepath.Join(dir, "seg-0000000000000001.log"), seg)
+	wantFile(t, filepath.Join(dir, "cursors.dat"), cursorsBytes(4, []string{"registrystore/snapshot"}, []uint64{3}))
 
-		reg := nameservice.NewTopicRegistry()
-		st, err := registrystore.Open(dir, reg, registrystore.Options{})
-		if err != nil {
-			t.Fatalf("snapshot v%d: %v", ver, err)
-		}
-		if st.Seq() != 13 || st.SnapshotSeq() != snapSeq || st.WALRecords() != 3 {
-			t.Fatalf("snapshot v%d: seq %d snapSeq %d walRecords %d", ver, st.Seq(), st.SnapshotSeq(), st.WALRecords())
-		}
-		got := reg.ExportState()
-		if got.Gen != 3 || len(got.Topics) != 2 || got.Topics[0].Name != "alpha" || got.Topics[1].Name != "beta" ||
-			len(got.Topics[0].Subs) != 2 || got.Topics[0].Subs[0].Addr != a1 || got.Topics[0].Subs[1].Addr != a2 {
-			t.Fatalf("snapshot v%d: recovered %+v", ver, got)
-		}
-		wantFile(t, filepath.Join(dir, "wal.log"), mixed) // the torn record, and only it, is gone
-
-		// What this code writes next goes to the journal, a duralog in
-		// the same directory: each record framed as before and carried
-		// whole as a payload record at its own sequence. A compaction
-		// leaves a v2 snapshot of the exported state with no cursor
-		// entries (the registry keeps none), retires wal.log, and moves
-		// the snapshot's journal cursor.
-		rec := registrystore.Record{Type: registrystore.RecDeclare, Topic: "gamma", Class: 1}
-		if err := st.Journal(&rec); err != nil || rec.Seq != 14 {
-			t.Fatalf("snapshot v%d: journaled seq %d: %v", ver, rec.Seq, err)
-		}
-		if err := reg.Declare("gamma", 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Compact(reg); err != nil {
-			t.Fatal(err)
-		}
-		wantFile(t, filepath.Join(dir, "snapshot.dat"), snapshotBytes(2, reg.ExportState(), 14, nil))
-		if _, err := os.Stat(filepath.Join(dir, "wal.log")); !os.IsNotExist(err) {
-			t.Fatalf("snapshot v%d: wal.log survived the first snapshot: %v", ver, err)
-		}
-		if err := st.Journal(&registrystore.Record{Type: registrystore.RecRenew, Topic: "alpha", Addr: a1}); err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Subscribe("alpha", a1); err != nil { // the renewal just journaled
-			t.Fatal(err)
-		}
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
-		flags := registrystore.ReplicationClass.Flags()
-		var seg []byte
-		for _, f := range []recio.Frame{
-			{Type: 1, Ver: recio.V1, Seq: 14, Payload: append([]byte{flags}, wal(recio.V1, registrystore.Record{Type: registrystore.RecDeclare, Seq: 14, Topic: "gamma", Class: 1})...)},
-			{Type: 2, Ver: recio.V1, Seq: 14, Payload: []byte("registrystore/snapshot")},
-			{Type: 1, Ver: recio.V1, Seq: 15, Payload: append([]byte{flags}, wal(recio.V1, registrystore.Record{Type: registrystore.RecRenew, Seq: 15, Topic: "alpha", Addr: a1})...)},
-		} {
-			var err error
-			if seg, err = recio.Append(seg, &f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantFile(t, filepath.Join(dir, "seg-000000000000000e.log"), seg)
-		wantFile(t, filepath.Join(dir, "cursors.dat"), cursorsBytes(15, []string{"registrystore/snapshot"}, []uint64{14}))
-
-		reg2 := nameservice.NewTopicRegistry()
-		st2, err := registrystore.Open(dir, reg2, registrystore.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2.Close()
-		if !reflect.DeepEqual(reg2.ExportState(), reg.ExportState()) {
-			t.Fatalf("snapshot v%d: reopen after compaction diverged:\n got %+v\nwant %+v", ver, reg2.ExportState(), reg.ExportState())
-		}
+	reg2 := nameservice.NewTopicRegistry()
+	st2, err := registrystore.Open(dir, reg2, registrystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close()
+	if st2.Seq() != 4 || st2.SnapshotSeq() != 3 || !reflect.DeepEqual(reg2.ExportState(), reg.ExportState()) {
+		t.Fatalf("reopen: seq %d snapSeq %d, state\n got %+v\nwant %+v", st2.Seq(), st2.SnapshotSeq(), reg2.ExportState(), reg.ExportState())
 	}
 }
 
@@ -196,12 +154,7 @@ type ack struct {
 func segmentBytes(t *testing.T, from, to uint64, acks ...ack) []byte {
 	t.Helper()
 	var b []byte
-	add := func(typ uint8, seq uint64, body []byte) {
-		var err error
-		if b, err = recio.Append(b, &recio.Frame{Type: typ, Ver: recio.V1, Seq: seq, Payload: body}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	add := func(typ uint8, seq uint64, body []byte) { b = append(b, frame(typ, seq, body)...) }
 	for seq := from; seq <= to; seq++ {
 		add(1, seq, append([]byte{0x02}, fmt.Sprintf("msg-%04d", seq)...))
 		for _, a := range acks {
