@@ -78,7 +78,7 @@ const (
 
 // MaxPayload is the largest payload one record can carry (recio body
 // cap minus the flags byte).
-const MaxPayload = 0xFFFF - 1 - 2 // recio v1 body cap - flags byte - ext length
+const MaxPayload = 0xFFFF - 1 - 2 // recio body cap - flags byte - extension length
 
 // ErrStop is returned by a Replay callback to end the replay early
 // without error.
@@ -388,7 +388,7 @@ func (l *Log) check(err error) error {
 // has ensured a segment is open.
 func (l *Log) writeLocked(typ uint8, seq uint64, class recio.Durability) error {
 	var err error
-	l.enc, err = recio.Append(l.enc[:0], &recio.Frame{Type: typ, Ver: recio.V1, Seq: seq, Payload: l.body})
+	l.enc, err = recio.Append(l.enc[:0], &recio.Frame{Type: typ, Seq: seq, Payload: l.body})
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,7 @@ import (
 func frames(t *testing.T, seqs ...uint64) (all []byte, each [][]byte) {
 	t.Helper()
 	for _, seq := range seqs {
-		b, err := Append(nil, &Frame{Type: 1, Ver: V1, Seq: seq, Payload: []byte("payload")})
+		b, err := Append(nil, &Frame{Type: 1, Seq: seq, Payload: []byte("payload")})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,9 @@
 // Package recio is the CRC-framed durable record codec and the
 // record-file discipline of internal/duralog (per-topic payload
 // segments, the registry's journal among them); internal/registrystore
-// frames its records with it and reads a pre-duralog wal.log through
-// ScanFile. It owns the frame layout, the file discipline, and the
-// mixed-version upgrade story; record *semantics* (what a type byte
-// means, how a body is parsed) stay with the owning package.
+// frames its records with it. It owns the frame layout and the file
+// discipline; record *semantics* (what a type byte means, how a body is
+// parsed) stay with the owning package.
 //
 // The file discipline, stated once (File, ScanFile, ReplaceFile):
 //
@@ -28,33 +27,25 @@
 //     the original: a crash leaves the old bytes or the new, never a
 //     name pointing at data still in the page cache.
 //
-// Frame layout:
+// Frame layout, the one this package writes and reads:
 //
 //	[0:4]   CRC32C over bytes [4:16+n] (wire.Checksum — the same
 //	        checksum machinery as wire frames)
-//	[4:6]   body length n (covers the v1 extension area)
+//	[4:6]   body length n
 //	[6]     record type (owned by the caller's namespace)
-//	[7]     format version (0 or 1)
+//	[7]     format version, always 1
 //	[8:16]  sequence number
-//	[16:16+n] body
+//	[16:18] extension length, always 0
+//	[18:16+n] payload
 //
-// Version 0 is the original registrystore layout: the body is the
-// type-specific payload, nothing else. Version 1 prefixes the body with
-// a length-prefixed extension area:
-//
-//	body = [0:2] extension length e | [2:2+e] extension | [2+e:n] payload
-//
-// The extension area is the flag-day escape hatch: a v1 writer can
-// attach new per-record fields (trace context, say) that a v1 reader
-// which doesn't understand them skips structurally, because the length
-// is explicit. Writers stamp v1; readers accept both versions, so a log
-// or replication stream written by an old node replays on a new one
-// mid-upgrade.
-//
-// The codec is canonical per version: decoding a frame and re-encoding
-// the result (the Frame preserves its decoded version and extension
-// bytes) reproduces the input bytes exactly, so log bytes, replicated
-// bytes, and re-journaled bytes can never disagree.
+// The version byte and the extension-length word are constants that
+// stay in the layout so that every segment already on disk is in it.
+// Older layouts — version 0, whose body is the payload alone, and a
+// non-empty extension area — are ErrCorrupt here; only
+// internal/registrystore's converter (upgrade.go) reads them. The codec
+// is canonical: decoding a frame and re-encoding it reproduces the
+// input bytes exactly, so log bytes, replicated bytes, and re-journaled
+// bytes can never disagree.
 package recio
 
 import (
@@ -65,24 +56,24 @@ import (
 	"flipc/internal/wire"
 )
 
-// Frame geometry and versions.
+// Frame geometry.
 const (
 	// HeaderBytes is the fixed frame header size.
 	HeaderBytes = 16
 	// MaxFrameBytes is the largest encoded frame (the body length is 16
 	// bits): a buffer this size always holds one whole frame.
 	MaxFrameBytes = HeaderBytes + 0xFFFF
-	// V0 is the original format: body carries the payload alone.
-	V0 = 0
-	// V1 adds the length-prefixed extension area ahead of the payload.
-	// Writers stamp it; readers accept V0 and V1.
-	V1 = 1
+	// payloadAt is where the payload starts, behind the header and the
+	// empty extension area's length word.
+	payloadAt = HeaderBytes + 2
+	// version is the format version byte every frame carries.
+	version = 1
 )
 
 // ErrCorrupt is wrapped by every parse failure that is not a short
-// read: bad checksum, unknown version, impossible length. A log reader
-// stops at the first corrupt frame; a replica treats it as a stream
-// gap.
+// read: bad checksum, a layout other than this package's, impossible
+// length. A log reader stops at the first corrupt frame; a replica
+// treats it as a stream gap.
 var ErrCorrupt = errors.New("recio: corrupt frame")
 
 // ErrShort reports a structurally incomplete frame prefix — fewer
@@ -91,37 +82,17 @@ var ErrCorrupt = errors.New("recio: corrupt frame")
 var ErrShort = errors.New("recio: short frame")
 
 // Frame is one durable record in its framed form. Type and Payload
-// semantics belong to the caller; Ver and Ext are preserved across a
-// decode/re-encode round trip so the encoding stays canonical.
+// semantics belong to the caller.
 type Frame struct {
 	Type uint8
-	Ver  uint8
 	Seq  uint64
-	// Ext is the v1 extension area (nil or empty for V0 frames and for
-	// v1 frames carrying no extension).
-	Ext []byte
 	// Payload is the type-specific body. On decode it aliases the input.
 	Payload []byte
 }
 
-// Append encodes f and appends it to dst, returning the extended
-// slice. f.Ver selects the format (V0 for byte-compatibility with
-// pre-upgrade logs, V1 for everything newly written).
+// Append encodes f and appends it to dst, returning the extended slice.
 func Append(dst []byte, f *Frame) ([]byte, error) {
-	n := len(f.Payload)
-	switch f.Ver {
-	case V0:
-		if len(f.Ext) != 0 {
-			return dst, fmt.Errorf("recio: v0 frame cannot carry an extension")
-		}
-	case V1:
-		if len(f.Ext) > 0xFFFF {
-			return dst, fmt.Errorf("recio: extension %d bytes exceeds 65535", len(f.Ext))
-		}
-		n += 2 + len(f.Ext)
-	default:
-		return dst, fmt.Errorf("recio: cannot encode version %d", f.Ver)
-	}
+	n := payloadAt - HeaderBytes + len(f.Payload)
 	if n > 0xFFFF {
 		return dst, fmt.Errorf("recio: body %d bytes exceeds 65535", n)
 	}
@@ -130,15 +101,9 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 	rec := dst[off:]
 	binary.BigEndian.PutUint16(rec[4:6], uint16(n))
 	rec[6] = f.Type
-	rec[7] = f.Ver
+	rec[7] = version
 	binary.BigEndian.PutUint64(rec[8:16], f.Seq)
-	body := rec[HeaderBytes:]
-	if f.Ver == V1 {
-		binary.BigEndian.PutUint16(body[0:2], uint16(len(f.Ext)))
-		copy(body[2:], f.Ext)
-		body = body[2+len(f.Ext):]
-	}
-	copy(body, f.Payload)
+	copy(rec[payloadAt:], f.Payload)
 	binary.BigEndian.PutUint32(rec[0:4], wire.Checksum(rec[4:]))
 	return dst, nil
 }
@@ -146,45 +111,23 @@ func Append(dst []byte, f *Frame) ([]byte, error) {
 // Decode parses one frame from the front of b, returning the frame and
 // the bytes consumed. ErrShort means b ends before the frame does
 // (torn tail); ErrCorrupt wraps every other failure. The returned
-// frame's Ext and Payload alias b.
+// frame's Payload aliases b.
 func Decode(b []byte) (Frame, int, error) {
 	if len(b) < HeaderBytes {
 		return Frame{}, 0, ErrShort
 	}
-	n := int(binary.BigEndian.Uint16(b[4:6]))
-	if len(b) < HeaderBytes+n {
+	n := HeaderBytes + int(binary.BigEndian.Uint16(b[4:6]))
+	if len(b) < n {
 		return Frame{}, 0, ErrShort
 	}
-	rec := b[:HeaderBytes+n]
+	rec := b[:n]
 	if wire.Checksum(rec[4:]) != binary.BigEndian.Uint32(rec[0:4]) {
 		return Frame{}, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	f := Frame{
-		Type: rec[6],
-		Ver:  rec[7],
-		Seq:  binary.BigEndian.Uint64(rec[8:16]),
+	if rec[7] != version || n < payloadAt || rec[16]|rec[17] != 0 {
+		return Frame{}, 0, fmt.Errorf("%w: not a version-%d frame with an empty extension", ErrCorrupt, version)
 	}
-	body := rec[HeaderBytes:]
-	switch f.Ver {
-	case V0:
-		// Original layout: the body is the payload.
-	case V1:
-		if len(body) < 2 {
-			return Frame{}, 0, fmt.Errorf("%w: v1 body %d bytes", ErrCorrupt, len(body))
-		}
-		e := int(binary.BigEndian.Uint16(body[0:2]))
-		if len(body) < 2+e {
-			return Frame{}, 0, fmt.Errorf("%w: extension %d bytes in %d-byte body", ErrCorrupt, e, len(body))
-		}
-		if e > 0 {
-			f.Ext = body[2 : 2+e]
-		}
-		body = body[2+e:]
-	default:
-		return Frame{}, 0, fmt.Errorf("%w: unknown version %d", ErrCorrupt, f.Ver)
-	}
-	f.Payload = body
-	return f, HeaderBytes + n, nil
+	return Frame{Type: rec[6], Seq: binary.BigEndian.Uint64(rec[8:16]), Payload: rec[payloadAt:]}, n, nil
 }
 
 // Scan iterates intact frames from the front of b, calling fn for each

@@ -2,33 +2,31 @@ package recio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
+
+	"flipc/internal/wire"
 )
 
-func TestRoundTripBothVersions(t *testing.T) {
-	cases := []Frame{
-		{Type: 1, Ver: V0, Seq: 7, Payload: []byte("hello")},
-		{Type: 2, Ver: V0, Seq: 0, Payload: nil},
-		{Type: 1, Ver: V1, Seq: 7, Payload: []byte("hello")},
-		{Type: 3, Ver: V1, Seq: 1 << 40, Ext: []byte{0xAA, 0xBB}, Payload: []byte("with-ext")},
-		{Type: 4, Ver: V1, Seq: 9, Ext: []byte{1}, Payload: nil},
-	}
-	for _, want := range cases {
+func TestRoundTrip(t *testing.T) {
+	for _, want := range []Frame{
+		{Type: 1, Seq: 7, Payload: []byte("hello")},
+		{Type: 2, Seq: 1 << 40, Payload: nil},
+	} {
 		enc, err := Append(nil, &want)
 		if err != nil {
 			t.Fatalf("Append(%+v): %v", want, err)
+		}
+		if len(enc) != HeaderBytes+2+len(want.Payload) || enc[7] != 1 || enc[16] != 0 || enc[17] != 0 {
+			t.Fatalf("Append(%+v) = %x: want version 1 with an empty extension", want, enc)
 		}
 		got, n, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("Decode(%+v): %v", want, err)
 		}
-		if n != len(enc) {
-			t.Fatalf("consumed %d of %d", n, len(enc))
-		}
-		if got.Type != want.Type || got.Ver != want.Ver || got.Seq != want.Seq ||
-			!bytes.Equal(got.Ext, want.Ext) || !bytes.Equal(got.Payload, want.Payload) {
-			t.Fatalf("round trip: got %+v want %+v", got, want)
+		if n != len(enc) || got.Type != want.Type || got.Seq != want.Seq || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("round trip: consumed %d of %d, got %+v want %+v", n, len(enc), got, want)
 		}
 		re, err := Append(nil, &got)
 		if err != nil {
@@ -40,44 +38,36 @@ func TestRoundTripBothVersions(t *testing.T) {
 	}
 }
 
-func TestMixedVersionStream(t *testing.T) {
-	// A stream with a v0 frame, a v1 frame with an extension, and a v1
-	// frame without one — what a log looks like across an upgrade.
-	var stream []byte
-	frames := []Frame{
-		{Type: 1, Ver: V0, Seq: 1, Payload: []byte("old")},
-		{Type: 1, Ver: V1, Seq: 2, Ext: []byte("future-field"), Payload: []byte("new")},
-		{Type: 2, Ver: V1, Seq: 3, Payload: []byte("plain-v1")},
+// TestOlderLayoutsCorrupt: a frame in a layout this package no longer
+// writes — version 0, whose body is the payload alone, or version 1
+// with a non-empty extension area — is ErrCorrupt even when its
+// checksum holds, and a scan stops in front of it.
+func TestOlderLayoutsCorrupt(t *testing.T) {
+	reseal := func(rec []byte) []byte {
+		binary.BigEndian.PutUint32(rec[0:4], wire.Checksum(rec[4:]))
+		return rec
 	}
-	for i := range frames {
-		var err error
-		stream, err = Append(stream, &frames[i])
-		if err != nil {
-			t.Fatal(err)
+	cur, _ := Append(nil, &Frame{Type: 1, Seq: 1, Payload: []byte("current")})
+	v0 := append([]byte{}, cur[:HeaderBytes]...)
+	v0 = append(v0, "old"...)
+	binary.BigEndian.PutUint16(v0[4:6], 3)
+	v0[7] = 0
+	ext, _ := Append(nil, &Frame{Type: 1, Seq: 2, Payload: []byte("xnew")})
+	binary.BigEndian.PutUint16(ext[HeaderBytes:], 1) // "x" is the extension
+	for name, rec := range map[string][]byte{"version 0": reseal(v0), "extension": reseal(ext)} {
+		if _, _, err := Decode(rec); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", name, err)
 		}
-	}
-	var got []Frame
-	consumed, err := Scan(stream, func(f Frame, size int) error {
-		got = append(got, f)
-		return nil
-	})
-	if err != nil || consumed != len(stream) {
-		t.Fatalf("Scan consumed %d of %d, err %v", consumed, len(stream), err)
-	}
-	if len(got) != len(frames) {
-		t.Fatalf("scanned %d frames, want %d", len(got), len(frames))
-	}
-	for i, f := range got {
-		if f.Seq != frames[i].Seq || f.Ver != frames[i].Ver ||
-			!bytes.Equal(f.Payload, frames[i].Payload) || !bytes.Equal(f.Ext, frames[i].Ext) {
-			t.Fatalf("frame %d: got %+v want %+v", i, f, frames[i])
+		stream := append(append([]byte{}, cur...), rec...)
+		if consumed, err := Scan(stream, func(Frame, int) error { return nil }); err != nil || consumed != len(cur) {
+			t.Fatalf("%s: scan consumed %d of %d, err %v", name, consumed, len(cur), err)
 		}
 	}
 }
 
 func TestTornTailAndCorruption(t *testing.T) {
-	a, _ := Append(nil, &Frame{Type: 1, Ver: V1, Seq: 1, Payload: []byte("first")})
-	b, _ := Append(nil, &Frame{Type: 1, Ver: V1, Seq: 2, Payload: []byte("second")})
+	a, _ := Append(nil, &Frame{Type: 1, Seq: 1, Payload: []byte("first")})
+	b, _ := Append(nil, &Frame{Type: 1, Seq: 2, Payload: []byte("second")})
 
 	// Torn tail: scan stops at the durable prefix, no error.
 	torn := append(append([]byte{}, a...), b[:len(b)-3]...)
@@ -114,7 +104,7 @@ func TestTornTailAndCorruption(t *testing.T) {
 func TestScanCallbackError(t *testing.T) {
 	var stream []byte
 	for i := uint64(1); i <= 3; i++ {
-		stream, _ = Append(stream, &Frame{Type: 1, Ver: V1, Seq: i})
+		stream, _ = Append(stream, &Frame{Type: 1, Seq: i})
 	}
 	stop := errors.New("stop")
 	seen := 0

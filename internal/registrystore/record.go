@@ -41,44 +41,28 @@ type RecType uint8
 // persists the registry generation an incarnation serves at, a
 // Heartbeat carries the primary's generation on the housekeeping
 // cadence so a silent standby can detect primary death. Both are
-// journaled, so they move the sequence like any record.
-//
-// Renew, Advance and CursorAck are no longer written. Journals from
-// before leases and cursors left the log still hold them: they decode,
-// a renewal and a sweep replay as they did (so an old journal recovers
-// the state it always recovered), and a cursor ack is skipped.
+// journaled, so they move the sequence like any record. Numbers 3, 5
+// and 8 are retired (upgrade.go reads them) and stay taken.
 const (
-	RecDeclare RecType = iota + 1
-	RecSubscribe
-	RecRenew
-	RecUnsubscribe
-	RecAdvance
-	RecFence
-	RecHeartbeat
-	RecCursorAck
-
-	recTypeSentinel
+	RecDeclare     RecType = 1
+	RecSubscribe   RecType = 2
+	RecUnsubscribe RecType = 4
+	RecFence       RecType = 6
+	RecHeartbeat   RecType = 7
 )
+
+var recNames = [...]string{
+	RecDeclare:     "declare",
+	RecSubscribe:   "subscribe",
+	RecUnsubscribe: "unsubscribe",
+	RecFence:       "fence",
+	RecHeartbeat:   "heartbeat",
+}
 
 // String names the record type for traces and errors.
 func (t RecType) String() string {
-	switch t {
-	case RecDeclare:
-		return "declare"
-	case RecSubscribe:
-		return "subscribe"
-	case RecRenew:
-		return "renew"
-	case RecUnsubscribe:
-		return "unsubscribe"
-	case RecAdvance:
-		return "advance"
-	case RecFence:
-		return "fence"
-	case RecHeartbeat:
-		return "heartbeat"
-	case RecCursorAck:
-		return "cursor-ack"
+	if int(t) < len(recNames) && recNames[t] != "" {
+		return recNames[t]
 	}
 	return fmt.Sprintf("rectype(%d)", uint8(t))
 }
@@ -95,32 +79,23 @@ type Record struct {
 	// Gen is the registry generation carried by Fence and Heartbeat
 	// records.
 	Gen uint64
-	// Sub and Ack carry RecCursorAck's subscriber name and acknowledged
-	// durable sequence.
-	Sub string
-	Ack uint64
-	// Ver is the frame format version (recio.V0 or recio.V1), preserved
-	// across decode so re-encoding a decoded record is byte-exact.
-	// Journal stamps newly written records recio.V1.
-	Ver uint8
 }
 
 // Record framing is internal/recio's CRC-framed layout (the codec is
 // shared with internal/duralog); this package owns only the bodies:
-// declare = class(1) | topic; subscribe/renew/unsubscribe = addr(4) |
-// topic; advance = empty; fence/heartbeat = generation(8); cursor-ack =
-// ackSeq(8) | subLen(1) | sub | topic.
-const (
-	// MaxTopicLen bounds topic names in records (matches the remote
-	// protocol's name limit).
-	MaxTopicLen = 200
-)
+// declare = class(1) | topic; subscribe/unsubscribe = addr(4) | topic;
+// fence/heartbeat = generation(8).
+//
+// MaxTopicLen bounds topic names in records (matches the remote
+// protocol's name limit).
+const MaxTopicLen = 200
 
 // ErrCorrupt and ErrShort are recio's parse-failure classes: ErrShort
 // is a structurally incomplete prefix (a torn tail, truncated at
-// recovery); ErrCorrupt is everything else — bad checksum, unknown
-// type or version, malformed body. A log reader stops at the first
-// corrupt record; a replica treats it as a record it cannot apply.
+// recovery); ErrCorrupt is everything else — bad checksum, an older
+// frame layout, unknown or retired type, malformed body. A log reader
+// stops at the first corrupt record; a replica treats it as a record it
+// cannot apply.
 var (
 	ErrCorrupt = recio.ErrCorrupt
 	ErrShort   = recio.ErrShort
@@ -129,73 +104,44 @@ var (
 // body builds the record's type-specific body.
 func (r *Record) body() ([]byte, error) {
 	switch r.Type {
-	case RecDeclare:
+	case RecDeclare, RecSubscribe, RecUnsubscribe:
 		if len(r.Topic) == 0 || len(r.Topic) > MaxTopicLen {
 			return nil, fmt.Errorf("registrystore: bad topic length %d", len(r.Topic))
 		}
-		b := make([]byte, 1+len(r.Topic))
-		b[0] = r.Class
-		copy(b[1:], r.Topic)
-		return b, nil
-	case RecSubscribe, RecRenew, RecUnsubscribe:
-		if len(r.Topic) == 0 || len(r.Topic) > MaxTopicLen {
-			return nil, fmt.Errorf("registrystore: bad topic length %d", len(r.Topic))
+		if r.Type == RecDeclare {
+			return append([]byte{r.Class}, r.Topic...), nil
 		}
 		if !r.Addr.Valid() {
 			return nil, fmt.Errorf("registrystore: %v record with invalid address", r.Type)
 		}
-		b := make([]byte, 4+len(r.Topic))
-		binary.BigEndian.PutUint32(b[0:4], uint32(r.Addr))
-		copy(b[4:], r.Topic)
-		return b, nil
-	case RecAdvance:
-		return nil, nil
+		return append(binary.BigEndian.AppendUint32(nil, uint32(r.Addr)), r.Topic...), nil
 	case RecFence, RecHeartbeat:
-		b := make([]byte, 8)
-		binary.BigEndian.PutUint64(b, r.Gen)
-		return b, nil
-	case RecCursorAck:
-		if len(r.Topic) == 0 || len(r.Topic) > MaxTopicLen {
-			return nil, fmt.Errorf("registrystore: bad topic length %d", len(r.Topic))
-		}
-		if len(r.Sub) == 0 || len(r.Sub) > 255 {
-			return nil, fmt.Errorf("registrystore: bad cursor subscriber length %d", len(r.Sub))
-		}
-		b := make([]byte, 9+len(r.Sub)+len(r.Topic))
-		binary.BigEndian.PutUint64(b[0:8], r.Ack)
-		b[8] = byte(len(r.Sub))
-		copy(b[9:], r.Sub)
-		copy(b[9+len(r.Sub):], r.Topic)
-		return b, nil
+		return binary.BigEndian.AppendUint64(nil, r.Gen), nil
 	}
 	return nil, fmt.Errorf("registrystore: cannot encode record type %v", r.Type)
 }
 
 // AppendRecord encodes r and appends it to dst, returning the extended
-// slice. The same encoding frames WAL entries and replication messages.
+// slice. The same encoding frames journal entries and replication
+// messages.
 func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	body, err := r.body()
 	if err != nil {
 		return dst, err
 	}
-	return recio.Append(dst, &recio.Frame{Type: uint8(r.Type), Ver: r.Ver, Seq: r.Seq, Payload: body})
+	return recio.Append(dst, &recio.Frame{Type: uint8(r.Type), Seq: r.Seq, Payload: body})
 }
 
 // DecodeRecord parses one record from the front of b, returning the
 // record and the bytes consumed. ErrShort means b ends before the
-// record does (torn tail); ErrCorrupt wraps every other failure. Both
-// frame versions are accepted, so a log or replication stream written
-// by an old node replays on a new one mid-upgrade.
+// record does (torn tail); ErrCorrupt wraps every other failure, an
+// older frame layout or a retired type among them.
 func DecodeRecord(b []byte) (Record, int, error) {
 	f, size, err := recio.Decode(b)
 	if err != nil {
 		return Record{}, 0, err
 	}
-	r := Record{
-		Type: RecType(f.Type),
-		Seq:  f.Seq,
-		Ver:  f.Ver,
-	}
+	r := Record{Type: RecType(f.Type), Seq: f.Seq}
 	body := f.Payload
 	switch r.Type {
 	case RecDeclare:
@@ -204,7 +150,7 @@ func DecodeRecord(b []byte) (Record, int, error) {
 		}
 		r.Class = body[0]
 		r.Topic = string(body[1:])
-	case RecSubscribe, RecRenew, RecUnsubscribe:
+	case RecSubscribe, RecUnsubscribe:
 		if len(body) < 5 || len(body) > 4+MaxTopicLen {
 			return Record{}, 0, fmt.Errorf("%w: %v body %d bytes", ErrCorrupt, r.Type, len(body))
 		}
@@ -213,26 +159,11 @@ func DecodeRecord(b []byte) (Record, int, error) {
 			return Record{}, 0, fmt.Errorf("%w: %v with invalid address", ErrCorrupt, r.Type)
 		}
 		r.Topic = string(body[4:])
-	case RecAdvance:
-		if len(body) != 0 {
-			return Record{}, 0, fmt.Errorf("%w: advance body %d bytes", ErrCorrupt, len(body))
-		}
 	case RecFence, RecHeartbeat:
 		if len(body) != 8 {
 			return Record{}, 0, fmt.Errorf("%w: %v body %d bytes", ErrCorrupt, r.Type, len(body))
 		}
 		r.Gen = binary.BigEndian.Uint64(body)
-	case RecCursorAck:
-		if len(body) < 11 {
-			return Record{}, 0, fmt.Errorf("%w: cursor-ack body %d bytes", ErrCorrupt, len(body))
-		}
-		subLen := int(body[8])
-		if subLen == 0 || 9+subLen >= len(body) || len(body)-9-subLen > MaxTopicLen {
-			return Record{}, 0, fmt.Errorf("%w: cursor-ack body layout", ErrCorrupt)
-		}
-		r.Ack = binary.BigEndian.Uint64(body[0:8])
-		r.Sub = string(body[9 : 9+subLen])
-		r.Topic = string(body[9+subLen:])
 	default:
 		return Record{}, 0, fmt.Errorf("%w: unknown type %d", ErrCorrupt, f.Type)
 	}
@@ -267,19 +198,16 @@ func applyRecord(reg *nameservice.TopicRegistry, r *Record) error {
 	switch r.Type {
 	case RecDeclare:
 		return reg.Declare(r.Topic, r.Class)
-	case RecSubscribe, RecRenew:
+	case RecSubscribe:
 		return reg.Subscribe(r.Topic, r.Addr)
 	case RecUnsubscribe:
 		reg.Unsubscribe(r.Topic, r.Addr)
-		return nil
-	case RecAdvance:
-		reg.Advance()
 		return nil
 	case RecFence:
 		reg.SetRegistryGen(r.Gen)
 		reg.BumpTopicGens()
 		return nil
-	case RecHeartbeat, RecCursorAck:
+	case RecHeartbeat:
 		return nil
 	}
 	return fmt.Errorf("registrystore: cannot apply record type %v", r.Type)

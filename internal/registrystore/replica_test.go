@@ -1,6 +1,7 @@
 package registrystore
 
 import (
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,11 +180,10 @@ func TestApplyGapForcesResync(t *testing.T) {
 		t.Fatalf("overlap: resync=%v seq=%d subs=%v", a.NeedResync(), st.Seq(), snap.Subs)
 	}
 	// A record above head+1: stranded. Nothing applies until resync.
-	epochBefore := reg.Epoch()
-	feed(Record{Type: RecAdvance, Seq: 6})
-	feed(Record{Type: RecAdvance, Seq: 7})
-	if !a.NeedResync() || reg.Epoch() != epochBefore || st.Seq() != 3 {
-		t.Fatalf("stranded cursor: resync=%v epoch moved %v seq=%d", a.NeedResync(), reg.Epoch() != epochBefore, st.Seq())
+	feed(Record{Type: RecDeclare, Seq: 6, Topic: "u", Class: 1})
+	feed(Record{Type: RecDeclare, Seq: 7, Topic: "v", Class: 1})
+	if _, applied := reg.Snapshot("v"); !a.NeedResync() || applied || st.Seq() != 3 {
+		t.Fatalf("stranded cursor: resync=%v applied %v seq=%d", a.NeedResync(), applied, st.Seq())
 	}
 	// Resync installs the snapshot and restarts the journal at its
 	// sequence; the stream applies from the next record.
@@ -197,8 +197,8 @@ func TestApplyGapForcesResync(t *testing.T) {
 	if a.NeedResync() || st.Seq() != 7 {
 		t.Fatalf("after resync: resync=%v seq=%d", a.NeedResync(), st.Seq())
 	}
-	feed(Record{Type: RecAdvance, Seq: 8})
-	if a.NeedResync() || reg.Epoch() == epochBefore || st.Seq() != 8 {
+	feed(Record{Type: RecDeclare, Seq: 8, Topic: "w", Class: 1})
+	if _, applied := reg.Snapshot("w"); a.NeedResync() || !applied || st.Seq() != 8 {
 		t.Fatal("post-resync record did not apply")
 	}
 }
@@ -576,5 +576,121 @@ func TestStrandedRecordResyncs(t *testing.T) {
 	p.catchUp()
 	if a, b := p.regA.ExportState().Topics, p.regB.ExportState().Topics; p.resyncs != 1 || !reflect.DeepEqual(a, b) {
 		t.Fatalf("after the resync: %d resyncs, topics\n got %+v\nwant %+v", p.resyncs, b, a)
+	}
+}
+
+// TestRetiredRecordsStrandStream: a record in a layout the stream no
+// longer carries — a renewal, or a version-0 frame — fails to decode at
+// the standby, which asks for a resync, applies nothing and leaves its
+// journal head where it was.
+func TestRetiredRecordsStrandStream(t *testing.T) {
+	a1 := addr(t, 1, 4)
+	declare, err := AppendRecord(nil, &Record{Type: RecDeclare, Seq: 1, Topic: "t", Class: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rec := range map[string][]byte{
+		"renew":     framed(1, typRenew, 2, nil, addrBody(a1, "t")),
+		"version 0": framed(0, uint8(RecSubscribe), 2, nil, addrBody(a1, "t")),
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg, st := openStore(t, t.TempDir())
+			a := NewApply(nil, reg, st)
+			for _, b := range [][]byte{declare, rec} {
+				a.mu.Lock()
+				a.applyLocked(b)
+				a.mu.Unlock()
+			}
+			if snap, _ := reg.Snapshot("t"); !a.NeedResync() || len(snap.Subs) != 0 || st.Seq() != 1 {
+				t.Fatalf("resync=%v subs=%v head=%d; want a resync, no subscriber, head 1", a.NeedResync(), snap.Subs, st.Seq())
+			}
+		})
+	}
+}
+
+// The replication stream of one scripted primary history — promote,
+// declare, two joins, a renewal, four sweeps that expire one member, a
+// leave, a heartbeat — as two primaries journaled it, one record per
+// line. streamMembership is the first primary that journals membership
+// only (commit 38a4b3c, "Registry journals membership only"): renewals
+// and sweeps journal nothing, and an expiry journals the unsubscribe it
+// causes. streamLeases is the one before it, which journaled each
+// sweep as an advance (type 5) and the renewal as a renew (type 3).
+var (
+	streamMembership = []string{
+		"2f9e6b3c000a0601000000000000000100000000000000000001",
+		"5576038a0009010100000000000000020000016f7264657273",
+		"719e08f7000c020100000000000000030000004010016f7264657273",
+		"3c6173ea000c020100000000000000040000008024016f7264657273",
+		"c1235ac6000c040100000000000000050000008024016f7264657273",
+		"4f94c04f000c040100000000000000060000004010016f7264657273",
+		"65cd3714000a0701000000000000000700000000000000000001",
+	}
+	streamLeases = []string{
+		"2f9e6b3c000a0601000000000000000100000000000000000001",
+		"5576038a0009010100000000000000020000016f7264657273",
+		"719e08f7000c020100000000000000030000004010016f7264657273",
+		"3c6173ea000c020100000000000000040000008024016f7264657273",
+		"4f97026e0002050100000000000000050000",
+		"de113fb2000c030100000000000000060000004010016f7264657273",
+	}
+)
+
+// TestOldestFollowedPrimary: today's primary journals the scripted
+// history as the same bytes the first membership-only primary did, so a
+// standby follows that primary's stream without a resync. The stream of
+// the primary before it strands the standby at its first sweep.
+func TestOldestFollowedPrimary(t *testing.T) {
+	reg, st := openStore(t, t.TempDir())
+	m := NewManager(reg, st)
+	m.Promote()
+	a, b := addr(t, 1, 4), addr(t, 2, 9)
+	for _, err := range []error{reg.Declare("orders", 1), reg.Subscribe("orders", a), reg.Subscribe("orders", b)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg.Advance()
+	if err := reg.Subscribe("orders", a); err != nil { // a renewal
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		reg.Advance() // the third expires b
+	}
+	reg.Unsubscribe("orders", a)
+	m.Heartbeat()
+	var journal []string
+	if err := st.Log().Replay(1, func(_ uint64, _ uint8, p []byte) error {
+		journal = append(journal, hex.EncodeToString(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(journal, streamMembership) {
+		t.Fatalf("journal\n%s\nwant\n%s", strings.Join(journal, "\n"), strings.Join(streamMembership, "\n"))
+	}
+
+	for _, c := range []struct {
+		stream   []string
+		resync   bool
+		wantHead uint64
+	}{{streamMembership, false, 7}, {streamLeases, true, 4}} {
+		regB, stB := openStore(t, t.TempDir())
+		apply := NewApply(nil, regB, stB)
+		for _, rec := range c.stream {
+			b, err := hex.DecodeString(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply.mu.Lock()
+			apply.applyLocked(b)
+			apply.mu.Unlock()
+		}
+		if apply.NeedResync() != c.resync || stB.Seq() != c.wantHead {
+			t.Fatalf("stream of %d records: resync=%v head=%d, want resync=%v head=%d", len(c.stream), apply.NeedResync(), stB.Seq(), c.resync, c.wantHead)
+		}
+		if !c.resync && !reflect.DeepEqual(regB.ExportState().Topics, reg.ExportState().Topics) {
+			t.Fatalf("standby topics %+v, primary %+v", regB.ExportState().Topics, reg.ExportState().Topics)
+		}
 	}
 }

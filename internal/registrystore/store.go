@@ -14,13 +14,9 @@ import (
 	"flipc/internal/wire"
 )
 
-// File names inside a store directory, beside the journal's duralog
-// segments and cursor checkpoint. walName is the journal's pre-duralog
-// form: Open replays one it finds, and the first snapshot retires it.
-const (
-	walName  = "wal.log"
-	snapName = "snapshot.dat"
-)
+// snapName is the snapshot's file name inside a store directory,
+// beside the journal's duralog segments and cursor checkpoint.
+const snapName = "snapshot.dat"
 
 // snapCursor is the journal cursor the snapshot holds: Retain drops the
 // segments every cursor has passed — this one, and a standby's, which
@@ -39,14 +35,10 @@ const (
 // snapMagic marks a snapshot file ("FLPR").
 const snapMagic = 0x464C5052
 
-// snapVersion is the snapshot format version written. Version 2 added
-// a per-topic durable-stream cursor section, which is now always
-// written empty and skipped on read: cursors live in each durable
-// topic's own log. Version 1 files (no cursor section) are still read.
-const (
-	snapVersion   = 2
-	snapVersionV1 = 1
-)
+// snapVersion is the snapshot format version. Its per-topic
+// durable-stream cursor section is always empty: cursors live in each
+// durable topic's own log.
+const snapVersion = 2
 
 // Store persists one registry's state: a journal of framed records — a
 // duralog.Log in the store's directory, whose record sequence is the
@@ -67,7 +59,6 @@ type Store struct {
 	mu         sync.Mutex
 	dir        string
 	log        *duralog.Log
-	legacy     bool   // a pre-duralog wal.log is still on disk
 	snapSeq    uint64 // sequence covered by the snapshot file
 	walRecords int    // records in the journal since the last compaction
 	nosync     bool
@@ -83,10 +74,9 @@ type Options struct {
 }
 
 // Open opens (creating if necessary) the store in dir and replays its
-// snapshot, then a pre-duralog wal.log if one is left, then the
-// journal's intact records into reg, wholesale-replacing reg's state.
-// Records at or below the snapshot's sequence are skipped: they are
-// already reflected in the restored state.
+// snapshot, then the journal's records beyond it, into reg,
+// wholesale-replacing reg's state. A directory in an older layout is
+// converted first (upgrade.go).
 //
 // Open recovers state only; it does not fence a new incarnation or
 // attach the journal — that is role policy, owned by Manager (a
@@ -98,57 +88,8 @@ func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, erro
 	if s.log, err = duralog.Open(dir, duralog.Options{SegmentBytes: journalSegmentBytes, NoSync: opt.NoSync}); err != nil {
 		return nil, fmt.Errorf("registrystore: %w", err)
 	}
-	state, snapSeq, err := readSnapshot(filepath.Join(dir, snapName))
-	if err != nil {
-		s.log.Close()
-		return nil, err
-	}
-	reg.RestoreState(state)
-	s.snapSeq = snapSeq
-	seq := snapSeq
-	// replay applies the intact records of b beyond the snapshot and
-	// returns where they end: a torn or corrupt record ends the
-	// incarnation — nothing beyond it was acknowledged as durable in
-	// order.
-	replay := func(b []byte) (int, error) {
-		off := 0
-		for off < len(b) {
-			rec, n, err := DecodeRecord(b[off:])
-			if err != nil {
-				break
-			}
-			if rec.Seq > snapSeq {
-				if err := applyRecord(reg, &rec); err != nil {
-					return off, fmt.Errorf("replay %v: %w", rec.Type, err)
-				}
-				seq = max(seq, rec.Seq)
-				s.walRecords++
-			}
-			off += n
-		}
-		return off, nil
-	}
-	if _, err = os.Stat(filepath.Join(dir, walName)); err == nil {
-		s.legacy = true
-		_, _, err = recio.ScanFile(filepath.Join(dir, walName), true, replay)
-	} else if errors.Is(err, os.ErrNotExist) {
-		err = nil
-	}
-	if err == nil {
-		err = s.log.Replay(snapSeq+1, func(_ uint64, _ uint8, b []byte) error {
-			n, err := replay(b)
-			if err == nil && n != len(b) {
-				err = ErrCorrupt
-			}
-			return err
-		})
-	}
-	if err == nil && s.log.Head() < seq {
-		// The journal starts where the snapshot and the old wal.log end.
-		err = s.log.Reset(seq)
-	}
-	if err == nil {
-		err = s.log.Ack(snapCursor, snapSeq)
+	if err = s.recover(reg); errors.Is(err, ErrCorrupt) || hasWAL(dir) {
+		err = s.upgrade(reg)
 	}
 	if err != nil {
 		s.log.Close()
@@ -157,16 +98,36 @@ func Open(dir string, reg *nameservice.TopicRegistry, opt Options) (*Store, erro
 	return s, nil
 }
 
-// class maps a record type to its durability class: a record that can
-// move a membership generation must reach stable storage before the
-// mutation is acknowledged. A heartbeat cannot, and neither can the
-// renewals and cursor acks a standby journals from an old primary's
-// stream.
-func class(t RecType) recio.Durability {
-	if t == RecRenew || t == RecHeartbeat || t == RecCursorAck {
-		return recio.Written
+// recover loads the snapshot into reg and replays the journal's records
+// beyond it, reading today's layout only: a snapshot or record in any
+// other is ErrCorrupt, which sends Open to the converter.
+func (s *Store) recover(reg *nameservice.TopicRegistry) error {
+	state, snapSeq, err := readSnapshot(filepath.Join(s.dir, snapName))
+	if err != nil {
+		return err
 	}
-	return recio.Synced
+	reg.RestoreState(state)
+	s.snapSeq = snapSeq
+	err = s.log.Replay(snapSeq+1, func(seq uint64, _ uint8, b []byte) error {
+		rec, n, err := DecodeRecord(b)
+		if err != nil || n != len(b) {
+			return fmt.Errorf("%w: journal record %d", ErrCorrupt, seq)
+		}
+		if err := applyRecord(reg, &rec); err != nil {
+			return fmt.Errorf("replay %v: %w", rec.Type, err)
+		}
+		s.walRecords++
+		return nil
+	})
+	if err == nil && s.log.Head() < snapSeq {
+		// A resync's snapshot landed and the crash came before the
+		// journal restarted behind it.
+		err = s.log.Reset(snapSeq)
+	}
+	if err != nil {
+		return err
+	}
+	return s.log.Ack(snapCursor, snapSeq)
 }
 
 // check makes a non-nil err the store's sticky error.
@@ -178,8 +139,7 @@ func (s *Store) check(err error) error {
 }
 
 // Journal appends rec to the journal at the log's next sequence, which
-// it stamps into rec.Seq, and syncs it or hands it to the OS as its
-// class says. A standby journals each record it applies, which then
+// it stamps into rec.Seq, and syncs it or hands it to the OS. A standby journals each record it applies, which then
 // lands at the sequence the primary gave it. Fails after a sticky I/O
 // error (surfaced in Health).
 func (s *Store) Journal(rec *Record) error {
@@ -189,9 +149,6 @@ func (s *Store) Journal(rec *Record) error {
 		return s.err
 	}
 	rec.Seq = s.log.Head() + 1
-	// Newly journaled records carry the current frame version; replayed
-	// wal.log bytes keep whatever version they were written with.
-	rec.Ver = recio.V1
 	framed, err := AppendRecord(s.enc[:0], rec)
 	if err != nil {
 		return s.check(err)
@@ -200,9 +157,11 @@ func (s *Store) Journal(rec *Record) error {
 	if _, err := s.log.Append(ReplicationClass.Flags(), framed); err != nil {
 		return s.check(err)
 	}
-	sync := s.log.Flush
-	if class(rec.Type) == recio.Synced {
-		sync = s.log.Sync
+	// A record that can move a membership generation must reach stable
+	// storage before the mutation is acknowledged; a heartbeat cannot.
+	sync := s.log.Sync
+	if rec.Type == RecHeartbeat {
+		sync = s.log.Flush
 	}
 	if err := sync(); err != nil {
 		return s.check(err)
@@ -231,9 +190,7 @@ func (s *Store) ResetTo(state nameservice.RegistryState, seq uint64) error {
 	return s.check(s.log.Ack(snapCursor, seq))
 }
 
-// snapshotLocked writes a snapshot of state at seq and retires a
-// pre-duralog wal.log: every record in it is at or below the journal's
-// first sequence, so at or below seq. Caller holds s.mu.
+// snapshotLocked writes a snapshot of state at seq. Caller holds s.mu.
 func (s *Store) snapshotLocked(state nameservice.RegistryState, seq uint64) error {
 	if s.err != nil {
 		return s.err
@@ -243,12 +200,6 @@ func (s *Store) snapshotLocked(state nameservice.RegistryState, seq uint64) erro
 		return err
 	}
 	s.snapSeq = seq
-	if s.legacy {
-		if err := s.check(os.Remove(filepath.Join(s.dir, walName))); err != nil {
-			return err
-		}
-		s.legacy = false
-	}
 	return nil
 }
 
@@ -376,17 +327,24 @@ func writeSnapshot(path string, state nameservice.RegistryState, seq uint64, nos
 }
 
 // readSnapshot loads a snapshot file. A missing file is an empty state;
-// a corrupt one (bad magic, version, structure, or checksum) is
-// reported — recovery must not silently serve partial state.
+// any other error is reported — recovery must not silently serve
+// partial state.
 func readSnapshot(path string) (nameservice.RegistryState, uint64, error) {
-	var state nameservice.RegistryState
 	b, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return state, 0, nil
+		return nameservice.RegistryState{}, 0, nil
 	}
 	if err != nil {
-		return state, 0, fmt.Errorf("registrystore: %w", err)
+		return nameservice.RegistryState{}, 0, err
 	}
+	return parseSnapshot(b)
+}
+
+// parseSnapshot decodes the snapshot layout writeSnapshot writes. Any
+// other — bad magic, version, structure or checksum, or a cursor entry
+// — is ErrCorrupt.
+func parseSnapshot(b []byte) (nameservice.RegistryState, uint64, error) {
+	var state nameservice.RegistryState
 	if len(b) < 37 { // header + count + CRC
 		return state, 0, fmt.Errorf("%w: snapshot %d bytes", ErrCorrupt, len(b))
 	}
@@ -394,59 +352,41 @@ func readSnapshot(path string) (nameservice.RegistryState, uint64, error) {
 	if wire.Checksum(body) != crc {
 		return state, 0, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
 	}
-	if binary.BigEndian.Uint32(body[0:4]) != snapMagic ||
-		(body[4] != snapVersion && body[4] != snapVersionV1) {
+	if binary.BigEndian.Uint32(body[0:4]) != snapMagic || body[4] != snapVersion {
 		return state, 0, fmt.Errorf("%w: snapshot magic/version", ErrCorrupt)
 	}
-	hasCursors := body[4] >= snapVersion
 	state.Gen = binary.BigEndian.Uint64(body[5:13])
 	seq := binary.BigEndian.Uint64(body[13:21])
 	state.Epoch = binary.BigEndian.Uint64(body[21:29])
-	n := int(binary.BigEndian.Uint32(body[29:33]))
+	truncated := fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
 	off := 33
-	for i := 0; i < n; i++ {
-		if off+1 > len(body) {
-			return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
+	for n := binary.BigEndian.Uint32(body[29:33]); n > 0; n-- {
+		// nameLen | name | class | gen(4) | nsubs(4) | {addr(4) epoch(8)}
+		// | ncursors(4), always 0
+		if off >= len(body) || body[off] == 0 || off+int(body[off])+10 > len(body) {
+			return state, 0, truncated
 		}
-		nameLen := int(body[off])
-		off++
-		if nameLen == 0 || off+nameLen+9 > len(body) {
-			return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
+		end := off + 1 + int(body[off])
+		t := nameservice.TopicState{
+			Name:  string(body[off+1 : end]),
+			Class: body[end],
+			Gen:   binary.BigEndian.Uint32(body[end+1:]),
 		}
-		t := nameservice.TopicState{Name: string(body[off : off+nameLen])}
-		off += nameLen
-		t.Class = body[off]
-		t.Gen = binary.BigEndian.Uint32(body[off+1 : off+5])
-		subs := int(binary.BigEndian.Uint32(body[off+5 : off+9]))
-		off += 9
-		if off+12*subs > len(body) {
-			return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
+		subs := int(binary.BigEndian.Uint32(body[end+5:]))
+		if off = end + 9; off+12*subs+4 > len(body) {
+			return state, 0, truncated
 		}
-		for j := 0; j < subs; j++ {
+		for ; subs > 0; subs-- {
 			t.Subs = append(t.Subs, nameservice.Subscription{
-				Addr:  wire.Addr(binary.BigEndian.Uint32(body[off : off+4])),
-				Epoch: binary.BigEndian.Uint64(body[off+4 : off+12]),
+				Addr:  wire.Addr(binary.BigEndian.Uint32(body[off:])),
+				Epoch: binary.BigEndian.Uint64(body[off+4:]),
 			})
 			off += 12
 		}
-		if hasCursors {
-			if off+4 > len(body) {
-				return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
-			}
-			cursors := int(binary.BigEndian.Uint32(body[off : off+4]))
-			off += 4
-			for j := 0; j < cursors; j++ {
-				if off+1 > len(body) {
-					return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
-				}
-				subLen := int(body[off])
-				off++
-				if subLen == 0 || off+subLen+8 > len(body) {
-					return state, 0, fmt.Errorf("%w: snapshot truncated", ErrCorrupt)
-				}
-				off += subLen + 8 // a cursor entry: skipped
-			}
+		if binary.BigEndian.Uint32(body[off:]) != 0 {
+			return state, 0, fmt.Errorf("%w: snapshot cursor entries", ErrCorrupt)
 		}
+		off += 4
 		state.Topics = append(state.Topics, t)
 	}
 	return state, seq, nil

@@ -30,9 +30,9 @@ func TestRecordRoundTrip(t *testing.T) {
 	recs := []Record{
 		{Type: RecDeclare, Seq: 1, Topic: "alpha", Class: 2},
 		{Type: RecSubscribe, Seq: 2, Topic: "alpha", Addr: a},
-		{Type: RecRenew, Seq: 3, Topic: "alpha", Addr: a},
+		{Type: RecSubscribe, Seq: 3, Topic: "beta", Addr: a},
 		{Type: RecUnsubscribe, Seq: 4, Topic: "alpha", Addr: a},
-		{Type: RecAdvance, Seq: 5},
+		{Type: RecDeclare, Seq: 5, Topic: "beta", Class: 0},
 		{Type: RecFence, Seq: 6, Gen: 42},
 		{Type: RecHeartbeat, Seq: 7, Gen: 43},
 	}

@@ -106,19 +106,32 @@ func writeFile(t *testing.T, path string, b []byte) {
 }
 
 // openOld opens the old directory dir and checks the state and head it
-// recovers.
+// recovers, and that it was converted: no wal.log is left, the snapshot
+// sits at the recovered head, and the current path alone reopens it.
+// It returns the reopened store.
 func openOld(t *testing.T, dir string, want nameservice.RegistryState, wantSeq uint64) (*nameservice.TopicRegistry, *Store) {
 	t.Helper()
-	reg := nameservice.NewTopicRegistry()
-	s, err := Open(dir, reg, Options{NoSync: true})
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	for pass := 0; ; pass++ {
+		reg := nameservice.NewTopicRegistry()
+		s, err := Open(dir, reg, Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("open %d: %v", pass, err)
+		}
+		if got := reg.ExportState(); s.Seq() != wantSeq || !reflect.DeepEqual(got, want) {
+			t.Fatalf("open %d recovered seq %d (want %d), state\n got %+v\nwant %+v", pass, s.Seq(), wantSeq, got, want)
+		}
+		if hasWAL(dir) || s.SnapshotSeq() != wantSeq {
+			t.Fatalf("open %d: wal.log left %v, snapshot at %d, want none at %d", pass, hasWAL(dir), s.SnapshotSeq(), wantSeq)
+		}
+		if pass == 1 {
+			t.Cleanup(func() { s.Close() })
+			return reg, s
+		}
+		s.Close()
+		if err := recoverCurrent(dir); err != nil {
+			t.Fatalf("the converted directory needs converting again: %v", err)
+		}
 	}
-	t.Cleanup(func() { s.Close() })
-	if got := reg.ExportState(); s.Seq() != wantSeq || !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered seq %d (want %d), state\n got %+v\nwant %+v", s.Seq(), wantSeq, got, want)
-	}
-	return reg, s
 }
 
 // TestMixedVersionWALReplay replays a wal.log written across the frame
@@ -243,6 +256,73 @@ func TestOldRegistryDirectoryRecovers(t *testing.T) {
 			writeFile(t, filepath.Join(dir, snapName), oldSnapshot(ver, snap, 10, map[string][]string{"alpha": {"node1/app"}}))
 			writeFile(t, filepath.Join(dir, "wal.log"), append(append([]byte{}, wal...), torn[:len(torn)-4]...))
 			openOld(t, dir, want, 13)
+		})
+	}
+}
+
+// TestConversionCrashReopens cuts the conversion after each of its
+// steps — the converted snapshot lands, the journal restarts at the
+// converted head, the snapshot's cursor moves there, wal.log goes — and
+// reopens: every cut converts (again, if it must) to the state and head
+// an uncut conversion reaches (openOld checks the rest).
+func TestConversionCrashReopens(t *testing.T) {
+	a1, a2 := addr(t, 1, 4), addr(t, 2, 9)
+	old := func(t *testing.T) string {
+		dir := t.TempDir()
+		writeFile(t, filepath.Join(dir, snapName), oldSnapshot(1, nameservice.RegistryState{Gen: 3, Epoch: 7, Topics: []nameservice.TopicState{
+			{Name: "alpha", Class: 2, Gen: 5, Subs: []nameservice.Subscription{{Addr: a1, Epoch: 6}}},
+		}}, 10, nil))
+		var wal []byte
+		for _, rec := range [][]byte{
+			framed(0, uint8(RecSubscribe), 11, nil, addrBody(a2, "alpha")),
+			framed(1, typCursorAck, 12, nil, ackBody(55, "node1/app", "alpha")),
+			framed(1, uint8(RecDeclare), 13, []byte("x"), declareBody(1, "beta")),
+		} {
+			wal = append(wal, rec...)
+		}
+		writeFile(t, filepath.Join(dir, walName), wal)
+		oldJournal(t, dir, 13,
+			framed(1, typRenew, 14, nil, addrBody(a1, "alpha")),
+			framed(1, typAdvance, 15, nil, nil),
+			framed(1, uint8(RecFence), 16, nil, genBody(4)))
+		return dir
+	}
+	reg := nameservice.NewTopicRegistry()
+	s, err := Open(old(t), reg, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, head := reg.ExportState(), s.Seq()
+	s.Close()
+	if head != 16 || want.Gen != 4 || want.Epoch != 8 || len(want.Topics) != 2 {
+		t.Fatalf("converted to seq %d, state %+v", head, want)
+	}
+
+	withLog := func(dir string, fn func(*duralog.Log) error) error {
+		l, err := duralog.Open(dir, duralog.Options{SegmentBytes: journalSegmentBytes, NoSync: true})
+		if err != nil {
+			return err
+		}
+		defer l.Close()
+		return fn(l)
+	}
+	steps := []func(dir string) error{
+		func(dir string) error { return writeSnapshot(filepath.Join(dir, snapName), want, head, true) },
+		func(dir string) error { return withLog(dir, func(l *duralog.Log) error { return l.Reset(head) }) },
+		func(dir string) error {
+			return withLog(dir, func(l *duralog.Log) error { return l.Ack(snapCursor, head) })
+		},
+		func(dir string) error { return os.Remove(filepath.Join(dir, walName)) },
+	}
+	for cut := 1; cut <= len(steps); cut++ {
+		t.Run(fmt.Sprintf("after step %d", cut), func(t *testing.T) {
+			dir := old(t)
+			for _, step := range steps[:cut] {
+				if err := step(dir); err != nil {
+					t.Fatal(err)
+				}
+			}
+			openOld(t, dir, want, head)
 		})
 	}
 }
